@@ -113,7 +113,9 @@ impl Endpoint {
         text: &str,
         atomic_script: bool,
     ) -> Result<Vec<UpdateOutcome>, ScriptError> {
-        self.mediator.execute_script(text, atomic_script)
+        self.mediator
+            .execute_script(text, atomic_script)
+            .map(|(outcomes, _)| outcomes)
     }
 
     /// Execute an update and convert the result into a feedback document
@@ -135,7 +137,7 @@ impl Endpoint {
     /// to the planner, and hot entries survive capacity pressure from
     /// one-off queries.
     pub fn execute_query(&self, text: &str) -> OntoResult<sparql::QueryOutcome> {
-        self.mediator.execute_query(text)
+        self.mediator.read().execute_query(text)
     }
 
     /// Number of compiled queries currently cached.
@@ -162,7 +164,7 @@ impl Endpoint {
 
     /// Materialize the database's full RDF view.
     pub fn materialize(&self) -> OntoResult<Graph> {
-        self.mediator.materialize()
+        self.mediator.read().materialize()
     }
 
     /// Describe one instance URI: the triples of its row plus its
@@ -170,7 +172,7 @@ impl Endpoint {
     /// "dereferenceable URI" read the paper's related work describes
     /// (§2), here over the live database.
     pub fn describe(&self, uri: &rdf::Iri) -> OntoResult<Graph> {
-        self.mediator.describe(uri)
+        self.mediator.read().describe(uri)
     }
 }
 

@@ -79,8 +79,8 @@ pub use error::{OntoError, OntoResult};
 pub use feedback::Feedback;
 pub use materialize::materialize;
 pub use mediator::{
-    CommitProfile, ConcurrencyStats, DatabaseReadGuard, DatabaseVersion, DatabaseWriteGuard,
-    JoinPlan, Mediator, QueryCacheStats, QueryExplain, QueryProfile, ReadSession, ScriptError,
+    ConcurrencyStats, DatabaseReadGuard, DatabaseVersion, DatabaseWriteGuard, JoinPlan, Mediator,
+    QueryCacheStats, QueryExplain, QueryProfile, QueryRun, QueryStop, ReadSession, ScriptError,
     UpdateOutcome, UpdateProfile, WriteTxn,
 };
 pub use modify::{

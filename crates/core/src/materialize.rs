@@ -189,6 +189,100 @@ pub fn key_instance_uri(mapping: &Mapping, target: &TableMap, key: &Value) -> On
         })
 }
 
+// DESCRIBE one instance URI over a snapshot: the row's triples plus its
+// link-table triples in either role (behind `ReadSession::describe`).
+pub(crate) fn describe(db: &Database, mapping: &Mapping, uri: &Iri) -> OntoResult<Graph> {
+    let identified = crate::translate::identify(db, mapping, &Term::Iri(uri.clone()))?;
+    let table = db.schema().table(&identified.table_map.table_name)?;
+    let Some(row_id) = crate::translate::find_row(db, &identified)? else {
+        return Ok(Graph::new()); // mapped but absent: empty description
+    };
+    let row = db
+        .row(&identified.table_map.table_name, row_id)?
+        .expect("row id valid")
+        .clone();
+    let mut graph = materialize_row(db, mapping, identified.table_map, &row)?;
+    // Link-table triples where this instance is subject or object.
+    let key = identified.pk_values(table)?;
+    if key.len() == 1 {
+        let key = &key[0];
+        for link in &mapping.link_tables {
+            let link_table = db.schema().table(&link.table_name)?;
+            let s_idx = link_table
+                .column_index(&link.subject_attribute.attribute_name)
+                .expect("validated mapping");
+            let o_idx = link_table
+                .column_index(&link.object_attribute.attribute_name)
+                .expect("validated mapping");
+            let s_target = link
+                .subject_attribute
+                .foreign_key_target()
+                .and_then(|id| mapping.table_by_id(id));
+            let o_target = link
+                .object_attribute
+                .foreign_key_target()
+                .and_then(|id| mapping.table_by_id(id));
+            let (Some(s_target), Some(o_target)) = (s_target, o_target) else {
+                continue;
+            };
+            let as_subject = s_target.table_name == identified.table_map.table_name;
+            let as_object = o_target.table_name == identified.table_map.table_name;
+            // Candidate link rows by index on whichever endpoint
+            // columns reference this instance (both are FK columns,
+            // so normally indexed); a failed probe falls back to
+            // scanning.
+            let mut candidates: Option<Vec<rel::RowId>> = Some(Vec::new());
+            for (role_active, column) in [
+                (as_subject, &link.subject_attribute.attribute_name),
+                (as_object, &link.object_attribute.attribute_name),
+            ] {
+                if !role_active {
+                    continue;
+                }
+                match db.index_probe(&link.table_name, column, key)? {
+                    Some(ids) => {
+                        if let Some(c) = &mut candidates {
+                            c.extend(ids);
+                        }
+                    }
+                    None => candidates = None,
+                }
+            }
+            let link_rows: Vec<&Vec<rel::Value>> = match candidates {
+                Some(mut ids) => {
+                    ids.sort_unstable();
+                    ids.dedup();
+                    let mut rows = Vec::with_capacity(ids.len());
+                    for id in ids {
+                        rows.push(db.row(&link.table_name, id)?.expect("live id"));
+                    }
+                    rows
+                }
+                None => db.scan(&link.table_name)?.map(|(_, r)| r).collect(),
+            };
+            for link_row in link_rows {
+                let s_val = &link_row[s_idx];
+                let o_val = &link_row[o_idx];
+                if s_val.is_null() || o_val.is_null() {
+                    continue;
+                }
+                let relevant = (as_subject && s_val.sql_eq(key) == Some(true))
+                    || (as_object && o_val.sql_eq(key) == Some(true));
+                if relevant {
+                    let s = key_instance_uri(mapping, s_target, s_val)?;
+                    let o = key_instance_uri(mapping, o_target, o_val)?;
+                    graph.insert(Triple::new(
+                        Term::Iri(s),
+                        link.property.clone(),
+                        Term::Iri(o),
+                    ));
+                }
+            }
+        }
+    }
+    Ok(graph)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

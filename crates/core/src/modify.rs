@@ -13,9 +13,12 @@
 //! value directly.
 
 use crate::error::{OntoError, OntoResult};
+use crate::mediator::{UpdateOutcome, UpdateProfile};
 use crate::translate::delete::{translate_delete_data, translate_delete_data_per_row};
 use crate::translate::insert::{translate_insert_data, translate_insert_data_per_row};
-use crate::translate::{execute_sorted, execute_sorted_reference, TranslateOptions, WriteScope};
+use crate::translate::{
+    execute_sorted, execute_sorted_reference, execute_sorted_timed, TranslateOptions, WriteScope,
+};
 use r3m::Mapping;
 use rdf::{Iri, Term, Triple};
 use rel::sql::Statement;
@@ -212,27 +215,72 @@ pub fn execute_update_op(
     mapping: &Mapping,
     op: &UpdateOp,
 ) -> OntoResult<crate::translate::ExecutionReport> {
-    match op {
+    let outcome = run_update_op(db, mapping, op, &mut UpdateProfile::default())?;
+    Ok(crate::translate::ExecutionReport {
+        statements: outcome.statements,
+        rows_affected: outcome.rows_affected,
+    })
+}
+
+// The one INSERT DATA / DELETE DATA / MODIFY dispatch (Algorithm 1 / 2)
+// behind [`execute_update_op`] and `WriteTxn::update_op`, adding the
+// operation's stage times to `stages`. The caller provides atomicity
+// (the transaction's per-op savepoint); `execute_sorted_timed` and
+// `execute_modify` nest their own scopes for per-round rollback.
+pub(crate) fn run_update_op(
+    db: &mut Database,
+    mapping: &Mapping,
+    op: &UpdateOp,
+    stages: &mut UpdateProfile,
+) -> OntoResult<UpdateOutcome> {
+    let (operation, stmts) = match op {
         UpdateOp::InsertData { triples } => {
+            let span = obs::trace::span("update.translate");
             let stmts = translate_insert_data(db, mapping, triples, TranslateOptions::default())?;
-            execute_sorted(db, stmts)
+            stages.translate += span.finish();
+            ("INSERT DATA", stmts)
         }
         UpdateOp::DeleteData { triples } => {
+            let span = obs::trace::span("update.translate");
             let stmts = translate_delete_data(db, mapping, triples)?;
-            execute_sorted(db, stmts)
+            stages.translate += span.finish();
+            ("DELETE DATA", stmts)
         }
         UpdateOp::Modify {
             delete,
             insert,
             pattern,
         } => {
+            // Atomic on the live database: `execute_modify` wraps both
+            // DATA rounds in one savepoint scope (no clone-and-swap).
+            // Translation happens inside per matched binding, so the
+            // whole operation is accounted to the execute stage.
+            let span = obs::trace::span("update.execute");
             let report = execute_modify(db, mapping, delete, insert, pattern)?;
-            Ok(crate::translate::ExecutionReport {
-                statements: report.executed,
+            if span.armed() {
+                span.attr_u64("statements", report.executed.len() as u64);
+                span.attr_u64("rows_affected", report.rows_affected as u64);
+            }
+            stages.execute += span.finish();
+            return Ok(UpdateOutcome {
+                operation: "MODIFY".into(),
+                statements_executed: report.executed.len(),
                 rows_affected: report.rows_affected,
-            })
+                statements: report.executed.clone(),
+                modify: Some(report),
+            });
         }
-    }
+    };
+    let (executed, sort, execute) = execute_sorted_timed(db, stmts)?;
+    stages.sort += sort;
+    stages.execute += execute;
+    Ok(UpdateOutcome {
+        operation: operation.into(),
+        statements_executed: executed.statements.len(),
+        rows_affected: executed.rows_affected,
+        statements: executed.statements,
+        modify: None,
+    })
 }
 
 /// Reference counterpart of [`execute_update_op`]: the per-row emission

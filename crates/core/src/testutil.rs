@@ -14,6 +14,12 @@ pub fn endpoint_fixture() -> (Database, Mapping) {
     (crate::usecase::database(), crate::usecase::mapping())
 }
 
+/// A shared in-memory mediator over [`fixture_db_with_rows`].
+pub fn fixture_mediator() -> crate::Mediator {
+    let (db, mapping) = fixture_db_with_rows();
+    crate::Mediator::new(db, mapping).unwrap()
+}
+
 /// Database preloaded with the rows the paper's examples assume:
 /// teams 4 (DBTG) and 5 (SEAL), authors 6 (Hert, team 5, with mbox) and
 /// 7 (Reif, team 5), pubtype 4, publisher 3, publication 1 authored by

@@ -514,28 +514,23 @@ pub fn execute_sorted(
 }
 
 /// [`execute_sorted`] with the sort and execute stage wall times
-/// returned alongside the report — the update-profiling path
-/// (`?profile=1` on `POST /update`). The stages also carry trace spans
-/// (`update.sort`, `update.execute`), recorded only under an active
-/// trace.
+/// returned alongside the report. Each stage is timed by its trace span
+/// (`update.sort`, `update.execute`), so the returned durations are the
+/// ones `/trace/<id>` shows.
 pub fn execute_sorted_timed(
     db: &mut Database,
     statements: Vec<Statement>,
 ) -> OntoResult<(ExecutionReport, std::time::Duration, std::time::Duration)> {
-    let sort_started = std::time::Instant::now();
     let sort_span = obs::trace::span("update.sort");
     let sorted = sort::sort_statements(db.schema(), statements)?;
-    drop(sort_span);
-    let sort = sort_started.elapsed();
-    let execute_started = std::time::Instant::now();
+    let sort = sort_span.finish();
     let execute_span = obs::trace::span("update.execute");
     let report = run_in_scope(db, sorted)?;
     if execute_span.armed() {
         execute_span.attr_u64("statements", report.statements.len() as u64);
         execute_span.attr_u64("rows_affected", report.rows_affected as u64);
     }
-    drop(execute_span);
-    Ok((report, sort, execute_started.elapsed()))
+    Ok((report, sort, execute_span.finish()))
 }
 
 /// Reference variant of [`execute_sorted`] for the per-row statement

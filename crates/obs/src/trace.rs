@@ -15,8 +15,12 @@
 //! object — the server starts the trace, and core/dur code running on
 //! the same thread (the request handler is synchronous end to end)
 //! emits spans against it. Code running without an active trace pays
-//! one thread-local probe and records nothing, so instrumented library
-//! paths are free outside a traced request. Cross-node propagation is
+//! one clock reading and one thread-local probe and records nothing, so
+//! instrumented library paths stay cheap outside a traced request. A
+//! span is also its stage's stopwatch: [`Span::finish`] returns the
+//! elapsed time from the same reading that closes the record, so a
+//! stage is timed once and every surface reports that value.
+//! Cross-node propagation is
 //! explicit instead: a leader write stamps its trace id into the WAL
 //! commit unit, and the follower's apply starts a *new* local trace
 //! under that id, linking the two stores by key.
@@ -40,7 +44,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Span identifier, unique within its trace (0 is the root).
 pub type SpanId = u32;
@@ -199,7 +203,7 @@ impl Trace {
         let Some(mut trace) = ACTIVE.with(|active| active.borrow_mut().take()) else {
             return false;
         };
-        let duration_micros = trace.started.elapsed().as_micros().min(u64::MAX as u128) as u64;
+        let duration_micros = micros(trace.started.elapsed());
         // Close every span still open (defensive: guards normally close
         // their own spans before the trace ends).
         for span in &mut trace.spans {
@@ -260,9 +264,12 @@ pub fn mark_slow() {
 }
 
 /// Open a span named `name` as a child of the innermost open span of
-/// this thread's trace. Returns an inert guard when no trace is
-/// active (or the per-trace span bound is hit). Close by dropping.
+/// this thread's trace. The guard is the stage's only clock: it reads
+/// [`Instant::now`] once here and once at [`Span::finish`] (or drop).
+/// Without an active trace (or past the per-trace span bound) nothing
+/// records, but [`Span::finish`] still answers the elapsed time.
 pub fn span(name: &'static str) -> Span {
+    let started = Instant::now();
     let id = ACTIVE.with(|active| {
         let mut active = active.borrow_mut();
         let trace = active.as_mut()?;
@@ -272,25 +279,29 @@ pub fn span(name: &'static str) -> Span {
         }
         let id = trace.spans.len() as SpanId;
         let parent = trace.stack.last().copied();
-        let start_micros = trace.started.elapsed().as_micros().min(u64::MAX as u128) as u64;
         trace.spans.push(SpanRecord {
             id,
             parent,
             name,
-            start_micros,
+            start_micros: micros(started.saturating_duration_since(trace.started)),
             end_micros: 0,
             attrs: Vec::new(),
         });
         trace.stack.push(id);
         Some(id)
     });
-    Span { id }
+    Span { id, started }
+}
+
+fn micros(duration: Duration) -> u64 {
+    duration.as_micros().min(u64::MAX as u128) as u64
 }
 
 /// Guard for one open span (see [`span`]).
 #[derive(Debug)]
 pub struct Span {
     id: Option<SpanId>,
+    started: Instant,
 }
 
 impl Span {
@@ -324,22 +335,39 @@ impl Span {
             }
         });
     }
+
+    /// Close the span and return the wall time since it was opened.
+    /// The record's end offset is its start plus the returned duration,
+    /// so a histogram or profile fed this value reports what the trace
+    /// shows. Works armed or not: the time is real outside a trace and
+    /// under [`crate::set_enabled`]`(false)`.
+    pub fn finish(mut self) -> Duration {
+        let elapsed = self.started.elapsed();
+        self.close(elapsed);
+        elapsed
+    }
+
+    fn close(&mut self, elapsed: Duration) {
+        let Some(id) = self.id.take() else { return };
+        ACTIVE.with(|active| {
+            let mut active = active.borrow_mut();
+            let Some(trace) = active.as_mut() else { return };
+            let start = self.started.saturating_duration_since(trace.started);
+            if let Some(span) = trace.spans.get_mut(id as usize) {
+                span.end_micros = micros(start + elapsed);
+            }
+            // Guards close innermost-first in straight-line code; the
+            // retain is defensive against a guard outliving a sibling.
+            trace.stack.retain(|&open| open != id);
+        });
+    }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let Some(id) = self.id else { return };
-        ACTIVE.with(|active| {
-            let mut active = active.borrow_mut();
-            let Some(trace) = active.as_mut() else { return };
-            let end = trace.started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-            if let Some(span) = trace.spans.get_mut(id as usize) {
-                span.end_micros = end.max(span.start_micros);
-            }
-            // Guards drop innermost-first in straight-line code; the
-            // retain is defensive against a guard outliving a sibling.
-            trace.stack.retain(|&open| open != id);
-        });
+        if self.id.is_some() {
+            self.close(self.started.elapsed());
+        }
     }
 }
 
@@ -585,6 +613,26 @@ mod tests {
     }
 
     #[test]
+    fn finish_returns_the_duration_the_record_shows() {
+        on_thread(|| {
+            let trace = start("t-finish", "root");
+            let stage = span("stage");
+            std::thread::sleep(Duration::from_millis(2));
+            let elapsed = stage.finish();
+            trace.finish();
+            let record = store().get("t-finish").expect("retained");
+            let stage = record.spans.iter().find(|s| s.name == "stage").unwrap();
+            let recorded = stage.end_micros - stage.start_micros;
+            assert!(elapsed >= Duration::from_millis(2));
+            // Start and end are truncated to whole micros independently.
+            assert!(
+                recorded.abs_diff(micros(elapsed)) <= 1,
+                "{recorded} vs {elapsed:?}"
+            );
+        });
+    }
+
+    #[test]
     fn spans_without_a_trace_are_inert() {
         on_thread(|| {
             assert!(!is_active());
@@ -592,6 +640,9 @@ mod tests {
             assert!(!s.armed());
             s.attr_u64("ignored", 1);
             assert_eq!(current_trace_id(), None);
+            // …but still a working stopwatch.
+            std::thread::sleep(Duration::from_millis(1));
+            assert!(s.finish() >= Duration::from_millis(1));
         });
     }
 

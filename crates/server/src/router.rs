@@ -34,7 +34,7 @@ use crate::stats::ServerStats;
 use crate::wire;
 use ontoaccess::feedback::Feedback;
 use ontoaccess::mediator::{
-    JoinPlan, Mediator, QueryExplain, QueryProfile, ReadSession, UpdateProfile,
+    JoinPlan, Mediator, QueryExplain, QueryProfile, QueryStop, ReadSession, UpdateProfile,
 };
 use ontoaccess::OntoError;
 use std::sync::Arc;
@@ -304,8 +304,8 @@ fn run_query(
     // body is always JSON (there is no result set to negotiate).
     if request.param("explain").is_some_and(|v| v == "1") {
         ctx.stats.record_query();
-        return match session.explain_query(text) {
-            Ok(explain) => Response::new(200, wire::JSON, explain_json(&explain)),
+        return match session.run_query(text, QueryStop::Plan) {
+            Ok(run) => Response::new(200, wire::JSON, explain_json(&run.explain())),
             Err(error) => mediator_error(&error),
         };
     }
@@ -316,15 +316,8 @@ fn run_query(
         );
     };
     ctx.stats.record_query();
-    let profiled = request.param("profile").is_some_and(|v| v == "1");
     let query_started = Instant::now();
-    let result = if profiled {
-        session
-            .execute_query_profiled(text)
-            .map(|(outcome, profile)| (outcome, Some(profile)))
-    } else {
-        session.execute_query(text).map(|outcome| (outcome, None))
-    };
+    let result = session.run_query(text, QueryStop::Execute);
     let micros = query_started.elapsed().as_micros().min(u64::MAX as u128) as u64;
     if micros >= ctx.slow_query_micros {
         // Flag the active trace *now* so tail sampling pins it to the
@@ -340,11 +333,17 @@ fn run_query(
         );
     }
     match result {
-        Ok((outcome, profile)) => {
-            let response = outcome_response(&outcome, content_type, format);
-            match profile {
-                Some(p) => response.with_header("X-Profile", &profile_json(&p)),
-                None => response,
+        Ok(run) => {
+            let outcome = run
+                .outcome
+                .as_ref()
+                .expect("QueryStop::Execute runs the plan");
+            let response = outcome_response(outcome, content_type, format);
+            // `?profile=1` prints what every run records anyway.
+            if request.param("profile").is_some_and(|v| v == "1") {
+                response.with_header("X-Profile", &profile_json(&run.profile()))
+            } else {
+                response
             }
         }
         Err(error) => mediator_error(&error),
@@ -449,20 +448,11 @@ fn update(ctx: &AppContext, request: &Request) -> Response {
     // A request may carry several operations separated by `;`
     // (SPARQL 1.1 update request); the whole request is executed as
     // one atomic write transaction, and the answer is the paper's §6
-    // feedback document either way. `?profile=1` runs the same atomic
-    // path with per-stage timing and answers it as an `X-Profile`
-    // header alongside the unchanged feedback body.
+    // feedback document either way. Every script records its stage
+    // times; `?profile=1` prints them as an `X-Profile` header
+    // alongside the unchanged feedback body.
     let profiled = request.param("profile").is_some_and(|v| v == "1");
-    let result = if profiled {
-        ctx.mediator
-            .execute_script_profiled(&text)
-            .map(|(outcomes, profile)| (outcomes, Some(profile)))
-    } else {
-        ctx.mediator
-            .execute_script(&text, true)
-            .map(|outcomes| (outcomes, None))
-    };
-    let (status, feedback, profile) = match result {
+    let (status, feedback, profile) = match ctx.mediator.execute_script(&text, true) {
         Ok((outcomes, profile)) => {
             let operation = match outcomes.as_slice() {
                 [only] => only.operation.clone(),
@@ -477,7 +467,7 @@ fn update(ctx: &AppContext, request: &Request) -> Response {
                     statements,
                     rows,
                 },
-                profile,
+                profiled.then_some(profile),
             )
         }
         Err(script_error) => {
@@ -508,13 +498,14 @@ fn update(ctx: &AppContext, request: &Request) -> Response {
 // The update `X-Profile` trailer: where a write's wall time went, from
 // parse through the covering group fsync.
 fn update_profile_json(profile: &UpdateProfile) -> String {
+    let micros = |stage: Duration| stage.as_micros() as u64;
     JsonObject::new()
-        .u64("parse_micros", profile.parse_micros)
-        .u64("translate_micros", profile.translate_micros)
-        .u64("sort_micros", profile.sort_micros)
-        .u64("execute_micros", profile.execute_micros)
-        .u64("wal_append_micros", profile.wal_append_micros)
-        .u64("fsync_micros", profile.fsync_micros)
+        .u64("parse_micros", micros(profile.parse))
+        .u64("translate_micros", micros(profile.translate))
+        .u64("sort_micros", micros(profile.sort))
+        .u64("execute_micros", micros(profile.execute))
+        .u64("wal_append_micros", micros(profile.wal_append))
+        .u64("fsync_micros", micros(profile.fsync))
         .u64("operations", profile.operations as u64)
         .finish()
 }

@@ -319,6 +319,67 @@ fn trace_endpoint_returns_the_span_tree_of_a_slow_query() {
     server.shutdown();
 }
 
+// The first unsigned integer after `key` in `text`.
+fn u64_after(text: &str, key: &str) -> u64 {
+    let digits = &text[text.find(key).unwrap_or_else(|| panic!("{key} in {text}")) + key.len()..];
+    let end = digits.find(|c: char| !c.is_ascii_digit()).unwrap();
+    digits[..end].parse().unwrap()
+}
+
+// `(duration_micros, attrs object)` of the first span called `name` in
+// a `/trace/<id>` body.
+fn span_of<'a>(trace: &'a str, name: &str) -> (u64, &'a str) {
+    let span = &trace[trace
+        .find(&format!("\"name\":\"{name}\""))
+        .unwrap_or_else(|| panic!("span {name} in {trace}"))..];
+    let duration = u64_after(span, "\"end_micros\":") - u64_after(span, "\"start_micros\":");
+    let attrs = &span[span.find("\"attrs\":").unwrap()..];
+    (duration, &attrs[..=attrs.find('}').unwrap()])
+}
+
+#[test]
+fn profiled_request_records_the_same_trace_as_a_plain_one() {
+    // Threshold 0 pins both traces to the priority ring.
+    let server = test_server(0);
+    let traced_get = |target: &str, id: &str| {
+        let response = send(
+            &server,
+            &format!(
+                "GET {target} HTTP/1.1\r\nHost: t\r\nX-Request-Id: {id}\r\nConnection: close\r\n\r\n"
+            ),
+        );
+        assert_eq!(response.status, 200);
+        let trace = get(&server, &format!("/trace/{id}"));
+        assert_eq!(trace.status, 200);
+        (response, trace.text())
+    };
+    let target = format!("/sparql?query={}", urlencode(JOIN_QUERY));
+    // Profiled first, so its trace has the cache-miss stages too.
+    let (profiled, profiled_trace) = traced_get(&format!("{target}&profile=1"), "drift-profiled");
+    let (_, plain_trace) = traced_get(&target, "drift-plain");
+
+    // One pipeline: `?profile=1` cannot lose span attributes.
+    let (_, profiled_attrs) = span_of(&profiled_trace, "query.execute");
+    let (_, plain_attrs) = span_of(&plain_trace, "query.execute");
+    assert_eq!(profiled_attrs, plain_attrs);
+    for key in ["\"version_seq\":", "\"rows\":"] {
+        assert!(profiled_attrs.contains(key), "{key} in {profiled_attrs}");
+    }
+
+    // One clock: each X-Profile stage is its span's duration (start and
+    // end offsets truncate to whole micros independently, hence ±1).
+    let profile = profiled.header("x-profile").expect("X-Profile");
+    for stage in ["parse", "plan", "execute"] {
+        let reported = u64_after(profile, &format!("\"{stage}_micros\":"));
+        let (recorded, _) = span_of(&profiled_trace, &format!("query.{stage}"));
+        assert!(
+            reported.abs_diff(recorded) <= 1,
+            "{stage}: X-Profile {reported} vs span {recorded}"
+        );
+    }
+    server.shutdown();
+}
+
 // ----------------------------------------------------------------------
 // ?explain=1
 // ----------------------------------------------------------------------

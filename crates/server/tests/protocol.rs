@@ -296,7 +296,7 @@ fn dump_returns_the_full_rdf_view() {
     assert_eq!(response.status, 200);
     let graph = rdf::turtle::parse(&response.text()).unwrap();
     let mediator = fixtures::mediator_with_sample_data();
-    assert_eq!(graph, mediator.materialize().unwrap());
+    assert_eq!(graph, mediator.read().materialize().unwrap());
     server.shutdown();
 }
 

@@ -12,9 +12,9 @@
 
 use sparql_update_rdb::fixtures;
 use sparql_update_rdb::fixtures::diff::assert_heaps_identical;
-use sparql_update_rdb::ontoaccess::{self, Mediator};
+use sparql_update_rdb::ontoaccess::{self, Mediator, QueryStop};
 use sparql_update_rdb::rdf::namespace::PrefixMap;
-use sparql_update_rdb::sparql::{self, Query, Solutions};
+use sparql_update_rdb::sparql::{self, Query, QueryOutcome, Solutions};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -87,7 +87,6 @@ fn snapshot_reads_match_serialized_reference_under_storm() {
                         seq >= last_seq,
                         "reader {reader_id}: version went backwards ({last_seq} -> {seq})"
                     );
-                    last_seq = seq;
                     let reference = references
                         .lock()
                         .unwrap()
@@ -100,15 +99,23 @@ fn snapshot_reads_match_serialized_reference_under_storm() {
                         &reference,
                         &format!("reader {reader_id} pinned seq {seq}"),
                     );
-                    // …and queries over it equal serialized execution.
-                    let live = guard.select(query).unwrap();
+                    // …and a query equals serialized execution over the
+                    // version its run pinned (the same or a later one).
+                    let run = session.run_query(query, QueryStop::Execute).unwrap();
+                    let run_seq = run.version_seq();
+                    assert!(run_seq >= seq, "reader {reader_id}: {seq} -> {run_seq}");
+                    last_seq = run_seq;
+                    let reference = references.lock().unwrap()[&run_seq].clone();
+                    let Some(QueryOutcome::Solutions(live)) = run.outcome else {
+                        panic!("SELECT executed to solutions");
+                    };
                     let expected =
                         ontoaccess::execute_select(&reference, mapping, parsed_query).unwrap();
                     assert_eq!(live.variables, expected.variables);
                     assert_eq!(
                         sorted_rows(&live),
                         sorted_rows(&expected),
-                        "reader {reader_id}: query over seq {seq} diverged from reference"
+                        "reader {reader_id}: query over seq {run_seq} diverged from reference"
                     );
                     iterations += 1;
                 }
