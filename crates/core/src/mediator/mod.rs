@@ -41,7 +41,7 @@
 //! happens at cache-admission time against the live database, and is
 //! republished as an index-only replacement of the current version
 //! (same sequence number, same rows): published snapshots are never
-//! mutated in place, and a plan executed against an older pinned
+//! mutated in place, and a query planned against an older pinned
 //! version simply falls back to hash joins.
 //!
 //! The pieces, one file each: `versions` (the chain and its guards),
@@ -56,7 +56,7 @@ mod txn;
 mod versions;
 
 pub use cache::QueryCacheStats;
-pub use session::{JoinPlan, QueryExplain, QueryProfile, QueryRun, QueryStop, ReadSession};
+pub use session::{QueryExplain, QueryProfile, QueryRun, QueryStop, ReadSession};
 pub use txn::{ScriptError, UpdateOutcome, UpdateProfile, WriteTxn};
 pub use versions::{DatabaseReadGuard, DatabaseVersion, DatabaseWriteGuard};
 

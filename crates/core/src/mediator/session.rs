@@ -6,9 +6,9 @@ use super::cache::CachedQuery;
 use super::versions::{DatabaseReadGuard, DatabaseVersion};
 use super::{metrics, MediatorCore};
 use crate::error::{OntoError, OntoResult};
-use crate::query::CompiledQuery;
 use rdf::namespace::PrefixMap;
 use rdf::Graph;
+use rel::sql::SelectPlan;
 use rel::Database;
 use sparql::{Query, QueryOutcome, Solutions};
 use std::sync::Arc;
@@ -49,10 +49,11 @@ pub enum QueryStop {
 }
 
 /// The record of one trip through the read pipeline: what was pinned,
-/// whether the compilation was cached, how long each stage took, and
-/// the outcome when the plan ran. [`QueryRun::profile`] and
-/// [`QueryRun::explain`] are projections computed on demand, so a plain
-/// execution never pays for the plan summary.
+/// whether the compilation was cached, the join plan resolved against
+/// the pinned snapshot, how long each stage took, and the outcome when
+/// the plan ran. [`QueryRun::profile`] and [`QueryRun::explain`] are
+/// projections of the record, so every surface reports the plan the
+/// executor ran.
 #[derive(Debug)]
 pub struct QueryRun {
     /// Whether the compilation came from the query cache (parse and
@@ -62,33 +63,23 @@ pub struct QueryRun {
     pub parse: Duration,
     /// Wall time compiling to SQL and provisioning join indexes.
     pub plan: Duration,
-    /// Wall time executing the compiled plan (zero at
-    /// [`QueryStop::Plan`]).
+    /// Wall time planning the joins against the snapshot and executing
+    /// them (zero at [`QueryStop::Plan`]).
     pub execute: Duration,
     /// The result, present exactly when the run reached
     /// [`QueryStop::Execute`].
     pub outcome: Option<QueryOutcome>,
+    /// The join plan of the compiled SQL against the pinned snapshot —
+    /// at [`QueryStop::Execute`], the plan the executor ran.
+    pub joins: SelectPlan,
     version: Arc<DatabaseVersion>,
     compiled: Arc<CachedQuery>,
 }
 
-/// One join in a query's chosen plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JoinPlan {
-    /// Table of the indexed (probe) side.
-    pub table: String,
-    /// Join column on that table.
-    pub column: String,
-    /// `"index_probe"` when the pinned snapshot carries the join
-    /// index, `"hash_join"` when the executor falls back to building a
-    /// hash table (e.g. a snapshot pinned before provisioning).
-    pub strategy: &'static str,
-}
-
-/// Per-stage wall times and plan summary of one executed query — what
-/// the server's `?profile=1` returns in its `X-Profile` header.
+/// Per-stage wall times and join plan of one executed query — what the
+/// server's `?profile=1` returns in its `X-Profile` header.
 #[derive(Debug, Clone)]
-pub struct QueryProfile {
+pub struct QueryProfile<'r> {
     /// Whether the compilation came from the query cache (parse and
     /// plan times are 0 on a hit).
     pub cache_hit: bool,
@@ -97,89 +88,54 @@ pub struct QueryProfile {
     /// Wall time compiling to SQL and provisioning join indexes, in
     /// microseconds.
     pub plan_micros: u64,
-    /// Wall time executing the compiled plan, in microseconds.
+    /// Wall time planning and executing the joins, in microseconds.
     pub execute_micros: u64,
     /// Commit sequence of the snapshot the query answered from.
     pub version_seq: u64,
     /// Result rows (for ASK: 1 when true, 0 when false).
     pub rows: usize,
-    /// Join strategy per join-index target of the plan.
-    pub joins: Vec<JoinPlan>,
-    /// Equi-join key pairs in the compiled SQL.
-    pub join_keys: usize,
-    /// Residual WHERE conjuncts beyond the join keys — the filters the
-    /// executor evaluates per candidate row.
-    pub residual_conjuncts: usize,
+    /// The plan the executor ran.
+    pub joins: &'r SelectPlan,
 }
 
-/// The chosen plan of a query described *without executing it* — the
-/// server's `?explain=1` body. The same [`QueryRun`] projection code
-/// fills this and [`QueryProfile`], so EXPLAIN matches what an
-/// execution of the same query against the same snapshot reports.
+/// The plan of a query described *without executing it* — the server's
+/// `?explain=1` body. It is the plan an execution against the same
+/// snapshot runs, so it matches that run's [`QueryProfile`].
 #[derive(Debug, Clone)]
-pub struct QueryExplain {
+pub struct QueryExplain<'r> {
     /// Whether the compilation came from the query cache.
     pub cache_hit: bool,
     /// Query form: `"select"` or `"ask"`.
     pub form: &'static str,
     /// Commit sequence of the snapshot the plan was resolved against.
     pub version_seq: u64,
-    /// Join strategy per join-index target of the plan, in join order.
-    pub joins: Vec<JoinPlan>,
-    /// Equi-join key pairs in the compiled SQL.
-    pub join_keys: usize,
-    /// Total AND-leaf conjuncts of the WHERE clause.
-    pub conjuncts: usize,
-    /// Residual conjuncts beyond the join keys — evaluated per
-    /// candidate row at execution time.
-    pub residual_conjuncts: usize,
+    /// The plan, level by level in join order.
+    pub joins: &'r SelectPlan,
 }
 
-// The per-target strategy summary shared by `?profile=1`, `?explain=1`,
-// and the per-join trace spans: one computation, so every surface
-// reports the identical plan for the same snapshot + cache state.
-fn join_plans(db: &Database, plan: &CompiledQuery) -> Vec<JoinPlan> {
-    plan.join_index_targets
-        .iter()
-        .map(|(table, column)| JoinPlan {
-            table: table.clone(),
-            column: column.clone(),
-            strategy: if db.supports_index_probe(table, column).unwrap_or(false) {
-                "index_probe"
-            } else {
-                "hash_join"
-            },
-        })
-        .collect()
-}
-
-// One trace span per join step of the plan, carrying the index-vs-hash
-// choice and the probe-side row count. Gated on an active trace: the
-// strategy probe is not free and must cost nothing untraced.
-fn trace_join_spans(db: &Database, plan: &CompiledQuery) {
+// One trace span per join level of the plan the executor is about to
+// run, carrying its access path and row estimate. Gated on an active
+// trace so an untraced run pays nothing.
+fn trace_join_spans(plan: &SelectPlan) {
     if !obs::trace::is_active() {
         return;
     }
-    for join in join_plans(db, plan) {
+    for level in &plan.levels {
         let span = obs::trace::span("query.join");
-        span.attr_str("table", &join.table);
-        span.attr_str("column", &join.column);
-        span.attr_str("strategy", join.strategy);
-        if let Ok(rows) = db.row_count(&join.table) {
-            span.attr_u64("rows", rows as u64);
-        }
+        span.attr_str("table", &level.table);
+        span.attr_str("alias", &level.alias);
+        span.attr_str("access", level.access.name());
+        span.attr_u64("estimate", level.estimate);
     }
 }
 
-// AND-leaf conjuncts of a WHERE tree: `a AND (b AND c)` counts 3.
-fn count_and_leaves(expr: &rel::sql::Expr) -> usize {
-    match expr {
-        rel::sql::Expr::Binary {
-            op: rel::sql::BinOp::And,
-            left,
-            right,
-        } => count_and_leaves(left) + count_and_leaves(right),
-        _ => 1,
+// Result rows (for ASK: 1 when true, 0 when false; 0 when the plan
+// never ran).
+fn outcome_rows(outcome: Option<&QueryOutcome>) -> usize {
+    match outcome {
+        Some(QueryOutcome::Solutions(s)) => s.len(),
+        Some(QueryOutcome::Boolean(b)) => usize::from(*b),
+        None => 0,
     }
 }
 
@@ -189,43 +145,21 @@ impl QueryRun {
         self.version.seq
     }
 
-    // Result rows (for ASK: 1 when true, 0 when false; 0 when the plan
-    // never ran).
-    fn rows(&self) -> usize {
-        match &self.outcome {
-            Some(QueryOutcome::Solutions(s)) => s.len(),
-            Some(QueryOutcome::Boolean(b)) => usize::from(*b),
-            None => 0,
-        }
-    }
-
-    // The plan summary both projections report: join strategies against
-    // the pinned snapshot and the WHERE clause's AND-leaf count.
-    fn plan_summary(&self) -> (&CompiledQuery, Vec<JoinPlan>, usize) {
-        let plan = self.compiled.compiled();
-        let conjuncts = plan.sql.where_clause.as_ref().map_or(0, count_and_leaves);
-        (plan, join_plans(&self.version.db, plan), conjuncts)
-    }
-
-    /// Stage timings plus plan summary (`?profile=1`).
-    pub fn profile(&self) -> QueryProfile {
-        let (plan, joins, conjuncts) = self.plan_summary();
+    /// Stage timings plus the executed plan (`?profile=1`).
+    pub fn profile(&self) -> QueryProfile<'_> {
         QueryProfile {
             cache_hit: self.cache_hit,
             parse_micros: self.parse.as_micros() as u64,
             plan_micros: self.plan.as_micros() as u64,
             execute_micros: self.execute.as_micros() as u64,
             version_seq: self.version.seq,
-            rows: self.rows(),
-            joins,
-            join_keys: plan.join_keys.len(),
-            residual_conjuncts: conjuncts.saturating_sub(plan.join_keys.len()),
+            rows: outcome_rows(self.outcome.as_ref()),
+            joins: &self.joins,
         }
     }
 
     /// The chosen plan (`?explain=1`).
-    pub fn explain(&self) -> QueryExplain {
-        let (plan, joins, conjuncts) = self.plan_summary();
+    pub fn explain(&self) -> QueryExplain<'_> {
         QueryExplain {
             cache_hit: self.cache_hit,
             form: match &*self.compiled {
@@ -233,10 +167,7 @@ impl QueryRun {
                 CachedQuery::Ask(_) => "ask",
             },
             version_seq: self.version.seq,
-            joins,
-            join_keys: plan.join_keys.len(),
-            conjuncts,
-            residual_conjuncts: conjuncts.saturating_sub(plan.join_keys.len()),
+            joins: &self.joins,
         }
     }
 }
@@ -317,32 +248,38 @@ impl ReadSession {
             Some(compiled) => (compiled, Duration::ZERO, Duration::ZERO),
             None => self.core.compile_and_admit(&version.db, text)?,
         };
-        let mut run = QueryRun {
+        let db = &version.db;
+        let sql = &compiled.compiled().sql;
+        let (joins, outcome, execute) = match stop {
+            QueryStop::Plan => (rel::sql::plan_select(db, sql)?, None, Duration::ZERO),
+            QueryStop::Execute => {
+                let span = obs::trace::span("query.execute");
+                let joins = rel::sql::plan_select(db, sql)?;
+                trace_join_spans(&joins);
+                let solutions = crate::query::run_planned(db, compiled.compiled(), &joins)?;
+                let outcome = match &*compiled {
+                    CachedQuery::Select(_) => QueryOutcome::Solutions(solutions),
+                    CachedQuery::Ask(_) => QueryOutcome::Boolean(!solutions.is_empty()),
+                };
+                if span.armed() {
+                    span.attr_u64("version_seq", version.seq);
+                    span.attr_u64("rows", outcome_rows(Some(&outcome)) as u64);
+                }
+                let execute = span.finish();
+                metrics().execute.observe_duration(execute);
+                (joins, Some(outcome), execute)
+            }
+        };
+        Ok(QueryRun {
             cache_hit,
             parse,
             plan,
-            execute: Duration::ZERO,
-            outcome: None,
+            execute,
+            outcome,
+            joins,
             version,
             compiled,
-        };
-        if stop == QueryStop::Execute {
-            let span = obs::trace::span("query.execute");
-            let db = &run.version.db;
-            trace_join_spans(db, run.compiled.compiled());
-            let solutions = crate::query::run_compiled(db, run.compiled.compiled())?;
-            run.outcome = Some(match &*run.compiled {
-                CachedQuery::Select(_) => QueryOutcome::Solutions(solutions),
-                CachedQuery::Ask(_) => QueryOutcome::Boolean(!solutions.is_empty()),
-            });
-            if span.armed() {
-                span.attr_u64("version_seq", run.version.seq);
-                span.attr_u64("rows", run.rows() as u64);
-            }
-            run.execute = span.finish();
-            metrics().execute.observe_duration(run.execute);
-        }
-        Ok(run)
+        })
     }
 
     /// Execute a SPARQL query given as text. Compiled queries are cached
@@ -429,7 +366,7 @@ mod tests {
         assert!(m.is_query_cached(q));
         let explain = planned.explain();
         assert_eq!(explain.form, "select");
-        assert!(explain.conjuncts >= explain.join_keys);
+        assert_eq!(explain.joins.levels.len(), 2);
         // Execution: a cache hit on the admitted plan.
         let ran = session.run_query(q, QueryStop::Execute).unwrap();
         assert!(ran.cache_hit);
@@ -438,12 +375,20 @@ mod tests {
         assert_eq!(profile.rows, 2);
         assert_eq!(profile.execute_micros, ran.execute.as_micros() as u64);
         assert_eq!(profile.version_seq, ran.version_seq());
-        // Both projections summarize the same plan over the same
-        // snapshot (the fresh pin carries the provisioned indexes).
+        // Both projections render the plan the executor ran, and an
+        // unexecuted plan over the same snapshot is that same plan.
         let explain = ran.explain();
-        assert_eq!(profile.joins, explain.joins);
-        assert_eq!(profile.join_keys, explain.join_keys);
-        assert_eq!(profile.residual_conjuncts, explain.residual_conjuncts);
-        assert!(explain.joins.iter().all(|j| j.strategy == "index_probe"));
+        assert!(std::ptr::eq(profile.joins, explain.joins));
+        assert_eq!(explain.joins, &planned.joins);
+        assert_eq!(explain.joins.join_keys(), 1);
+        // Two authors over two teams: probing the team PK costs what a
+        // hash table over the teams would, and a tie goes to the probe.
+        let access: Vec<&str> = explain
+            .joins
+            .levels
+            .iter()
+            .map(|l| l.access.name())
+            .collect();
+        assert_eq!(access, ["scan", "index_loop"]);
     }
 }

@@ -38,13 +38,11 @@ pub struct CompiledQuery {
     pub bindings: Vec<(String, VarShape)>,
     /// Row limit applied after conversion.
     pub limit: Option<usize>,
-    /// Equi-join keys of the SQL, as `(left, right)` pairs of
-    /// `(alias, column)` — the planner-facing metadata every FK object
-    /// property and link-table pattern contributes.
-    pub join_keys: Vec<((String, String), (String, String))>,
-    /// Underlying `(table, column)` pairs of the join keys — the
-    /// columns worth a secondary index for this query, with aliases
-    /// resolved through the FROM list at compile time (each pair once).
+    /// Underlying `(table, column)` pairs of the SQL's equi-join keys
+    /// (every FK object property and link-table pattern contributes
+    /// some) — the columns worth a secondary index for this query, with
+    /// aliases resolved through the FROM list at compile time (each pair
+    /// once).
     pub join_index_targets: Vec<(String, String)>,
 }
 
@@ -137,7 +135,17 @@ pub fn execute_select(
 /// compile/cache-admission time (see [`ensure_join_indexes`]), so many
 /// threads can run compiled queries against `&Database` in parallel.
 pub fn run_compiled(db: &Database, compiled: &CompiledQuery) -> OntoResult<Solutions> {
-    let rows = rel::sql::execute_select(db, &compiled.sql)?;
+    run_planned(db, compiled, &rel::sql::plan_select(db, &compiled.sql)?)
+}
+
+/// Execute `plan` — `compiled.sql` planned against `db` by
+/// [`rel::sql::plan_select`] — and convert its rows to solutions.
+pub fn run_planned(
+    db: &Database,
+    compiled: &CompiledQuery,
+    plan: &rel::sql::SelectPlan,
+) -> OntoResult<Solutions> {
+    let rows = rel::sql::execute_plan(db, plan)?;
     let mut solutions = Solutions {
         variables: compiled.bindings.iter().map(|(v, _)| v.clone()).collect(),
         bindings: Vec::with_capacity(rows.len()),
@@ -438,9 +446,10 @@ impl<'a> Compiler<'a> {
             });
         }
 
-        // Join-key metadata: every alias-to-alias equality the pattern
-        // produced (FK object properties and link-table joins).
-        let join_keys: Vec<((String, String), (String, String))> = self
+        // Both `(alias, column)` sides of every alias-to-alias equality
+        // the pattern produced (FK object properties and link-table
+        // joins).
+        let join_keys: Vec<[(&str, &str); 2]> = self
             .predicates
             .iter()
             .filter_map(|p| {
@@ -456,10 +465,10 @@ impl<'a> Compiler<'a> {
                     return None;
                 };
                 match (&a.table, &b.table) {
-                    (Some(ta), Some(tb)) if ta != tb => Some((
-                        (ta.clone(), a.column.clone()),
-                        (tb.clone(), b.column.clone()),
-                    )),
+                    (Some(ta), Some(tb)) if ta != tb => Some([
+                        (ta.as_str(), a.column.as_str()),
+                        (tb.as_str(), b.column.as_str()),
+                    ]),
                     _ => None,
                 }
             })
@@ -474,13 +483,11 @@ impl<'a> Compiler<'a> {
                     .map(|tref| tref.table.as_str())
             };
             let mut targets: Vec<(String, String)> = Vec::new();
-            for ((la, lc), (ra, rc)) in &join_keys {
-                for (alias, column) in [(la, lc), (ra, rc)] {
-                    if let Some(table) = table_of(alias.as_str()) {
-                        let pair = (table.to_owned(), String::clone(column));
-                        if !targets.contains(&pair) {
-                            targets.push(pair);
-                        }
+            for (alias, column) in join_keys.into_iter().flatten() {
+                if let Some(table) = table_of(alias) {
+                    let pair = (table.to_owned(), column.to_owned());
+                    if !targets.contains(&pair) {
+                        targets.push(pair);
                     }
                 }
             }
@@ -496,7 +503,6 @@ impl<'a> Compiler<'a> {
             },
             bindings,
             limit: query.limit,
-            join_keys,
             join_index_targets,
         })
     }
@@ -1148,7 +1154,6 @@ mod tests {
         };
         let compiled = compile_select(&db, &mapping, &query).unwrap();
         // FK join (author.team = team.id) + two link-table joins.
-        assert_eq!(compiled.join_keys.len(), 3);
         let targets = &compiled.join_index_targets;
         assert!(targets.contains(&("author".into(), "team".into())));
         assert!(targets.contains(&("publication_author".into(), "publication".into())));
@@ -1198,7 +1203,6 @@ mod tests {
                 .unwrap(),
             bindings: vec![],
             limit: None,
-            join_keys: vec![(("a".into(), "score".into()), ("b".into(), "score".into()))],
             join_index_targets: vec![("m".to_owned(), "score".to_owned())],
         };
         // `m.score` is a join target — but being DOUBLE it can never be

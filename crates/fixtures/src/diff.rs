@@ -1,6 +1,7 @@
 //! Differential-test assertions shared by the write-pipeline and
 //! concurrency suites: byte-level database equality, index audits, and
-//! the planner-vs-reference query harness over a final state.
+//! the planner-vs-reference query harness over a final state (results
+//! compared as multisets through [`rel::sql::ResultSet::canonical`]).
 
 use rdf::namespace::PrefixMap;
 use rel::{Database, IndexKey, RowId, Value};
@@ -101,7 +102,8 @@ pub fn assert_indexes_consistent(db: &Database, context: &str) {
 
 /// The planner differential harness over a final state: the
 /// index-backed planner and the clone-everything reference executor must
-/// agree on the workload's join queries.
+/// return the same rows, as multisets, on the workload's join queries
+/// (row order follows each executor's join order).
 ///
 /// # Panics
 /// Panics (assert) on the first query where the two executors disagree.
@@ -119,11 +121,10 @@ pub fn assert_planner_matches_reference(db: &mut Database, context: &str) {
         let compiled = ontoaccess::compile_select(db, &mapping, &select).unwrap();
         let reference = rel::sql::execute_select_reference(db, &compiled.sql).unwrap();
         ontoaccess::ensure_join_indexes(db, &compiled).unwrap();
-        let planner =
-            rel::sql::execute(db, &rel::sql::Statement::Select(compiled.sql.clone())).unwrap();
+        let planner = rel::sql::execute_select(db, &compiled.sql).unwrap();
         assert_eq!(
-            planner.rows().unwrap(),
-            &reference,
+            planner.canonical(),
+            reference.canonical(),
             "planner drift after {context}: {text}"
         );
     }

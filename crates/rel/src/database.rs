@@ -266,14 +266,27 @@ impl Database {
     /// store integer values, whose index keys differ from the equal
     /// doubles'.
     pub fn supports_index_probe(&self, table: &str, column: &str) -> RelResult<bool> {
+        Ok(self.index_distinct_keys(table, column)?.is_some())
+    }
+
+    /// Distinct non-NULL keys of the index answering equality probes on
+    /// `table.column` — the planner's fan-out statistic (rows ÷ distinct
+    /// keys). A single-column PK counts every row as its own key.
+    /// `None` exactly when [`Database::supports_index_probe`] is false.
+    /// O(1): storage maintains every count.
+    pub fn index_distinct_keys(&self, table: &str, column: &str) -> RelResult<Option<usize>> {
         let t = self.schema.table(table)?;
         let Some(col) = t.column(column) else {
-            return Ok(false);
+            return Ok(None);
         };
         if col.ty == crate::value::SqlType::Double {
-            return Ok(false);
+            return Ok(None);
         }
-        Ok(single_column_pk(t, column) || col.unique || self.data[table].has_index(column))
+        let data = &self.data[table];
+        if single_column_pk(t, column) {
+            return Ok(Some(data.len()));
+        }
+        Ok(data.index_key_count(column))
     }
 
     /// Row ids whose `column` equals `value` under SQL equality,
@@ -725,8 +738,8 @@ impl Database {
             indices.push(idx);
         }
         // Batch-local auto-increment counters: next value per column,
-        // seeded from one scan and advanced past every value this batch
-        // assigns — equivalent to the per-row max-scan, without O(N²).
+        // seeded once and advanced past every value this batch assigns
+        // — equivalent to recomputing max+1 per row.
         let mut auto_next: BTreeMap<usize, i64> = BTreeMap::new();
         for (i, column) in t.columns.iter().enumerate() {
             if column.auto_increment {
@@ -910,11 +923,19 @@ impl Database {
         Ok(())
     }
 
-    // Next AUTO_INCREMENT value: max(existing) + 1, starting at 1.
-    // Scans the column; acceptable at in-memory scale and always correct
-    // across rollbacks (a true counter would leak values).
+    // Next AUTO_INCREMENT value: max(existing) + 1, starting at 1 —
+    // always correct across rollbacks and deletes (a true counter would
+    // leak values). When the column is the single-column primary key
+    // (the schema's only shape) the max is the ordered PK index's last
+    // key, O(log n); any other auto column scans.
     fn next_auto_value(&self, table: &str, column: &str) -> i64 {
         let t = self.schema.table(table).expect("caller verified table");
+        if single_column_pk(t, column) {
+            return match self.data[table].max_pk() {
+                Some([IndexKey::Int(max)]) => max + 1,
+                _ => 1,
+            };
+        }
         let idx = t.column_index(column).expect("caller verified column");
         self.data[table]
             .scan()
@@ -1937,6 +1958,23 @@ mod auto_increment_tests {
             .insert("link", &[("x".to_owned(), Value::Int(1))])
             .unwrap();
         assert_eq!(d.row("link", r).unwrap().unwrap()[0], Value::Int(42));
+    }
+
+    #[test]
+    fn deleting_the_max_row_reuses_its_id() {
+        // max+1 read off the PK index, not a counter: the id of a
+        // deleted max row is handed out again, as the scan did.
+        let mut d = db();
+        let x = |v| [("x".to_owned(), Value::Int(v))];
+        d.insert("link", &x(1)).unwrap();
+        let max = d.insert("link", &x(2)).unwrap();
+        d.delete_row("link", max).unwrap();
+        let again = d.insert("link", &x(3)).unwrap();
+        assert_eq!(d.row("link", again).unwrap().unwrap()[0], Value::Int(2));
+        let rows = [vec![Value::Int(4)], vec![Value::Int(5)]];
+        d.insert_many("link", &["x".to_owned()], &rows).unwrap();
+        let ids: Vec<Value> = d.scan("link").unwrap().map(|(_, row)| row[0]).collect();
+        assert_eq!(ids, [1, 2, 3, 4].map(Value::Int));
     }
 
     #[test]

@@ -40,8 +40,9 @@ pub mod sql {
         SelectStmt, Statement, TableRef, UpdateStmt,
     };
     pub use exec::{
-        eval, eval_on_row, execute, execute_select, execute_select_reference, execute_sql,
-        ExecOutcome, ResultSet,
+        eval, eval_on_row, execute, execute_plan, execute_select, execute_select_reference,
+        execute_sql, plan_select, Access, ExecOutcome, LevelColumn, PlanLevel, ResultSet,
+        SelectPlan,
     };
     pub use parser::{parse, parse_script};
 }

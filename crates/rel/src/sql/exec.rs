@@ -1,20 +1,22 @@
 //! SQL statement execution against a [`Database`].
 //!
-//! SELECT runs through a small planner over the FROM list — the plan
-//! shape the SPARQL-to-SQL translation emits (one table reference per
-//! triple pattern, join conditions as WHERE equality predicates). WHERE
-//! conjuncts are classified into **candidate restrictions** (`column =
-//! constant` answered from a storage index), **equi-join keys**
-//! (executed as hash joins or index nested loops over *borrowed* rows —
-//! no upfront table clones), and **residual filters** (pushed down to
-//! the shallowest join level where their columns are bound). The greedy
-//! join ordering of the original executor is kept as the complete
-//! fallback for non-equi plans; [`execute_select_reference`] preserves
-//! that executor for differential testing. On valid statements, results
-//! are independent of the chosen order and identical between the two
-//! executors; unknown or ambiguous column references are rejected up
-//! front (the reference executor only notices them for row combinations
-//! it happens to enumerate). Data-dependent *evaluation* errors — e.g.
+//! SELECT is planned, then executed: [`plan_select`] turns the FROM
+//! list — the shape the SPARQL-to-SQL translation emits (one table
+//! reference per triple pattern, join conditions as WHERE equality
+//! predicates) — into a [`SelectPlan`], and [`execute_plan`] runs it.
+//! WHERE conjuncts are classified into **candidate restrictions**
+//! (`column = constant` answered from a storage index), **equi-join
+//! keys** (executed as index nested loops or hash joins over *borrowed*
+//! rows — no upfront table clones), and **residual filters** (pushed
+//! down to the shallowest join level where their columns are bound).
+//! Joins are ordered by estimated cardinality, starting from the most
+//! selective binding. [`execute_select_reference`] preserves the
+//! original clone-everything executor for differential testing. On
+//! valid statements the two executors return the same rows as a
+//! multiset (row order follows each one's join order); unknown or
+//! ambiguous column references are rejected up front (the reference
+//! executor only notices them for row combinations it happens to
+//! enumerate). Data-dependent *evaluation* errors — e.g.
 //! `NOT` applied to a non-boolean column — remain data-dependent, as in
 //! the reference: whether one surfaces depends on which rows the plan
 //! enumerates, so an index restriction that empties a candidate set can
@@ -24,12 +26,13 @@
 //! UPDATE and DELETE collect matching row ids through the same
 //! index-probe machinery, without cloning non-matching rows.
 
-use crate::database::Database;
+use crate::database::{Database, ProbeIds};
 use crate::error::{RelError, RelResult};
 use crate::sql::ast::{
     BinOp, BulkUpdateStmt, ColumnRef, DeleteStmt, Expr, InsertStmt, SelectItem, SelectStmt,
     Statement, UpdateStmt,
 };
+use crate::storage::RowId;
 use crate::value::{IndexKey, Value};
 use std::collections::HashMap;
 
@@ -84,6 +87,17 @@ impl ResultSet {
     pub fn value(&self, row: usize, column: &str) -> Option<&Value> {
         let idx = self.columns.iter().position(|c| c == column)?;
         self.rows.get(row)?.get(idx)
+    }
+
+    /// The same result with its rows in canonical order (ascending by
+    /// their [`IndexKey`] vectors). Row order is otherwise whatever the
+    /// join plan enumerates, so two results are equal as multisets —
+    /// as sets, under DISTINCT — exactly when their canonical forms are
+    /// equal.
+    pub fn canonical(mut self) -> ResultSet {
+        self.rows
+            .sort_by_cached_key(|row| row.iter().map(Value::index_key).collect::<Vec<_>>());
+        self
     }
 }
 
@@ -336,19 +350,21 @@ fn validate_single_table_refs(expr: &Expr, table: &crate::schema::Table) -> RelR
 // scope, with the same errors `resolve_multi` raises during evaluation —
 // but unconditionally, not only for row combinations that get
 // enumerated.
-fn validate_scope_refs(expr: &Expr, scope: &[(&String, &crate::schema::Table)]) -> RelResult<()> {
+fn validate_scope_refs(expr: &Expr, scope: &[(&str, &crate::schema::Table)]) -> RelResult<()> {
     match expr {
         Expr::Value(_) => Ok(()),
         Expr::Column(cref) => match &cref.table {
             Some(qualifier) => {
-                let Some((name, table)) = scope.iter().find(|(name, _)| *name == qualifier) else {
+                let Some((name, table)) =
+                    scope.iter().find(|(name, _)| *name == qualifier.as_str())
+                else {
                     return Err(RelError::Execution {
                         message: format!("unknown table binding {qualifier:?}"),
                     });
                 };
                 if table.column_index(&cref.column).is_none() {
                     return Err(RelError::NoSuchColumn {
-                        table: (*name).clone(),
+                        table: (*name).to_owned(),
                         column: cref.column.clone(),
                     });
                 }
@@ -571,65 +587,316 @@ fn as_tri(v: &Value) -> RelResult<Option<bool>> {
 // SELECT: plan, then execute
 // ----------------------------------------------------------------------
 //
-// The planner replaces the seed's clone-everything pruned nested loop.
-// Rows are *borrowed* from storage (no upfront table clones); WHERE
-// conjuncts are classified into
+// `plan_select` turns a SELECT into a `SelectPlan` against one database
+// state and `execute_plan` runs it; the plan is also what `?explain=1`,
+// `?profile=1` and the `query.join` trace spans render, so every surface
+// describes the plan the executor runs. Rows are *borrowed* from
+// storage (no upfront table clones); WHERE conjuncts are classified into
 //
 //   * candidate restrictions — `column = constant` answered from a
-//     storage index, shrinking a binding's scan to the matching rows;
+//     storage index, shrinking a binding to the matching rows;
 //   * equi-join keys — `a.x = b.y` between two bindings over
-//     hash-compatible column types, executed as a hash join (build over
-//     the inner binding's candidates) or an index nested loop (probe
-//     the storage index per outer row);
+//     hash-compatible column types, executed as an index nested loop
+//     (probe the storage index once per outer row) or a hash join
+//     (build over the level's candidates), whichever the estimates
+//     make cheaper;
 //   * residual filters — everything else, applied at the shallowest
-//     join level where their columns are bound (the seed's pushdown).
+//     join level where their columns are bound.
 //
-// The seed's greedy join ordering is kept, both to drive which side of
-// each equi-join becomes the build side and as the complete fallback
-// plan for non-equi queries. Enumeration order is row-id order at every
-// level, so results are byte-identical to the reference executor.
+// The join order is estimate-driven: start from the binding with the
+// fewest candidates, then repeatedly add the connected binding that
+// keeps the estimated intermediate result smallest (cross products only
+// when nothing is connected; ties go to FROM position). The statistics
+// are what storage maintains anyway, each read in O(1): table row
+// counts, distinct keys per index, and the exact posting-list length of
+// a restriction's probe. Results equal the reference executor's as a
+// multiset; row order is whatever the plan enumerates (no ORDER BY, so
+// SQL and SPARQL leave it open), and one database state always yields
+// one plan and one order.
+
+/// A costed physical plan for one SELECT against one database state —
+/// the single description the executor runs and the explain/profile
+/// surfaces render. A plan is only valid against the state it was
+/// planned on: restricted levels hold that state's row ids.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SelectPlan {
+    /// Join levels in execution order: level 0 is enumerated once, each
+    /// deeper level once per partial row of the levels above it.
+    pub levels: Vec<PlanLevel>,
+    /// Output column names (aliases where given).
+    pub columns: Vec<String>,
+    outputs: Vec<Expr>,
+    distinct: bool,
+    // Some binding has no candidate rows: the join can only be empty,
+    // and a late empty level would otherwise still enumerate the whole
+    // outer product in front of it.
+    empty: bool,
+}
+
+/// One join level of a [`SelectPlan`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlanLevel {
+    /// Table the level reads.
+    pub table: String,
+    /// The binding's name in the statement (its alias, or the table
+    /// name).
+    pub alias: String,
+    /// How the level reaches its rows.
+    pub access: Access,
+    /// Conjuncts evaluated as soon as this level is bound.
+    pub residuals: Vec<Expr>,
+    /// Estimated rows out of this level: the intermediate result after
+    /// joining it.
+    pub estimate: u64,
+}
+
+/// A column of an earlier level's row: `(level, column index)`.
+pub type LevelColumn = (usize, usize);
+
+/// How one join level reaches its rows.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Access {
+    /// Every row of the table (a leading scan, or a cross product).
+    Scan,
+    /// The rows an indexed `column = constant` conjunct selects, in
+    /// ascending row-id order.
+    Restricted {
+        /// The restricted column.
+        column: String,
+        /// Matching row ids.
+        ids: Vec<RowId>,
+    },
+    /// Per outer row, probe the table's index on `column` with the
+    /// outer row's value — the storage index is the prebuilt build side.
+    IndexLoop {
+        /// Indexed column on this level's table.
+        column: String,
+        /// The outer side of the join key.
+        probe: LevelColumn,
+    },
+    /// A hash table over the level's candidates, built once and probed
+    /// per outer row: chosen when building is estimated cheaper than
+    /// probing an index per outer row, or when no index covers a key.
+    HashJoin {
+        /// Per key part: this level's column index and the outer side.
+        keys: Vec<(usize, LevelColumn)>,
+        /// The build side: restricted candidates, or `None` for every
+        /// row of the table.
+        ids: Option<Vec<RowId>>,
+    },
+}
+
+impl Access {
+    /// Stable name of the access kind, as explain, profile and traces
+    /// print it.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Access::Scan => "scan",
+            Access::Restricted { .. } => "restricted",
+            Access::IndexLoop { .. } => "index_loop",
+            Access::HashJoin { .. } => "hash_join",
+        }
+    }
+}
+
+impl SelectPlan {
+    /// Equi-join conjuncts the accesses consume: one per index loop,
+    /// every key part of a hash join.
+    pub fn join_keys(&self) -> usize {
+        self.levels
+            .iter()
+            .map(|level| match &level.access {
+                Access::IndexLoop { .. } => 1,
+                Access::HashJoin { keys, .. } => keys.len(),
+                Access::Scan | Access::Restricted { .. } => 0,
+            })
+            .sum()
+    }
+
+    /// Conjuncts evaluated per candidate row (a restriction's own
+    /// conjunct included: it is re-checked, not trusted).
+    pub fn residual_conjuncts(&self) -> usize {
+        self.levels.iter().map(|level| level.residuals.len()).sum()
+    }
+}
 
 /// Execute a SELECT through the planner (callers holding a parsed
 /// statement skip the `Statement` wrapper — and its clone — entirely).
 pub fn execute_select(db: &Database, stmt: &SelectStmt) -> RelResult<ResultSet> {
-    // Bind FROM entries over borrowed rows.
-    struct Binding<'a> {
-        name: String, // alias or table name
-        table_name: String,
-        table: &'a crate::schema::Table,
-        rows: Vec<&'a Vec<Value>>,
-        restricted: bool,
+    execute_plan(db, &plan_select(db, stmt)?)
+}
+
+// One FROM binding while planning.
+struct Candidate<'a> {
+    alias: &'a str,
+    table: &'a crate::schema::Table,
+    rows: usize,
+    // The smallest answer among the indexed `column = constant`
+    // conjuncts that restrict this binding.
+    restriction: Option<(&'a str, ProbeIds<'a>)>,
+}
+
+impl Candidate<'_> {
+    // Rows the binding contributes on its own.
+    fn count(&self) -> usize {
+        self.restriction
+            .as_ref()
+            .map_or(self.rows, |(_, ids)| probe_len(ids))
     }
-    let raw_conjuncts = match &stmt.where_clause {
-        Some(pred) => split_conjuncts(pred),
-        None => Vec::new(),
+
+    // Fraction of the table the restriction keeps.
+    fn selectivity(&self) -> f64 {
+        match self.rows {
+            0 => 0.0,
+            rows => self.count() as f64 / rows as f64,
+        }
+    }
+
+    // Distinct keys of the index answering equality on `column`.
+    fn distinct_keys(&self, db: &Database, column: usize) -> RelResult<Option<usize>> {
+        db.index_distinct_keys(&self.table.name, &self.table.columns[column].name)
+    }
+
+    // The restriction as the plan holds it: column and matching row ids.
+    fn restricted_ids(&self) -> Option<(String, Vec<RowId>)> {
+        self.restriction.as_ref().map(|(column, ids)| {
+            let ids = match ids {
+                ProbeIds::Unique(id) => id.iter().copied().collect(),
+                ProbeIds::Many(ids) => ids.to_vec(),
+            };
+            (column.to_string(), ids)
+        })
+    }
+}
+
+// Expected rows per key of an index with `distinct` keys over `rows`.
+fn rows_per_key(rows: usize, distinct: usize) -> f64 {
+    match distinct {
+        0 => 0.0,
+        distinct => rows as f64 / distinct as f64,
+    }
+}
+
+fn probe_len(ids: &ProbeIds<'_>) -> usize {
+    match ids {
+        ProbeIds::Unique(id) => usize::from(id.is_some()),
+        ProbeIds::Many(ids) => ids.len(),
+    }
+}
+
+// A column of a FROM binding while planning: `(binding, column index)`.
+type BindingColumn = (usize, usize);
+
+// An equi-join conjunct between two FROM bindings.
+struct Edge {
+    conjunct: usize,
+    sides: [BindingColumn; 2],
+}
+
+impl Edge {
+    // `(inner, outer)` when one side is `binding` and the other side's
+    // binding is already placed.
+    fn oriented(&self, binding: usize, placed: &[bool]) -> Option<(BindingColumn, BindingColumn)> {
+        let [a, b] = self.sides;
+        if a.0 == binding && placed[b.0] {
+            Some((a, b))
+        } else if b.0 == binding && placed[a.0] {
+            Some((b, a))
+        } else {
+            None
+        }
+    }
+}
+
+// Expected inner rows per outer row on an equi-join key: rows ÷ distinct
+// keys of the inner column's index — else of the outer column's (inner
+// values drawn from the outer domain) — else a key-like 1.
+fn fanout(
+    db: &Database,
+    candidates: &[Candidate<'_>],
+    inner: BindingColumn,
+    outer: BindingColumn,
+) -> RelResult<f64> {
+    let distinct = match candidates[inner.0].distinct_keys(db, inner.1)? {
+        Some(distinct) => Some(distinct),
+        None => candidates[outer.0].distinct_keys(db, outer.1)?,
     };
-    let mut bindings: Vec<Binding> = Vec::new();
+    Ok(distinct.map_or(1.0, |distinct| {
+        rows_per_key(candidates[inner.0].rows, distinct)
+    }))
+}
+
+// Greedy cardinality order: `(binding, estimated rows after joining
+// it)` per level.
+fn cardinality_order(
+    db: &Database,
+    candidates: &[Candidate<'_>],
+    edges: &[Edge],
+) -> RelResult<Vec<(usize, f64)>> {
+    let n = candidates.len();
+    // `min_by_key` keeps the first of equal minima: FROM position
+    // breaks ties.
+    let first = (0..n)
+        .min_by_key(|&i| candidates[i].count())
+        .expect("SELECT has a binding");
+    let mut order = Vec::with_capacity(n);
+    order.push((first, candidates[first].count() as f64));
+    let mut placed = vec![false; n];
+    placed[first] = true;
+    while order.len() < n {
+        let outer = order.last().expect("first level placed").1;
+        // (connected, estimate, binding) of the best candidate so far.
+        let mut best: Option<(bool, f64, usize)> = None;
+        for binding in (0..n).filter(|&b| !placed[b]) {
+            let mut fan: Option<f64> = None;
+            for (inner, outer_side) in edges.iter().filter_map(|e| e.oriented(binding, &placed)) {
+                let f = fanout(db, candidates, inner, outer_side)?;
+                fan = Some(fan.map_or(f, |g: f64| g.min(f)));
+            }
+            let connected = fan.is_some();
+            let estimate = match fan {
+                Some(f) => outer * f * candidates[binding].selectivity(),
+                None => outer * candidates[binding].count() as f64,
+            };
+            let better = best.is_none_or(|(best_connected, best_estimate, _)| {
+                (connected && !best_connected)
+                    || (connected == best_connected && estimate < best_estimate)
+            });
+            if better {
+                best = Some((connected, estimate, binding));
+            }
+        }
+        let (_, estimate, binding) = best.expect("an unplaced binding remains");
+        placed[binding] = true;
+        order.push((binding, estimate));
+    }
+    Ok(order)
+}
+
+/// Plan a SELECT against `db`'s current state: bind and validate the
+/// FROM list, read the statistics, order the joins by estimated
+/// cardinality and pick each level's access.
+pub fn plan_select(db: &Database, stmt: &SelectStmt) -> RelResult<SelectPlan> {
+    let mut scope: Vec<(&str, &crate::schema::Table)> = Vec::with_capacity(stmt.from.len());
     for tref in &stmt.from {
         let table = db.schema().table(&tref.table)?;
-        let name = tref.binding().to_owned();
-        if bindings.iter().any(|b| b.name == name) {
+        let name = tref.binding();
+        if scope.iter().any(|(bound, _)| *bound == name) {
             return Err(RelError::Execution {
                 message: format!("duplicate table binding {name:?} in FROM"),
             });
         }
-        bindings.push(Binding {
-            name,
-            table_name: tref.table.clone(),
-            table,
-            rows: Vec::new(),
-            restricted: false,
-        });
+        scope.push((name, table));
     }
-    if bindings.is_empty() {
+    if scope.is_empty() {
         return Err(RelError::Execution {
             message: "SELECT requires at least one table".into(),
         });
     }
-    let owned_scope: Vec<(String, &crate::schema::Table)> =
-        bindings.iter().map(|b| (b.name.clone(), b.table)).collect();
-    let resolution_scope: Vec<(&String, &crate::schema::Table)> =
-        owned_scope.iter().map(|(n, t)| (n, *t)).collect();
+    let conjuncts = match &stmt.where_clause {
+        Some(pred) => split_conjuncts_ref(pred),
+        None => Vec::new(),
+    };
     // Reject unknown/ambiguous column references up front, with the
     // same errors `resolve_multi` raises during evaluation. The
     // reference executor only hits them for row combinations it
@@ -637,197 +904,208 @@ pub fn execute_select(db: &Database, stmt: &SelectStmt) -> RelResult<ResultSet> 
     // skip that enumeration entirely, so without this check the errors
     // would appear and disappear with the data (same policy as
     // `validate_single_table_refs` on the mutation paths).
-    for conjunct in &raw_conjuncts {
-        validate_scope_refs(conjunct, &resolution_scope)?;
+    for conjunct in &conjuncts {
+        validate_scope_refs(conjunct, &scope)?;
     }
     for item in &stmt.items {
         if let SelectItem::Expr { expr, .. } = item {
-            validate_scope_refs(expr, &resolution_scope)?;
+            validate_scope_refs(expr, &scope)?;
         }
     }
-    // Candidate restriction: a `column = constant` conjunct answered
-    // from a storage index replaces the binding's full scan. The column
-    // reference must resolve *uniquely* to the binding (same rules as
-    // equi-join classification, via `resolve_in_scope`).
-    // Row counts *before* restriction: the greedy order must tie-break
-    // on the same numbers as the reference executor, or output order
-    // would depend on which indexes happen to exist.
-    let mut full_counts = Vec::with_capacity(bindings.len());
-    for binding in &bindings {
-        full_counts.push(db.row_count(&binding.table_name)?);
-    }
-    for (i, binding) in bindings.iter_mut().enumerate() {
-        for conjunct in &raw_conjuncts {
+
+    // Statistics per binding. A `column = constant` conjunct whose
+    // column resolves *uniquely* to the binding and hits an index
+    // restricts it; of several, the one with the fewest matches wins.
+    let mut candidates = Vec::with_capacity(scope.len());
+    for (i, &(alias, table)) in scope.iter().enumerate() {
+        let mut restriction: Option<(&str, ProbeIds<'_>)> = None;
+        for conjunct in &conjuncts {
             let Some((cref, value)) = const_eq_ref(conjunct) else {
                 continue;
             };
-            if resolve_in_scope(cref, &resolution_scope).map(|(pos, _)| pos) != Some(i) {
+            if resolve_in_scope(cref, &scope).map(|(pos, _)| pos) != Some(i) {
                 continue;
             }
-            if let Some(ids) = db.index_probe(&binding.table_name, &cref.column, value)? {
-                for row_id in ids {
-                    binding
-                        .rows
-                        .push(db.row(&binding.table_name, row_id)?.expect("live id"));
+            if let Some(ids) = db.index_probe_ids(&table.name, &cref.column, value)? {
+                if restriction
+                    .as_ref()
+                    .is_none_or(|(_, best)| probe_len(&ids) < probe_len(best))
+                {
+                    restriction = Some((cref.column.as_str(), ids));
                 }
-                binding.restricted = true;
-                break;
             }
         }
-        // Unrestricted bindings stay unmaterialized here; the deferred
-        // loop below scans only the levels whose access path reads a
-        // candidate list.
-    }
-
-    // Expand projection.
-    let named: Vec<(&str, &crate::schema::Table)> = bindings
-        .iter()
-        .map(|b| (b.name.as_str(), b.table))
-        .collect();
-    let (out_columns, out_exprs) = expand_projection(stmt, &named);
-
-    // Greedy join order (see `join_order`): drives which side of each
-    // equi-join is already bound (probe side) vs. newly bound (build
-    // side), and remains the complete plan for non-equi conjuncts.
-    // Ordered on full-table counts (not restricted candidates) so the
-    // chosen order — and therefore result order — matches the
-    // reference executor exactly.
-    let order = join_order(
-        &bindings
-            .iter()
-            .zip(&full_counts)
-            .map(|(b, &count)| (&b.name, b.table, count))
-            .collect::<Vec<_>>(),
-        &raw_conjuncts,
-    )?;
-
-    // Classify conjuncts: equi-join keys become hash/index accesses;
-    // the rest stays as pushed-down residual filters.
-    let level_scope: Vec<(&String, &crate::schema::Table)> = order
-        .iter()
-        .map(|&i| (&bindings[i].name, bindings[i].table))
-        .collect();
-    let mut join_keys: Vec<Vec<JoinKey>> = Vec::new();
-    join_keys.resize_with(order.len(), Vec::new);
-    let mut residuals: Vec<(usize, Expr)> = Vec::new();
-    for conjunct in raw_conjuncts {
-        match classify_equi_join(&conjunct, &level_scope) {
-            Some(key) => join_keys[key.depth].push(key),
-            None => {
-                let level = conjunct_level(&conjunct, &level_scope)?;
-                residuals.push((level, conjunct));
-            }
-        }
-    }
-
-    // Decide each level's access kind before materializing anything:
-    // index-nested-loop levels never read a candidate list, so their
-    // tables must not be scanned at all.
-    enum Planned {
-        Scan,
-        Hash,
-        IndexLoop {
-            column: String,
-            probe: (usize, usize),
-        },
-    }
-    let mut planned: Vec<Planned> = Vec::with_capacity(order.len());
-    for (depth, keys) in join_keys.iter().enumerate() {
-        let binding = &bindings[order[depth]];
-        planned.push(if keys.is_empty() {
-            Planned::Scan
-        } else if keys.len() == 1
-            && !binding.restricted
-            && db.supports_index_probe(&binding.table_name, &keys[0].inner_column)?
-        {
-            Planned::IndexLoop {
-                column: keys[0].inner_column.clone(),
-                probe: keys[0].probe,
-            }
-        } else {
-            Planned::Hash
+        candidates.push(Candidate {
+            alias,
+            table,
+            rows: db.row_count(&table.name)?,
+            restriction,
         });
     }
-
-    // Materialize candidate lists only where the plan reads them.
-    for (depth, &i) in order.iter().enumerate() {
-        if matches!(planned[depth], Planned::IndexLoop { .. }) || bindings[i].restricted {
-            continue;
-        }
-        bindings[i].rows = db.scan(&bindings[i].table_name)?.map(|(_, r)| r).collect();
-    }
-
-    // Build the access paths (hash tables over candidate rows, keyed by
-    // the level's join columns — rows with a NULL key never equi-match).
-    let mut accesses: Vec<Access> = Vec::with_capacity(order.len());
-    for (depth, kind) in planned.into_iter().enumerate() {
-        match kind {
-            Planned::Scan => accesses.push(Access::Scan),
-            Planned::IndexLoop { column, probe } => {
-                accesses.push(Access::IndexLoop { column, probe })
-            }
-            Planned::Hash => {
-                let keys = &join_keys[depth];
-                let binding = &bindings[order[depth]];
-                let mut build: HashMap<Vec<IndexKey>, Vec<usize>> = HashMap::new();
-                'rows: for (i, row) in binding.rows.iter().enumerate() {
-                    let mut key = Vec::with_capacity(keys.len());
-                    for k in keys {
-                        let v = &row[k.inner_index];
-                        if v.is_null() {
-                            continue 'rows;
-                        }
-                        key.push(v.index_key());
-                    }
-                    build.entry(key).or_default().push(i);
-                }
-                accesses.push(Access::HashJoin {
-                    build,
-                    probes: keys.iter().map(|k| k.probe).collect(),
-                });
-            }
-        }
-    }
-
-    let mut result = ResultSet {
-        columns: out_columns,
-        rows: Vec::new(),
+    let edges: Vec<Edge> = conjuncts
+        .iter()
+        .enumerate()
+        .filter_map(|(conjunct, expr)| {
+            equi_join_sides(expr, &scope).map(|sides| Edge { conjunct, sides })
+        })
+        .collect();
+    let order = if candidates.len() == 1 {
+        vec![(0, candidates[0].count() as f64)]
+    } else {
+        cardinality_order(db, &candidates, &edges)?
     };
-    // Early exit when any binding has no candidates: the join can only
-    // be empty, and a late empty level would otherwise still enumerate
-    // the full outer product in front of it. (Index-loop levels were
-    // not materialized; their candidate count is the full table's.)
-    let all_have_candidates = bindings.iter().zip(&full_counts).all(|(b, &count)| {
-        if b.restricted {
-            !b.rows.is_empty()
-        } else {
-            count > 0
-        }
-    });
-    if all_have_candidates {
-        let plan = JoinPlan {
-            db,
-            accesses: &accesses,
-            residuals: &residuals,
-            out_exprs: &out_exprs,
-        };
-        let ordered_views: Vec<BindingView<'_>> = order
+
+    // Access per level. A level joined to earlier ones either probes
+    // its storage index once per outer row (cost: outer × (1 + fan-out))
+    // or builds a hash table over its candidates once (cost: candidates
+    // + outer); equi-join keys the access does not consume stay
+    // residual filters.
+    let mut level_of = vec![usize::MAX; candidates.len()];
+    let mut placed = vec![false; candidates.len()];
+    let mut consumed = vec![false; conjuncts.len()];
+    let mut levels: Vec<PlanLevel> = Vec::with_capacity(order.len());
+    let mut outer = 1.0;
+    for (depth, &(binding, estimate)) in order.iter().enumerate() {
+        // `(conjunct, inner, outer)` per equi-join key into placed levels.
+        let keys: Vec<(usize, BindingColumn, BindingColumn)> = edges
             .iter()
-            .map(|&i| {
-                let b = &bindings[i];
-                BindingView {
-                    name: &b.name,
-                    table_name: &b.table_name,
-                    table: b.table,
-                    rows: &b.rows,
-                }
+            .filter_map(|e| {
+                e.oriented(binding, &placed)
+                    .map(|(inner, outer_side)| (e.conjunct, inner, outer_side))
             })
             .collect();
-        let mut scope = Vec::with_capacity(ordered_views.len());
-        plan.join(&ordered_views, &mut scope, &mut result.rows)?;
+        let candidate = &candidates[binding];
+        let access = if keys.is_empty() {
+            match candidate.restricted_ids() {
+                Some((column, ids)) => Access::Restricted { column, ids },
+                None => Access::Scan,
+            }
+        } else {
+            // The cheapest key to drive an index nested loop, if any
+            // key's inner column is indexed.
+            let mut index_loop: Option<(f64, usize)> = None;
+            for (k, &(_, inner, _)) in keys.iter().enumerate() {
+                if let Some(distinct) = candidate.distinct_keys(db, inner.1)? {
+                    let fan = rows_per_key(candidate.rows, distinct);
+                    if index_loop.is_none_or(|(best, _)| fan < best) {
+                        index_loop = Some((fan, k));
+                    }
+                }
+            }
+            let build = candidate.count() as f64;
+            match index_loop {
+                Some((fan, k)) if outer * (1.0 + fan) <= build + outer => {
+                    let (conjunct, inner, outer_side) = keys[k];
+                    consumed[conjunct] = true;
+                    Access::IndexLoop {
+                        column: candidate.table.columns[inner.1].name.clone(),
+                        probe: (level_of[outer_side.0], outer_side.1),
+                    }
+                }
+                _ => {
+                    for &(conjunct, ..) in &keys {
+                        consumed[conjunct] = true;
+                    }
+                    Access::HashJoin {
+                        keys: keys
+                            .iter()
+                            .map(|&(_, inner, outer_side)| {
+                                (inner.1, (level_of[outer_side.0], outer_side.1))
+                            })
+                            .collect(),
+                        ids: candidate.restricted_ids().map(|(_, ids)| ids),
+                    }
+                }
+            }
+        };
+        levels.push(PlanLevel {
+            table: candidate.table.name.clone(),
+            alias: candidate.alias.to_owned(),
+            access,
+            residuals: Vec::new(),
+            estimate: estimate.round() as u64,
+        });
+        level_of[binding] = depth;
+        placed[binding] = true;
+        outer = estimate;
+    }
+    let level_scope: Vec<(&str, &crate::schema::Table)> =
+        order.iter().map(|&(binding, _)| scope[binding]).collect();
+    for (i, conjunct) in conjuncts.iter().enumerate() {
+        if !consumed[i] {
+            let level = conjunct_level(conjunct, &level_scope)?;
+            levels[level].residuals.push((*conjunct).clone());
+        }
     }
 
-    if stmt.distinct {
+    let (columns, outputs) = expand_projection(stmt, &scope);
+    Ok(SelectPlan {
+        levels,
+        columns,
+        outputs,
+        distinct: stmt.distinct,
+        empty: candidates.iter().any(|c| c.count() == 0),
+    })
+}
+
+/// Run a plan against the database state it was planned on.
+pub fn execute_plan(db: &Database, plan: &SelectPlan) -> RelResult<ResultSet> {
+    let mut result = ResultSet {
+        columns: plan.columns.clone(),
+        rows: Vec::new(),
+    };
+    if plan.empty {
+        return Ok(result);
+    }
+    let mut levels = Vec::with_capacity(plan.levels.len());
+    for level in &plan.levels {
+        let fetch = |ids: &[RowId]| -> RelResult<Vec<&Vec<Value>>> {
+            ids.iter()
+                .map(|&id| {
+                    db.row(&level.table, id)?
+                        .ok_or_else(|| stale_plan(&level.table))
+                })
+                .collect()
+        };
+        let rows: Vec<&Vec<Value>> = match &level.access {
+            Access::IndexLoop { .. } => Vec::new(),
+            Access::Scan | Access::HashJoin { ids: None, .. } => {
+                db.scan(&level.table)?.map(|(_, row)| row).collect()
+            }
+            Access::Restricted { ids, .. } | Access::HashJoin { ids: Some(ids), .. } => fetch(ids)?,
+        };
+        // Hash table over the candidates, keyed by the level's join
+        // columns — rows with a NULL key never equi-match.
+        let mut build: HashMap<Vec<IndexKey>, Vec<usize>> = HashMap::new();
+        if let Access::HashJoin { keys, .. } = &level.access {
+            'rows: for (i, row) in rows.iter().enumerate() {
+                let mut key = Vec::with_capacity(keys.len());
+                for &(column, _) in keys {
+                    let v = &row[column];
+                    if v.is_null() {
+                        continue 'rows;
+                    }
+                    key.push(v.index_key());
+                }
+                build.entry(key).or_default().push(i);
+            }
+        }
+        levels.push(LevelRun {
+            level,
+            table: db.schema().table(&level.table)?,
+            rows,
+            build,
+        });
+    }
+    let run = PlanRun {
+        db,
+        levels: &levels,
+        outputs: &plan.outputs,
+    };
+    let mut scope = Vec::with_capacity(levels.len());
+    run.join(&mut scope, &mut result.rows)?;
+
+    if plan.distinct {
         let mut seen = std::collections::BTreeSet::new();
         result.rows.retain(|row| {
             let key: Vec<crate::value::IndexKey> = row.iter().map(Value::index_key).collect();
@@ -837,9 +1115,16 @@ pub fn execute_select(db: &Database, stmt: &SelectStmt) -> RelResult<ResultSet> 
     Ok(result)
 }
 
+fn stale_plan(table: &str) -> RelError {
+    RelError::Execution {
+        message: format!("plan does not match the database it runs against (table {table:?})"),
+    }
+}
+
 // Projection expansion shared by the planner and the reference
-// executor: `*` over every binding's columns (qualified names when more
-// than one binding is in scope), expressions with optional aliases.
+// executor: `*` over every binding's columns in FROM order (qualified
+// names when more than one binding is in scope), expressions with
+// optional aliases.
 fn expand_projection(
     stmt: &SelectStmt,
     bindings: &[(&str, &crate::schema::Table)],
@@ -876,24 +1161,15 @@ fn expand_projection(
     (out_columns, out_exprs)
 }
 
-/// One equi-join conjunct `outer.x = inner.y`, resolved against the
-/// join order: `inner` binds at `depth`, `outer` strictly earlier.
-struct JoinKey {
-    depth: usize,
-    /// Column index of the inner (build) side in its row layout.
-    inner_index: usize,
-    /// Column name of the inner side (for storage-index probes).
-    inner_column: String,
-    /// `(scope position, column index)` of the outer (probe) side.
-    probe: (usize, usize),
-}
-
 // An `a.x = b.y` conjunct between two distinct bindings whose column
 // types make IndexKey equality coincide with SQL equality: same
 // declared type, not DOUBLE (DOUBLE columns may store Int values that
-// compare SQL-equal to non-identical keys). Anything else stays a
-// residual filter.
-fn classify_equi_join(expr: &Expr, scope: &[(&String, &crate::schema::Table)]) -> Option<JoinKey> {
+// compare SQL-equal to non-identical keys). Returns `(scope position,
+// column index)` of both sides; anything else stays a residual filter.
+fn equi_join_sides(
+    expr: &Expr,
+    scope: &[(&str, &crate::schema::Table)],
+) -> Option<[BindingColumn; 2]> {
     let Expr::Binary {
         op: BinOp::Eq,
         left,
@@ -915,13 +1191,7 @@ fn classify_equi_join(expr: &Expr, scope: &[(&String, &crate::schema::Table)]) -
     if ty_a != ty_b || ty_a == crate::value::SqlType::Double {
         return None;
     }
-    let (outer, (inner_pos, inner_index)) = if ra.0 < rb.0 { (ra, rb) } else { (rb, ra) };
-    Some(JoinKey {
-        depth: inner_pos,
-        inner_index,
-        inner_column: scope[inner_pos].1.columns[inner_index].name.clone(),
-        probe: outer,
-    })
+    Some([ra, rb])
 }
 
 // Resolve a column reference to `(scope position, column index)`.
@@ -930,11 +1200,13 @@ fn classify_equi_join(expr: &Expr, scope: &[(&String, &crate::schema::Table)]) -
 // reports it at eval time).
 fn resolve_in_scope(
     cref: &ColumnRef,
-    scope: &[(&String, &crate::schema::Table)],
-) -> Option<(usize, usize)> {
+    scope: &[(&str, &crate::schema::Table)],
+) -> Option<BindingColumn> {
     match &cref.table {
         Some(qualifier) => {
-            let pos = scope.iter().position(|(name, _)| *name == qualifier)?;
+            let pos = scope
+                .iter()
+                .position(|(name, _)| *name == qualifier.as_str())?;
             Some((pos, scope[pos].1.column_index(&cref.column)?))
         }
         None => {
@@ -952,101 +1224,76 @@ fn resolve_in_scope(
     }
 }
 
-/// How one join level reaches its rows.
-enum Access {
-    /// Every candidate row (cross product / non-equi levels).
-    Scan,
-    /// Prebuilt hash table over the level's candidates, probed with the
-    /// outer rows' key values.
-    HashJoin {
-        /// Join-key values → candidate row positions (ascending).
-        build: HashMap<Vec<IndexKey>, Vec<usize>>,
-        /// `(scope position, column index)` per key part.
-        probes: Vec<(usize, usize)>,
-    },
-    /// Probe the table's storage index per outer row (index nested
-    /// loop) — no per-query build at all.
-    IndexLoop {
-        /// Indexed column on this level's table.
-        column: String,
-        /// `(scope position, column index)` of the outer side.
-        probe: (usize, usize),
-    },
-}
-
-// One level's binding, viewed through the join order.
-struct BindingView<'a> {
-    name: &'a str,
-    table_name: &'a str,
+// One plan level prepared for execution: its candidate rows (empty for
+// index loops, which read storage per outer row) and hash table.
+struct LevelRun<'a> {
+    level: &'a PlanLevel,
     table: &'a crate::schema::Table,
-    rows: &'a [&'a Vec<Value>],
+    rows: Vec<&'a Vec<Value>>,
+    build: HashMap<Vec<IndexKey>, Vec<usize>>,
 }
 
-struct JoinPlan<'p, 'a> {
+struct PlanRun<'p, 'a> {
     db: &'a Database,
-    accesses: &'p [Access],
-    residuals: &'p [(usize, Expr)],
-    out_exprs: &'p [Expr],
+    levels: &'p [LevelRun<'a>],
+    outputs: &'a [Expr],
 }
 
-impl<'a> JoinPlan<'_, 'a> {
+type Scope<'a> = Vec<(&'a str, &'a crate::schema::Table, &'a Vec<Value>)>;
+
+impl<'a> PlanRun<'_, 'a> {
     // Recursive join: bind one table per level through its access path,
     // apply the residual conjuncts that just became evaluable, recurse.
-    fn join(
-        &self,
-        ordered: &[BindingView<'a>],
-        scope: &mut Vec<(&'a str, &'a crate::schema::Table, &'a Vec<Value>)>,
-        out: &mut Vec<Vec<Value>>,
-    ) -> RelResult<()> {
+    fn join(&self, scope: &mut Scope<'a>, out: &mut Vec<Vec<Value>>) -> RelResult<()> {
         let depth = scope.len();
-        if depth == ordered.len() {
+        let Some(level) = self.levels.get(depth) else {
             let resolve = |cref: &ColumnRef| -> RelResult<Value> { resolve_multi(scope, cref) };
-            let mut row = Vec::with_capacity(self.out_exprs.len());
-            for expr in self.out_exprs {
+            let mut row = Vec::with_capacity(self.outputs.len());
+            for expr in self.outputs {
                 row.push(eval(expr, &resolve)?);
             }
             out.push(row);
             return Ok(());
-        }
-        let binding = &ordered[depth];
-        match &self.accesses[depth] {
-            Access::Scan => {
-                for row in binding.rows {
-                    self.bind_row(ordered, scope, out, binding, row)?;
+        };
+        match &level.level.access {
+            Access::Scan | Access::Restricted { .. } => {
+                for &row in &level.rows {
+                    self.bind_row(scope, out, level, row)?;
                 }
             }
-            Access::HashJoin { build, probes } => {
-                let mut key = Vec::with_capacity(probes.len());
-                for &(pos, idx) in probes {
+            Access::HashJoin { keys, .. } => {
+                let mut key = Vec::with_capacity(keys.len());
+                for &(_, (pos, idx)) in keys {
                     let v = &scope[pos].2[idx];
                     if v.is_null() {
                         return Ok(()); // NULL never equi-joins
                     }
                     key.push(v.index_key());
                 }
-                if let Some(positions) = build.get(&key) {
+                if let Some(positions) = level.build.get(&key) {
                     for &i in positions {
-                        self.bind_row(ordered, scope, out, binding, binding.rows[i])?;
+                        self.bind_row(scope, out, level, level.rows[i])?;
                     }
                 }
             }
             Access::IndexLoop { column, probe } => {
+                let table = &level.level.table;
                 let value = &scope[probe.0].2[probe.1];
                 // Borrowed-result probe: this runs once per outer row.
                 let ids = self
                     .db
-                    .index_probe_ids(binding.table_name, column, value)?
-                    .expect("planner verified index support");
+                    .index_probe_ids(table, column, value)?
+                    .ok_or_else(|| stale_plan(table))?;
                 let (one, many) = match ids {
-                    crate::database::ProbeIds::Unique(id) => (id, &[][..]),
-                    crate::database::ProbeIds::Many(ids) => (None, ids),
+                    ProbeIds::Unique(id) => (id, &[][..]),
+                    ProbeIds::Many(ids) => (None, ids),
                 };
                 for row_id in one.into_iter().chain(many.iter().copied()) {
                     let row = self
                         .db
-                        .row(binding.table_name, row_id)?
-                        .expect("probe id is live");
-                    self.bind_row(ordered, scope, out, binding, row)?;
+                        .row(table, row_id)?
+                        .ok_or_else(|| stale_plan(table))?;
+                    self.bind_row(scope, out, level, row)?;
                 }
             }
         }
@@ -1055,22 +1302,21 @@ impl<'a> JoinPlan<'_, 'a> {
 
     fn bind_row(
         &self,
-        ordered: &[BindingView<'a>],
-        scope: &mut Vec<(&'a str, &'a crate::schema::Table, &'a Vec<Value>)>,
+        scope: &mut Scope<'a>,
         out: &mut Vec<Vec<Value>>,
-        binding: &BindingView<'a>,
+        level: &LevelRun<'a>,
         row: &'a Vec<Value>,
     ) -> RelResult<()> {
-        let depth = scope.len();
-        scope.push((binding.name, binding.table, row));
+        let plan_level: &'a PlanLevel = level.level;
+        scope.push((&plan_level.alias, level.table, row));
         let resolve = |cref: &ColumnRef| -> RelResult<Value> { resolve_multi(scope, cref) };
-        for (level, conjunct) in self.residuals {
-            if *level == depth && !matches!(eval(conjunct, &resolve)?, Value::Bool(true)) {
+        for conjunct in &plan_level.residuals {
+            if !matches!(eval(conjunct, &resolve)?, Value::Bool(true)) {
                 scope.pop();
                 return Ok(());
             }
         }
-        self.join(ordered, scope, out)?;
+        self.join(scope, out)?;
         scope.pop();
         Ok(())
     }
@@ -1128,9 +1374,9 @@ pub fn execute_select_reference(db: &Database, stmt: &SelectStmt) -> RelResult<R
         .collect();
     let mut conjuncts: Vec<(usize, Expr)> = Vec::new();
     {
-        let level_scope: Vec<(&String, &crate::schema::Table)> = order
+        let level_scope: Vec<(&str, &crate::schema::Table)> = order
             .iter()
-            .map(|&i| (&bindings[i].name, &bindings[i].table))
+            .map(|&i| (bindings[i].name.as_str(), &bindings[i].table))
             .collect();
         for c in raw_conjuncts {
             let level = conjunct_level(&c, &level_scope)?;
@@ -1272,10 +1518,10 @@ fn split_conjuncts(expr: &Expr) -> Vec<Expr> {
 // `expr` is bound. Qualified refs resolve to their binding; unqualified
 // refs to the unique binding declaring the column (ambiguity is reported
 // at eval time — use the deepest candidate to stay conservative).
-fn conjunct_level(expr: &Expr, bindings: &[(&String, &crate::schema::Table)]) -> RelResult<usize> {
+fn conjunct_level(expr: &Expr, bindings: &[(&str, &crate::schema::Table)]) -> RelResult<usize> {
     fn walk(
         expr: &Expr,
-        bindings: &[(&String, &crate::schema::Table)],
+        bindings: &[(&str, &crate::schema::Table)],
         level: &mut usize,
     ) -> RelResult<()> {
         match expr {
@@ -1284,7 +1530,7 @@ fn conjunct_level(expr: &Expr, bindings: &[(&String, &crate::schema::Table)]) ->
                 let idx = match &cref.table {
                     Some(qualifier) => bindings
                         .iter()
-                        .position(|(name, _)| *name == qualifier)
+                        .position(|(name, _)| *name == qualifier.as_str())
                         .ok_or_else(|| RelError::Execution {
                             message: format!("unknown table binding {qualifier:?}"),
                         })?,
@@ -1799,21 +2045,15 @@ mod join_order_tests {
                   WHERE l.a = x.id AND l.b = y.id;";
         let q2 = "SELECT x.v AS av, y.v AS bv FROM link l, b y, a x \
                   WHERE l.a = x.id AND l.b = y.id;";
-        let mut r1 = execute_sql(&mut d, q1)
-            .unwrap()
-            .rows()
-            .unwrap()
-            .rows
-            .clone();
-        let mut r2 = execute_sql(&mut d, q2)
-            .unwrap()
-            .rows()
-            .unwrap()
-            .rows
-            .clone();
-        let key = |r: &Vec<Value>| r.iter().map(Value::index_key).collect::<Vec<_>>();
-        r1.sort_by_key(key);
-        r2.sort_by_key(key);
+        let mut run = |q| {
+            execute_sql(&mut d, q)
+                .unwrap()
+                .rows()
+                .unwrap()
+                .clone()
+                .canonical()
+        };
+        let (r1, r2) = (run(q1), run(q2));
         assert_eq!(r1, r2);
         assert_eq!(r1.len(), 20);
     }
@@ -1909,18 +2149,24 @@ mod planner_tests {
         db
     }
 
+    fn select(sql: &str) -> SelectStmt {
+        match crate::sql::parser::parse(sql).unwrap() {
+            Statement::Select(select) => select,
+            other => panic!("not a SELECT: {other:?}"),
+        }
+    }
+
+    // Planner and reference results, in canonical row order: the two
+    // executors agree as multisets, not on row order.
     fn both(db: &mut Database, sql: &str) -> (ResultSet, ResultSet) {
-        let stmt = crate::sql::parser::parse(sql).unwrap();
-        let Statement::Select(select) = &stmt else {
-            panic!()
-        };
-        let planner = execute_select(db, select).unwrap();
-        let reference = execute_select_reference(db, select).unwrap();
-        (planner, reference)
+        let select = select(sql);
+        let planner = execute_select(db, &select).unwrap();
+        let reference = execute_select_reference(db, &select).unwrap();
+        (planner.canonical(), reference.canonical())
     }
 
     #[test]
-    fn planner_matches_reference_rows_and_order() {
+    fn planner_matches_reference_as_multisets() {
         let mut d = db(20);
         for sql in [
             "SELECT x.v, y.v FROM a x, b y, link l WHERE l.a = x.id AND l.b = y.id;",
@@ -2057,11 +2303,10 @@ mod planner_tests {
     }
 
     #[test]
-    fn restriction_does_not_change_join_order_or_row_order() {
-        // Two conjuncts, one index-restrictable (b.p = 2 via FK index),
-        // one not (a.v = 'x', unindexed). The greedy order must
-        // tie-break on full-table counts exactly as the reference does,
-        // or the 18 result rows would come back in a different order.
+    fn restricted_binding_leads_the_plan() {
+        // pb.p = 2 is index-restrictable (FK index, 3 candidates);
+        // pa.v = 'x' is not (unindexed, 6 rows). The restricted binding
+        // leads, and the rows equal the reference's as a multiset.
         let mut schema = Schema::new();
         schema
             .add_table(
@@ -2100,12 +2345,36 @@ mod planner_tests {
             )
             .unwrap();
         }
-        let (planner, reference) = both(
-            &mut d,
-            "SELECT pa.id, pb.id FROM pa, pb WHERE pa.v = 'x' AND pb.p = 2;",
+        let cross = "SELECT pa.id, pb.id FROM pa, pb WHERE pa.v = 'x' AND pb.p = 2;";
+        let plan = plan_select(&d, &select(cross)).unwrap();
+        assert_eq!(plan.levels[0].alias, "pb");
+        assert_eq!(
+            plan.levels[0].access,
+            Access::Restricted {
+                column: "p".into(),
+                ids: vec![0, 1, 2]
+            }
         );
+        assert_eq!(plan.levels[0].estimate, 3);
+        assert_eq!(plan.levels[1].access, Access::Scan);
+        let (planner, reference) = both(&mut d, cross);
         assert_eq!(planner, reference);
         assert_eq!(planner.len(), 18);
+
+        // Joined: the constant-keyed parent leads, the child follows
+        // through its FK index — no hash table over the child.
+        let join = "SELECT pa.v, pb.id FROM pb, pa WHERE pb.p = pa.id AND pa.id = 2;";
+        let plan = plan_select(&d, &select(join)).unwrap();
+        let shape: Vec<(&str, &str, u64)> = plan
+            .levels
+            .iter()
+            .map(|l| (l.alias.as_str(), l.access.name(), l.estimate))
+            .collect();
+        assert_eq!(shape, [("pa", "restricted", 1), ("pb", "index_loop", 2)]);
+        assert_eq!((plan.join_keys(), plan.residual_conjuncts()), (1, 1));
+        let (planner, reference) = both(&mut d, join);
+        assert_eq!(planner, reference);
+        assert_eq!(planner.len(), 3);
     }
 
     #[test]

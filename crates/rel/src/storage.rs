@@ -99,6 +99,23 @@ impl TableData {
         Some(index.get(key).map_or(&[][..], Vec::as_slice))
     }
 
+    /// Distinct non-NULL keys of the unique or secondary index on
+    /// `column`, if one exists — O(1), the map keeps its length.
+    pub fn index_key_count(&self, column: &str) -> Option<usize> {
+        match self.unique_indexes.get(column) {
+            Some(index) => Some(index.len()),
+            None => self.secondary_indexes.get(column).map(PMap::len),
+        }
+    }
+
+    /// The greatest primary key, in key order (`None` when the table is
+    /// empty or has no primary key) — O(log n) down the ordered index.
+    pub fn max_pk(&self) -> Option<&[IndexKey]> {
+        self.pk_index
+            .last_key_value()
+            .map(|(key, _)| key.as_slice())
+    }
+
     /// Number of stored rows.
     pub fn len(&self) -> usize {
         self.rows.len()

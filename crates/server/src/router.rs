@@ -34,9 +34,10 @@ use crate::stats::ServerStats;
 use crate::wire;
 use ontoaccess::feedback::Feedback;
 use ontoaccess::mediator::{
-    JoinPlan, Mediator, QueryExplain, QueryProfile, QueryStop, ReadSession, UpdateProfile,
+    Mediator, QueryExplain, QueryProfile, QueryStop, ReadSession, UpdateProfile,
 };
 use ontoaccess::OntoError;
+use rel::sql::SelectPlan;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -367,20 +368,21 @@ fn outcome_response(
 }
 
 // The joins array shared *byte for byte* by `?profile=1` and
-// `?explain=1` — one renderer over the one [`JoinPlan`] computation, so
-// EXPLAIN output can be diffed against a profiled execution directly.
-fn join_plan_json(joins: &[JoinPlan]) -> String {
-    json_array(joins.iter().map(|join| {
+// `?explain=1`: one entry per level of the [`SelectPlan`] the executor
+// runs, in join order. (No `rows` key: explain never executes.)
+fn join_plan_json(plan: &SelectPlan) -> String {
+    json_array(plan.levels.iter().map(|level| {
         JsonObject::new()
-            .str("table", &join.table)
-            .str("column", &join.column)
-            .str("strategy", join.strategy)
+            .str("table", &level.table)
+            .str("alias", &level.alias)
+            .str("access", level.access.name())
+            .u64("estimate", level.estimate)
             .finish()
     }))
 }
 
-// The `X-Profile` trailer: the chosen plan (per-join strategy) and
-// per-stage wall times, one line of JSON so it survives as a header.
+// The `X-Profile` trailer: the executed plan and per-stage wall times,
+// one line of JSON so it survives as a header.
 fn profile_json(profile: &QueryProfile) -> String {
     JsonObject::new()
         .bool("cache_hit", profile.cache_hit)
@@ -389,24 +391,31 @@ fn profile_json(profile: &QueryProfile) -> String {
         .u64("execute_micros", profile.execute_micros)
         .u64("version_seq", profile.version_seq)
         .u64("rows", profile.rows as u64)
-        .raw("joins", &join_plan_json(&profile.joins))
-        .u64("join_keys", profile.join_keys as u64)
-        .u64("residual_conjuncts", profile.residual_conjuncts as u64)
+        .raw("joins", &join_plan_json(profile.joins))
+        .u64("join_keys", profile.joins.join_keys() as u64)
+        .u64(
+            "residual_conjuncts",
+            profile.joins.residual_conjuncts() as u64,
+        )
         .finish()
 }
 
-// The `?explain=1` body: the plan the executor *would* run — conjunct
-// classification, join order and strategy, snapshot coordinates —
-// without touching row data.
+// The `?explain=1` body: the plan the executor *would* run — join
+// order, access paths and estimates, conjunct classification, snapshot
+// coordinates — without executing it.
 fn explain_json(explain: &QueryExplain) -> String {
+    let joins = explain.joins;
     JsonObject::new()
         .bool("cache_hit", explain.cache_hit)
         .str("form", explain.form)
         .u64("version_seq", explain.version_seq)
-        .raw("joins", &join_plan_json(&explain.joins))
-        .u64("join_keys", explain.join_keys as u64)
-        .u64("conjuncts", explain.conjuncts as u64)
-        .u64("residual_conjuncts", explain.residual_conjuncts as u64)
+        .raw("joins", &join_plan_json(joins))
+        .u64("join_keys", joins.join_keys() as u64)
+        .u64(
+            "conjuncts",
+            (joins.join_keys() + joins.residual_conjuncts()) as u64,
+        )
+        .u64("residual_conjuncts", joins.residual_conjuncts() as u64)
         .finish()
 }
 

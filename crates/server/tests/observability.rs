@@ -131,7 +131,8 @@ fn profile_param_returns_plan_and_stage_timings() {
         "\"execute_micros\":",
         "\"rows\":",
         "\"joins\":[",
-        "\"strategy\":",
+        "\"access\":",
+        "\"estimate\":",
         "\"join_keys\":",
         "\"residual_conjuncts\":",
     ] {
@@ -294,10 +295,18 @@ fn trace_endpoint_returns_the_span_tree_of_a_slow_query() {
         text.contains("\"parent\":null") && text.contains("\"parent\":0"),
         "root is parentless, top-level spans parent to it: {text}"
     );
-    assert!(
-        text.contains("\"strategy\":"),
-        "join spans carry the strategy: {text}"
-    );
+    // Every join span is one plan level: its access path and estimate.
+    let joins: Vec<&str> = text
+        .split("\"name\":\"query.join\"")
+        .skip(1)
+        .map(|span| &span[..span.find('}').expect("attrs close")])
+        .collect();
+    assert!(!joins.is_empty(), "{text}");
+    for span in joins {
+        for key in ["\"access\":", "\"estimate\":"] {
+            assert!(span.contains(key), "{key} in join span {span}");
+        }
+    }
 
     // The index lists it, with store occupancy and the span canary.
     let index = get(&server, "/traces");
@@ -431,6 +440,48 @@ fn explain_matches_the_profiled_join_plan_without_executing() {
         joins_of(&body),
         joins_of(&profile),
         "explain joins must be byte-identical to the profiled plan"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn explain_starts_a_constant_join_from_the_constant() {
+    // The benchmark's join shape over generated data: the constant
+    // publication leads and every other level is an index probe — no
+    // scan of the teams, no hash table over the link table.
+    let db = fixtures::data::populated_database(200, 7);
+    let server = serve(
+        ontoaccess::Mediator::new(db, fixtures::mapping()).expect("mapping is valid"),
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind ephemeral port");
+    let query = fixtures::workload::with_prefixes(&format!(
+        "SELECT ?last ?code WHERE {{ ex:pub{} dc:creator ?a . \
+         ?a foaf:family_name ?last ; ont:team ?t . ?t ont:teamCode ?code }}",
+        fixtures::data::ID_BASE + 3
+    ));
+    let explained = get(
+        &server,
+        &format!("/sparql?query={}&explain=1", urlencode(&query)),
+    );
+    assert_eq!(explained.status, 200);
+    let body = explained.text();
+    let joins = &body[body.find("\"joins\":[").expect("joins array")..];
+    let levels: Vec<&str> = joins[..joins.find(']').expect("closed array")]
+        .split("},{")
+        .collect();
+    assert_eq!(levels.len(), 4, "{body}");
+    for key in ["\"table\":\"publication\"", "\"access\":\"restricted\""] {
+        assert!(levels[0].contains(key), "level 0 has {key}: {body}");
+    }
+    assert!(!body.contains("\"hash_join\""), "{body}");
+    assert!(
+        !body.contains("\"rows\""),
+        "explain must not execute: {body}"
     );
     server.shutdown();
 }
