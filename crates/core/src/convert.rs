@@ -8,9 +8,10 @@
 //! sidesteps the hardest parts of the view update problem.
 
 use crate::error::OntoError;
-use rdf::{Literal, LiteralKind, Term};
+use rdf::{Literal, LiteralKind, LiteralKindRef, Term, TermRef};
 use rel::{SqlType, Value};
 use std::borrow::Cow;
+use std::fmt::Write;
 
 /// Convert an RDF literal to a SQL value for a column of type `ty`.
 ///
@@ -49,25 +50,73 @@ fn plainish(lit: &Literal) -> bool {
     matches!(lit.kind(), LiteralKind::Plain)
 }
 
-/// Convert a SQL value to its canonical RDF literal.
+const XSD_INTEGER: &str = "http://www.w3.org/2001/XMLSchema#integer";
+const XSD_BOOLEAN: &str = "http://www.w3.org/2001/XMLSchema#boolean";
+const XSD_DOUBLE: &str = "http://www.w3.org/2001/XMLSchema#double";
+
+/// The canonical RDF literal of a SQL value, borrowed: text is a plain
+/// literal over its interned string; integers, booleans and doubles
+/// format their lexical form into `scratch` (cleared first) and carry
+/// a static `xsd:` datatype. Query results, owned solutions and the
+/// materialized view all read literals through this one mapping.
 ///
 /// NULL has no triple (the attribute is simply absent from the RDF
 /// view), so this returns `None` for NULL.
+pub fn value_literal<'s>(value: &Value, scratch: &'s mut String) -> Option<TermRef<'s>> {
+    let datatype = match value {
+        Value::Null => return None,
+        Value::Text(s) => {
+            return Some(TermRef::Literal {
+                lexical: s.as_str(),
+                kind: LiteralKindRef::Plain,
+            })
+        }
+        Value::Int(_) => XSD_INTEGER,
+        Value::Bool(_) => XSD_BOOLEAN,
+        Value::Double(_) => XSD_DOUBLE,
+    };
+    scratch.clear();
+    push_lexical(value, scratch);
+    Some(TermRef::Literal {
+        lexical: scratch,
+        kind: LiteralKindRef::Datatype(datatype),
+    })
+}
+
+/// Convert a SQL value to its canonical RDF literal, owned: the literal
+/// [`value_literal`] views. `None` for NULL.
 pub fn value_to_literal(value: &Value) -> Option<Literal> {
-    match value {
-        Value::Null => None,
-        Value::Int(i) => Some(Literal::integer(*i)),
+    if let Value::Text(s) = value {
         // Borrow the interned copy out of the dictionary — result
         // materialization decodes without cloning string bytes.
-        Value::Text(s) => Some(Literal::plain_shared(s.as_str())),
-        Value::Bool(b) => Some(Literal::boolean(*b)),
-        Value::Double(d) => Some(Literal::double(*d)),
+        return Some(Literal::plain_shared(s.as_str()));
+    }
+    match value_literal(value, &mut String::new())?.to_owned() {
+        Term::Literal(lit) => Some(lit),
+        _ => unreachable!("a value's view is a literal"),
     }
 }
 
 /// Convert a SQL value to an RDF term (literal form).
 pub fn value_to_term(value: &Value) -> Option<Term> {
     value_to_literal(value).map(Term::Literal)
+}
+
+// Append the lexical form of a value: the text itself, `6`, `true`,
+// `1.5` — what a literal carries and what a URI pattern substitutes.
+// NULL appends nothing.
+pub(crate) fn push_lexical(value: &Value, out: &mut String) {
+    match value {
+        Value::Null => {}
+        Value::Text(s) => out.push_str(s.as_str()),
+        Value::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Double(d) => {
+            let _ = write!(out, "{d:?}");
+        }
+    }
 }
 
 /// Parse a URI-pattern-extracted string (always textual) into the value
@@ -94,14 +143,16 @@ pub fn pattern_value(raw: &str, ty: SqlType) -> Result<Value, String> {
 
 /// Render a value for URI pattern substitution (inverse of
 /// [`pattern_value`] on the lexical level). Text values borrow out of
-/// the dictionary; numeric values still format into owned strings.
+/// the dictionary; other values format as their literal's lexical form.
 pub fn value_to_pattern(value: &Value) -> Option<Cow<'static, str>> {
     match value {
         Value::Null => None,
-        Value::Int(i) => Some(Cow::Owned(i.to_string())),
         Value::Text(s) => Some(Cow::Borrowed(s.as_str())),
-        Value::Bool(b) => Some(Cow::Owned(b.to_string())),
-        Value::Double(d) => Some(Cow::Owned(format!("{d:?}"))),
+        other => {
+            let mut out = String::new();
+            push_lexical(other, &mut out);
+            Some(Cow::Owned(out))
+        }
     }
 }
 
@@ -191,8 +242,32 @@ mod tests {
     }
 
     #[test]
+    fn literal_view_is_the_canonical_literal() {
+        for (v, expected) in [
+            (Value::Int(-42), Literal::integer(-42)),
+            (Value::text("Hert"), Literal::plain("Hert")),
+            (Value::Bool(true), Literal::boolean(true)),
+            (Value::Double(1e21), Literal::double(1e21)),
+        ] {
+            let mut scratch = String::from("stale");
+            let view = value_literal(&v, &mut scratch).unwrap();
+            assert_eq!(view, Term::Literal(expected.clone()).as_ref());
+            assert_eq!(value_to_literal(&v), Some(expected));
+        }
+    }
+
+    #[test]
+    fn text_literals_borrow_the_interned_string() {
+        let v = Value::text("Hert");
+        let Value::Text(s) = &v else { unreachable!() };
+        let lit = value_to_literal(&v).unwrap();
+        assert_eq!(lit.lexical().as_ptr(), s.as_str().as_ptr());
+    }
+
+    #[test]
     fn null_has_no_literal() {
         assert_eq!(value_to_literal(&Value::Null), None);
+        assert_eq!(value_literal(&Value::Null, &mut String::new()), None);
     }
 
     #[test]

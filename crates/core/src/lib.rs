@@ -89,7 +89,7 @@ pub use modify::{
 };
 pub use query::{
     compile_select, ensure_join_indexes, execute_query, execute_select, run_compiled,
-    CompiledQuery, VarShape,
+    CompiledQuery, QueryAnswer, SolutionRows, VarShape,
 };
 pub use translate::{
     emit_grouped, emit_per_row, execute_sorted, execute_sorted_reference, execute_sorted_timed,

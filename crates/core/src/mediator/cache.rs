@@ -5,11 +5,12 @@ use crate::query::CompiledQuery;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-// A parse+compile result cached per query text.
-#[derive(Debug)]
+// A parse+compile result cached per query text. Cloning is an `Arc`
+// clone; a SELECT's answer keeps its compilation alive to render rows.
+#[derive(Debug, Clone)]
 pub(super) enum CachedQuery {
-    Select(CompiledQuery),
-    Ask(CompiledQuery),
+    Select(Arc<CompiledQuery>),
+    Ask(Arc<CompiledQuery>),
 }
 
 impl CachedQuery {
@@ -23,7 +24,7 @@ impl CachedQuery {
 // One cache slot: the shared compilation plus its second-chance bit.
 #[derive(Debug)]
 struct CacheSlot {
-    compiled: Arc<CachedQuery>,
+    compiled: CachedQuery,
     referenced: bool,
 }
 
@@ -64,7 +65,7 @@ impl QueryCache {
         }
     }
 
-    pub(super) fn get(&mut self, text: &str) -> Option<Arc<CachedQuery>> {
+    pub(super) fn get(&mut self, text: &str) -> Option<CachedQuery> {
         let Some(slot) = self.entries.get_mut(text) else {
             self.misses += 1;
             super::metrics().cache_misses.inc();
@@ -73,10 +74,10 @@ impl QueryCache {
         self.hits += 1;
         super::metrics().cache_hits.inc();
         slot.referenced = true;
-        Some(Arc::clone(&slot.compiled))
+        Some(slot.compiled.clone())
     }
 
-    pub(super) fn admit(&mut self, text: &str, compiled: Arc<CachedQuery>) {
+    pub(super) fn admit(&mut self, text: &str, compiled: CachedQuery) {
         if let Some(slot) = self.entries.get_mut(text) {
             // Two threads compiled the same text concurrently; keep one.
             slot.compiled = compiled;

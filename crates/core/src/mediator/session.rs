@@ -6,6 +6,7 @@ use super::cache::CachedQuery;
 use super::versions::{DatabaseReadGuard, DatabaseVersion};
 use super::{metrics, MediatorCore};
 use crate::error::{OntoError, OntoResult};
+use crate::query::{QueryAnswer, SolutionRows};
 use rdf::namespace::PrefixMap;
 use rdf::Graph;
 use rel::sql::SelectPlan;
@@ -66,14 +67,14 @@ pub struct QueryRun {
     /// Wall time planning the joins against the snapshot and executing
     /// them (zero at [`QueryStop::Plan`]).
     pub execute: Duration,
-    /// The result, present exactly when the run reached
-    /// [`QueryStop::Execute`].
-    pub outcome: Option<QueryOutcome>,
+    /// The answer, present exactly when the run reached
+    /// [`QueryStop::Execute`]: the join's rows, not yet rendered.
+    pub outcome: Option<QueryAnswer>,
     /// The join plan of the compiled SQL against the pinned snapshot —
     /// at [`QueryStop::Execute`], the plan the executor ran.
     pub joins: SelectPlan,
     version: Arc<DatabaseVersion>,
-    compiled: Arc<CachedQuery>,
+    compiled: CachedQuery,
 }
 
 /// Per-stage wall times and join plan of one executed query — what the
@@ -129,16 +130,6 @@ fn trace_join_spans(plan: &SelectPlan) {
     }
 }
 
-// Result rows (for ASK: 1 when true, 0 when false; 0 when the plan
-// never ran).
-fn outcome_rows(outcome: Option<&QueryOutcome>) -> usize {
-    match outcome {
-        Some(QueryOutcome::Solutions(s)) => s.len(),
-        Some(QueryOutcome::Boolean(b)) => usize::from(*b),
-        None => 0,
-    }
-}
-
 impl QueryRun {
     /// Commit sequence of the snapshot the run pinned.
     pub fn version_seq(&self) -> u64 {
@@ -153,7 +144,7 @@ impl QueryRun {
             plan_micros: self.plan.as_micros() as u64,
             execute_micros: self.execute.as_micros() as u64,
             version_seq: self.version.seq,
-            rows: outcome_rows(self.outcome.as_ref()),
+            rows: self.outcome.as_ref().map_or(0, QueryAnswer::rows),
             joins: &self.joins,
         }
     }
@@ -162,7 +153,7 @@ impl QueryRun {
     pub fn explain(&self) -> QueryExplain<'_> {
         QueryExplain {
             cache_hit: self.cache_hit,
-            form: match &*self.compiled {
+            form: match &self.compiled {
                 CachedQuery::Select(_) => "select",
                 CachedQuery::Ask(_) => "ask",
             },
@@ -184,21 +175,22 @@ impl MediatorCore {
         &self,
         db: &Database,
         text: &str,
-    ) -> OntoResult<(Arc<CachedQuery>, Duration, Duration)> {
+    ) -> OntoResult<(CachedQuery, Duration, Duration)> {
         let parse_span = obs::trace::span("query.parse");
         let query: Query = sparql::parse_query_with_prefixes(text, self.prefixes.clone())?;
         let parse = parse_span.finish();
         let plan_span = obs::trace::span("query.plan");
-        let compiled = match &query {
-            Query::Select(select) => {
-                CachedQuery::Select(crate::query::compile_select(db, &self.mapping, select)?)
-            }
-            Query::Ask(ask) => CachedQuery::Ask(crate::query::compile_select(
-                db,
-                &self.mapping,
-                &crate::query::ask_to_select(ask),
-            )?),
-        };
+        let compiled =
+            match &query {
+                Query::Select(select) => CachedQuery::Select(Arc::new(
+                    crate::query::compile_select(db, &self.mapping, select)?,
+                )),
+                Query::Ask(ask) => CachedQuery::Ask(Arc::new(crate::query::compile_select(
+                    db,
+                    &self.mapping,
+                    &crate::query::ask_to_select(ask),
+                )?)),
+            };
         // Decide against the snapshot whether provisioning has any work
         // to do: most queries have no join targets (or all targets
         // already indexed), and they must not stall behind an open
@@ -216,9 +208,8 @@ impl MediatorCore {
         let plan = plan_span.finish();
         metrics().parse.observe_duration(parse);
         metrics().plan.observe_duration(plan);
-        let compiled = Arc::new(compiled);
         let admit_span = obs::trace::span("query.cache_admit");
-        self.lock_cache().admit(text, Arc::clone(&compiled));
+        self.lock_cache().admit(text, compiled.clone());
         drop(admit_span);
         Ok((compiled, parse, plan))
     }
@@ -256,14 +247,16 @@ impl ReadSession {
                 let span = obs::trace::span("query.execute");
                 let joins = rel::sql::plan_select(db, sql)?;
                 trace_join_spans(&joins);
-                let solutions = crate::query::run_planned(db, compiled.compiled(), &joins)?;
-                let outcome = match &*compiled {
-                    CachedQuery::Select(_) => QueryOutcome::Solutions(solutions),
-                    CachedQuery::Ask(_) => QueryOutcome::Boolean(!solutions.is_empty()),
+                let rows = rel::sql::execute_plan(db, &joins, compiled.compiled().limit)?;
+                let outcome = match &compiled {
+                    CachedQuery::Select(select) => {
+                        QueryAnswer::Solutions(SolutionRows::new(Arc::clone(select), rows.rows))
+                    }
+                    CachedQuery::Ask(_) => QueryAnswer::Boolean(!rows.is_empty()),
                 };
                 if span.armed() {
                     span.attr_u64("version_seq", version.seq);
-                    span.attr_u64("rows", outcome_rows(Some(&outcome)) as u64);
+                    span.attr_u64("rows", outcome.rows() as u64);
                 }
                 let execute = span.finish();
                 metrics().execute.observe_duration(execute);
@@ -288,7 +281,9 @@ impl ReadSession {
     /// to the planner.
     pub fn execute_query(&self, text: &str) -> OntoResult<QueryOutcome> {
         let run = self.run_query(text, QueryStop::Execute)?;
-        Ok(run.outcome.expect("QueryStop::Execute runs the plan"))
+        run.outcome
+            .expect("QueryStop::Execute runs the plan")
+            .to_outcome()
     }
 
     /// Execute a SELECT given as text.

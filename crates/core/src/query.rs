@@ -15,11 +15,11 @@
 //!   both endpoint tables;
 //! * `FILTER` comparisons become SQL comparisons over the bound columns.
 
-use crate::convert::{literal_to_value, pattern_value, value_to_pattern, value_to_term};
+use crate::convert::{literal_to_value, pattern_value, push_lexical, value_literal, value_to_term};
 use crate::error::{OntoError, OntoResult};
 use r3m::{Mapping, PropertyMapping, UriPattern};
 use rdf::namespace::rdf_type;
-use rdf::{Iri, Term};
+use rdf::{Iri, Term, TermRef};
 use rel::sql::{BinOp, Expr, SelectItem, SelectStmt, TableRef};
 use rel::{Database, Value};
 use sparql::{
@@ -27,6 +27,7 @@ use sparql::{
     TriplePattern,
 };
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// A compiled SPARQL query: the SQL statement plus the recipe for
 /// converting SQL result rows back into SPARQL bindings.
@@ -36,7 +37,7 @@ pub struct CompiledQuery {
     pub sql: SelectStmt,
     /// How each projected variable is reconstructed from the SQL row.
     pub bindings: Vec<(String, VarShape)>,
-    /// Row limit applied after conversion.
+    /// Row limit: the join stops once this many solutions are out.
     pub limit: Option<usize>,
     /// Underlying `(table, column)` pairs of the SQL's equi-join keys
     /// (every FK object property and link-table pattern contributes
@@ -135,68 +136,153 @@ pub fn execute_select(
 /// compile/cache-admission time (see [`ensure_join_indexes`]), so many
 /// threads can run compiled queries against `&Database` in parallel.
 pub fn run_compiled(db: &Database, compiled: &CompiledQuery) -> OntoResult<Solutions> {
-    run_planned(db, compiled, &rel::sql::plan_select(db, &compiled.sql)?)
+    let plan = rel::sql::plan_select(db, &compiled.sql)?;
+    let rows = rel::sql::execute_plan(db, &plan, compiled.limit)?;
+    collect_solutions(compiled, &rows.rows)
 }
 
-/// Execute `plan` — `compiled.sql` planned against `db` by
-/// [`rel::sql::plan_select`] — and convert its rows to solutions.
-pub fn run_planned(
-    db: &Database,
-    compiled: &CompiledQuery,
-    plan: &rel::sql::SelectPlan,
-) -> OntoResult<Solutions> {
-    let rows = rel::sql::execute_plan(db, plan)?;
-    let mut solutions = Solutions {
-        variables: compiled.bindings.iter().map(|(v, _)| v.clone()).collect(),
-        bindings: Vec::with_capacity(rows.len()),
-    };
-    for row in &rows.rows {
+// Owned solutions: every cell through the view, then `to_owned` —
+// except literals, which `value_to_term` builds from the same view but
+// with text borrowing its interned string.
+fn collect_solutions(compiled: &CompiledQuery, rows: &[Vec<Value>]) -> OntoResult<Solutions> {
+    let mut scratch = String::new();
+    let mut bindings = Vec::with_capacity(rows.len());
+    for row in rows {
         let mut binding = Binding::new();
-        for (i, (var, shape)) in compiled.bindings.iter().enumerate() {
-            let value = &row[i];
-            if value.is_null() {
-                continue;
+        for ((var, shape), value) in compiled.bindings.iter().zip(row) {
+            let term = match shape {
+                VarShape::Literal => value_to_term(value),
+                _ => shape.term(value, &mut scratch)?.map(|term| term.to_owned()),
+            };
+            if let Some(term) = term {
+                binding.insert(var.clone(), term);
             }
-            let term = shape_to_term(shape, value)?;
-            binding.insert(var.clone(), term);
         }
-        solutions.bindings.push(binding);
+        bindings.push(binding);
     }
-    if let Some(limit) = compiled.limit {
-        solutions.bindings.truncate(limit);
-    }
-    Ok(solutions)
+    Ok(Solutions {
+        variables: compiled
+            .bindings
+            .iter()
+            .map(|(var, _)| var.clone())
+            .collect(),
+        bindings,
+    })
 }
 
-fn shape_to_term(shape: &VarShape, value: &Value) -> OntoResult<Term> {
-    match shape {
-        VarShape::Literal => Ok(value_to_term(value).expect("non-null")),
-        VarShape::Instance { pattern, prefix } => {
-            let raw = value_to_pattern(value).expect("non-null");
-            let uri = pattern
-                .generate(prefix.as_deref(), &|_| Some(raw.clone()))
-                .map_err(|e| OntoError::Unsupported {
-                    message: e.to_string(),
-                })?;
-            Ok(Term::Iri(Iri::parse(uri).map_err(|e| {
-                OntoError::Unsupported {
-                    message: e.to_string(),
+impl VarShape {
+    /// The RDF term of one result cell: `None` for NULL (the variable
+    /// is unbound in that solution). Text borrows its interned string;
+    /// instance and derived IRIs expand their URI pattern into
+    /// `scratch` (cleared first) and must pass [`Iri::check`]; numbers
+    /// and booleans format into `scratch` (see
+    /// [`value_literal`](crate::convert::value_literal)).
+    pub fn term<'s>(
+        &self,
+        value: &Value,
+        scratch: &'s mut String,
+    ) -> OntoResult<Option<TermRef<'s>>> {
+        // An instance pattern has one attribute, the key; a value
+        // pattern binds only its own attribute.
+        let (pattern, prefix, attribute) = match self {
+            VarShape::Literal => return Ok(value_literal(value, scratch)),
+            _ if value.is_null() => return Ok(None),
+            VarShape::Instance { pattern, prefix } => (pattern, prefix.as_deref(), None),
+            VarShape::DerivedIri { pattern, attribute } => (pattern, None, Some(attribute)),
+        };
+        let unsupported = |message: String| OntoError::Unsupported { message };
+        scratch.clear();
+        pattern
+            .generate_into(prefix, scratch, &mut |name, out| {
+                if attribute.is_some_and(|a| a != name) {
+                    return false;
                 }
-            })?))
+                push_lexical(value, out);
+                true
+            })
+            .map_err(|e| unsupported(e.to_string()))?;
+        Iri::check(scratch).map_err(|e| unsupported(e.to_string()))?;
+        Ok(Some(TermRef::Iri(scratch)))
+    }
+}
+
+/// A SELECT's answer as the join produced it: one row of SQL values
+/// per solution (LIMIT and DISTINCT applied) plus the compiled query
+/// whose variables and shapes render each cell. Serializers write
+/// straight from the rows; [`SolutionRows::to_solutions`] builds owned
+/// solutions for library callers.
+#[derive(Debug, Clone)]
+pub struct SolutionRows {
+    compiled: Arc<CompiledQuery>,
+    rows: Vec<Vec<Value>>,
+}
+
+impl SolutionRows {
+    /// Pair the rows [`rel::sql::execute_plan`] returned for
+    /// `compiled.sql` (stopped at `compiled.limit`) with the query they
+    /// answer. Nothing is converted: cell `i` of a row is projected
+    /// variable `i`, rendered by its [`VarShape::term`] only where the
+    /// answer is written out.
+    pub fn new(compiled: Arc<CompiledQuery>, rows: Vec<Vec<Value>>) -> Self {
+        SolutionRows { compiled, rows }
+    }
+
+    /// Projected variables, in projection order: cell `i` of every row
+    /// binds variable `i`.
+    pub fn variables(&self) -> impl ExactSizeIterator<Item = &str> + Clone {
+        self.compiled.bindings.iter().map(|(var, _)| var.as_str())
+    }
+
+    /// The shape rendering each column, in projection order.
+    pub fn shapes(&self) -> impl Iterator<Item = &VarShape> {
+        self.compiled.bindings.iter().map(|(_, shape)| shape)
+    }
+
+    /// The rows, one per solution.
+    pub fn rows(&self) -> &[Vec<Value>] {
+        &self.rows
+    }
+
+    /// Number of solutions.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether there are no solutions.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The owned solutions: every cell rendered and copied.
+    pub fn to_solutions(&self) -> OntoResult<Solutions> {
+        collect_solutions(&self.compiled, &self.rows)
+    }
+}
+
+/// What an executed query answers, before anything is rendered.
+#[derive(Debug, Clone)]
+pub enum QueryAnswer {
+    /// A SELECT's rows.
+    Solutions(SolutionRows),
+    /// An ASK's answer.
+    Boolean(bool),
+}
+
+impl QueryAnswer {
+    /// Result rows (for ASK: 1 when true, 0 when false).
+    pub fn rows(&self) -> usize {
+        match self {
+            QueryAnswer::Solutions(rows) => rows.len(),
+            QueryAnswer::Boolean(b) => usize::from(*b),
         }
-        VarShape::DerivedIri { pattern, attribute } => {
-            let raw = value_to_pattern(value).expect("non-null");
-            let uri = pattern
-                .generate(None, &|name| (name == attribute).then(|| raw.clone()))
-                .map_err(|e| OntoError::Unsupported {
-                    message: e.to_string(),
-                })?;
-            Ok(Term::Iri(Iri::parse(uri).map_err(|e| {
-                OntoError::Unsupported {
-                    message: e.to_string(),
-                }
-            })?))
-        }
+    }
+
+    /// The owned outcome; a SELECT renders every cell.
+    pub fn to_outcome(&self) -> OntoResult<sparql::QueryOutcome> {
+        Ok(match self {
+            QueryAnswer::Solutions(rows) => sparql::QueryOutcome::Solutions(rows.to_solutions()?),
+            QueryAnswer::Boolean(b) => sparql::QueryOutcome::Boolean(*b),
+        })
     }
 }
 

@@ -158,6 +158,26 @@ impl UriPattern {
         lookup: &dyn Fn(&str) -> Option<std::borrow::Cow<'static, str>>,
     ) -> Result<String, PatternError> {
         let mut out = String::new();
+        self.generate_into(prefix, &mut out, &mut |attr, out| match lookup(attr) {
+            Some(value) => {
+                out.push_str(&value);
+                true
+            }
+            None => false,
+        })?;
+        Ok(out)
+    }
+
+    /// [`UriPattern::generate`] appending to `out`: `write_value` appends
+    /// the named attribute's rendered value and returns whether it has
+    /// one. Query serialization expands every result IRI into one reused
+    /// buffer this way, rendering numeric keys in place.
+    pub fn generate_into(
+        &self,
+        prefix: Option<&str>,
+        out: &mut String,
+        write_value: &mut dyn FnMut(&str, &mut String) -> bool,
+    ) -> Result<(), PatternError> {
         if !self.is_absolute() {
             out.push_str(prefix.unwrap_or(""));
         }
@@ -165,14 +185,15 @@ impl UriPattern {
             match segment {
                 Segment::Literal(text) => out.push_str(text),
                 Segment::Attribute(attr) => {
-                    let value = lookup(attr).ok_or_else(|| PatternError {
-                        message: format!("no value for pattern attribute {attr:?}"),
-                    })?;
-                    out.push_str(&value);
+                    if !write_value(attr, out) {
+                        return Err(PatternError {
+                            message: format!("no value for pattern attribute {attr:?}"),
+                        });
+                    }
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Match a URI against this pattern under `prefix`, extracting

@@ -42,22 +42,32 @@ impl Iri {
     /// (e.g. `mailto:hert@ifi.uzh.ch` in Listing 9).
     pub fn parse(s: impl Into<String>) -> Result<Self, IriParseError> {
         let s = s.into();
+        Iri::check(&s)?;
+        Ok(Iri(s))
+    }
+
+    /// Check the invariants [`Iri::parse`] enforces without allocating:
+    /// serializers validate a generated IRI in their scratch buffer and
+    /// write it out borrowed.
+    pub fn check(s: &str) -> Result<(), IriParseError> {
         let err = |reason| IriParseError {
-            input: truncate(&s),
+            input: truncate(s),
             reason,
         };
         if s.is_empty() {
             return Err(err("empty string"));
         }
-        if s.chars()
-            .any(|c| c.is_whitespace() || matches!(c, '<' | '>' | '"' | '{' | '}' | '|' | '\\'))
+        // One table lookup per byte; only a non-ASCII string pays for
+        // decoding, to find non-ASCII whitespace.
+        if s.bytes().any(|b| FORBIDDEN[usize::from(b)])
+            || (!s.is_ascii() && s.chars().any(char::is_whitespace))
         {
             return Err(err("contains whitespace or a forbidden character"));
         }
         if !s.contains(':') {
             return Err(err("missing scheme separator ':'"));
         }
-        Ok(Iri(s))
+        Ok(())
     }
 
     /// Construct an IRI that is statically known to be valid (vocabulary
@@ -98,6 +108,19 @@ impl Iri {
         }
     }
 }
+
+// The ASCII characters an IRI may not contain: whitespace (as
+// `char::is_whitespace` defines it) and `<>"{}|\`.
+const FORBIDDEN: [bool; 256] = {
+    let mut table = [false; 256];
+    let listed = b"\t\n\x0b\x0c\r <>\"{}|\\";
+    let mut i = 0;
+    while i < listed.len() {
+        table[listed[i] as usize] = true;
+        i += 1;
+    }
+    table
+};
 
 fn truncate(s: &str) -> String {
     const MAX: usize = 64;
@@ -190,6 +213,26 @@ mod tests {
     fn display_wraps_in_angle_brackets() {
         let iri = Iri::parse("http://example.org/x").unwrap();
         assert_eq!(iri.to_string(), "<http://example.org/x>");
+    }
+
+    #[test]
+    fn check_agrees_with_parse() {
+        for s in [
+            "http://x.org/a",
+            "mailto:a@b",
+            "",
+            "a b",
+            "x:<y>",
+            "no-scheme",
+        ] {
+            assert_eq!(Iri::check(s), Iri::parse(s).map(|_| ()), "{s:?}");
+        }
+        // Every character below U+3100 (all of ASCII, Latin-1 and the
+        // Unicode whitespace block included) is judged as the rule reads.
+        for c in (0..0x3100).filter_map(char::from_u32) {
+            let rule = c.is_whitespace() || matches!(c, '<' | '>' | '"' | '{' | '}' | '|' | '\\');
+            assert_eq!(Iri::check(&format!("x:a{c}b")).is_err(), rule, "{c:?}");
+        }
     }
 
     #[test]

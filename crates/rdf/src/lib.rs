@@ -36,5 +36,5 @@ pub use graph::Graph;
 pub use iri::{Iri, IriParseError};
 pub use literal::{Literal, LiteralKind};
 pub use namespace::PrefixMap;
-pub use term::{BlankNode, Term};
+pub use term::{BlankNode, LiteralKindRef, Term, TermRef};
 pub use triple::Triple;

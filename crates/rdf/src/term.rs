@@ -1,7 +1,7 @@
 //! RDF terms: IRIs, blank nodes, and literals.
 
 use crate::iri::Iri;
-use crate::literal::Literal;
+use crate::literal::{Literal, LiteralKind};
 use std::fmt;
 
 /// A blank node, identified by a label local to one document/graph.
@@ -96,6 +96,66 @@ impl Term {
     pub fn is_literal(&self) -> bool {
         matches!(self, Term::Literal(_))
     }
+
+    /// The borrowed view of this term.
+    pub fn as_ref(&self) -> TermRef<'_> {
+        match self {
+            Term::Iri(iri) => TermRef::Iri(iri.as_str()),
+            Term::Blank(b) => TermRef::Blank(b.label()),
+            Term::Literal(lit) => TermRef::Literal {
+                lexical: lit.lexical(),
+                kind: match lit.kind() {
+                    LiteralKind::Plain => LiteralKindRef::Plain,
+                    LiteralKind::LanguageTagged(tag) => LiteralKindRef::Language(tag),
+                    LiteralKind::Typed(dt) => LiteralKindRef::Datatype(dt.as_str()),
+                },
+            },
+        }
+    }
+}
+
+/// A borrowed RDF term: what serializers consume, so a term can be
+/// written out of whatever holds its text — an owned [`Term`], an
+/// interned string, a scratch buffer — without being built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TermRef<'a> {
+    /// An IRI; the string passes [`Iri::check`].
+    Iri(&'a str),
+    /// A blank node label (without `_:`).
+    Blank(&'a str),
+    /// A literal.
+    Literal {
+        /// The lexical form, verbatim.
+        lexical: &'a str,
+        /// Plain, language-tagged or typed.
+        kind: LiteralKindRef<'a>,
+    },
+}
+
+/// The borrowed counterpart of [`LiteralKind`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LiteralKindRef<'a> {
+    /// No language tag, no datatype.
+    Plain,
+    /// A (lower-case) language tag.
+    Language(&'a str),
+    /// A datatype IRI that passes [`Iri::check`].
+    Datatype(&'a str),
+}
+
+impl TermRef<'_> {
+    /// The owned term.
+    pub fn to_owned(&self) -> Term {
+        match *self {
+            TermRef::Iri(iri) => Term::Iri(Iri::new_unchecked(iri)),
+            TermRef::Blank(label) => Term::Blank(BlankNode::new(label)),
+            TermRef::Literal { lexical, kind } => Term::Literal(match kind {
+                LiteralKindRef::Plain => Literal::plain(lexical),
+                LiteralKindRef::Language(tag) => Literal::lang(lexical, tag),
+                LiteralKindRef::Datatype(dt) => Literal::typed(lexical, Iri::new_unchecked(dt)),
+            }),
+        }
+    }
 }
 
 impl fmt::Display for Term {
@@ -153,6 +213,26 @@ mod tests {
         assert!(t.as_literal().is_none());
         assert!(t.is_subject_term());
         assert!(!Term::plain("x").is_subject_term());
+    }
+
+    #[test]
+    fn borrowed_view_round_trips() {
+        for term in [
+            Term::iri("mailto:a@b.org"),
+            Term::blank("b0"),
+            Term::plain("say \"hi\""),
+            Term::Literal(Literal::lang("café", "FR")),
+            Term::Literal(Literal::integer(-7)),
+        ] {
+            assert_eq!(term.as_ref().to_owned(), term);
+        }
+        assert_eq!(
+            Term::Literal(Literal::boolean(true)).as_ref(),
+            TermRef::Literal {
+                lexical: "true",
+                kind: LiteralKindRef::Datatype("http://www.w3.org/2001/XMLSchema#boolean"),
+            }
+        );
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::sql::ast::{
 };
 use crate::storage::RowId;
 use crate::value::{IndexKey, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Result of executing one statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -723,7 +723,7 @@ impl SelectPlan {
 /// Execute a SELECT through the planner (callers holding a parsed
 /// statement skip the `Statement` wrapper — and its clone — entirely).
 pub fn execute_select(db: &Database, stmt: &SelectStmt) -> RelResult<ResultSet> {
-    execute_plan(db, &plan_select(db, stmt)?)
+    execute_plan(db, &plan_select(db, stmt)?, None)
 }
 
 // One FROM binding while planning.
@@ -1048,14 +1048,25 @@ pub fn plan_select(db: &Database, stmt: &SelectStmt) -> RelResult<SelectPlan> {
     })
 }
 
-/// Run a plan against the database state it was planned on.
-pub fn execute_plan(db: &Database, plan: &SelectPlan) -> RelResult<ResultSet> {
-    let mut result = ResultSet {
-        columns: plan.columns.clone(),
+/// Run a plan against the database state it was planned on. With a
+/// `limit`, the join stops as soon as that many rows are out; under
+/// DISTINCT a row counts only the first time it is emitted, so the
+/// result is the first `limit` rows of the unlimited one.
+pub fn execute_plan(
+    db: &Database,
+    plan: &SelectPlan,
+    limit: Option<usize>,
+) -> RelResult<ResultSet> {
+    let mut out = Emitted {
         rows: Vec::new(),
+        limit: limit.unwrap_or(usize::MAX),
+        seen: plan.distinct.then(HashSet::new),
     };
-    if plan.empty {
-        return Ok(result);
+    if plan.empty || out.full() {
+        return Ok(ResultSet {
+            columns: plan.columns.clone(),
+            rows: Vec::new(),
+        });
     }
     let mut levels = Vec::with_capacity(plan.levels.len());
     for level in &plan.levels {
@@ -1103,16 +1114,34 @@ pub fn execute_plan(db: &Database, plan: &SelectPlan) -> RelResult<ResultSet> {
         outputs: &plan.outputs,
     };
     let mut scope = Vec::with_capacity(levels.len());
-    run.join(&mut scope, &mut result.rows)?;
+    run.join(&mut scope, &mut out)?;
+    Ok(ResultSet {
+        columns: plan.columns.clone(),
+        rows: out.rows,
+    })
+}
 
-    if plan.distinct {
-        let mut seen = std::collections::BTreeSet::new();
-        result.rows.retain(|row| {
-            let key: Vec<crate::value::IndexKey> = row.iter().map(Value::index_key).collect();
-            seen.insert(key)
-        });
+// The join's output: rows so far, the row budget, and under DISTINCT
+// the rows already emitted.
+struct Emitted {
+    rows: Vec<Vec<Value>>,
+    limit: usize,
+    seen: Option<HashSet<Vec<IndexKey>>>,
+}
+
+impl Emitted {
+    fn full(&self) -> bool {
+        self.rows.len() >= self.limit
     }
-    Ok(result)
+
+    fn push(&mut self, row: Vec<Value>) {
+        if let Some(seen) = &mut self.seen {
+            if !seen.insert(row.iter().map(Value::index_key).collect()) {
+                return;
+            }
+        }
+        self.rows.push(row);
+    }
 }
 
 fn stale_plan(table: &str) -> RelError {
@@ -1244,7 +1273,8 @@ type Scope<'a> = Vec<(&'a str, &'a crate::schema::Table, &'a Vec<Value>)>;
 impl<'a> PlanRun<'_, 'a> {
     // Recursive join: bind one table per level through its access path,
     // apply the residual conjuncts that just became evaluable, recurse.
-    fn join(&self, scope: &mut Scope<'a>, out: &mut Vec<Vec<Value>>) -> RelResult<()> {
+    // Every loop stops once `out` is full.
+    fn join(&self, scope: &mut Scope<'a>, out: &mut Emitted) -> RelResult<()> {
         let depth = scope.len();
         let Some(level) = self.levels.get(depth) else {
             let resolve = |cref: &ColumnRef| -> RelResult<Value> { resolve_multi(scope, cref) };
@@ -1258,6 +1288,9 @@ impl<'a> PlanRun<'_, 'a> {
         match &level.level.access {
             Access::Scan | Access::Restricted { .. } => {
                 for &row in &level.rows {
+                    if out.full() {
+                        break;
+                    }
                     self.bind_row(scope, out, level, row)?;
                 }
             }
@@ -1272,6 +1305,9 @@ impl<'a> PlanRun<'_, 'a> {
                 }
                 if let Some(positions) = level.build.get(&key) {
                     for &i in positions {
+                        if out.full() {
+                            break;
+                        }
                         self.bind_row(scope, out, level, level.rows[i])?;
                     }
                 }
@@ -1289,6 +1325,9 @@ impl<'a> PlanRun<'_, 'a> {
                     ProbeIds::Many(ids) => (None, ids),
                 };
                 for row_id in one.into_iter().chain(many.iter().copied()) {
+                    if out.full() {
+                        break;
+                    }
                     let row = self
                         .db
                         .row(table, row_id)?
@@ -1303,10 +1342,12 @@ impl<'a> PlanRun<'_, 'a> {
     fn bind_row(
         &self,
         scope: &mut Scope<'a>,
-        out: &mut Vec<Vec<Value>>,
+        out: &mut Emitted,
         level: &LevelRun<'a>,
         row: &'a Vec<Value>,
     ) -> RelResult<()> {
+        #[cfg(test)]
+        planner_tests::ROWS_BOUND.with(|n| n.set(n.get() + 1));
         let plan_level: &'a PlanLevel = level.level;
         scope.push((&plan_level.alias, level.table, row));
         let resolve = |cref: &ColumnRef| -> RelResult<Value> { resolve_multi(scope, cref) };
@@ -2182,6 +2223,60 @@ mod planner_tests {
             let (planner, reference) = both(&mut d, sql);
             assert_eq!(planner, reference, "query: {sql}");
         }
+    }
+
+    thread_local! {
+        // Rows the executor bound on this thread, at any join level.
+        pub(super) static ROWS_BOUND: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    // Run `sql` with `limit`: its rows and how many rows the join bound.
+    fn limited(db: &Database, sql: &str, limit: Option<usize>) -> (ResultSet, usize) {
+        let plan = plan_select(db, &select(sql)).unwrap();
+        ROWS_BOUND.with(|n| n.set(0));
+        let rows = execute_plan(db, &plan, limit).unwrap();
+        (rows, ROWS_BOUND.with(|n| n.get()))
+    }
+
+    #[test]
+    fn limit_stops_the_join_after_n_rows() {
+        let d = db(60);
+        for sql in [
+            "SELECT x.v, y.v FROM a x, b y, link l WHERE l.a = x.id AND l.b = y.id;",
+            "SELECT DISTINCT y.v FROM a x, b y WHERE x.id = y.id;",
+            "SELECT DISTINCT x.v FROM a x, link l WHERE l.a = x.id;",
+            "SELECT x.id, y.id FROM a x, b y;",
+            "SELECT id FROM a;",
+        ] {
+            let (all, all_bound) = limited(&d, sql, None);
+            let reference = execute_select_reference(&d, &select(sql)).unwrap();
+            assert_eq!(all.clone().canonical(), reference.clone().canonical());
+            for n in [0, 1, 2, 5, all.len(), all.len() + 3] {
+                let (rows, bound) = limited(&d, sql, Some(n));
+                assert_eq!(rows.len(), n.min(all.len()), "{sql} LIMIT {n}");
+                // The first n rows of the unlimited run, in its order…
+                assert_eq!(rows.rows[..], all.rows[..rows.len()], "{sql} LIMIT {n}");
+                // …which are a sub-multiset of the reference result.
+                let mut left = reference.rows.clone();
+                for row in &rows.rows {
+                    let at = left
+                        .iter()
+                        .position(|r| r == row)
+                        .expect("row in reference");
+                    left.swap_remove(at);
+                }
+                // The join stopped early instead of filtering afterwards.
+                if n < all.len() {
+                    assert!(bound < all_bound, "{sql} LIMIT {n}: {bound} of {all_bound}");
+                }
+            }
+        }
+        // ASK's `LIMIT 1` over a scan binds one row, not the table.
+        assert_eq!(limited(&d, "SELECT id FROM a;", Some(1)).1, 1);
+        assert_eq!(
+            limited(&d, "SELECT x.id, y.id FROM a x, b y;", Some(5)).1,
+            6
+        );
     }
 
     #[test]

@@ -37,6 +37,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// The result writers pass the mediator's `OntoError` through unboxed,
+// as `ontoaccess` itself does: its rich payload is the error body.
+#![allow(clippy::result_large_err)]
 
 pub mod error_map;
 pub mod http;

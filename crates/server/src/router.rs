@@ -36,7 +36,7 @@ use ontoaccess::feedback::Feedback;
 use ontoaccess::mediator::{
     Mediator, QueryExplain, QueryProfile, QueryStop, ReadSession, UpdateProfile,
 };
-use ontoaccess::OntoError;
+use ontoaccess::{OntoError, OntoResult, QueryAnswer};
 use rel::sql::SelectPlan;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -318,7 +318,16 @@ fn run_query(
     };
     ctx.stats.record_query();
     let query_started = Instant::now();
-    let result = session.run_query(text, QueryStop::Execute);
+    // The body is complete before the first byte is sent: a cell that
+    // fails to render fails the request, never truncates a 200.
+    let result = session.run_query(text, QueryStop::Execute).and_then(|run| {
+        let answer = run
+            .outcome
+            .as_ref()
+            .expect("QueryStop::Execute runs the plan");
+        let body = results_body(answer, format)?;
+        Ok((run, body))
+    });
     let micros = query_started.elapsed().as_micros().min(u64::MAX as u128) as u64;
     if micros >= ctx.slow_query_micros {
         // Flag the active trace *now* so tail sampling pins it to the
@@ -334,12 +343,8 @@ fn run_query(
         );
     }
     match result {
-        Ok(run) => {
-            let outcome = run
-                .outcome
-                .as_ref()
-                .expect("QueryStop::Execute runs the plan");
-            let response = outcome_response(outcome, content_type, format);
+        Ok((run, body)) => {
+            let response = Response::new(200, content_type, body);
             // `?profile=1` prints what every run records anyway.
             if request.param("profile").is_some_and(|v| v == "1") {
                 response.with_header("X-Profile", &profile_json(&run.profile()))
@@ -351,20 +356,21 @@ fn run_query(
     }
 }
 
-fn outcome_response(
-    outcome: &sparql::QueryOutcome,
-    content_type: &'static str,
-    format: wire::ResultsFormat,
-) -> Response {
-    let body = match (outcome, format) {
-        (sparql::QueryOutcome::Solutions(s), wire::ResultsFormat::Json) => {
-            wire::solutions_to_json(s)
-        }
-        (sparql::QueryOutcome::Solutions(s), wire::ResultsFormat::Xml) => wire::solutions_to_xml(s),
-        (sparql::QueryOutcome::Boolean(b), wire::ResultsFormat::Json) => wire::boolean_to_json(*b),
-        (sparql::QueryOutcome::Boolean(b), wire::ResultsFormat::Xml) => wire::boolean_to_xml(*b),
+// The results document, written straight from the answer's rows. The
+// `wire.serialize` span records how many solutions and bytes it took.
+fn results_body(answer: &QueryAnswer, format: wire::ResultsFormat) -> OntoResult<String> {
+    let span = obs::trace::span("wire.serialize");
+    let body = match (answer, format) {
+        (QueryAnswer::Solutions(rows), wire::ResultsFormat::Json) => wire::rows_to_json(rows)?,
+        (QueryAnswer::Solutions(rows), wire::ResultsFormat::Xml) => wire::rows_to_xml(rows)?,
+        (QueryAnswer::Boolean(b), wire::ResultsFormat::Json) => wire::boolean_to_json(*b),
+        (QueryAnswer::Boolean(b), wire::ResultsFormat::Xml) => wire::boolean_to_xml(*b),
     };
-    Response::new(200, content_type, body)
+    if span.armed() {
+        span.attr_u64("rows", answer.rows() as u64);
+        span.attr_u64("bytes", body.len() as u64);
+    }
+    Ok(body)
 }
 
 // The joins array shared *byte for byte* by `?profile=1` and

@@ -6,9 +6,17 @@
 //! Serialization is deterministic: variables appear in projection
 //! order, bindings in solution order, and JSON object keys in a fixed
 //! order — which is what lets the golden-file tests compare bytes.
+//!
+//! Each results format has one term writer over the borrowed
+//! [`TermRef`] view, fed by two thin loops: a query's
+//! [`SolutionRows`] (each cell rendered straight from the join's row —
+//! the server's path) and owned [`Solutions`] (the library's). Both
+//! write into one buffer that becomes the response body, so the two
+//! agree byte for byte by construction.
 
+use ontoaccess::{OntoResult, SolutionRows};
 use rdf::namespace::PrefixMap;
-use rdf::{Graph, LiteralKind, Term};
+use rdf::{Graph, LiteralKindRef, TermRef};
 use sparql::Solutions;
 
 /// Media type of SPARQL JSON results.
@@ -26,23 +34,71 @@ pub const JSON: &str = "application/json";
 // Escaping
 // ----------------------------------------------------------------------
 
+// Which bytes a format escapes: the controls below `controls_below`
+// and the listed bytes. All of them are ASCII.
+const fn escaped_bytes(controls_below: u8, listed: &[u8]) -> [bool; 256] {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < controls_below {
+        table[b as usize] = true;
+        b += 1;
+    }
+    let mut i = 0;
+    while i < listed.len() {
+        table[listed[i] as usize] = true;
+        i += 1;
+    }
+    table
+}
+
+const JSON_ESCAPED: [bool; 256] = escaped_bytes(0x20, b"\"\\");
+const XML_ESCAPED: [bool; 256] = escaped_bytes(0, b"&<>\"'");
+
+// Append `s` to `out` with each byte `escaped` marks replaced by
+// `escape(byte)`: runs of plain bytes are found by one table lookup per
+// byte and copied whole. Every escaped byte is ASCII, so span
+// boundaries always fall on char boundaries.
+fn escape_into(
+    s: &str,
+    out: &mut String,
+    escaped: &[bool; 256],
+    escape: impl Fn(u8, &mut [u8; 6]) -> &str,
+) {
+    let bytes = s.as_bytes();
+    let mut buf = [0u8; 6];
+    let mut plain = 0;
+    while let Some(run) = bytes[plain..].iter().position(|&b| escaped[usize::from(b)]) {
+        let at = plain + run;
+        out.push_str(&s[plain..at]);
+        out.push_str(escape(bytes[at], &mut buf));
+        plain = at + 1;
+    }
+    out.push_str(&s[plain..]);
+}
+
 /// Append `s` JSON-escaped (without surrounding quotes) to `out`.
 pub fn json_escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    escape_into(s, out, &JSON_ESCAPED, |b, buf| match b {
+        b'"' => "\\\"",
+        b'\\' => "\\\\",
+        b'\n' => "\\n",
+        b'\r' => "\\r",
+        b'\t' => "\\t",
+        0x08 => "\\b",
+        0x0C => "\\f",
+        _ => {
+            const HEX: &[u8; 16] = b"0123456789abcdef";
+            *buf = [
+                b'\\',
+                b'u',
+                b'0',
+                b'0',
+                HEX[usize::from(b >> 4)],
+                HEX[usize::from(b & 15)],
+            ];
+            std::str::from_utf8(buf).expect("ASCII")
         }
-    }
+    });
 }
 
 /// `s` as a quoted JSON string.
@@ -56,22 +112,57 @@ pub fn json_string(s: &str) -> String {
 
 /// Append `s` XML-escaped (text or attribute content) to `out`.
 pub fn xml_escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            c => out.push(c),
-        }
-    }
+    escape_into(s, out, &XML_ESCAPED, |b, _| match b {
+        b'&' => "&amp;",
+        b'<' => "&lt;",
+        b'>' => "&gt;",
+        b'"' => "&quot;",
+        _ => "&apos;",
+    });
 }
 
-fn xml_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    xml_escape_into(s, &mut out);
-    out
+// ----------------------------------------------------------------------
+// Solution sequences
+// ----------------------------------------------------------------------
+
+// One results document, written solution by solution into a single
+// buffer that becomes the response body. Variable names are escaped
+// once, when the writer is made. The buffer grows as it is written, so
+// its capacity stays within twice the body however uneven the rows.
+trait ResultsWriter {
+    fn begin_solution(&mut self);
+    fn binding(&mut self, var: usize, term: TermRef<'_>);
+    fn end_solution(&mut self);
+    fn finish(self) -> String;
+}
+
+// The two loops feeding a writer: a query's rows, each cell rendered by
+// its variable's shape, and owned solutions.
+fn write_rows<W: ResultsWriter>(mut writer: W, rows: &SolutionRows) -> OntoResult<String> {
+    let mut scratch = String::new();
+    for row in rows.rows() {
+        writer.begin_solution();
+        for (var, (shape, value)) in rows.shapes().zip(row).enumerate() {
+            if let Some(term) = shape.term(value, &mut scratch)? {
+                writer.binding(var, term);
+            }
+        }
+        writer.end_solution();
+    }
+    Ok(writer.finish())
+}
+
+fn write_solutions<W: ResultsWriter>(mut writer: W, solutions: &Solutions) -> String {
+    for binding in &solutions.bindings {
+        writer.begin_solution();
+        for (var, name) in solutions.variables.iter().enumerate() {
+            if let Some(term) = binding.get(name) {
+                writer.binding(var, term.as_ref());
+            }
+        }
+        writer.end_solution();
+    }
+    writer.finish()
 }
 
 // ----------------------------------------------------------------------
@@ -80,71 +171,99 @@ fn xml_escape(s: &str) -> String {
 
 // One RDF term as a results-JSON object, keys in fixed order:
 // type, value, then xml:lang / datatype.
-fn term_to_json(term: &Term, out: &mut String) {
-    match term {
-        Term::Iri(iri) => {
-            out.push_str("{\"type\":\"uri\",\"value\":");
-            out.push_str(&json_string(iri.as_str()));
-            out.push('}');
+fn term_to_json(term: TermRef<'_>, out: &mut String) {
+    let (kind, value) = match term {
+        TermRef::Iri(iri) => ("uri", iri),
+        TermRef::Blank(label) => ("bnode", label),
+        TermRef::Literal { lexical, .. } => ("literal", lexical),
+    };
+    out.push_str("{\"type\":\"");
+    out.push_str(kind);
+    out.push_str("\",\"value\":\"");
+    json_escape_into(value, out);
+    out.push('"');
+    if let TermRef::Literal { kind, .. } = term {
+        let qualifier = match kind {
+            LiteralKindRef::Plain => None,
+            LiteralKindRef::Language(tag) => Some((",\"xml:lang\":\"", tag)),
+            LiteralKindRef::Datatype(dt) => Some((",\"datatype\":\"", dt)),
+        };
+        if let Some((key, value)) = qualifier {
+            out.push_str(key);
+            json_escape_into(value, out);
+            out.push('"');
         }
-        Term::Blank(b) => {
-            out.push_str("{\"type\":\"bnode\",\"value\":");
-            out.push_str(&json_string(b.label()));
-            out.push('}');
-        }
-        Term::Literal(lit) => {
-            out.push_str("{\"type\":\"literal\",\"value\":");
-            out.push_str(&json_string(lit.lexical()));
-            match lit.kind() {
-                LiteralKind::Plain => {}
-                LiteralKind::LanguageTagged(tag) => {
-                    out.push_str(",\"xml:lang\":");
-                    out.push_str(&json_string(tag));
-                }
-                LiteralKind::Typed(dt) => {
-                    out.push_str(",\"datatype\":");
-                    out.push_str(&json_string(dt.as_str()));
-                }
+    }
+    out.push('}');
+}
+
+struct JsonWriter {
+    out: String,
+    // `"var":` per variable, escaped.
+    keys: Vec<String>,
+    first_solution: bool,
+    first_binding: bool,
+}
+
+impl JsonWriter {
+    fn new<'v>(variables: impl Iterator<Item = &'v str> + Clone) -> Self {
+        let mut out = String::from("{\"head\":{\"vars\":[");
+        for (i, var) in variables.clone().enumerate() {
+            if i > 0 {
+                out.push(',');
             }
-            out.push('}');
+            out.push_str(&json_string(var));
         }
+        out.push_str("]},\"results\":{\"bindings\":[");
+        JsonWriter {
+            out,
+            keys: variables.map(|var| json_string(var) + ":").collect(),
+            first_solution: true,
+            first_binding: true,
+        }
+    }
+}
+
+impl ResultsWriter for JsonWriter {
+    fn begin_solution(&mut self) {
+        if !self.first_solution {
+            self.out.push(',');
+        }
+        self.first_solution = false;
+        self.out.push('{');
+        self.first_binding = true;
+    }
+
+    fn binding(&mut self, var: usize, term: TermRef<'_>) {
+        if !self.first_binding {
+            self.out.push(',');
+        }
+        self.first_binding = false;
+        self.out.push_str(&self.keys[var]);
+        term_to_json(term, &mut self.out);
+    }
+
+    fn end_solution(&mut self) {
+        self.out.push('}');
+    }
+
+    fn finish(mut self) -> String {
+        self.out.push_str("]}}");
+        self.out
     }
 }
 
 /// A solution sequence as SPARQL JSON results.
 pub fn solutions_to_json(solutions: &Solutions) -> String {
-    let mut out = String::new();
-    out.push_str("{\"head\":{\"vars\":[");
-    for (i, var) in solutions.variables.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_string(var));
-    }
-    out.push_str("]},\"results\":{\"bindings\":[");
-    for (i, binding) in solutions.bindings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('{');
-        let mut first = true;
-        // Projection order, skipping unbound variables.
-        for var in &solutions.variables {
-            let Some(term) = binding.get(var) else {
-                continue;
-            };
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&json_string(var));
-            out.push(':');
-            term_to_json(term, &mut out);
-        }
-        out.push('}');
-    }
-    out.push_str("]}}");
-    out
+    let variables = solutions.variables.iter().map(String::as_str);
+    write_solutions(JsonWriter::new(variables), solutions)
+}
+
+/// A query's rows as SPARQL JSON results, byte for byte what
+/// [`solutions_to_json`] writes for [`SolutionRows::to_solutions`].
+/// Fails, before any byte is sent, if a cell renders to an invalid IRI.
+pub fn rows_to_json(rows: &SolutionRows) -> OntoResult<String> {
+    write_rows(JsonWriter::new(rows.variables()), rows)
 }
 
 /// An ASK result as SPARQL JSON results.
@@ -159,59 +278,102 @@ pub fn boolean_to_json(value: bool) -> String {
 const XML_HEADER: &str = "<?xml version=\"1.0\"?>\n\
      <sparql xmlns=\"http://www.w3.org/2005/sparql-results#\">\n";
 
-fn term_to_xml(term: &Term, out: &mut String) {
-    match term {
-        Term::Iri(iri) => {
-            out.push_str("<uri>");
-            xml_escape_into(iri.as_str(), out);
-            out.push_str("</uri>");
+fn term_to_xml(term: TermRef<'_>, out: &mut String) {
+    let mut open_with = |tag: &str, attribute: Option<(&str, &str)>| {
+        out.push_str(tag);
+        if let Some((name, value)) = attribute {
+            out.push(' ');
+            out.push_str(name);
+            out.push_str("=\"");
+            xml_escape_into(value, out);
+            out.push('"');
         }
-        Term::Blank(b) => {
-            out.push_str("<bnode>");
-            xml_escape_into(b.label(), out);
-            out.push_str("</bnode>");
+        out.push('>');
+    };
+    let (text, close) = match term {
+        TermRef::Iri(iri) => {
+            open_with("<uri", None);
+            (iri, "</uri>")
         }
-        Term::Literal(lit) => {
-            match lit.kind() {
-                LiteralKind::Plain => out.push_str("<literal>"),
-                LiteralKind::LanguageTagged(tag) => {
-                    out.push_str(&format!("<literal xml:lang=\"{}\">", xml_escape(tag)));
-                }
-                LiteralKind::Typed(dt) => {
-                    out.push_str(&format!(
-                        "<literal datatype=\"{}\">",
-                        xml_escape(dt.as_str())
-                    ));
-                }
-            }
-            xml_escape_into(lit.lexical(), out);
-            out.push_str("</literal>");
+        TermRef::Blank(label) => {
+            open_with("<bnode", None);
+            (label, "</bnode>")
         }
+        TermRef::Literal { lexical, kind } => {
+            open_with(
+                "<literal",
+                match kind {
+                    LiteralKindRef::Plain => None,
+                    LiteralKindRef::Language(tag) => Some(("xml:lang", tag)),
+                    LiteralKindRef::Datatype(dt) => Some(("datatype", dt)),
+                },
+            );
+            (lexical, "</literal>")
+        }
+    };
+    xml_escape_into(text, out);
+    out.push_str(close);
+}
+
+struct XmlWriter {
+    out: String,
+    // `      <binding name="var">` per variable, escaped.
+    keys: Vec<String>,
+}
+
+impl XmlWriter {
+    fn new<'v>(variables: impl Iterator<Item = &'v str> + Clone) -> Self {
+        let mut out = String::from(XML_HEADER);
+        out.push_str("  <head>\n");
+        for var in variables.clone() {
+            out.push_str("    <variable name=\"");
+            xml_escape_into(var, &mut out);
+            out.push_str("\"/>\n");
+        }
+        out.push_str("  </head>\n  <results>\n");
+        let keys = variables
+            .map(|var| {
+                let mut key = String::from("      <binding name=\"");
+                xml_escape_into(var, &mut key);
+                key + "\">"
+            })
+            .collect();
+        XmlWriter { out, keys }
+    }
+}
+
+impl ResultsWriter for XmlWriter {
+    fn begin_solution(&mut self) {
+        self.out.push_str("    <result>\n");
+    }
+
+    fn binding(&mut self, var: usize, term: TermRef<'_>) {
+        self.out.push_str(&self.keys[var]);
+        term_to_xml(term, &mut self.out);
+        self.out.push_str("</binding>\n");
+    }
+
+    fn end_solution(&mut self) {
+        self.out.push_str("    </result>\n");
+    }
+
+    fn finish(mut self) -> String {
+        self.out.push_str("  </results>\n</sparql>\n");
+        self.out
     }
 }
 
 /// A solution sequence as SPARQL XML results.
 pub fn solutions_to_xml(solutions: &Solutions) -> String {
-    let mut out = String::from(XML_HEADER);
-    out.push_str("  <head>\n");
-    for var in &solutions.variables {
-        out.push_str(&format!("    <variable name=\"{}\"/>\n", xml_escape(var)));
-    }
-    out.push_str("  </head>\n  <results>\n");
-    for binding in &solutions.bindings {
-        out.push_str("    <result>\n");
-        for var in &solutions.variables {
-            let Some(term) = binding.get(var) else {
-                continue;
-            };
-            out.push_str(&format!("      <binding name=\"{}\">", xml_escape(var)));
-            term_to_xml(term, &mut out);
-            out.push_str("</binding>\n");
-        }
-        out.push_str("    </result>\n");
-    }
-    out.push_str("  </results>\n</sparql>\n");
-    out
+    let variables = solutions.variables.iter().map(String::as_str);
+    write_solutions(XmlWriter::new(variables), solutions)
+}
+
+/// A query's rows as SPARQL XML results, byte for byte what
+/// [`solutions_to_xml`] writes for [`SolutionRows::to_solutions`].
+/// Fails, before any byte is sent, if a cell renders to an invalid IRI.
+pub fn rows_to_xml(rows: &SolutionRows) -> OntoResult<String> {
+    write_rows(XmlWriter::new(rows.variables()), rows)
 }
 
 /// An ASK result as SPARQL XML results.

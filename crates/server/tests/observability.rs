@@ -389,6 +389,42 @@ fn profiled_request_records_the_same_trace_as_a_plain_one() {
     server.shutdown();
 }
 
+#[test]
+fn serializer_span_records_the_rows_and_bytes_it_wrote() {
+    let server = test_server(0);
+    for (accept, id) in [
+        ("application/sparql-results+json", "serialize-json"),
+        ("application/sparql-results+xml", "serialize-xml"),
+    ] {
+        let response = send(
+            &server,
+            &format!(
+                "GET /sparql?query={} HTTP/1.1\r\nHost: t\r\nAccept: {accept}\r\n\
+                 X-Request-Id: {id}\r\nConnection: close\r\n\r\n",
+                urlencode(JOIN_QUERY)
+            ),
+        );
+        assert_eq!(response.status, 200);
+        let trace = get(&server, &format!("/trace/{id}")).text();
+        let (_, attrs) = span_of(&trace, "wire.serialize");
+        let rows = u64_after(attrs, "\"rows\":");
+        // The same rows the executor returned, one binding each in the
+        // body, and exactly the body's bytes.
+        let (_, executed) = span_of(&trace, "query.execute");
+        assert_eq!(rows, u64_after(executed, "\"rows\":"), "{trace}");
+        let text = response.text();
+        let bindings = text.matches("\"n\":{").count() + text.matches("<result>").count();
+        assert_eq!(rows, bindings as u64, "{text}");
+        assert_eq!(rows, 2);
+        assert_eq!(u64_after(attrs, "\"bytes\":"), response.body.len() as u64);
+        // A child of the request root, beside the query stages.
+        let name_at = trace.find("\"name\":\"wire.serialize\"").unwrap();
+        let span = &trace[trace[..name_at].rfind("{\"id\":").unwrap()..];
+        assert_eq!(u64_after(span, "\"parent\":"), 0, "{span}");
+    }
+    server.shutdown();
+}
+
 // ----------------------------------------------------------------------
 // ?explain=1
 // ----------------------------------------------------------------------

@@ -5,7 +5,7 @@
 //! keep-alive.
 
 use fixtures::http_probe::{one_shot, urlencode, ProbeConn, ProbeResponse};
-use ontoaccess_server::{serve, ServerConfig, ServerHandle};
+use ontoaccess_server::{serve, wire, ServerConfig, ServerHandle};
 use std::io::{Read, Write};
 use std::time::Duration;
 
@@ -661,5 +661,148 @@ fn bad_request_line_is_400_and_expect_continue_is_honored() {
     assert_eq!(&interim, b"HTTP/1.1 100 Continue\r\n\r\n");
     let response = conn.send(&body).unwrap();
     assert_eq!(response.status, 200);
+    server.shutdown();
+}
+
+// ----------------------------------------------------------------------
+// Result bodies
+// ----------------------------------------------------------------------
+
+// A server over the sample data after `edit` changed the database
+// directly, plus the mediator it serves (for expected answers).
+fn server_over(edit: impl FnOnce(&mut rel::Database)) -> (ServerHandle, ontoaccess::Mediator) {
+    let mediator = fixtures::mediator_with_sample_data();
+    edit(&mut mediator.database_mut_for_tests());
+    let server = serve(
+        mediator.clone(),
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 2,
+            keep_alive_timeout: Duration::from_millis(500),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind ephemeral port");
+    (server, mediator)
+}
+
+const FAMILY_NAMES: &str = "PREFIX foaf: <http://xmlns.com/foaf/0.1/>\n\
+                            SELECT ?a ?n WHERE { ?a foaf:family_name ?n . }";
+
+#[test]
+fn result_larger_than_the_socket_buffers_arrives_intact() {
+    // ~8 MB of JSON: more than loopback's send and receive buffers
+    // hold, so the response cannot leave in one piece.
+    let (server, mediator) = server_over(|db| {
+        for i in 0..12 {
+            let name = format!("{i:02}{}", "é\"x\\".repeat(100_000));
+            db.insert(
+                "author",
+                &[
+                    ("id".to_owned(), rel::Value::Int(100 + i)),
+                    ("lastname".to_owned(), rel::Value::text(name)),
+                ],
+            )
+            .unwrap();
+        }
+    });
+    let expected = wire::solutions_to_json(&mediator.select(FAMILY_NAMES).unwrap());
+    assert!(expected.len() > 8_000_000, "{} bytes", expected.len());
+    let mut conn = connect(&server);
+    let target = format!("/sparql?query={}", urlencode(FAMILY_NAMES));
+    for _ in 0..2 {
+        let response = conn
+            .send(&format!("GET {target} HTTP/1.1\r\nHost: t\r\n\r\n"))
+            .unwrap();
+        assert_eq!(response.status, 200);
+        assert!(response.body == expected.as_bytes(), "body differs");
+    }
+    server.shutdown();
+}
+
+#[test]
+fn head_query_declares_the_get_body_length() {
+    let server = test_server();
+    let target = format!("/sparql?query={}", urlencode(PERSONS));
+    for accept in [
+        "application/sparql-results+json",
+        "application/sparql-results+xml",
+    ] {
+        let mut conn = connect(&server);
+        conn.stream()
+            .write_all(
+                format!("HEAD {target} HTTP/1.1\r\nHost: t\r\nAccept: {accept}\r\n\r\n").as_bytes(),
+            )
+            .unwrap();
+        // Read exactly the head: a HEAD answer ends at its blank line.
+        let mut head = Vec::new();
+        let mut byte = [0u8; 1];
+        while !head.ends_with(b"\r\n\r\n") {
+            conn.stream().read_exact(&mut byte).unwrap();
+            head.push(byte[0]);
+        }
+        let head = String::from_utf8(head).unwrap();
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        let declared: usize = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .expect("Content-Length")
+            .parse()
+            .unwrap();
+        // The same connection then answers the GET: the HEAD left no
+        // body bytes behind, and the GET body has the declared length.
+        let get = conn
+            .send(&format!(
+                "GET {target} HTTP/1.1\r\nHost: t\r\nAccept: {accept}\r\n\r\n"
+            ))
+            .unwrap();
+        assert_eq!(get.status, 200);
+        assert_eq!(get.body.len(), declared, "{accept}");
+        assert!(get.text().contains("author6"));
+    }
+    server.shutdown();
+}
+
+#[test]
+fn unrenderable_iri_fails_the_query_with_its_error_not_a_truncated_200() {
+    // An email with a space expands to `mailto:hert at uzh.ch`, which is
+    // no IRI: the request answers the mediator's error, whichever
+    // format was asked for.
+    let (server, mediator) = server_over(|db| {
+        rel::sql::execute_sql(
+            db,
+            "UPDATE author SET email = 'hert at uzh.ch' WHERE id = 6;",
+        )
+        .unwrap();
+    });
+    let query = "PREFIX foaf: <http://xmlns.com/foaf/0.1/>\n\
+                 SELECT ?a ?m WHERE { ?a foaf:mbox ?m . }";
+    let expected = "{\"request_id\":\"bad-iri\",\"error\":{\"code\":\"Unsupported\",\
+                    \"status\":501,\"message\":\"unsupported request: invalid IRI \
+                    \\\"mailto:hert at uzh.ch\\\": contains whitespace or a forbidden \
+                    character\"}}";
+    for (accept, suffix) in [
+        ("application/sparql-results+json", ""),
+        ("application/sparql-results+xml", ""),
+        ("application/sparql-results+json", "&profile=1"),
+    ] {
+        let response = send(
+            &server,
+            &format!(
+                "GET /sparql?query={}{suffix} HTTP/1.1\r\nHost: t\r\nAccept: {accept}\r\n\
+                 X-Request-Id: bad-iri\r\nConnection: close\r\n\r\n",
+                urlencode(query)
+            ),
+        );
+        assert_eq!(response.status, 501, "{accept}{suffix}");
+        assert_eq!(response.header("content-type"), Some("application/json"));
+        assert_eq!(response.text(), expected, "{accept}{suffix}");
+    }
+    // The library path rejects the same query with the same error.
+    let error = mediator.select(query).unwrap_err();
+    assert!(
+        matches!(error, ontoaccess::OntoError::Unsupported { .. }),
+        "{error}"
+    );
     server.shutdown();
 }

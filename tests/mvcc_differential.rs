@@ -12,9 +12,9 @@
 
 use sparql_update_rdb::fixtures;
 use sparql_update_rdb::fixtures::diff::assert_heaps_identical;
-use sparql_update_rdb::ontoaccess::{self, Mediator, QueryStop};
+use sparql_update_rdb::ontoaccess::{self, Mediator, QueryAnswer, QueryStop};
 use sparql_update_rdb::rdf::namespace::PrefixMap;
-use sparql_update_rdb::sparql::{self, Query, QueryOutcome, Solutions};
+use sparql_update_rdb::sparql::{self, Query, Solutions};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -106,9 +106,10 @@ fn snapshot_reads_match_serialized_reference_under_storm() {
                     assert!(run_seq >= seq, "reader {reader_id}: {seq} -> {run_seq}");
                     last_seq = run_seq;
                     let reference = references.lock().unwrap()[&run_seq].clone();
-                    let Some(QueryOutcome::Solutions(live)) = run.outcome else {
+                    let Some(QueryAnswer::Solutions(rows)) = &run.outcome else {
                         panic!("SELECT executed to solutions");
                     };
+                    let live = rows.to_solutions().unwrap();
                     let expected =
                         ontoaccess::execute_select(&reference, mapping, parsed_query).unwrap();
                     assert_eq!(live.variables, expected.variables);
