@@ -39,14 +39,19 @@ impl Endpoint {
     /// Create an endpoint over a durable data directory (see
     /// [`Mediator::open_durable`]): recover the committed state, then
     /// persist every later update through the directory's write-ahead
-    /// log. Returns the endpoint and what recovery found.
+    /// log. `base` builds the base state and runs only for a directory
+    /// without a snapshot ([`dur::Durability::open_with`]); `schema`
+    /// reads an existing one. Returns the endpoint and what recovery
+    /// found.
     pub fn open_durable(
         dir: impl AsRef<std::path::Path>,
-        initial: Database,
+        schema: &rel::Schema,
+        base: impl FnOnce() -> Database,
         mapping: Mapping,
     ) -> OntoResult<(Self, dur::RecoveryReport)> {
-        let (mediator, report) = Mediator::open_durable(dir, initial, mapping)?;
-        Ok((Endpoint { mediator }, report))
+        let opened = dur::Durability::open_with(dir, schema, base)?;
+        let mediator = Mediator::with_durability(opened.db, mapping, opened.durability)?;
+        Ok((Endpoint { mediator }, opened.report))
     }
 
     /// The shared mediator behind this endpoint. Clones of the returned

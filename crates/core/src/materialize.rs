@@ -192,7 +192,8 @@ pub fn key_instance_uri(mapping: &Mapping, target: &TableMap, key: &Value) -> On
 // DESCRIBE one instance URI over a snapshot: the row's triples plus its
 // link-table triples in either role (behind `ReadSession::describe`).
 pub(crate) fn describe(db: &Database, mapping: &Mapping, uri: &Iri) -> OntoResult<Graph> {
-    let identified = crate::translate::identify(db, mapping, &Term::Iri(uri.clone()))?;
+    let subject = Term::Iri(uri.clone());
+    let identified = crate::translate::identify(db, mapping, &subject)?;
     let table = db.schema().table(&identified.table_map.table_name)?;
     let Some(row_id) = crate::translate::find_row(db, &identified)? else {
         return Ok(Graph::new()); // mapped but absent: empty description

@@ -18,7 +18,7 @@
 use crate::convert::{literal_to_value, pattern_value, push_lexical, value_literal, value_to_term};
 use crate::error::{OntoError, OntoResult};
 use r3m::{Mapping, PropertyMapping, UriPattern};
-use rdf::namespace::rdf_type;
+use rdf::namespace::RDF_TYPE;
 use rdf::{Iri, Term, TermRef};
 use rel::sql::{BinOp, Expr, SelectItem, SelectStmt, TableRef};
 use rel::{Database, Value};
@@ -442,19 +442,19 @@ impl<'a> Compiler<'a> {
                 let table = self.db.schema().table(table_name)?;
                 let alias = self.nodes[key].alias.clone();
                 for (attr, raw_value) in raw {
-                    let column = table.column(&attr).ok_or_else(|| OntoError::Unsupported {
+                    let column = table.column(attr).ok_or_else(|| OntoError::Unsupported {
                         message: format!("pattern attribute {attr:?} missing"),
                     })?;
-                    let value = pattern_value(&raw_value, column.ty).map_err(|reason| {
+                    let value = pattern_value(raw_value, column.ty).map_err(|reason| {
                         OntoError::ValueIncompatible {
                             table: table_name.clone(),
-                            attribute: attr.clone(),
+                            attribute: attr.to_owned(),
                             value: Term::Iri(iri.clone()),
                             reason,
                         }
                     })?;
                     self.predicates
-                        .push(Expr::eq(Expr::qcol(&alias, &attr), Expr::Value(value)));
+                        .push(Expr::eq(Expr::qcol(&alias, attr), Expr::Value(value)));
                 }
             }
         }
@@ -596,7 +596,7 @@ impl<'a> Compiler<'a> {
     // Pass 1: constrain node candidate tables from one pattern.
     fn scan_pattern(&mut self, pattern: &TriplePattern) -> OntoResult<()> {
         let predicate = match &pattern.predicate {
-            TermPattern::Term(Term::Iri(iri)) => iri.clone(),
+            TermPattern::Term(Term::Iri(iri)) => iri,
             other => {
                 return Err(OntoError::Unsupported {
                     message: format!("predicate {other} is not a ground IRI"),
@@ -604,7 +604,7 @@ impl<'a> Compiler<'a> {
             }
         };
         let subject_key = Self::node_key(&pattern.subject)?;
-        if predicate == rdf_type() {
+        if predicate.as_str() == RDF_TYPE {
             let class = pattern
                 .object
                 .as_term()
@@ -624,11 +624,11 @@ impl<'a> Compiler<'a> {
         // Tables whose attribute maps this property.
         let mut subject_tables = BTreeSet::new();
         for table in &self.mapping.tables {
-            if table.attribute_for_property(&predicate).is_some() {
+            if table.attribute_for_property(predicate).is_some() {
                 subject_tables.insert(table.table_name.clone());
             }
         }
-        if let Some(link) = self.mapping.link_table_by_property(&predicate) {
+        if let Some(link) = self.mapping.link_table_by_property(predicate) {
             let subject_target = link
                 .subject_attribute
                 .foreign_key_target()
@@ -665,7 +665,7 @@ impl<'a> Compiler<'a> {
         for table_name in &subject_tables {
             let table_map = self.mapping.table(table_name).expect("from mapping");
             let attr = table_map
-                .attribute_for_property(&predicate)
+                .attribute_for_property(predicate)
                 .expect("collected above");
             match (
                 &attr.property,
@@ -700,17 +700,17 @@ impl<'a> Compiler<'a> {
         resolved: &BTreeMap<NodeKey, String>,
     ) -> OntoResult<()> {
         let predicate = match &pattern.predicate {
-            TermPattern::Term(Term::Iri(iri)) => iri.clone(),
+            TermPattern::Term(Term::Iri(iri)) => iri,
             _ => unreachable!("checked in pass 1"),
         };
-        if predicate == rdf_type() {
+        if predicate.as_str() == RDF_TYPE {
             return Ok(()); // table choice already encodes it
         }
         let subject_key = Self::node_key(&pattern.subject)?;
         let subject_alias = self.nodes[&subject_key].alias.clone();
         let table_name = resolved[&subject_key].clone();
 
-        if let Some(link) = self.mapping.link_table_by_property(&predicate) {
+        if let Some(link) = self.mapping.link_table_by_property(predicate) {
             let link = link.clone();
             let object_key = Self::node_key(&pattern.object)?;
             let object_alias = self.nodes[&object_key].alias.clone();
@@ -739,7 +739,7 @@ impl<'a> Compiler<'a> {
             })?
             .clone();
         let attr = table_map
-            .attribute_for_property(&predicate)
+            .attribute_for_property(predicate)
             .ok_or_else(|| OntoError::UnknownProperty {
                 property: predicate.clone(),
                 table: table_name.clone(),
@@ -806,7 +806,7 @@ impl<'a> Compiler<'a> {
                                 .ok_or_else(|| OntoError::Unsupported {
                                     message: "value pattern does not bind attribute".into(),
                                 })?;
-                            let value = pattern_value(&raw, column_ty).map_err(|reason| {
+                            let value = pattern_value(raw, column_ty).map_err(|reason| {
                                 OntoError::ValueIncompatible {
                                     table: table_name.clone(),
                                     attribute: attr.attribute_name.clone(),

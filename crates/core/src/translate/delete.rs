@@ -18,7 +18,7 @@ use crate::translate::{
     emit_grouped, emit_per_row, group_by_subject, identify, IdentifiedSubject, RowOp,
 };
 use r3m::{Mapping, PropertyMapping};
-use rdf::namespace::rdf_type;
+use rdf::namespace::RDF_TYPE;
 use rdf::{Term, Triple};
 use rel::sql::Statement;
 use rel::{Database, Value};
@@ -46,41 +46,45 @@ pub fn translate_delete_data_per_row(
     Ok(emit_per_row(delete_plans(db, mapping, triples)?))
 }
 
-fn delete_plans(db: &Database, mapping: &Mapping, triples: &[Triple]) -> OntoResult<Vec<RowOp>> {
+fn delete_plans<'a>(
+    db: &'a Database,
+    mapping: &'a Mapping,
+    triples: &'a [Triple],
+) -> OntoResult<Vec<RowOp<'a>>> {
     let mut plans = Vec::new();
     for (subject, group) in group_by_subject(triples) {
-        plans.extend(translate_group(db, mapping, &subject, &group)?);
+        plans.extend(translate_group(db, mapping, subject, &group)?);
     }
     Ok(plans)
 }
 
-fn translate_group(
-    db: &Database,
-    mapping: &Mapping,
-    subject: &Term,
-    triples: &[Triple],
-) -> OntoResult<Vec<RowOp>> {
+fn translate_group<'a>(
+    db: &'a Database,
+    mapping: &'a Mapping,
+    subject: &'a Term,
+    triples: &[&Triple],
+) -> OntoResult<Vec<RowOp<'a>>> {
     let identified = identify(db, mapping, subject)?;
-    let table = db.schema().table(&identified.table_map.table_name)?.clone();
-    let table_name = table.name.clone();
+    let table = db.schema().table(&identified.table_map.table_name)?;
+    let table_name = table.name.as_str();
 
     let row_id = crate::translate::find_row(db, &identified)?.ok_or_else(|| {
         OntoError::TripleNotPresent {
-            table: table_name.clone(),
+            table: table_name.to_owned(),
             detail: format!("no row for subject {subject}"),
         }
     })?;
-    let row = db.row(&table_name, row_id)?.expect("row id valid").clone();
+    let row = db.row(table_name, row_id)?.expect("row id valid");
 
     let mut has_type = false;
-    let mut mentioned: Vec<(String, Value)> = Vec::new();
+    let mut mentioned: Vec<(&str, Value)> = Vec::new();
     let mut link_plans: Vec<RowOp> = Vec::new();
 
     for triple in triples {
-        if triple.predicate == rdf_type() {
+        if triple.predicate.as_str() == RDF_TYPE {
             if triple.object.as_iri() != Some(&identified.table_map.class) {
                 return Err(OntoError::TripleNotPresent {
-                    table: table_name.clone(),
+                    table: table_name.to_owned(),
                     detail: format!(
                         "subject is a {} instance, not {}",
                         identified.table_map.class, triple.object
@@ -104,7 +108,7 @@ fn translate_group(
                 attr,
                 &triple.object,
                 stored,
-                &table_name,
+                table_name,
             )?;
             if table.is_primary_key(&attr.attribute_name) {
                 return Err(OntoError::Unsupported {
@@ -114,8 +118,8 @@ fn translate_group(
                     ),
                 });
             }
-            if !mentioned.iter().any(|(n, _)| n == &attr.attribute_name) {
-                mentioned.push((attr.attribute_name.clone(), *stored));
+            if !mentioned.iter().any(|(n, _)| *n == attr.attribute_name) {
+                mentioned.push((&attr.attribute_name, *stored));
             }
             continue;
         }
@@ -131,14 +135,14 @@ fn translate_group(
         }
         return Err(OntoError::UnknownProperty {
             property: triple.predicate.clone(),
-            table: table_name.clone(),
+            table: table_name.to_owned(),
         });
     }
 
     let mut plans = Vec::new();
     if !mentioned.is_empty() || has_type {
         // All non-NULL, non-key mapped attributes of the row.
-        let all_set: Vec<String> = identified
+        let all_set: Vec<&str> = identified
             .table_map
             .attributes
             .iter()
@@ -148,7 +152,7 @@ fn translate_group(
                 let idx = table.column_index(&a.attribute_name).expect("validated");
                 !row[idx].is_null()
             })
-            .map(|a| a.attribute_name.clone())
+            .map(|a| a.attribute_name.as_str())
             .collect();
         let covered_all = all_set
             .iter()
@@ -157,34 +161,33 @@ fn translate_group(
         if has_type && covered_all {
             // The request equals all remaining data → remove the row.
             plans.push(RowOp::Delete {
-                table: table_name.clone(),
-                key: pk_key_pairs(&table, &identified)?,
+                table: table_name,
+                key: pk_key_pairs(table, &identified)?,
             });
         } else if has_type {
-            return Err(OntoError::CannotRemoveType { table: table_name });
+            return Err(OntoError::CannotRemoveType {
+                table: table_name.to_owned(),
+            });
         } else {
             // Subset → UPDATE … SET attr = NULL (Listing 18), guarded by
             // the NOT NULL check of step 3.
-            for (name, _) in &mentioned {
+            for &(name, _) in &mentioned {
                 let column = table.column(name).expect("validated");
                 if column.not_null {
                     return Err(OntoError::NotNullDelete {
-                        table: table_name.clone(),
-                        attribute: name.clone(),
+                        table: table_name.to_owned(),
+                        attribute: name.to_owned(),
                     });
                 }
             }
             // Key: pk = … plus attr = current-value … (paper's Listing
             // 18 includes the value equality as a guard).
-            let mut key = pk_key_pairs(&table, &identified)?;
-            key.extend(mentioned.iter().cloned());
+            let mut key = pk_key_pairs(table, &identified)?;
+            key.extend(mentioned.iter().copied());
             plans.push(RowOp::Update {
-                table: table_name.clone(),
+                table: table_name,
                 key,
-                sets: mentioned
-                    .iter()
-                    .map(|(n, _)| (n.clone(), Value::Null))
-                    .collect(),
+                sets: mentioned.iter().map(|&(n, _)| (n, Value::Null)).collect(),
             });
         }
     }
@@ -263,13 +266,13 @@ fn verify_object_matches(
     Ok(())
 }
 
-fn translate_link_delete(
+fn translate_link_delete<'a>(
     db: &Database,
     mapping: &Mapping,
     identified: &IdentifiedSubject<'_>,
-    link: &r3m::LinkTableMap,
+    link: &'a r3m::LinkTableMap,
     triple: &Triple,
-) -> OntoResult<RowOp> {
+) -> OntoResult<RowOp<'a>> {
     let subject_target = link
         .subject_attribute
         .foreign_key_target()
@@ -362,10 +365,10 @@ fn translate_link_delete(
         });
     }
     Ok(RowOp::Delete {
-        table: link.table_name.clone(),
+        table: &link.table_name,
         key: vec![
-            (link.subject_attribute.attribute_name.clone(), s_val),
-            (link.object_attribute.attribute_name.clone(), o_val),
+            (&link.subject_attribute.attribute_name, s_val),
+            (&link.object_attribute.attribute_name, o_val),
         ],
     })
 }

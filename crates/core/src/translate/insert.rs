@@ -16,8 +16,8 @@ use crate::translate::{
     TranslateOptions,
 };
 use r3m::{Mapping, PropertyMapping};
-use rdf::namespace::rdf_type;
-use rdf::{Iri, Term, Triple};
+use rdf::namespace::RDF_TYPE;
+use rdf::{Term, Triple};
 use rel::sql::Statement;
 use rel::{Database, Value};
 use std::collections::BTreeMap;
@@ -48,54 +48,66 @@ pub fn translate_insert_data_per_row(
     Ok(emit_per_row(insert_plans(db, mapping, triples, options)?))
 }
 
+// Instance IRI → table name of every subject an `INSERT DATA` creates
+// or touches, borrowed from the request and the mapping.
+type Touched<'a> = BTreeMap<&'a str, &'a str>;
+
 // Steps 1-4 of Algorithm 1 for `INSERT DATA`: group, identify, check,
 // and plan one row operation per subject (plus link rows).
-fn insert_plans(
-    db: &Database,
-    mapping: &Mapping,
-    triples: &[Triple],
+fn insert_plans<'a>(
+    db: &'a Database,
+    mapping: &'a Mapping,
+    triples: &'a [Triple],
     options: TranslateOptions,
-) -> OntoResult<Vec<RowOp>> {
+) -> OntoResult<Vec<RowOp<'a>>> {
     let groups = group_by_subject(triples);
+    // Step 2 runs once per subject. A subject that does not identify
+    // fails its own group below, in subject order.
+    let identified: Vec<OntoResult<IdentifiedSubject<'_>>> = groups
+        .iter()
+        .map(|&(subject, _)| identify(db, mapping, subject))
+        .collect();
     // Entities this operation creates or touches: FK targets may be
     // satisfied by rows that a sibling group inserts (Listing 15 inserts
     // author6 and team5 together; the FK check must accept team5).
-    let mut touched: BTreeMap<Iri, String> = BTreeMap::new();
-    for (subject, _) in &groups {
-        if let Ok(identified) = identify(db, mapping, subject) {
-            touched.insert(
-                identified.uri.clone(),
-                identified.table_map.table_name.clone(),
-            );
-        }
-    }
+    let touched: Touched<'_> = identified
+        .iter()
+        .flatten()
+        .map(|s| (s.uri.as_str(), s.table_map.table_name.as_str()))
+        .collect();
     let mut plans = Vec::new();
-    for (subject, group) in &groups {
+    for ((subject, group), identified) in groups.iter().zip(identified) {
         plans.extend(translate_group(
-            db, mapping, subject, group, &touched, options,
+            db,
+            mapping,
+            subject,
+            &identified?,
+            group,
+            &touched,
+            options,
         )?);
     }
     Ok(plans)
 }
 
-fn translate_group(
-    db: &Database,
-    mapping: &Mapping,
+fn translate_group<'a>(
+    db: &'a Database,
+    mapping: &'a Mapping,
     subject: &Term,
-    triples: &[Triple],
-    touched: &BTreeMap<Iri, String>,
+    identified: &IdentifiedSubject<'a>,
+    triples: &[&Triple],
+    touched: &Touched<'_>,
     options: TranslateOptions,
-) -> OntoResult<Vec<RowOp>> {
-    let identified = identify(db, mapping, subject)?;
-    let table = db.schema().table(&identified.table_map.table_name)?.clone();
-    let table_name = table.name.clone();
+) -> OntoResult<Vec<RowOp<'a>>> {
+    let table = db.schema().table(&identified.table_map.table_name)?;
+    let table_name = table.name.as_str();
 
-    let mut assignments: Vec<(String, Value)> = Vec::new();
+    let mut assignments: Vec<(&str, Value)> = Vec::with_capacity(triples.len());
     let mut link_plans: Vec<RowOp> = Vec::new();
 
     for triple in triples {
-        if triple.predicate == rdf_type() {
-            check_type_triple(&identified, &table_name, &triple.object)?;
+        if triple.predicate.as_str() == RDF_TYPE {
+            check_type_triple(identified, table_name, &triple.object)?;
             continue;
         }
         if let Some(attr) = identified
@@ -108,7 +120,7 @@ fn translate_group(
             let value = object_value(
                 db,
                 mapping,
-                &table_name,
+                table_name,
                 attr,
                 column.ty,
                 &triple.object,
@@ -116,35 +128,30 @@ fn translate_group(
             )?;
             match assignments
                 .iter()
-                .find(|(name, _)| name == &attr.attribute_name)
+                .find(|(name, _)| *name == attr.attribute_name)
             {
                 Some((_, existing)) if existing == &value => {} // duplicate triple
                 Some((_, existing)) => {
                     return Err(OntoError::AttributeAlreadySet {
-                        table: table_name.clone(),
+                        table: table_name.to_owned(),
                         attribute: attr.attribute_name.clone(),
                         existing: format!("{existing} (earlier in this request)"),
                         requested: triple.object.clone(),
                     })
                 }
-                None => assignments.push((attr.attribute_name.clone(), value)),
+                None => assignments.push((&attr.attribute_name, value)),
             }
             continue;
         }
         if let Some(link) = mapping.link_table_by_property(&triple.predicate) {
             link_plans.push(translate_link_insert(
-                db,
-                mapping,
-                &identified,
-                link,
-                triple,
-                touched,
+                db, mapping, identified, link, triple, touched,
             )?);
             continue;
         }
         return Err(OntoError::UnknownProperty {
             property: triple.predicate.clone(),
-            table: table_name.clone(),
+            table: table_name.to_owned(),
         });
     }
 
@@ -155,8 +162,8 @@ fn translate_group(
         if let Some((_, assigned)) = assignments.iter().find(|(name, _)| name == attr) {
             if assigned != key_value {
                 return Err(OntoError::ValueIncompatible {
-                    table: table_name.clone(),
-                    attribute: attr.clone(),
+                    table: table_name.to_owned(),
+                    attribute: (*attr).to_owned(),
                     value: subject.clone(),
                     reason: format!(
                         "subject URI encodes {key_value} but the request supplies {assigned}"
@@ -165,20 +172,20 @@ fn translate_group(
             }
         }
     }
-    let assignments: Vec<(String, Value)> = assignments
+    let assignments: Vec<(&str, Value)> = assignments
         .into_iter()
         .filter(|(name, _)| !identified.key.iter().any(|(k, _)| k == name))
         .collect();
 
-    let existing_row = crate::translate::find_row(db, &identified)?;
+    let existing_row = crate::translate::find_row(db, identified)?;
     let mut plans = Vec::new();
     match existing_row {
         None => {
             // New entity: NOT NULL attributes without default must be
             // covered (step 3's completeness check).
             for column in &table.columns {
-                let supplied = assignments.iter().any(|(n, _)| n == &column.name)
-                    || identified.key.iter().any(|(n, _)| n == &column.name);
+                let supplied = assignments.iter().any(|(n, _)| *n == column.name)
+                    || identified.key.iter().any(|(n, _)| *n == column.name);
                 let required = column.not_null || table.is_primary_key(&column.name);
                 if required && !supplied && column.default.is_none() && !column.auto_increment {
                     let property = identified
@@ -187,7 +194,7 @@ fn translate_group(
                         .and_then(|a| a.property.as_ref())
                         .map(|p| p.property().clone());
                     return Err(OntoError::MissingRequiredProperty {
-                        table: table_name.clone(),
+                        table: table_name.to_owned(),
                         attribute: column.name.clone(),
                         property,
                     });
@@ -195,18 +202,18 @@ fn translate_group(
             }
             // Columns in schema order: key attributes first as they
             // appear, then the mapped assignments (Listing 10 layout).
-            let mut columns = Vec::new();
-            let mut values = Vec::new();
+            let mut columns = Vec::with_capacity(table.columns.len());
+            let mut values = Vec::with_capacity(table.columns.len());
             for column in &table.columns {
-                let from_key = identified.key.iter().find(|(n, _)| n == &column.name);
-                let from_assign = assignments.iter().find(|(n, _)| n == &column.name);
-                if let Some((name, value)) = from_key.or(from_assign) {
-                    columns.push(name.clone());
-                    values.push(*value);
+                let from_key = identified.key.iter().find(|(n, _)| *n == column.name);
+                let from_assign = assignments.iter().find(|(n, _)| *n == column.name);
+                if let Some(&(name, value)) = from_key.or(from_assign) {
+                    columns.push(name);
+                    values.push(value);
                 }
             }
             plans.push(RowOp::Insert {
-                table: table_name.clone(),
+                table: table_name,
                 columns,
                 values,
             });
@@ -215,13 +222,10 @@ fn translate_group(
             // Existing entity: only fill attributes; a differing
             // non-NULL current value is a conflict unless Algorithm 2
             // explicitly allows overwriting (§5.2 optimization).
-            let current = db
-                .row(&table_name, row_id)?
-                .expect("row id from index")
-                .clone();
+            let current = db.row(table_name, row_id)?.expect("row id from index");
             let mut updates = Vec::new();
             for (name, value) in assignments {
-                let idx = table.column_index(&name).expect("validated");
+                let idx = table.column_index(name).expect("validated");
                 let stored = &current[idx];
                 if stored.is_null() {
                     updates.push((name, value));
@@ -231,8 +235,8 @@ fn translate_group(
                     updates.push((name, value));
                 } else {
                     return Err(OntoError::AttributeAlreadySet {
-                        table: table_name.clone(),
-                        attribute: name,
+                        table: table_name.to_owned(),
+                        attribute: name.to_owned(),
                         existing: stored.to_string(),
                         requested: subject.clone(),
                     });
@@ -240,8 +244,8 @@ fn translate_group(
             }
             if !updates.is_empty() {
                 plans.push(RowOp::Update {
-                    table: table_name.clone(),
-                    key: pk_key_pairs(&table, &identified)?,
+                    table: table_name,
+                    key: pk_key_pairs(table, identified)?,
                     sets: updates,
                 });
             }
@@ -253,17 +257,22 @@ fn translate_group(
 
 /// The `(pk column, value)` pairs identifying a subject's row — the
 /// plan key behind the paper's `WHERE pk1 = v1 AND pk2 = v2 …`.
-pub fn pk_key_pairs(
-    table: &rel::Table,
+pub fn pk_key_pairs<'a>(
+    table: &'a rel::Table,
     identified: &IdentifiedSubject<'_>,
-) -> OntoResult<Vec<(String, Value)>> {
+) -> OntoResult<Vec<(&'a str, Value)>> {
     let pk_values = identified.pk_values(table)?;
     if table.primary_key.is_empty() {
         return Err(OntoError::Unsupported {
             message: format!("table {:?} has no primary key", table.name),
         });
     }
-    Ok(table.primary_key.iter().cloned().zip(pk_values).collect())
+    Ok(table
+        .primary_key
+        .iter()
+        .map(String::as_str)
+        .zip(pk_values)
+        .collect())
 }
 
 fn check_type_triple(
@@ -290,7 +299,7 @@ fn object_value(
     attr: &r3m::AttributeMap,
     ty: rel::SqlType,
     object: &Term,
-    touched: &BTreeMap<Iri, String>,
+    touched: &Touched<'_>,
 ) -> OntoResult<Value> {
     match attr
         .property
@@ -330,7 +339,7 @@ fn object_value(
                             attr.attribute_name
                         ),
                     })?;
-                return pattern_value(&raw, ty).map_err(|reason| OntoError::ValueIncompatible {
+                return pattern_value(raw, ty).map_err(|reason| OntoError::ValueIncompatible {
                     table: table_name.to_owned(),
                     attribute: attr.attribute_name.clone(),
                     value: object.clone(),
@@ -367,18 +376,18 @@ fn object_value(
     }
 }
 
-/// Resolve an instance IRI used as an FK/link endpoint: identify it,
-/// verify it denotes the expected table, verify the row exists (in the
-/// database or among the entities this operation creates), and return
-/// its key value.
-pub fn resolve_instance_ref(
+// Resolve an instance IRI used as an FK/link endpoint: identify it,
+// verify it denotes the expected table, verify the row exists (in the
+// database or among the entities this operation creates), and return
+// its key value.
+fn resolve_instance_ref(
     db: &Database,
     mapping: &Mapping,
     table_name: &str,
     attribute: &str,
     expected_table: &str,
     object: &Term,
-    touched: &BTreeMap<Iri, String>,
+    touched: &Touched<'_>,
 ) -> OntoResult<Value> {
     let dangling = || OntoError::DanglingObject {
         table: table_name.to_owned(),
@@ -394,8 +403,8 @@ pub fn resolve_instance_ref(
     let pk_values = identified.pk_values(target_table)?;
     let exists_in_db = db.find_by_pk(expected_table, &pk_values)?.is_some();
     let created_here = touched
-        .get(&identified.uri)
-        .is_some_and(|t| t == expected_table);
+        .get(identified.uri.as_str())
+        .is_some_and(|t| *t == expected_table);
     if !exists_in_db && !created_here {
         return Err(dangling());
     }
@@ -412,14 +421,14 @@ pub fn resolve_instance_ref(
 // A link triple inside a subject group: subject is this group's entity,
 // the object an instance of the table the link's object attribute
 // references.
-fn translate_link_insert(
+fn translate_link_insert<'a>(
     db: &Database,
     mapping: &Mapping,
     identified: &IdentifiedSubject<'_>,
-    link: &r3m::LinkTableMap,
+    link: &'a r3m::LinkTableMap,
     triple: &Triple,
-    touched: &BTreeMap<Iri, String>,
-) -> OntoResult<RowOp> {
+    touched: &Touched<'_>,
+) -> OntoResult<RowOp<'a>> {
     let subject_target = link
         .subject_attribute
         .foreign_key_target()
@@ -464,10 +473,10 @@ fn translate_link_insert(
         touched,
     )?;
     Ok(RowOp::Insert {
-        table: link.table_name.clone(),
+        table: &link.table_name,
         columns: vec![
-            link.subject_attribute.attribute_name.clone(),
-            link.object_attribute.attribute_name.clone(),
+            &link.subject_attribute.attribute_name,
+            &link.object_attribute.attribute_name,
         ],
         values: vec![
             subject_pk.into_iter().next().expect("len checked"),

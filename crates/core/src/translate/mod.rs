@@ -36,11 +36,12 @@ pub struct TranslateOptions {
 
 /// Step 1 — group triples by subject: "these triples all represent data
 /// about the same entity and therefore target the same table".
-/// Deterministic subject order (term order).
-pub fn group_by_subject(triples: &[Triple]) -> Vec<(Term, Vec<Triple>)> {
-    let mut groups: BTreeMap<Term, Vec<Triple>> = BTreeMap::new();
+/// Deterministic subject order (term order); within a group, request
+/// order. The groups borrow the request's triples.
+pub fn group_by_subject(triples: &[Triple]) -> Vec<(&Term, Vec<&Triple>)> {
+    let mut groups: BTreeMap<&Term, Vec<&Triple>> = BTreeMap::new();
     for t in triples {
-        groups.entry(t.subject.clone()).or_default().push(t.clone());
+        groups.entry(&t.subject).or_default().push(t);
     }
     groups.into_iter().collect()
 }
@@ -50,12 +51,12 @@ pub fn group_by_subject(triples: &[Triple]) -> Vec<(Term, Vec<Triple>)> {
 #[derive(Debug, Clone)]
 pub struct IdentifiedSubject<'a> {
     /// The subject's instance IRI.
-    pub uri: Iri,
+    pub uri: &'a Iri,
     /// Table map the URI pattern resolved to.
     pub table_map: &'a TableMap,
     /// `(attribute, value)` pairs extracted from the URI, converted to
     /// the column types.
-    pub key: Vec<(String, Value)>,
+    pub key: Vec<(&'a str, Value)>,
 }
 
 impl IdentifiedSubject<'_> {
@@ -67,7 +68,7 @@ impl IdentifiedSubject<'_> {
             let value = self
                 .key
                 .iter()
-                .find(|(attr, _)| attr == pk)
+                .find(|(attr, _)| *attr == pk.as_str())
                 .map(|(_, v)| *v)
                 .ok_or_else(|| OntoError::Unsupported {
                     message: format!(
@@ -87,10 +88,10 @@ impl IdentifiedSubject<'_> {
 pub fn identify<'a>(
     db: &Database,
     mapping: &'a Mapping,
-    subject: &Term,
+    subject: &'a Term,
 ) -> OntoResult<IdentifiedSubject<'a>> {
     let uri = match subject {
-        Term::Iri(iri) => iri.clone(),
+        Term::Iri(iri) => iri,
         Term::Blank(b) => {
             return Err(OntoError::BlankNodeSubject {
                 label: b.label().to_owned(),
@@ -104,23 +105,23 @@ pub fn identify<'a>(
     };
     let (table_map, raw_values) =
         mapping
-            .identify(&uri)
+            .identify(uri)
             .ok_or_else(|| OntoError::UnknownSubject {
                 subject: subject.clone(),
             })?;
     let table = db.schema().table(&table_map.table_name)?;
     let mut key = Vec::with_capacity(raw_values.len());
     for (attr, raw) in raw_values {
-        let column = table.column(&attr).ok_or_else(|| OntoError::Unsupported {
+        let column = table.column(attr).ok_or_else(|| OntoError::Unsupported {
             message: format!(
                 "uriPattern attribute {attr:?} missing from table {:?}",
                 table.name
             ),
         })?;
         let value =
-            pattern_value(&raw, column.ty).map_err(|reason| OntoError::ValueIncompatible {
+            pattern_value(raw, column.ty).map_err(|reason| OntoError::ValueIncompatible {
                 table: table.name.clone(),
-                attribute: attr.clone(),
+                attribute: attr.to_owned(),
                 value: subject.clone(),
                 reason,
             })?;
@@ -148,19 +149,21 @@ pub fn find_row(
 // ----------------------------------------------------------------------
 
 /// One row-level effect of Algorithm 1, produced per subject group
-/// before any SQL is rendered. The grouped (default) emission folds all
-/// plans of one (table, column-shape) into one set-based statement; the
-/// per-row reference emission maps each plan to the classic single-row
-/// statement the seed pipeline produced — both from the same plans, so
-/// the two paths are semantically identical by construction.
+/// before any SQL is rendered. Table and column names borrow from the
+/// schema and the mapping; emission copies them once per statement. The
+/// grouped (default) emission folds all plans of one (table,
+/// column-shape) into one set-based statement; the per-row reference
+/// emission maps each plan to the classic single-row statement the seed
+/// pipeline produced — both from the same plans, so the two paths are
+/// semantically identical by construction.
 #[derive(Debug, Clone, PartialEq)]
-pub enum RowOp {
+pub enum RowOp<'a> {
     /// A new row.
     Insert {
         /// Target table.
-        table: String,
+        table: &'a str,
         /// Supplied columns, in schema order.
-        columns: Vec<String>,
+        columns: Vec<&'a str>,
         /// Values, parallel to `columns`.
         values: Vec<Value>,
     },
@@ -169,32 +172,36 @@ pub enum RowOp {
     /// paper's Listing-18 current-value equality).
     Update {
         /// Target table.
-        table: String,
+        table: &'a str,
         /// `(column, value)` equality pairs identifying the row.
-        key: Vec<(String, Value)>,
+        key: Vec<(&'a str, Value)>,
         /// `(column, value)` assignments.
-        sets: Vec<(String, Value)>,
+        sets: Vec<(&'a str, Value)>,
     },
     /// Removal of the row(s) matching `key`.
     Delete {
         /// Target table.
-        table: String,
+        table: &'a str,
         /// `(column, value)` equality pairs identifying the row.
-        key: Vec<(String, Value)>,
+        key: Vec<(&'a str, Value)>,
     },
 }
 
 // `k1 = v1 AND k2 = v2 …` over a plan key.
-fn key_predicate(key: &[(String, Value)]) -> Expr {
+fn key_predicate(key: &[(&str, Value)]) -> Expr {
     Expr::conjunction(
         key.iter()
-            .map(|(column, value)| Expr::eq(Expr::col(column), Expr::Value(*value)))
+            .map(|&(column, value)| Expr::eq(Expr::col(column), Expr::Value(value)))
             .collect(),
     )
     .expect("plan keys are non-empty")
 }
 
-impl RowOp {
+fn owned(names: &[&str]) -> Vec<String> {
+    names.iter().map(|&name| name.to_owned()).collect()
+}
+
+impl RowOp<'_> {
     // The classic single-row statement (the seed's emission, verbatim).
     fn into_single_statement(self) -> Statement {
         match self {
@@ -202,17 +209,17 @@ impl RowOp {
                 table,
                 columns,
                 values,
-            } => Statement::Insert(InsertStmt::single(table, columns, values)),
+            } => Statement::Insert(InsertStmt::single(table, owned(&columns), values)),
             RowOp::Update { table, key, sets } => Statement::Update(UpdateStmt {
-                table,
+                table: table.to_owned(),
                 assignments: sets
                     .into_iter()
-                    .map(|(column, value)| (column, Expr::Value(value)))
+                    .map(|(column, value)| (column.to_owned(), Expr::Value(value)))
                     .collect(),
                 where_clause: Some(key_predicate(&key)),
             }),
             RowOp::Delete { table, key } => Statement::Delete(DeleteStmt {
-                table,
+                table: table.to_owned(),
                 where_clause: Some(key_predicate(&key)),
             }),
         }
@@ -221,7 +228,7 @@ impl RowOp {
 
 /// Per-row reference emission: one statement per plan, exactly the
 /// statement stream the pre-batching pipeline produced.
-pub fn emit_per_row(plans: Vec<RowOp>) -> Vec<Statement> {
+pub fn emit_per_row(plans: Vec<RowOp<'_>>) -> Vec<Statement> {
     plans
         .into_iter()
         .map(RowOp::into_single_statement)
@@ -233,27 +240,27 @@ pub fn emit_per_row(plans: Vec<RowOp>) -> Vec<Statement> {
 // key column but the last (link-table deletes share the subject side),
 // so the varying tail column can fold into one `IN (…)` list.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Shape {
-    Update(String, Vec<String>, Vec<String>),
-    Delete(String, Vec<String>, Vec<IndexKey>),
+enum Shape<'a> {
+    Update(&'a str, Vec<&'a str>, Vec<&'a str>),
+    Delete(&'a str, Vec<&'a str>, Vec<IndexKey>),
 }
 
-enum Group {
+enum Group<'a> {
     Insert {
-        table: String,
-        columns: Vec<String>,
+        table: &'a str,
+        columns: Vec<&'a str>,
         rows: Vec<Vec<Value>>,
     },
     Update {
-        table: String,
-        key_columns: Vec<String>,
-        set_columns: Vec<String>,
+        table: &'a str,
+        key_columns: Vec<&'a str>,
+        set_columns: Vec<&'a str>,
         rows: Vec<BulkRow>,
     },
     Delete {
-        table: String,
-        prefix: Vec<(String, Value)>,
-        tail_column: String,
+        table: &'a str,
+        prefix: Vec<(&'a str, Value)>,
+        tail_column: &'a str,
         tail_values: Vec<Value>,
     },
 }
@@ -272,12 +279,16 @@ enum Group {
 /// Updates and deletes group across the whole plan list — they create
 /// no row ids, touch each row at most once per round, and removal
 /// order cannot change the final state.
-pub fn emit_grouped(schema: &Schema, plans: Vec<RowOp>) -> Vec<Statement> {
-    let mut groups: Vec<Group> = Vec::new();
-    let mut index: HashMap<Shape, usize> = HashMap::new();
-    // Per table: the trailing (still open) insert group and its shape.
-    let mut open_insert: HashMap<String, (Vec<String>, usize)> = HashMap::new();
-    let self_references = |table: &str| schema.referenced_tables(table).contains(&table);
+pub fn emit_grouped(schema: &Schema, plans: Vec<RowOp<'_>>) -> Vec<Statement> {
+    let mut groups: Vec<Group<'_>> = Vec::new();
+    let mut index: HashMap<Shape<'_>, usize> = HashMap::new();
+    // Per table: the trailing (still open) insert group.
+    let mut open_insert: HashMap<&str, usize> = HashMap::new();
+    let self_references = |table: &str| {
+        schema
+            .table(table)
+            .is_ok_and(|t| t.foreign_keys.iter().any(|fk| fk.ref_table == table))
+    };
     for plan in plans {
         match plan {
             RowOp::Insert {
@@ -285,7 +296,7 @@ pub fn emit_grouped(schema: &Schema, plans: Vec<RowOp>) -> Vec<Statement> {
                 columns,
                 values,
             } => {
-                if self_references(&table) {
+                if self_references(table) {
                     groups.push(Group::Insert {
                         table,
                         columns,
@@ -293,31 +304,35 @@ pub fn emit_grouped(schema: &Schema, plans: Vec<RowOp>) -> Vec<Statement> {
                     });
                     continue;
                 }
-                match open_insert.get(&table) {
-                    Some((open_columns, at)) if *open_columns == columns => {
-                        let Group::Insert { rows, .. } = &mut groups[*at] else {
-                            unreachable!("open_insert points at an insert group")
-                        };
+                if let Some(&at) = open_insert.get(table) {
+                    let Group::Insert {
+                        columns: open_columns,
+                        rows,
+                        ..
+                    } = &mut groups[at]
+                    else {
+                        unreachable!("open_insert points at an insert group")
+                    };
+                    if *open_columns == columns {
                         rows.push(values);
-                    }
-                    _ => {
-                        open_insert.insert(table.clone(), (columns.clone(), groups.len()));
-                        groups.push(Group::Insert {
-                            table,
-                            columns,
-                            rows: vec![values],
-                        });
+                        continue;
                     }
                 }
+                open_insert.insert(table, groups.len());
+                groups.push(Group::Insert {
+                    table,
+                    columns,
+                    rows: vec![values],
+                });
             }
             RowOp::Update { table, key, sets } => {
-                let key_columns: Vec<String> = key.iter().map(|(c, _)| c.clone()).collect();
-                let set_columns: Vec<String> = sets.iter().map(|(c, _)| c.clone()).collect();
+                let key_columns: Vec<&str> = key.iter().map(|&(c, _)| c).collect();
+                let set_columns: Vec<&str> = sets.iter().map(|&(c, _)| c).collect();
                 let row = BulkRow {
                     key: key.into_iter().map(|(_, v)| v).collect(),
                     set: sets.into_iter().map(|(_, v)| v).collect(),
                 };
-                let shape = Shape::Update(table.clone(), key_columns.clone(), set_columns.clone());
+                let shape = Shape::Update(table, key_columns, set_columns);
                 match index.get(&shape) {
                     Some(&at) => {
                         let Group::Update { rows, .. } = &mut groups[at] else {
@@ -326,19 +341,22 @@ pub fn emit_grouped(schema: &Schema, plans: Vec<RowOp>) -> Vec<Statement> {
                         rows.push(row);
                     }
                     None => {
-                        index.insert(shape, groups.len());
+                        let Shape::Update(_, key_columns, set_columns) = &shape else {
+                            unreachable!("built above")
+                        };
                         groups.push(Group::Update {
                             table,
-                            key_columns,
-                            set_columns,
+                            key_columns: key_columns.clone(),
+                            set_columns: set_columns.clone(),
                             rows: vec![row],
                         });
+                        index.insert(shape, groups.len() - 1);
                     }
                 }
             }
             RowOp::Delete { table, mut key } => {
                 let (tail_column, tail_value) = key.pop().expect("plan keys are non-empty");
-                if self_references(&table) {
+                if self_references(table) {
                     groups.push(Group::Delete {
                         table,
                         prefix: key,
@@ -347,13 +365,13 @@ pub fn emit_grouped(schema: &Schema, plans: Vec<RowOp>) -> Vec<Statement> {
                     });
                     continue;
                 }
-                let columns: Vec<String> = key
+                let columns: Vec<&str> = key
                     .iter()
-                    .map(|(c, _)| c.clone())
-                    .chain(std::iter::once(tail_column.clone()))
+                    .map(|&(c, _)| c)
+                    .chain(std::iter::once(tail_column))
                     .collect();
                 let prefix_keys: Vec<IndexKey> = key.iter().map(|(_, v)| v.index_key()).collect();
-                let shape = Shape::Delete(table.clone(), columns, prefix_keys);
+                let shape = Shape::Delete(table, columns, prefix_keys);
                 match index.get(&shape) {
                     Some(&at) => {
                         let Group::Delete { tail_values, .. } = &mut groups[at] else {
@@ -382,8 +400,8 @@ pub fn emit_grouped(schema: &Schema, plans: Vec<RowOp>) -> Vec<Statement> {
                 columns,
                 rows,
             } => Statement::Insert(InsertStmt {
-                table,
-                columns,
+                table: table.to_owned(),
+                columns: owned(&columns),
                 rows,
             }),
             Group::Update {
@@ -402,9 +420,9 @@ pub fn emit_grouped(schema: &Schema, plans: Vec<RowOp>) -> Vec<Statement> {
                     .into_single_statement()
                 } else {
                     Statement::BulkUpdate(BulkUpdateStmt {
-                        table,
-                        key_columns,
-                        set_columns,
+                        table: table.to_owned(),
+                        key_columns: owned(&key_columns),
+                        set_columns: owned(&set_columns),
                         rows,
                     })
                 }
@@ -422,11 +440,11 @@ pub fn emit_grouped(schema: &Schema, plans: Vec<RowOp>) -> Vec<Statement> {
                 } else {
                     let mut conjuncts: Vec<Expr> = prefix
                         .iter()
-                        .map(|(column, value)| Expr::eq(Expr::col(column), Expr::Value(*value)))
+                        .map(|&(column, value)| Expr::eq(Expr::col(column), Expr::Value(value)))
                         .collect();
-                    conjuncts.push(Expr::col_in_values(&tail_column, tail_values));
+                    conjuncts.push(Expr::col_in_values(tail_column, tail_values));
                     Statement::Delete(DeleteStmt {
-                        table,
+                        table: table.to_owned(),
                         where_clause: Expr::conjunction(conjuncts),
                     })
                 }
@@ -596,7 +614,7 @@ mod tests {
         let subject = Term::iri("http://example.org/db/author1");
         let identified = identify(&db, &mapping, &subject).unwrap();
         assert_eq!(identified.table_map.table_name, "author");
-        assert_eq!(identified.key, vec![("id".to_owned(), Value::Int(1))]);
+        assert_eq!(identified.key, vec![("id", Value::Int(1))]);
     }
 
     #[test]

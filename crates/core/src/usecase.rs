@@ -571,7 +571,7 @@ mod tests {
         let author6 = Iri::parse("http://example.org/db/author6").unwrap();
         let (t, vals) = m.identify(&author6).unwrap();
         assert_eq!(t.table_name, "author");
-        assert_eq!(vals, vec![("id".into(), "6".into())]);
+        assert_eq!(vals, vec![("id", "6")]);
         let pub12 = Iri::parse("http://example.org/db/pub12").unwrap();
         assert_eq!(m.identify(&pub12).unwrap().0.table_name, "publication");
         // "publisher3" must not be swallowed by the "pub%%id%%" pattern.

@@ -49,7 +49,7 @@ pub use error::{DurError, DurResult};
 
 use crate::codec::DictTable;
 use crate::error::IoContext;
-use rel::{Database, LogicalOp};
+use rel::{Database, LogicalOp, Schema};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -262,6 +262,20 @@ impl Durability {
     /// corrupt newest snapshot is a hard [`DurError::Corrupt`] (the WAL
     /// was truncated against it, so no older state can substitute).
     pub fn open(dir: impl AsRef<Path>, initial: Database) -> DurResult<Opened> {
+        let schema = initial.schema().clone();
+        Self::open_with(dir, &schema, || initial)
+    }
+
+    /// [`Durability::open`] with the base state built on demand: `base`
+    /// runs only when the directory holds no snapshot — the one case in
+    /// which its data is used — so reopening an existing directory never
+    /// pays for building a database it would discard. `schema` decodes
+    /// an existing snapshot and must be `base`'s schema.
+    pub fn open_with(
+        dir: impl AsRef<Path>,
+        schema: &Schema,
+        base: impl FnOnce() -> Database,
+    ) -> DurResult<Opened> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir).io_context(format!("create data dir {}", dir.display()))?;
 
@@ -272,15 +286,16 @@ impl Durability {
         //    (Snapshots are written temp + fsync + rename, so a crashed
         //    checkpoint never leaves a half-written file under the
         //    final name — a corrupt one means bit rot or tampering.)
-        let mut base: Option<(u64, Database, DictTable)> = None;
+        let mut recovered: Option<(u64, Database, DictTable)> = None;
         if let Some((seq, path)) = snapshot::list_snapshots(&dir)?.into_iter().next() {
             let bytes = std::fs::read(&path).io_context(format!("read {}", path.display()))?;
-            let (snapshot_seq, db, dict) = snapshot::decode_snapshot(&bytes, initial.schema())?;
+            let (snapshot_seq, db, dict) = snapshot::decode_snapshot(&bytes, schema)?;
             debug_assert_eq!(snapshot_seq, seq, "file name vs content");
-            base = Some((snapshot_seq, db, dict));
+            recovered = Some((snapshot_seq, db, dict));
         }
-        let snapshot_seq = base.as_ref().map(|(seq, ..)| *seq);
-        let (base_seq, mut db, mut dict) = base.unwrap_or((0, initial, DictTable::new()));
+        let snapshot_seq = recovered.as_ref().map(|(seq, ..)| *seq);
+        let (base_seq, mut db, mut dict) =
+            recovered.unwrap_or_else(|| (0, base(), DictTable::new()));
 
         // 2. The WAL: open for appending, scan, replay the committed
         //    suffix, truncate anything torn.
@@ -850,6 +865,40 @@ mod tests {
         let a: Vec<_> = db.scan("team").unwrap().collect();
         let b: Vec<_> = reopened.db.scan("team").unwrap().collect();
         assert_eq!(a, b);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn base_state_is_built_only_for_a_directory_without_a_snapshot() {
+        let dir = scratch();
+        let built = std::cell::Cell::new(0);
+        let base = || {
+            built.set(built.get() + 1);
+            let mut db = fresh_db();
+            db.insert("team", &[("id".to_owned(), Value::Int(7))])
+                .unwrap();
+            db
+        };
+        let opened = Durability::open_with(&dir, &schema(), base).unwrap();
+        assert_eq!(built.get(), 1, "a fresh directory needs its base");
+        let mut db = opened.db;
+        commit_insert(&mut db, &opened.durability, 8);
+        drop(opened.durability);
+
+        let untouchable = || -> Database { panic!("a directory with a snapshot needs no base") };
+        let lazily = Durability::open_with(&dir, &schema(), untouchable).unwrap();
+        let eagerly = Durability::open(&dir, fresh_db()).unwrap();
+        assert_eq!(built.get(), 1);
+        assert_eq!(lazily.report, eagerly.report);
+        assert_eq!(lazily.report.snapshot_seq, Some(0));
+        let rows = |db: &Database| {
+            db.scan("team")
+                .unwrap()
+                .map(|(_, r)| r.clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(rows(&lazily.db), rows(&db));
+        assert_eq!(rows(&eagerly.db), rows(&db));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -242,15 +242,19 @@ impl Mapping {
 
     /// Identify the table an instance URI belongs to (Algorithm 1 step
     /// 2), returning the table map and the attribute values extracted
-    /// from the URI (e.g. `author1` → table `author`, `id = "1"`).
+    /// from the URI (e.g. `author1` → table `author`, `id = "1"`), both
+    /// borrowed.
     ///
     /// When several patterns match (the use case's `pub%%id%%` also
     /// matches `publisher3` and `pubtype4`), the pattern with the most
     /// literal text wins — the most specific one; ties resolve in
     /// declaration order.
-    pub fn identify(&self, uri: &Iri) -> Option<(&TableMap, Vec<(String, String)>)> {
-        type Match<'a> = (usize, &'a TableMap, Vec<(String, String)>);
-        let mut best: Option<Match<'_>> = None;
+    pub fn identify<'m, 'u>(
+        &'m self,
+        uri: &'u Iri,
+    ) -> Option<(&'m TableMap, Vec<(&'m str, &'u str)>)> {
+        type Match<'m, 'u> = (usize, &'m TableMap, Vec<(&'m str, &'u str)>);
+        let mut best: Option<Match<'m, 'u>> = None;
         for table in &self.tables {
             if let Some(values) = table
                 .uri_pattern
@@ -414,7 +418,7 @@ mod tests {
         let uri = Iri::parse("http://example.org/db/author1").unwrap();
         let (table, values) = m.identify(&uri).unwrap();
         assert_eq!(table.table_name, "author");
-        assert_eq!(values, vec![("id".into(), "1".into())]);
+        assert_eq!(values, vec![("id", "1")]);
     }
 
     #[test]

@@ -197,12 +197,16 @@ impl UriPattern {
     }
 
     /// Match a URI against this pattern under `prefix`, extracting
-    /// `(attribute, value)` pairs. Returns `None` when the URI does not
-    /// fit the pattern.
+    /// `(attribute, value)` pairs borrowed from the pattern and the URI.
+    /// Returns `None` when the URI does not fit the pattern.
     ///
     /// Placeholder matches are non-greedy up to the next literal segment;
     /// a trailing placeholder consumes the remainder.
-    pub fn match_uri(&self, prefix: Option<&str>, uri: &str) -> Option<Vec<(String, String)>> {
+    pub fn match_uri<'p, 'u>(
+        &'p self,
+        prefix: Option<&str>,
+        uri: &'u str,
+    ) -> Option<Vec<(&'p str, &'u str)>> {
         let mut rest = uri;
         if !self.is_absolute() {
             rest = rest.strip_prefix(prefix.unwrap_or(""))?;
@@ -237,7 +241,7 @@ impl UriPattern {
                     if value.is_empty() {
                         return None;
                     }
-                    values.push(((*attr).clone(), value.to_owned()));
+                    values.push((attr.as_str(), value));
                     i += 1;
                 }
             }
@@ -296,7 +300,7 @@ mod tests {
         let values = p
             .match_uri(Some(PREFIX), "http://example.org/db/author1")
             .unwrap();
-        assert_eq!(values, vec![("id".into(), "1".into())]);
+        assert_eq!(values, vec![("id", "1")]);
     }
 
     #[test]
@@ -344,13 +348,7 @@ mod tests {
             .unwrap();
         assert_eq!(uri, "http://example.org/db/pub12-a6");
         let values = p.match_uri(Some(PREFIX), &uri).unwrap();
-        assert_eq!(
-            values,
-            vec![
-                ("publication".into(), "12".into()),
-                ("author".into(), "6".into())
-            ]
-        );
+        assert_eq!(values, vec![("publication", "12"), ("author", "6")]);
     }
 
     #[test]
@@ -361,7 +359,7 @@ mod tests {
                 .generate(Some(PREFIX), &|_| Some(id.to_owned().into()))
                 .unwrap();
             let values = p.match_uri(Some(PREFIX), &uri).unwrap();
-            assert_eq!(values, vec![("id".into(), id.to_owned())]);
+            assert_eq!(values, vec![("id", id)]);
         }
     }
 

@@ -66,9 +66,11 @@ impl Literal {
     /// A language-tagged literal. Tags are normalized to lowercase per
     /// RDF concepts §6.
     pub fn lang(lexical: impl Into<String>, tag: impl Into<String>) -> Self {
+        let mut tag = tag.into();
+        tag.make_ascii_lowercase();
         Literal {
             lexical: Cow::Owned(lexical.into()),
-            kind: LiteralKind::LanguageTagged(tag.into().to_ascii_lowercase()),
+            kind: LiteralKind::LanguageTagged(tag),
         }
     }
 

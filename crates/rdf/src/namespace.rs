@@ -8,6 +8,7 @@
 
 use crate::iri::Iri;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 macro_rules! vocabulary {
     ($(#[$doc:meta])* $mod_name:ident, $base:expr, [$($term:ident),* $(,)?]) => {
@@ -38,10 +39,14 @@ vocabulary!(
     [Property, first, rest, nil]
 );
 
+/// The `rdf:type` IRI as a string: compare a predicate against it with
+/// `iri.as_str() == RDF_TYPE`, which allocates nothing.
+pub const RDF_TYPE: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
+
 /// `rdf:type` — cannot be generated by the macro because `type` is a
 /// Rust keyword.
 pub fn rdf_type() -> Iri {
-    Iri::new_unchecked("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
+    Iri::new_unchecked(RDF_TYPE)
 }
 
 vocabulary!(
@@ -133,9 +138,14 @@ vocabulary!(
 
 /// A bidirectional prefix ↔ namespace map, as used by Turtle I/O and the
 /// SPARQL parser (`PREFIX foaf: <...>`).
+///
+/// The map is shared: a clone is a reference-count bump, so every
+/// request can start from the mediator's prefixes for free, and only a
+/// request that declares a `PREFIX` of its own copies the map (on its
+/// first [`PrefixMap::insert`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PrefixMap {
-    by_prefix: BTreeMap<String, String>,
+    by_prefix: Arc<BTreeMap<String, String>>,
 }
 
 impl PrefixMap {
@@ -161,13 +171,17 @@ impl PrefixMap {
 
     /// Register `prefix` → `namespace`. Later insertions override.
     pub fn insert(&mut self, prefix: impl Into<String>, namespace: impl Into<String>) {
-        self.by_prefix.insert(prefix.into(), namespace.into());
+        Arc::make_mut(&mut self.by_prefix).insert(prefix.into(), namespace.into());
     }
 
-    /// Resolve a `prefix:local` pair to a full IRI.
+    /// Resolve a `prefix:local` pair to a full IRI, built in one
+    /// exact-size allocation and validated like [`Iri::parse`].
     pub fn resolve(&self, prefix: &str, local: &str) -> Option<Iri> {
         let ns = self.by_prefix.get(prefix)?;
-        Iri::parse(format!("{ns}{local}")).ok()
+        let mut iri = String::with_capacity(ns.len() + local.len());
+        iri.push_str(ns);
+        iri.push_str(local);
+        Iri::parse(iri).ok()
     }
 
     /// Namespace registered for `prefix`, if any.
@@ -181,7 +195,7 @@ impl PrefixMap {
         // Prefer the longest matching namespace so db/author1 binds to the
         // db: prefix rather than a shorter example.org/ prefix.
         let mut best: Option<(&str, &str)> = None;
-        for (prefix, ns) in &self.by_prefix {
+        for (prefix, ns) in self.by_prefix.iter() {
             if let Some(rest) = iri.as_str().strip_prefix(ns.as_str()) {
                 if is_local_name(rest) {
                     match best {
@@ -254,6 +268,20 @@ mod tests {
         let map = PrefixMap::common();
         assert_eq!(map.resolve("foaf", "mbox"), Some(foaf::mbox()));
         assert_eq!(map.resolve("nope", "x"), None);
+        // A prefix whose expansion is no valid IRI resolves to nothing.
+        assert_eq!(map.resolve("foaf", "a b"), None);
+    }
+
+    #[test]
+    fn clones_share_the_map_until_one_inserts() {
+        let base = PrefixMap::common();
+        let mut request = base.clone();
+        assert!(Arc::ptr_eq(&base.by_prefix, &request.by_prefix));
+        request.insert("x", "http://example.org/x#");
+        assert!(!Arc::ptr_eq(&base.by_prefix, &request.by_prefix));
+        assert_eq!(base.namespace("x"), None);
+        assert_eq!(request.namespace("x"), Some("http://example.org/x#"));
+        assert_eq!(request.len(), base.len() + 1);
     }
 
     #[test]

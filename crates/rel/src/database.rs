@@ -12,6 +12,7 @@ use crate::schema::{Schema, Table};
 use crate::storage::{RowId, TableData};
 use crate::value::{IndexKey, SqlType, Value};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 // Outcome of converting an equality-probe value into an index key for a
 // column of a given type.
@@ -188,7 +189,7 @@ pub struct Database {
     // Arc-shared: the schema is immutable after validation, and sharing
     // it keeps `Database::clone` — the per-commit version publish — at
     // O(tables + indexes) Arc bumps instead of a deep schema copy.
-    schema: std::sync::Arc<Schema>,
+    schema: Arc<Schema>,
     data: BTreeMap<String, TableData>,
     txn: Option<TxnState>,
     // Monotonic over the database's lifetime (never reset by begin):
@@ -207,7 +208,7 @@ impl Database {
             .map(|t| (t.name.clone(), TableData::for_table(t)))
             .collect();
         Ok(Database {
-            schema: std::sync::Arc::new(schema),
+            schema: Arc::new(schema),
             data,
             txn: None,
             savepoint_seq: 0,
@@ -217,6 +218,12 @@ impl Database {
     /// The schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
+    }
+
+    // The shared schema, for a statement that reads table definitions
+    // while it mutates rows: a reference-count bump, never a copy.
+    pub(crate) fn shared_schema(&self) -> Arc<Schema> {
+        Arc::clone(&self.schema)
     }
 
     /// Number of rows in `table`.
@@ -244,7 +251,8 @@ impl Database {
     /// keys cannot express SQL equality for them), so building one
     /// would cost maintenance forever without ever being read.
     pub fn create_index(&mut self, table: &str, column: &str) -> RelResult<()> {
-        let t = self.schema.table(table)?;
+        let schema = self.shared_schema();
+        let t = schema.table(table)?;
         let col = t.column(column).ok_or_else(|| RelError::NoSuchColumn {
             table: table.to_owned(),
             column: column.to_owned(),
@@ -252,11 +260,10 @@ impl Database {
         if col.ty == SqlType::Double {
             return Ok(());
         }
-        let t = t.clone();
         self.data
             .get_mut(table)
             .expect("schema table has storage")
-            .create_index(&t, column);
+            .create_index(t, column);
         Ok(())
     }
 
@@ -352,8 +359,11 @@ impl Database {
                 ),
             });
         }
-        let keys: Vec<_> = key.iter().map(Value::index_key).collect();
-        Ok(self.data[table].find_by_pk(&keys))
+        let data = &self.data[table];
+        Ok(match key {
+            [only] => data.find_by_pk(&[only.index_key()]),
+            _ => data.find_by_pk(&key.iter().map(Value::index_key).collect::<Vec<_>>()),
+        })
     }
 
     // ------------------------------------------------------------------
@@ -518,13 +528,13 @@ impl Database {
     // Apply undo entries newest-first, restoring rows and their index
     // entries (shared by full rollback and partial savepoint rollback).
     fn undo(&mut self, log: Vec<UndoOp>) {
+        let schema = self.shared_schema();
         for op in log.into_iter().rev() {
             match op {
                 UndoOp::Insert { table, row_id, .. } => {
-                    let t = self.schema.table(&table).expect("logged table exists");
-                    let t = t.clone();
+                    let t = schema.table(&table).expect("logged table exists");
                     let data = self.data.get_mut(&table).expect("logged table exists");
-                    data.delete_unchecked(&t, row_id);
+                    data.delete_unchecked(t, row_id);
                     // Newest-first unwinding ends with the allocator
                     // back at its pre-transaction position.
                     data.unallocate_row_id(row_id);
@@ -532,26 +542,18 @@ impl Database {
                 UndoOp::Update {
                     table, row_id, old, ..
                 } => {
-                    let t = self
-                        .schema
-                        .table(&table)
-                        .expect("logged table exists")
-                        .clone();
+                    let t = schema.table(&table).expect("logged table exists");
                     self.data
                         .get_mut(&table)
                         .expect("logged table exists")
-                        .update_unchecked(&t, row_id, old);
+                        .update_unchecked(t, row_id, old);
                 }
                 UndoOp::Delete { table, row_id, old } => {
-                    let t = self
-                        .schema
-                        .table(&table)
-                        .expect("logged table exists")
-                        .clone();
+                    let t = schema.table(&table).expect("logged table exists");
                     self.data
                         .get_mut(&table)
                         .expect("logged table exists")
-                        .restore_unchecked(&t, row_id, old);
+                        .restore_unchecked(t, row_id, old);
                 }
             }
         }
@@ -581,7 +583,8 @@ impl Database {
     pub fn apply_logical(&mut self, op: &LogicalOp) -> RelResult<()> {
         match op {
             LogicalOp::Insert { table, row_id, row } => {
-                let t = self.schema.table(table)?.clone();
+                let schema = self.shared_schema();
+                let t = schema.table(table)?;
                 if row.len() != t.columns.len() {
                     return Err(RelError::Execution {
                         message: format!(
@@ -595,7 +598,7 @@ impl Database {
                 self.data
                     .get_mut(table)
                     .expect("schema table has storage")
-                    .insert_at_unchecked(&t, *row_id, row.clone());
+                    .insert_at_unchecked(t, *row_id, row.clone());
                 if let Some(row) = logged {
                     self.log(UndoOp::Insert {
                         table: table.clone(),
@@ -605,12 +608,13 @@ impl Database {
                 }
             }
             LogicalOp::Update { table, row_id, row } => {
-                let t = self.schema.table(table)?.clone();
+                let schema = self.shared_schema();
+                let t = schema.table(table)?;
                 let old = self
                     .data
                     .get_mut(table)
                     .expect("schema table has storage")
-                    .update_unchecked(&t, *row_id, row.clone())
+                    .update_unchecked(t, *row_id, row.clone())
                     .ok_or_else(|| RelError::Execution {
                         message: format!("replayed update of missing row {row_id} in {table}"),
                     })?;
@@ -624,12 +628,13 @@ impl Database {
                 }
             }
             LogicalOp::Delete { table, row_id } => {
-                let t = self.schema.table(table)?.clone();
+                let schema = self.shared_schema();
+                let t = schema.table(table)?;
                 let old = self
                     .data
                     .get_mut(table)
                     .expect("schema table has storage")
-                    .delete_unchecked(&t, *row_id)
+                    .delete_unchecked(t, *row_id)
                     .ok_or_else(|| RelError::Execution {
                         message: format!("replayed delete of missing row {row_id} in {table}"),
                     })?;
@@ -679,7 +684,8 @@ impl Database {
     /// Insert a row given `(column, value)` pairs; omitted columns take
     /// their DEFAULT or NULL. All constraints are checked immediately.
     pub fn insert(&mut self, table: &str, assignments: &[(String, Value)]) -> RelResult<RowId> {
-        let t = self.schema.table(table)?.clone();
+        let schema = self.shared_schema();
+        let t = schema.table(table)?;
         for (name, _) in assignments {
             if t.column_index(name).is_none() {
                 return Err(RelError::NoSuchColumn {
@@ -703,7 +709,7 @@ impl Database {
             }
             row.push(value);
         }
-        self.insert_prepared(&t, row)
+        self.insert_prepared(t, row)
     }
 
     /// Bulk entry point: insert many rows sharing one column list (the
@@ -721,7 +727,8 @@ impl Database {
         columns: &[String],
         rows: &[Vec<Value>],
     ) -> RelResult<usize> {
-        let t = self.schema.table(table)?.clone();
+        let schema = self.shared_schema();
+        let t = schema.table(table)?;
         let mut indices = Vec::with_capacity(columns.len());
         for name in columns {
             let idx = t.column_index(name).ok_or_else(|| RelError::NoSuchColumn {
@@ -774,7 +781,7 @@ impl Database {
                     _ => {} // non-integer: the type check below rejects it
                 }
             }
-            self.insert_prepared(&t, row)?;
+            self.insert_prepared(t, row)?;
         }
         Ok(rows.len())
     }
@@ -809,14 +816,15 @@ impl Database {
         row_id: RowId,
         assignments: &[(String, Value)],
     ) -> RelResult<()> {
-        let t = self.schema.table(table)?.clone();
-        self.update_prepared(&t, row_id, assignments)
+        let schema = self.shared_schema();
+        let t = schema.table(table)?;
+        self.update_prepared(t, row_id, assignments)
     }
 
     /// Bulk entry point: apply many per-row assignment sets to one table
     /// (the grouped `UPDATE … BY … SET … VALUES` of the set-based write
-    /// pipeline). The table is resolved and cloned once for the whole
-    /// group; rows are updated in order with the same immediate
+    /// pipeline). The table is resolved once for the whole group; rows
+    /// are updated in order with the same immediate
     /// constraint checking as [`Database::update_row`], so a failing row
     /// aborts with earlier rows applied — run inside a transaction for
     /// atomicity. Returns the number of rows updated.
@@ -825,10 +833,11 @@ impl Database {
         table: &str,
         updates: Vec<(RowId, Vec<(String, Value)>)>,
     ) -> RelResult<usize> {
-        let t = self.schema.table(table)?.clone();
+        let schema = self.shared_schema();
+        let t = schema.table(table)?;
         let affected = updates.len();
         for (row_id, assignments) in updates {
-            self.update_prepared(&t, row_id, &assignments)?;
+            self.update_prepared(t, row_id, &assignments)?;
         }
         Ok(affected)
     }
@@ -885,20 +894,22 @@ impl Database {
 
     /// Delete a row. Errors with RESTRICT if other rows reference it.
     pub fn delete_row(&mut self, table: &str, row_id: RowId) -> RelResult<()> {
-        let t = self.schema.table(table)?.clone();
-        self.delete_prepared(&t, row_id)
+        let schema = self.shared_schema();
+        let t = schema.table(table)?;
+        self.delete_prepared(t, row_id)
     }
 
     /// Bulk entry point: delete many rows of one table (the row set a
-    /// `WHERE pk IN (…)` delete collects). The table is resolved and
-    /// cloned once; rows are deleted in order with the same immediate
+    /// `WHERE pk IN (…)` delete collects). The table is resolved once;
+    /// rows are deleted in order with the same immediate
     /// RESTRICT checking as [`Database::delete_row`], so a failing row
     /// aborts with earlier rows applied — run inside a transaction for
     /// atomicity. Returns the number of rows deleted.
     pub fn delete_rows(&mut self, table: &str, row_ids: &[RowId]) -> RelResult<usize> {
-        let t = self.schema.table(table)?.clone();
+        let schema = self.shared_schema();
+        let t = schema.table(table)?;
         for &row_id in row_ids {
-            self.delete_prepared(&t, row_id)?;
+            self.delete_prepared(t, row_id)?;
         }
         Ok(row_ids.len())
     }
@@ -908,17 +919,18 @@ impl Database {
             .row(row_id)
             .ok_or_else(|| RelError::Execution {
                 message: format!("no row {row_id} in {}", t.name),
-            })?
-            .clone();
-        self.check_restrict(t, &row)?;
-        self.data
+            })?;
+        self.check_restrict(t, row)?;
+        let old = self
+            .data
             .get_mut(&t.name)
             .expect("schema table has storage")
-            .delete_unchecked(t, row_id);
+            .delete_unchecked(t, row_id)
+            .expect("row read above");
         self.log(UndoOp::Delete {
             table: t.name.clone(),
             row_id,
-            old: row,
+            old,
         });
         Ok(())
     }
@@ -998,11 +1010,12 @@ impl Database {
             }
         }
         // Primary key uniqueness.
-        let pk_changed = !table.primary_key.is_empty()
-            && table
-                .primary_key_indices()
-                .iter()
-                .any(|i| changed.contains(i));
+        let pk_changed = table.primary_key.iter().any(|name| {
+            let i = table
+                .column_index(name)
+                .expect("validated: PK column exists");
+            changed.contains(&i)
+        });
         if pk_changed {
             let key = TableData::pk_key(table, row);
             if let Some(existing) = self.data[&table.name].find_by_pk(&key) {
@@ -1080,7 +1093,7 @@ impl Database {
         let target = self.schema.table(ref_table)?;
         let data = &self.data[ref_table];
         // Fast path: FK targets the primary key (the use-case shape) …
-        if target.primary_key == [ref_column.to_owned()] {
+        if target.primary_key.len() == 1 && target.primary_key[0] == ref_column {
             return Ok(data.find_by_pk(&[value.index_key()]).is_some());
         }
         // … or a unique column with an index.

@@ -123,19 +123,17 @@ fn execute_insert(db: &mut Database, stmt: &InsertStmt) -> RelResult<usize> {
 }
 
 fn execute_update(db: &mut Database, stmt: &UpdateStmt) -> RelResult<usize> {
-    let table = db.schema().table(&stmt.table)?.clone();
-    let matches = collect_matching_row_ids(db, &stmt.table, &table, stmt.where_clause.as_ref())?;
+    let schema = db.shared_schema();
+    let table = schema.table(&stmt.table)?;
+    let matches = collect_matching_row_ids(db, &stmt.table, table, stmt.where_clause.as_ref())?;
     let mut updates = Vec::with_capacity(matches.len());
     for row_id in matches {
-        // One clone per *mutated* row: assignments evaluate against the
-        // pre-assignment values while the engine rebuilds the row.
-        let row = db
-            .row(&stmt.table, row_id)?
-            .expect("collected id is live")
-            .clone();
+        // Every assignment evaluates against the pre-statement row: all
+        // are computed before the engine applies any.
+        let row = db.row(&stmt.table, row_id)?.expect("collected id is live");
         let mut assignments = Vec::with_capacity(stmt.assignments.len());
         for (column, expr) in &stmt.assignments {
-            let value = eval_on_row(expr, &table, &row)?;
+            let value = eval_on_row(expr, table, row)?;
             assignments.push((column.clone(), value));
         }
         updates.push((row_id, assignments));
@@ -148,7 +146,8 @@ fn execute_update(db: &mut Database, stmt: &UpdateStmt) -> RelResult<usize> {
 // semantics as a classic UPDATE's WHERE clause — then the matched rows
 // are updated in tuple order through one bulk engine pass.
 fn execute_bulk_update(db: &mut Database, stmt: &BulkUpdateStmt) -> RelResult<usize> {
-    let table = db.schema().table(&stmt.table)?.clone();
+    let schema = db.shared_schema();
+    let table = schema.table(&stmt.table)?;
     let mut key_indices = Vec::with_capacity(stmt.key_columns.len());
     for column in stmt.key_columns.iter().chain(&stmt.set_columns) {
         let idx = table
@@ -231,8 +230,9 @@ fn key_equality_matches(
 }
 
 fn execute_delete(db: &mut Database, stmt: &DeleteStmt) -> RelResult<usize> {
-    let table = db.schema().table(&stmt.table)?.clone();
-    let matches = collect_matching_row_ids(db, &stmt.table, &table, stmt.where_clause.as_ref())?;
+    let schema = db.shared_schema();
+    let table = schema.table(&stmt.table)?;
+    let matches = collect_matching_row_ids(db, &stmt.table, table, stmt.where_clause.as_ref())?;
     db.delete_rows(&stmt.table, &matches)
 }
 

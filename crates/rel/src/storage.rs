@@ -11,6 +11,7 @@ use crate::pmap::PMap;
 use crate::schema::Table;
 use crate::value::{IndexKey, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Identifier of a stored row, unique within its table for the lifetime
 /// of the database.
@@ -29,7 +30,10 @@ pub struct TableData {
     /// [`Database::create_index`](crate::Database::create_index) add
     /// further join columns. Id lists are kept in ascending row-id
     /// order so index-backed plans enumerate rows deterministically.
-    secondary_indexes: HashMap<String, PMap<IndexKey, Vec<RowId>>>,
+    /// Each list is `Arc`-shared: path-copying a leaf after a publish
+    /// shares its untouched lists, and only the list a write touches is
+    /// copied.
+    secondary_indexes: HashMap<String, PMap<IndexKey, Arc<Vec<RowId>>>>,
     next_row_id: RowId,
 }
 
@@ -69,16 +73,16 @@ impl TableData {
         let idx = table
             .column_index(column)
             .expect("caller verified column exists");
-        let mut index: PMap<IndexKey, Vec<RowId>> = PMap::new();
+        let mut index: PMap<IndexKey, Arc<Vec<RowId>>> = PMap::new();
         for (row_id, row) in self.rows.iter() {
             if !row[idx].is_null() {
                 let key = row[idx].index_key();
                 match index.get_mut(&key) {
                     // Rows iterate in ascending id order, so pushing
                     // keeps each posting list sorted.
-                    Some(ids) => ids.push(*row_id),
+                    Some(ids) => Arc::make_mut(ids).push(*row_id),
                     None => {
-                        index.insert(key, vec![*row_id]);
+                        index.insert(key, Arc::new(vec![*row_id]));
                     }
                 }
             }
@@ -96,7 +100,7 @@ impl TableData {
     /// when the index exists but holds no match.
     pub fn lookup_by_index(&self, column: &str, key: &IndexKey) -> Option<&[RowId]> {
         let index = self.secondary_indexes.get(column)?;
-        Some(index.get(key).map_or(&[][..], Vec::as_slice))
+        Some(index.get(key).map_or(&[][..], |ids| ids.as_slice()))
     }
 
     /// Distinct non-NULL keys of the unique or secondary index on
@@ -232,9 +236,14 @@ impl TableData {
     /// Primary-key values of `row` as index keys (empty when no PK).
     pub fn pk_key(table: &Table, row: &[Value]) -> Vec<IndexKey> {
         table
-            .primary_key_indices()
+            .primary_key
             .iter()
-            .map(|&i| row[i].index_key())
+            .map(|name| {
+                let i = table
+                    .column_index(name)
+                    .expect("validated: PK column exists");
+                row[i].index_key()
+            })
             .collect()
     }
 
@@ -260,11 +269,12 @@ impl TableData {
                     Some(ids) => {
                         // Restores after rollback can re-add a low id
                         // after higher ones; keep ascending order.
+                        let ids = Arc::make_mut(ids);
                         let pos = ids.partition_point(|&id| id < row_id);
                         ids.insert(pos, row_id);
                     }
                     None => {
-                        index.insert(key, vec![row_id]);
+                        index.insert(key, Arc::new(vec![row_id]));
                     }
                 }
             }
@@ -293,7 +303,10 @@ impl TableData {
             let key = row[i].index_key();
             let now_empty = match index.get_mut(&key) {
                 Some(ids) => {
-                    ids.retain(|&id| id != row_id);
+                    let ids = Arc::make_mut(ids);
+                    if let Ok(pos) = ids.binary_search(&row_id) {
+                        ids.remove(pos);
+                    }
                     ids.is_empty()
                 }
                 None => false,

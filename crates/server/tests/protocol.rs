@@ -576,6 +576,32 @@ fn crlf_flood_cannot_pin_a_worker() {
 }
 
 #[test]
+fn a_body_of_less_than_signs_is_a_400_and_the_worker_serves_on() {
+    // One worker: the request after the flood is served by the worker
+    // that read it. 4 MiB is the default body limit.
+    let server = serve(
+        fixtures::mediator_with_sample_data(),
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            keep_alive_timeout: Duration::from_millis(500),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind ephemeral port");
+    let flood = "<".repeat(4 * 1024 * 1024);
+    let response = post(&server, "/update", "application/sparql-update", &flood);
+    assert_eq!(response.status, 400, "{}", response.text());
+    let response = get(
+        &server,
+        &format!("/sparql?query={}", urlencode(PERSONS)),
+        None,
+    );
+    assert_eq!(response.status, 200);
+    server.shutdown();
+}
+
+#[test]
 fn chunked_transfer_encoding_is_501() {
     let server = test_server();
     let response = send(

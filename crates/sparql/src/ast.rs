@@ -87,19 +87,18 @@ impl TriplePattern {
         }
     }
 
-    /// Convert to a ground [`Triple`] if all positions are concrete terms
-    /// with an IRI predicate.
-    pub fn to_triple(&self) -> Option<Triple> {
-        let s = self.subject.as_term()?.clone();
-        let p = match self.predicate.as_term()? {
-            Term::Iri(iri) => iri.clone(),
-            _ => return None,
-        };
-        let o = self.object.as_term()?.clone();
-        if !s.is_subject_term() {
-            return None;
+    /// Convert to a ground [`Triple`], moving the terms, if all positions
+    /// are concrete terms with an IRI predicate and a non-literal
+    /// subject; otherwise the pattern comes back unchanged.
+    pub fn into_triple(self) -> Result<Triple, Box<TriplePattern>> {
+        match self {
+            TriplePattern {
+                subject: TermPattern::Term(s),
+                predicate: TermPattern::Term(Term::Iri(p)),
+                object: TermPattern::Term(o),
+            } if s.is_subject_term() => Ok(Triple::new(s, p, o)),
+            other => Err(Box::new(other)),
         }
-        Some(Triple::new(s, p, o))
     }
 
     /// Variables mentioned by this pattern.
@@ -297,6 +296,89 @@ impl UpdateOp {
     }
 }
 
+/// Prints a filter fully parenthesized, so the parser rebuilds the same
+/// tree: `(a && b)`, `(a || b)`, `!(a)`, `BOUND(?v)`, `left op right`.
+impl fmt::Display for FilterExpr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FilterExpr::Compare { op, left, right } => write!(f, "{left} {op} {right}"),
+            FilterExpr::Bound(v) => write!(f, "BOUND(?{v})"),
+            FilterExpr::And(a, b) => write!(f, "({a} && {b})"),
+            FilterExpr::Or(a, b) => write!(f, "({a} || {b})"),
+            FilterExpr::Not(inner) => write!(f, "!({inner})"),
+        }
+    }
+}
+
+impl fmt::Display for GroupPattern {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("{ ")?;
+        for p in &self.patterns {
+            write!(f, "{p} ")?;
+        }
+        for filter in &self.filters {
+            write!(f, "FILTER ({filter}) ")?;
+        }
+        f.write_str("}")
+    }
+}
+
+// `{ item item … }` with one space around each item.
+fn block<T: fmt::Display>(f: &mut fmt::Formatter<'_>, items: &[T]) -> fmt::Result {
+    f.write_str("{ ")?;
+    for item in items {
+        write!(f, "{item} ")?;
+    }
+    f.write_str("}")
+}
+
+/// Prints the operation as SPARQL/Update text with full IRIs, which
+/// parses back to an equal operation: `MODIFY` is always printed in the
+/// member-submission form, whatever spelling it was parsed from.
+impl fmt::Display for UpdateOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            UpdateOp::InsertData { triples } => {
+                f.write_str("INSERT DATA ")?;
+                block(f, triples)
+            }
+            UpdateOp::DeleteData { triples } => {
+                f.write_str("DELETE DATA ")?;
+                block(f, triples)
+            }
+            UpdateOp::Modify {
+                delete,
+                insert,
+                pattern,
+            } => {
+                f.write_str("MODIFY DELETE ")?;
+                block(f, delete)?;
+                f.write_str(" INSERT ")?;
+                block(f, insert)?;
+                write!(f, " WHERE {pattern}")
+            }
+        }
+    }
+}
+
+/// A whole update request (the operations of
+/// [`crate::parse_update_script`]), printed one operation per line with
+/// `;` between them.
+#[derive(Debug, Clone, Copy)]
+pub struct UpdateScript<'a>(pub &'a [UpdateOp]);
+
+impl fmt::Display for UpdateScript<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, op) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_str(" ;\n")?;
+            }
+            write!(f, "{op}")?;
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,7 +391,7 @@ mod tests {
             TermPattern::iri(foaf::mbox()),
             TermPattern::Term(Term::iri("mailto:hert@ifi.uzh.ch")),
         );
-        let t = p.to_triple().unwrap();
+        let t = p.into_triple().unwrap();
         assert_eq!(t.predicate, foaf::mbox());
     }
 
@@ -320,7 +402,7 @@ mod tests {
             TermPattern::iri(foaf::mbox()),
             TermPattern::var("mbox"),
         );
-        assert_eq!(p.to_triple(), None);
+        assert_eq!(p.clone().into_triple(), Err(Box::new(p)));
     }
 
     #[test]
@@ -330,7 +412,7 @@ mod tests {
             TermPattern::iri(foaf::mbox()),
             TermPattern::var("o"),
         );
-        assert_eq!(p.to_triple(), None);
+        assert_eq!(p.clone().into_triple(), Err(Box::new(p)));
     }
 
     #[test]
@@ -375,6 +457,34 @@ mod tests {
             Box::new(FilterExpr::Bound("x".into())),
         );
         assert_eq!(f.variables(), vec!["year", "x"]);
+    }
+
+    #[test]
+    fn update_display_is_sparql_that_parses_back() {
+        let op = UpdateOp::InsertData {
+            triples: vec![Triple::new(
+                Term::iri("http://example.org/db/author6"),
+                foaf::name(),
+                Term::Literal(Literal::lang("O'Brien \"Pat\"", "EN")),
+            )],
+        };
+        assert_eq!(
+            op.to_string(),
+            "INSERT DATA { <http://example.org/db/author6> <http://xmlns.com/foaf/0.1/name> \
+             \"O'Brien \\\"Pat\\\"\"@en . }"
+        );
+        let text = "PREFIX foaf: <http://xmlns.com/foaf/0.1/>\n\
+                    INSERT DATA { _:b foaf:name \"x\\ty\" ; foaf:title \"3\"^^<http://x.org/t> . } ;\n\
+                    DELETE WHERE { ?x foaf:name ?n } ;\n\
+                    MODIFY DELETE { ?x foaf:mbox ?m } INSERT { } WHERE { ?x foaf:mbox ?m . \
+                    FILTER (!(?m = <mailto:a@b>) && (BOUND(?x) || ?n >= 2.5)) }";
+        let ops = crate::parse_update_script(text, rdf::namespace::PrefixMap::new()).unwrap();
+        let printed = UpdateScript(&ops).to_string();
+        assert_eq!(
+            crate::parse_update_script(&printed, rdf::namespace::PrefixMap::new()).unwrap(),
+            ops,
+            "{printed}"
+        );
     }
 
     #[test]

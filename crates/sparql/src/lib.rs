@@ -22,7 +22,7 @@ pub mod update;
 
 pub use ast::{
     AskQuery, CompareOp, FilterExpr, GroupPattern, Projection, Query, SelectQuery, TermPattern,
-    TriplePattern, UpdateOp, Variable,
+    TriplePattern, UpdateOp, UpdateScript, Variable,
 };
 pub use eval::{
     evaluate, evaluate_ask, evaluate_select, match_group, Binding, QueryOutcome, Solutions,

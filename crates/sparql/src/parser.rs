@@ -1,12 +1,16 @@
 //! Parser for SPARQL queries (`SELECT`, `ASK`) and SPARQL/Update
 //! operations (`INSERT DATA`, `DELETE DATA`, `MODIFY`, plus the SPARQL
 //! 1.1 `DELETE/INSERT … WHERE` spellings, normalized to `MODIFY`).
+//!
+//! The parser pulls tokens from the lexer one at a time and takes each
+//! by move, so a term's text is copied once: from the request bytes into
+//! the AST. DATA blocks become triples by moving the parsed terms.
 
 use crate::ast::{
     AskQuery, CompareOp, FilterExpr, GroupPattern, Projection, Query, SelectQuery, TermPattern,
     TriplePattern, UpdateOp, Variable,
 };
-use crate::lexer::{tokenize, LexError, Token, TokenKind};
+use crate::lexer::{LexError, Lexer, Token, TokenKind};
 use rdf::namespace::{rdf_type, xsd, PrefixMap};
 use rdf::{BlankNode, Iri, Literal, Term, Triple};
 use std::fmt;
@@ -69,7 +73,7 @@ pub fn parse_update_with_prefixes(
     p.parse_prologue()?;
     let update = p.parse_update_body()?;
     // A single trailing ';' is tolerated (SPARQL 1.1 request style).
-    let _ = p.accept_punct(";");
+    p.accept_punct(";")?;
     p.expect_eof()?;
     Ok(update)
 }
@@ -90,38 +94,39 @@ pub fn parse_update_script(input: &str, prefixes: PrefixMap) -> Result<Vec<Updat
             return Ok(ops);
         }
         ops.push(p.parse_update_body()?);
-        if !p.accept_punct(";") {
+        if !p.accept_punct(";")? {
             p.expect_eof()?;
             return Ok(ops);
         }
     }
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    // The one token of look-ahead.
+    token: Token<'a>,
     prefixes: PrefixMap,
 }
 
-impl Parser {
-    fn new(input: &str, prefixes: PrefixMap) -> Result<Self, ParseError> {
+impl<'a> Parser<'a> {
+    fn new(input: &'a str, prefixes: PrefixMap) -> Result<Self, ParseError> {
+        let mut lexer = Lexer::new(input);
+        let token = lexer.next_token()?;
         Ok(Parser {
-            tokens: tokenize(input)?,
-            pos: 0,
+            lexer,
+            token,
             prefixes,
         })
     }
 
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+    fn peek(&self) -> &Token<'a> {
+        &self.token
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.peek().clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
-        }
-        t
+    // Take the look-ahead token by move and lex the next one.
+    fn bump(&mut self) -> Result<Token<'a>, ParseError> {
+        let next = self.lexer.next_token()?;
+        Ok(std::mem::replace(&mut self.token, next))
     }
 
     fn err_here(&self, message: impl Into<String>) -> ParseError {
@@ -149,17 +154,16 @@ impl Parser {
         matches!(&self.peek().kind, TokenKind::Word(w) if w.eq_ignore_ascii_case(kw))
     }
 
-    fn accept_keyword(&mut self, kw: &str) -> bool {
-        if self.peek_keyword(kw) {
-            self.bump();
-            true
-        } else {
-            false
+    fn accept_keyword(&mut self, kw: &str) -> Result<bool, ParseError> {
+        let found = self.peek_keyword(kw);
+        if found {
+            self.bump()?;
         }
+        Ok(found)
     }
 
     fn expect_keyword(&mut self, kw: &str) -> Result<(), ParseError> {
-        if self.accept_keyword(kw) {
+        if self.accept_keyword(kw)? {
             Ok(())
         } else {
             Err(self.err_here(format!("expected {kw}, found {}", self.peek().kind)))
@@ -170,17 +174,16 @@ impl Parser {
         matches!(&self.peek().kind, TokenKind::Punct(x) if *x == p)
     }
 
-    fn accept_punct(&mut self, p: &str) -> bool {
-        if self.peek_punct(p) {
-            self.bump();
-            true
-        } else {
-            false
+    fn accept_punct(&mut self, p: &str) -> Result<bool, ParseError> {
+        let found = self.peek_punct(p);
+        if found {
+            self.bump()?;
         }
+        Ok(found)
     }
 
     fn expect_punct(&mut self, p: &str) -> Result<(), ParseError> {
-        if self.accept_punct(p) {
+        if self.accept_punct(p)? {
             Ok(())
         } else {
             Err(self.err_here(format!("expected {p:?}, found {}", self.peek().kind)))
@@ -193,10 +196,10 @@ impl Parser {
 
     fn parse_prologue(&mut self) -> Result<(), ParseError> {
         loop {
-            if self.accept_keyword("PREFIX") {
-                let token = self.bump();
+            if self.accept_keyword("PREFIX")? {
+                let token = self.bump()?;
                 let prefix = match token.kind {
-                    TokenKind::PrefixedName { prefix, local } if local.is_empty() => prefix,
+                    TokenKind::PrefixedName { prefix, local: "" } => prefix,
                     other => {
                         return Err(ParseError {
                             message: format!("expected prefix name, found {other}"),
@@ -205,7 +208,7 @@ impl Parser {
                         })
                     }
                 };
-                let token = self.bump();
+                let token = self.bump()?;
                 let ns = match token.kind {
                     TokenKind::IriRef(iri) => iri,
                     other => {
@@ -216,10 +219,14 @@ impl Parser {
                         })
                     }
                 };
-                self.prefixes.insert(prefix, ns);
-            } else if self.accept_keyword("BASE") {
+                // Re-declaring a prefix as the map already has it (clients
+                // often send the common ones) keeps the shared map.
+                if self.prefixes.namespace(prefix) != Some(ns) {
+                    self.prefixes.insert(prefix, ns);
+                }
+            } else if self.accept_keyword("BASE")? {
                 // BASE is accepted but IRIs in our fragment are absolute.
-                let token = self.bump();
+                let token = self.bump()?;
                 if !matches!(token.kind, TokenKind::IriRef(_)) {
                     return Err(ParseError {
                         message: "expected IRI after BASE".into(),
@@ -238,15 +245,15 @@ impl Parser {
     // ------------------------------------------------------------------
 
     fn parse_query_body(&mut self) -> Result<Query, ParseError> {
-        if self.accept_keyword("SELECT") {
-            let distinct = self.accept_keyword("DISTINCT");
-            let projection = if self.accept_punct("*") {
+        if self.accept_keyword("SELECT")? {
+            let distinct = self.accept_keyword("DISTINCT")?;
+            let projection = if self.accept_punct("*")? {
                 Projection::Star
             } else {
                 let mut vars: Vec<Variable> = Vec::new();
-                while let TokenKind::Variable(v) = &self.peek().kind {
-                    vars.push(v.clone());
-                    self.bump();
+                while let TokenKind::Variable(v) = self.peek().kind {
+                    vars.push(v.to_owned());
+                    self.bump()?;
                 }
                 if vars.is_empty() {
                     return Err(self.err_here("SELECT requires '*' or at least one variable"));
@@ -254,10 +261,10 @@ impl Parser {
                 Projection::Variables(vars)
             };
             // WHERE keyword is optional in SPARQL.
-            let _ = self.accept_keyword("WHERE");
+            self.accept_keyword("WHERE")?;
             let pattern = self.parse_group_pattern()?;
-            let limit = if self.accept_keyword("LIMIT") {
-                match self.bump().kind {
+            let limit = if self.accept_keyword("LIMIT")? {
+                match self.bump()?.kind {
                     TokenKind::Integer(n) if n >= 0 => Some(n as usize),
                     other => {
                         return Err(
@@ -274,8 +281,8 @@ impl Parser {
                 pattern,
                 limit,
             }))
-        } else if self.accept_keyword("ASK") {
-            let _ = self.accept_keyword("WHERE");
+        } else if self.accept_keyword("ASK")? {
+            self.accept_keyword("WHERE")?;
             let pattern = self.parse_group_pattern()?;
             Ok(Query::Ask(AskQuery { pattern }))
         } else {
@@ -288,10 +295,10 @@ impl Parser {
     // ------------------------------------------------------------------
 
     fn parse_update_body(&mut self) -> Result<UpdateOp, ParseError> {
-        if self.accept_keyword("MODIFY") {
+        if self.accept_keyword("MODIFY")? {
             // Member-submission MODIFY [ <graph> ] DELETE {..} INSERT {..} WHERE {..}
-            if let TokenKind::IriRef(_) = &self.peek().kind {
-                self.bump(); // graph IRI — single-graph store, accepted and ignored
+            if let TokenKind::IriRef(_) = self.peek().kind {
+                self.bump()?; // graph IRI — single-graph store, accepted and ignored
             }
             self.expect_keyword("DELETE")?;
             let delete = self.parse_template_block()?;
@@ -304,8 +311,8 @@ impl Parser {
                 insert,
                 pattern,
             })
-        } else if self.accept_keyword("INSERT") {
-            if self.accept_keyword("DATA") {
+        } else if self.accept_keyword("INSERT")? {
+            if self.accept_keyword("DATA")? {
                 let triples = self.parse_ground_block()?;
                 Ok(UpdateOp::InsertData { triples })
             } else {
@@ -319,11 +326,11 @@ impl Parser {
                     pattern,
                 })
             }
-        } else if self.accept_keyword("DELETE") {
-            if self.accept_keyword("DATA") {
+        } else if self.accept_keyword("DELETE")? {
+            if self.accept_keyword("DATA")? {
                 let triples = self.parse_ground_block()?;
                 Ok(UpdateOp::DeleteData { triples })
-            } else if self.accept_keyword("WHERE") {
+            } else if self.accept_keyword("WHERE")? {
                 // DELETE WHERE { pattern }: pattern doubles as template.
                 let pattern = self.parse_group_pattern()?;
                 if !pattern.filters.is_empty() {
@@ -337,7 +344,7 @@ impl Parser {
             } else {
                 // DELETE { template } [INSERT { template }] WHERE { pattern }
                 let delete = self.parse_template_block()?;
-                let insert = if self.accept_keyword("INSERT") {
+                let insert = if self.accept_keyword("INSERT")? {
                     self.parse_template_block()?
                 } else {
                     Vec::new()
@@ -355,14 +362,15 @@ impl Parser {
         }
     }
 
-    // `{ ground triples }` for INSERT DATA / DELETE DATA.
+    // `{ ground triples }` for INSERT DATA / DELETE DATA: the patterns'
+    // terms move into the triples.
     fn parse_ground_block(&mut self) -> Result<Vec<Triple>, ParseError> {
         let patterns = self.parse_triples_block(false)?;
         let mut triples = Vec::with_capacity(patterns.len());
         for p in patterns {
-            match p.to_triple() {
-                Some(t) => triples.push(t),
-                None => {
+            match p.into_triple() {
+                Ok(t) => triples.push(t),
+                Err(p) => {
                     return Err(
                         self.err_here(format!("variables are not allowed in a DATA block: {p}"))
                     )
@@ -382,16 +390,16 @@ impl Parser {
         self.expect_punct("{")?;
         let mut group = GroupPattern::default();
         loop {
-            if self.accept_punct("}") {
+            if self.accept_punct("}")? {
                 return Ok(group);
             }
-            if self.accept_keyword("FILTER") {
+            if self.accept_keyword("FILTER")? {
                 group.filters.push(self.parse_filter_constraint()?);
-                let _ = self.accept_punct(".");
+                self.accept_punct(".")?;
                 continue;
             }
             self.parse_triples_same_subject(true, &mut group.patterns)?;
-            if !self.accept_punct(".") {
+            if !self.accept_punct(".")? {
                 // A '.' is required between statements but optional
                 // before '}'.
                 if !self.peek_punct("}") && !self.peek_keyword("FILTER") {
@@ -406,17 +414,21 @@ impl Parser {
         self.expect_punct("{")?;
         let mut patterns = Vec::new();
         loop {
-            if self.accept_punct("}") {
+            if self.accept_punct("}")? {
                 return Ok(patterns);
             }
             self.parse_triples_same_subject(allow_vars, &mut patterns)?;
-            if !self.accept_punct(".") && !self.peek_punct("}") {
+            if !self.accept_punct(".")? && !self.peek_punct("}") {
                 return Err(self.err_here("expected '.' or '}'"));
             }
         }
     }
 
     // subject (predicate object (',' object)*) (';' predicate objects)*
+    //
+    // A pattern is pushed once the token after its object is known, so
+    // the subject and predicate move into their last pattern and are
+    // cloned only for the ones before it.
     fn parse_triples_same_subject(
         &mut self,
         allow_vars: bool,
@@ -428,36 +440,39 @@ impl Parser {
                 return Err(self.err_here("literal in subject position"));
             }
         }
+        let mut predicate = self.parse_predicate_pattern(allow_vars)?;
+        let mut object = self.parse_term_pattern(allow_vars)?;
         loop {
-            let predicate = self.parse_predicate_pattern(allow_vars)?;
-            loop {
-                let object = self.parse_term_pattern(allow_vars)?;
+            if self.accept_punct(",")? {
+                let next = self.parse_term_pattern(allow_vars)?;
+                let object = std::mem::replace(&mut object, next);
                 out.push(TriplePattern::new(
                     subject.clone(),
                     predicate.clone(),
                     object,
                 ));
-                if !self.accept_punct(",") {
-                    break;
-                }
+                continue;
             }
-            if self.accept_punct(";") {
-                // Tolerate a dangling ';' before '.'/'}' as in Turtle.
-                if self.peek_punct(".") || self.peek_punct("}") {
-                    return Ok(());
-                }
-            } else {
-                return Ok(());
+            // Tolerate a dangling ';' before '.'/'}' as in Turtle.
+            if self.accept_punct(";")? && !self.peek_punct(".") && !self.peek_punct("}") {
+                let next_predicate = self.parse_predicate_pattern(allow_vars)?;
+                let next_object = self.parse_term_pattern(allow_vars)?;
+                out.push(TriplePattern::new(
+                    subject.clone(),
+                    std::mem::replace(&mut predicate, next_predicate),
+                    std::mem::replace(&mut object, next_object),
+                ));
+                continue;
             }
+            out.push(TriplePattern::new(subject, predicate, object));
+            return Ok(());
         }
     }
 
     fn parse_predicate_pattern(&mut self, allow_vars: bool) -> Result<TermPattern, ParseError> {
-        if let TokenKind::Word(w) = &self.peek().kind {
-            if w == "a" {
-                self.bump();
-                return Ok(TermPattern::iri(rdf_type()));
-            }
+        if self.peek().kind == TokenKind::Word("a") {
+            self.bump()?;
+            return Ok(TermPattern::iri(rdf_type()));
         }
         let p = self.parse_term_pattern(allow_vars)?;
         match &p {
@@ -467,7 +482,7 @@ impl Parser {
     }
 
     fn parse_term_pattern(&mut self, allow_vars: bool) -> Result<TermPattern, ParseError> {
-        let token = self.bump();
+        let token = self.bump()?;
         let (line, column) = (token.line, token.column);
         let fail = |message: String| ParseError {
             message,
@@ -477,7 +492,7 @@ impl Parser {
         match token.kind {
             TokenKind::Variable(v) => {
                 if allow_vars {
-                    Ok(TermPattern::Variable(v))
+                    Ok(TermPattern::Variable(v.to_owned()))
                 } else {
                     Err(fail(format!("variable ?{v} not allowed here")))
                 }
@@ -488,28 +503,27 @@ impl Parser {
             }
             TokenKind::PrefixedName { prefix, local } => self
                 .prefixes
-                .resolve(&prefix, &local)
+                .resolve(prefix, local)
                 .map(TermPattern::iri)
                 .ok_or_else(|| fail(format!("undeclared prefix {prefix:?}"))),
             TokenKind::BlankNodeLabel(label) => {
                 Ok(TermPattern::Term(Term::Blank(BlankNode::new(label))))
             }
-            TokenKind::StringLiteral(lexical) => match &self.peek().kind {
+            TokenKind::StringLiteral(lexical) => match self.peek().kind {
                 TokenKind::LangTag(tag) => {
-                    let tag = tag.clone();
-                    self.bump();
+                    self.bump()?;
                     Ok(TermPattern::literal(Literal::lang(lexical, tag)))
                 }
                 TokenKind::DatatypeMarker => {
-                    self.bump();
-                    let token = self.bump();
+                    self.bump()?;
+                    let token = self.bump()?;
                     let dt = match token.kind {
                         TokenKind::IriRef(iri) => {
                             Iri::parse(iri).map_err(|e| fail(e.to_string()))?
                         }
                         TokenKind::PrefixedName { prefix, local } => self
                             .prefixes
-                            .resolve(&prefix, &local)
+                            .resolve(prefix, local)
                             .ok_or_else(|| fail(format!("undeclared prefix {prefix:?}")))?,
                         other => return Err(fail(format!("expected datatype IRI, found {other}"))),
                     };
@@ -547,7 +561,7 @@ impl Parser {
 
     fn parse_filter_or(&mut self) -> Result<FilterExpr, ParseError> {
         let mut left = self.parse_filter_and()?;
-        while self.accept_punct("||") {
+        while self.accept_punct("||")? {
             let right = self.parse_filter_and()?;
             left = FilterExpr::Or(Box::new(left), Box::new(right));
         }
@@ -556,7 +570,7 @@ impl Parser {
 
     fn parse_filter_and(&mut self) -> Result<FilterExpr, ParseError> {
         let mut left = self.parse_filter_unary()?;
-        while self.accept_punct("&&") {
+        while self.accept_punct("&&")? {
             let right = self.parse_filter_unary()?;
             left = FilterExpr::And(Box::new(left), Box::new(right));
         }
@@ -564,7 +578,7 @@ impl Parser {
     }
 
     fn parse_filter_unary(&mut self) -> Result<FilterExpr, ParseError> {
-        if self.accept_punct("!") {
+        if self.accept_punct("!")? {
             Ok(FilterExpr::Not(Box::new(self.parse_filter_unary()?)))
         } else {
             self.parse_filter_primary()
@@ -572,11 +586,11 @@ impl Parser {
     }
 
     fn parse_filter_primary(&mut self) -> Result<FilterExpr, ParseError> {
-        if self.accept_keyword("BOUND") {
+        if self.accept_keyword("BOUND")? {
             self.expect_punct("(")?;
-            let token = self.bump();
+            let token = self.bump()?;
             let v = match token.kind {
-                TokenKind::Variable(v) => v,
+                TokenKind::Variable(v) => v.to_owned(),
                 other => {
                     return Err(ParseError {
                         message: format!("BOUND expects a variable, found {other}"),
@@ -588,7 +602,7 @@ impl Parser {
             self.expect_punct(")")?;
             return Ok(FilterExpr::Bound(v));
         }
-        if self.accept_punct("(") {
+        if self.accept_punct("(")? {
             let inner = self.parse_filter_or()?;
             self.expect_punct(")")?;
             return Ok(inner);
@@ -603,7 +617,7 @@ impl Parser {
             TokenKind::Punct(">=") => CompareOp::Ge,
             other => return Err(self.err_here(format!("expected comparison, found {other}"))),
         };
-        self.bump();
+        self.bump()?;
         let right = self.parse_term_pattern(true)?;
         Ok(FilterExpr::Compare { op, left, right })
     }

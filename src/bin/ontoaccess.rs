@@ -227,8 +227,10 @@ fn build_endpoint(options: &Options) -> Endpoint {
     };
     // Durable boot: open-or-recover the data directory. The base
     // database only matters on a fresh directory (it becomes
-    // snapshot 0); afterwards the recovered state wins.
-    match Endpoint::open_durable(dir, base_db(), fixtures::mapping()) {
+    // snapshot 0), so it is built only there; afterwards the recovered
+    // state wins.
+    let schema = fixtures::schema();
+    match Endpoint::open_durable(dir, &schema, base_db, fixtures::mapping()) {
         Ok((endpoint, report)) => {
             let snapshot = report
                 .snapshot_seq

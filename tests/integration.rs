@@ -324,3 +324,23 @@ fn query_variable_used_for_two_properties_forces_join() {
         rdf::Term::iri("http://example.org/db/team1")
     );
 }
+
+#[test]
+fn escaped_apostrophe_is_stored_and_read_back() {
+    // SPARQL 1.1 ECHARs and code-point escapes reach the database as the
+    // characters they denote.
+    let mediator = fixtures::mediator_with_sample_data();
+    mediator
+        .execute_script(
+            r#"INSERT DATA { ex:author9 foaf:family_name "O\'Brien" ; foaf:firstName "Ren\u00e9e" . }"#,
+            true,
+        )
+        .expect("escaped literals insert");
+    let solutions = mediator
+        .select("SELECT ?last ?first WHERE { ex:author9 foaf:family_name ?last ; foaf:firstName ?first }")
+        .unwrap();
+    assert_eq!(solutions.len(), 1);
+    let row = &solutions.bindings[0];
+    assert_eq!(row["last"], rdf::Term::plain("O'Brien"));
+    assert_eq!(row["first"], rdf::Term::plain("Renée"));
+}

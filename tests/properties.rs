@@ -205,7 +205,8 @@ proptest! {
                 .unwrap();
             let (found, values) = mapping.identify(&uri).unwrap();
             prop_assert_eq!(&found.table_name, &table.table_name);
-            prop_assert_eq!(values, vec![("id".to_owned(), id.to_string())]);
+            let id = id.to_string();
+            prop_assert_eq!(values, vec![("id", id.as_str())]);
         }
     }
 
