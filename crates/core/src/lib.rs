@@ -13,7 +13,6 @@
 //! * [`feedback`] — the semantically rich feedback protocol (§3/§8)
 //! * [`mediator`] — the concurrent mediator core: a shared [`Mediator`]
 //!   handing out [`ReadSession`]s and [`WriteTxn`]s
-//! * [`endpoint`] — the single-owner facade over it (compat wrapper)
 //! * [`usecase`] — the paper's publication use case (Figs. 1-2, Table 1)
 //!
 //! # Example
@@ -43,17 +42,6 @@
 //!     .unwrap();
 //! assert_eq!(sols.len(), 1);
 //! ```
-//!
-//! The pre-concurrency facade keeps working (it wraps a [`Mediator`]):
-//!
-//! ```
-//! use ontoaccess::{usecase, Endpoint};
-//!
-//! let mut ep = Endpoint::new(usecase::database(), usecase::mapping()).unwrap();
-//! ep.execute_update("INSERT DATA { ex:team9 foaf:name \"T9\" . }")
-//!     .unwrap();
-//! assert_eq!(ep.select("SELECT ?n WHERE { ex:team9 foaf:name ?n . }").unwrap().len(), 1);
-//! ```
 
 #![warn(missing_docs)]
 // Rejections are this system's *product* (the feedback protocol turns
@@ -62,7 +50,6 @@
 #![allow(clippy::result_large_err)]
 
 pub mod convert;
-pub mod endpoint;
 pub mod error;
 pub mod feedback;
 pub mod materialize;
@@ -74,7 +61,11 @@ pub mod usecase;
 
 mod testutil;
 
-pub use endpoint::Endpoint;
+// Request-level tests of the paper's §6 endpoint, through `Mediator`.
+#[cfg(test)]
+#[path = "endpoint_tests.rs"]
+mod endpoint;
+
 pub use error::{OntoError, OntoResult};
 pub use feedback::Feedback;
 pub use materialize::materialize;

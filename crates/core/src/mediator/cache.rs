@@ -169,6 +169,9 @@ mod tests {
         assert!(m.cached_query_count() <= 3);
         assert!(m.is_query_cached(hot), "hot entry evicted by the clock");
         assert!(!m.is_query_cached("SELECT ?p WHERE { ?p ont:pubYear \"2001\" . }"));
+        // The newest cold entry survived, and the hot one still answers.
+        assert!(m.is_query_cached("SELECT ?p WHERE { ?p ont:pubYear \"2005\" . }"));
+        assert_eq!(m.select(hot).unwrap().len(), 2);
     }
 
     #[test]

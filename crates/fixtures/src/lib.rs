@@ -18,30 +18,17 @@ pub mod workload;
 
 pub use ontoaccess::usecase::{database, mapping, ontology, schema, MAP_NS, URI_PREFIX};
 
-use ontoaccess::{Endpoint, Mediator};
+use ontoaccess::Mediator;
 use rel::{Database, Value};
-
-/// An endpoint over an empty Figure-1 database.
-pub fn endpoint() -> Endpoint {
-    Endpoint::new(database(), mapping()).expect("use case mapping is valid")
-}
-
-/// An endpoint preloaded with the rows the paper's worked examples
-/// assume (teams 4/5, authors 6/7, pubtype 4, publisher 3, publication 1
-/// authored by author 6).
-pub fn endpoint_with_sample_data() -> Endpoint {
-    let mut db = database();
-    seed_paper_rows(&mut db);
-    Endpoint::new(db, mapping()).expect("use case mapping is valid")
-}
 
 /// A shared mediator over an empty Figure-1 database.
 pub fn mediator() -> Mediator {
     Mediator::new(database(), mapping()).expect("use case mapping is valid")
 }
 
-/// A shared mediator preloaded with the paper's sample rows (see
-/// [`endpoint_with_sample_data`]).
+/// A shared mediator preloaded with the rows the paper's worked
+/// examples assume (teams 4/5, authors 6/7, pubtype 4, publisher 3,
+/// publication 1 authored by author 6).
 pub fn mediator_with_sample_data() -> Mediator {
     let mut db = database();
     seed_paper_rows(&mut db);
@@ -155,21 +142,19 @@ mod tests {
 
     #[test]
     fn sample_endpoint_answers_queries() {
-        let ep = endpoint_with_sample_data();
-        let sols = ep.select("SELECT ?x WHERE { ?x a foaf:Person . }").unwrap();
+        let m = mediator_with_sample_data();
+        let sols = m.select("SELECT ?x WHERE { ?x a foaf:Person . }").unwrap();
         assert_eq!(sols.len(), 2);
     }
 
     #[test]
     fn empty_endpoint_has_empty_view() {
-        let ep = endpoint();
-        assert!(ep.materialize().unwrap().is_empty());
+        assert!(mediator().read().materialize().unwrap().is_empty());
     }
 
     #[test]
     fn seeded_counts() {
-        let ep = endpoint_with_sample_data();
-        let db = ep.database();
+        let db = mediator_with_sample_data().database();
         assert_eq!(db.row_count("team").unwrap(), 2);
         assert_eq!(db.row_count("author").unwrap(), 2);
         assert_eq!(db.row_count("publication").unwrap(), 1);

@@ -1,8 +1,8 @@
 //! SPARQL/Update and SPARQL query workload generation.
 //!
 //! Produces request *texts* (what a client would POST to the endpoint),
-//! parameterized and deterministic per seed — the input side of every
-//! benchmark in `crates/bench`.
+//! parameterized and deterministic per seed — the input side of the
+//! differential tests and the examples.
 
 use crate::data::ID_BASE;
 use rand::rngs::StdRng;
@@ -191,11 +191,11 @@ mod tests {
             ..crate::data::Spec::scaled(20)
         };
         crate::data::populate(&mut db, &spec, 1);
-        let mut ep = ontoaccess::Endpoint::new(db, crate::mapping()).unwrap();
+        let mediator = ontoaccess::Mediator::new(db, crate::mapping()).unwrap();
         let mut ok = 0;
         let mut rejected = 0;
         for update in mixed_updates(30, 20, 2) {
-            match ep.execute_update(&update) {
+            match mediator.execute_update(&update) {
                 Ok(_) => ok += 1,
                 // Deletes/modifies may target authors without email —
                 // legitimate rejections, still exercising the checker.

@@ -9,7 +9,7 @@
 use sparql_update_rdb::fixtures;
 
 fn main() {
-    let mut endpoint = fixtures::endpoint_with_sample_data();
+    let mediator = fixtures::mediator_with_sample_data();
 
     let invalid_requests = [
         (
@@ -49,7 +49,7 @@ fn main() {
     for (label, request) in invalid_requests {
         println!("=== {label} ===");
         println!("{request}");
-        let (feedback, result) = endpoint.execute_update_with_feedback(request);
+        let (feedback, result) = mediator.execute_update_with_feedback(request);
         assert!(result.is_err(), "request is meant to be rejected");
         println!("--- feedback document (Turtle):");
         println!("{}", feedback.to_turtle());
@@ -57,7 +57,7 @@ fn main() {
 
     // And one success, for contrast.
     println!("=== Valid request ===");
-    let (feedback, result) = endpoint.execute_update_with_feedback(
+    let (feedback, result) = mediator.execute_update_with_feedback(
         r#"INSERT DATA { ex:author9 foaf:family_name "Lovelace" . }"#,
     );
     assert!(result.is_ok());
@@ -66,8 +66,8 @@ fn main() {
     // Nothing from the rejected requests leaked into the database: a
     // read session over the same mediator sees the live state without
     // copying anything.
-    let check: ontoaccess::ReadSession = endpoint.mediator().read();
-    let gandalf = check
+    let gandalf = mediator
+        .read()
         .select("SELECT ?x WHERE { ?x foaf:name \"Gandalf\" . }")
         .expect("query succeeds");
     assert!(gandalf.is_empty());

@@ -1,15 +1,18 @@
 //! Regenerate every figure, table, and listing of the paper's
 //! evaluation, printing paper-expected vs. generated output side by
-//! side. The recorded results live in EXPERIMENTS.md.
+//! side. `tests/paper_listings.rs` asserts the same listings.
 //!
-//! Usage: `cargo run -p ontoaccess-bench --bin experiments [-- FILTER]`
+//! Run with: `cargo run --release --example paper_experiments [-- FILTER]`
 //! where FILTER is an optional experiment id (`fig1`, `fig2`, `table1`,
 //! `mapping`, `l9`, `l13`, `l15`, `l17`, `l11`, `branches`). Without a
 //! filter all experiments run.
 
-use ontoaccess::Endpoint;
-use rdf::namespace::{rdf_type, PrefixMap};
-use rdf::Term;
+use sparql_update_rdb::fixtures;
+use sparql_update_rdb::ontoaccess::Mediator;
+use sparql_update_rdb::r3m;
+use sparql_update_rdb::rdf;
+use sparql_update_rdb::rdf::namespace::{rdf_type, PrefixMap};
+use sparql_update_rdb::rdf::Term;
 
 fn main() {
     let filter: Option<String> = std::env::args().nth(1);
@@ -53,12 +56,12 @@ fn heading(id: &str, title: &str) {
     println!("================================================================");
 }
 
-fn run_and_print(ep: &mut Endpoint, request: &str) -> Vec<String> {
+fn run_and_print(mediator: &Mediator, request: &str) -> Vec<String> {
     println!("-- request:");
     for line in request.trim().lines() {
         println!("   {}", line.trim());
     }
-    match ep.execute_update(request) {
+    match mediator.execute_update(request) {
         Ok(outcome) => {
             println!(
                 "-- generated SQL ({} statement(s)):",
@@ -185,13 +188,14 @@ fn mapping_listings() {
 
 fn listing_9() {
     heading("l9", "Listing 9 → Listing 10: INSERT DATA for author6");
-    let mut ep = fixtures::endpoint();
-    ep.execute_update(
-        r#"INSERT DATA { ex:team5 foaf:name "Software Engineering" ; ont:teamCode "SEAL" . }"#,
-    )
-    .expect("seed team 5");
+    let mediator = fixtures::mediator();
+    mediator
+        .execute_update(
+            r#"INSERT DATA { ex:team5 foaf:name "Software Engineering" ; ont:teamCode "SEAL" . }"#,
+        )
+        .expect("seed team 5");
     let generated = run_and_print(
-        &mut ep,
+        &mediator,
         r#"INSERT DATA {
              ex:author6 foaf:title "Mr" ;
                foaf:firstName "Matthias" ;
@@ -208,9 +212,9 @@ fn listing_9() {
 
 fn listing_13() {
     heading("l13", "Listing 13 → Listing 14: INSERT DATA for team4");
-    let mut ep = fixtures::endpoint();
+    let mediator = fixtures::mediator();
     let generated = run_and_print(
-        &mut ep,
+        &mediator,
         r#"INSERT DATA {
              ex:team4 foaf:name "Database Technology" ;
                ont:teamCode "DBTG" .
@@ -226,9 +230,9 @@ fn listing_15() {
         "l15",
         "Listing 15 → Listing 16: complete dataset, FK-sorted",
     );
-    let mut ep = fixtures::endpoint();
+    let mediator = fixtures::mediator();
     let generated = run_and_print(
-        &mut ep,
+        &mediator,
         r#"INSERT DATA {
              ex:pub12 dc:title "Relational Databases as Semantic Web Endpoints" ;
                ont:pubYear "2009" ;
@@ -290,9 +294,9 @@ fn listing_17() {
         "l17",
         "Listing 17 → Listing 18: DELETE DATA removing the email",
     );
-    let mut ep = fixtures::endpoint_with_sample_data();
+    let mediator = fixtures::mediator_with_sample_data();
     let generated = run_and_print(
-        &mut ep,
+        &mediator,
         r#"DELETE DATA { ex:author6 foaf:mbox <mailto:hert@ifi.uzh.ch> . }"#,
     );
     let expected = "UPDATE author SET email = NULL WHERE id = 6 AND email = 'hert@ifi.uzh.ch';";
@@ -302,9 +306,9 @@ fn listing_17() {
 
 fn listing_11() {
     heading("l11", "Listing 11 → Listing 12: MODIFY replacing the email");
-    let mut ep = fixtures::endpoint_with_sample_data();
+    let mediator = fixtures::mediator_with_sample_data();
     run_and_print(
-        &mut ep,
+        &mediator,
         r#"MODIFY
            DELETE { ?x foaf:mbox ?mbox . }
            INSERT { ?x foaf:mbox <mailto:hert@example.com> . }
@@ -327,26 +331,26 @@ fn state_dependent_branches() {
         "branches",
         "§5.1 state-dependent translation: INSERT→UPDATE and DELETE→DELETE branches",
     );
-    let mut ep = fixtures::endpoint();
+    let mediator = fixtures::mediator();
     println!("\n(a) first INSERT DATA creates the row:");
     run_and_print(
-        &mut ep,
+        &mediator,
         r#"INSERT DATA { ex:author9 foaf:family_name "Gall" . }"#,
     );
     println!("\n(b) second INSERT DATA on the same subject becomes UPDATE:");
     run_and_print(
-        &mut ep,
+        &mediator,
         r#"INSERT DATA { ex:author9 foaf:firstName "Harald" ;
              foaf:mbox <mailto:gall@ifi.uzh.ch> . }"#,
     );
     println!("\n(c) DELETE DATA of a subset becomes UPDATE … = NULL:");
     run_and_print(
-        &mut ep,
+        &mediator,
         r#"DELETE DATA { ex:author9 foaf:mbox <mailto:gall@ifi.uzh.ch> . }"#,
     );
     println!("\n(d) DELETE DATA of all remaining data becomes DELETE FROM:");
     run_and_print(
-        &mut ep,
+        &mediator,
         r#"DELETE DATA { ex:author9 a foaf:Person ;
              foaf:family_name "Gall" ; foaf:firstName "Harald" . }"#,
     );

@@ -10,7 +10,7 @@
 use sparql_update_rdb::fixtures;
 
 fn main() {
-    let mut endpoint = fixtures::endpoint();
+    let mediator = fixtures::mediator();
 
     // One atomic INSERT DATA covering publication + author + team +
     // pubtype + publisher + authorship (the paper's Listing 15).
@@ -35,7 +35,7 @@ fn main() {
 
         ex:publisher3 ont:name "Springer" .
     }"#;
-    let outcome = endpoint.execute_update(listing_15).expect("valid insert");
+    let outcome = mediator.execute_update(listing_15).expect("valid insert");
     println!(
         "executed {} SQL statements, FK-sorted:",
         outcome.statements_executed
@@ -46,20 +46,21 @@ fn main() {
 
     // Grow the catalog with generated entries.
     for base in [20, 21, 22] {
-        endpoint
+        mediator
             .execute_update(&fixtures::workload::insert_complete_dataset(base))
             .expect("generated dataset inserts are valid");
     }
+    let db = mediator.database();
     println!(
         "\ncatalog now holds {} publications, {} authors, {} authorship links",
-        endpoint.database().row_count("publication").unwrap(),
-        endpoint.database().row_count("author").unwrap(),
-        endpoint.database().row_count("publication_author").unwrap(),
+        db.row_count("publication").unwrap(),
+        db.row_count("author").unwrap(),
+        db.row_count("publication_author").unwrap(),
     );
 
     // Cross-entity query: publications with their creators' last names.
     println!("\n=== Catalog listing (publication ↔ creator join) ===");
-    let solutions = endpoint
+    let solutions = mediator
         .select(
             "SELECT ?title ?last WHERE { \
                ?p dc:title ?title ; dc:creator ?a . \
@@ -73,7 +74,7 @@ fn main() {
     // A correction via MODIFY: Springer was wrong for pub20; re-point it
     // at publisher 21 (created by the generated dataset for base 21).
     println!("\n=== MODIFY — move pub20 to a different publisher ===");
-    let outcome = endpoint
+    let outcome = mediator
         .execute_update(
             r#"MODIFY
                DELETE { ex:pub20 dc:publisher ?pub . }
@@ -90,7 +91,7 @@ fn main() {
 
     // Year-filtered query.
     println!("\n=== Publications since 2009 ===");
-    let solutions = endpoint
+    let solutions = mediator
         .select("SELECT ?p ?y WHERE { ?p ont:pubYear ?y . FILTER (?y >= 2009) }")
         .expect("filter query succeeds");
     println!("    {} result(s)", solutions.len());

@@ -10,8 +10,8 @@ fn main() {
     // Figure 1 schema + Table 1 mapping; team 5 ("Software Engineering")
     // is among the preloaded sample rows, as Listing 9 assumes. We first
     // remove the preloaded author6 so Listing 9 inserts a fresh entity.
-    let mut endpoint = fixtures::endpoint_with_sample_data();
-    endpoint
+    let mediator = fixtures::mediator_with_sample_data();
+    mediator
         .execute_update(
             r#"DELETE DATA {
                  ex:author6 a foaf:Person ;
@@ -54,7 +54,7 @@ fn main() {
     for (label, request) in requests {
         println!("=== {label} ===");
         println!("{}", request.trim());
-        match endpoint.execute_update(request) {
+        match mediator.execute_update(request) {
             Ok(outcome) => {
                 println!(
                     "--- translated SQL ({} statement(s)):",
@@ -71,7 +71,7 @@ fn main() {
 
     // Read back through the SPARQL interface.
     println!("=== SELECT — who is in team SEAL? ===");
-    let solutions = endpoint
+    let solutions = mediator
         .select("SELECT ?name WHERE { ?x ont:team ex:team5 ; foaf:family_name ?name . }")
         .expect("query succeeds");
     for binding in &solutions.bindings {
@@ -79,6 +79,9 @@ fn main() {
     }
 
     println!("\n=== RDF view of the whole database (Turtle) ===");
-    let graph = endpoint.materialize().expect("materialization succeeds");
-    println!("{}", rdf::turtle::write(&graph, endpoint.prefixes()));
+    let graph = mediator
+        .read()
+        .materialize()
+        .expect("materialization succeeds");
+    println!("{}", rdf::turtle::write(&graph, mediator.prefixes()));
 }

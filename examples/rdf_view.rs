@@ -13,12 +13,15 @@ use sparql_update_rdb::rdf;
 use sparql_update_rdb::sparql;
 
 fn main() {
-    let mut endpoint = fixtures::endpoint_with_sample_data();
-    let mut native = endpoint.materialize().expect("materialization succeeds");
+    let mediator = fixtures::mediator_with_sample_data();
+    let mut native = mediator
+        .read()
+        .materialize()
+        .expect("materialization succeeds");
     println!(
         "start: RDF view holds {} triples across {} tables",
         native.len(),
-        endpoint.database().schema().len()
+        mediator.database().schema().len()
     );
 
     let updates = [
@@ -40,12 +43,15 @@ fn main() {
     ];
 
     for (i, update) in updates.iter().enumerate() {
-        endpoint.execute_update(update).expect("valid update");
-        let op = sparql::parse_update_with_prefixes(update, endpoint.prefixes().clone())
+        mediator.execute_update(update).expect("valid update");
+        let op = sparql::parse_update_with_prefixes(update, mediator.prefixes().clone())
             .expect("parses");
         sparql::apply(&mut native, &op).expect("native update succeeds");
 
-        let materialized = endpoint.materialize().expect("materialization succeeds");
+        let materialized = mediator
+            .read()
+            .materialize()
+            .expect("materialization succeeds");
         assert_eq!(
             materialized, native,
             "the two views diverged after update {i}"
@@ -68,10 +74,10 @@ fn main() {
     // conceptual gap of §3 in one picture.
     let invalid = r#"INSERT DATA { ex:author10 foaf:firstName "NoLastName" . }"#;
     let op =
-        sparql::parse_update_with_prefixes(invalid, endpoint.prefixes().clone()).expect("parses");
+        sparql::parse_update_with_prefixes(invalid, mediator.prefixes().clone()).expect("parses");
     let mut free_store = native.clone();
     sparql::apply(&mut free_store, &op).expect("native store takes anything");
-    let rejected = endpoint.execute_update(invalid).is_err();
+    let rejected = mediator.execute_update(invalid).is_err();
     println!(
         "\nconstraint gap: native store accepted the lastname-less author, \
          mediator rejected it: {rejected}"

@@ -43,9 +43,10 @@
 
 use std::io::{BufRead, Write};
 
+use sparql_update_rdb::dur;
 use sparql_update_rdb::fixtures;
 use sparql_update_rdb::obs;
-use sparql_update_rdb::ontoaccess::Endpoint;
+use sparql_update_rdb::ontoaccess::Mediator;
 use sparql_update_rdb::ontoaccess_server::{serve, ServerConfig};
 use sparql_update_rdb::rdf;
 use sparql_update_rdb::repl;
@@ -57,12 +58,11 @@ fn main() {
         run_replica(leader, &options);
         return;
     }
-    let endpoint = build_endpoint(&options);
+    let mediator = build_mediator(&options);
     if let Some(addr) = &options.serve {
-        run_server(endpoint, addr, &options);
+        run_server(mediator, addr, &options);
         return;
     }
-    let mut endpoint = endpoint;
     println!("OntoAccess console — publication database ready.");
     println!("Enter SPARQL/Update or SPARQL queries (finish with an empty line).");
     println!("Commands: .help .dump .tables .sql <stmt> .quit");
@@ -80,12 +80,12 @@ fn main() {
             continue;
         }
         if let Some(command) = trimmed.strip_prefix('.') {
-            if !run_command(&mut endpoint, command) {
+            if !run_command(&mediator, command) {
                 return;
             }
             continue;
         }
-        dispatch(&mut endpoint, trimmed);
+        dispatch(&mediator, trimmed);
     }
 }
 
@@ -120,68 +120,40 @@ impl Options {
             match arg.as_str() {
                 "--empty" => options.empty = true,
                 "--populate" => {
-                    options.populate = iter.next().and_then(|v| v.parse().ok()).or(Some(100));
+                    options.populate = Some(number(&mut iter, arg, "a publication count (usize)"))
                 }
-                "--seed" => {
-                    if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                        options.seed = v;
+                "--seed" => options.seed = number(&mut iter, arg, "a seed (u64)"),
+                "--serve" => {
+                    let addr = value(&mut iter, arg, "an address, e.g. --serve 127.0.0.1:7878");
+                    options.serve = Some(addr.to_owned());
+                }
+                "--workers" => options.workers = number(&mut iter, arg, "a worker count (usize)"),
+                "--data-dir" => {
+                    let dir = value(&mut iter, arg, "a directory, e.g. --data-dir ./data");
+                    options.data_dir = Some(dir.to_owned());
+                }
+                "--replicate-from" => {
+                    let leader = value(
+                        &mut iter,
+                        arg,
+                        "the leader address, e.g. --replicate-from 127.0.0.1:7878",
+                    );
+                    options.replicate_from = Some(leader.to_owned());
+                }
+                "--log-level" => {
+                    let level = value(&mut iter, arg, "a level: error, warn, info, debug or off");
+                    if let Err(e) = obs::set_log_filter_str(level) {
+                        eprintln!("--log-level: {e}");
+                        std::process::exit(2);
                     }
                 }
-                "--serve" => match iter.next() {
-                    Some(addr) => options.serve = Some(addr.clone()),
-                    None => {
-                        eprintln!("--serve needs an address, e.g. --serve 127.0.0.1:7878");
-                        std::process::exit(2);
-                    }
-                },
-                "--workers" => {
-                    if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                        options.workers = v;
-                    }
+                "--slow-query-ms" => {
+                    options.slow_query_ms =
+                        number(&mut iter, arg, "a threshold in milliseconds (u64)")
                 }
-                "--data-dir" => match iter.next() {
-                    Some(dir) => options.data_dir = Some(dir.clone()),
-                    None => {
-                        eprintln!("--data-dir needs a directory, e.g. --data-dir ./data");
-                        std::process::exit(2);
-                    }
-                },
-                "--replicate-from" => match iter.next() {
-                    Some(addr) => options.replicate_from = Some(addr.clone()),
-                    None => {
-                        eprintln!(
-                            "--replicate-from needs the leader address, \
-                             e.g. --replicate-from 127.0.0.1:7878"
-                        );
-                        std::process::exit(2);
-                    }
-                },
-                "--log-level" => match iter.next() {
-                    Some(level) => {
-                        if let Err(e) = obs::set_log_filter_str(level) {
-                            eprintln!("--log-level: {e}");
-                            std::process::exit(2);
-                        }
-                    }
-                    None => {
-                        eprintln!("--log-level needs a level: error, warn, info, debug or off");
-                        std::process::exit(2);
-                    }
-                },
-                "--slow-query-ms" => match iter.next().and_then(|v| v.parse().ok()) {
-                    Some(ms) => options.slow_query_ms = ms,
-                    None => {
-                        eprintln!("--slow-query-ms needs a threshold in milliseconds (u64)");
-                        std::process::exit(2);
-                    }
-                },
-                "--slow-query-capacity" => match iter.next().and_then(|v| v.parse().ok()) {
-                    Some(n) => options.slow_query_capacity = n,
-                    None => {
-                        eprintln!("--slow-query-capacity needs an entry count (usize)");
-                        std::process::exit(2);
-                    }
-                },
+                "--slow-query-capacity" => {
+                    options.slow_query_capacity = number(&mut iter, arg, "an entry count (usize)")
+                }
                 other => {
                     eprintln!(
                         "unknown argument {other:?} (supported: --empty, --populate N, \
@@ -210,7 +182,29 @@ impl Options {
     }
 }
 
-fn build_endpoint(options: &Options) -> Endpoint {
+// The value after `flag`; a missing one exits 2.
+fn value<'a>(args: &mut std::slice::Iter<'a, String>, flag: &str, what: &str) -> &'a str {
+    let Some(value) = args.next() else {
+        eprintln!("{flag} needs {what}");
+        std::process::exit(2);
+    };
+    value
+}
+
+// The value after a numeric flag; a missing or malformed one exits 2.
+fn number<T: std::str::FromStr>(
+    args: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+    what: &str,
+) -> T {
+    let value = value(args, flag, what);
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("{flag} needs {what}, got {value:?}");
+        std::process::exit(2)
+    })
+}
+
+fn build_mediator(options: &Options) -> Mediator {
     let base_db = || {
         if let Some(n) = options.populate {
             fixtures::data::populated_database(n, options.seed)
@@ -223,30 +217,30 @@ fn build_endpoint(options: &Options) -> Endpoint {
         }
     };
     let Some(dir) = &options.data_dir else {
-        return Endpoint::new(base_db(), fixtures::mapping()).expect("use case mapping is valid");
+        return Mediator::new(base_db(), fixtures::mapping()).expect("use case mapping is valid");
     };
     // Durable boot: open-or-recover the data directory. The base
     // database only matters on a fresh directory (it becomes
     // snapshot 0), so it is built only there; afterwards the recovered
     // state wins.
-    let schema = fixtures::schema();
-    match Endpoint::open_durable(dir, &schema, base_db, fixtures::mapping()) {
-        Ok((endpoint, report)) => {
-            let snapshot = report
-                .snapshot_seq
-                .map_or_else(|| "none".to_owned(), |seq| seq.to_string());
-            println!(
-                "data dir {dir}: snapshot {snapshot}, {} commit(s) replayed, \
-                 {} row op(s), {} torn byte(s) truncated",
-                report.commits_replayed, report.rows_replayed, report.truncated_bytes
-            );
-            endpoint
-        }
+    let opened = match dur::Durability::open_with(dir, &fixtures::schema(), base_db) {
+        Ok(opened) => opened,
         Err(e) => {
             eprintln!("cannot open data dir {dir}: {e}");
             std::process::exit(1);
         }
-    }
+    };
+    let report = &opened.report;
+    let snapshot = report
+        .snapshot_seq
+        .map_or_else(|| "none".to_owned(), |seq| seq.to_string());
+    println!(
+        "data dir {dir}: snapshot {snapshot}, {} commit(s) replayed, \
+         {} row op(s), {} torn byte(s) truncated",
+        report.commits_replayed, report.rows_replayed, report.truncated_bytes
+    );
+    Mediator::with_durability(opened.db, fixtures::mapping(), opened.durability)
+        .expect("use case mapping is valid")
 }
 
 // `--replicate-from`: bootstrap a read replica from the leader's
@@ -297,14 +291,14 @@ fn run_replica(leader: &str, options: &Options) {
 }
 
 // `--serve`: boot the SPARQL 1.1 Protocol server and run foreground.
-fn run_server(endpoint: Endpoint, addr: &str, options: &Options) {
+fn run_server(mediator: Mediator, addr: &str, options: &Options) {
     let config = ServerConfig {
         workers: options.workers.max(1),
         slow_query_ms: options.slow_query_ms,
         slow_query_capacity: options.slow_query_capacity,
         ..ServerConfig::default()
     };
-    let handle = match serve(endpoint.into_mediator(), addr, config) {
+    let handle = match serve(mediator, addr, config) {
         Ok(handle) => handle,
         Err(e) => {
             eprintln!("cannot bind {addr}: {e}");
@@ -347,7 +341,7 @@ fn read_request(lines: &mut impl Iterator<Item = std::io::Result<String>>) -> Op
     }
 }
 
-fn run_command(endpoint: &mut Endpoint, command: &str) -> bool {
+fn run_command(mediator: &Mediator, command: &str) -> bool {
     let (name, rest) = command
         .split_once(char::is_whitespace)
         .unwrap_or((command, ""));
@@ -360,16 +354,17 @@ fn run_command(endpoint: &mut Endpoint, command: &str) -> bool {
             println!(".quit         leave the console");
             println!("anything else is parsed as SPARQL/Update or SPARQL.");
         }
-        "dump" => match endpoint.materialize() {
-            Ok(graph) => println!("{}", rdf::turtle::write(&graph, endpoint.prefixes())),
+        "dump" => match mediator.read().materialize() {
+            Ok(graph) => println!("{}", rdf::turtle::write(&graph, mediator.prefixes())),
             Err(e) => println!("error: {e}"),
         },
         "tables" => {
-            for table in endpoint.database().schema().tables() {
+            let db = mediator.database();
+            for table in db.schema().tables() {
                 println!(
                     "{:<24} {:>6} rows",
                     table.name,
-                    endpoint.database().row_count(&table.name).unwrap_or(0)
+                    db.row_count(&table.name).unwrap_or(0)
                 );
             }
         }
@@ -377,14 +372,14 @@ fn run_command(endpoint: &mut Endpoint, command: &str) -> bool {
         // test-support hatch the fixtures use, deliberately not part of
         // the documented mediator surface.
         "sql" => {
-            if endpoint.mediator().is_durable() {
+            if mediator.is_durable() {
                 println!(
                     "note: .sql bypasses the mediator, so these changes skip the \
                      write-ahead log and are lost on restart (they persist only if \
                      a later snapshot captures them)"
                 );
             }
-            match rel::sql::execute_sql(&mut endpoint.database_mut_for_tests(), rest) {
+            match rel::sql::execute_sql(&mut mediator.database_mut_for_tests(), rest) {
                 Ok(rel::sql::ExecOutcome::Affected(n)) => println!("{n} row(s) affected"),
                 Ok(rel::sql::ExecOutcome::Rows(rs)) => print_result_set(&rs),
                 Err(e) => println!("error: {e}"),
@@ -395,9 +390,9 @@ fn run_command(endpoint: &mut Endpoint, command: &str) -> bool {
     true
 }
 
-fn dispatch(endpoint: &mut Endpoint, request: &str) {
+fn dispatch(mediator: &Mediator, request: &str) {
     if first_word_is_query(request) {
-        match endpoint.execute_query(request) {
+        match mediator.read().execute_query(request) {
             Ok(sparql::QueryOutcome::Boolean(b)) => println!("ASK → {b}"),
             Ok(sparql::QueryOutcome::Solutions(solutions)) => {
                 println!(
@@ -412,7 +407,7 @@ fn dispatch(endpoint: &mut Endpoint, request: &str) {
                         .map(|v| {
                             binding
                                 .get(v)
-                                .map(|t| rdf::turtle::render_term(t, endpoint.prefixes()))
+                                .map(|t| rdf::turtle::render_term(t, mediator.prefixes()))
                                 .unwrap_or_else(|| "—".into())
                         })
                         .collect();
@@ -422,7 +417,7 @@ fn dispatch(endpoint: &mut Endpoint, request: &str) {
             Err(e) => println!("error: {e}"),
         }
     } else {
-        let (feedback, result) = endpoint.execute_update_with_feedback(request);
+        let (feedback, result) = mediator.execute_update_with_feedback(request);
         if let Ok(outcome) = &result {
             println!("-- SQL executed:");
             for stmt in &outcome.statements {

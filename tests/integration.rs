@@ -1,21 +1,21 @@
 //! Cross-crate integration tests: mapping documents loaded from Turtle
-//! drive the endpoint, the generator's mappings are usable end to end,
+//! drive the mediator, the generator's mappings are usable end to end,
 //! mixed workloads keep the two views consistent, and failures are
 //! atomic.
 
 use rdf::namespace::{foaf, PrefixMap};
 use sparql_update_rdb::fixtures;
-use sparql_update_rdb::ontoaccess::{Endpoint, OntoError};
+use sparql_update_rdb::ontoaccess::{Mediator, OntoError};
 
 #[test]
 fn endpoint_from_turtle_mapping_document() {
     // Serialize the use case mapping to Turtle, reload it, and run the
-    // paper's Listing 13 through an endpoint built from the reloaded
+    // paper's Listing 13 through a mediator built from the reloaded
     // document — the full external-configuration path.
     let text = r3m::to_turtle(&fixtures::mapping());
     let mapping = r3m::from_turtle(&text).expect("serialized mapping reloads");
-    let mut ep = Endpoint::new(fixtures::database(), mapping).expect("mapping validates");
-    let outcome = ep
+    let mediator = Mediator::new(fixtures::database(), mapping).expect("mapping validates");
+    let outcome = mediator
         .execute_update(
             r#"INSERT DATA { ex:team4 foaf:name "Database Technology" ; ont:teamCode "DBTG" . }"#,
         )
@@ -32,13 +32,15 @@ fn generated_mapping_is_executable() {
         .class_override("author", foaf::Person())
         .property_override("author", "lastname", foaf::family_name());
     let mapping = r3m::generate(&fixtures::schema(), &config).expect("generation succeeds");
-    let mut ep = Endpoint::new(fixtures::database(), mapping).expect("generated mapping is valid");
-    ep.execute_update(
-        "PREFIX foaf: <http://xmlns.com/foaf/0.1/>\n\
+    let mediator =
+        Mediator::new(fixtures::database(), mapping).expect("generated mapping is valid");
+    mediator
+        .execute_update(
+            "PREFIX foaf: <http://xmlns.com/foaf/0.1/>\n\
          INSERT DATA { <http://example.org/db/author3> foaf:family_name \"Turing\" . }",
-    )
-    .expect("update through generated mapping");
-    assert_eq!(ep.database().row_count("author").unwrap(), 1);
+        )
+        .expect("update through generated mapping");
+    assert_eq!(mediator.database().row_count("author").unwrap(), 1);
 }
 
 #[test]
@@ -52,24 +54,24 @@ fn mixed_workload_preserves_view_consistency() {
         ..fixtures::data::Spec::scaled(30)
     };
     fixtures::data::populate(&mut db, &spec, 17);
-    let mut ep = Endpoint::new(db, fixtures::mapping()).unwrap();
+    let mediator = Mediator::new(db, fixtures::mapping()).unwrap();
 
     let mut accepted = 0;
     for update in fixtures::workload::mixed_updates(120, 30, 18) {
-        if ep.execute_update(&update).is_ok() {
+        if mediator.execute_update(&update).is_ok() {
             accepted += 1;
         }
     }
     assert!(accepted >= 60, "workload mostly succeeds (got {accepted})");
 
-    let graph = ep.materialize().unwrap();
+    let graph = mediator.read().materialize().unwrap();
     for q in [
         "SELECT ?x ?n WHERE { ?x foaf:family_name ?n . }",
         "SELECT ?x ?m WHERE { ?x foaf:mbox ?m . }",
         "SELECT ?x ?c WHERE { ?x ont:team ?t . ?t ont:teamCode ?c . }",
     ] {
-        let mut relational = ep.select(q).unwrap();
-        let query = sparql::parse_query_with_prefixes(q, ep.prefixes().clone()).unwrap();
+        let mut relational = mediator.select(q).unwrap();
+        let query = sparql::parse_query_with_prefixes(q, mediator.prefixes().clone()).unwrap();
         let sparql::Query::Select(select) = query else {
             panic!()
         };
@@ -85,15 +87,15 @@ fn failed_multi_statement_operation_is_atomic() {
     // A Listing 15-style insert whose last statement violates a
     // constraint (duplicate publication id) must leave no trace of the
     // earlier statements.
-    let mut ep = fixtures::endpoint_with_sample_data();
+    let mediator = fixtures::mediator_with_sample_data();
     let before_counts: Vec<usize> = ["team", "author", "publication", "publisher"]
         .iter()
-        .map(|t| ep.database().row_count(t).unwrap())
+        .map(|t| mediator.database().row_count(t).unwrap())
         .collect();
     // pub1 already exists with a different title → AttributeAlreadySet
     // during checking; craft instead a deeper failure: author with a
     // fresh id but a PK collision on the publication.
-    let err = ep
+    let err = mediator
         .execute_update(
             r#"INSERT DATA {
                  ex:team40 foaf:name "Fresh Team" .
@@ -104,7 +106,7 @@ fn failed_multi_statement_operation_is_atomic() {
     assert!(matches!(err, OntoError::AttributeAlreadySet { .. }));
     let after_counts: Vec<usize> = ["team", "author", "publication", "publisher"]
         .iter()
-        .map(|t| ep.database().row_count(t).unwrap())
+        .map(|t| mediator.database().row_count(t).unwrap())
         .collect();
     assert_eq!(before_counts, after_counts, "no partial effects");
 }
@@ -113,8 +115,8 @@ fn failed_multi_statement_operation_is_atomic() {
 fn delete_respects_restrict_and_reports_database_error() {
     // team 5 is referenced by two authors: removing the row must fail
     // at the engine level (RESTRICT) and leave everything unchanged.
-    let mut ep = fixtures::endpoint_with_sample_data();
-    let err = ep
+    let mediator = fixtures::mediator_with_sample_data();
+    let err = mediator
         .execute_update(
             r#"DELETE DATA { ex:team5 a foaf:Group ;
                  foaf:name "Software Engineering" ; ont:teamCode "SEAL" . }"#,
@@ -124,27 +126,29 @@ fn delete_respects_restrict_and_reports_database_error() {
         err,
         OntoError::Database(rel::RelError::RestrictViolation { .. })
     ));
-    assert_eq!(ep.database().row_count("team").unwrap(), 2);
+    assert_eq!(mediator.database().row_count("team").unwrap(), 2);
 
     // Detach the authors first, then the delete goes through.
-    ep.execute_update(
-        r#"MODIFY DELETE { ?x ont:team ?t . } INSERT { }
+    mediator
+        .execute_update(
+            r#"MODIFY DELETE { ?x ont:team ?t . } INSERT { }
            WHERE { ?x ont:team ex:team5 . ?x ont:team ?t . }"#,
-    )
-    .unwrap();
-    ep.execute_update(
-        r#"DELETE DATA { ex:team5 a foaf:Group ;
+        )
+        .unwrap();
+    mediator
+        .execute_update(
+            r#"DELETE DATA { ex:team5 a foaf:Group ;
              foaf:name "Software Engineering" ; ont:teamCode "SEAL" . }"#,
-    )
-    .unwrap();
-    assert_eq!(ep.database().row_count("team").unwrap(), 1);
+        )
+        .unwrap();
+    assert_eq!(mediator.database().row_count("team").unwrap(), 1);
 }
 
 #[test]
 fn sql_surface_round_trips_through_rel_parser() {
     // Every statement the mediator emits is parseable SQL (the contract
     // with a real RDB driver).
-    let mut ep = fixtures::endpoint_with_sample_data();
+    let mediator = fixtures::mediator_with_sample_data();
     let updates = [
         r#"INSERT DATA { ex:author30 foaf:family_name "Ritchie" ; ont:team ex:team5 . }"#,
         r#"DELETE DATA { ex:author30 ont:team ex:team5 . }"#,
@@ -153,7 +157,7 @@ fn sql_surface_round_trips_through_rel_parser() {
            WHERE { ?x foaf:family_name "Hert" ; foaf:mbox ?m . }"#,
     ];
     for update in updates {
-        let outcome = ep.execute_update(update).expect("valid update");
+        let outcome = mediator.execute_update(update).expect("valid update");
         for stmt in &outcome.statements {
             rel::sql::parse(&stmt.to_string()).expect("emitted SQL parses");
         }
@@ -192,9 +196,9 @@ fn ontology_and_mapping_agree_on_property_ranges() {
 
 #[test]
 fn queries_with_common_prefixes_work_out_of_the_box() {
-    let ep = fixtures::endpoint_with_sample_data();
-    // No PREFIX declarations needed: endpoint preloads common ones.
-    let sols = ep
+    let mediator = fixtures::mediator_with_sample_data();
+    // No PREFIX declarations needed: the mediator preloads common ones.
+    let sols = mediator
         .select("SELECT ?name WHERE { ?t ont:teamCode \"SEAL\" ; foaf:name ?name . }")
         .unwrap();
     assert_eq!(sols.len(), 1);
@@ -204,14 +208,15 @@ fn queries_with_common_prefixes_work_out_of_the_box() {
 #[test]
 fn modify_with_filter_in_where_clause() {
     // FILTER flows through Algorithm 2's SELECT translation.
-    let mut ep = fixtures::endpoint();
+    let mediator = fixtures::mediator();
     for base in [30, 31, 32] {
-        ep.execute_update(&fixtures::workload::insert_complete_dataset(base))
+        mediator
+            .execute_update(&fixtures::workload::insert_complete_dataset(base))
             .unwrap();
     }
     // Bump the year only for publications whose year >= 2009 (all of
     // them) AND title is "Publication 31".
-    let outcome = ep
+    let outcome = mediator
         .execute_update(
             r#"MODIFY
                DELETE { ?p ont:pubYear ?y . }
@@ -220,7 +225,7 @@ fn modify_with_filter_in_where_clause() {
         )
         .unwrap();
     assert_eq!(outcome.statements_executed, 1);
-    let sols = ep
+    let sols = mediator
         .select(r#"SELECT ?p WHERE { ?p ont:pubYear ?y . FILTER (?y = 2010) }"#)
         .unwrap();
     assert_eq!(sols.len(), 1);
@@ -231,8 +236,8 @@ fn deleting_full_entity_with_its_links_in_one_operation() {
     // Remove publication 1 entirely: its attribute triples, type triple,
     // and creator link in one DELETE DATA. The sort must run the link
     // delete before the row delete.
-    let mut ep = fixtures::endpoint_with_sample_data();
-    let outcome = ep
+    let mediator = fixtures::mediator_with_sample_data();
+    let outcome = mediator
         .execute_update(
             r#"DELETE DATA {
                  ex:pub1 a foaf:Document ;
@@ -254,16 +259,19 @@ fn deleting_full_entity_with_its_links_in_one_operation() {
         .position(|s| s.starts_with("DELETE FROM publication "))
         .expect("row delete present");
     assert!(link_pos < row_pos, "children first: {rendered:?}");
-    assert_eq!(ep.database().row_count("publication").unwrap(), 0);
-    assert_eq!(ep.database().row_count("publication_author").unwrap(), 0);
+    assert_eq!(mediator.database().row_count("publication").unwrap(), 0);
+    assert_eq!(
+        mediator.database().row_count("publication_author").unwrap(),
+        0
+    );
 }
 
 #[test]
 fn describe_matches_materialized_subgraph() {
-    let ep = fixtures::endpoint_with_sample_data();
+    let mediator = fixtures::mediator_with_sample_data();
     let uri = rdf::Iri::parse("http://example.org/db/team5").unwrap();
-    let description = ep.describe(&uri).unwrap();
-    let full = ep.materialize().unwrap();
+    let description = mediator.read().describe(&uri).unwrap();
+    let full = mediator.read().materialize().unwrap();
     // Every described triple is in the full view…
     for t in description.iter() {
         assert!(full.contains(&t), "describe invented {t}");
@@ -278,8 +286,8 @@ fn describe_matches_materialized_subgraph() {
 
 #[test]
 fn update_script_round_trip_through_endpoint() {
-    let mut ep = fixtures::endpoint();
-    let outcomes = ep
+    let mediator = fixtures::mediator();
+    let (outcomes, _) = mediator
         .execute_script(
             r#"INSERT DATA { ex:team1 foaf:name "One" . } ;
                INSERT DATA { ex:author1 foaf:family_name "First" ; ont:team ex:team1 . } ;
@@ -290,7 +298,7 @@ fn update_script_round_trip_through_endpoint() {
         )
         .unwrap();
     assert_eq!(outcomes.len(), 3);
-    let sols = ep
+    let sols = mediator
         .select(r#"SELECT ?t WHERE { ?t foaf:name "Renamed" . }"#)
         .unwrap();
     assert_eq!(sols.len(), 1);
@@ -300,8 +308,8 @@ fn update_script_round_trip_through_endpoint() {
 fn idempotent_insert_data_is_accepted_as_noop() {
     // RDF set semantics: re-asserting existing triples succeeds with
     // zero SQL statements.
-    let mut ep = fixtures::endpoint_with_sample_data();
-    let outcome = ep
+    let mediator = fixtures::mediator_with_sample_data();
+    let outcome = mediator
         .execute_update(r#"INSERT DATA { ex:author6 foaf:family_name "Hert" ; foaf:title "Mr" . }"#)
         .unwrap();
     assert_eq!(outcome.statements_executed, 0);
@@ -310,12 +318,14 @@ fn idempotent_insert_data_is_accepted_as_noop() {
 #[test]
 fn query_variable_used_for_two_properties_forces_join() {
     // ?n bound by two different data properties → equality condition.
-    let mut ep = fixtures::endpoint();
-    ep.execute_update(r#"INSERT DATA { ex:team1 foaf:name "SEAL" ; ont:teamCode "SEAL" . }"#)
+    let mediator = fixtures::mediator();
+    mediator
+        .execute_update(r#"INSERT DATA { ex:team1 foaf:name "SEAL" ; ont:teamCode "SEAL" . }"#)
         .unwrap();
-    ep.execute_update(r#"INSERT DATA { ex:team2 foaf:name "DBTG" ; ont:teamCode "X" . }"#)
+    mediator
+        .execute_update(r#"INSERT DATA { ex:team2 foaf:name "DBTG" ; ont:teamCode "X" . }"#)
         .unwrap();
-    let sols = ep
+    let sols = mediator
         .select("SELECT ?t WHERE { ?t foaf:name ?n ; ont:teamCode ?n . }")
         .unwrap();
     assert_eq!(sols.len(), 1);

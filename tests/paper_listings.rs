@@ -4,27 +4,28 @@
 //! listings.
 
 use sparql_update_rdb::fixtures;
-use sparql_update_rdb::ontoaccess::Endpoint;
+use sparql_update_rdb::ontoaccess::Mediator;
 
 fn sql(outcome: &sparql_update_rdb::ontoaccess::UpdateOutcome) -> Vec<String> {
     outcome.statements.iter().map(|s| s.to_string()).collect()
 }
 
-/// Endpoint with team 5 present (what Listings 9/15 assume) but no
+/// A mediator with team 5 present (what Listings 9/15 assume) but no
 /// author 6 yet.
-fn teams_only_endpoint() -> Endpoint {
-    let mut ep = fixtures::endpoint();
-    ep.execute_update(
-        r#"INSERT DATA { ex:team5 foaf:name "Software Engineering" ; ont:teamCode "SEAL" . }"#,
-    )
-    .expect("seeding team 5");
-    ep
+fn teams_only_mediator() -> Mediator {
+    let mediator = fixtures::mediator();
+    mediator
+        .execute_update(
+            r#"INSERT DATA { ex:team5 foaf:name "Software Engineering" ; ont:teamCode "SEAL" . }"#,
+        )
+        .expect("seeding team 5");
+    mediator
 }
 
 #[test]
 fn listing_9_to_listing_10() {
-    let mut ep = teams_only_endpoint();
-    let outcome = ep
+    let mediator = teams_only_mediator();
+    let outcome = mediator
         .execute_update(
             r#"INSERT DATA {
                  ex:author6 foaf:title "Mr" ;
@@ -46,8 +47,8 @@ fn listing_9_to_listing_10() {
 
 #[test]
 fn listing_13_to_listing_14() {
-    let mut ep = fixtures::endpoint();
-    let outcome = ep
+    let mediator = fixtures::mediator();
+    let outcome = mediator
         .execute_update(
             r#"INSERT DATA {
                  ex:team4 foaf:name "Database Technology" ;
@@ -67,8 +68,8 @@ fn listing_15_to_listing_16() {
     // respect every FK edge. The paper's Listing 16 shows one valid
     // topological order; we assert the same statements and the same
     // precedence constraints.
-    let mut ep = fixtures::endpoint();
-    let outcome = ep
+    let mediator = fixtures::mediator();
+    let outcome = mediator
         .execute_update(
             r#"INSERT DATA {
                  ex:pub12 dc:title "Relational Databases as Semantic Web Endpoints" ;
@@ -124,14 +125,17 @@ fn listing_15_to_listing_16() {
     assert!(pos("INSERT INTO author") < pos("INSERT INTO publication_author"));
 
     // And the data actually landed.
-    assert_eq!(ep.database().row_count("publication").unwrap(), 1);
-    assert_eq!(ep.database().row_count("publication_author").unwrap(), 1);
+    assert_eq!(mediator.database().row_count("publication").unwrap(), 1);
+    assert_eq!(
+        mediator.database().row_count("publication_author").unwrap(),
+        1
+    );
 }
 
 #[test]
 fn listing_17_to_listing_18() {
-    let mut ep = fixtures::endpoint_with_sample_data();
-    let outcome = ep
+    let mediator = fixtures::mediator_with_sample_data();
+    let outcome = mediator
         .execute_update(r#"DELETE DATA { ex:author6 foaf:mbox <mailto:hert@ifi.uzh.ch> . }"#)
         .expect("Listing 17 is valid");
     assert_eq!(
@@ -146,8 +150,8 @@ fn listing_11_to_listing_12() {
     // Listing 12 intermediate operations (here surfaced in the report:
     // the delete side is recognized as redundant by the §5.2
     // optimization) and executes the corresponding SQL.
-    let mut ep = fixtures::endpoint_with_sample_data();
-    let outcome = ep
+    let mediator = fixtures::mediator_with_sample_data();
+    let outcome = mediator
         .execute_update(
             r#"MODIFY
                DELETE { ?x foaf:mbox ?mbox . }
@@ -186,12 +190,12 @@ fn listing_11_to_listing_12() {
 
 #[test]
 fn second_insert_becomes_update_as_in_section_5_1() {
-    let mut ep = fixtures::endpoint();
-    let first = ep
+    let mediator = fixtures::mediator();
+    let first = mediator
         .execute_update(r#"INSERT DATA { ex:author9 foaf:family_name "Gall" . }"#)
         .unwrap();
     assert!(sql(&first)[0].starts_with("INSERT INTO author"));
-    let second = ep
+    let second = mediator
         .execute_update(
             r#"INSERT DATA { ex:author9 foaf:firstName "Harald" ;
                  foaf:mbox <mailto:gall@ifi.uzh.ch> . }"#,
@@ -205,16 +209,17 @@ fn second_insert_becomes_update_as_in_section_5_1() {
 
 #[test]
 fn delete_of_all_remaining_data_becomes_row_delete_as_in_section_5_1() {
-    let mut ep = fixtures::endpoint();
-    ep.execute_update(r#"INSERT DATA { ex:team4 foaf:name "DB" ; ont:teamCode "DBTG" . }"#)
+    let mediator = fixtures::mediator();
+    mediator
+        .execute_update(r#"INSERT DATA { ex:team4 foaf:name "DB" ; ont:teamCode "DBTG" . }"#)
         .unwrap();
-    let outcome = ep
+    let outcome = mediator
         .execute_update(
             r#"DELETE DATA { ex:team4 a foaf:Group ; foaf:name "DB" ; ont:teamCode "DBTG" . }"#,
         )
         .unwrap();
     assert_eq!(sql(&outcome), vec!["DELETE FROM team WHERE id = 4;"]);
-    assert_eq!(ep.database().row_count("team").unwrap(), 0);
+    assert_eq!(mediator.database().row_count("team").unwrap(), 0);
 }
 
 #[test]

@@ -6,7 +6,8 @@
 //! transaction is open and after it rolls back (index state must track
 //! the undo log exactly). Row order is the plan's, so it is compared
 //! only where one database state is queried twice. A last test pins the
-//! plans of the benchmark's join and scan queries across dataset sizes.
+//! plans of the benchmark's and the workload's queries across dataset
+//! sizes.
 
 use proptest::prelude::*;
 use sparql_update_rdb::fixtures;
@@ -285,10 +286,9 @@ proptest! {
 
 // `(table, access, accessed column)` per level, and the largest level
 // estimate.
-fn plan_of(db: &mut Database, body: &str) -> (Vec<(String, &'static str, String)>, u64) {
-    let text = fixtures::workload::with_prefixes(body);
+fn plan_of(db: &mut Database, text: &str) -> (Vec<(String, &'static str, String)>, u64) {
     let query = sparql_update_rdb::sparql::parse_query_with_prefixes(
-        &text,
+        text,
         sparql_update_rdb::rdf::namespace::PrefixMap::common(),
     )
     .unwrap();
@@ -324,19 +324,25 @@ fn plan_of(db: &mut Database, body: &str) -> (Vec<(String, &'static str, String)
 /// loops out to its authors and their teams — with every level
 /// estimated at a handful of rows; the pubtype scan (`read_scan`)
 /// starts from the restricted pubtype and reaches publications through
-/// their FK index.
+/// their FK index. The workload's unrestricted joins scan only their
+/// first table: every later level is reached through a key.
 #[test]
 fn benchmark_query_plans_do_not_grow_with_the_data() {
     let id = fixtures::data::ID_BASE + 7;
-    let join = format!(
+    let join = fixtures::workload::with_prefixes(&format!(
         "SELECT ?last ?code WHERE {{ ex:pub{id} dc:creator ?a . \
          ?a foaf:family_name ?last ; ont:team ?t . ?t ont:teamCode ?code }}"
-    );
-    let scan = format!(
+    ));
+    let scan = fixtures::workload::with_prefixes(&format!(
         "SELECT ?p ?t ?y WHERE {{ ?p ont:pubType ex:pubtype{} ; dc:title ?t ; \
          ont:pubYear ?y }}",
         fixtures::data::ID_BASE + 1
-    );
+    ));
+    let workload = [
+        fixtures::workload::select_authors_with_team(),
+        fixtures::workload::select_publications_with_authors(),
+        fixtures::workload::select_recent_publications(2000),
+    ];
     let mut plans = Vec::new();
     for publications in [2_000, 8_000] {
         let mut db = fixtures::data::populated_database(publications, 7);
@@ -359,7 +365,16 @@ fn benchmark_query_plans_do_not_grow_with_the_data() {
             ],
             "{publications}"
         );
-        plans.push((join_plan, scan_plan));
+        let mut workload_plans = Vec::new();
+        for text in &workload {
+            let (plan, _) = plan_of(&mut db, text);
+            assert!(
+                plan[1..].iter().all(|(_, access, _)| *access != "scan"),
+                "{publications}: unkeyed join in {plan:?} for {text}"
+            );
+            workload_plans.push(plan);
+        }
+        plans.push((join_plan, scan_plan, workload_plans));
     }
     assert_eq!(plans[0], plans[1], "plan shape depends on the data size");
 }

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use rdf::{Graph, Literal, Term, Triple};
 use sparql_update_rdb::fixtures;
-use sparql_update_rdb::ontoaccess::Endpoint;
+use sparql_update_rdb::ontoaccess::Mediator;
 
 // ----------------------------------------------------------------------
 // Strategies
@@ -74,8 +74,8 @@ fn insert_request(spec: &AuthorSpec) -> String {
     format!("INSERT DATA {{\n{} .\n}}", lines.join(" ;\n"))
 }
 
-fn apply_native(endpoint: &Endpoint, graph: &mut Graph, request: &str) {
-    let op = sparql::parse_update_with_prefixes(request, endpoint.prefixes().clone())
+fn apply_native(mediator: &Mediator, graph: &mut Graph, request: &str) {
+    let op = sparql::parse_update_with_prefixes(request, mediator.prefixes().clone())
         .expect("request parses");
     sparql::apply(graph, &op).expect("native application succeeds");
 }
@@ -91,23 +91,23 @@ proptest! {
     /// view, for arbitrary generated author data.
     #[test]
     fn insert_commutes_with_materialization(spec in author_spec()) {
-        let mut ep = fixtures::endpoint_with_sample_data();
-        let mut native = ep.materialize().unwrap();
+        let mediator = fixtures::mediator_with_sample_data();
+        let mut native = mediator.read().materialize().unwrap();
         let request = insert_request(&spec);
-        ep.execute_update(&request).expect("generated insert is valid");
-        apply_native(&ep, &mut native, &request);
-        prop_assert_eq!(ep.materialize().unwrap(), native);
+        mediator.execute_update(&request).expect("generated insert is valid");
+        apply_native(&mediator, &mut native, &request);
+        prop_assert_eq!(mediator.read().materialize().unwrap(), native);
     }
 
     /// Inserting then deleting the optional attributes returns the RDF
     /// view to the bare state — and never touches other entities.
     #[test]
     fn delete_undoes_optional_inserts(spec in author_spec()) {
-        let mut ep = fixtures::endpoint_with_sample_data();
+        let mediator = fixtures::mediator_with_sample_data();
         // Bare author first.
         let bare = AuthorSpec { firstname: None, title: None, email: None, team: false, ..spec.clone() };
-        ep.execute_update(&insert_request(&bare)).unwrap();
-        let bare_view = ep.materialize().unwrap();
+        mediator.execute_update(&insert_request(&bare)).unwrap();
+        let bare_view = mediator.read().materialize().unwrap();
         // Add optional attributes, then delete exactly them.
         let mut adds = Vec::new();
         if let Some(f) = &spec.firstname {
@@ -120,13 +120,13 @@ proptest! {
             adds.push(format!("foaf:mbox <mailto:{e}@example.org>"));
         }
         if adds.is_empty() {
-            prop_assert_eq!(ep.materialize().unwrap(), bare_view);
+            prop_assert_eq!(mediator.read().materialize().unwrap(), bare_view);
             return Ok(());
         }
         let body = adds.join(" ; ");
-        ep.execute_update(&format!("INSERT DATA {{ ex:author{} {body} . }}", spec.id)).unwrap();
-        ep.execute_update(&format!("DELETE DATA {{ ex:author{} {body} . }}", spec.id)).unwrap();
-        prop_assert_eq!(ep.materialize().unwrap(), bare_view);
+        mediator.execute_update(&format!("INSERT DATA {{ ex:author{} {body} . }}", spec.id)).unwrap();
+        mediator.execute_update(&format!("DELETE DATA {{ ex:author{} {body} . }}", spec.id)).unwrap();
+        prop_assert_eq!(mediator.read().materialize().unwrap(), bare_view);
     }
 
     /// Rejected updates leave the database bit-for-bit unchanged
@@ -138,8 +138,8 @@ proptest! {
         break_lastname in any::<bool>(),
         dangling_team in any::<bool>(),
     ) {
-        let mut ep = fixtures::endpoint_with_sample_data();
-        let before = ep.materialize().unwrap();
+        let mediator = fixtures::mediator_with_sample_data();
+        let before = mediator.read().materialize().unwrap();
         let mut lines = vec![format!("ex:author{} a foaf:Person", spec.id)];
         if !break_lastname {
             lines.push(format!("    foaf:family_name \"{}\"", spec.lastname));
@@ -148,12 +148,12 @@ proptest! {
             lines.push("    ont:team ex:team424242".to_owned());
         }
         let request = format!("INSERT DATA {{\n{} .\n}}", lines.join(" ;\n"));
-        match ep.execute_update(&request) {
+        match mediator.execute_update(&request) {
             Ok(_) => {
                 prop_assert!(!break_lastname && !dangling_team);
             }
             Err(_) => {
-                prop_assert_eq!(ep.materialize().unwrap(), before);
+                prop_assert_eq!(mediator.read().materialize().unwrap(), before);
             }
         }
     }
@@ -161,16 +161,16 @@ proptest! {
     /// MODIFY replacing the email equals native MODIFY semantics.
     #[test]
     fn modify_commutes_with_materialization(local in email_local_strategy()) {
-        let mut ep = fixtures::endpoint_with_sample_data();
-        let mut native = ep.materialize().unwrap();
+        let mediator = fixtures::mediator_with_sample_data();
+        let mut native = mediator.read().materialize().unwrap();
         let request = format!(
             "MODIFY DELETE {{ ?x foaf:mbox ?m . }} \
              INSERT {{ ?x foaf:mbox <mailto:{local}@example.org> . }} \
              WHERE {{ ?x foaf:family_name \"Hert\" ; foaf:mbox ?m . }}"
         );
-        ep.execute_update(&request).expect("modify is valid");
-        apply_native(&ep, &mut native, &request);
-        prop_assert_eq!(ep.materialize().unwrap(), native);
+        mediator.execute_update(&request).expect("modify is valid");
+        apply_native(&mediator, &mut native, &request);
+        prop_assert_eq!(mediator.read().materialize().unwrap(), native);
     }
 
     /// SPARQL-over-SQL equals SPARQL-over-materialized-graph on random
@@ -179,14 +179,14 @@ proptest! {
     fn query_translation_agrees_with_native(seed in 0u64..1000, n in 5usize..40) {
         let db = fixtures::data::populated_database(n, seed);
         let graph = ontoaccess::materialize(&db, &fixtures::mapping()).unwrap();
-        let ep = Endpoint::new(db, fixtures::mapping()).unwrap();
+        let mediator = Mediator::new(db, fixtures::mapping()).unwrap();
         for q in [
             fixtures::workload::select_authors_with_team(),
             fixtures::workload::select_publications_with_authors(),
             fixtures::workload::select_recent_publications(2000),
         ] {
-            let mut relational = ep.select(&q).unwrap();
-            let query = sparql::parse_query_with_prefixes(&q, ep.prefixes().clone()).unwrap();
+            let mut relational = mediator.select(&q).unwrap();
+            let query = sparql::parse_query_with_prefixes(&q, mediator.prefixes().clone()).unwrap();
             let sparql::Query::Select(select) = query else { panic!() };
             let mut native = sparql::evaluate_select(&graph, &select);
             relational.bindings.sort();
@@ -246,7 +246,6 @@ proptest! {
         names in proptest::collection::vec(name_strategy(), 1..4),
     ) {
         use sparql_update_rdb::fixtures::diff;
-        use sparql_update_rdb::ontoaccess::Mediator;
         use sparql_update_rdb::rel::{Sym, Value};
 
         // Pin every string's id up front.

@@ -175,6 +175,87 @@ fn mixed_insert_shapes_keep_the_heap_byte_identical() {
 }
 
 // ----------------------------------------------------------------------
+// Fan-out: statements per (table, column shape), not per row
+// ----------------------------------------------------------------------
+
+// The three fan-outs of a bulk write over `populated_database(n, _)`: an
+// INSERT DATA of `n` fresh authors of one column shape, a MODIFY matching
+// every author, and a MODIFY deleting every publication whole
+// (attributes, type and authorship).
+fn fan_outs(n: usize) -> [(&'static str, String); 3] {
+    let mut authors = String::from("INSERT DATA {\n");
+    for id in 700_000..700_000 + n as i64 {
+        authors.push_str(&format!(
+            "ex:author{id} foaf:family_name \"Last{id}\" ; foaf:firstName \"First{id}\" .\n"
+        ));
+    }
+    authors.push('}');
+    [
+        ("insert_data", fixtures::workload::with_prefixes(&authors)),
+        (
+            "modify",
+            fixtures::workload::with_prefixes(
+                "INSERT { ?x foaf:title \"Dr\" . } WHERE { ?x a foaf:Person . }",
+            ),
+        ),
+        (
+            "modify_delete",
+            fixtures::workload::with_prefixes(
+                "MODIFY DELETE { ?p a foaf:Document ; dc:title ?t ; ont:pubYear ?y ; \
+                   ont:pubType ?ty ; dc:publisher ?pb ; dc:creator ?a . } \
+                 INSERT { } \
+                 WHERE { ?p dc:title ?t ; ont:pubYear ?y ; ont:pubType ?ty ; \
+                   dc:publisher ?pb ; dc:creator ?a . }",
+            ),
+        ),
+    ]
+}
+
+/// The batched path runs one statement per (table, column shape), so a
+/// fan-out executes as many statements at N = 1 000 as at N = 10 while
+/// the rows it touches grow with N. Link-table deletes are the one
+/// exception: their key's leading column is fixed per statement, so they
+/// fold per subject — one statement per publication for its authorship
+/// rows.
+#[test]
+fn fan_out_statement_count_does_not_grow_with_the_bindings() {
+    let mapping = fixtures::mapping();
+    let is_link = |table: &str| mapping.link_tables.iter().any(|l| l.table_name == table);
+    let run = |n: usize| {
+        let base = fixtures::data::populated_database(n, 7);
+        fan_outs(n).map(|(name, text)| {
+            let mut db = base.clone();
+            let outcome = ontoaccess::execute_update_op(&mut db, &mapping, &parse_op(&text))
+                .unwrap_or_else(|e| panic!("{name} at N = {n}: {e}"));
+            let tables: Vec<&str> = outcome
+                .statements
+                .iter()
+                .filter_map(|s| s.target_table())
+                .collect();
+            let links = tables.iter().filter(|t| is_link(t)).count();
+            assert_eq!(
+                links,
+                if name == "modify_delete" { n } else { 0 },
+                "{name} at N = {n}: one link delete per publication"
+            );
+            (name, tables.len() - links, outcome.rows_affected)
+        })
+    };
+    for ((name, statements_10, rows_10), (_, statements_1k, rows_1k)) in
+        run(10).into_iter().zip(run(1_000))
+    {
+        assert_eq!(
+            statements_10, statements_1k,
+            "{name}: the statement count grows with the bindings"
+        );
+        assert!(
+            rows_1k > rows_10,
+            "{name}: {rows_1k} rows at N = 1 000, {rows_10} at N = 10"
+        );
+    }
+}
+
+// ----------------------------------------------------------------------
 // Bulk-write atomicity: a failing k-th row of a grouped statement
 // ----------------------------------------------------------------------
 
@@ -185,9 +266,9 @@ fn mixed_insert_shapes_keep_the_heap_byte_identical() {
 /// unreferenced) deleted successfully before the violation.
 #[test]
 fn failing_row_mid_group_leaves_database_byte_identical() {
-    let mut ep = fixtures::endpoint_with_sample_data();
-    let before = ep.database().clone();
-    let err = ep
+    let mediator = fixtures::mediator_with_sample_data();
+    let before = mediator.database().clone();
+    let err = mediator
         .execute_update(
             "MODIFY DELETE { ?t a foaf:Group ; foaf:name ?n ; ont:teamCode ?c . } \
              INSERT { } WHERE { ?t foaf:name ?n ; ont:teamCode ?c . }",
@@ -200,7 +281,7 @@ fn failing_row_mid_group_leaves_database_byte_identical() {
         ),
         "expected a RESTRICT violation, got: {err}"
     );
-    let mut after = ep.database().clone();
+    let mut after = mediator.database().clone();
     assert_heaps_identical(&before, &after, "post-rollback");
     assert_indexes_consistent(&after, "post-rollback");
     assert_planner_matches_reference(&mut after, "rollback");
