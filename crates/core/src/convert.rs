@@ -19,6 +19,31 @@ use std::fmt::Write;
 /// parses (the paper's Listing 15 writes `ont:pubYear "2009"` into an
 /// INTEGER column); typed literals must be of a compatible datatype.
 pub fn literal_to_value(lit: &Literal, ty: SqlType) -> Result<Value, String> {
+    literal_value_with(lit, ty, |s| Value::text(s))
+}
+
+/// [`literal_to_value`] for a value a query compares against: text the
+/// dictionary lacks becomes NULL instead of being interned (see
+/// [`lookup_text`]).
+pub(crate) fn literal_to_probe(lit: &Literal, ty: SqlType) -> Result<Value, String> {
+    literal_value_with(lit, ty, lookup_text)
+}
+
+/// The value a read compares a string against: its symbol if the
+/// dictionary has one, else NULL. A string that was never interned
+/// equals no stored text, and `column = NULL` holds for no row, so the
+/// read answers the same without growing the dictionary.
+pub(crate) fn lookup_text(s: &str) -> Value {
+    rel::Sym::lookup(s).map_or(Value::Null, Value::Text)
+}
+
+// `text` makes the value of a VARCHAR: interning for what is stored,
+// a lookup for what is only compared.
+fn literal_value_with(
+    lit: &Literal,
+    ty: SqlType,
+    text: fn(&str) -> Value,
+) -> Result<Value, String> {
     match ty {
         SqlType::Integer => lit
             .as_int()
@@ -38,7 +63,7 @@ pub fn literal_to_value(lit: &Literal, ty: SqlType) -> Result<Value, String> {
         },
         SqlType::Varchar => {
             if lit.is_stringy() {
-                Ok(Value::text(lit.lexical()))
+                Ok(text(lit.lexical()))
             } else {
                 Err(format!("{lit} is not a string"))
             }
@@ -123,12 +148,22 @@ pub(crate) fn push_lexical(value: &Value, out: &mut String) {
 /// of a typed key column. Used when Algorithm 1 extracts `"1"` from
 /// `…/author1` for the INTEGER attribute `id`.
 pub fn pattern_value(raw: &str, ty: SqlType) -> Result<Value, String> {
+    pattern_value_with(raw, ty, |s| Value::text(s))
+}
+
+/// [`pattern_value`] for a value a query compares against (see
+/// [`lookup_text`]).
+pub(crate) fn pattern_probe(raw: &str, ty: SqlType) -> Result<Value, String> {
+    pattern_value_with(raw, ty, lookup_text)
+}
+
+fn pattern_value_with(raw: &str, ty: SqlType, text: fn(&str) -> Value) -> Result<Value, String> {
     match ty {
         SqlType::Integer => raw
             .parse::<i64>()
             .map(Value::Int)
             .map_err(|_| format!("{raw:?} is not an integer key")),
-        SqlType::Varchar => Ok(Value::text(raw)),
+        SqlType::Varchar => Ok(text(raw)),
         SqlType::Boolean => match raw {
             "true" | "1" => Ok(Value::Bool(true)),
             "false" | "0" => Ok(Value::Bool(false)),

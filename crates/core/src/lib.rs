@@ -70,7 +70,7 @@ pub use error::{OntoError, OntoResult};
 pub use feedback::Feedback;
 pub use materialize::materialize;
 pub use mediator::{
-    ConcurrencyStats, DatabaseReadGuard, DatabaseVersion, DatabaseWriteGuard, Mediator,
+    CacheProbe, ConcurrencyStats, DatabaseReadGuard, DatabaseVersion, DatabaseWriteGuard, Mediator,
     QueryCacheStats, QueryExplain, QueryProfile, QueryRun, QueryStop, ReadSession, ScriptError,
     UpdateOutcome, UpdateProfile, WriteTxn,
 };

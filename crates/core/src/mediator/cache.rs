@@ -1,31 +1,62 @@
-//! The compiled-query cache: parse+compile results per query text,
-//! with clock (second-chance) eviction.
+//! The compiled-query cache: one entry per query text, with clock
+//! (second-chance) eviction, and an index of the compiled shapes those
+//! entries share.
 
-use crate::query::CompiledQuery;
+use crate::query::{CompiledQuery, Template};
+use rel::sql::SelectStmt;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-// A parse+compile result cached per query text. Cloning is an `Arc`
-// clone; a SELECT's answer keeps its compilation alive to render rows.
-#[derive(Debug, Clone)]
-pub(super) enum CachedQuery {
-    Select(Arc<CompiledQuery>),
-    Ask(Arc<CompiledQuery>),
+// A compiled shape (`query::lift`), shared by every cached text of it.
+#[derive(Debug)]
+pub(super) struct CachedShape {
+    // The key the shape index holds it under.
+    pub(super) key: Arc<str>,
+    pub(super) ask: bool,
+    pub(super) template: Template,
+}
+
+// One cached text: its shape, and the shape's SQL with this text's
+// constants bound. Cloning the `Arc` is all a hit costs; an answer keeps
+// the shape's compilation alive to render rows.
+#[derive(Debug)]
+pub(super) struct CachedQuery {
+    pub(super) shape: Arc<CachedShape>,
+    pub(super) sql: SelectStmt,
+    // The dictionary's size when binding found a text constant missing
+    // from it and bound NULL. A grown dictionary may hold the string
+    // now, so the entry then binds again instead of answering.
+    pub(super) absent_at: Option<u64>,
 }
 
 impl CachedQuery {
-    pub(super) fn compiled(&self) -> &CompiledQuery {
-        match self {
-            CachedQuery::Select(c) | CachedQuery::Ask(c) => c,
-        }
+    pub(super) fn compiled(&self) -> &Arc<CompiledQuery> {
+        &self.shape.template.compiled
+    }
+
+    fn is_current(&self) -> bool {
+        self.absent_at
+            .is_none_or(|symbols| symbols == rel::dictionary_stats().symbols)
     }
 }
 
-// One cache slot: the shared compilation plus its second-chance bit.
+// One cache slot: the entry plus its second-chance bit.
 #[derive(Debug)]
 struct CacheSlot {
-    compiled: CachedQuery,
+    query: Arc<CachedQuery>,
     referenced: bool,
+}
+
+// A shape in the index: the number of cached texts of it, and the
+// statement of one evicted text, which the next binding of the shape
+// overwrites instead of copying the template's (and the evicted one
+// being freed).
+#[derive(Debug)]
+struct IndexedShape {
+    shape: Arc<CachedShape>,
+    texts: usize,
+    spare: Option<SelectStmt>,
 }
 
 // Default number of cached texts (repeated endpoint workloads use a
@@ -37,14 +68,17 @@ const QUERY_CACHE_CAPACITY: usize = 256;
 // a miss at capacity the clock hand sweeps the ring: referenced slots
 // get their bit cleared and a second chance, the first unreferenced
 // slot is evicted — O(1) amortized (each sweep step clears a bit some
-// hit set), against the old O(capacity) min-scan per eviction. Hot
-// entries keep their bits set and survive capacity pressure from
-// one-off queries, which never get referenced and evict first.
+// hit set). Hot entries keep their bits set and survive capacity
+// pressure from one-off queries, which never get referenced and evict
+// first. A shape stays indexed exactly as long as a cached text refers
+// to it, so the one capacity bounds both.
 #[derive(Debug)]
 pub(super) struct QueryCache {
-    entries: HashMap<String, CacheSlot>,
+    entries: HashMap<Arc<str>, CacheSlot>,
     // Clock ring: every cached text exactly once, insertion order.
-    ring: VecDeque<String>,
+    ring: VecDeque<Arc<str>>,
+    // Shape key → the shape's entry in the index.
+    shapes: HashMap<Arc<str>, IndexedShape>,
     capacity: usize,
     // Monotonic observability counters (surfaced by a transport's
     // status endpoint via `Mediator::query_cache_stats`).
@@ -58,6 +92,7 @@ impl QueryCache {
         QueryCache {
             entries: HashMap::new(),
             ring: VecDeque::new(),
+            shapes: HashMap::new(),
             capacity: QUERY_CACHE_CAPACITY,
             hits: 0,
             misses: 0,
@@ -65,55 +100,113 @@ impl QueryCache {
         }
     }
 
-    pub(super) fn get(&mut self, text: &str) -> Option<CachedQuery> {
-        let Some(slot) = self.entries.get_mut(text) else {
-            self.misses += 1;
-            super::metrics().cache_misses.inc();
+    // The entry of exactly this text. A miss is not counted: the shape
+    // probe that follows it counts.
+    pub(super) fn get(&mut self, text: &str) -> Option<Arc<CachedQuery>> {
+        let slot = self.entries.get_mut(text)?;
+        if !slot.query.is_current() {
             return None;
-        };
-        self.hits += 1;
-        super::metrics().cache_hits.inc();
+        }
         slot.referenced = true;
-        Some(slot.compiled.clone())
+        let query = Arc::clone(&slot.query);
+        self.hit();
+        Some(query)
     }
 
-    pub(super) fn admit(&mut self, text: &str, compiled: CachedQuery) {
+    // The compiled shape under `key`, with a statement of it to bind
+    // into if one is spare; a miss means a compile.
+    pub(super) fn shape(&mut self, key: &str) -> Option<(Arc<CachedShape>, Option<SelectStmt>)> {
+        let shape = self
+            .shapes
+            .get_mut(key)
+            .map(|indexed| (Arc::clone(&indexed.shape), indexed.spare.take()));
+        if shape.is_some() {
+            self.hit();
+        } else {
+            self.misses += 1;
+            super::metrics().cache_misses.inc();
+        }
+        shape
+    }
+
+    fn hit(&mut self) {
+        self.hits += 1;
+        super::metrics().cache_hits.inc();
+    }
+
+    // Cache `query` for `text`. Returns what the cache let go of, for
+    // the caller to drop after releasing the cache's lock.
+    pub(super) fn admit(&mut self, text: &str, query: Arc<CachedQuery>) -> Vec<Arc<CachedQuery>> {
         if let Some(slot) = self.entries.get_mut(text) {
-            // Two threads compiled the same text concurrently; keep one.
-            slot.compiled = compiled;
+            // Two threads resolved the same text concurrently, or an
+            // entry bound again; keep the newer. One text has one shape.
             slot.referenced = true;
-            return;
+            return vec![std::mem::replace(&mut slot.query, query)];
         }
         // The loop (not a single eviction) lets a lowered capacity
         // converge from a larger high-water size.
+        let mut evicted = Vec::new();
         while self.entries.len() >= self.capacity {
-            self.evict_one();
+            evicted.extend(self.evict_one());
         }
+        self.shapes
+            .entry(Arc::clone(&query.shape.key))
+            .or_insert_with(|| IndexedShape {
+                shape: Arc::clone(&query.shape),
+                texts: 0,
+                spare: None,
+            })
+            .texts += 1;
+        let text: Arc<str> = Arc::from(text);
+        self.ring.push_back(Arc::clone(&text));
         self.entries.insert(
-            text.to_owned(),
+            text,
             CacheSlot {
-                compiled,
+                query,
                 referenced: false,
             },
         );
-        self.ring.push_back(text.to_owned());
+        evicted
     }
 
-    fn evict_one(&mut self) {
+    // Evict the clock hand's next victim. Returns it, unless its
+    // statement became its shape's spare.
+    fn evict_one(&mut self) -> Option<Arc<CachedQuery>> {
         while let Some(text) = self.ring.pop_front() {
-            let Some(slot) = self.entries.get_mut(&text) else {
+            let Entry::Occupied(mut slot) = self.entries.entry(text) else {
                 continue;
             };
-            if slot.referenced {
-                slot.referenced = false;
-                self.ring.push_back(text);
-            } else {
-                self.entries.remove(&text);
-                self.evictions += 1;
-                super::metrics().cache_evictions.inc();
-                return;
+            if slot.get().referenced {
+                slot.get_mut().referenced = false;
+                self.ring.push_back(Arc::clone(slot.key()));
+                continue;
             }
+            let query = slot.remove().query;
+            self.evictions += 1;
+            super::metrics().cache_evictions.inc();
+            let key = &*query.shape.key;
+            let indexed = self
+                .shapes
+                .get_mut(key)
+                .expect("a cached text's shape is indexed");
+            indexed.texts -= 1;
+            if indexed.texts == 0 {
+                self.shapes.remove(key);
+                return Some(query);
+            }
+            if indexed.spare.is_some() || !Arc::ptr_eq(&query.shape, &indexed.shape) {
+                return Some(query);
+            }
+            // Kept as the spare, unless a running query still holds it.
+            return match Arc::try_unwrap(query) {
+                Ok(evicted) => {
+                    indexed.spare = Some(evicted.sql);
+                    None
+                }
+                Err(query) => Some(query),
+            };
         }
+        None
     }
 
     pub(super) fn contains(&self, text: &str) -> bool {
@@ -127,6 +220,7 @@ impl QueryCache {
     pub(super) fn stats(&self) -> QueryCacheStats {
         QueryCacheStats {
             entries: self.entries.len(),
+            shapes: self.shapes.len(),
             capacity: self.capacity,
             hits: self.hits,
             misses: self.misses,
@@ -141,9 +235,12 @@ impl QueryCache {
 pub struct QueryCacheStats {
     /// Cached query texts right now.
     pub entries: usize,
+    /// Compiled shapes those texts share right now.
+    pub shapes: usize,
     /// Configured capacity.
     pub capacity: usize,
-    /// Lookups that found a cached compilation.
+    /// Lookups answered without compiling: the text was cached, or
+    /// another text of its shape was.
     pub hits: u64,
     /// Lookups that had to compile.
     pub misses: u64,
@@ -189,5 +286,38 @@ mod tests {
         m.select("SELECT ?p WHERE { ?p ont:pubYear \"2010\" . }")
             .unwrap();
         assert_eq!(m.cached_query_count(), 2);
+    }
+
+    #[test]
+    fn texts_of_one_shape_compile_once_and_the_shape_lives_while_they_do() {
+        let m = mediator();
+        m.set_query_cache_capacity(2);
+        let q = |year: u32| format!("SELECT ?p WHERE {{ ?p ont:pubYear \"{year}\" . }}");
+        for year in [2001, 2009, 2010] {
+            m.select(&q(year)).unwrap();
+        }
+        let stats = m.query_cache_stats();
+        assert_eq!((stats.hits, stats.misses), (2, 1), "{stats:?}");
+        assert_eq!((stats.entries, stats.shapes), (2, 1));
+        // Only texts that ran are cached, shape or not.
+        assert!(!m.is_query_cached(&q(2001)) && m.is_query_cached(&q(2010)));
+        assert!(!m.is_query_cached(&q(2011)));
+        // A second shape; then two texts of it evict the first's last
+        // texts, and with them the first shape.
+        for year in [2001, 2002, 2003] {
+            m.select(&format!(
+                "SELECT ?t WHERE {{ ?p ont:pubYear \"{year}\" ; dc:title ?t . }}"
+            ))
+            .unwrap();
+        }
+        let stats = m.query_cache_stats();
+        assert_eq!((stats.entries, stats.shapes), (2, 1), "{stats:?}");
+        assert_eq!(stats.misses, 2);
+        m.select(&q(2009)).unwrap();
+        assert_eq!(
+            m.query_cache_stats().misses,
+            3,
+            "evicted shape compiles again"
+        );
     }
 }

@@ -36,7 +36,9 @@
 //! behind its own [`Mutex`] so cache bookkeeping never blocks on data
 //! access. Lock order is live → chain; no code path takes them in the
 //! other order. Compilation depends only on the schema and mapping, so
-//! cached entries never go stale as data changes. Join-index
+//! cached entries never go stale as data changes (an entry that bound a
+//! string the dictionary lacked binds again once the dictionary grows;
+//! see `cache`). Join-index
 //! provisioning — the one mutation the old read path performed —
 //! happens at cache-admission time against the live database, and is
 //! republished as an index-only replacement of the current version
@@ -56,7 +58,7 @@ mod txn;
 mod versions;
 
 pub use cache::QueryCacheStats;
-pub use session::{QueryExplain, QueryProfile, QueryRun, QueryStop, ReadSession};
+pub use session::{CacheProbe, QueryExplain, QueryProfile, QueryRun, QueryStop, ReadSession};
 pub use txn::{ScriptError, UpdateOutcome, UpdateProfile, WriteTxn};
 pub use versions::{DatabaseReadGuard, DatabaseVersion, DatabaseWriteGuard};
 
@@ -91,7 +93,7 @@ fn metrics() -> &'static CoreMetrics {
         CoreMetrics {
             parse: registry.latency_histogram(
                 "ontoaccess_query_parse_seconds",
-                "Wall time parsing SPARQL query text (cache misses only)",
+                "Wall time parsing SPARQL query text (text misses only)",
             ),
             plan: registry.latency_histogram(
                 "ontoaccess_query_plan_seconds",
@@ -107,7 +109,7 @@ fn metrics() -> &'static CoreMetrics {
             ),
             cache_hits: registry.counter(
                 "ontoaccess_query_cache_hits_total",
-                "Compiled-query cache lookups that found a cached compilation",
+                "Compiled-query cache lookups answered without compiling (text or shape hit)",
             ),
             cache_misses: registry.counter(
                 "ontoaccess_query_cache_misses_total",
@@ -335,18 +337,19 @@ impl Mediator {
         self.read().select(text)
     }
 
-    /// Number of compiled queries currently cached.
+    /// Number of query texts currently cached.
     pub fn cached_query_count(&self) -> usize {
         self.core.lock_cache().stats().entries
     }
 
-    /// Whether `text` currently has a cached compilation.
+    /// Whether `text` itself is currently cached: a text this mediator
+    /// has run. Another cached text of the same shape does not count.
     pub fn is_query_cached(&self, text: &str) -> bool {
         self.core.lock_cache().contains(text)
     }
 
-    /// Point-in-time compiled-query cache statistics (size, capacity,
-    /// hit/miss/eviction counters since construction).
+    /// Point-in-time compiled-query cache statistics (texts, shapes,
+    /// capacity, hit/miss/eviction counters since construction).
     pub fn query_cache_stats(&self) -> QueryCacheStats {
         self.core.lock_cache().stats()
     }

@@ -14,10 +14,21 @@
 //! * link-table properties add an aliased link-table reference joined to
 //!   both endpoint tables;
 //! * `FILTER` comparisons become SQL comparisons over the bound columns.
+//!
+//! Pattern constants compare through [`Sym::lookup`](rel::Sym::lookup):
+//! a string the dictionary lacks equals no stored text, so it becomes
+//! NULL and a read never grows the dictionary.
+//!
+//! A query compiles once per *shape*: [`lift`] replaces its constants
+//! with numbered parameters, a [`Template`] records which parameter each
+//! constant value of the SQL came from, and [`Template::bind`] writes
+//! another text's constants into a copy of the SQL.
 
-use crate::convert::{literal_to_value, pattern_value, push_lexical, value_literal, value_to_term};
+use crate::convert::{
+    literal_to_probe, literal_to_value, pattern_probe, push_lexical, value_literal, value_to_term,
+};
 use crate::error::{OntoError, OntoResult};
-use r3m::{Mapping, PropertyMapping, UriPattern};
+use r3m::{Mapping, PropertyMapping, TableMap, UriPattern};
 use rdf::namespace::RDF_TYPE;
 use rdf::{Iri, Term, TermRef};
 use rel::sql::{BinOp, Expr, SelectItem, SelectStmt, TableRef};
@@ -27,6 +38,7 @@ use sparql::{
     TriplePattern,
 };
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write;
 use std::sync::Arc;
 
 /// A compiled SPARQL query: the SQL statement plus the recipe for
@@ -290,39 +302,170 @@ impl QueryAnswer {
 // Compilation
 // ----------------------------------------------------------------------
 
-// An instance node: a subject (or instance-object) position.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-enum NodeKey {
-    Var(String),
-    Ground(Iri),
+// An instance node: a subject (or instance-object) position — a
+// variable or a ground IRI.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum NodeKey<'q> {
+    Var(&'q str),
+    Ground(&'q Term),
+}
+
+impl NodeKey<'_> {
+    // How errors name the node: the variable, or the bare IRI.
+    fn name(self) -> String {
+        match self {
+            NodeKey::Var(v) => v.to_owned(),
+            NodeKey::Ground(Term::Iri(iri)) => iri.as_str().to_owned(),
+            NodeKey::Ground(other) => other.to_string(),
+        }
+    }
 }
 
 #[derive(Debug)]
-struct Node {
+struct Node<'a> {
     alias: String,
     // Candidate table names; intersected as constraints arrive.
-    candidates: Option<BTreeSet<String>>,
+    candidates: Option<BTreeSet<&'a str>>,
 }
 
 // Where a literal/derived variable is bound: (alias, column).
-#[derive(Debug, Clone)]
-struct ValueVar {
+#[derive(Debug)]
+struct ValueVar<'a> {
     alias: String,
-    column: String,
-    shape: VarShape,
+    column: &'a str,
     column_ty: rel::SqlType,
+    // The value pattern rendering a derived IRI; `None` for a literal.
+    derived: Option<&'a UriPattern>,
 }
 
-struct Compiler<'a> {
+impl ValueVar<'_> {
+    fn shape(&self) -> VarShape {
+        match self.derived {
+            None => VarShape::Literal,
+            Some(pattern) => VarShape::DerivedIri {
+                pattern: pattern.clone(),
+                attribute: self.column.to_owned(),
+            },
+        }
+    }
+}
+
+// How one pattern constant becomes the value of its `column = value`
+// predicate. Compilation and binding both convert through `apply`, so
+// a constant that does not fit fails with the same error either way.
+// Table maps and attributes are positions in the mapping.
+#[derive(Debug, Clone, Copy)]
+enum Conversion {
+    // Key attribute `part` of an instance IRI of table map `table`.
+    Key {
+        table: usize,
+        part: usize,
+        ty: rel::SqlType,
+    },
+    // A literal of data attribute `attribute` of table map `table`.
+    Literal {
+        table: usize,
+        attribute: usize,
+        ty: rel::SqlType,
+    },
+    // A derived IRI, through the value pattern of `attribute`.
+    Derived {
+        table: usize,
+        attribute: usize,
+        ty: rel::SqlType,
+    },
+}
+
+impl Conversion {
+    // Text the dictionary lacks converts to NULL (`convert::lookup_text`).
+    fn apply(self, mapping: &Mapping, term: &Term) -> OntoResult<Value> {
+        let incompatible =
+            |table: &TableMap, attribute: &str, reason: String| OntoError::ValueIncompatible {
+                table: table.table_name.clone(),
+                attribute: attribute.to_owned(),
+                value: term.clone(),
+                reason,
+            };
+        match self {
+            Conversion::Key { table, part, ty } => {
+                let table = &mapping.tables[table];
+                let values = term.as_iri().and_then(|iri| {
+                    table
+                        .uri_pattern
+                        .match_uri(mapping.uri_prefix.as_deref(), iri.as_str())
+                });
+                let Some(&(attribute, raw)) = values.as_ref().and_then(|v| v.get(part)) else {
+                    return Err(OntoError::UnknownSubject {
+                        subject: term.clone(),
+                    });
+                };
+                pattern_probe(raw, ty).map_err(|reason| incompatible(table, attribute, reason))
+            }
+            Conversion::Literal {
+                table,
+                attribute,
+                ty,
+            } => {
+                let table = &mapping.tables[table];
+                let attribute = &table.attributes[attribute].attribute_name;
+                match term {
+                    Term::Literal(lit) => literal_to_probe(lit, ty),
+                    _ => Err("data property object must be a literal or variable".into()),
+                }
+                .map_err(|reason| incompatible(table, attribute, reason))
+            }
+            Conversion::Derived {
+                table,
+                attribute,
+                ty,
+            } => {
+                let table = &mapping.tables[table];
+                let attr = &table.attributes[attribute];
+                let vpattern = attr
+                    .value_pattern
+                    .as_ref()
+                    .expect("a derived attribute has a value pattern");
+                let values = term
+                    .as_iri()
+                    .and_then(|iri| vpattern.match_uri(None, iri.as_str()))
+                    .ok_or_else(|| {
+                        incompatible(
+                            table,
+                            &attr.attribute_name,
+                            format!("does not match value pattern {vpattern}"),
+                        )
+                    })?;
+                let raw = values
+                    .into_iter()
+                    .find(|(n, _)| n == &attr.attribute_name)
+                    .map(|(_, v)| v)
+                    .ok_or_else(|| OntoError::Unsupported {
+                        message: "value pattern does not bind attribute".into(),
+                    })?;
+                pattern_probe(raw, ty)
+                    .map_err(|reason| incompatible(table, &attr.attribute_name, reason))
+            }
+        }
+    }
+}
+
+// A constant the compiler converted, in emission order.
+type Constants<'q> = Vec<(&'q Term, Conversion)>;
+
+struct Compiler<'a, 'q> {
     db: &'a Database,
     mapping: &'a Mapping,
-    nodes: BTreeMap<NodeKey, Node>,
-    node_order: Vec<NodeKey>,
-    value_vars: BTreeMap<String, ValueVar>,
-    // Extra FROM entries for link-table patterns.
-    link_aliases: Vec<(String, String)>, // (alias, table)
+    nodes: BTreeMap<NodeKey<'q>, Node<'a>>,
+    node_order: Vec<NodeKey<'q>>,
+    value_vars: BTreeMap<&'q str, ValueVar<'a>>,
+    // Extra FROM entries for link-table patterns: (alias, table).
+    link_aliases: Vec<(String, &'a str)>,
     predicates: Vec<Expr>,
     next_alias: usize,
+    // One per `Expr::Value` made from a pattern constant: the first
+    // values of the WHERE clause in pre-order are exactly these, in this
+    // order (see `Template::bind`).
+    constants: Constants<'q>,
 }
 
 /// Compile a SPARQL SELECT into SQL.
@@ -331,42 +474,46 @@ pub fn compile_select(
     mapping: &Mapping,
     query: &SelectQuery,
 ) -> OntoResult<CompiledQuery> {
-    let compiler = Compiler {
-        db,
-        mapping,
-        nodes: BTreeMap::new(),
-        node_order: Vec::new(),
-        value_vars: BTreeMap::new(),
-        link_aliases: Vec::new(),
-        predicates: Vec::new(),
-        next_alias: 0,
-    };
-    compiler.compile(query)
+    Ok(Compiler::new(db, mapping).compile(query)?.0)
 }
 
-impl<'a> Compiler<'a> {
+impl<'a, 'q> Compiler<'a, 'q> {
+    fn new(db: &'a Database, mapping: &'a Mapping) -> Self {
+        Compiler {
+            db,
+            mapping,
+            nodes: BTreeMap::new(),
+            node_order: Vec::new(),
+            value_vars: BTreeMap::new(),
+            link_aliases: Vec::new(),
+            predicates: Vec::new(),
+            next_alias: 0,
+            constants: Vec::new(),
+        }
+    }
+
     fn fresh_alias(&mut self, base: &str) -> String {
         let alias = format!("{base}{}", self.next_alias);
         self.next_alias += 1;
         alias
     }
 
-    fn node_key(tp: &TermPattern) -> OntoResult<NodeKey> {
+    fn node_key(tp: &'q TermPattern) -> OntoResult<NodeKey<'q>> {
         match tp {
-            TermPattern::Variable(v) => Ok(NodeKey::Var(v.clone())),
-            TermPattern::Term(Term::Iri(iri)) => Ok(NodeKey::Ground(iri.clone())),
+            TermPattern::Variable(v) => Ok(NodeKey::Var(v)),
+            TermPattern::Term(term @ Term::Iri(_)) => Ok(NodeKey::Ground(term)),
             TermPattern::Term(other) => Err(OntoError::Unsupported {
                 message: format!("{other} cannot denote a row instance"),
             }),
         }
     }
 
-    fn node_mut(&mut self, key: NodeKey) -> &mut Node {
+    fn node_mut(&mut self, key: NodeKey<'q>) -> &mut Node<'a> {
         if !self.nodes.contains_key(&key) {
             let alias = self.fresh_alias("t");
-            self.node_order.push(key.clone());
+            self.node_order.push(key);
             self.nodes.insert(
-                key.clone(),
+                key,
                 Node {
                     alias,
                     candidates: None,
@@ -376,86 +523,104 @@ impl<'a> Compiler<'a> {
         self.nodes.get_mut(&key).expect("just inserted")
     }
 
-    fn constrain(&mut self, key: NodeKey, tables: BTreeSet<String>) -> OntoResult<()> {
-        let node = self.node_mut(key.clone());
+    fn constrain(&mut self, key: NodeKey<'q>, tables: BTreeSet<&'a str>) -> OntoResult<()> {
+        let node = self.node_mut(key);
         node.candidates = Some(match node.candidates.take() {
             None => tables,
-            Some(existing) => existing.intersection(&tables).cloned().collect(),
+            Some(existing) => existing.intersection(&tables).copied().collect(),
         });
         if node.candidates.as_ref().is_some_and(BTreeSet::is_empty) {
-            let var = match key {
-                NodeKey::Var(v) => v,
-                NodeKey::Ground(iri) => iri.into_string(),
-            };
             return Err(OntoError::AmbiguousPattern {
-                variable: var,
+                variable: key.name(),
                 candidates: vec![],
             });
         }
         Ok(())
     }
 
-    fn compile(mut self, query: &SelectQuery) -> OntoResult<CompiledQuery> {
+    // The table map of `table_name` and its position in the mapping.
+    fn table_map(&self, table_name: &str) -> OntoResult<(usize, &'a TableMap)> {
+        self.mapping
+            .tables
+            .iter()
+            .enumerate()
+            .find(|(_, t)| t.table_name == table_name)
+            .ok_or_else(|| OntoError::Unsupported {
+                message: format!("no table map for {table_name:?}"),
+            })
+    }
+
+    // `column = value` for a pattern constant, recorded in `constants`.
+    fn push_constant(
+        &mut self,
+        column: Expr,
+        term: &'q Term,
+        conversion: Conversion,
+    ) -> OntoResult<()> {
+        let value = conversion.apply(self.mapping, term)?;
+        self.predicates.push(Expr::eq(column, Expr::Value(value)));
+        self.constants.push((term, conversion));
+        Ok(())
+    }
+
+    fn compile(mut self, query: &'q SelectQuery) -> OntoResult<(CompiledQuery, Constants<'q>)> {
+        let mapping = self.mapping;
         // Pass 1: register nodes and table constraints.
         for pattern in &query.pattern.patterns {
             self.scan_pattern(pattern)?;
         }
         // Ground nodes resolve through the URI patterns.
-        for key in self.node_order.clone() {
-            if let NodeKey::Ground(iri) = &key {
+        for i in 0..self.node_order.len() {
+            if let key @ NodeKey::Ground(term @ Term::Iri(iri)) = self.node_order[i] {
                 let (table_map, _) =
-                    self.mapping
+                    mapping
                         .identify(iri)
                         .ok_or_else(|| OntoError::UnknownSubject {
-                            subject: Term::Iri(iri.clone()),
+                            subject: term.clone(),
                         })?;
-                let table = table_map.table_name.clone();
-                self.constrain(key.clone(), BTreeSet::from([table]))?;
+                self.constrain(key, BTreeSet::from([table_map.table_name.as_str()]))?;
             }
         }
         // Every node must now denote exactly one table.
-        let mut resolved: BTreeMap<NodeKey, String> = BTreeMap::new();
-        for key in &self.node_order {
-            let node = &self.nodes[key];
-            let candidates = node.candidates.clone().unwrap_or_default();
-            if candidates.len() != 1 {
-                let var = match key {
-                    NodeKey::Var(v) => v.clone(),
-                    NodeKey::Ground(iri) => iri.as_str().to_owned(),
-                };
-                return Err(OntoError::AmbiguousPattern {
-                    variable: var,
-                    candidates: candidates.into_iter().collect(),
-                });
+        let mut resolved: BTreeMap<NodeKey<'q>, &'a str> = BTreeMap::new();
+        for &key in &self.node_order {
+            match &self.nodes[&key].candidates {
+                Some(candidates) if candidates.len() == 1 => {
+                    resolved.insert(key, candidates.first().expect("len 1"));
+                }
+                other => {
+                    return Err(OntoError::AmbiguousPattern {
+                        variable: key.name(),
+                        candidates: other.iter().flatten().map(|t| (*t).to_owned()).collect(),
+                    })
+                }
             }
-            resolved.insert(key.clone(), candidates.into_iter().next().expect("len 1"));
         }
         // Pass 2: emit join/equality predicates per pattern.
         for pattern in &query.pattern.patterns {
             self.emit_pattern(pattern, &resolved)?;
         }
-        // Ground nodes pin their key columns.
-        for (key, table_name) in &resolved {
-            if let NodeKey::Ground(iri) = key {
-                let (table_map, raw) = self.mapping.identify(iri).expect("identified in pass 1");
-                debug_assert_eq!(&table_map.table_name, table_name);
-                let table = self.db.schema().table(table_name)?;
-                let alias = self.nodes[key].alias.clone();
-                for (attr, raw_value) in raw {
-                    let column = table.column(attr).ok_or_else(|| OntoError::Unsupported {
+        // Ground nodes pin their key columns, in order of appearance.
+        for i in 0..self.node_order.len() {
+            let key = self.node_order[i];
+            let NodeKey::Ground(term) = key else {
+                continue;
+            };
+            let (table, table_map) = self.table_map(resolved[&key])?;
+            let schema_table = self.db.schema().table(&table_map.table_name)?;
+            let alias = self.nodes[&key].alias.clone();
+            for (part, attr) in table_map.uri_pattern.attributes().into_iter().enumerate() {
+                let column = schema_table
+                    .column(attr)
+                    .ok_or_else(|| OntoError::Unsupported {
                         message: format!("pattern attribute {attr:?} missing"),
                     })?;
-                    let value = pattern_value(raw_value, column.ty).map_err(|reason| {
-                        OntoError::ValueIncompatible {
-                            table: table_name.clone(),
-                            attribute: attr.to_owned(),
-                            value: Term::Iri(iri.clone()),
-                            reason,
-                        }
-                    })?;
-                    self.predicates
-                        .push(Expr::eq(Expr::qcol(&alias, attr), Expr::Value(value)));
-                }
+                let conversion = Conversion::Key {
+                    table,
+                    part,
+                    ty: column.ty,
+                };
+                self.push_constant(Expr::qcol(&alias, attr), term, conversion)?;
             }
         }
         // Filters.
@@ -465,27 +630,25 @@ impl<'a> Compiler<'a> {
         }
 
         // Projection.
-        let projected: Vec<String> = match &query.projection {
-            Projection::Star => query.pattern.variables(),
-            Projection::Variables(vars) => vars.clone(),
+        let star;
+        let projected: &[String] = match &query.projection {
+            Projection::Star => {
+                star = query.pattern.variables();
+                &star
+            }
+            Projection::Variables(vars) => vars,
         };
         let mut items = Vec::new();
         let mut bindings = Vec::new();
-        for var in &projected {
-            if let Some(vv) = self.value_vars.get(var) {
+        for var in projected {
+            if let Some(vv) = self.value_vars.get(var.as_str()) {
                 items.push(SelectItem::Expr {
-                    expr: Expr::qcol(&vv.alias, &vv.column),
+                    expr: Expr::qcol(&vv.alias, vv.column),
                     alias: Some(var.clone()),
                 });
-                bindings.push((var.clone(), vv.shape.clone()));
-            } else if let Some(node) = self.nodes.get(&NodeKey::Var(var.clone())) {
-                let table_name = &resolved[&NodeKey::Var(var.clone())];
-                let table_map =
-                    self.mapping
-                        .table(table_name)
-                        .ok_or_else(|| OntoError::Unsupported {
-                            message: format!("no table map for {table_name:?}"),
-                        })?;
+                bindings.push((var.clone(), vv.shape()));
+            } else if let Some(node) = self.nodes.get(&NodeKey::Var(var)) {
+                let (_, table_map) = self.table_map(resolved[&NodeKey::Var(var)])?;
                 let key_attrs = table_map.uri_pattern.attributes();
                 if key_attrs.len() != 1 {
                     return Err(OntoError::Unsupported {
@@ -502,7 +665,7 @@ impl<'a> Compiler<'a> {
                     var.clone(),
                     VarShape::Instance {
                         pattern: table_map.uri_pattern.clone(),
-                        prefix: self.mapping.uri_prefix.clone(),
+                        prefix: mapping.uri_prefix.clone(),
                     },
                 ));
             } else {
@@ -515,15 +678,16 @@ impl<'a> Compiler<'a> {
         // FROM: one entry per node plus link-table aliases.
         let mut from = Vec::new();
         for key in &self.node_order {
+            let node = self.nodes.remove(key).expect("every node is in order");
             from.push(TableRef {
-                table: resolved[key].clone(),
-                alias: Some(self.nodes[key].alias.clone()),
+                table: resolved[key].to_owned(),
+                alias: Some(node.alias),
             });
         }
-        for (alias, table) in &self.link_aliases {
+        for (alias, table) in self.link_aliases {
             from.push(TableRef {
-                table: table.clone(),
-                alias: Some(alias.clone()),
+                table: table.to_owned(),
+                alias: Some(alias),
             });
         }
         if from.is_empty() {
@@ -580,7 +744,7 @@ impl<'a> Compiler<'a> {
             targets
         };
 
-        Ok(CompiledQuery {
+        let compiled = CompiledQuery {
             sql: SelectStmt {
                 distinct: query.distinct,
                 items,
@@ -590,11 +754,13 @@ impl<'a> Compiler<'a> {
             bindings,
             limit: query.limit,
             join_index_targets,
-        })
+        };
+        Ok((compiled, self.constants))
     }
 
     // Pass 1: constrain node candidate tables from one pattern.
-    fn scan_pattern(&mut self, pattern: &TriplePattern) -> OntoResult<()> {
+    fn scan_pattern(&mut self, pattern: &'q TriplePattern) -> OntoResult<()> {
+        let mapping = self.mapping;
         let predicate = match &pattern.predicate {
             TermPattern::Term(Term::Iri(iri)) => iri,
             other => {
@@ -612,45 +778,43 @@ impl<'a> Compiler<'a> {
                 .ok_or_else(|| OntoError::Unsupported {
                     message: "rdf:type object must be a ground class IRI".into(),
                 })?;
-            let table =
-                self.mapping
-                    .table_by_class(class)
-                    .ok_or_else(|| OntoError::Unsupported {
-                        message: format!("class {class} is not mapped"),
-                    })?;
-            let name = table.table_name.clone();
-            return self.constrain(subject_key, BTreeSet::from([name]));
+            let table = mapping
+                .table_by_class(class)
+                .ok_or_else(|| OntoError::Unsupported {
+                    message: format!("class {class} is not mapped"),
+                })?;
+            return self.constrain(subject_key, BTreeSet::from([table.table_name.as_str()]));
         }
         // Tables whose attribute maps this property.
         let mut subject_tables = BTreeSet::new();
-        for table in &self.mapping.tables {
+        for table in &mapping.tables {
             if table.attribute_for_property(predicate).is_some() {
-                subject_tables.insert(table.table_name.clone());
+                subject_tables.insert(table.table_name.as_str());
             }
         }
-        if let Some(link) = self.mapping.link_table_by_property(predicate) {
+        if let Some(link) = mapping.link_table_by_property(predicate) {
             let subject_target = link
                 .subject_attribute
                 .foreign_key_target()
-                .and_then(|id| self.mapping.table_by_id(id))
+                .and_then(|id| mapping.table_by_id(id))
                 .ok_or_else(|| OntoError::Unsupported {
                     message: format!("link table {:?}: unresolved subject", link.table_name),
                 })?;
             let object_target = link
                 .object_attribute
                 .foreign_key_target()
-                .and_then(|id| self.mapping.table_by_id(id))
+                .and_then(|id| mapping.table_by_id(id))
                 .ok_or_else(|| OntoError::Unsupported {
                     message: format!("link table {:?}: unresolved object", link.table_name),
                 })?;
             self.constrain(
                 subject_key,
-                BTreeSet::from([subject_target.table_name.clone()]),
+                BTreeSet::from([subject_target.table_name.as_str()]),
             )?;
             let object_key = Self::node_key(&pattern.object)?;
             return self.constrain(
                 object_key,
-                BTreeSet::from([object_target.table_name.clone()]),
+                BTreeSet::from([object_target.table_name.as_str()]),
             );
         }
         if subject_tables.is_empty() {
@@ -658,12 +822,12 @@ impl<'a> Compiler<'a> {
                 message: format!("property {predicate} is not mapped"),
             });
         }
-        self.constrain(subject_key.clone(), subject_tables.clone())?;
+        self.constrain(subject_key, subject_tables.clone())?;
         // FK object properties also constrain the object node.
         let mut object_tables = BTreeSet::new();
         let mut all_fk = true;
         for table_name in &subject_tables {
-            let table_map = self.mapping.table(table_name).expect("from mapping");
+            let (_, table_map) = self.table_map(table_name)?;
             let attr = table_map
                 .attribute_for_property(predicate)
                 .expect("collected above");
@@ -673,8 +837,8 @@ impl<'a> Compiler<'a> {
                 attr.foreign_key_target(),
             ) {
                 (Some(PropertyMapping::Object(_)), None, Some(target)) => {
-                    if let Some(target_map) = self.mapping.table_by_id(target) {
-                        object_tables.insert(target_map.table_name.clone());
+                    if let Some(target_map) = mapping.table_by_id(target) {
+                        object_tables.insert(target_map.table_name.as_str());
                     }
                 }
                 _ => all_fk = false,
@@ -696,9 +860,10 @@ impl<'a> Compiler<'a> {
     // Pass 2: emit SQL predicates and variable bindings.
     fn emit_pattern(
         &mut self,
-        pattern: &TriplePattern,
-        resolved: &BTreeMap<NodeKey, String>,
+        pattern: &'q TriplePattern,
+        resolved: &BTreeMap<NodeKey<'q>, &'a str>,
     ) -> OntoResult<()> {
+        let mapping = self.mapping;
         let predicate = match &pattern.predicate {
             TermPattern::Term(Term::Iri(iri)) => iri,
             _ => unreachable!("checked in pass 1"),
@@ -708,146 +873,104 @@ impl<'a> Compiler<'a> {
         }
         let subject_key = Self::node_key(&pattern.subject)?;
         let subject_alias = self.nodes[&subject_key].alias.clone();
-        let table_name = resolved[&subject_key].clone();
+        let table_name = resolved[&subject_key];
 
-        if let Some(link) = self.mapping.link_table_by_property(predicate) {
-            let link = link.clone();
+        if let Some(link) = mapping.link_table_by_property(predicate) {
             let object_key = Self::node_key(&pattern.object)?;
             let object_alias = self.nodes[&object_key].alias.clone();
-            let object_table_name = resolved[&object_key].clone();
             let link_alias = self.fresh_alias("l");
-            self.link_aliases
-                .push((link_alias.clone(), link.table_name.clone()));
-            let subject_pk = self.single_key_attr(&table_name)?;
-            let object_pk = self.single_key_attr(&object_table_name)?;
+            let subject_pk = self.single_key_attr(table_name)?;
+            let object_pk = self.single_key_attr(resolved[&object_key])?;
             self.predicates.push(Expr::eq(
                 Expr::qcol(&link_alias, &link.subject_attribute.attribute_name),
-                Expr::qcol(&subject_alias, &subject_pk),
+                Expr::qcol(&subject_alias, subject_pk),
             ));
             self.predicates.push(Expr::eq(
                 Expr::qcol(&link_alias, &link.object_attribute.attribute_name),
-                Expr::qcol(&object_alias, &object_pk),
+                Expr::qcol(&object_alias, object_pk),
             ));
+            self.link_aliases.push((link_alias, &link.table_name));
             return Ok(());
         }
 
-        let table_map = self
-            .mapping
-            .table(&table_name)
-            .ok_or_else(|| OntoError::Unsupported {
-                message: format!("no table map for {table_name:?}"),
-            })?
-            .clone();
-        let attr = table_map
-            .attribute_for_property(predicate)
+        let (table, table_map) = self.table_map(table_name)?;
+        let (attribute, attr) = table_map
+            .attributes
+            .iter()
+            .enumerate()
+            .find(|(_, a)| a.property.as_ref().map(PropertyMapping::property) == Some(predicate))
             .ok_or_else(|| OntoError::UnknownProperty {
                 property: predicate.clone(),
-                table: table_name.clone(),
-            })?
-            .clone();
-        let table = self.db.schema().table(&table_name)?;
-        let column = table
-            .column(&attr.attribute_name)
-            .ok_or_else(|| OntoError::Unsupported {
-                message: format!("attribute {} missing", attr.attribute_name),
+                table: table_name.to_owned(),
             })?;
-        let column_ty = column.ty;
-        let col_expr = Expr::qcol(&subject_alias, &attr.attribute_name);
+        let column: &'a str = &attr.attribute_name;
+        let column_ty = self
+            .db
+            .schema()
+            .table(table_name)?
+            .column(column)
+            .ok_or_else(|| OntoError::Unsupported {
+                message: format!("attribute {column} missing"),
+            })?
+            .ty;
+        let col_expr = Expr::qcol(&subject_alias, column);
+        let incompatible = |value: &Term, reason: &str| OntoError::ValueIncompatible {
+            table: table_name.to_owned(),
+            attribute: column.to_owned(),
+            value: value.clone(),
+            reason: reason.into(),
+        };
 
-        match attr.property.as_ref().expect("mapped") {
-            PropertyMapping::Data(_) => match &pattern.object {
-                TermPattern::Term(Term::Literal(lit)) => {
-                    let value = literal_to_value(lit, column_ty).map_err(|reason| {
-                        OntoError::ValueIncompatible {
-                            table: table_name.clone(),
-                            attribute: attr.attribute_name.clone(),
-                            value: Term::Literal(lit.clone()),
-                            reason,
-                        }
-                    })?;
-                    self.predicates.push(Expr::eq(col_expr, Expr::Value(value)));
+        match (attr.property.as_ref().expect("mapped"), &attr.value_pattern) {
+            (PropertyMapping::Data(_), _) => match &pattern.object {
+                TermPattern::Term(term @ Term::Literal(_)) => {
+                    let conversion = Conversion::Literal {
+                        table,
+                        attribute,
+                        ty: column_ty,
+                    };
+                    self.push_constant(col_expr, term, conversion)?;
+                }
+                TermPattern::Variable(var) => {
+                    self.bind_value_var(var, &subject_alias, column, None, column_ty, col_expr)?;
+                }
+                TermPattern::Term(other) => {
+                    return Err(incompatible(
+                        other,
+                        "data property object must be a literal or variable",
+                    ))
+                }
+            },
+            (PropertyMapping::Object(_), Some(vpattern)) => match &pattern.object {
+                TermPattern::Term(term @ Term::Iri(_)) => {
+                    let conversion = Conversion::Derived {
+                        table,
+                        attribute,
+                        ty: column_ty,
+                    };
+                    self.push_constant(col_expr, term, conversion)?;
                 }
                 TermPattern::Variable(var) => {
                     self.bind_value_var(
                         var,
                         &subject_alias,
-                        &attr.attribute_name,
-                        VarShape::Literal,
+                        column,
+                        Some(vpattern),
                         column_ty,
                         col_expr,
                     )?;
                 }
                 TermPattern::Term(other) => {
-                    return Err(OntoError::ValueIncompatible {
-                        table: table_name.clone(),
-                        attribute: attr.attribute_name.clone(),
-                        value: other.clone(),
-                        reason: "data property object must be a literal or variable".into(),
-                    })
+                    return Err(incompatible(other, "expected an IRI or variable"))
                 }
             },
-            PropertyMapping::Object(_) => {
-                if let Some(vpattern) = &attr.value_pattern {
-                    match &pattern.object {
-                        TermPattern::Term(Term::Iri(iri)) => {
-                            let values =
-                                vpattern.match_uri(None, iri.as_str()).ok_or_else(|| {
-                                    OntoError::ValueIncompatible {
-                                        table: table_name.clone(),
-                                        attribute: attr.attribute_name.clone(),
-                                        value: Term::Iri(iri.clone()),
-                                        reason: format!("does not match value pattern {vpattern}"),
-                                    }
-                                })?;
-                            let raw = values
-                                .into_iter()
-                                .find(|(n, _)| n == &attr.attribute_name)
-                                .map(|(_, v)| v)
-                                .ok_or_else(|| OntoError::Unsupported {
-                                    message: "value pattern does not bind attribute".into(),
-                                })?;
-                            let value = pattern_value(raw, column_ty).map_err(|reason| {
-                                OntoError::ValueIncompatible {
-                                    table: table_name.clone(),
-                                    attribute: attr.attribute_name.clone(),
-                                    value: Term::Iri(iri.clone()),
-                                    reason,
-                                }
-                            })?;
-                            self.predicates.push(Expr::eq(col_expr, Expr::Value(value)));
-                        }
-                        TermPattern::Variable(var) => {
-                            self.bind_value_var(
-                                var,
-                                &subject_alias,
-                                &attr.attribute_name,
-                                VarShape::DerivedIri {
-                                    pattern: vpattern.clone(),
-                                    attribute: attr.attribute_name.clone(),
-                                },
-                                column_ty,
-                                col_expr,
-                            )?;
-                        }
-                        TermPattern::Term(other) => {
-                            return Err(OntoError::ValueIncompatible {
-                                table: table_name.clone(),
-                                attribute: attr.attribute_name.clone(),
-                                value: other.clone(),
-                                reason: "expected an IRI or variable".into(),
-                            })
-                        }
-                    }
-                } else {
-                    // FK join: object node's key column equals this
-                    // column.
-                    let object_key = Self::node_key(&pattern.object)?;
-                    let object_alias = self.nodes[&object_key].alias.clone();
-                    let object_table = resolved[&object_key].clone();
-                    let object_pk = self.single_key_attr(&object_table)?;
-                    self.predicates
-                        .push(Expr::eq(col_expr, Expr::qcol(&object_alias, &object_pk)));
-                }
+            (PropertyMapping::Object(_), None) => {
+                // FK join: object node's key column equals this column.
+                let object_key = Self::node_key(&pattern.object)?;
+                let object_alias = self.nodes[&object_key].alias.clone();
+                let object_pk = self.single_key_attr(resolved[&object_key])?;
+                self.predicates
+                    .push(Expr::eq(col_expr, Expr::qcol(&object_alias, object_pk)));
             }
         }
         Ok(())
@@ -855,14 +978,14 @@ impl<'a> Compiler<'a> {
 
     fn bind_value_var(
         &mut self,
-        var: &str,
+        var: &'q str,
         alias: &str,
-        column: &str,
-        shape: VarShape,
+        column: &'a str,
+        derived: Option<&'a UriPattern>,
         column_ty: rel::SqlType,
         col_expr: Expr,
     ) -> OntoResult<()> {
-        if self.nodes.contains_key(&NodeKey::Var(var.to_owned())) {
+        if self.nodes.contains_key(&NodeKey::Var(var)) {
             return Err(OntoError::Unsupported {
                 message: format!("?{var} is used both as an instance and as a value"),
             });
@@ -871,7 +994,7 @@ impl<'a> Compiler<'a> {
             Some(existing) => {
                 // Same variable bound twice → join condition.
                 self.predicates.push(Expr::eq(
-                    Expr::qcol(&existing.alias, &existing.column),
+                    Expr::qcol(&existing.alias, existing.column),
                     col_expr,
                 ));
             }
@@ -883,12 +1006,12 @@ impl<'a> Compiler<'a> {
                     negated: true,
                 });
                 self.value_vars.insert(
-                    var.to_owned(),
+                    var,
                     ValueVar {
                         alias: alias.to_owned(),
-                        column: column.to_owned(),
-                        shape,
+                        column,
                         column_ty,
+                        derived,
                     },
                 );
             }
@@ -896,23 +1019,17 @@ impl<'a> Compiler<'a> {
         Ok(())
     }
 
-    fn single_key_attr(&self, table_name: &str) -> OntoResult<String> {
-        let table_map = self
-            .mapping
-            .table(table_name)
-            .ok_or_else(|| OntoError::Unsupported {
-                message: format!("no table map for {table_name:?}"),
-            })?;
-        let attrs = table_map.uri_pattern.attributes();
-        if attrs.len() != 1 {
-            return Err(OntoError::Unsupported {
+    fn single_key_attr(&self, table_name: &str) -> OntoResult<&'a str> {
+        let (_, table_map) = self.table_map(table_name)?;
+        match table_map.uri_pattern.attributes()[..] {
+            [only] => Ok(only),
+            _ => Err(OntoError::Unsupported {
                 message: format!("table {table_name:?} has a multi-attribute URI pattern"),
-            });
+            }),
         }
-        Ok(attrs[0].to_owned())
     }
 
-    fn compile_filter(&mut self, filter: &FilterExpr) -> OntoResult<Expr> {
+    fn compile_filter(&mut self, filter: &'q FilterExpr) -> OntoResult<Expr> {
         match filter {
             FilterExpr::And(a, b) => {
                 Ok(Expr::and(self.compile_filter(a)?, self.compile_filter(b)?))
@@ -921,13 +1038,9 @@ impl<'a> Compiler<'a> {
             FilterExpr::Not(inner) => Ok(Expr::Not(Box::new(self.compile_filter(inner)?))),
             FilterExpr::Bound(var) => {
                 // Without OPTIONAL every pattern variable is bound.
-                if self.value_vars.contains_key(var)
-                    || self.nodes.contains_key(&NodeKey::Var(var.clone()))
-                {
-                    Ok(Expr::Value(Value::Bool(true)))
-                } else {
-                    Ok(Expr::Value(Value::Bool(false)))
-                }
+                let bound = self.value_vars.contains_key(var.as_str())
+                    || self.nodes.contains_key(&NodeKey::Var(var));
+                Ok(Expr::Value(Value::Bool(bound)))
             }
             FilterExpr::Compare { op, left, right } => {
                 let sql_op = match op {
@@ -947,12 +1060,12 @@ impl<'a> Compiler<'a> {
 
     // Translate a filter operand; `other` provides type context for
     // literals compared against columns.
-    fn filter_operand(&self, operand: &TermPattern, other: &TermPattern) -> OntoResult<Expr> {
+    fn filter_operand(&self, operand: &'q TermPattern, other: &TermPattern) -> OntoResult<Expr> {
         match operand {
             TermPattern::Variable(var) => {
-                if let Some(vv) = self.value_vars.get(var) {
-                    Ok(Expr::qcol(&vv.alias, &vv.column))
-                } else if self.nodes.contains_key(&NodeKey::Var(var.clone())) {
+                if let Some(vv) = self.value_vars.get(var.as_str()) {
+                    Ok(Expr::qcol(&vv.alias, vv.column))
+                } else if self.nodes.contains_key(&NodeKey::Var(var)) {
                     Err(OntoError::Unsupported {
                         message: format!(
                             "FILTER comparison on instance variable ?{var} is not supported; \
@@ -969,7 +1082,9 @@ impl<'a> Compiler<'a> {
                 // Use the column type of the variable on the other side
                 // when available.
                 let ty = match other {
-                    TermPattern::Variable(var) => self.value_vars.get(var).map(|vv| vv.column_ty),
+                    TermPattern::Variable(var) => {
+                        self.value_vars.get(var.as_str()).map(|vv| vv.column_ty)
+                    }
                     _ => None,
                 };
                 let value = match ty {
@@ -999,6 +1114,195 @@ fn best_effort_value(lit: &rdf::Literal) -> Value {
         Value::Double(d)
     } else {
         Value::text(lit.lexical())
+    }
+}
+
+// ----------------------------------------------------------------------
+// Shapes
+// ----------------------------------------------------------------------
+
+/// A query with its constants lifted out. `key` prints the query with
+/// each lifted constant replaced by a numbered parameter; `params` are
+/// the distinct constants, numbered by first occurrence.
+///
+/// Lifted are the IRIs and literals in subject and object position,
+/// except the class of `rdf:type`. An IRI's parameter carries the table
+/// map the IRI identifies (or none), because that decides the tables
+/// the query compiles to. Predicates, classes, variables, FILTERs, the
+/// projection, DISTINCT, LIMIT and the query form stay in the key. Two
+/// texts with one key compile to the same SQL up to the values their
+/// constants convert to.
+#[derive(Debug)]
+pub(crate) struct Shape<'q> {
+    pub(crate) key: String,
+    params: Vec<&'q Term>,
+}
+
+/// Lift the constants out of `query`.
+pub(crate) fn lift<'q>(mapping: &Mapping, query: &'q Query) -> Shape<'q> {
+    let mut shape = Shape {
+        key: String::with_capacity(160),
+        params: Vec::new(),
+    };
+    let key = &mut shape.key;
+    let (pattern, limit) = match query {
+        Query::Select(select) => {
+            key.push_str(if select.distinct {
+                "SELECT DISTINCT "
+            } else {
+                "SELECT "
+            });
+            match &select.projection {
+                Projection::Star => key.push_str("* "),
+                Projection::Variables(vars) => {
+                    for var in vars {
+                        let _ = write!(key, "?{var} ");
+                    }
+                }
+            }
+            key.push_str("WHERE { ");
+            (&select.pattern, select.limit)
+        }
+        Query::Ask(ask) => {
+            key.push_str("ASK { ");
+            (&ask.pattern, None)
+        }
+    };
+    for triple in &pattern.patterns {
+        shape.position(mapping, &triple.subject);
+        let _ = write!(shape.key, "{} ", triple.predicate);
+        if matches!(&triple.predicate, TermPattern::Term(Term::Iri(p)) if p.as_str() == RDF_TYPE) {
+            let _ = write!(shape.key, "{} ", triple.object);
+        } else {
+            shape.position(mapping, &triple.object);
+        }
+        shape.key.push_str(". ");
+    }
+    for filter in &pattern.filters {
+        let _ = write!(shape.key, "FILTER ({filter}) ");
+    }
+    shape.key.push('}');
+    if let Some(n) = limit {
+        let _ = write!(shape.key, " LIMIT {n}");
+    }
+    shape
+}
+
+impl<'q> Shape<'q> {
+    // Print a subject or object position, lifting an IRI or literal to
+    // `$n` (an IRI's first occurrence as `$n<table>`).
+    fn position(&mut self, mapping: &Mapping, position: &'q TermPattern) {
+        let term = match position {
+            TermPattern::Term(term @ (Term::Iri(_) | Term::Literal(_))) => term,
+            other => {
+                let _ = write!(self.key, "{other} ");
+                return;
+            }
+        };
+        if let Some(param) = self.params.iter().position(|p| *p == term) {
+            let _ = write!(self.key, "${param} ");
+            return;
+        }
+        let _ = write!(self.key, "${}", self.params.len());
+        self.params.push(term);
+        if let Term::Iri(iri) = term {
+            let table = mapping
+                .identify(iri)
+                .map_or("", |(table, _)| table.table_name.as_str());
+            let _ = write!(self.key, "<{table}>");
+        }
+        self.key.push(' ');
+    }
+}
+
+/// A compiled shape: the query compiled for one text of the shape, plus
+/// which parameter each of its constant values came from, so that any
+/// other text of the shape binds its own constants instead of
+/// compiling. Rows of every binding render through `compiled`: its
+/// variables and shapes do not depend on the constants.
+#[derive(Debug)]
+pub(crate) struct Template {
+    pub(crate) compiled: Arc<CompiledQuery>,
+    // Per constant value of `compiled.sql`, in emission order: the
+    // parameter it holds and how it converts.
+    slots: Vec<(usize, Conversion)>,
+}
+
+/// Compile `query` (the SELECT of `shape`'s query, or its ASK lowered
+/// to one) into the shape's template.
+pub(crate) fn compile_template(
+    db: &Database,
+    mapping: &Mapping,
+    query: &SelectQuery,
+    shape: &Shape<'_>,
+) -> OntoResult<Template> {
+    let (compiled, constants) = Compiler::new(db, mapping).compile(query)?;
+    let slots = constants
+        .into_iter()
+        .map(|(term, conversion)| {
+            let param = shape.params.iter().position(|p| *p == term);
+            (
+                param.expect("the compiler converts only lifted constants"),
+                conversion,
+            )
+        })
+        .collect();
+    Ok(Template {
+        compiled: Arc::new(compiled),
+        slots,
+    })
+}
+
+impl Template {
+    /// The template's SQL with `shape`'s constants in its slots, each
+    /// converted as compiling the text would convert it: a constant
+    /// that does not fit fails with that compile error, first slot in
+    /// emission order first. The values are written into `reuse`, a
+    /// statement bound earlier from this template, or else into a copy
+    /// of the template's. The flag says whether a text constant was
+    /// missing from the dictionary and bound as NULL.
+    pub(crate) fn bind(
+        &self,
+        mapping: &Mapping,
+        shape: &Shape<'_>,
+        reuse: Option<SelectStmt>,
+    ) -> OntoResult<(SelectStmt, bool)> {
+        let values = self
+            .slots
+            .iter()
+            .map(|&(param, conversion)| conversion.apply(mapping, shape.params[param]))
+            .collect::<OntoResult<Vec<Value>>>()?;
+        let absent = values.iter().any(Value::is_null);
+        let mut sql = reuse.unwrap_or_else(|| self.compiled.sql.clone());
+        if let Some(predicate) = &mut sql.where_clause {
+            fill_values(predicate, &mut values.into_iter());
+        }
+        Ok((sql, absent))
+    }
+}
+
+// Overwrite the leading `Expr::Value`s of `expr`, in pre-order, with
+// `values`: the compiler emits every constant's equality before any
+// other value (`Expr::conjunction` folds left, so pre-order is emission
+// order).
+fn fill_values(expr: &mut Expr, values: &mut std::vec::IntoIter<Value>) {
+    if values.len() == 0 {
+        return;
+    }
+    match expr {
+        Expr::Value(value) => *value = values.next().expect("checked non-empty"),
+        Expr::Column(_) => {}
+        Expr::Binary { left, right, .. } => {
+            fill_values(left, values);
+            fill_values(right, values);
+        }
+        Expr::Not(inner) | Expr::IsNull { expr: inner, .. } => fill_values(inner, values),
+        Expr::InList { expr, list, .. } => {
+            fill_values(expr, values);
+            for item in list {
+                fill_values(item, values);
+            }
+        }
     }
 }
 

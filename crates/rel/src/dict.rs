@@ -53,6 +53,13 @@ impl Sym {
         DICT.intern(s)
     }
 
+    /// The symbol of `s` if it was ever interned, without interning it.
+    /// A string that has no symbol equals no stored text, so a read can
+    /// answer from this without growing the dictionary.
+    pub fn lookup(s: &str) -> Option<Sym> {
+        DICT.lookup(s)
+    }
+
     /// The interned string. Lock-free; the reference is valid for the
     /// process lifetime (the dictionary is append-only).
     pub fn as_str(self) -> &'static str {
@@ -188,6 +195,11 @@ impl Dictionary {
         Sym(id)
     }
 
+    fn lookup(&self, s: &str) -> Option<Sym> {
+        let guard = self.map.lock().unwrap_or_else(|e| e.into_inner());
+        guard.as_ref()?.get(s).map(|&id| Sym(id))
+    }
+
     fn resolve(&self, id: u32) -> &'static str {
         let (chunk, offset) = locate(id);
         let base = self.chunks[chunk].load(Ordering::Acquire);
@@ -255,6 +267,15 @@ mod tests {
         let e = Sym::intern("");
         assert_eq!(e.as_str(), "");
         assert_eq!(Sym::intern(""), e);
+    }
+
+    #[test]
+    fn lookup_finds_interned_strings_and_interns_nothing() {
+        let known = Sym::intern("dict-test-lookup-known");
+        assert_eq!(Sym::lookup("dict-test-lookup-known"), Some(known));
+        // A second lookup still misses: the first interned nothing.
+        assert_eq!(Sym::lookup("dict-test-lookup-never-interned"), None);
+        assert_eq!(Sym::lookup("dict-test-lookup-never-interned"), None);
     }
 
     #[test]

@@ -391,9 +391,11 @@ fn join_plan_json(plan: &SelectPlan) -> String {
 // one line of JSON so it survives as a header.
 fn profile_json(profile: &QueryProfile) -> String {
     JsonObject::new()
-        .bool("cache_hit", profile.cache_hit)
+        .bool("cache_hit", profile.cache.is_hit())
+        .str("cache", profile.cache.name())
         .u64("parse_micros", profile.parse_micros)
         .u64("plan_micros", profile.plan_micros)
+        .u64("bind_micros", profile.bind_micros)
         .u64("execute_micros", profile.execute_micros)
         .u64("version_seq", profile.version_seq)
         .u64("rows", profile.rows as u64)
@@ -412,7 +414,8 @@ fn profile_json(profile: &QueryProfile) -> String {
 fn explain_json(explain: &QueryExplain) -> String {
     let joins = explain.joins;
     JsonObject::new()
-        .bool("cache_hit", explain.cache_hit)
+        .bool("cache_hit", explain.cache.is_hit())
+        .str("cache", explain.cache.name())
         .str("form", explain.form)
         .u64("version_seq", explain.version_seq)
         .raw("joins", &join_plan_json(joins))
@@ -625,6 +628,7 @@ fn status(ctx: &AppContext) -> Response {
             "query_cache",
             &JsonObject::new()
                 .u64("entries", cache.entries as u64)
+                .u64("shapes", cache.shapes as u64)
                 .u64("capacity", cache.capacity as u64)
                 .u64("hits", cache.hits)
                 .u64("misses", cache.misses)
@@ -700,6 +704,12 @@ fn metrics_exposition(ctx: &AppContext) -> Response {
             "Compiled queries currently cached",
         )
         .set(cache.entries as u64);
+    registry
+        .gauge(
+            "ontoaccess_query_cache_shapes",
+            "Compiled query shapes the cached queries share",
+        )
+        .set(cache.shapes as u64);
     registry
         .gauge(
             "ontoaccess_query_cache_capacity",

@@ -157,6 +157,66 @@ fn profile_param_returns_plan_and_stage_timings() {
     server.shutdown();
 }
 
+#[test]
+fn a_new_text_of_a_cached_shape_says_so_and_binds_instead_of_planning() {
+    // Threshold 0 retains both traces.
+    let server = test_server(0);
+    let point = |author: u32| {
+        format!(
+            "PREFIX foaf: <http://xmlns.com/foaf/0.1/>\n\
+             SELECT ?n WHERE {{ <http://example.org/db/author{author}> foaf:family_name ?n . }}"
+        )
+    };
+    let mut profiles = Vec::new();
+    for (author, id) in [(6, "shape-first"), (7, "shape-second")] {
+        let response = send(
+            &server,
+            &format!(
+                "GET /sparql?query={}&profile=1 HTTP/1.1\r\nHost: t\r\n\
+                 X-Request-Id: {id}\r\nConnection: close\r\n\r\n",
+                urlencode(&point(author))
+            ),
+        );
+        assert_eq!(response.status, 200);
+        profiles.push(response.header("x-profile").expect("X-Profile").to_owned());
+    }
+    assert!(
+        profiles[0].contains("\"cache\":\"compile\""),
+        "{}",
+        profiles[0]
+    );
+    let second = &profiles[1];
+    for key in [
+        "\"cache_hit\":true",
+        "\"cache\":\"shape\"",
+        "\"plan_micros\":0",
+    ] {
+        assert!(second.contains(key), "{key} in {second}");
+    }
+    // The second trace binds and never plans; its bind stage is the
+    // span's duration.
+    let trace = get(&server, "/trace/shape-second").text();
+    let (bind, _) = span_of(&trace, "query.bind");
+    assert!(
+        u64_after(second, "\"bind_micros\":").abs_diff(bind) <= 1,
+        "{second} {trace}"
+    );
+    assert!(!trace.contains("\"name\":\"query.plan\""), "{trace}");
+    // The explain surface reports the probe too, and /status the shape.
+    let explained = get(
+        &server,
+        &format!("/sparql?query={}&explain=1", urlencode(&point(5))),
+    );
+    assert!(
+        explained.text().contains("\"cache\":\"shape\""),
+        "{}",
+        explained.text()
+    );
+    let status = get(&server, "/status").text();
+    assert!(status.contains("\"shapes\":1"), "{status}");
+    server.shutdown();
+}
+
 // ----------------------------------------------------------------------
 // X-Request-Id
 // ----------------------------------------------------------------------
@@ -378,7 +438,7 @@ fn profiled_request_records_the_same_trace_as_a_plain_one() {
     // One clock: each X-Profile stage is its span's duration (start and
     // end offsets truncate to whole micros independently, hence ±1).
     let profile = profiled.header("x-profile").expect("X-Profile");
-    for stage in ["parse", "plan", "execute"] {
+    for stage in ["parse", "plan", "bind", "execute"] {
         let reported = u64_after(profile, &format!("\"{stage}_micros\":"));
         let (recorded, _) = span_of(&profiled_trace, &format!("query.{stage}"));
         assert!(

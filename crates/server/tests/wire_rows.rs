@@ -6,8 +6,12 @@
 //! case database, extended with a table of booleans, doubles and
 //! integers and with text that needs every escape — and the solutions
 //! must match native evaluation over the materialized graph.
+//!
+//! The same generator, with constants, checks the query cache's
+//! binding: a text answered from a shape cached for other constants is
+//! indistinguishable from a fresh compile of it.
 
-use ontoaccess::{Mediator, QueryAnswer, QueryStop, SolutionRows};
+use ontoaccess::{CacheProbe, Mediator, QueryAnswer, QueryStop, SolutionRows};
 use ontoaccess_server::wire;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,7 +43,7 @@ const TRICKY: [&str; 4] = [
 
 // The use case (paper rows + a populated dataset) plus `gadget`, mapped
 // by the R3M generator.
-fn mediator() -> Mediator {
+fn database_and_mapping() -> (rel::Database, r3m::Mapping) {
     let mut schema = fixtures::schema();
     schema.add_table(gadget_table()).unwrap();
     let mut gadgets = Schema::new();
@@ -97,86 +101,240 @@ fn mediator() -> Mediator {
         )
         .unwrap();
     }
+    (db, mapping)
+}
+
+fn mediator() -> Mediator {
+    let (db, mapping) = database_and_mapping();
     Mediator::new(db, mapping).unwrap()
 }
 
-// Per class: its IRI and the properties a query may ask for.
-fn classes() -> Vec<(String, Vec<String>)> {
+// A class a query may ask about: its IRI, the constants that may stand
+// for an instance of it, and per property the constants its object may
+// be. Pools mix hits, misses, IRIs of other tables or of none, keys of
+// the wrong type, and typed, tagged and absent literals.
+struct Class {
+    iri: String,
+    subjects: Vec<String>,
+    properties: Vec<(String, Vec<String>)>,
+}
+
+fn strings(items: &[&str]) -> Vec<String> {
+    items.iter().map(|s| (*s).to_owned()).collect()
+}
+
+fn classes() -> Vec<Class> {
     let vocab = |local: &str| format!("<{VOCAB}{local}>");
     vec![
-        (
-            "foaf:Person".into(),
-            [
-                "foaf:title",
-                "foaf:firstName",
-                "foaf:family_name",
-                "foaf:mbox",
-                "ont:team",
-            ]
-            .map(String::from)
-            .to_vec(),
-        ),
-        (
-            "foaf:Document".into(),
-            [
-                "dc:title",
-                "ont:pubYear",
-                "ont:pubType",
-                "dc:publisher",
-                "dc:creator",
-            ]
-            .map(String::from)
-            .to_vec(),
-        ),
-        (
-            vocab("Gadget"),
-            [
-                "gadget_label",
-                "gadget_active",
-                "gadget_weight",
-                "gadget_count",
-            ]
-            .map(vocab)
-            .to_vec(),
-        ),
+        Class {
+            iri: "foaf:Person".into(),
+            subjects: strings(&[
+                "ex:author6",
+                "ex:author7",
+                "ex:author1003",
+                "ex:authorXY",
+                "ex:team5",
+                "<http://nowhere.example/thing>",
+            ]),
+            properties: vec![
+                (
+                    "foaf:title".into(),
+                    strings(&[r#""Mr""#, r#""Mr"@en"#, r#""wire-rows-absent-title""#]),
+                ),
+                (
+                    "foaf:firstName".into(),
+                    strings(&[
+                        r#""Matthias""#,
+                        r#""First1003"^^<http://www.w3.org/2001/XMLSchema#string>"#,
+                        r#""First1010""#,
+                    ]),
+                ),
+                (
+                    "foaf:family_name".into(),
+                    strings(&[
+                        r#""Hert""#,
+                        r#""Reif""#,
+                        r#""Last1010"@de"#,
+                        r#""wire-rows-absent-name""#,
+                    ]),
+                ),
+                (
+                    "foaf:mbox".into(),
+                    strings(&[
+                        "<mailto:hert@ifi.uzh.ch>",
+                        "<mailto:author1003@example.org>",
+                        "<mailto:nobody@nowhere.example>",
+                        "ex:author6",
+                    ]),
+                ),
+                (
+                    "ont:team".into(),
+                    strings(&["ex:team5", "ex:team1001", "ex:teamXY", "ex:author6"]),
+                ),
+            ],
+        },
+        Class {
+            iri: "foaf:Document".into(),
+            subjects: strings(&["ex:pub1", "ex:pub1001", "ex:pub1002", "ex:author6"]),
+            properties: vec![
+                (
+                    "dc:title".into(),
+                    strings(&[r#""Publication 1001""#, r#""wire-rows-absent-title""#]),
+                ),
+                (
+                    "ont:pubYear".into(),
+                    strings(&[r#""2009""#, "1996", r#""1997"^^xsd:integer"#, r#""soon""#]),
+                ),
+                (
+                    "ont:pubType".into(),
+                    strings(&["ex:pubtype4", "ex:pubtype1001", "ex:pubtype1002"]),
+                ),
+                (
+                    "dc:publisher".into(),
+                    strings(&["ex:publisher3", "ex:publisher1001", "ex:publisherXY"]),
+                ),
+                (
+                    "dc:creator".into(),
+                    strings(&["ex:author6", "ex:author1003", "ex:author1010", "ex:pub1"]),
+                ),
+            ],
+        },
+        Class {
+            iri: vocab("Gadget"),
+            subjects: strings(&["ex:gadget1", "ex:gadget2", "ex:gadget5", "ex:gadgetXY"]),
+            properties: vec![
+                (
+                    vocab("gadget_label"),
+                    strings(&[r#""""#, r#""<&>'\" plain""#, r#""wire-rows-absent-label""#]),
+                ),
+                (
+                    vocab("gadget_active"),
+                    strings(&["true", r#""false""#, r#""maybe""#]),
+                ),
+                (vocab("gadget_weight"), strings(&["0.5", "3.0e0"])),
+                (
+                    vocab("gadget_count"),
+                    strings(&["1000003", "-2000006", r#""7""#]),
+                ),
+            ],
+        },
     ]
+}
+
+// A generated query with its constants left open: the text is `pieces`
+// with hole `i` between pieces `i` and `i + 1`, and `holes[i]` lists
+// the constants that hole may take.
+struct Generated {
+    pieces: Vec<String>,
+    holes: Vec<Vec<String>>,
+    distinct: bool,
+    limit: Option<usize>,
+}
+
+impl Generated {
+    fn push(&mut self, text: &str) {
+        self.pieces.last_mut().expect("one piece").push_str(text);
+    }
+
+    fn hole(&mut self, pool: &[String]) {
+        self.holes.push(pool.to_vec());
+        self.pieces.push(String::new());
+    }
+
+    // The text with constant `picks[i]` in hole `i`.
+    fn render(&self, picks: &[usize]) -> String {
+        let mut text = self.pieces[0].clone();
+        for ((pool, pick), piece) in self.holes.iter().zip(picks).zip(&self.pieces[1..]) {
+            text.push_str(&pool[*pick]);
+            text.push_str(piece);
+        }
+        text
+    }
+
+    fn random_picks(&self, rng: &mut StdRng) -> Vec<usize> {
+        self.holes
+            .iter()
+            .map(|pool| rng.gen_range(0..pool.len()))
+            .collect()
+    }
 }
 
 // A random basic graph pattern over one class, with a random
 // projection, DISTINCT and LIMIT: the text, whether it is DISTINCT, and
 // its LIMIT.
 fn random_query(rng: &mut StdRng) -> (String, bool, Option<usize>) {
+    let query = generate(rng, false);
+    (query.render(&[]), query.distinct, query.limit)
+}
+
+// A random query; with `constants`, the subject (one hole per pattern)
+// and objects may be constants, and the form may be ASK.
+fn generate(rng: &mut StdRng, constants: bool) -> Generated {
     let classes = classes();
-    let (class, properties) = &classes[rng.gen_range(0..classes.len())];
-    let mut patterns = format!("?s a {class} . ");
-    let mut vars = vec!["?s".to_owned()];
-    for (i, property) in properties.iter().enumerate() {
+    let class = &classes[rng.gen_range(0..classes.len())];
+    let mut query = Generated {
+        pieces: vec![String::new()],
+        holes: Vec::new(),
+        distinct: false,
+        limit: None,
+    };
+    let ground = constants && rng.gen_bool(0.6);
+    let subject = |query: &mut Generated| {
+        if ground {
+            query.hole(&class.subjects);
+            query.push(" ");
+        } else {
+            query.push("?s ");
+        }
+    };
+    let mut vars: Vec<String> = Vec::new();
+    if !ground {
+        vars.push("?s".to_owned());
+    }
+    subject(&mut query);
+    query.push(&format!("a {} . ", class.iri));
+    for (i, (property, objects)) in class.properties.iter().enumerate() {
         if rng.gen_bool(0.5) {
-            patterns.push_str(&format!("?s {property} ?v{i} . "));
-            vars.push(format!("?v{i}"));
+            subject(&mut query);
+            query.push(&format!("{property} "));
+            if constants && rng.gen_bool(0.5) {
+                query.hole(objects);
+                query.push(" . ");
+            } else {
+                query.push(&format!("?v{i} . "));
+                vars.push(format!("?v{i}"));
+            }
         }
     }
-    let projection = if rng.gen_bool(0.2) {
-        "*".to_owned()
+    let head = if constants && rng.gen_bool(0.15) {
+        "ASK { ".to_owned()
     } else {
-        let mut chosen: Vec<&str> = vars
-            .iter()
-            .filter(|_| rng.gen_bool(0.6))
-            .map(String::as_str)
-            .collect();
-        if chosen.is_empty() {
-            chosen.push(&vars[vars.len() - 1]);
-        }
-        chosen.join(" ")
+        let projection = if vars.is_empty() || rng.gen_bool(0.2) {
+            "*".to_owned()
+        } else {
+            let mut chosen: Vec<&str> = vars
+                .iter()
+                .filter(|_| rng.gen_bool(0.6))
+                .map(String::as_str)
+                .collect();
+            if chosen.is_empty() {
+                chosen.push(&vars[vars.len() - 1]);
+            }
+            chosen.join(" ")
+        };
+        query.distinct = rng.gen_bool(0.3);
+        query.limit = rng.gen_bool(0.3).then(|| rng.gen_range(0..25usize));
+        format!(
+            "SELECT {}{projection} WHERE {{ ",
+            if query.distinct { "DISTINCT " } else { "" }
+        )
     };
-    let distinct = rng.gen_bool(0.3);
-    let limit = rng.gen_bool(0.3).then(|| rng.gen_range(0..25usize));
-    let text = format!(
-        "SELECT {}{projection} WHERE {{ {patterns}}}{}",
-        if distinct { "DISTINCT " } else { "" },
-        limit.map_or(String::new(), |n| format!(" LIMIT {n}"))
-    );
-    (text, distinct, limit)
+    query.pieces[0].insert_str(0, &head);
+    query.push("}");
+    if let Some(n) = query.limit {
+        query.push(&format!(" LIMIT {n}"));
+    }
+    query
 }
 
 fn rows_of(mediator: &Mediator, text: &str) -> SolutionRows {
@@ -251,6 +409,184 @@ fn row_writers_match_the_solution_writers_on_random_queries() {
         }
     }
     assert!(rows_seen > 1_000 && limited > 30 && distinct_seen > 30);
+}
+
+// What a client observes of `text`: the JSON body or the error (kind
+// and message), then the `?explain=1` plan or error. Also which cache
+// probe answered the execution, `None` for a failure.
+fn observe(mediator: &Mediator, text: &str) -> (String, Option<CacheProbe>) {
+    let session = mediator.read();
+    let (body, probe) = match session.run_query(text, QueryStop::Execute) {
+        Ok(run) => {
+            let body = match run.outcome.as_ref().expect("executed") {
+                QueryAnswer::Solutions(rows) => wire::rows_to_json(rows).unwrap(),
+                QueryAnswer::Boolean(b) => wire::boolean_to_json(*b),
+            };
+            (body, Some(run.cache))
+        }
+        Err(error) => (format!("{error:?}"), None),
+    };
+    let plan = match session.run_query(text, QueryStop::Plan) {
+        Ok(run) => {
+            let explain = run.explain();
+            format!(
+                "{} {} {:?}",
+                explain.form, explain.version_seq, explain.joins
+            )
+        }
+        Err(error) => format!("{error:?}"),
+    };
+    (format!("{body}\n{plan}"), probe)
+}
+
+// The database with every join column indexed, so that no compile
+// provisions indexes and a fresh mediator plans against what the warm
+// one does.
+fn indexed(mediator: &Mediator) -> rel::Database {
+    let mut db = mediator.database().clone();
+    for class in classes() {
+        for (property, _) in &class.properties {
+            let text = format!("SELECT * WHERE {{ ?s {property} ?o }}");
+            let Ok(Query::Select(select)) =
+                sparql::parse_query_with_prefixes(&text, mediator.prefixes().clone())
+            else {
+                unreachable!("{text}")
+            };
+            let compiled = ontoaccess::compile_select(&db, mediator.mapping(), &select).unwrap();
+            ontoaccess::ensure_join_indexes(&mut db, &compiled).unwrap();
+        }
+    }
+    db
+}
+
+#[test]
+fn a_shape_cached_for_other_constants_answers_as_a_fresh_compile() {
+    let base = mediator();
+    let db = indexed(&base);
+    let fresh = || Mediator::new(db.clone(), base.mapping().clone()).unwrap();
+    // A small cache evicts all the time, so bindings also overwrite the
+    // statements evicted texts leave behind.
+    let warm = fresh();
+    warm.set_query_cache_capacity(8);
+    // `(warm-up text, probe text)`: the warm mediator answers the first,
+    // then both answer the second. Fixed cases first, then random ones.
+    let point = |subject: &str| format!("SELECT ?n WHERE {{ {subject} foaf:family_name ?n }}");
+    let pair = |a: &str, b: &str| {
+        format!("SELECT ?a ?b WHERE {{ {a} foaf:family_name ?a . {b} foaf:firstName ?b }}")
+    };
+    let by = |object: &str| format!("SELECT ?x WHERE {{ ?x foaf:family_name {object} }}");
+    let mbox = |object: &str| format!("SELECT ?x WHERE {{ ?x foaf:mbox {object} }}");
+    let year = |object: &str| {
+        format!("SELECT DISTINCT ?t WHERE {{ ?p ont:pubYear {object} ; dc:title ?t }} LIMIT 3")
+    };
+    let ask = |object: &str| format!("ASK {{ ?x foaf:family_name {object} }}");
+    let mut cases: Vec<(String, String, Option<CacheProbe>)> = vec![
+        // One IRI twice against two IRIs of one table, both ways: the
+        // first probe compiles, later ones bind what earlier cases cached.
+        (
+            pair("ex:author6", "ex:author6"),
+            pair("ex:author6", "ex:author7"),
+            Some(CacheProbe::Compile),
+        ),
+        (
+            pair("ex:author6", "ex:author7"),
+            pair("ex:author7", "ex:author7"),
+            Some(CacheProbe::Shape),
+        ),
+        (
+            pair("ex:author7", "ex:author7"),
+            pair("ex:author7", "ex:author6"),
+            Some(CacheProbe::Shape),
+        ),
+        // IRIs of two tables, and of none, in one position.
+        (point("ex:author6"), point("ex:team5"), None),
+        (
+            point("ex:author6"),
+            point("<http://nowhere.example/x>"),
+            None,
+        ),
+        // A key of the wrong type fails as it does compiling.
+        (point("ex:author6"), point("ex:authorXY"), None),
+        (
+            point("ex:author6"),
+            point("ex:author7"),
+            Some(CacheProbe::Shape),
+        ),
+        (
+            mbox("<mailto:hert@ifi.uzh.ch>"),
+            mbox("<mailto:author1003@example.org>"),
+            Some(CacheProbe::Shape),
+        ),
+        (
+            mbox("<mailto:hert@ifi.uzh.ch>"),
+            mbox("<mailto:nobody@nowhere.example>"),
+            Some(CacheProbe::Shape),
+        ),
+        (mbox("<mailto:hert@ifi.uzh.ch>"), mbox("ex:author6"), None),
+        (by(r#""Hert""#), by(r#""Reif"@en"#), Some(CacheProbe::Shape)),
+        (
+            by(r#""Hert""#),
+            by(r#""Reif"^^xsd:string"#),
+            Some(CacheProbe::Shape),
+        ),
+        (
+            by(r#""Hert""#),
+            by(r#""wire-rows-absent""#),
+            Some(CacheProbe::Shape),
+        ),
+        (by(r#""Hert""#), by("42"), None),
+        (year(r#""2009""#), year("1996"), Some(CacheProbe::Shape)),
+        (year(r#""2009""#), year(r#""soon""#), None),
+        (ask(r#""Hert""#), ask(r#""Reif""#), Some(CacheProbe::Shape)),
+        (
+            ask(r#""Hert""#),
+            ask(r#""wire-rows-absent""#),
+            Some(CacheProbe::Shape),
+        ),
+    ];
+    // Distinct texts of one shape cycling through the cache: most bind
+    // into the statement an evicted text of the shape left behind.
+    for author in (1000..1024).step_by(2) {
+        cases.push((
+            point(&format!("ex:author{author}")),
+            point(&format!("ex:author{}", author + 1)),
+            Some(CacheProbe::Shape),
+        ));
+    }
+    let fixed = cases.len();
+    let mut rng = StdRng::seed_from_u64(27);
+    while cases.len() < 500 {
+        let query = generate(&mut rng, true);
+        let (a, b) = (query.random_picks(&mut rng), query.random_picks(&mut rng));
+        if a != b {
+            cases.push((query.render(&a), query.render(&b), None));
+        }
+    }
+    // Shape answers with rows and without, and shape probes whose
+    // binding failed.
+    let (mut rows, mut empty, mut failed) = (0, 0, 0);
+    for (i, (warm_up, probe, expected)) in cases.iter().enumerate() {
+        let _ = warm.read().run_query(warm_up, QueryStop::Execute);
+        let misses = warm.query_cache_stats().misses;
+        let (ours, cache) = observe(&warm, probe);
+        let (theirs, _) = observe(&fresh(), probe);
+        assert_eq!(ours, theirs, "warmed with {warm_up}\nthen asked {probe}");
+        if i < fixed {
+            assert_eq!(cache, *expected, "{probe}");
+        }
+        let body = ours.split_once('\n').expect("body, then plan").0;
+        let has_rows = !body.contains(r#""bindings":[]"#) && body != wire::boolean_to_json(false);
+        match cache {
+            Some(CacheProbe::Shape) if has_rows => rows += 1,
+            Some(CacheProbe::Shape) => empty += 1,
+            None if warm.query_cache_stats().misses == misses => failed += 1,
+            _ => {}
+        }
+    }
+    assert!(
+        rows >= 40 && empty >= 30 && failed >= 30,
+        "{rows} {empty} {failed}"
+    );
 }
 
 #[test]
