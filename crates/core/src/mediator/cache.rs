@@ -80,8 +80,9 @@ pub(super) struct QueryCache {
     // Shape key → the shape's entry in the index.
     shapes: HashMap<Arc<str>, IndexedShape>,
     capacity: usize,
-    // Monotonic observability counters (surfaced by a transport's
-    // status endpoint via `Mediator::query_cache_stats`).
+    // Monotonic observability counters: their one store, which a
+    // transport's `/status` and `/metrics` read via
+    // `Mediator::query_cache_stats`.
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -109,7 +110,7 @@ impl QueryCache {
         }
         slot.referenced = true;
         let query = Arc::clone(&slot.query);
-        self.hit();
+        self.hits += 1;
         Some(query)
     }
 
@@ -121,17 +122,11 @@ impl QueryCache {
             .get_mut(key)
             .map(|indexed| (Arc::clone(&indexed.shape), indexed.spare.take()));
         if shape.is_some() {
-            self.hit();
+            self.hits += 1;
         } else {
             self.misses += 1;
-            super::metrics().cache_misses.inc();
         }
         shape
-    }
-
-    fn hit(&mut self) {
-        self.hits += 1;
-        super::metrics().cache_hits.inc();
     }
 
     // Cache `query` for `text`. Returns what the cache let go of, for
@@ -183,7 +178,6 @@ impl QueryCache {
             }
             let query = slot.remove().query;
             self.evictions += 1;
-            super::metrics().cache_evictions.inc();
             let key = &*query.shape.key;
             let indexed = self
                 .shapes

@@ -72,18 +72,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use versions::VersionChain;
 
-// Process-global query/transaction metrics. The obs registry is
-// process-wide (like the string dictionary), so these aggregate over
-// every mediator in the process; the per-instance `*_stats()` structs
-// remain the per-database view.
+// Process-global query/transaction latency histograms. The obs
+// registry is process-wide (like the string dictionary), so these
+// aggregate over every mediator in the process; counts and occupancy
+// live only in the per-instance `*_stats()` structs.
 struct CoreMetrics {
     parse: &'static obs::Histogram,
     plan: &'static obs::Histogram,
     execute: &'static obs::Histogram,
     commit: &'static obs::Histogram,
-    cache_hits: &'static obs::Counter,
-    cache_misses: &'static obs::Counter,
-    cache_evictions: &'static obs::Counter,
 }
 
 fn metrics() -> &'static CoreMetrics {
@@ -106,18 +103,6 @@ fn metrics() -> &'static CoreMetrics {
             commit: registry.latency_histogram(
                 "ontoaccess_txn_commit_seconds",
                 "Wall time of WriteTxn::commit (WAL append + publish + group fsync)",
-            ),
-            cache_hits: registry.counter(
-                "ontoaccess_query_cache_hits_total",
-                "Compiled-query cache lookups answered without compiling (text or shape hit)",
-            ),
-            cache_misses: registry.counter(
-                "ontoaccess_query_cache_misses_total",
-                "Compiled-query cache lookups that had to compile",
-            ),
-            cache_evictions: registry.counter(
-                "ontoaccess_query_cache_evictions_total",
-                "Compiled-query cache entries evicted under capacity pressure",
             ),
         }
     })

@@ -21,10 +21,9 @@
 //! structs. Exposition order is registration order, so `/metrics`
 //! output is stable across scrapes.
 //!
-//! The whole layer has a runtime kill-switch, [`set_enabled`]: when
-//! off, every recording call degrades to one relaxed load and a
-//! branch. The overhead bench measures instrumented vs. killed to
-//! bound the hot-path cost.
+//! State that already lives in a per-instance struct (cache occupancy,
+//! WAL frontier, …) is not copied into the registry: the exposition
+//! handler appends it at scrape time with [`render_sampled`].
 //!
 //! # Logging
 //!
@@ -38,28 +37,9 @@
 
 pub mod trace;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
-
-// ----------------------------------------------------------------------
-// Kill switch
-// ----------------------------------------------------------------------
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Turn metric recording on or off process-wide. When off, every
-/// `inc`/`set`/`observe` is a relaxed load plus a branch — the
-/// "compiled to no-op" baseline the overhead bench compares against.
-/// Registered metrics keep their last values and keep rendering.
-pub fn set_enabled(enabled: bool) {
-    ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether metric recording is currently on.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 // ----------------------------------------------------------------------
 // Metric kinds
@@ -79,9 +59,7 @@ impl Counter {
 
     /// Add `n`.
     pub fn add(&self, n: u64) {
-        if enabled() {
-            self.value.fetch_add(n, Ordering::Relaxed);
-        }
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -99,28 +77,22 @@ pub struct Gauge {
 impl Gauge {
     /// Set the current value.
     pub fn set(&self, v: u64) {
-        if enabled() {
-            self.value.store(v, Ordering::Relaxed);
-        }
+        self.value.store(v, Ordering::Relaxed);
     }
 
     /// Add `n` (e.g. entering an in-flight section).
     pub fn add(&self, n: u64) {
-        if enabled() {
-            self.value.fetch_add(n, Ordering::Relaxed);
-        }
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Subtract `n`, saturating at zero.
     pub fn sub(&self, n: u64) {
-        if enabled() {
-            // fetch_update never underflows even under races.
-            let _ = self
-                .value
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                    Some(v.saturating_sub(n))
-                });
-        }
+        // fetch_update never underflows even under races.
+        let _ = self
+            .value
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                Some(v.saturating_sub(n))
+            });
     }
 
     /// Current value.
@@ -168,9 +140,6 @@ impl Histogram {
 
     /// Record one raw sample.
     pub fn observe(&self, raw: u64) {
-        if !enabled() {
-            return;
-        }
         let slot = self.bounds.partition_point(|&bound| bound < raw);
         self.buckets[slot].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(raw, Ordering::Relaxed);
@@ -262,20 +231,9 @@ pub fn registry() -> &'static Registry {
 }
 
 impl Registry {
-    /// Register (or look up) an unlabeled counter.
+    /// Register (or look up) a counter.
     pub fn counter(&self, name: &'static str, help: &'static str) -> &'static Counter {
-        self.counter_labeled(name, help, None)
-    }
-
-    /// Register (or look up) a counter, optionally labeled
-    /// `{key="value"}`.
-    pub fn counter_labeled(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        label: Option<(&str, &str)>,
-    ) -> &'static Counter {
-        match self.entry(name, help, label, || {
+        match self.entry(name, help, None, || {
             Handle::Counter(Box::leak(Box::new(Counter::default())))
         }) {
             Handle::Counter(c) => c,
@@ -283,19 +241,9 @@ impl Registry {
         }
     }
 
-    /// Register (or look up) an unlabeled gauge.
+    /// Register (or look up) a gauge.
     pub fn gauge(&self, name: &'static str, help: &'static str) -> &'static Gauge {
-        self.gauge_labeled(name, help, None)
-    }
-
-    /// Register (or look up) a gauge, optionally labeled.
-    pub fn gauge_labeled(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        label: Option<(&str, &str)>,
-    ) -> &'static Gauge {
-        match self.entry(name, help, label, || {
+        match self.entry(name, help, None, || {
             Handle::Gauge(Box::leak(Box::new(Gauge::default())))
         }) {
             Handle::Gauge(g) => g,
@@ -386,22 +334,40 @@ impl Registry {
                 Handle::Gauge(_) => "gauge",
                 Handle::Histogram(_) => "histogram",
             };
-            out.push_str("# HELP ");
-            out.push_str(entry.name);
-            out.push(' ');
-            out.push_str(entry.help);
-            out.push('\n');
-            out.push_str("# TYPE ");
-            out.push_str(entry.name);
-            out.push(' ');
-            out.push_str(kind);
-            out.push('\n');
+            render_header(&mut out, entry.name, entry.help, kind);
             // All series of this name, in registration order.
             for series in entries.iter().filter(|e| e.name == entry.name) {
                 render_series(&mut out, series);
             }
         }
         out
+    }
+}
+
+/// Append one family the registry does not hold: `# HELP`, `# TYPE`
+/// (`"counter"` or `"gauge"`) and a single sample, optionally labeled
+/// `{key="value"}`. The value is read from its one store at scrape
+/// time, so the registry keeps no copy to drift or leak between
+/// servers.
+pub fn render_sampled(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    kind: &str,
+    label: Option<(&str, &str)>,
+    value: u64,
+) {
+    render_header(out, name, help, kind);
+    render_sample(out, name, None, label, value as f64);
+}
+
+fn render_header(out: &mut String, name: &str, help: &str, kind: &str) {
+    for (line, detail) in [("# HELP ", help), ("# TYPE ", kind)] {
+        out.push_str(line);
+        out.push_str(name);
+        out.push(' ');
+        out.push_str(detail);
+        out.push('\n');
     }
 }
 
@@ -650,14 +616,8 @@ fn push_logfmt_value(out: &mut String, value: &str) {
 mod tests {
     use super::*;
 
-    // The kill switch is process-global; every test that records or
-    // toggles serializes here so parallel test threads cannot observe
-    // each other's disabled windows.
-    static SWITCH: Mutex<()> = Mutex::new(());
-
     #[test]
     fn counter_and_gauge_round_trip() {
-        let _serial = SWITCH.lock().unwrap_or_else(|e| e.into_inner());
         let c = Counter::default();
         c.inc();
         c.add(4);
@@ -673,7 +633,6 @@ mod tests {
 
     #[test]
     fn histogram_buckets_and_quantiles() {
-        let _serial = SWITCH.lock().unwrap_or_else(|e| e.into_inner());
         let h = Histogram::new(&[10, 100, 1000], 1.0);
         for v in [5, 5, 5, 5, 50, 50, 50, 500, 500, 5000] {
             h.observe(v);
@@ -689,33 +648,23 @@ mod tests {
     }
 
     #[test]
-    fn kill_switch_stops_recording() {
-        let _serial = SWITCH.lock().unwrap_or_else(|e| e.into_inner());
-        let c = Counter::default();
-        set_enabled(false);
-        c.inc();
-        assert_eq!(c.get(), 0);
-        set_enabled(true);
-        c.inc();
-        assert_eq!(c.get(), 1);
-    }
-
-    #[test]
     fn registry_dedupes_by_name_and_label() {
-        let _serial = SWITCH.lock().unwrap_or_else(|e| e.into_inner());
         let registry = registry();
         let a = registry.counter("obs_test_total", "test counter");
         let b = registry.counter("obs_test_total", "test counter");
         assert!(std::ptr::eq(a, b), "same name returns the same handle");
-        let labeled = registry.counter_labeled("obs_test_total", "test counter", Some(("k", "v")));
-        assert!(!std::ptr::eq(a, labeled), "labels are distinct series");
+        let labeled = |v| registry.latency_histogram_labeled("obs_test_seconds", "test", ("k", v));
+        assert!(std::ptr::eq(labeled("v"), labeled("v")));
+        assert!(
+            !std::ptr::eq(labeled("v"), labeled("w")),
+            "labels are distinct series"
+        );
         a.inc();
         assert!(registry.render().contains("obs_test_total"));
     }
 
     #[test]
     fn render_is_valid_exposition_shape() {
-        let _serial = SWITCH.lock().unwrap_or_else(|e| e.into_inner());
         let registry = registry();
         let h = registry.latency_histogram("obs_test_render_seconds", "render test");
         h.observe(120);
@@ -726,6 +675,25 @@ mod tests {
         assert!(text.contains("obs_test_render_seconds_sum"));
         // Bucket for 250µs bound carries the 120µs sample.
         assert!(text.contains("obs_test_render_seconds_bucket{le=\"0.00025\"}"));
+    }
+
+    #[test]
+    fn sampled_family_renders_help_type_and_one_sample() {
+        let mut out = String::new();
+        render_sampled(
+            &mut out,
+            "obs_test_info",
+            "info",
+            "gauge",
+            Some(("v", "1\"2")),
+            1,
+        );
+        render_sampled(&mut out, "obs_test_total", "total", "counter", None, 7);
+        assert_eq!(
+            out,
+            "# HELP obs_test_info info\n# TYPE obs_test_info gauge\nobs_test_info{v=\"1\\\"2\"} 1\n\
+             # HELP obs_test_total total\n# TYPE obs_test_total counter\nobs_test_total 7\n"
+        );
     }
 
     #[test]

@@ -35,10 +35,6 @@
 //! ([`MAX_SPANS_PER_TRACE`], overflow counted in `spans_dropped`), so
 //! the store's memory is bounded by construction — [`TraceStore::spans_held`]
 //! is the auditable canary.
-//!
-//! The whole layer honors [`crate::set_enabled`]: when the kill switch
-//! is off, [`start`] returns an inert guard and every span call
-//! degrades to a thread-local probe.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -111,14 +107,11 @@ fn now_unix_ms() -> u64 {
 }
 
 /// Begin a trace on this thread, keyed by `trace_id`, with a root span
-/// named `root`. Returns an inert guard (nothing records) when the
-/// kill switch is off or a trace is already active on this thread.
+/// named `root`. Returns an inert guard (nothing records) when a trace
+/// is already active on this thread.
 /// Dropping (or [`Trace::finish`]ing) the guard closes the root span
 /// and submits the trace to the global [`store`].
 pub fn start(trace_id: &str, root: &'static str) -> Trace {
-    if !crate::enabled() {
-        return Trace { armed: false };
-    }
     let armed = ACTIVE.with(|active| {
         let mut active = active.borrow_mut();
         if active.is_some() {
@@ -154,8 +147,8 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Whether this guard actually records (false when tracing was
-    /// disabled or another trace already owned the thread).
+    /// Whether this guard actually records (false when another trace
+    /// already owned the thread).
     pub fn armed(&self) -> bool {
         self.armed
     }
@@ -339,8 +332,7 @@ impl Span {
     /// Close the span and return the wall time since it was opened.
     /// The record's end offset is its start plus the returned duration,
     /// so a histogram or profile fed this value reports what the trace
-    /// shows. Works armed or not: the time is real outside a trace and
-    /// under [`crate::set_enabled`]`(false)`.
+    /// shows. Works armed or not: the time is real outside a trace.
     pub fn finish(mut self) -> Duration {
         let elapsed = self.started.elapsed();
         self.close(elapsed);
@@ -555,10 +547,9 @@ impl TraceStore {
 mod tests {
     use super::*;
 
-    // Trace context is thread-local, but the kill switch and the
-    // global store are process-wide; tests that toggle or submit
-    // serialize with the lib-level tests' discipline by running each
-    // trace on a dedicated thread where needed.
+    // Trace context is thread-local but the store is process-wide:
+    // each test runs its trace on a dedicated thread, under an id of
+    // its own.
     fn on_thread<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
         std::thread::spawn(f).join().expect("test thread")
     }

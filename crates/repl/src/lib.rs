@@ -410,27 +410,15 @@ enum TailError {
     Fatal(String),
 }
 
-// Process-global replication metrics (lag gauges are sampled from
-// [`ReplicationStatus`] at scrape time by the server's `/metrics`).
-struct ReplMetrics {
-    fetch_rtt: &'static obs::Histogram,
-    reconnects: &'static obs::Counter,
-}
-
-fn metrics() -> &'static ReplMetrics {
-    static METRICS: std::sync::OnceLock<ReplMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| {
-        let registry = obs::registry();
-        ReplMetrics {
-            fetch_rtt: registry.latency_histogram(
-                "ontoaccess_repl_fetch_seconds",
-                "Round-trip time of follower WAL fetches (includes leader long-poll wait)",
-            ),
-            reconnects: registry.counter(
-                "ontoaccess_repl_reconnects_total",
-                "Times the follower lost its leader connection and began reconnecting",
-            ),
-        }
+// Process-global fetch round-trip histogram. Lag and reconnects live in
+// [`ReplicationStatus`]; the server's `/metrics` reads them at scrape.
+fn fetch_rtt() -> &'static obs::Histogram {
+    static FETCH_RTT: std::sync::OnceLock<&'static obs::Histogram> = std::sync::OnceLock::new();
+    FETCH_RTT.get_or_init(|| {
+        obs::registry().latency_histogram(
+            "ontoaccess_repl_fetch_seconds",
+            "Round-trip time of follower WAL fetches (includes leader long-poll wait)",
+        )
     })
 }
 
@@ -533,16 +521,13 @@ impl Tail {
                 &request_id,
             ) {
                 Ok(response) => {
-                    metrics()
-                        .fetch_rtt
-                        .observe_duration(fetch_started.elapsed());
+                    fetch_rtt().observe_duration(fetch_started.elapsed());
                     response
                 }
                 Err(e) => {
                     fetch_trace.discard();
                     if connected {
                         self.status.inner.reconnects.fetch_add(1, Ordering::AcqRel);
-                        metrics().reconnects.inc();
                         connected = false;
                     }
                     obs::log(

@@ -47,10 +47,7 @@ mod json;
 mod metrics;
 mod pool;
 pub mod router;
-mod stats;
 pub mod wire;
-
-pub use stats::ServerStats;
 
 use crate::http::{Connection, Limits, Response};
 use crate::pool::{ConnQueue, ConnRegistry};
@@ -82,13 +79,11 @@ pub struct ServerConfig {
     /// progress handle, surfaced under `/status`. `None` on leaders
     /// and plain standalone servers.
     pub replication: Option<repl::ReplicationStatus>,
-    /// Queries whose handler wall time reaches this many milliseconds
-    /// land in the bounded slow-query log surfaced on `/status`
-    /// (`slow_queries`). `0` records every query.
+    /// Requests whose handler wall time reaches this many milliseconds
+    /// are classified slow: their traces join the trace store's priority
+    /// ring, and the slow `/sparql` ones are listed on `/status`
+    /// (`slow_queries`). `0` classifies every request slow.
     pub slow_query_ms: u64,
-    /// Entries retained by the slow-query ring (oldest evicted beyond
-    /// this).
-    pub slow_query_capacity: usize,
 }
 
 impl Default for ServerConfig {
@@ -101,7 +96,6 @@ impl Default for ServerConfig {
             keep_alive_timeout: Duration::from_secs(5),
             replication: None,
             slow_query_ms: 250,
-            slow_query_capacity: 32,
         }
     }
 }
@@ -126,20 +120,17 @@ pub fn serve<A: ToSocketAddrs>(
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
-    let stats = Arc::new(ServerStats::default());
     let queue = Arc::new(ConnQueue::new(config.queue_capacity));
     let registry = Arc::new(ConnRegistry::default());
     let shutdown_flag = Arc::new(AtomicBool::new(false));
     let ctx = Arc::new(AppContext {
         mediator,
-        stats: Arc::clone(&stats),
         started: Instant::now(),
         workers: config.workers.max(1),
         queue_capacity: config.queue_capacity.max(1),
         replication: config.replication.clone(),
         metrics: metrics::HttpMetrics::new(),
-        slow_log: metrics::SlowQueryLog::new(config.slow_query_capacity),
-        slow_query_micros: config.slow_query_ms.saturating_mul(1000),
+        slow_query: Duration::from_millis(config.slow_query_ms),
     });
 
     let mut workers = Vec::with_capacity(ctx.workers);
@@ -157,11 +148,11 @@ pub fn serve<A: ToSocketAddrs>(
     }
     let acceptor = {
         let queue = Arc::clone(&queue);
-        let stats = Arc::clone(&stats);
+        let rejections = ctx.metrics.overload_rejections;
         let flag = Arc::clone(&shutdown_flag);
         std::thread::Builder::new()
             .name("ontoaccess-acceptor".into())
-            .spawn(move || acceptor_loop(&listener, &queue, &stats, &flag))?
+            .spawn(move || acceptor_loop(&listener, &queue, rejections, &flag))?
     };
 
     Ok(ServerHandle {
@@ -169,20 +160,18 @@ pub fn serve<A: ToSocketAddrs>(
         shutdown_flag,
         queue,
         registry,
-        stats,
         acceptor: Some(acceptor),
         workers,
     })
 }
 
-/// A running server: its address, counters, and shutdown control.
+/// A running server: its address and shutdown control.
 #[derive(Debug)]
 pub struct ServerHandle {
     addr: SocketAddr,
     shutdown_flag: Arc<AtomicBool>,
     queue: Arc<ConnQueue>,
     registry: Arc<ConnRegistry>,
-    stats: Arc<ServerStats>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -191,11 +180,6 @@ impl ServerHandle {
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The server's request counters.
-    pub fn stats(&self) -> Arc<ServerStats> {
-        Arc::clone(&self.stats)
     }
 
     /// Graceful shutdown: stop accepting, serve everything already
@@ -257,7 +241,7 @@ impl Drop for ServerHandle {
 fn acceptor_loop(
     listener: &TcpListener,
     queue: &ConnQueue,
-    stats: &ServerStats,
+    rejections: &obs::Counter,
     shutdown: &AtomicBool,
 ) {
     for incoming in listener.incoming() {
@@ -267,7 +251,7 @@ fn acceptor_loop(
         let Ok(stream) = incoming else { continue };
         if let Err(stream) = queue.push(stream) {
             // Overload: reject inline rather than queue without bound.
-            stats.record_overload_rejection();
+            rejections.inc();
             let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
             let response = router::attach_request_id(
                 Response::new(

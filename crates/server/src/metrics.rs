@@ -1,15 +1,11 @@
-//! Server-side observability plumbing: the per-endpoint HTTP metric
-//! handles and the bounded slow-query log.
+//! The HTTP layer's metric handles: request counters, the in-flight
+//! gauge and the per-endpoint latency series.
 //!
-//! Metric handles are resolved once at server construction (registry
-//! lookups take a mutex; the request path must not), then recording is
-//! a couple of relaxed atomic ops per request — cheap enough to leave
-//! on in production, and compiled to a no-op via [`obs::set_enabled`]
-//! for the overhead baseline.
-
-use std::collections::VecDeque;
-use std::sync::Mutex;
-use std::time::{SystemTime, UNIX_EPOCH};
+//! Handles are resolved once at server construction (registry lookups
+//! take a mutex; the request path must not), then recording is a couple
+//! of relaxed atomic ops per request. The counters live in the
+//! process-global [`obs`] registry, so `/status` and `/metrics` read the
+//! same values, and several servers in one process share them.
 
 const ENDPOINT_HELP: &str = "HTTP request wall time per endpoint, routing through response build";
 
@@ -33,6 +29,16 @@ const ENDPOINTS: &[&str] = &[
 /// Pre-resolved handles for the HTTP layer's metrics.
 #[derive(Debug)]
 pub(crate) struct HttpMetrics {
+    /// Requests routed (any endpoint, any outcome).
+    pub requests: &'static obs::Counter,
+    /// Query requests that reached execution.
+    pub queries: &'static obs::Counter,
+    /// Update requests that reached execution.
+    pub updates: &'static obs::Counter,
+    /// Admin checkpoints (`POST /snapshot`) that completed.
+    pub snapshots: &'static obs::Counter,
+    /// Connections answered 503 because the accept queue was full.
+    pub overload_rejections: &'static obs::Counter,
     /// Requests currently being handled (gauge).
     pub in_flight: &'static obs::Gauge,
     endpoints: Vec<(&'static str, &'static obs::Histogram)>,
@@ -43,6 +49,26 @@ impl HttpMetrics {
     pub fn new() -> Self {
         let registry = obs::registry();
         HttpMetrics {
+            requests: registry.counter(
+                "ontoaccess_http_requests_total",
+                "Requests routed (any endpoint, any outcome)",
+            ),
+            queries: registry.counter(
+                "ontoaccess_http_queries_total",
+                "Query requests that reached execution",
+            ),
+            updates: registry.counter(
+                "ontoaccess_http_updates_total",
+                "Update requests that reached execution",
+            ),
+            snapshots: registry.counter(
+                "ontoaccess_http_snapshots_total",
+                "Admin checkpoints (POST /snapshot) that completed",
+            ),
+            overload_rejections: registry.counter(
+                "ontoaccess_http_overload_rejections_total",
+                "Connections answered 503 because the accept queue was full",
+            ),
             in_flight: registry.gauge(
                 "ontoaccess_http_in_flight_requests",
                 "Requests currently being handled by a worker",
@@ -77,105 +103,9 @@ impl HttpMetrics {
     }
 }
 
-/// One retained slow query.
-#[derive(Debug, Clone)]
-pub(crate) struct SlowQueryEntry {
-    /// The query text, truncated to [`SlowQueryLog::TEXT_LIMIT`].
-    pub query: String,
-    /// Total handler wall time, in microseconds.
-    pub micros: u64,
-    /// The request id the query ran under — the handle for
-    /// `GET /trace/<request-id>` when `trace_retained` is set.
-    pub request_id: String,
-    /// Whether a trace was recorded for this request (slow traces are
-    /// tail-sampling priority, so a recorded trace is a retained one).
-    pub trace_retained: bool,
-    /// Wall-clock capture time (Unix milliseconds).
-    pub at_unix_ms: u64,
-}
-
-/// Bounded in-memory ring of the most recent queries that crossed the
-/// configured threshold, surfaced on `/status` as `slow_queries`.
-#[derive(Debug)]
-pub(crate) struct SlowQueryLog {
-    capacity: usize,
-    inner: Mutex<VecDeque<SlowQueryEntry>>,
-}
-
-impl SlowQueryLog {
-    /// Longest query text retained per entry; the tail is elided.
-    pub const TEXT_LIMIT: usize = 200;
-
-    pub fn new(capacity: usize) -> Self {
-        SlowQueryLog {
-            capacity: capacity.max(1),
-            inner: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    /// Record one slow query, evicting the oldest entry at capacity.
-    pub fn record(&self, query: &str, micros: u64, request_id: &str, trace_retained: bool) {
-        let mut text: String = query.chars().take(Self::TEXT_LIMIT).collect();
-        if text.len() < query.len() {
-            text.push('…');
-        }
-        let at_unix_ms = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_millis().min(u64::MAX as u128) as u64)
-            .unwrap_or(0);
-        let mut ring = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        while ring.len() >= self.capacity {
-            ring.pop_front();
-        }
-        ring.push_back(SlowQueryEntry {
-            query: text,
-            micros,
-            request_id: request_id.to_owned(),
-            trace_retained,
-            at_unix_ms,
-        });
-    }
-
-    /// Snapshot the retained entries, oldest first.
-    pub fn entries(&self) -> Vec<SlowQueryEntry> {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .cloned()
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn slow_query_log_evicts_oldest_at_capacity() {
-        let log = SlowQueryLog::new(3);
-        for i in 0..5 {
-            log.record(&format!("SELECT {i}"), i, &format!("req-{i}"), i % 2 == 0);
-        }
-        let entries = log.entries();
-        assert_eq!(entries.len(), 3);
-        assert_eq!(entries[0].query, "SELECT 2");
-        assert_eq!(entries[2].query, "SELECT 4");
-        assert_eq!(entries[2].micros, 4);
-        assert_eq!(entries[2].request_id, "req-4");
-        assert!(entries[2].trace_retained);
-        assert!(!entries[1].trace_retained);
-    }
-
-    #[test]
-    fn slow_query_log_truncates_long_text() {
-        let log = SlowQueryLog::new(1);
-        let long = "x".repeat(SlowQueryLog::TEXT_LIMIT + 50);
-        log.record(&long, 1, "req-long", false);
-        let entry = &log.entries()[0];
-        assert!(entry.query.chars().count() == SlowQueryLog::TEXT_LIMIT + 1);
-        assert!(entry.query.ends_with('…'));
-    }
 
     #[test]
     fn endpoint_lookup_falls_back_to_other() {

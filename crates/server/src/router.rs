@@ -29,16 +29,16 @@
 use crate::error_map::{error_body, protocol_error_body, status_for, ERROR_CONTENT_TYPE};
 use crate::http::{Request, Response};
 use crate::json::{json_array, JsonObject};
-use crate::metrics::{HttpMetrics, SlowQueryLog};
-use crate::stats::ServerStats;
+use crate::metrics::HttpMetrics;
 use crate::wire;
+use obs::trace::{AttrValue, Trace};
 use ontoaccess::feedback::Feedback;
 use ontoaccess::mediator::{
     Mediator, QueryExplain, QueryProfile, QueryStop, ReadSession, UpdateProfile,
 };
 use ontoaccess::{OntoError, OntoResult, QueryAnswer};
 use rel::sql::SelectPlan;
-use std::sync::Arc;
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 /// Media type of a SPARQL query sent as a raw POST body.
@@ -48,19 +48,17 @@ pub const SPARQL_UPDATE: &str = "application/sparql-update";
 const FORM: &str = "application/x-www-form-urlencoded";
 
 // Everything a handler can reach: the shared mediator (writes, admin)
-// and server-level counters. Read sessions are per worker and passed
+// and the HTTP layer's metrics. Read sessions are per worker and passed
 // alongside.
 pub(crate) struct AppContext {
     pub mediator: Mediator,
-    pub stats: Arc<ServerStats>,
     pub started: Instant,
     pub workers: usize,
     pub queue_capacity: usize,
     pub replication: Option<repl::ReplicationStatus>,
     pub metrics: HttpMetrics,
-    pub slow_log: SlowQueryLog,
-    /// Queries at or above this handler wall time land in `slow_log`.
-    pub slow_query_micros: u64,
+    /// Requests at or above this handler wall time are classified slow.
+    pub slow_query: Duration,
 }
 
 pub(crate) fn handle_request(
@@ -71,12 +69,11 @@ pub(crate) fn handle_request(
 ) -> Response {
     let started = Instant::now();
     let request_id = request_id_for(request);
-    ctx.stats.record_request();
+    ctx.metrics.requests.inc();
     ctx.metrics.in_flight.add(1);
     // The request's trace, keyed by its id: every span the layers
     // below emit on this thread (parse, plan, join steps, WAL append,
-    // fsync wait, …) parents into this root. Inert when [`obs`] is
-    // disabled.
+    // fsync wait, …) parents into this root.
     let trace = obs::trace::start(&request_id, "request");
     trace.attr_str("method", &request.method);
     trace.attr_str("path", &request.path);
@@ -98,8 +95,8 @@ pub(crate) fn handle_request(
     };
     let response = match (method, request.path.as_str()) {
         ("GET", "/") => usage(),
-        ("GET", "/sparql") => query_from_get(ctx, session, request, &request_id),
-        ("POST", "/sparql") => query_from_post(ctx, session, request, &request_id),
+        ("GET", "/sparql") => query_from_get(ctx, session, request, &trace),
+        ("POST", "/sparql") => query_from_post(ctx, session, request, &trace),
         ("POST", "/update") => update(ctx, request),
         ("GET", "/describe") => describe(session, request),
         ("GET", "/dump") => dump(session, request),
@@ -130,22 +127,30 @@ pub(crate) fn handle_request(
     ctx.metrics.in_flight.sub(1);
     let elapsed = started.elapsed();
     // Tail-sample classification happens here, where the outcome is
-    // known: failed and slow requests become priority traces.
+    // known: failed and slow requests become priority traces. This is
+    // the one slow decision; `/status` lists the slow queries from the
+    // trace store.
     trace.attr_u64("status", u64::from(response.status));
     if response.status >= 400 {
         obs::trace::mark_error();
     }
-    if elapsed.as_micros().min(u64::MAX as u128) as u64 >= ctx.slow_query_micros {
+    let slow = elapsed >= ctx.slow_query;
+    if slow {
         obs::trace::mark_slow();
     }
     trace.finish();
     ctx.metrics
         .endpoint(endpoint_series(&request.path))
         .observe_duration(elapsed);
+    let (level, message) = if slow {
+        (obs::Level::Warn, "slow request")
+    } else {
+        (obs::Level::Info, "request")
+    };
     obs::log(
-        obs::Level::Info,
+        level,
         "http",
-        "request",
+        message,
         &[
             ("id", &request_id),
             ("method", &request.method),
@@ -244,10 +249,10 @@ fn query_from_get(
     ctx: &AppContext,
     session: &ReadSession,
     request: &Request,
-    request_id: &str,
+    trace: &Trace,
 ) -> Response {
     match request.param("query") {
-        Some(text) => run_query(ctx, session, text, request, request_id),
+        Some(text) => run_query(ctx, session, text, request, trace),
         None => Response::new(
             400,
             ERROR_CONTENT_TYPE,
@@ -260,7 +265,7 @@ fn query_from_post(
     ctx: &AppContext,
     session: &ReadSession,
     request: &Request,
-    request_id: &str,
+    trace: &Trace,
 ) -> Response {
     let text = match request.content_type().as_deref() {
         Some(SPARQL_QUERY) => String::from_utf8_lossy(&request.body).into_owned(),
@@ -291,7 +296,19 @@ fn query_from_post(
             )
         }
     };
-    run_query(ctx, session, &text, request, request_id)
+    run_query(ctx, session, &text, request, trace)
+}
+
+// Longest query text a request's trace keeps; the tail is elided.
+const QUERY_ATTR_CHARS: usize = 200;
+
+// The query text as the root span's `query` attribute: at most
+// [`QUERY_ATTR_CHARS`] characters, then `…`.
+fn query_attr(text: &str) -> Cow<'_, str> {
+    match text.char_indices().nth(QUERY_ATTR_CHARS) {
+        Some((cut, _)) => Cow::Owned(format!("{}…", &text[..cut])),
+        None => Cow::Borrowed(text),
+    }
 }
 
 fn run_query(
@@ -299,12 +316,13 @@ fn run_query(
     session: &ReadSession,
     text: &str,
     request: &Request,
-    request_id: &str,
+    trace: &Trace,
 ) -> Response {
+    trace.attr_str("query", &query_attr(text));
     // `?explain=1`: describe the chosen plan without executing it. The
     // body is always JSON (there is no result set to negotiate).
     if request.param("explain").is_some_and(|v| v == "1") {
-        ctx.stats.record_query();
+        ctx.metrics.queries.inc();
         return match session.run_query(text, QueryStop::Plan) {
             Ok(run) => Response::new(200, wire::JSON, explain_json(&run.explain())),
             Err(error) => mediator_error(&error),
@@ -316,8 +334,7 @@ fn run_query(
             &[wire::SPARQL_RESULTS_JSON, wire::SPARQL_RESULTS_XML],
         );
     };
-    ctx.stats.record_query();
-    let query_started = Instant::now();
+    ctx.metrics.queries.inc();
     // The body is complete before the first byte is sent: a cell that
     // fails to render fails the request, never truncates a 200.
     let result = session.run_query(text, QueryStop::Execute).and_then(|run| {
@@ -328,20 +345,6 @@ fn run_query(
         let body = results_body(answer, format)?;
         Ok((run, body))
     });
-    let micros = query_started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-    if micros >= ctx.slow_query_micros {
-        // Flag the active trace *now* so tail sampling pins it to the
-        // priority ring; the ring entry then links to it by id.
-        obs::trace::mark_slow();
-        ctx.slow_log
-            .record(text, micros, request_id, obs::trace::is_active());
-        obs::log(
-            obs::Level::Warn,
-            "http",
-            "slow query",
-            &[("id", &request_id), ("micros", &micros), ("query", &text)],
-        );
-    }
     match result {
         Ok((run, body)) => {
             let response = Response::new(200, content_type, body);
@@ -462,7 +465,7 @@ fn update(ctx: &AppContext, request: &Request) -> Response {
             )
         }
     };
-    ctx.stats.record_update();
+    ctx.metrics.updates.inc();
     // A request may carry several operations separated by `;`
     // (SPARQL 1.1 update request); the whole request is executed as
     // one atomic write transaction, and the answer is the paper's §6
@@ -610,15 +613,30 @@ fn status(ctx: &AppContext) -> Response {
     let cache = ctx.mediator.query_cache_stats();
     let dict = ctx.mediator.dictionary_stats();
     let conc = ctx.mediator.concurrency_stats();
-    let stats = &ctx.stats;
-    let slow_queries = json_array(ctx.slow_log.entries().into_iter().map(|entry| {
-        JsonObject::new()
-            .str("query", &entry.query)
-            .u64("micros", entry.micros)
-            .str("request_id", &entry.request_id)
-            .bool("trace_retained", entry.trace_retained)
-            .u64("at_unix_ms", entry.at_unix_ms)
-            .finish()
+    let metrics = &ctx.metrics;
+    // A view of the trace store, oldest first: the retained slow traces
+    // that carry a `query` attribute, i.e. the slow `/sparql` requests.
+    let mut traces = obs::trace::store().index();
+    traces.reverse();
+    let slow_queries = json_array(traces.iter().filter(|t| t.slow).filter_map(|record| {
+        let query = record
+            .spans
+            .first()?
+            .attrs
+            .iter()
+            .find_map(|attr| match attr {
+                ("query", AttrValue::Str(query)) => Some(query),
+                _ => None,
+            })?;
+        Some(
+            JsonObject::new()
+                .str("query", query)
+                .u64("micros", record.duration_micros)
+                .str("request_id", &record.trace_id)
+                .bool("trace_retained", true)
+                .u64("at_unix_ms", record.started_unix_ms)
+                .finish(),
+        )
     }));
     let body = JsonObject::new()
         .str("version", env!("CARGO_PKG_VERSION"))
@@ -661,11 +679,11 @@ fn status(ctx: &AppContext) -> Response {
             &JsonObject::new()
                 .u64("workers", ctx.workers as u64)
                 .u64("queue_capacity", ctx.queue_capacity as u64)
-                .u64("requests", stats.requests())
-                .u64("queries", stats.queries())
-                .u64("updates", stats.updates())
-                .u64("snapshots", stats.snapshots())
-                .u64("overload_rejections", stats.overload_rejections())
+                .u64("requests", metrics.requests.get())
+                .u64("queries", metrics.queries.get())
+                .u64("updates", metrics.updates.get())
+                .u64("snapshots", metrics.snapshots.get())
+                .u64("overload_rejections", metrics.overload_rejections.get())
                 .finish(),
         )
         .raw("slow_queries", &slow_queries)
@@ -680,131 +698,166 @@ fn status(ctx: &AppContext) -> Response {
 /// Content type of the Prometheus text exposition format.
 pub const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
 
-// `GET /metrics`: render the process-global registry. Counters and
-// histograms accumulate on the hot paths; point-in-time state (cache
-// occupancy, dictionary size, MVCC chain, WAL frontier, replication
-// lag) is sampled into gauges here, at scrape time — the scrape path
-// is cold, so the registry lookups' mutex is fine.
+// `GET /metrics`: the process-global registry (counters and histograms
+// accumulated on the hot paths), then this server's point-in-time state
+// read from the mediator's and replicator's `*_stats()` at scrape time.
+// Nothing sampled is written back to the registry, so one server's
+// families never show on another's scrape.
 fn metrics_exposition(ctx: &AppContext) -> Response {
-    let registry = obs::registry();
-    registry
-        .gauge_labeled(
-            "ontoaccess_build_info",
-            "Constant 1, labeled with the server version",
-            Some(("version", env!("CARGO_PKG_VERSION"))),
-        )
-        .set(1);
-    registry
-        .gauge("ontoaccess_uptime_seconds", "Seconds since server start")
-        .set(ctx.started.elapsed().as_secs());
+    let mut out = obs::registry().render();
+    obs::render_sampled(
+        &mut out,
+        "ontoaccess_build_info",
+        "Constant 1, labeled with the server version",
+        "gauge",
+        Some(("version", env!("CARGO_PKG_VERSION"))),
+        1,
+    );
+    let mut family = |kind: &str, name: &str, help: &str, value: u64| {
+        obs::render_sampled(&mut out, name, help, kind, None, value)
+    };
+    let uptime = ctx.started.elapsed().as_secs();
+    family(
+        "gauge",
+        "ontoaccess_uptime_seconds",
+        "Seconds since server start",
+        uptime,
+    );
     let cache = ctx.mediator.query_cache_stats();
-    registry
-        .gauge(
-            "ontoaccess_query_cache_entries",
-            "Compiled queries currently cached",
-        )
-        .set(cache.entries as u64);
-    registry
-        .gauge(
-            "ontoaccess_query_cache_shapes",
-            "Compiled query shapes the cached queries share",
-        )
-        .set(cache.shapes as u64);
-    registry
-        .gauge(
-            "ontoaccess_query_cache_capacity",
-            "Query cache capacity (entries)",
-        )
-        .set(cache.capacity as u64);
+    family(
+        "gauge",
+        "ontoaccess_query_cache_entries",
+        "Compiled queries currently cached",
+        cache.entries as u64,
+    );
+    family(
+        "gauge",
+        "ontoaccess_query_cache_shapes",
+        "Compiled query shapes the cached queries share",
+        cache.shapes as u64,
+    );
+    family(
+        "gauge",
+        "ontoaccess_query_cache_capacity",
+        "Query cache capacity (entries)",
+        cache.capacity as u64,
+    );
+    family(
+        "counter",
+        "ontoaccess_query_cache_hits_total",
+        "Compiled-query cache lookups answered without compiling (text or shape hit)",
+        cache.hits,
+    );
+    family(
+        "counter",
+        "ontoaccess_query_cache_misses_total",
+        "Compiled-query cache lookups that had to compile",
+        cache.misses,
+    );
+    family(
+        "counter",
+        "ontoaccess_query_cache_evictions_total",
+        "Compiled-query cache entries evicted under capacity pressure",
+        cache.evictions,
+    );
     let dict = ctx.mediator.dictionary_stats();
-    registry
-        .gauge(
-            "ontoaccess_dictionary_symbols",
-            "Interned strings in the process-global dictionary",
-        )
-        .set(dict.symbols);
-    registry
-        .gauge(
-            "ontoaccess_dictionary_string_bytes",
-            "Bytes of unique string payload held by the dictionary",
-        )
-        .set(dict.string_bytes);
-    registry
-        .gauge(
-            "ontoaccess_dictionary_bytes_saved",
-            "Bytes avoided by interning repeated strings",
-        )
-        .set(dict.bytes_saved);
+    family(
+        "gauge",
+        "ontoaccess_dictionary_symbols",
+        "Interned strings in the process-global dictionary",
+        dict.symbols,
+    );
+    family(
+        "gauge",
+        "ontoaccess_dictionary_string_bytes",
+        "Bytes of unique string payload held by the dictionary",
+        dict.string_bytes,
+    );
+    family(
+        "gauge",
+        "ontoaccess_dictionary_bytes_saved",
+        "Bytes avoided by interning repeated strings",
+        dict.bytes_saved,
+    );
     let conc = ctx.mediator.concurrency_stats();
-    registry
-        .gauge(
-            "ontoaccess_mvcc_current_version",
-            "Sequence number of the currently published database version",
-        )
-        .set(conc.current_version);
-    registry
-        .gauge(
-            "ontoaccess_mvcc_versions_retained",
-            "Database versions retained for live readers",
-        )
-        .set(conc.versions_retained as u64);
-    registry
-        .gauge(
-            "ontoaccess_mvcc_read_sessions",
-            "Read sessions currently live",
-        )
-        .set(conc.read_sessions_live as u64);
-    registry
-        .gauge(
-            "ontoaccess_write_lock_waits_total",
-            "Write transactions that had to wait for the write lock",
-        )
-        .set(conc.write_lock_waits);
+    family(
+        "gauge",
+        "ontoaccess_mvcc_current_version",
+        "Sequence number of the currently published database version",
+        conc.current_version,
+    );
+    family(
+        "gauge",
+        "ontoaccess_mvcc_versions_retained",
+        "Database versions retained for live readers",
+        conc.versions_retained as u64,
+    );
+    family(
+        "gauge",
+        "ontoaccess_mvcc_read_sessions",
+        "Read sessions currently live",
+        conc.read_sessions_live as u64,
+    );
+    family(
+        "counter",
+        "ontoaccess_write_lock_waits_total",
+        "Write transactions that had to wait for the write lock",
+        conc.write_lock_waits,
+    );
     if let Some(d) = ctx.mediator.durability_stats() {
-        registry
-            .gauge("ontoaccess_wal_size_bytes", "Durable WAL size in bytes")
-            .set(d.wal_bytes);
-        registry
-            .gauge(
-                "ontoaccess_wal_last_commit_seq",
-                "Sequence number of the last durably committed unit",
-            )
-            .set(d.last_commit_seq);
-        registry
-            .gauge(
-                "ontoaccess_wal_poisoned",
-                "1 when the WAL refused further appends after a fault",
-            )
-            .set(u64::from(d.poisoned));
+        family(
+            "gauge",
+            "ontoaccess_wal_size_bytes",
+            "Durable WAL size in bytes",
+            d.wal_bytes,
+        );
+        family(
+            "gauge",
+            "ontoaccess_wal_last_commit_seq",
+            "Sequence number of the last durably committed unit",
+            d.last_commit_seq,
+        );
+        family(
+            "gauge",
+            "ontoaccess_wal_poisoned",
+            "1 when the WAL refused further appends after a fault",
+            u64::from(d.poisoned),
+        );
     }
     if let Some(status) = &ctx.replication {
         let snap = status.snapshot();
-        registry
-            .gauge(
-                "ontoaccess_repl_applied_seq",
-                "Last WAL commit unit applied by this replica",
-            )
-            .set(snap.applied_seq);
-        registry
-            .gauge(
-                "ontoaccess_repl_leader_seq",
-                "Leader's durable commit frontier as last observed",
-            )
-            .set(snap.leader_seq);
-        registry
-            .gauge(
-                "ontoaccess_repl_lag_units",
-                "Commit units the replica trails the leader by",
-            )
-            .set(snap.lag_units);
-        registry
-            .gauge(
-                "ontoaccess_repl_lag_bytes",
-                "WAL bytes the replica trails the leader by",
-            )
-            .set(snap.lag_bytes);
+        family(
+            "gauge",
+            "ontoaccess_repl_applied_seq",
+            "Last WAL commit unit applied by this replica",
+            snap.applied_seq,
+        );
+        family(
+            "gauge",
+            "ontoaccess_repl_leader_seq",
+            "Leader's durable commit frontier as last observed",
+            snap.leader_seq,
+        );
+        family(
+            "gauge",
+            "ontoaccess_repl_lag_units",
+            "Commit units the replica trails the leader by",
+            snap.lag_units,
+        );
+        family(
+            "gauge",
+            "ontoaccess_repl_lag_bytes",
+            "WAL bytes the replica trails the leader by",
+            snap.lag_bytes,
+        );
+        family(
+            "counter",
+            "ontoaccess_repl_reconnects_total",
+            "Times the follower lost its leader connection and began reconnecting",
+            snap.reconnects,
+        );
     }
-    Response::new(200, METRICS_CONTENT_TYPE, registry.render())
+    Response::new(200, METRICS_CONTENT_TYPE, out)
 }
 
 // The `/status` replication object: a follower reports its replicator
@@ -867,7 +920,7 @@ fn durability_json(ctx: &AppContext) -> String {
 fn snapshot(ctx: &AppContext) -> Response {
     match ctx.mediator.checkpoint() {
         Ok(seq) => {
-            ctx.stats.record_snapshot();
+            ctx.metrics.snapshots.inc();
             let wal_bytes = ctx.mediator.durability_stats().map_or(0, |d| d.wal_bytes);
             Response::new(
                 200,
@@ -1080,4 +1133,19 @@ fn not_acceptable(kind: &str, offers: &[&str]) -> Response {
             ),
         ),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn query_attr_keeps_200_chars_then_elides() {
+        let long = "é".repeat(QUERY_ATTR_CHARS + 50);
+        let kept = query_attr(&long);
+        assert_eq!(kept.chars().count(), QUERY_ATTR_CHARS + 1);
+        assert!(kept.ends_with('…'));
+        let exact = "x".repeat(QUERY_ATTR_CHARS);
+        assert!(matches!(query_attr(&exact), Cow::Borrowed(text) if text == exact));
+    }
 }

@@ -660,7 +660,14 @@ fn overload_answers_503_with_retry_after() {
     let response = rejected.read_response().unwrap(); // 503 written at accept
     assert_eq!(response.status, 503);
     assert_eq!(response.header("retry-after"), Some("1"));
-    assert_eq!(server.stats().overload_rejections(), 1);
+    // Free the worker and the queue slot, then read the counter where
+    // an operator would: the `/status` server object.
+    drop((_parked, _queued));
+    let status = get(&server, "/status", None).text();
+    assert!(
+        status.contains("\"overload_rejections\":1}"),
+        "one rejection counted: {status}"
+    );
     server.shutdown();
 }
 

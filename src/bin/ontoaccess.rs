@@ -19,9 +19,9 @@
 //!
 //! `--log-level LEVEL` (error/warn/info/debug/off, or `target=level`
 //! pairs; env `ONTOACCESS_LOG` works too) turns on logfmt structured
-//! logs on stderr. `--slow-query-ms N` sets the slow-query-log
-//! threshold surfaced under `/status` (`0` records every query);
-//! `--slow-query-capacity N` sizes that ring (default 32).
+//! logs on stderr. `--slow-query-ms N` sets the slow-request threshold
+//! (default 250, `0` = every request): slow traces are retained, and
+//! the slow queries among them are listed under `/status`.
 //!
 //! `--data-dir DIR` makes committed updates durable: the directory
 //! holds a write-ahead log plus snapshots, and booting on an existing
@@ -99,7 +99,6 @@ struct Options {
     data_dir: Option<String>,
     replicate_from: Option<String>,
     slow_query_ms: u64,
-    slow_query_capacity: usize,
 }
 
 impl Options {
@@ -113,7 +112,6 @@ impl Options {
             data_dir: None,
             replicate_from: None,
             slow_query_ms: ServerConfig::default().slow_query_ms,
-            slow_query_capacity: ServerConfig::default().slow_query_capacity,
         };
         let mut iter = args.iter();
         while let Some(arg) = iter.next() {
@@ -151,15 +149,11 @@ impl Options {
                     options.slow_query_ms =
                         number(&mut iter, arg, "a threshold in milliseconds (u64)")
                 }
-                "--slow-query-capacity" => {
-                    options.slow_query_capacity = number(&mut iter, arg, "an entry count (usize)")
-                }
                 other => {
                     eprintln!(
                         "unknown argument {other:?} (supported: --empty, --populate N, \
                          --seed S, --serve ADDR, --workers N, --data-dir DIR, \
-                         --replicate-from ADDR, --log-level LEVEL, --slow-query-ms N, \
-                         --slow-query-capacity N)"
+                         --replicate-from ADDR, --log-level LEVEL, --slow-query-ms N)"
                     );
                     std::process::exit(2);
                 }
@@ -271,7 +265,6 @@ fn run_replica(leader: &str, options: &Options) {
         workers: options.workers.max(1),
         replication: Some(replicator.status()),
         slow_query_ms: options.slow_query_ms,
-        slow_query_capacity: options.slow_query_capacity,
         ..ServerConfig::default()
     };
     let handle = match serve(mediator, addr, config) {
@@ -295,7 +288,6 @@ fn run_server(mediator: Mediator, addr: &str, options: &Options) {
     let config = ServerConfig {
         workers: options.workers.max(1),
         slow_query_ms: options.slow_query_ms,
-        slow_query_capacity: options.slow_query_capacity,
         ..ServerConfig::default()
     };
     let handle = match serve(mediator, addr, config) {
