@@ -1,49 +1,348 @@
-//! Conversions between RDF terms and SQL values, fixed by the mapping.
+//! The one conversion between the cells of a mapped column and the RDF
+//! terms of the view, fixed by the mapping.
 //!
-//! These conversions define the *canonical RDF view* of the database: the
-//! same functions are used by the translator (term → value on the way
-//! in) and by [`mod@crate::materialize`] (value → term on the way out), so
-//! the two directions compose to the identity on the supported types —
-//! the bijectivity that, per the paper's §2 discussion of view updates,
-//! sidesteps the hardest parts of the view update problem.
+//! A [`Codec`] is derived from the mapping and the schema for one
+//! column: a data attribute's cells are literals; a key, foreign-key or
+//! value-pattern attribute's cells are substituted into a URI pattern.
+//! The query compiler (pattern constants and result cells), Algorithm 1
+//! (subject keys, objects and DELETE DATA's existence check) and the
+//! materialized view all convert through it, so each direction is
+//! written once and the two compose to the identity on the supported
+//! types — the bijectivity that, per the paper's §2 discussion of view
+//! updates, sidesteps the hardest parts of the view update problem.
+//!
+//! An IRI decodes only from the rendering its cell encodes to:
+//! `ex:author06` and `ex:author+6` are not `ex:author6`, because the
+//! view never contains them.
 
-use crate::error::OntoError;
-use rdf::{Literal, LiteralKind, LiteralKindRef, Term, TermRef};
+use crate::error::{OntoError, OntoResult};
+use r3m::{AttributeMap, Mapping, PropertyMapping, Segment, TableMap, UriPattern};
+use rdf::{Iri, Literal, LiteralKind, LiteralKindRef, Term, TermRef};
 use rel::{SqlType, Value};
 use std::borrow::Cow;
 use std::fmt::Write;
 
-/// Convert an RDF literal to a SQL value for a column of type `ty`.
+/// What a decoded string becomes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Text {
+    /// Interned: the value is stored.
+    Intern,
+    /// Looked up: the value is only compared. A string the dictionary
+    /// lacks becomes NULL: it equals no stored text, and `column = NULL`
+    /// holds for no row, so a read answers the same without growing the
+    /// dictionary.
+    Lookup,
+}
+
+impl Text {
+    fn value(self, s: &str) -> Value {
+        match self {
+            Text::Intern => Value::text(s),
+            Text::Lookup => rel::Sym::lookup(s).map_or(Value::Null, Value::Text),
+        }
+    }
+}
+
+/// How the cells of one mapped column and their RDF terms convert into
+/// each other. Derived from the mapping, it borrows from it; a compiled
+/// query keeps owned copies, one per result column.
+#[derive(Debug, Clone)]
+pub struct Codec<'m> {
+    // Where the cells live, for errors.
+    table: Cow<'m, str>,
+    attribute: Cow<'m, str>,
+    ty: SqlType,
+    // `None`: the cells are literals.
+    iri: Option<IriForm<'m>>,
+}
+
+// A cell substituted into a URI pattern: placeholder `slot` of
+// `pattern`, under `prefix`.
+#[derive(Debug, Clone)]
+struct IriForm<'m> {
+    pattern: Cow<'m, UriPattern>,
+    prefix: Option<Cow<'m, str>>,
+    slot: Cow<'m, str>,
+}
+
+fn unsupported(message: String) -> OntoError {
+    OntoError::Unsupported { message }
+}
+
+fn column_type(table: &rel::Table, attribute: &str) -> OntoResult<SqlType> {
+    table
+        .column(attribute)
+        .map(|column| column.ty)
+        .ok_or_else(|| unsupported(format!("attribute {}.{attribute} missing", table.name)))
+}
+
+impl<'m> Codec<'m> {
+    /// The cells of key attribute `slot` of `table_map`'s rows, written
+    /// as the rows' instance IRIs. `table` is the table's schema.
+    pub(crate) fn key(
+        mapping: &'m Mapping,
+        table_map: &'m TableMap,
+        table: &rel::Table,
+        slot: &'m str,
+    ) -> OntoResult<Self> {
+        Ok(Codec {
+            table: Cow::Borrowed(&table_map.table_name),
+            attribute: Cow::Borrowed(slot),
+            ty: column_type(table, slot)?,
+            iri: Some(IriForm {
+                pattern: Cow::Borrowed(&table_map.uri_pattern),
+                prefix: mapping.uri_prefix.as_deref().map(Cow::Borrowed),
+                slot: Cow::Borrowed(slot),
+            }),
+        })
+    }
+
+    /// The cells of `attr`, an attribute of `table` (a table map's or a
+    /// link table's): a data property's are literals, a value pattern's
+    /// are derived IRIs (`mailto:%%email%%`), and a foreign key's are the
+    /// referenced rows' instance IRIs.
+    pub(crate) fn attribute(
+        mapping: &'m Mapping,
+        table: &'m rel::Table,
+        attr: &'m AttributeMap,
+    ) -> OntoResult<Self> {
+        let name = attr.attribute_name.as_str();
+        let iri = match (
+            &attr.property,
+            &attr.value_pattern,
+            attr.foreign_key_target(),
+        ) {
+            (Some(PropertyMapping::Data(_)), _, _) => None,
+            (_, Some(pattern), _) => Some(IriForm {
+                pattern: Cow::Borrowed(pattern),
+                prefix: None,
+                slot: Cow::Borrowed(name),
+            }),
+            (_, None, Some(target)) => {
+                let target = mapping.table_by_id(target).ok_or_else(|| {
+                    unsupported(format!("foreign key references unknown map node {target}"))
+                })?;
+                let mut slots =
+                    target
+                        .uri_pattern
+                        .segments()
+                        .iter()
+                        .filter_map(|segment| match segment {
+                            Segment::Attribute(slot) => Some(slot.as_str()),
+                            Segment::Literal(_) => None,
+                        });
+                let (Some(slot), None) = (slots.next(), slots.next()) else {
+                    return Err(unsupported(format!(
+                        "foreign key to composite-key table {:?} is not supported",
+                        target.table_name
+                    )));
+                };
+                Some(IriForm {
+                    pattern: Cow::Borrowed(&target.uri_pattern),
+                    prefix: mapping.uri_prefix.as_deref().map(Cow::Borrowed),
+                    slot: Cow::Borrowed(slot),
+                })
+            }
+            (_, None, None) => {
+                return Err(unsupported(format!(
+                    "{}.{name} is neither a data property nor has a ForeignKey constraint or \
+                     a value pattern",
+                    table.name
+                )))
+            }
+        };
+        Ok(Codec {
+            table: Cow::Borrowed(&table.name),
+            attribute: Cow::Borrowed(name),
+            ty: column_type(table, name)?,
+            iri,
+        })
+    }
+
+    /// The column's SQL type.
+    pub(crate) fn ty(&self) -> SqlType {
+        self.ty
+    }
+
+    /// This codec with everything it borrows copied.
+    pub(crate) fn into_owned(self) -> Codec<'static> {
+        fn own<T: ToOwned + ?Sized>(cow: Cow<'_, T>) -> Cow<'static, T> {
+            Cow::Owned(cow.into_owned())
+        }
+        Codec {
+            table: own(self.table),
+            attribute: own(self.attribute),
+            ty: self.ty,
+            iri: self.iri.map(|iri| IriForm {
+                pattern: own(iri.pattern),
+                prefix: iri.prefix.map(own),
+                slot: own(iri.slot),
+            }),
+        }
+    }
+
+    /// The RDF term of one cell, borrowed; `None` for NULL (the
+    /// attribute has no triple). Text literals borrow their interned
+    /// string; IRIs expand into `scratch` (cleared first) and must pass
+    /// [`Iri::check`]; numbers and booleans format into `scratch` under
+    /// a static `xsd:` datatype.
+    pub fn encode<'s>(
+        &self,
+        value: &Value,
+        scratch: &'s mut String,
+    ) -> OntoResult<Option<TermRef<'s>>> {
+        let Some(iri) = &self.iri else {
+            return Ok(literal(value, scratch));
+        };
+        if value.is_null() {
+            return Ok(None);
+        }
+        scratch.clear();
+        iri.pattern
+            .generate_into(iri.prefix.as_deref(), scratch, &mut |name, out| {
+                if name != iri.slot {
+                    return false;
+                }
+                push_lexical(value, out);
+                true
+            })
+            .map_err(|e| unsupported(e.to_string()))?;
+        Iri::check(scratch).map_err(|e| unsupported(e.to_string()))?;
+        Ok(Some(TermRef::Iri(scratch)))
+    }
+
+    /// [`Codec::encode`], owned. A text literal borrows the interned
+    /// string instead of copying it.
+    pub(crate) fn term(&self, value: &Value) -> OntoResult<Option<Term>> {
+        if let (None, Value::Text(s)) = (&self.iri, value) {
+            return Ok(Some(Term::Literal(Literal::plain_shared(s.as_str()))));
+        }
+        Ok(self
+            .encode(value, &mut String::new())?
+            .map(|term| term.to_owned()))
+    }
+
+    /// The cell `term` denotes, the inverse of [`Codec::encode`]. A
+    /// literal converts by value (plain `"2009"` fills an INTEGER
+    /// column, Listing 15); an IRI must match the pattern and be the
+    /// rendering of the cell it yields. `text` says whether a string is
+    /// interned or only looked up.
+    pub(crate) fn decode(&self, term: &Term, text: Text) -> OntoResult<Value> {
+        let value = match (&self.iri, term) {
+            (None, Term::Literal(lit)) => literal_value(lit, self.ty, text),
+            (None, _) => Err("a data property requires a literal object".to_owned()),
+            (Some(iri), Term::Iri(uri)) => iri
+                .pattern
+                .match_uri(iri.prefix.as_deref(), uri.as_str())
+                .and_then(|values| values.into_iter().find(|&(name, _)| name == iri.slot))
+                .ok_or_else(|| format!("does not match the URI pattern {}", iri.pattern))
+                .and_then(|(_, raw)| self.slot_value(raw, text)),
+            (Some(_), _) => Err("an object property requires an IRI object".to_owned()),
+        };
+        self.checked(value, term)
+    }
+
+    /// [`Codec::decode`] of the text `raw` that the placeholder matched
+    /// in the IRI `term` (a subject already identified against its URI
+    /// pattern).
+    pub(crate) fn decode_slot(&self, raw: &str, term: &Term, text: Text) -> OntoResult<Value> {
+        self.checked(self.slot_value(raw, text), term)
+    }
+
+    fn checked(&self, value: Result<Value, String>, term: &Term) -> OntoResult<Value> {
+        value.map_err(|reason| OntoError::ValueIncompatible {
+            table: self.table.to_string(),
+            attribute: self.attribute.to_string(),
+            value: term.clone(),
+            reason,
+        })
+    }
+
+    /// Whether the stored cell `value` is `term` in the view: a literal
+    /// compares by value (plain `"5"` is the stored 5), an IRI by its
+    /// rendering. DELETE DATA removes only triples that hold.
+    pub(crate) fn holds(&self, value: &Value, term: &Term) -> bool {
+        !value.is_null()
+            && self
+                .decode(term, Text::Lookup)
+                .is_ok_and(|cell| cell == *value)
+    }
+
+    // The cell behind the text a URI pattern placeholder matched: only
+    // the rendering `encode` writes denotes it.
+    fn slot_value(&self, raw: &str, text: Text) -> Result<Value, String> {
+        let value = match self.ty {
+            SqlType::Varchar => return Ok(text.value(raw)),
+            SqlType::Integer => raw
+                .parse::<i64>()
+                .map(Value::Int)
+                .map_err(|_| format!("{raw:?} is not an integer key"))?,
+            SqlType::Boolean => match raw {
+                "true" => Value::Bool(true),
+                "false" => Value::Bool(false),
+                _ => return Err(format!("{raw:?} is not a boolean key")),
+            },
+            SqlType::Double => raw
+                .parse::<f64>()
+                .map(Value::Double)
+                .map_err(|_| format!("{raw:?} is not a numeric key"))?,
+        };
+        let canonical = match value {
+            // Not `+6`, `06` or `-0`.
+            Value::Int(_) => {
+                let digits = raw.strip_prefix('-').unwrap_or(raw);
+                raw == "0" || !(raw.starts_with('+') || digits.starts_with('0'))
+            }
+            _ => {
+                let mut rendered = String::new();
+                push_lexical(&value, &mut rendered);
+                rendered == raw
+            }
+        };
+        if canonical {
+            Ok(value)
+        } else {
+            Err(format!("{raw:?} is not the canonical form of its key"))
+        }
+    }
+}
+
+/// The instance IRI of a row of `table_map`: its URI pattern with each
+/// placeholder's cell substituted. `table` is the table's schema.
+pub(crate) fn instance_iri(
+    mapping: &Mapping,
+    table_map: &TableMap,
+    table: &rel::Table,
+    row: &[Value],
+) -> OntoResult<Iri> {
+    let mut uri = String::new();
+    table_map
+        .uri_pattern
+        .generate_into(
+            mapping.uri_prefix.as_deref(),
+            &mut uri,
+            &mut |name, out| match table.column_index(name).map(|idx| &row[idx]) {
+                Some(value) if !value.is_null() => {
+                    push_lexical(value, out);
+                    true
+                }
+                _ => false,
+            },
+        )
+        .and_then(|()| {
+            Iri::parse(uri).map_err(|e| r3m::PatternError {
+                message: format!("generated URI is invalid: {e}"),
+            })
+        })
+        .map_err(|e| unsupported(format!("cannot build instance URI for {}: {e}", table.name)))
+}
+
+/// Convert an RDF literal to a value of a column of type `ty`.
 ///
 /// Plain literals are accepted for every type when their lexical form
 /// parses (the paper's Listing 15 writes `ont:pubYear "2009"` into an
 /// INTEGER column); typed literals must be of a compatible datatype.
-pub fn literal_to_value(lit: &Literal, ty: SqlType) -> Result<Value, String> {
-    literal_value_with(lit, ty, |s| Value::text(s))
-}
-
-/// [`literal_to_value`] for a value a query compares against: text the
-/// dictionary lacks becomes NULL instead of being interned (see
-/// [`lookup_text`]).
-pub(crate) fn literal_to_probe(lit: &Literal, ty: SqlType) -> Result<Value, String> {
-    literal_value_with(lit, ty, lookup_text)
-}
-
-/// The value a read compares a string against: its symbol if the
-/// dictionary has one, else NULL. A string that was never interned
-/// equals no stored text, and `column = NULL` holds for no row, so the
-/// read answers the same without growing the dictionary.
-pub(crate) fn lookup_text(s: &str) -> Value {
-    rel::Sym::lookup(s).map_or(Value::Null, Value::Text)
-}
-
-// `text` makes the value of a VARCHAR: interning for what is stored,
-// a lookup for what is only compared.
-fn literal_value_with(
-    lit: &Literal,
-    ty: SqlType,
-    text: fn(&str) -> Value,
-) -> Result<Value, String> {
+pub(crate) fn literal_value(lit: &Literal, ty: SqlType, text: Text) -> Result<Value, String> {
     match ty {
         SqlType::Integer => lit
             .as_int()
@@ -63,7 +362,7 @@ fn literal_value_with(
         },
         SqlType::Varchar => {
             if lit.is_stringy() {
-                Ok(text(lit.lexical()))
+                Ok(text.value(lit.lexical()))
             } else {
                 Err(format!("{lit} is not a string"))
             }
@@ -79,15 +378,11 @@ const XSD_INTEGER: &str = "http://www.w3.org/2001/XMLSchema#integer";
 const XSD_BOOLEAN: &str = "http://www.w3.org/2001/XMLSchema#boolean";
 const XSD_DOUBLE: &str = "http://www.w3.org/2001/XMLSchema#double";
 
-/// The canonical RDF literal of a SQL value, borrowed: text is a plain
-/// literal over its interned string; integers, booleans and doubles
-/// format their lexical form into `scratch` (cleared first) and carry
-/// a static `xsd:` datatype. Query results, owned solutions and the
-/// materialized view all read literals through this one mapping.
-///
-/// NULL has no triple (the attribute is simply absent from the RDF
-/// view), so this returns `None` for NULL.
-pub fn value_literal<'s>(value: &Value, scratch: &'s mut String) -> Option<TermRef<'s>> {
+// The literal of a cell: text is a plain literal over its interned
+// string; integers, booleans and doubles format their lexical form into
+// `scratch` (cleared first) under a static `xsd:` datatype. NULL has no
+// triple.
+fn literal<'s>(value: &Value, scratch: &'s mut String) -> Option<TermRef<'s>> {
     let datatype = match value {
         Value::Null => return None,
         Value::Text(s) => {
@@ -108,29 +403,10 @@ pub fn value_literal<'s>(value: &Value, scratch: &'s mut String) -> Option<TermR
     })
 }
 
-/// Convert a SQL value to its canonical RDF literal, owned: the literal
-/// [`value_literal`] views. `None` for NULL.
-pub fn value_to_literal(value: &Value) -> Option<Literal> {
-    if let Value::Text(s) = value {
-        // Borrow the interned copy out of the dictionary — result
-        // materialization decodes without cloning string bytes.
-        return Some(Literal::plain_shared(s.as_str()));
-    }
-    match value_literal(value, &mut String::new())?.to_owned() {
-        Term::Literal(lit) => Some(lit),
-        _ => unreachable!("a value's view is a literal"),
-    }
-}
-
-/// Convert a SQL value to an RDF term (literal form).
-pub fn value_to_term(value: &Value) -> Option<Term> {
-    value_to_literal(value).map(Term::Literal)
-}
-
 // Append the lexical form of a value: the text itself, `6`, `true`,
 // `1.5` — what a literal carries and what a URI pattern substitutes.
 // NULL appends nothing.
-pub(crate) fn push_lexical(value: &Value, out: &mut String) {
+fn push_lexical(value: &Value, out: &mut String) {
     match value {
         Value::Null => {}
         Value::Text(s) => out.push_str(s.as_str()),
@@ -144,95 +420,37 @@ pub(crate) fn push_lexical(value: &Value, out: &mut String) {
     }
 }
 
-/// Parse a URI-pattern-extracted string (always textual) into the value
-/// of a typed key column. Used when Algorithm 1 extracts `"1"` from
-/// `…/author1` for the INTEGER attribute `id`.
-pub fn pattern_value(raw: &str, ty: SqlType) -> Result<Value, String> {
-    pattern_value_with(raw, ty, |s| Value::text(s))
-}
-
-/// [`pattern_value`] for a value a query compares against (see
-/// [`lookup_text`]).
-pub(crate) fn pattern_probe(raw: &str, ty: SqlType) -> Result<Value, String> {
-    pattern_value_with(raw, ty, lookup_text)
-}
-
-fn pattern_value_with(raw: &str, ty: SqlType, text: fn(&str) -> Value) -> Result<Value, String> {
-    match ty {
-        SqlType::Integer => raw
-            .parse::<i64>()
-            .map(Value::Int)
-            .map_err(|_| format!("{raw:?} is not an integer key")),
-        SqlType::Varchar => Ok(text(raw)),
-        SqlType::Boolean => match raw {
-            "true" | "1" => Ok(Value::Bool(true)),
-            "false" | "0" => Ok(Value::Bool(false)),
-            _ => Err(format!("{raw:?} is not a boolean key")),
-        },
-        SqlType::Double => raw
-            .parse::<f64>()
-            .map(Value::Double)
-            .map_err(|_| format!("{raw:?} is not a numeric key")),
-    }
-}
-
-/// Render a value for URI pattern substitution (inverse of
-/// [`pattern_value`] on the lexical level). Text values borrow out of
-/// the dictionary; other values format as their literal's lexical form.
-pub fn value_to_pattern(value: &Value) -> Option<Cow<'static, str>> {
-    match value {
-        Value::Null => None,
-        Value::Text(s) => Some(Cow::Borrowed(s.as_str())),
-        other => {
-            let mut out = String::new();
-            push_lexical(other, &mut out);
-            Some(Cow::Owned(out))
-        }
-    }
-}
-
-/// "Does the stored value equal the literal in the request?" — the
-/// comparison DELETE DATA uses to verify the triple it removes actually
-/// exists (value semantics: plain `"5"` matches stored integer 5).
-pub fn literal_matches_value(lit: &Literal, value: &Value) -> bool {
-    match value {
-        Value::Null => false,
-        Value::Int(i) => lit.as_int() == Some(*i),
-        Value::Text(s) => lit.is_stringy() && lit.lexical() == s.as_str(),
-        Value::Bool(b) => {
-            lit.as_bool() == Some(*b)
-                || (plainish(lit) && lit.lexical() == if *b { "true" } else { "false" })
-        }
-        Value::Double(d) => lit.as_double() == Some(*d),
-    }
-}
-
-/// Helper composing [`literal_to_value`] with an [`OntoError`] payload.
-pub fn object_literal_to_value(
-    object: &Term,
-    table: &str,
-    attribute: &str,
-    ty: SqlType,
-) -> Result<Value, OntoError> {
-    let lit = object
-        .as_literal()
-        .ok_or_else(|| OntoError::ValueIncompatible {
-            table: table.to_owned(),
-            attribute: attribute.to_owned(),
-            value: object.clone(),
-            reason: "a data property requires a literal object".into(),
-        })?;
-    literal_to_value(lit, ty).map_err(|reason| OntoError::ValueIncompatible {
-        table: table.to_owned(),
-        attribute: attribute.to_owned(),
-        value: object.clone(),
-        reason,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::fixture_db_with_rows;
+
+    fn literal_to_value(lit: &Literal, ty: SqlType) -> Result<Value, String> {
+        literal_value(lit, ty, Text::Intern)
+    }
+
+    // The codec of `table.attribute` in the use-case mapping.
+    fn with_codec<R>(table: &str, attribute: &str, f: impl FnOnce(Codec<'_>) -> R) -> R {
+        let (db, mapping) = fixture_db_with_rows();
+        let schema = db.schema().table(table).unwrap();
+        let codec = match mapping.table(table) {
+            Some(table_map) if attribute == "id" => {
+                Codec::key(&mapping, table_map, schema, "id").unwrap()
+            }
+            Some(table_map) => {
+                Codec::attribute(&mapping, schema, table_map.attribute(attribute).unwrap()).unwrap()
+            }
+            None => {
+                let link = mapping.link_table(table).unwrap();
+                let attr = [&link.subject_attribute, &link.object_attribute]
+                    .into_iter()
+                    .find(|a| a.attribute_name == attribute)
+                    .unwrap();
+                Codec::attribute(&mapping, schema, attr).unwrap()
+            }
+        };
+        f(codec)
+    }
 
     #[test]
     fn plain_literal_into_integer_column() {
@@ -264,15 +482,27 @@ mod tests {
 
     #[test]
     fn round_trip_value_literal_value() {
-        for v in [
-            Value::Int(42),
-            Value::text("Hert"),
-            Value::Bool(false),
-            Value::Double(1.5),
+        for (table, attribute, v) in [
+            ("publication", "year", Value::Int(42)),
+            ("author", "lastname", Value::text("Hert")),
+            ("author", "email", Value::text("x@y.ch")),
+            ("author", "team", Value::Int(5)),
+            ("publication_author", "author", Value::Int(7)),
+            ("team", "id", Value::Int(-3)),
         ] {
-            let lit = value_to_literal(&v).unwrap();
+            with_codec(table, attribute, |codec| {
+                let term = codec.term(&v).unwrap().unwrap();
+                assert_eq!(codec.decode(&term, Text::Intern), Ok(v), "{term}");
+                assert!(codec.holds(&v, &term), "{term}");
+            });
+        }
+        for v in [Value::Bool(false), Value::Double(1.5)] {
+            let mut scratch = String::new();
+            let Some(TermRef::Literal { lexical, .. }) = literal(&v, &mut scratch) else {
+                unreachable!("a value's view is a literal")
+            };
             let ty = v.sql_type().unwrap();
-            assert_eq!(literal_to_value(&lit, ty), Ok(v));
+            assert_eq!(literal_to_value(&Literal::plain(lexical), ty), Ok(v));
         }
     }
 
@@ -285,55 +515,116 @@ mod tests {
             (Value::Double(1e21), Literal::double(1e21)),
         ] {
             let mut scratch = String::from("stale");
-            let view = value_literal(&v, &mut scratch).unwrap();
+            let view = literal(&v, &mut scratch).unwrap();
             assert_eq!(view, Term::Literal(expected.clone()).as_ref());
-            assert_eq!(value_to_literal(&v), Some(expected));
         }
+        with_codec("publication", "year", |codec| {
+            assert_eq!(
+                codec.term(&Value::Int(2009)).unwrap(),
+                Some(Term::Literal(Literal::integer(2009)))
+            );
+        });
     }
 
     #[test]
     fn text_literals_borrow_the_interned_string() {
         let v = Value::text("Hert");
         let Value::Text(s) = &v else { unreachable!() };
-        let lit = value_to_literal(&v).unwrap();
-        assert_eq!(lit.lexical().as_ptr(), s.as_str().as_ptr());
+        with_codec("author", "lastname", |codec| {
+            let Some(Term::Literal(lit)) = codec.term(&v).unwrap() else {
+                panic!("a data attribute's term is a literal")
+            };
+            assert_eq!(lit.lexical().as_ptr(), s.as_str().as_ptr());
+        });
     }
 
     #[test]
     fn null_has_no_literal() {
-        assert_eq!(value_to_literal(&Value::Null), None);
-        assert_eq!(value_literal(&Value::Null, &mut String::new()), None);
+        assert_eq!(literal(&Value::Null, &mut String::new()), None);
+        for (table, attribute) in [
+            ("author", "lastname"),
+            ("author", "email"),
+            ("author", "team"),
+        ] {
+            with_codec(table, attribute, |codec| {
+                assert_eq!(codec.term(&Value::Null).unwrap(), None);
+                assert!(!codec.holds(&Value::Null, &Term::plain("")));
+            });
+        }
     }
 
     #[test]
     fn pattern_value_round_trip() {
-        let v = pattern_value("6", SqlType::Integer).unwrap();
-        assert_eq!(v, Value::Int(6));
-        assert_eq!(value_to_pattern(&v).as_deref(), Some("6"));
-        assert!(pattern_value("abc", SqlType::Integer).is_err());
+        with_codec("author", "id", |codec| {
+            let six = Term::iri("http://example.org/db/author6");
+            let v = codec.decode(&six, Text::Intern).unwrap();
+            assert_eq!(v, Value::Int(6));
+            assert_eq!(codec.term(&v).unwrap(), Some(six));
+            let bad = Term::iri("http://example.org/db/authorabc");
+            assert!(codec.decode(&bad, Text::Intern).is_err());
+        });
+    }
+
+    #[test]
+    fn iris_decode_only_from_their_canonical_form() {
+        with_codec("author", "id", |codec| {
+            for raw in ["06", "+6", "-0", "00"] {
+                let alias = Term::iri(&format!("http://example.org/db/author{raw}"));
+                assert!(
+                    matches!(
+                        codec.decode(&alias, Text::Intern),
+                        Err(OntoError::ValueIncompatible { .. })
+                    ),
+                    "{alias} decoded"
+                );
+            }
+            for v in [0, -6, 60] {
+                let term = codec.term(&Value::Int(v)).unwrap().unwrap();
+                assert_eq!(codec.decode(&term, Text::Intern), Ok(Value::Int(v)));
+            }
+        });
+    }
+
+    #[test]
+    fn lookup_never_interns() {
+        with_codec("author", "email", |codec| {
+            let fresh = Term::iri("mailto:never-stored-by-anyone@example.org");
+            assert_eq!(codec.decode(&fresh, Text::Lookup), Ok(Value::Null));
+            assert!(rel::Sym::lookup("never-stored-by-anyone@example.org").is_none());
+        });
     }
 
     #[test]
     fn literal_matching_is_by_value() {
-        assert!(literal_matches_value(&Literal::plain("5"), &Value::Int(5)));
-        assert!(literal_matches_value(&Literal::integer(5), &Value::Int(5)));
-        assert!(!literal_matches_value(&Literal::plain("5"), &Value::Int(6)));
-        assert!(literal_matches_value(
-            &Literal::plain("Hert"),
-            &Value::text("Hert")
-        ));
-        assert!(!literal_matches_value(&Literal::plain("x"), &Value::Null));
+        with_codec("publication", "year", |codec| {
+            let year = Value::Int(5);
+            assert!(codec.holds(&year, &Term::plain("5")));
+            assert!(codec.holds(&year, &Term::Literal(Literal::integer(5))));
+            assert!(!codec.holds(&Value::Int(6), &Term::plain("5")));
+        });
+        with_codec("author", "lastname", |codec| {
+            assert!(codec.holds(&Value::text("Hert"), &Term::plain("Hert")));
+            assert!(!codec.holds(&Value::Null, &Term::plain("x")));
+        });
+        with_codec("author", "team", |codec| {
+            let team5 = Term::iri("http://example.org/db/team5");
+            assert!(codec.holds(&Value::Int(5), &team5));
+            assert!(!codec.holds(&Value::Int(4), &team5));
+            assert!(!codec.holds(&Value::Int(5), &Term::plain("5")));
+        });
     }
 
     #[test]
     fn object_literal_error_payload() {
-        let err = object_literal_to_value(
-            &Term::iri("http://example.org/x"),
-            "author",
-            "lastname",
-            SqlType::Varchar,
-        )
-        .unwrap_err();
-        assert!(matches!(err, OntoError::ValueIncompatible { .. }));
+        with_codec("author", "lastname", |codec| {
+            let err = codec
+                .decode(&Term::iri("http://example.org/x"), Text::Intern)
+                .unwrap_err();
+            assert!(matches!(
+                err,
+                OntoError::ValueIncompatible { ref table, ref attribute, .. }
+                    if table == "author" && attribute == "lastname"
+            ));
+        });
     }
 }

@@ -10,6 +10,8 @@
 //! * [`query`] — SPARQL `SELECT`/`ASK` → SQL (needed by Algorithm 2,
 //!   and the read path of the endpoint)
 //! * [`mod@materialize`] — the virtual RDF view of the database
+//! * [`convert`] — the one cell ⇄ term [`Codec`] that [`translate`],
+//!   [`query`] and [`mod@materialize`] convert through
 //! * [`feedback`] — the semantically rich feedback protocol (§3/§8)
 //! * [`mediator`] — the concurrent mediator core: a shared [`Mediator`]
 //!   handing out [`ReadSession`]s and [`WriteTxn`]s
@@ -66,6 +68,7 @@ mod testutil;
 #[path = "endpoint_tests.rs"]
 mod endpoint;
 
+pub use convert::Codec;
 pub use error::{OntoError, OntoResult};
 pub use feedback::Feedback;
 pub use materialize::materialize;
@@ -80,7 +83,7 @@ pub use modify::{
 };
 pub use query::{
     compile_select, ensure_join_indexes, execute_query, execute_select, run_compiled,
-    CompiledQuery, QueryAnswer, SolutionRows, VarShape,
+    CompiledQuery, QueryAnswer, SolutionRows,
 };
 pub use translate::{
     emit_grouped, emit_per_row, execute_sorted, execute_sorted_reference, execute_sorted_timed,

@@ -9,9 +9,10 @@
 //! followed by materialization equals materialization followed by a
 //! native triple store update.
 
-use crate::convert::{value_to_pattern, value_to_term};
-use crate::error::{OntoError, OntoResult};
-use r3m::{Mapping, PropertyMapping, TableMap};
+use crate::convert::{instance_iri, Codec};
+use crate::error::OntoResult;
+use crate::translate::{find_row, identify, link_ends};
+use r3m::{AttributeMap, LinkTableMap, Mapping, TableMap};
 use rdf::namespace::rdf_type;
 use rdf::{Graph, Iri, Term, Triple};
 use rel::{Database, Value};
@@ -20,264 +21,174 @@ use rel::{Database, Value};
 pub fn materialize(db: &Database, mapping: &Mapping) -> OntoResult<Graph> {
     let mut graph = Graph::new();
     for table_map in &mapping.tables {
-        let table = db.schema().table(&table_map.table_name)?;
+        let view = RowView::new(db, mapping, table_map)?;
         for (_, row) in db.scan(&table_map.table_name)? {
-            let subject = instance_uri(mapping, table_map, table, row)?;
-            emit_row(&mut graph, mapping, table_map, table, row, &subject)?;
+            view.emit(&mut graph, row)?;
         }
     }
     for link in &mapping.link_tables {
-        let table = db.schema().table(&link.table_name)?;
-        let s_idx = table
-            .column_index(&link.subject_attribute.attribute_name)
-            .ok_or_else(|| OntoError::Unsupported {
-                message: format!("link table {:?}: bad subject attribute", link.table_name),
-            })?;
-        let o_idx = table
-            .column_index(&link.object_attribute.attribute_name)
-            .ok_or_else(|| OntoError::Unsupported {
-                message: format!("link table {:?}: bad object attribute", link.table_name),
-            })?;
-        let subject_target = link
-            .subject_attribute
-            .foreign_key_target()
-            .and_then(|id| mapping.table_by_id(id))
-            .ok_or_else(|| OntoError::Unsupported {
-                message: format!(
-                    "link table {:?}: unresolved subject target",
-                    link.table_name
-                ),
-            })?;
-        let object_target = link
-            .object_attribute
-            .foreign_key_target()
-            .and_then(|id| mapping.table_by_id(id))
-            .ok_or_else(|| OntoError::Unsupported {
-                message: format!("link table {:?}: unresolved object target", link.table_name),
-            })?;
+        let view = LinkView::new(db, mapping, link)?;
         for (_, row) in db.scan(&link.table_name)? {
-            let (s_val, o_val) = (&row[s_idx], &row[o_idx]);
-            if s_val.is_null() || o_val.is_null() {
+            view.emit(&mut graph, row)?;
+        }
+    }
+    Ok(graph)
+}
+
+// The triples of a concept table's rows: the type triple, and one per
+// non-NULL mapped attribute through the attribute's codec.
+struct RowView<'a> {
+    mapping: &'a Mapping,
+    table_map: &'a TableMap,
+    table: &'a rel::Table,
+    attributes: Vec<(&'a Iri, usize, Codec<'a>)>,
+}
+
+impl<'a> RowView<'a> {
+    fn new(db: &'a Database, mapping: &'a Mapping, table_map: &'a TableMap) -> OntoResult<Self> {
+        let table = db.schema().table(&table_map.table_name)?;
+        let mut attributes = Vec::new();
+        for attr in &table_map.attributes {
+            let Some(property) = &attr.property else {
                 continue;
-            }
-            let s = key_instance_uri(mapping, subject_target, s_val)?;
-            let o = key_instance_uri(mapping, object_target, o_val)?;
-            graph.insert(Triple::new(
-                Term::Iri(s),
-                link.property.clone(),
-                Term::Iri(o),
-            ));
-        }
-    }
-    Ok(graph)
-}
-
-/// Materialize a single row (used by the endpoint's describe feature).
-pub fn materialize_row(
-    db: &Database,
-    mapping: &Mapping,
-    table_map: &TableMap,
-    row: &[Value],
-) -> OntoResult<Graph> {
-    let table = db.schema().table(&table_map.table_name)?;
-    let subject = instance_uri(mapping, table_map, table, row)?;
-    let mut graph = Graph::new();
-    emit_row(&mut graph, mapping, table_map, table, row, &subject)?;
-    Ok(graph)
-}
-
-fn emit_row(
-    graph: &mut Graph,
-    mapping: &Mapping,
-    table_map: &TableMap,
-    table: &rel::Table,
-    row: &[Value],
-    subject: &Iri,
-) -> OntoResult<()> {
-    graph.insert(Triple::new(
-        Term::Iri(subject.clone()),
-        rdf_type(),
-        Term::Iri(table_map.class.clone()),
-    ));
-    for attr in &table_map.attributes {
-        let Some(property) = &attr.property else {
-            continue;
-        };
-        let idx =
-            table
+            };
+            let codec = Codec::attribute(mapping, table, attr)?;
+            let idx = table
                 .column_index(&attr.attribute_name)
-                .ok_or_else(|| OntoError::Unsupported {
-                    message: format!(
-                        "mapped attribute {}.{} missing",
-                        table.name, attr.attribute_name
-                    ),
-                })?;
-        let value = &row[idx];
-        if value.is_null() {
-            continue;
+                .expect("the codec found the column");
+            attributes.push((property.property(), idx, codec));
         }
-        let object: Term = match property {
-            PropertyMapping::Data(_) => value_to_term(value).expect("non-null value has a term"),
-            PropertyMapping::Object(_) => {
-                if let Some(pattern) = &attr.value_pattern {
-                    let raw = value_to_pattern(value).expect("non-null");
-                    let uri = pattern
-                        .generate(None, &|name| {
-                            (name == attr.attribute_name).then(|| raw.clone())
-                        })
-                        .map_err(|e| OntoError::Unsupported {
-                            message: format!(
-                                "value pattern of {}.{}: {e}",
-                                table.name, attr.attribute_name
-                            ),
-                        })?;
-                    Term::Iri(Iri::parse(uri).map_err(|e| OntoError::Unsupported {
-                        message: e.to_string(),
-                    })?)
-                } else {
-                    let target = attr
-                        .foreign_key_target()
-                        .and_then(|id| mapping.table_by_id(id))
-                        .ok_or_else(|| OntoError::Unsupported {
-                            message: format!(
-                                "object property on {}.{} lacks FK target",
-                                table.name, attr.attribute_name
-                            ),
-                        })?;
-                    Term::Iri(key_instance_uri(mapping, target, value)?)
-                }
-            }
-        };
-        graph.insert(Triple::new(
-            Term::Iri(subject.clone()),
-            property.property().clone(),
-            object,
-        ));
+        Ok(RowView {
+            mapping,
+            table_map,
+            table,
+            attributes,
+        })
     }
-    Ok(())
+
+    fn emit(&self, graph: &mut Graph, row: &[Value]) -> OntoResult<()> {
+        let subject = Term::Iri(instance_iri(self.mapping, self.table_map, self.table, row)?);
+        graph.insert(Triple::new(
+            subject.clone(),
+            rdf_type(),
+            Term::Iri(self.table_map.class.clone()),
+        ));
+        for (property, idx, codec) in &self.attributes {
+            if let Some(object) = codec.term(&row[*idx])? {
+                graph.insert(Triple::new(subject.clone(), (*property).clone(), object));
+            }
+        }
+        Ok(())
+    }
 }
 
-/// Instance URI of a row (pattern attributes looked up in the row).
-pub fn instance_uri(
-    mapping: &Mapping,
-    table_map: &TableMap,
-    table: &rel::Table,
-    row: &[Value],
-) -> OntoResult<Iri> {
-    mapping
-        .instance_uri(table_map, &|attr| {
-            table
-                .column_index(attr)
-                .and_then(|idx| value_to_pattern(&row[idx]))
-        })
-        .map_err(|e| OntoError::Unsupported {
-            message: format!("cannot build instance URI for {}: {e}", table.name),
-        })
+// The triples of a link table's rows: one per row whose two ends are
+// non-NULL.
+struct LinkView<'a> {
+    link: &'a LinkTableMap,
+    subject: LinkEnd<'a>,
+    object: LinkEnd<'a>,
 }
 
-/// Instance URI of the row of `target` whose single-column key is
-/// `key` — used for FK objects and link-table endpoints, where only the
-/// key value is at hand.
-pub fn key_instance_uri(mapping: &Mapping, target: &TableMap, key: &Value) -> OntoResult<Iri> {
-    let raw = value_to_pattern(key).ok_or_else(|| OntoError::Unsupported {
-        message: "NULL key".into(),
-    })?;
-    mapping
-        .instance_uri(target, &|_| Some(raw.clone()))
-        .map_err(|e| OntoError::Unsupported {
-            message: format!("cannot build instance URI for {}: {e}", target.table_name),
+// One end of a link row: its column, the table its foreign key
+// references, and the codec writing the referenced instance IRI.
+struct LinkEnd<'a> {
+    column: usize,
+    target: &'a str,
+    codec: Codec<'a>,
+}
+
+impl<'a> LinkView<'a> {
+    fn new(db: &'a Database, mapping: &'a Mapping, link: &'a LinkTableMap) -> OntoResult<Self> {
+        let table = db.schema().table(&link.table_name)?;
+        let [subject, object] = link_ends(mapping, link)?;
+        let end = |attr: &'a AttributeMap, target: &'a TableMap| -> OntoResult<LinkEnd<'a>> {
+            let codec = Codec::attribute(mapping, table, attr)?;
+            Ok(LinkEnd {
+                column: table
+                    .column_index(&attr.attribute_name)
+                    .expect("the codec found the column"),
+                target: &target.table_name,
+                codec,
+            })
+        };
+        Ok(LinkView {
+            link,
+            subject: end(&link.subject_attribute, subject)?,
+            object: end(&link.object_attribute, object)?,
         })
+    }
+
+    fn emit(&self, graph: &mut Graph, row: &[Value]) -> OntoResult<()> {
+        let subject = self.subject.codec.term(&row[self.subject.column])?;
+        let object = self.object.codec.term(&row[self.object.column])?;
+        if let (Some(subject), Some(object)) = (subject, object) {
+            graph.insert(Triple::new(subject, self.link.property.clone(), object));
+        }
+        Ok(())
+    }
 }
 
 // DESCRIBE one instance URI over a snapshot: the row's triples plus its
 // link-table triples in either role (behind `ReadSession::describe`).
 pub(crate) fn describe(db: &Database, mapping: &Mapping, uri: &Iri) -> OntoResult<Graph> {
     let subject = Term::Iri(uri.clone());
-    let identified = crate::translate::identify(db, mapping, &subject)?;
+    let identified = identify(db, mapping, &subject)?;
     let table = db.schema().table(&identified.table_map.table_name)?;
-    let Some(row_id) = crate::translate::find_row(db, &identified)? else {
-        return Ok(Graph::new()); // mapped but absent: empty description
+    let mut graph = Graph::new();
+    let Some(row_id) = find_row(db, &identified)? else {
+        return Ok(graph); // mapped but absent: empty description
     };
     let row = db
         .row(&identified.table_map.table_name, row_id)?
-        .expect("row id valid")
-        .clone();
-    let mut graph = materialize_row(db, mapping, identified.table_map, &row)?;
+        .expect("row id valid");
+    RowView::new(db, mapping, identified.table_map)?.emit(&mut graph, row)?;
     // Link-table triples where this instance is subject or object.
-    let key = identified.pk_values(table)?;
-    if key.len() == 1 {
-        let key = &key[0];
-        for link in &mapping.link_tables {
-            let link_table = db.schema().table(&link.table_name)?;
-            let s_idx = link_table
-                .column_index(&link.subject_attribute.attribute_name)
-                .expect("validated mapping");
-            let o_idx = link_table
-                .column_index(&link.object_attribute.attribute_name)
-                .expect("validated mapping");
-            let s_target = link
-                .subject_attribute
-                .foreign_key_target()
-                .and_then(|id| mapping.table_by_id(id));
-            let o_target = link
-                .object_attribute
-                .foreign_key_target()
-                .and_then(|id| mapping.table_by_id(id));
-            let (Some(s_target), Some(o_target)) = (s_target, o_target) else {
+    let [key] = identified.pk_values(table)?[..] else {
+        return Ok(graph);
+    };
+    for link in &mapping.link_tables {
+        let view = LinkView::new(db, mapping, link)?;
+        let this = identified.table_map.table_name.as_str();
+        let ends = [&view.subject, &view.object].map(|end| end.target == this);
+        // Candidate link rows by index on whichever endpoint columns
+        // reference this instance (both are FK columns, so normally
+        // indexed); a failed probe falls back to scanning.
+        let mut candidates: Option<Vec<rel::RowId>> = Some(Vec::new());
+        for (active, attr) in ends
+            .into_iter()
+            .zip([&link.subject_attribute, &link.object_attribute])
+        {
+            if !active {
                 continue;
-            };
-            let as_subject = s_target.table_name == identified.table_map.table_name;
-            let as_object = o_target.table_name == identified.table_map.table_name;
-            // Candidate link rows by index on whichever endpoint
-            // columns reference this instance (both are FK columns,
-            // so normally indexed); a failed probe falls back to
-            // scanning.
-            let mut candidates: Option<Vec<rel::RowId>> = Some(Vec::new());
-            for (role_active, column) in [
-                (as_subject, &link.subject_attribute.attribute_name),
-                (as_object, &link.object_attribute.attribute_name),
-            ] {
-                if !role_active {
-                    continue;
-                }
-                match db.index_probe(&link.table_name, column, key)? {
-                    Some(ids) => {
-                        if let Some(c) = &mut candidates {
-                            c.extend(ids);
-                        }
-                    }
-                    None => candidates = None,
-                }
             }
-            let link_rows: Vec<&Vec<rel::Value>> = match candidates {
-                Some(mut ids) => {
-                    ids.sort_unstable();
-                    ids.dedup();
-                    let mut rows = Vec::with_capacity(ids.len());
-                    for id in ids {
-                        rows.push(db.row(&link.table_name, id)?.expect("live id"));
+            match db.index_probe(&link.table_name, &attr.attribute_name, &key)? {
+                Some(ids) => {
+                    if let Some(c) = &mut candidates {
+                        c.extend(ids);
                     }
-                    rows
                 }
-                None => db.scan(&link.table_name)?.map(|(_, r)| r).collect(),
+                None => candidates = None,
+            }
+        }
+        let link_rows: Vec<&Vec<rel::Value>> = match candidates {
+            Some(mut ids) => {
+                ids.sort_unstable();
+                ids.dedup();
+                let mut rows = Vec::with_capacity(ids.len());
+                for id in ids {
+                    rows.push(db.row(&link.table_name, id)?.expect("live id"));
+                }
+                rows
+            }
+            None => db.scan(&link.table_name)?.map(|(_, r)| r).collect(),
+        };
+        for link_row in link_rows {
+            let refers = |active: bool, end: &LinkEnd<'_>| {
+                active && link_row[end.column].sql_eq(&key) == Some(true)
             };
-            for link_row in link_rows {
-                let s_val = &link_row[s_idx];
-                let o_val = &link_row[o_idx];
-                if s_val.is_null() || o_val.is_null() {
-                    continue;
-                }
-                let relevant = (as_subject && s_val.sql_eq(key) == Some(true))
-                    || (as_object && o_val.sql_eq(key) == Some(true));
-                if relevant {
-                    let s = key_instance_uri(mapping, s_target, s_val)?;
-                    let o = key_instance_uri(mapping, o_target, o_val)?;
-                    graph.insert(Triple::new(
-                        Term::Iri(s),
-                        link.property.clone(),
-                        Term::Iri(o),
-                    ));
-                }
+            if refers(ends[0], &view.subject) || refers(ends[1], &view.object) {
+                view.emit(&mut graph, link_row)?;
             }
         }
     }

@@ -241,7 +241,7 @@ impl MediatorCore {
         // Read before binding: a string interned after this may have
         // been missed, and then the count has moved.
         let symbols = rel::dictionary_stats().symbols;
-        let (sql, absent) = shape.template.bind(&self.mapping, &lifted, spare)?;
+        let (sql, absent) = shape.template.bind(&lifted, spare)?;
         let bind = bind_span.finish();
         let query = Arc::new(CachedQuery {
             shape,

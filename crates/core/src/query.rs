@@ -15,22 +15,23 @@
 //!   both endpoint tables;
 //! * `FILTER` comparisons become SQL comparisons over the bound columns.
 //!
-//! Pattern constants compare through [`Sym::lookup`](rel::Sym::lookup):
-//! a string the dictionary lacks equals no stored text, so it becomes
-//! NULL and a read never grows the dictionary.
+//! Pattern constants and result cells convert through their columns'
+//! [`Codec`]s. Constants are looked up, never interned
+//! ([`Sym::lookup`](rel::Sym::lookup)): a string the dictionary lacks
+//! equals no stored text, so it becomes NULL and a read never grows the
+//! dictionary.
 //!
 //! A query compiles once per *shape*: [`lift`] replaces its constants
 //! with numbered parameters, a [`Template`] records which parameter each
 //! constant value of the SQL came from, and [`Template::bind`] writes
 //! another text's constants into a copy of the SQL.
 
-use crate::convert::{
-    literal_to_probe, literal_to_value, pattern_probe, push_lexical, value_literal, value_to_term,
-};
+use crate::convert::{literal_value, Codec, Text};
 use crate::error::{OntoError, OntoResult};
-use r3m::{Mapping, PropertyMapping, TableMap, UriPattern};
+use crate::translate::link_ends;
+use r3m::{Mapping, PropertyMapping, TableMap};
 use rdf::namespace::RDF_TYPE;
-use rdf::{Iri, Term, TermRef};
+use rdf::Term;
 use rel::sql::{BinOp, Expr, SelectItem, SelectStmt, TableRef};
 use rel::{Database, Value};
 use sparql::{
@@ -47,8 +48,8 @@ use std::sync::Arc;
 pub struct CompiledQuery {
     /// The translated SQL SELECT.
     pub sql: SelectStmt,
-    /// How each projected variable is reconstructed from the SQL row.
-    pub bindings: Vec<(String, VarShape)>,
+    /// Each projected variable with the codec that renders its column.
+    pub bindings: Vec<(String, Codec<'static>)>,
     /// Row limit: the join stops once this many solutions are out.
     pub limit: Option<usize>,
     /// Underlying `(table, column)` pairs of the SQL's equi-join keys
@@ -78,28 +79,6 @@ pub fn ensure_join_indexes(db: &mut Database, compiled: &CompiledQuery) -> OntoR
         }
     }
     Ok(())
-}
-
-/// How a SPARQL variable maps onto the SQL result.
-#[derive(Debug, Clone)]
-pub enum VarShape {
-    /// Instance variable: the key column value is substituted into the
-    /// table's URI pattern.
-    Instance {
-        /// URI pattern of the node's table.
-        pattern: UriPattern,
-        /// Mapping-wide prefix.
-        prefix: Option<String>,
-    },
-    /// Literal variable: the column value becomes a literal.
-    Literal,
-    /// Derived-IRI variable (value pattern, e.g. `mailto:%%email%%`).
-    DerivedIri {
-        /// The attribute's value pattern.
-        pattern: UriPattern,
-        /// Attribute name the pattern binds.
-        attribute: String,
-    },
 }
 
 /// Lower an ASK to the SELECT shape the compiler understands: star
@@ -153,20 +132,13 @@ pub fn run_compiled(db: &Database, compiled: &CompiledQuery) -> OntoResult<Solut
     collect_solutions(compiled, &rows.rows)
 }
 
-// Owned solutions: every cell through the view, then `to_owned` —
-// except literals, which `value_to_term` builds from the same view but
-// with text borrowing its interned string.
+// Owned solutions: every cell through its column's codec.
 fn collect_solutions(compiled: &CompiledQuery, rows: &[Vec<Value>]) -> OntoResult<Solutions> {
-    let mut scratch = String::new();
     let mut bindings = Vec::with_capacity(rows.len());
     for row in rows {
         let mut binding = Binding::new();
-        for ((var, shape), value) in compiled.bindings.iter().zip(row) {
-            let term = match shape {
-                VarShape::Literal => value_to_term(value),
-                _ => shape.term(value, &mut scratch)?.map(|term| term.to_owned()),
-            };
-            if let Some(term) = term {
+        for ((var, codec), value) in compiled.bindings.iter().zip(row) {
+            if let Some(term) = codec.term(value)? {
                 binding.insert(var.clone(), term);
             }
         }
@@ -182,45 +154,9 @@ fn collect_solutions(compiled: &CompiledQuery, rows: &[Vec<Value>]) -> OntoResul
     })
 }
 
-impl VarShape {
-    /// The RDF term of one result cell: `None` for NULL (the variable
-    /// is unbound in that solution). Text borrows its interned string;
-    /// instance and derived IRIs expand their URI pattern into
-    /// `scratch` (cleared first) and must pass [`Iri::check`]; numbers
-    /// and booleans format into `scratch` (see
-    /// [`value_literal`](crate::convert::value_literal)).
-    pub fn term<'s>(
-        &self,
-        value: &Value,
-        scratch: &'s mut String,
-    ) -> OntoResult<Option<TermRef<'s>>> {
-        // An instance pattern has one attribute, the key; a value
-        // pattern binds only its own attribute.
-        let (pattern, prefix, attribute) = match self {
-            VarShape::Literal => return Ok(value_literal(value, scratch)),
-            _ if value.is_null() => return Ok(None),
-            VarShape::Instance { pattern, prefix } => (pattern, prefix.as_deref(), None),
-            VarShape::DerivedIri { pattern, attribute } => (pattern, None, Some(attribute)),
-        };
-        let unsupported = |message: String| OntoError::Unsupported { message };
-        scratch.clear();
-        pattern
-            .generate_into(prefix, scratch, &mut |name, out| {
-                if attribute.is_some_and(|a| a != name) {
-                    return false;
-                }
-                push_lexical(value, out);
-                true
-            })
-            .map_err(|e| unsupported(e.to_string()))?;
-        Iri::check(scratch).map_err(|e| unsupported(e.to_string()))?;
-        Ok(Some(TermRef::Iri(scratch)))
-    }
-}
-
 /// A SELECT's answer as the join produced it: one row of SQL values
 /// per solution (LIMIT and DISTINCT applied) plus the compiled query
-/// whose variables and shapes render each cell. Serializers write
+/// whose variables and codecs render each cell. Serializers write
 /// straight from the rows; [`SolutionRows::to_solutions`] builds owned
 /// solutions for library callers.
 #[derive(Debug, Clone)]
@@ -233,7 +169,7 @@ impl SolutionRows {
     /// Pair the rows [`rel::sql::execute_plan`] returned for
     /// `compiled.sql` (stopped at `compiled.limit`) with the query they
     /// answer. Nothing is converted: cell `i` of a row is projected
-    /// variable `i`, rendered by its [`VarShape::term`] only where the
+    /// variable `i`, rendered by its [`Codec::encode`] only where the
     /// answer is written out.
     pub fn new(compiled: Arc<CompiledQuery>, rows: Vec<Vec<Value>>) -> Self {
         SolutionRows { compiled, rows }
@@ -245,9 +181,9 @@ impl SolutionRows {
         self.compiled.bindings.iter().map(|(var, _)| var.as_str())
     }
 
-    /// The shape rendering each column, in projection order.
-    pub fn shapes(&self) -> impl Iterator<Item = &VarShape> {
-        self.compiled.bindings.iter().map(|(_, shape)| shape)
+    /// The codec rendering each column, in projection order.
+    pub fn codecs(&self) -> impl Iterator<Item = &Codec<'static>> {
+        self.compiled.bindings.iter().map(|(_, codec)| codec)
     }
 
     /// The rows, one per solution.
@@ -328,129 +264,18 @@ struct Node<'a> {
     candidates: Option<BTreeSet<&'a str>>,
 }
 
-// Where a literal/derived variable is bound: (alias, column).
+// Where a literal/derived variable is bound: (alias, column), and how
+// the column's cells convert.
 #[derive(Debug)]
 struct ValueVar<'a> {
     alias: String,
     column: &'a str,
-    column_ty: rel::SqlType,
-    // The value pattern rendering a derived IRI; `None` for a literal.
-    derived: Option<&'a UriPattern>,
+    codec: Codec<'a>,
 }
 
-impl ValueVar<'_> {
-    fn shape(&self) -> VarShape {
-        match self.derived {
-            None => VarShape::Literal,
-            Some(pattern) => VarShape::DerivedIri {
-                pattern: pattern.clone(),
-                attribute: self.column.to_owned(),
-            },
-        }
-    }
-}
-
-// How one pattern constant becomes the value of its `column = value`
-// predicate. Compilation and binding both convert through `apply`, so
-// a constant that does not fit fails with the same error either way.
-// Table maps and attributes are positions in the mapping.
-#[derive(Debug, Clone, Copy)]
-enum Conversion {
-    // Key attribute `part` of an instance IRI of table map `table`.
-    Key {
-        table: usize,
-        part: usize,
-        ty: rel::SqlType,
-    },
-    // A literal of data attribute `attribute` of table map `table`.
-    Literal {
-        table: usize,
-        attribute: usize,
-        ty: rel::SqlType,
-    },
-    // A derived IRI, through the value pattern of `attribute`.
-    Derived {
-        table: usize,
-        attribute: usize,
-        ty: rel::SqlType,
-    },
-}
-
-impl Conversion {
-    // Text the dictionary lacks converts to NULL (`convert::lookup_text`).
-    fn apply(self, mapping: &Mapping, term: &Term) -> OntoResult<Value> {
-        let incompatible =
-            |table: &TableMap, attribute: &str, reason: String| OntoError::ValueIncompatible {
-                table: table.table_name.clone(),
-                attribute: attribute.to_owned(),
-                value: term.clone(),
-                reason,
-            };
-        match self {
-            Conversion::Key { table, part, ty } => {
-                let table = &mapping.tables[table];
-                let values = term.as_iri().and_then(|iri| {
-                    table
-                        .uri_pattern
-                        .match_uri(mapping.uri_prefix.as_deref(), iri.as_str())
-                });
-                let Some(&(attribute, raw)) = values.as_ref().and_then(|v| v.get(part)) else {
-                    return Err(OntoError::UnknownSubject {
-                        subject: term.clone(),
-                    });
-                };
-                pattern_probe(raw, ty).map_err(|reason| incompatible(table, attribute, reason))
-            }
-            Conversion::Literal {
-                table,
-                attribute,
-                ty,
-            } => {
-                let table = &mapping.tables[table];
-                let attribute = &table.attributes[attribute].attribute_name;
-                match term {
-                    Term::Literal(lit) => literal_to_probe(lit, ty),
-                    _ => Err("data property object must be a literal or variable".into()),
-                }
-                .map_err(|reason| incompatible(table, attribute, reason))
-            }
-            Conversion::Derived {
-                table,
-                attribute,
-                ty,
-            } => {
-                let table = &mapping.tables[table];
-                let attr = &table.attributes[attribute];
-                let vpattern = attr
-                    .value_pattern
-                    .as_ref()
-                    .expect("a derived attribute has a value pattern");
-                let values = term
-                    .as_iri()
-                    .and_then(|iri| vpattern.match_uri(None, iri.as_str()))
-                    .ok_or_else(|| {
-                        incompatible(
-                            table,
-                            &attr.attribute_name,
-                            format!("does not match value pattern {vpattern}"),
-                        )
-                    })?;
-                let raw = values
-                    .into_iter()
-                    .find(|(n, _)| n == &attr.attribute_name)
-                    .map(|(_, v)| v)
-                    .ok_or_else(|| OntoError::Unsupported {
-                        message: "value pattern does not bind attribute".into(),
-                    })?;
-                pattern_probe(raw, ty)
-                    .map_err(|reason| incompatible(table, &attr.attribute_name, reason))
-            }
-        }
-    }
-}
-
-// A constant the compiler converted, in emission order.
-type Constants<'q> = Vec<(&'q Term, Conversion)>;
+// A constant the compiler converted, in emission order, with the codec
+// that converted it.
+type Constants<'q, 'a> = Vec<(&'q Term, Codec<'a>)>;
 
 struct Compiler<'a, 'q> {
     db: &'a Database,
@@ -465,7 +290,7 @@ struct Compiler<'a, 'q> {
     // One per `Expr::Value` made from a pattern constant: the first
     // values of the WHERE clause in pre-order are exactly these, in this
     // order (see `Template::bind`).
-    constants: Constants<'q>,
+    constants: Constants<'q, 'a>,
 }
 
 /// Compile a SPARQL SELECT into SQL.
@@ -538,32 +363,35 @@ impl<'a, 'q> Compiler<'a, 'q> {
         Ok(())
     }
 
-    // The table map of `table_name` and its position in the mapping.
-    fn table_map(&self, table_name: &str) -> OntoResult<(usize, &'a TableMap)> {
+    fn table_map(&self, table_name: &str) -> OntoResult<&'a TableMap> {
         self.mapping
-            .tables
-            .iter()
-            .enumerate()
-            .find(|(_, t)| t.table_name == table_name)
+            .table(table_name)
             .ok_or_else(|| OntoError::Unsupported {
                 message: format!("no table map for {table_name:?}"),
             })
     }
 
+    // The codec of key attribute `slot` of `table_name`'s instances.
+    fn key_codec(&self, table_name: &str, slot: &'a str) -> OntoResult<Codec<'a>> {
+        let table_map = self.table_map(table_name)?;
+        Codec::key(
+            self.mapping,
+            table_map,
+            self.db.schema().table(table_name)?,
+            slot,
+        )
+    }
+
     // `column = value` for a pattern constant, recorded in `constants`.
-    fn push_constant(
-        &mut self,
-        column: Expr,
-        term: &'q Term,
-        conversion: Conversion,
-    ) -> OntoResult<()> {
-        let value = conversion.apply(self.mapping, term)?;
+    // Text the dictionary lacks converts to NULL (`Text::Lookup`).
+    fn push_constant(&mut self, column: Expr, term: &'q Term, codec: Codec<'a>) -> OntoResult<()> {
+        let value = codec.decode(term, Text::Lookup)?;
         self.predicates.push(Expr::eq(column, Expr::Value(value)));
-        self.constants.push((term, conversion));
+        self.constants.push((term, codec));
         Ok(())
     }
 
-    fn compile(mut self, query: &'q SelectQuery) -> OntoResult<(CompiledQuery, Constants<'q>)> {
+    fn compile(mut self, query: &'q SelectQuery) -> OntoResult<(CompiledQuery, Constants<'q, 'a>)> {
         let mapping = self.mapping;
         // Pass 1: register nodes and table constraints.
         for pattern in &query.pattern.patterns {
@@ -606,21 +434,11 @@ impl<'a, 'q> Compiler<'a, 'q> {
             let NodeKey::Ground(term) = key else {
                 continue;
             };
-            let (table, table_map) = self.table_map(resolved[&key])?;
-            let schema_table = self.db.schema().table(&table_map.table_name)?;
+            let table_map = self.table_map(resolved[&key])?;
             let alias = self.nodes[&key].alias.clone();
-            for (part, attr) in table_map.uri_pattern.attributes().into_iter().enumerate() {
-                let column = schema_table
-                    .column(attr)
-                    .ok_or_else(|| OntoError::Unsupported {
-                        message: format!("pattern attribute {attr:?} missing"),
-                    })?;
-                let conversion = Conversion::Key {
-                    table,
-                    part,
-                    ty: column.ty,
-                };
-                self.push_constant(Expr::qcol(&alias, attr), term, conversion)?;
+            for attr in table_map.uri_pattern.attributes() {
+                let codec = self.key_codec(&table_map.table_name, attr)?;
+                self.push_constant(Expr::qcol(&alias, attr), term, codec)?;
             }
         }
         // Filters.
@@ -646,9 +464,9 @@ impl<'a, 'q> Compiler<'a, 'q> {
                     expr: Expr::qcol(&vv.alias, vv.column),
                     alias: Some(var.clone()),
                 });
-                bindings.push((var.clone(), vv.shape()));
+                bindings.push((var.clone(), vv.codec.clone().into_owned()));
             } else if let Some(node) = self.nodes.get(&NodeKey::Var(var)) {
-                let (_, table_map) = self.table_map(resolved[&NodeKey::Var(var)])?;
+                let table_map = self.table_map(resolved[&NodeKey::Var(var)])?;
                 let key_attrs = table_map.uri_pattern.attributes();
                 if key_attrs.len() != 1 {
                     return Err(OntoError::Unsupported {
@@ -661,13 +479,8 @@ impl<'a, 'q> Compiler<'a, 'q> {
                     expr: Expr::qcol(&node.alias, key_attrs[0]),
                     alias: Some(var.clone()),
                 });
-                bindings.push((
-                    var.clone(),
-                    VarShape::Instance {
-                        pattern: table_map.uri_pattern.clone(),
-                        prefix: mapping.uri_prefix.clone(),
-                    },
-                ));
+                let codec = self.key_codec(&table_map.table_name, key_attrs[0])?;
+                bindings.push((var.clone(), codec.into_owned()));
             } else {
                 return Err(OntoError::Unsupported {
                     message: format!("projected variable ?{var} is not bound by the pattern"),
@@ -793,20 +606,7 @@ impl<'a, 'q> Compiler<'a, 'q> {
             }
         }
         if let Some(link) = mapping.link_table_by_property(predicate) {
-            let subject_target = link
-                .subject_attribute
-                .foreign_key_target()
-                .and_then(|id| mapping.table_by_id(id))
-                .ok_or_else(|| OntoError::Unsupported {
-                    message: format!("link table {:?}: unresolved subject", link.table_name),
-                })?;
-            let object_target = link
-                .object_attribute
-                .foreign_key_target()
-                .and_then(|id| mapping.table_by_id(id))
-                .ok_or_else(|| OntoError::Unsupported {
-                    message: format!("link table {:?}: unresolved object", link.table_name),
-                })?;
+            let [subject_target, object_target] = link_ends(mapping, link)?;
             self.constrain(
                 subject_key,
                 BTreeSet::from([subject_target.table_name.as_str()]),
@@ -827,7 +627,7 @@ impl<'a, 'q> Compiler<'a, 'q> {
         let mut object_tables = BTreeSet::new();
         let mut all_fk = true;
         for table_name in &subject_tables {
-            let (_, table_map) = self.table_map(table_name)?;
+            let table_map = self.table_map(table_name)?;
             let attr = table_map
                 .attribute_for_property(predicate)
                 .expect("collected above");
@@ -893,87 +693,32 @@ impl<'a, 'q> Compiler<'a, 'q> {
             return Ok(());
         }
 
-        let (table, table_map) = self.table_map(table_name)?;
-        let (attribute, attr) = table_map
-            .attributes
-            .iter()
-            .enumerate()
-            .find(|(_, a)| a.property.as_ref().map(PropertyMapping::property) == Some(predicate))
+        let attr = self
+            .table_map(table_name)?
+            .attribute_for_property(predicate)
             .ok_or_else(|| OntoError::UnknownProperty {
                 property: predicate.clone(),
                 table: table_name.to_owned(),
             })?;
         let column: &'a str = &attr.attribute_name;
-        let column_ty = self
-            .db
-            .schema()
-            .table(table_name)?
-            .column(column)
-            .ok_or_else(|| OntoError::Unsupported {
-                message: format!("attribute {column} missing"),
-            })?
-            .ty;
         let col_expr = Expr::qcol(&subject_alias, column);
-        let incompatible = |value: &Term, reason: &str| OntoError::ValueIncompatible {
-            table: table_name.to_owned(),
-            attribute: column.to_owned(),
-            value: value.clone(),
-            reason: reason.into(),
-        };
-
-        match (attr.property.as_ref().expect("mapped"), &attr.value_pattern) {
-            (PropertyMapping::Data(_), _) => match &pattern.object {
-                TermPattern::Term(term @ Term::Literal(_)) => {
-                    let conversion = Conversion::Literal {
-                        table,
-                        attribute,
-                        ty: column_ty,
-                    };
-                    self.push_constant(col_expr, term, conversion)?;
-                }
-                TermPattern::Variable(var) => {
-                    self.bind_value_var(var, &subject_alias, column, None, column_ty, col_expr)?;
-                }
-                TermPattern::Term(other) => {
-                    return Err(incompatible(
-                        other,
-                        "data property object must be a literal or variable",
-                    ))
-                }
-            },
-            (PropertyMapping::Object(_), Some(vpattern)) => match &pattern.object {
-                TermPattern::Term(term @ Term::Iri(_)) => {
-                    let conversion = Conversion::Derived {
-                        table,
-                        attribute,
-                        ty: column_ty,
-                    };
-                    self.push_constant(col_expr, term, conversion)?;
-                }
-                TermPattern::Variable(var) => {
-                    self.bind_value_var(
-                        var,
-                        &subject_alias,
-                        column,
-                        Some(vpattern),
-                        column_ty,
-                        col_expr,
-                    )?;
-                }
-                TermPattern::Term(other) => {
-                    return Err(incompatible(other, "expected an IRI or variable"))
-                }
-            },
-            (PropertyMapping::Object(_), None) => {
-                // FK join: object node's key column equals this column.
-                let object_key = Self::node_key(&pattern.object)?;
-                let object_alias = self.nodes[&object_key].alias.clone();
-                let object_pk = self.single_key_attr(resolved[&object_key])?;
-                self.predicates
-                    .push(Expr::eq(col_expr, Expr::qcol(&object_alias, object_pk)));
+        if let (Some(PropertyMapping::Object(_)), None) = (&attr.property, &attr.value_pattern) {
+            // FK join: object node's key column equals this column.
+            let object_key = Self::node_key(&pattern.object)?;
+            let object_alias = self.nodes[&object_key].alias.clone();
+            let object_pk = self.single_key_attr(resolved[&object_key])?;
+            self.predicates
+                .push(Expr::eq(col_expr, Expr::qcol(&object_alias, object_pk)));
+            return Ok(());
+        }
+        // A data property's literal or a value pattern's derived IRI.
+        let codec = Codec::attribute(mapping, self.db.schema().table(table_name)?, attr)?;
+        match &pattern.object {
+            TermPattern::Term(term) => self.push_constant(col_expr, term, codec),
+            TermPattern::Variable(var) => {
+                self.bind_value_var(var, &subject_alias, column, codec, col_expr)
             }
         }
-        Ok(())
     }
 
     fn bind_value_var(
@@ -981,8 +726,7 @@ impl<'a, 'q> Compiler<'a, 'q> {
         var: &'q str,
         alias: &str,
         column: &'a str,
-        derived: Option<&'a UriPattern>,
-        column_ty: rel::SqlType,
+        codec: Codec<'a>,
         col_expr: Expr,
     ) -> OntoResult<()> {
         if self.nodes.contains_key(&NodeKey::Var(var)) {
@@ -1010,8 +754,7 @@ impl<'a, 'q> Compiler<'a, 'q> {
                     ValueVar {
                         alias: alias.to_owned(),
                         column,
-                        column_ty,
-                        derived,
+                        codec,
                     },
                 );
             }
@@ -1020,8 +763,7 @@ impl<'a, 'q> Compiler<'a, 'q> {
     }
 
     fn single_key_attr(&self, table_name: &str) -> OntoResult<&'a str> {
-        let (_, table_map) = self.table_map(table_name)?;
-        match table_map.uri_pattern.attributes()[..] {
+        match self.table_map(table_name)?.uri_pattern.attributes()[..] {
             [only] => Ok(only),
             _ => Err(OntoError::Unsupported {
                 message: format!("table {table_name:?} has a multi-attribute URI pattern"),
@@ -1083,16 +825,16 @@ impl<'a, 'q> Compiler<'a, 'q> {
                 // when available.
                 let ty = match other {
                     TermPattern::Variable(var) => {
-                        self.value_vars.get(var.as_str()).map(|vv| vv.column_ty)
+                        self.value_vars.get(var.as_str()).map(|vv| vv.codec.ty())
                     }
                     _ => None,
                 };
                 let value = match ty {
-                    Some(ty) => {
-                        literal_to_value(lit, ty).map_err(|reason| OntoError::Unsupported {
+                    Some(ty) => literal_value(lit, ty, Text::Intern).map_err(|reason| {
+                        OntoError::Unsupported {
                             message: format!("FILTER literal {lit}: {reason}"),
-                        })?
-                    }
+                        }
+                    })?,
                     None => best_effort_value(lit),
                 };
                 Ok(Expr::Value(value))
@@ -1219,13 +961,13 @@ impl<'q> Shape<'q> {
 /// which parameter each of its constant values came from, so that any
 /// other text of the shape binds its own constants instead of
 /// compiling. Rows of every binding render through `compiled`: its
-/// variables and shapes do not depend on the constants.
+/// variables and codecs do not depend on the constants.
 #[derive(Debug)]
 pub(crate) struct Template {
     pub(crate) compiled: Arc<CompiledQuery>,
     // Per constant value of `compiled.sql`, in emission order: the
-    // parameter it holds and how it converts.
-    slots: Vec<(usize, Conversion)>,
+    // parameter it holds and the codec converting it.
+    slots: Vec<(usize, Codec<'static>)>,
 }
 
 /// Compile `query` (the SELECT of `shape`'s query, or its ASK lowered
@@ -1239,11 +981,11 @@ pub(crate) fn compile_template(
     let (compiled, constants) = Compiler::new(db, mapping).compile(query)?;
     let slots = constants
         .into_iter()
-        .map(|(term, conversion)| {
+        .map(|(term, codec)| {
             let param = shape.params.iter().position(|p| *p == term);
             (
                 param.expect("the compiler converts only lifted constants"),
-                conversion,
+                codec.into_owned(),
             )
         })
         .collect();
@@ -1263,14 +1005,13 @@ impl Template {
     /// missing from the dictionary and bound as NULL.
     pub(crate) fn bind(
         &self,
-        mapping: &Mapping,
         shape: &Shape<'_>,
         reuse: Option<SelectStmt>,
     ) -> OntoResult<(SelectStmt, bool)> {
         let values = self
             .slots
             .iter()
-            .map(|&(param, conversion)| conversion.apply(mapping, shape.params[param]))
+            .map(|(param, codec)| codec.decode(shape.params[*param], Text::Lookup))
             .collect::<OntoResult<Vec<Value>>>()?;
         let absent = values.iter().any(Value::is_null);
         let mut sql = reuse.unwrap_or_else(|| self.compiled.sql.clone());

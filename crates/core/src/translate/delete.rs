@@ -11,13 +11,13 @@
 //! `UPDATE … BY …` — while the per-row reference emission reproduces
 //! the seed's one-statement-per-row stream.
 
-use crate::convert::literal_matches_value;
+use crate::convert::Codec;
 use crate::error::{OntoError, OntoResult};
 use crate::translate::insert::pk_key_pairs;
 use crate::translate::{
-    emit_grouped, emit_per_row, group_by_subject, identify, IdentifiedSubject, RowOp,
+    emit_grouped, emit_per_row, group_by_subject, identify, link_ends, IdentifiedSubject, RowOp,
 };
-use r3m::{Mapping, PropertyMapping};
+use r3m::Mapping;
 use rdf::namespace::RDF_TYPE;
 use rdf::{Term, Triple};
 use rel::sql::Statement;
@@ -102,14 +102,17 @@ fn translate_group<'a>(
                 .column_index(&attr.attribute_name)
                 .expect("validated mapping");
             let stored = &row[idx];
-            verify_object_matches(
-                mapping,
-                &identified,
-                attr,
-                &triple.object,
-                stored,
-                table_name,
-            )?;
+            // The triple must be in the view: the stored cell is its
+            // object.
+            if !Codec::attribute(mapping, table, attr)?.holds(stored, &triple.object) {
+                return Err(OntoError::TripleNotPresent {
+                    table: table_name.to_owned(),
+                    detail: format!(
+                        "{table_name}.{} holds {stored}, not {}",
+                        attr.attribute_name, triple.object
+                    ),
+                });
+            }
             if table.is_primary_key(&attr.attribute_name) {
                 return Err(OntoError::Unsupported {
                     message: format!(
@@ -195,77 +198,6 @@ fn translate_group<'a>(
     Ok(plans)
 }
 
-// The triple being deleted must actually exist in the RDF view: the
-// stored value must match the object term.
-fn verify_object_matches(
-    mapping: &Mapping,
-    _identified: &IdentifiedSubject<'_>,
-    attr: &r3m::AttributeMap,
-    object: &Term,
-    stored: &Value,
-    table_name: &str,
-) -> OntoResult<()> {
-    let not_present = |detail: String| OntoError::TripleNotPresent {
-        table: table_name.to_owned(),
-        detail,
-    };
-    if stored.is_null() {
-        return Err(not_present(format!(
-            "{}.{} is NULL (no such triple)",
-            table_name, attr.attribute_name
-        )));
-    }
-    match attr.property.as_ref().expect("mapped attribute") {
-        PropertyMapping::Data(_) => {
-            let lit = object.as_literal().ok_or_else(|| {
-                not_present(format!(
-                    "{}.{} is a data attribute but the object is {object}",
-                    table_name, attr.attribute_name
-                ))
-            })?;
-            if !literal_matches_value(lit, stored) {
-                return Err(not_present(format!(
-                    "{}.{} holds {stored}, not {object}",
-                    table_name, attr.attribute_name
-                )));
-            }
-        }
-        PropertyMapping::Object(_) => {
-            let expected_uri: Option<String> = if let Some(pattern) = &attr.value_pattern {
-                crate::convert::value_to_pattern(stored).and_then(|raw| {
-                    pattern
-                        .generate(None, &|name| {
-                            (name == attr.attribute_name).then(|| raw.clone())
-                        })
-                        .ok()
-                })
-            } else {
-                attr.foreign_key_target()
-                    .and_then(|id| mapping.table_by_id(id))
-                    .and_then(|target| {
-                        mapping
-                            .instance_uri(target, &|name| {
-                                // Single-column keys only (enforced on
-                                // the insert path as well).
-                                let _ = name;
-                                crate::convert::value_to_pattern(stored)
-                            })
-                            .ok()
-                            .map(|iri| iri.into_string())
-                    })
-            };
-            let object_str = object.as_iri().map(|i| i.as_str().to_owned());
-            if expected_uri.is_none() || object_str != expected_uri {
-                return Err(not_present(format!(
-                    "{}.{} does not link to {object}",
-                    table_name, attr.attribute_name
-                )));
-            }
-        }
-    }
-    Ok(())
-}
-
 fn translate_link_delete<'a>(
     db: &Database,
     mapping: &Mapping,
@@ -273,29 +205,13 @@ fn translate_link_delete<'a>(
     link: &'a r3m::LinkTableMap,
     triple: &Triple,
 ) -> OntoResult<RowOp<'a>> {
-    let subject_target = link
-        .subject_attribute
-        .foreign_key_target()
-        .and_then(|id| mapping.table_by_id(id))
-        .ok_or_else(|| OntoError::Unsupported {
-            message: format!(
-                "link table {:?}: unresolved subject target",
-                link.table_name
-            ),
-        })?;
+    let [subject_target, object_target] = link_ends(mapping, link)?;
     if identified.table_map.table_name != subject_target.table_name {
         return Err(OntoError::UnknownProperty {
             property: triple.predicate.clone(),
             table: identified.table_map.table_name.clone(),
         });
     }
-    let object_target = link
-        .object_attribute
-        .foreign_key_target()
-        .and_then(|id| mapping.table_by_id(id))
-        .ok_or_else(|| OntoError::Unsupported {
-            message: format!("link table {:?}: unresolved object target", link.table_name),
-        })?;
     let object_identified =
         identify(db, mapping, &triple.object).map_err(|_| OntoError::TripleNotPresent {
             table: link.table_name.clone(),

@@ -9,10 +9,10 @@
 //! ([`crate::translate::emit_grouped`]); the per-row reference emission
 //! reproduces the seed's one-statement-per-row stream.
 
-use crate::convert::{object_literal_to_value, pattern_value};
+use crate::convert::{Codec, Text};
 use crate::error::{OntoError, OntoResult};
 use crate::translate::{
-    emit_grouped, emit_per_row, group_by_subject, identify, IdentifiedSubject, RowOp,
+    emit_grouped, emit_per_row, group_by_subject, identify, link_ends, IdentifiedSubject, RowOp,
     TranslateOptions,
 };
 use r3m::{Mapping, PropertyMapping};
@@ -114,18 +114,7 @@ fn translate_group<'a>(
             .table_map
             .attribute_for_property(&triple.predicate)
         {
-            let column = table
-                .column(&attr.attribute_name)
-                .expect("validated mapping: attribute exists");
-            let value = object_value(
-                db,
-                mapping,
-                table_name,
-                attr,
-                column.ty,
-                &triple.object,
-                touched,
-            )?;
+            let value = object_value(db, mapping, table, attr, &triple.object, touched)?;
             match assignments
                 .iter()
                 .find(|(name, _)| *name == attr.attribute_name)
@@ -291,88 +280,31 @@ fn check_type_triple(
     }
 }
 
-// Resolve the object term of a mapped attribute to a column value.
+// Resolve the object term of a mapped attribute to a column value: a
+// foreign key's object must be an instance this operation may
+// reference; every other object converts through the attribute's codec.
 fn object_value(
     db: &Database,
     mapping: &Mapping,
-    table_name: &str,
+    table: &rel::Table,
     attr: &r3m::AttributeMap,
-    ty: rel::SqlType,
     object: &Term,
     touched: &Touched<'_>,
 ) -> OntoResult<Value> {
-    match attr
-        .property
-        .as_ref()
-        .expect("mapped attribute has property")
-    {
-        PropertyMapping::Data(_) => {
-            object_literal_to_value(object, table_name, &attr.attribute_name, ty)
-        }
-        PropertyMapping::Object(_) => {
-            let object_iri = object
-                .as_iri()
-                .ok_or_else(|| OntoError::ValueIncompatible {
-                    table: table_name.to_owned(),
-                    attribute: attr.attribute_name.clone(),
-                    value: object.clone(),
-                    reason: "an object property requires an IRI object".into(),
-                })?;
-            // Derived-IRI attribute (foaf:mbox style): extract the value
-            // from the value pattern.
-            if let Some(pattern) = &attr.value_pattern {
-                let values = pattern
-                    .match_uri(None, object_iri.as_str())
-                    .ok_or_else(|| OntoError::ValueIncompatible {
-                        table: table_name.to_owned(),
-                        attribute: attr.attribute_name.clone(),
-                        value: object.clone(),
-                        reason: format!("object does not match value pattern {pattern}"),
-                    })?;
-                let raw = values
-                    .into_iter()
-                    .find(|(name, _)| name == &attr.attribute_name)
-                    .map(|(_, v)| v)
-                    .ok_or_else(|| OntoError::Unsupported {
-                        message: format!(
-                            "value pattern of {table_name}.{} does not bind the attribute",
-                            attr.attribute_name
-                        ),
-                    })?;
-                return pattern_value(raw, ty).map_err(|reason| OntoError::ValueIncompatible {
-                    table: table_name.to_owned(),
-                    attribute: attr.attribute_name.clone(),
-                    value: object.clone(),
-                    reason,
-                });
-            }
-            // Foreign key: object must be an instance of the referenced
-            // table; its key value is stored.
-            let target_map_id =
-                attr.foreign_key_target()
-                    .ok_or_else(|| OntoError::Unsupported {
-                        message: format!(
-                            "object property on {table_name}.{} has neither a ForeignKey \
-                             constraint nor a value pattern",
-                            attr.attribute_name
-                        ),
-                    })?;
-            let expected_table =
-                mapping
-                    .table_by_id(target_map_id)
-                    .ok_or_else(|| OntoError::Unsupported {
-                        message: format!("foreign key references unknown map node {target_map_id}"),
-                    })?;
-            resolve_instance_ref(
-                db,
-                mapping,
-                table_name,
-                &attr.attribute_name,
-                &expected_table.table_name,
-                object,
-                touched,
-            )
-        }
+    let target = attr
+        .foreign_key_target()
+        .and_then(|id| mapping.table_by_id(id));
+    match (&attr.property, &attr.value_pattern, target) {
+        (Some(PropertyMapping::Object(_)), None, Some(target)) => resolve_instance_ref(
+            db,
+            mapping,
+            &table.name,
+            &attr.attribute_name,
+            &target.table_name,
+            object,
+            touched,
+        ),
+        _ => Codec::attribute(mapping, table, attr)?.decode(object, Text::Intern),
     }
 }
 
@@ -429,26 +361,7 @@ fn translate_link_insert<'a>(
     triple: &Triple,
     touched: &Touched<'_>,
 ) -> OntoResult<RowOp<'a>> {
-    let subject_target = link
-        .subject_attribute
-        .foreign_key_target()
-        .and_then(|id| mapping.table_by_id(id))
-        .ok_or_else(|| OntoError::Unsupported {
-            message: format!(
-                "link table {:?}: unresolved subject attribute target",
-                link.table_name
-            ),
-        })?;
-    let object_target = link
-        .object_attribute
-        .foreign_key_target()
-        .and_then(|id| mapping.table_by_id(id))
-        .ok_or_else(|| OntoError::Unsupported {
-            message: format!(
-                "link table {:?}: unresolved object attribute target",
-                link.table_name
-            ),
-        })?;
+    let [subject_target, object_target] = link_ends(mapping, link)?;
     // The group's entity must be on the subject side of this property.
     if identified.table_map.table_name != subject_target.table_name {
         return Err(OntoError::UnknownProperty {

@@ -16,9 +16,9 @@ pub mod delete;
 pub mod insert;
 pub mod sort;
 
-use crate::convert::pattern_value;
+use crate::convert::{Codec, Text};
 use crate::error::{OntoError, OntoResult};
-use r3m::{Mapping, TableMap};
+use r3m::{AttributeMap, LinkTableMap, Mapping, TableMap};
 use rdf::{Iri, Term, Triple};
 use rel::sql::{BulkRow, BulkUpdateStmt, DeleteStmt, Expr, InsertStmt, Statement, UpdateStmt};
 use rel::{Database, IndexKey, Schema, Value};
@@ -112,26 +112,33 @@ pub fn identify<'a>(
     let table = db.schema().table(&table_map.table_name)?;
     let mut key = Vec::with_capacity(raw_values.len());
     for (attr, raw) in raw_values {
-        let column = table.column(attr).ok_or_else(|| OntoError::Unsupported {
-            message: format!(
-                "uriPattern attribute {attr:?} missing from table {:?}",
-                table.name
-            ),
-        })?;
-        let value =
-            pattern_value(raw, column.ty).map_err(|reason| OntoError::ValueIncompatible {
-                table: table.name.clone(),
-                attribute: attr.to_owned(),
-                value: subject.clone(),
-                reason,
-            })?;
-        key.push((attr, value));
+        let codec = Codec::key(mapping, table_map, table, attr)?;
+        key.push((attr, codec.decode_slot(raw, subject, Text::Intern)?));
     }
     Ok(IdentifiedSubject {
         uri,
         table_map,
         key,
     })
+}
+
+/// The table maps that a link table's subject and object attributes
+/// reference.
+pub(crate) fn link_ends<'m>(
+    mapping: &'m Mapping,
+    link: &LinkTableMap,
+) -> OntoResult<[&'m TableMap; 2]> {
+    let end = |attr: &AttributeMap| {
+        attr.foreign_key_target()
+            .and_then(|id| mapping.table_by_id(id))
+            .ok_or_else(|| OntoError::Unsupported {
+                message: format!(
+                    "link table {:?}: attribute {:?} references no table map",
+                    link.table_name, attr.attribute_name
+                ),
+            })
+    };
+    Ok([end(&link.subject_attribute)?, end(&link.object_attribute)?])
 }
 
 /// Find the row a subject denotes, if present.

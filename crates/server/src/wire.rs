@@ -137,13 +137,13 @@ trait ResultsWriter {
 }
 
 // The two loops feeding a writer: a query's rows, each cell rendered by
-// its variable's shape, and owned solutions.
+// its column's codec, and owned solutions.
 fn write_rows<W: ResultsWriter>(mut writer: W, rows: &SolutionRows) -> OntoResult<String> {
     let mut scratch = String::new();
     for row in rows.rows() {
         writer.begin_solution();
-        for (var, (shape, value)) in rows.shapes().zip(row).enumerate() {
-            if let Some(term) = shape.term(value, &mut scratch)? {
+        for (var, (codec, value)) in rows.codecs().zip(row).enumerate() {
+            if let Some(term) = codec.encode(value, &mut scratch)? {
                 writer.binding(var, term);
             }
         }
