@@ -14,7 +14,10 @@
 //!   database. Each SPARQL/Update operation inside a transaction runs
 //!   as a savepoint scope: a rejected operation is undone at O(rows
 //!   touched) cost and the transaction stays usable. Nothing on the
-//!   write path clones the database wholesale.
+//!   write path clones the database wholesale. The update pipeline
+//!   translates `INSERT DATA` / `DELETE DATA` before taking the lock,
+//!   against a pinned version, and under it only validates what that
+//!   translation read (see `txn`).
 //!
 //! **MVCC snapshot reads.** Reads never take the writer's lock.
 //! Committed state lives in an immutable *version chain*: every commit
@@ -30,7 +33,8 @@
 //!
 //! Who locks what: the schema and mapping are immutable after
 //! construction (validated once); the *live* database — touched only
-//! by writers — sits behind a [`Mutex`]; the version chain sits behind
+//! by writers, and by a writer only to validate and execute, never to
+//! run Algorithm 1 for DATA operations — sits behind a [`Mutex`]; the version chain sits behind
 //! an [`std::sync::RwLock`] held only for the instants of pinning (an `Arc`
 //! clone) and publishing (a deque push); the compiled-query cache sits
 //! behind its own [`Mutex`] so cache bookkeeping never blocks on data
@@ -124,6 +128,11 @@ pub struct ConcurrencyStats {
     /// Total microseconds writers spent waiting to acquire the write
     /// lock.
     pub write_lock_wait_micros: u64,
+    /// `INSERT DATA` / `DELETE DATA` operations translated before the
+    /// write lock whose read set no longer held under it (or whose
+    /// pinned translation failed), and which were therefore translated
+    /// again under the lock.
+    pub write_retranslations: u64,
 }
 
 #[derive(Debug)]
@@ -152,6 +161,7 @@ struct MediatorCore {
     // Writer-contention counters (surfaced by `/status`).
     write_lock_waits: AtomicU64,
     write_lock_wait_micros: AtomicU64,
+    write_retranslations: AtomicU64,
 }
 
 impl MediatorCore {
@@ -219,6 +229,7 @@ impl Mediator {
                 session_token: Arc::new(()),
                 write_lock_waits: AtomicU64::new(0),
                 write_lock_wait_micros: AtomicU64::new(0),
+                write_retranslations: AtomicU64::new(0),
             }),
         })
     }
@@ -267,6 +278,7 @@ impl Mediator {
             read_sessions_live: Arc::strong_count(&self.core.session_token) - 1,
             write_lock_waits: self.core.write_lock_waits.load(Ordering::Relaxed),
             write_lock_wait_micros: self.core.write_lock_wait_micros.load(Ordering::Relaxed),
+            write_retranslations: self.core.write_retranslations.load(Ordering::Relaxed),
         }
     }
 

@@ -1,10 +1,32 @@
 //! The write side: [`WriteTxn`] and the one update-script pipeline
-//! (parse → per-operation savepoint → commit) every write goes through.
+//! every write goes through: parse → translate against a pinned version
+//! → take the write lock → per operation, validate and execute (or
+//! translate again) → commit.
+//!
+//! Algorithm 1 reads the database only through a few per-key lookups
+//! (see [`crate::translate::reads`]). So `INSERT DATA` and `DELETE DATA`
+//! translate, and their statements FK-sort, *before* the write lock,
+//! against the newest published version (one `Arc` clone), recording
+//! every answer they took as a read set. Under the lock, right before
+//! each operation executes, its read set is asked again against the
+//! transaction's live view — after the script's earlier operations, so
+//! a later operation is checked against the state the earlier ones
+//! left. If every lookup answers the same, the statements are exactly
+//! what translating under the lock would produce and run as they are;
+//! if one differs, or the pinned translation failed, the operation
+//! translates again under the lock with the same translator
+//! ([`WriteTxn::update_op`], counted in `write_retranslations`). A
+//! `MODIFY` always takes that path: its read set is its WHERE result.
 
-use super::{metrics, Mediator, MediatorCore};
+use super::{metrics, DatabaseVersion, Mediator, MediatorCore};
 use crate::error::{OntoError, OntoResult};
 use crate::feedback::Feedback;
-use crate::modify::ModifyReport;
+use crate::modify::{data_outcome, ModifyReport};
+use crate::translate::delete::translate_delete_data_reading;
+use crate::translate::insert::translate_insert_data_reading;
+use crate::translate::reads::ReadSet;
+use crate::translate::{execute_timed, sort_timed, TranslateOptions};
+use r3m::Mapping;
 use rel::sql::Statement;
 use rel::Database;
 use sparql::UpdateOp;
@@ -62,8 +84,10 @@ pub struct UpdateProfile {
     /// Wall time parsing the update script.
     pub parse: Duration,
     /// Wall time translating triples to SQL statements (Algorithms
-    /// 1/2; a MODIFY translates per matched binding inside its
-    /// execution, so all of it is accounted to `execute`).
+    /// 1/2): INSERT/DELETE DATA before the write lock against a pinned
+    /// version, plus any translation again under it; a MODIFY
+    /// translates per matched binding inside its execution, so all of
+    /// it is accounted to `execute`.
     pub translate: Duration,
     /// Wall time dependency-sorting translated statements.
     pub sort: Duration,
@@ -119,7 +143,8 @@ impl WriteTxn<'_> {
 
     /// Execute a parsed SPARQL/Update operation inside this transaction,
     /// as a savepoint scope: a rejected operation is fully undone while
-    /// earlier operations — and the transaction — survive.
+    /// earlier operations — and the transaction — survive. The
+    /// operation translates here, under the write lock.
     pub fn update_op(&mut self, op: &UpdateOp) -> OntoResult<UpdateOutcome> {
         let sp = self.db.savepoint("operation")?;
         match crate::modify::run_update_op(&mut self.db, &self.core.mapping, op, &mut self.stages) {
@@ -135,6 +160,41 @@ impl WriteTxn<'_> {
                 Err(e)
             }
         }
+    }
+
+    // Execute an operation translated before the lock. Its statements
+    // run as they are if its read set still holds against this
+    // transaction's view; otherwise — or if the pinned translation
+    // failed — the operation translates again here. Executing the
+    // sorted statements opens its own savepoint scope, so a rejected
+    // execution is undone just as in `update_op`.
+    fn apply(&mut self, op: &UpdateOp, prepared: Prepared<'_>) -> OntoResult<UpdateOutcome> {
+        let Prepared::Data {
+            translated,
+            translate,
+            sort,
+        } = prepared
+        else {
+            return self.update_op(op);
+        };
+        self.stages.translate += translate;
+        self.stages.sort += sort;
+        if let Ok((statements, reads)) = translated {
+            let span = obs::trace::span("update.validate");
+            let (probes, holds) = reads.holds(&self.db)?;
+            span.attr_u64("probes", probes as u64);
+            span.attr_bool("stale", !holds);
+            span.finish();
+            if holds {
+                let (report, execute) = execute_timed(&mut self.db, statements)?;
+                self.stages.execute += execute;
+                return Ok(data_outcome(op.name(), report));
+            }
+        }
+        self.core
+            .write_retranslations
+            .fetch_add(1, Ordering::Relaxed);
+        self.update_op(op)
     }
 
     /// The transaction's view of the database, including its own
@@ -236,6 +296,49 @@ impl Drop for WriteTxn<'_> {
     }
 }
 
+// One operation translated before the write lock, against a pinned
+// version. INSERT DATA and DELETE DATA carry their FK-sorted statements
+// and the read set they rest on (or why the pinned translation failed),
+// with the stage times it took; a MODIFY carries nothing and translates
+// under the lock.
+enum Prepared<'a> {
+    Data {
+        translated: OntoResult<(Vec<Statement>, ReadSet<'a>)>,
+        translate: Duration,
+        sort: Duration,
+    },
+    Modify,
+}
+
+impl<'a> Prepared<'a> {
+    // Algorithm 1's steps 1-5 for `op` against `pinned`, outside any
+    // lock.
+    fn translate(mapping: &'a Mapping, pinned: &'a DatabaseVersion, op: &'a UpdateOp) -> Self {
+        let (UpdateOp::InsertData { triples } | UpdateOp::DeleteData { triples }) = op else {
+            return Prepared::Modify;
+        };
+        let mut reads = ReadSet::new(&pinned.db);
+        let span = obs::trace::span("update.translate");
+        span.attr_u64("pinned_seq", pinned.seq);
+        let statements = if matches!(op, UpdateOp::InsertData { .. }) {
+            translate_insert_data_reading(&mut reads, mapping, triples, TranslateOptions::default())
+        } else {
+            translate_delete_data_reading(&mut reads, mapping, triples)
+        };
+        let translate = span.finish();
+        let (translated, sort) =
+            match statements.and_then(|statements| sort_timed(pinned.db.schema(), statements)) {
+                Ok((sorted, sort)) => (Ok((sorted, reads)), sort),
+                Err(error) => (Err(error), Duration::ZERO),
+            };
+        Prepared::Data {
+            translated,
+            translate,
+            sort,
+        }
+    }
+}
+
 impl Mediator {
     /// Begin an exclusive write transaction. Blocks until the prior
     /// writer released the live database; readers are unaffected — they
@@ -243,9 +346,9 @@ impl Mediator {
     /// transaction only once [`WriteTxn::commit`] publishes it (which
     /// is exactly why they can never observe a torn write).
     pub fn write(&self) -> WriteTxn<'_> {
-        let start = Instant::now();
+        let span = obs::trace::span("txn.lock_wait");
         let mut db = self.core.lock_live();
-        let waited = start.elapsed();
+        let waited = span.finish();
         self.core.write_lock_waits.fetch_add(1, Ordering::Relaxed);
         self.core
             .write_lock_wait_micros
@@ -272,17 +375,45 @@ impl Mediator {
     /// naming the leader — send the update there.
     pub fn execute_update_op(&self, op: &UpdateOp) -> OntoResult<UpdateOutcome> {
         self.ensure_writable()?;
+        let mut outcomes = Vec::with_capacity(1);
+        self.transact(std::slice::from_ref(op), &mut outcomes)
+            .map_err(|(_, error)| error)?;
+        Ok(outcomes.pop().expect("one operation, one outcome"))
+    }
+
+    // One write transaction over `ops`: pin the newest version and
+    // translate every operation against it before taking the lock, then
+    // under the lock apply each in order and commit. On failure the
+    // transaction is rolled back and the error carries the failing
+    // operation's index within `ops`; the outcomes pushed before it
+    // stay, unless the commit itself failed.
+    fn transact(
+        &self,
+        ops: &[UpdateOp],
+        outcomes: &mut Vec<UpdateOutcome>,
+    ) -> Result<UpdateProfile, (usize, OntoError)> {
+        let pinned = self.core.chain.current();
+        let prepared: Vec<Prepared<'_>> = ops
+            .iter()
+            .map(|op| Prepared::translate(&self.core.mapping, &pinned, op))
+            .collect();
+        let before = outcomes.len();
         let mut txn = self.write();
-        match txn.update_op(op) {
-            Ok(outcome) => {
-                txn.commit()?;
-                Ok(outcome)
-            }
-            Err(e) => {
-                txn.rollback()?;
-                Err(e)
+        for (i, (op, prepared)) in ops.iter().zip(prepared).enumerate() {
+            match txn.apply(op, prepared) {
+                Ok(outcome) => outcomes.push(outcome),
+                Err(error) => {
+                    let rollback = txn.rollback();
+                    debug_assert!(rollback.is_ok(), "rollback of an open txn cannot fail");
+                    return Err((i, error));
+                }
             }
         }
+        txn.commit_staged().map_err(|error| {
+            // A failed commit rolled the whole transaction back.
+            outcomes.truncate(before);
+            (ops.len() - 1, error)
+        })
     }
 
     /// Execute a SPARQL 1.1 style update request — one or more
@@ -317,31 +448,13 @@ impl Mediator {
             ..UpdateProfile::default()
         };
         let mut outcomes = Vec::with_capacity(ops.len());
-        let mut open: Option<WriteTxn<'_>> = None;
-        for (i, op) in ops.iter().enumerate() {
-            let txn = open.get_or_insert_with(|| self.write());
-            match txn.update_op(op) {
-                Ok(outcome) => outcomes.push(outcome),
-                Err(error) => {
-                    let rollback = open.take().map(WriteTxn::rollback);
-                    debug_assert!(
-                        matches!(rollback, Some(Ok(()))),
-                        "rollback of an open txn cannot fail"
-                    );
-                    return Err(fail(i, outcomes, error));
-                }
-            }
-            if !atomic_script || i + 1 == ops.len() {
-                let txn = open.take().expect("opened above");
-                match txn.commit_staged() {
-                    Ok(stages) => profile.absorb(stages),
-                    Err(error) => {
-                        // A failed commit rolled its transaction back:
-                        // all of an atomic script, else this operation.
-                        outcomes.truncate(if atomic_script { 0 } else { i });
-                        return Err(fail(i, outcomes, error));
-                    }
-                }
+        // An atomic script is one transaction, otherwise every operation
+        // is its own.
+        let per_txn = if atomic_script { ops.len().max(1) } else { 1 };
+        for (n, txn_ops) in ops.chunks(per_txn).enumerate() {
+            match self.transact(txn_ops, &mut outcomes) {
+                Ok(stages) => profile.absorb(stages),
+                Err((i, error)) => return Err(fail(n * per_txn + i, outcomes, error)),
             }
         }
         Ok((outcomes, profile))
@@ -386,7 +499,8 @@ impl Mediator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::fixture_mediator as mediator;
+    use crate::testutil::{fixture_mediator as mediator, render};
+    use rel::{RowId, Value};
 
     #[test]
     fn write_txn_commits_operations_atomically() {
@@ -494,5 +608,188 @@ mod tests {
         // The two operations before the rejected one each committed.
         assert_eq!(m.concurrency_stats().current_version, version + 2);
         assert_eq!(m.database().row_count("team").unwrap(), 4);
+    }
+
+    // Every table's (row id, row) stream: heap equality.
+    fn heap(db: &Database) -> Vec<Vec<(RowId, Vec<Value>)>> {
+        db.schema()
+            .tables()
+            .map(|table| {
+                db.scan(&table.name)
+                    .unwrap()
+                    .map(|(id, row)| (id, row.clone()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn parse_script(m: &Mediator, text: &str) -> Vec<UpdateOp> {
+        sparql::parse_update_script(text, m.core.prefixes.clone()).unwrap()
+    }
+
+    // The interleaving a concurrent writer produces: `text` translates
+    // against the current version, `between` commits, then the
+    // prepared operations apply in one transaction.
+    fn prepare_commit_apply(
+        m: &Mediator,
+        text: &str,
+        between: &str,
+    ) -> OntoResult<Vec<UpdateOutcome>> {
+        let ops = parse_script(m, text);
+        let pinned = m.core.chain.current();
+        let prepared: Vec<Prepared<'_>> = ops
+            .iter()
+            .map(|op| Prepared::translate(&m.core.mapping, &pinned, op))
+            .collect();
+        m.execute_update(between).unwrap();
+        let mut txn = m.write();
+        let mut outcomes = Vec::new();
+        for (op, prepared) in ops.iter().zip(prepared) {
+            outcomes.push(txn.apply(op, prepared)?);
+        }
+        txn.commit()?;
+        Ok(outcomes)
+    }
+
+    // The serialized order on a fresh mediator: `between`, then `text`
+    // translated under the lock.
+    fn serialized(text: &str, between: &str) -> (Mediator, OntoResult<Vec<UpdateOutcome>>) {
+        let m = mediator();
+        m.execute_update(between).unwrap();
+        let ops = parse_script(&m, text);
+        let mut txn = m.write();
+        let result: OntoResult<Vec<_>> = ops.iter().map(|op| txn.update_op(op)).collect();
+        match &result {
+            Ok(_) => txn.commit().unwrap(),
+            Err(_) => txn.rollback().unwrap(),
+        }
+        (m, result)
+    }
+
+    // Run the interleaving and check it against the serialized order:
+    // the same statements or the same error, the same heap, and whether
+    // the prepared translation had to be redone.
+    fn assert_serializes(
+        text: &str,
+        between: &str,
+        retranslated: bool,
+    ) -> OntoResult<Vec<UpdateOutcome>> {
+        let m = mediator();
+        let got = prepare_commit_apply(&m, text, between);
+        assert_eq!(
+            m.concurrency_stats().write_retranslations,
+            u64::from(retranslated),
+            "retranslation count: {text}"
+        );
+        let (reference, want) = serialized(text, between);
+        match (&got, &want) {
+            (Ok(got), Ok(want)) => {
+                let sql = |outcomes: &[UpdateOutcome]| -> Vec<Vec<String>> {
+                    outcomes.iter().map(|o| render(&o.statements)).collect()
+                };
+                assert_eq!(sql(got), sql(want), "statements differ: {text}");
+            }
+            (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string()),
+            _ => panic!("outcomes differ: {got:?} vs serialized {want:?}"),
+        }
+        assert_eq!(heap(&m.database()), heap(&reference.database()), "{text}");
+        got
+    }
+
+    const GALL_IN_TEAM4: &str =
+        "INSERT DATA { ex:author8 foaf:family_name \"Gall\" ; ont:team ex:team4 . }";
+
+    #[test]
+    fn prepared_translation_runs_as_is_while_its_reads_hold() {
+        // The version moved, but nothing the insert read did.
+        let outcomes = assert_serializes(
+            GALL_IN_TEAM4,
+            "INSERT DATA { ex:team9 foaf:name \"T9\" . }",
+            false,
+        )
+        .unwrap();
+        assert_eq!(outcomes[0].rows_affected, 1);
+    }
+
+    #[test]
+    fn fk_target_deleted_before_apply_is_a_dangling_object() {
+        let err = assert_serializes(
+            GALL_IN_TEAM4,
+            "DELETE DATA { ex:team4 a foaf:Group ; \
+             foaf:name \"Database Technology\" ; ont:teamCode \"DBTG\" . }",
+            true,
+        )
+        .unwrap_err();
+        assert!(matches!(err, OntoError::DanglingObject { .. }), "{err}");
+    }
+
+    #[test]
+    fn subject_inserted_before_apply_fills_nulls_or_conflicts() {
+        let text = "INSERT DATA { ex:author8 foaf:family_name \"Gall\" ; \
+                    foaf:firstName \"Harald\" . }";
+        // Translated as an INSERT, applied as the fill-NULL UPDATE.
+        let outcomes = assert_serializes(
+            text,
+            "INSERT DATA { ex:author8 foaf:family_name \"Gall\" . }",
+            true,
+        )
+        .unwrap();
+        assert_eq!(
+            render(&outcomes[0].statements),
+            vec!["UPDATE author SET firstname = 'Harald' WHERE id = 8;"]
+        );
+        let err = assert_serializes(
+            text,
+            "INSERT DATA { ex:author8 foaf:family_name \"Other\" . }",
+            true,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, OntoError::AttributeAlreadySet { .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn row_image_changed_before_delete_data_is_triple_not_present() {
+        let err = assert_serializes(
+            "DELETE DATA { ex:author6 foaf:mbox <mailto:hert@ifi.uzh.ch> . }",
+            "MODIFY DELETE { ex:author6 foaf:mbox ?m . } \
+             INSERT { ex:author6 foaf:mbox <mailto:new@ifi.uzh.ch> . } \
+             WHERE { ex:author6 foaf:mbox ?m . }",
+            true,
+        )
+        .unwrap_err();
+        assert!(matches!(err, OntoError::TripleNotPresent { .. }), "{err}");
+    }
+
+    #[test]
+    fn link_removed_before_delete_data_is_triple_not_present() {
+        let err = assert_serializes(
+            "DELETE DATA { ex:pub1 dc:creator ex:author6 . }",
+            "DELETE DATA { ex:pub1 dc:creator ex:author6 . }",
+            true,
+        )
+        .unwrap_err();
+        assert!(matches!(err, OntoError::TripleNotPresent { .. }), "{err}");
+    }
+
+    #[test]
+    fn script_operation_on_an_earlier_ones_entity_translates_again() {
+        // Against the pinned version the second operation's team does
+        // not exist yet; under the lock the first operation made it.
+        let text = "INSERT DATA { ex:team9 foaf:name \"T9\" . } ;\n\
+                    INSERT DATA { ex:author8 foaf:family_name \"Gall\" ; ont:team ex:team9 . }";
+        let m = mediator();
+        let (outcomes, _) = m.execute_script(text, true).unwrap();
+        assert_eq!(outcomes.len(), 2);
+        assert_eq!(m.concurrency_stats().write_retranslations, 1);
+        let reference = mediator();
+        let mut txn = reference.write();
+        for op in parse_script(&reference, text) {
+            txn.update_op(&op).unwrap();
+        }
+        txn.commit().unwrap();
+        assert_eq!(heap(&m.database()), heap(&reference.database()));
     }
 }

@@ -274,13 +274,21 @@ pub(crate) fn run_update_op(
     let (executed, sort, execute) = execute_sorted_timed(db, stmts)?;
     stages.sort += sort;
     stages.execute += execute;
-    Ok(UpdateOutcome {
+    Ok(data_outcome(operation, executed))
+}
+
+// The outcome of an executed `INSERT DATA` / `DELETE DATA`.
+pub(crate) fn data_outcome(
+    operation: &str,
+    executed: crate::translate::ExecutionReport,
+) -> UpdateOutcome {
+    UpdateOutcome {
         operation: operation.into(),
         statements_executed: executed.statements.len(),
         rows_affected: executed.rows_affected,
         statements: executed.statements,
         modify: None,
-    })
+    }
 }
 
 /// Reference counterpart of [`execute_update_op`]: the per-row emission

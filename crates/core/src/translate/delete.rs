@@ -14,6 +14,7 @@
 use crate::convert::Codec;
 use crate::error::{OntoError, OntoResult};
 use crate::translate::insert::pk_key_pairs;
+use crate::translate::reads::ReadSet;
 use crate::translate::{
     emit_grouped, emit_per_row, group_by_subject, identify, link_ends, IdentifiedSubject, RowOp,
 };
@@ -30,10 +31,18 @@ pub fn translate_delete_data(
     mapping: &Mapping,
     triples: &[Triple],
 ) -> OntoResult<Vec<Statement>> {
-    Ok(emit_grouped(
-        db.schema(),
-        delete_plans(db, mapping, triples)?,
-    ))
+    translate_delete_data_reading(&mut ReadSet::new(db), mapping, triples)
+}
+
+/// [`translate_delete_data`] against the database `reads` answers from,
+/// recording every answer the translation took from it.
+pub fn translate_delete_data_reading<'a>(
+    reads: &mut ReadSet<'a>,
+    mapping: &'a Mapping,
+    triples: &'a [Triple],
+) -> OntoResult<Vec<Statement>> {
+    let plans = delete_plans(reads, mapping, triples)?;
+    Ok(emit_grouped(reads.db().schema(), plans))
 }
 
 /// Reference translation: the same row plans emitted one statement per
@@ -43,38 +52,44 @@ pub fn translate_delete_data_per_row(
     mapping: &Mapping,
     triples: &[Triple],
 ) -> OntoResult<Vec<Statement>> {
-    Ok(emit_per_row(delete_plans(db, mapping, triples)?))
+    Ok(emit_per_row(delete_plans(
+        &mut ReadSet::new(db),
+        mapping,
+        triples,
+    )?))
 }
 
 fn delete_plans<'a>(
-    db: &'a Database,
+    reads: &mut ReadSet<'a>,
     mapping: &'a Mapping,
     triples: &'a [Triple],
 ) -> OntoResult<Vec<RowOp<'a>>> {
     let mut plans = Vec::new();
     for (subject, group) in group_by_subject(triples) {
-        plans.extend(translate_group(db, mapping, subject, &group)?);
+        plans.extend(translate_group(reads, mapping, subject, &group)?);
     }
     Ok(plans)
 }
 
 fn translate_group<'a>(
-    db: &'a Database,
+    reads: &mut ReadSet<'a>,
     mapping: &'a Mapping,
     subject: &'a Term,
     triples: &[&Triple],
 ) -> OntoResult<Vec<RowOp<'a>>> {
-    let identified = identify(db, mapping, subject)?;
-    let table = db.schema().table(&identified.table_map.table_name)?;
+    let identified = identify(reads.db(), mapping, subject)?;
+    let table = reads
+        .db()
+        .schema()
+        .table(&identified.table_map.table_name)?;
     let table_name = table.name.as_str();
 
-    let row_id = crate::translate::find_row(db, &identified)?.ok_or_else(|| {
-        OntoError::TripleNotPresent {
+    let row = reads
+        .row(table_name, identified.pk_values(table)?)?
+        .ok_or_else(|| OntoError::TripleNotPresent {
             table: table_name.to_owned(),
             detail: format!("no row for subject {subject}"),
-        }
-    })?;
-    let row = db.row(table_name, row_id)?.expect("row id valid");
+        })?;
 
     let mut has_type = false;
     let mut mentioned: Vec<(&str, Value)> = Vec::new();
@@ -128,7 +143,7 @@ fn translate_group<'a>(
         }
         if let Some(link) = mapping.link_table_by_property(&triple.predicate) {
             link_plans.push(translate_link_delete(
-                db,
+                reads,
                 mapping,
                 &identified,
                 link,
@@ -199,7 +214,7 @@ fn translate_group<'a>(
 }
 
 fn translate_link_delete<'a>(
-    db: &Database,
+    reads: &mut ReadSet<'a>,
     mapping: &Mapping,
     identified: &IdentifiedSubject<'_>,
     link: &'a r3m::LinkTableMap,
@@ -212,6 +227,7 @@ fn translate_link_delete<'a>(
             table: identified.table_map.table_name.clone(),
         });
     }
+    let db = reads.db();
     let object_identified =
         identify(db, mapping, &triple.object).map_err(|_| OntoError::TripleNotPresent {
             table: link.table_name.clone(),
@@ -241,37 +257,7 @@ fn translate_link_delete<'a>(
     );
 
     // The link row must exist (DELETE DATA removes *known* triples).
-    // The subject column is a FK column and therefore hash-indexed:
-    // resolve its candidates by index and check the object side only on
-    // those, instead of scanning the whole link table per triple.
-    let link_table = db.schema().table(&link.table_name)?;
-    let s_idx = link_table
-        .column_index(&link.subject_attribute.attribute_name)
-        .expect("validated mapping");
-    let o_idx = link_table
-        .column_index(&link.object_attribute.attribute_name)
-        .expect("validated mapping");
-    let exists = match db.index_probe(
-        &link.table_name,
-        &link.subject_attribute.attribute_name,
-        &s_val,
-    )? {
-        Some(ids) => {
-            let mut found = false;
-            for id in ids {
-                let row = db.row(&link.table_name, id)?.expect("probe id is live");
-                if row[o_idx].sql_eq(&o_val) == Some(true) {
-                    found = true;
-                    break;
-                }
-            }
-            found
-        }
-        None => db.scan(&link.table_name)?.any(|(_, row)| {
-            row[s_idx].sql_eq(&s_val) == Some(true) && row[o_idx].sql_eq(&o_val) == Some(true)
-        }),
-    };
-    if !exists {
+    if !reads.link(link, s_val, o_val)? {
         return Err(OntoError::TripleNotPresent {
             table: link.table_name.clone(),
             detail: format!(

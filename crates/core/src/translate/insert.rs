@@ -11,6 +11,7 @@
 
 use crate::convert::{Codec, Text};
 use crate::error::{OntoError, OntoResult};
+use crate::translate::reads::ReadSet;
 use crate::translate::{
     emit_grouped, emit_per_row, group_by_subject, identify, link_ends, IdentifiedSubject, RowOp,
     TranslateOptions,
@@ -30,10 +31,19 @@ pub fn translate_insert_data(
     triples: &[Triple],
     options: TranslateOptions,
 ) -> OntoResult<Vec<Statement>> {
-    Ok(emit_grouped(
-        db.schema(),
-        insert_plans(db, mapping, triples, options)?,
-    ))
+    translate_insert_data_reading(&mut ReadSet::new(db), mapping, triples, options)
+}
+
+/// [`translate_insert_data`] against the database `reads` answers from,
+/// recording every answer the translation took from it.
+pub fn translate_insert_data_reading<'a>(
+    reads: &mut ReadSet<'a>,
+    mapping: &'a Mapping,
+    triples: &'a [Triple],
+    options: TranslateOptions,
+) -> OntoResult<Vec<Statement>> {
+    let plans = insert_plans(reads, mapping, triples, options)?;
+    Ok(emit_grouped(reads.db().schema(), plans))
 }
 
 /// Reference translation: the same row plans emitted one statement per
@@ -45,7 +55,12 @@ pub fn translate_insert_data_per_row(
     triples: &[Triple],
     options: TranslateOptions,
 ) -> OntoResult<Vec<Statement>> {
-    Ok(emit_per_row(insert_plans(db, mapping, triples, options)?))
+    Ok(emit_per_row(insert_plans(
+        &mut ReadSet::new(db),
+        mapping,
+        triples,
+        options,
+    )?))
 }
 
 // Instance IRI → table name of every subject an `INSERT DATA` creates
@@ -55,11 +70,12 @@ type Touched<'a> = BTreeMap<&'a str, &'a str>;
 // Steps 1-4 of Algorithm 1 for `INSERT DATA`: group, identify, check,
 // and plan one row operation per subject (plus link rows).
 fn insert_plans<'a>(
-    db: &'a Database,
+    reads: &mut ReadSet<'a>,
     mapping: &'a Mapping,
     triples: &'a [Triple],
     options: TranslateOptions,
 ) -> OntoResult<Vec<RowOp<'a>>> {
+    let db = reads.db();
     let groups = group_by_subject(triples);
     // Step 2 runs once per subject. A subject that does not identify
     // fails its own group below, in subject order.
@@ -76,11 +92,10 @@ fn insert_plans<'a>(
         .map(|s| (s.uri.as_str(), s.table_map.table_name.as_str()))
         .collect();
     let mut plans = Vec::new();
-    for ((subject, group), identified) in groups.iter().zip(identified) {
+    for ((_, group), identified) in groups.iter().zip(identified) {
         plans.extend(translate_group(
-            db,
+            reads,
             mapping,
-            subject,
             &identified?,
             group,
             &touched,
@@ -90,16 +105,20 @@ fn insert_plans<'a>(
     Ok(plans)
 }
 
+// One subject group: every triple in `triples` has the same subject.
 fn translate_group<'a>(
-    db: &'a Database,
+    reads: &mut ReadSet<'a>,
     mapping: &'a Mapping,
-    subject: &Term,
     identified: &IdentifiedSubject<'a>,
     triples: &[&Triple],
     touched: &Touched<'_>,
     options: TranslateOptions,
 ) -> OntoResult<Vec<RowOp<'a>>> {
-    let table = db.schema().table(&identified.table_map.table_name)?;
+    let subject = &triples[0].subject;
+    let table = reads
+        .db()
+        .schema()
+        .table(&identified.table_map.table_name)?;
     let table_name = table.name.as_str();
 
     let mut assignments: Vec<(&str, Value)> = Vec::with_capacity(triples.len());
@@ -114,7 +133,7 @@ fn translate_group<'a>(
             .table_map
             .attribute_for_property(&triple.predicate)
         {
-            let value = object_value(db, mapping, table, attr, &triple.object, touched)?;
+            let value = object_value(reads, mapping, table, attr, &triple.object, touched)?;
             match assignments
                 .iter()
                 .find(|(name, _)| *name == attr.attribute_name)
@@ -134,7 +153,7 @@ fn translate_group<'a>(
         }
         if let Some(link) = mapping.link_table_by_property(&triple.predicate) {
             link_plans.push(translate_link_insert(
-                db, mapping, identified, link, triple, touched,
+                reads, mapping, identified, link, triple, touched,
             )?);
             continue;
         }
@@ -166,7 +185,7 @@ fn translate_group<'a>(
         .filter(|(name, _)| !identified.key.iter().any(|(k, _)| k == name))
         .collect();
 
-    let existing_row = crate::translate::find_row(db, identified)?;
+    let existing_row = reads.row(table_name, identified.pk_values(table)?)?;
     let mut plans = Vec::new();
     match existing_row {
         None => {
@@ -207,11 +226,10 @@ fn translate_group<'a>(
                 values,
             });
         }
-        Some(row_id) => {
+        Some(current) => {
             // Existing entity: only fill attributes; a differing
             // non-NULL current value is a conflict unless Algorithm 2
             // explicitly allows overwriting (§5.2 optimization).
-            let current = db.row(table_name, row_id)?.expect("row id from index");
             let mut updates = Vec::new();
             for (name, value) in assignments {
                 let idx = table.column_index(name).expect("validated");
@@ -284,7 +302,7 @@ fn check_type_triple(
 // foreign key's object must be an instance this operation may
 // reference; every other object converts through the attribute's codec.
 fn object_value(
-    db: &Database,
+    reads: &mut ReadSet<'_>,
     mapping: &Mapping,
     table: &rel::Table,
     attr: &r3m::AttributeMap,
@@ -296,7 +314,7 @@ fn object_value(
         .and_then(|id| mapping.table_by_id(id));
     match (&attr.property, &attr.value_pattern, target) {
         (Some(PropertyMapping::Object(_)), None, Some(target)) => resolve_instance_ref(
-            db,
+            reads,
             mapping,
             &table.name,
             &attr.attribute_name,
@@ -313,7 +331,7 @@ fn object_value(
 // database or among the entities this operation creates), and return
 // its key value.
 fn resolve_instance_ref(
-    db: &Database,
+    reads: &mut ReadSet<'_>,
     mapping: &Mapping,
     table_name: &str,
     attribute: &str,
@@ -327,13 +345,14 @@ fn resolve_instance_ref(
         expected_table: expected_table.to_owned(),
         object: object.clone(),
     };
+    let db = reads.db();
     let identified = identify(db, mapping, object).map_err(|_| dangling())?;
     if identified.table_map.table_name != expected_table {
         return Err(dangling());
     }
     let target_table = db.schema().table(expected_table)?;
     let pk_values = identified.pk_values(target_table)?;
-    let exists_in_db = db.find_by_pk(expected_table, &pk_values)?.is_some();
+    let exists_in_db = reads.exists(&target_table.name, &pk_values)?;
     let created_here = touched
         .get(identified.uri.as_str())
         .is_some_and(|t| *t == expected_table);
@@ -354,7 +373,7 @@ fn resolve_instance_ref(
 // the object an instance of the table the link's object attribute
 // references.
 fn translate_link_insert<'a>(
-    db: &Database,
+    reads: &mut ReadSet<'_>,
     mapping: &Mapping,
     identified: &IdentifiedSubject<'_>,
     link: &'a r3m::LinkTableMap,
@@ -369,7 +388,10 @@ fn translate_link_insert<'a>(
             table: identified.table_map.table_name.clone(),
         });
     }
-    let table = db.schema().table(&identified.table_map.table_name)?;
+    let table = reads
+        .db()
+        .schema()
+        .table(&identified.table_map.table_name)?;
     let subject_pk = identified.pk_values(table)?;
     if subject_pk.len() != 1 {
         return Err(OntoError::Unsupported {
@@ -377,7 +399,7 @@ fn translate_link_insert<'a>(
         });
     }
     let object_value = resolve_instance_ref(
-        db,
+        reads,
         mapping,
         &link.table_name,
         &link.object_attribute.attribute_name,

@@ -11,9 +11,15 @@
 //! 5. `sortSQL`        → [`sort`] (topological sort along FK edges)
 //! 6. `executeSQL`     → [`execute_sorted`] (one transaction per
 //!    SPARQL/Update operation)
+//!
+//! Steps 1–4 read the database only through a [`reads::ReadSet`], which
+//! records every answer; step 5 reads only the schema. So steps 1–5 can
+//! run against a pinned version outside the write lock, and step 6
+//! reuses their statements whenever the read set still holds.
 
 pub mod delete;
 pub mod insert;
+pub mod reads;
 pub mod sort;
 
 use crate::convert::{Codec, Text};
@@ -23,6 +29,7 @@ use rdf::{Iri, Term, Triple};
 use rel::sql::{BulkRow, BulkUpdateStmt, DeleteStmt, Expr, InsertStmt, Statement, UpdateStmt};
 use rel::{Database, IndexKey, Schema, Value};
 use std::collections::{BTreeMap, HashMap};
+use std::time::Duration;
 
 /// Options modulating translation.
 #[derive(Debug, Clone, Copy, Default)]
@@ -545,17 +552,36 @@ pub fn execute_sorted(
 pub fn execute_sorted_timed(
     db: &mut Database,
     statements: Vec<Statement>,
-) -> OntoResult<(ExecutionReport, std::time::Duration, std::time::Duration)> {
-    let sort_span = obs::trace::span("update.sort");
-    let sorted = sort::sort_statements(db.schema(), statements)?;
-    let sort = sort_span.finish();
-    let execute_span = obs::trace::span("update.execute");
+) -> OntoResult<(ExecutionReport, Duration, Duration)> {
+    let (sorted, sort) = sort_timed(db.schema(), statements)?;
+    let (report, execute) = execute_timed(db, sorted)?;
+    Ok((report, sort, execute))
+}
+
+/// Step 5 alone, timed by its `update.sort` span. The sort reads only
+/// the schema, so it can run against any version of the database.
+pub fn sort_timed(
+    schema: &Schema,
+    statements: Vec<Statement>,
+) -> OntoResult<(Vec<Statement>, Duration)> {
+    let span = obs::trace::span("update.sort");
+    let sorted = sort::sort_statements(schema, statements)?;
+    Ok((sorted, span.finish()))
+}
+
+/// Step 6 alone: execute already-sorted statements in one atomic write
+/// scope, timed by its `update.execute` span.
+pub fn execute_timed(
+    db: &mut Database,
+    sorted: Vec<Statement>,
+) -> OntoResult<(ExecutionReport, Duration)> {
+    let span = obs::trace::span("update.execute");
     let report = run_in_scope(db, sorted)?;
-    if execute_span.armed() {
-        execute_span.attr_u64("statements", report.statements.len() as u64);
-        execute_span.attr_u64("rows_affected", report.rows_affected as u64);
+    if span.armed() {
+        span.attr_u64("statements", report.statements.len() as u64);
+        span.attr_u64("rows_affected", report.rows_affected as u64);
     }
-    Ok((report, sort, execute_span.finish()))
+    Ok((report, span.finish()))
 }
 
 /// Reference variant of [`execute_sorted`] for the per-row statement

@@ -122,9 +122,11 @@ pub const COUNT_BUCKETS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128];
 pub struct Histogram {
     bounds: &'static [u64],
     scale: f64,
+    // One store for the sample count: `_count` and `count()` are the
+    // buckets' total, so a scrape concurrent with `observe` can never
+    // render a `_count` that disagrees with its own +Inf bucket.
     buckets: Box<[AtomicU64]>,
     sum: AtomicU64,
-    count: AtomicU64,
 }
 
 impl Histogram {
@@ -134,7 +136,6 @@ impl Histogram {
             scale,
             buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
             sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
         }
     }
 
@@ -143,7 +144,6 @@ impl Histogram {
         let slot = self.bounds.partition_point(|&bound| bound < raw);
         self.buckets[slot].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(raw, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record a duration (microsecond resolution; use with
@@ -154,7 +154,7 @@ impl Histogram {
 
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Sum of raw samples.
@@ -409,7 +409,7 @@ fn render_series(out: &mut String, series: &Entry) {
                 &format!("{}_count", series.name),
                 label,
                 None,
-                h.count() as f64,
+                cumulative as f64,
             );
         }
     }
@@ -615,6 +615,7 @@ fn push_logfmt_value(out: &mut String, value: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn counter_and_gauge_round_trip() {
@@ -675,6 +676,39 @@ mod tests {
         assert!(text.contains("obs_test_render_seconds_sum"));
         // Bucket for 250µs bound carries the 120µs sample.
         assert!(text.contains("obs_test_render_seconds_bucket{le=\"0.00025\"}"));
+    }
+
+    #[test]
+    fn histogram_count_is_its_inf_bucket_while_observed() {
+        // A scrape racing `observe` must still render `_count` equal to
+        // its own +Inf bucket (the exposition invariant validators check).
+        let registry = registry();
+        let h = registry.latency_histogram("obs_test_race_seconds", "race test");
+        let value = |text: &str, prefix: &str| -> u64 {
+            let line = text.lines().find(|l| l.starts_with(prefix)).unwrap();
+            line.rsplit(' ').next().unwrap().parse().unwrap()
+        };
+        let done = AtomicBool::new(false);
+        let disagreements = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    h.observe(120);
+                }
+            });
+            let disagreements = (0..2_000)
+                .map(|_| registry.render())
+                .filter(|text| {
+                    value(text, "obs_test_race_seconds_count")
+                        != value(text, "obs_test_race_seconds_bucket{le=\"+Inf\"}")
+                })
+                .count();
+            done.store(true, Ordering::Relaxed);
+            disagreements
+        });
+        assert_eq!(
+            disagreements, 0,
+            "renders whose _count is not their +Inf bucket"
+        );
     }
 
     #[test]

@@ -670,6 +670,7 @@ fn status(ctx: &AppContext) -> Response {
                 .u64("read_sessions_live", conc.read_sessions_live as u64)
                 .u64("write_lock_waits", conc.write_lock_waits)
                 .u64("write_lock_wait_micros", conc.write_lock_wait_micros)
+                .u64("write_retranslations", conc.write_retranslations)
                 .finish(),
         )
         .raw("durability", &durability_json(ctx))
@@ -801,8 +802,14 @@ fn metrics_exposition(ctx: &AppContext) -> Response {
     family(
         "counter",
         "ontoaccess_write_lock_waits_total",
-        "Write transactions that had to wait for the write lock",
+        "Write-lock acquisitions (one per write transaction)",
         conc.write_lock_waits,
+    );
+    family(
+        "counter",
+        "ontoaccess_write_retranslations_total",
+        "Update operations translated before the write lock that were translated again under it",
+        conc.write_retranslations,
     );
     if let Some(d) = ctx.mediator.durability_stats() {
         family(

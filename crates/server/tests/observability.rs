@@ -106,6 +106,7 @@ fn metrics_expose_valid_prometheus_text_across_layers() {
         "ontoaccess_query_cache_misses_total",
         "ontoaccess_query_cache_evictions_total",
         "ontoaccess_write_lock_waits_total",
+        "ontoaccess_write_retranslations_total",
         "ontoaccess_http_requests_total",
     ] {
         assert!(

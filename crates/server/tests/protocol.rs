@@ -354,6 +354,7 @@ fn status_reports_concurrency_object() {
     assert!(text.contains("\"read_sessions_live\":"), "{text}");
     assert!(text.contains("\"write_lock_waits\":0"), "{text}");
     assert!(text.contains("\"write_lock_wait_micros\":"), "{text}");
+    assert!(text.contains("\"write_retranslations\":0"), "{text}");
     // One committed update publishes one new version: the current
     // version advances and the chain retains both, and the write-lock
     // acquisition shows up in the wait counters.
@@ -370,6 +371,8 @@ fn status_reports_concurrency_object() {
         "{text}"
     );
     assert!(text.contains("\"write_lock_waits\":1"), "{text}");
+    // Nothing raced the insert: its pinned translation held.
+    assert!(text.contains("\"write_retranslations\":0"), "{text}");
     server.shutdown();
 }
 

@@ -440,12 +440,18 @@ fn slow_leader_write_traces_across_layers_and_links_the_follower_apply() {
     for span in [
         "\"name\":\"update.parse\"",
         "\"name\":\"update.translate\"",
+        "\"name\":\"txn.lock_wait\"",
+        "\"name\":\"update.validate\"",
         "\"name\":\"txn.commit\"",
         "\"name\":\"wal.append\"",
         "\"name\":\"wal.fsync_wait\"",
     ] {
         assert!(text.contains(span), "{span} in {text}");
     }
+    // The insert translated before the lock against the initial
+    // version, and its read set still held under it.
+    assert!(text.contains("\"pinned_seq\":0"), "{text}");
+    assert!(text.contains("\"stale\":false"), "{text}");
     assert!(
         text.contains("\"seq\":1"),
         "the commit seq rides the WAL spans: {text}"

@@ -9,13 +9,21 @@
 //!    the op on a scratch clone, swap on success, discard on failure) —
 //!    including for operations that fail mid-way, reusing the
 //!    `write_pipeline_differential` harness assertions.
+//! 3. Storm: writers race INSERT/DELETE DATA scripts over shared
+//!    subjects and FK targets, so operations translated before the
+//!    write lock go stale under it — every published version must be
+//!    the serialized application of exactly one acknowledged request to
+//!    its predecessor.
 
 use proptest::prelude::*;
 use sparql_update_rdb::fixtures;
 use sparql_update_rdb::fixtures::diff::{assert_heaps_identical, assert_indexes_consistent};
 use sparql_update_rdb::ontoaccess::{self, Mediator, OntoError, ReadSession};
+use sparql_update_rdb::r3m::Mapping;
 use sparql_update_rdb::rdf::namespace::PrefixMap;
+use sparql_update_rdb::rel::{Database, RowId, Value};
 use sparql_update_rdb::sparql;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 // The handles must cross threads: this is the compile-time acceptance
@@ -280,4 +288,211 @@ proptest! {
         assert_heaps_identical(&live, &initial, "atomic script rollback");
         assert_indexes_consistent(&live, "atomic script rollback");
     }
+}
+
+// ----------------------------------------------------------------------
+// Writers racing over shared subjects ≡ some serial order
+// ----------------------------------------------------------------------
+
+const STORM_TEAMS: u64 = 3;
+const STORM_AUTHORS: u64 = 5;
+
+// A small deterministic generator (xorshift64*), one per thread and
+// round.
+struct Draw(u64);
+
+impl Draw {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
+    }
+}
+
+// What an acknowledged storm request did to its writer's authors.
+enum Mine {
+    Created(u64, String, u64),
+    Dropped(u64),
+    Unchanged,
+}
+
+// The next request of one storm writer, with what it does to the
+// authors the writer created (their family names and teams) once
+// acknowledged. Every acknowledged request changes the database:
+//
+// * create: make team k (a no-op if it exists), then author a under it
+//   with a family name unique to the request — op 2 is rejected if a
+//   exists, and translates against a version where k may be absent;
+// * unlink: null author a's team if it is k;
+// * drop team: delete team k whole — RESTRICT rejects it while
+//   referenced;
+// * drop author: delete an author this writer created, with or without
+//   the team it was created under (only its creator knows its name).
+fn storm_request(
+    draw: &mut Draw,
+    unique: u64,
+    mine: &BTreeMap<u64, (String, u64)>,
+) -> (String, Mine) {
+    let (a, k) = (
+        900 + draw.below(STORM_AUTHORS),
+        900 + draw.below(STORM_TEAMS),
+    );
+    let body = match draw.below(4) {
+        1 => format!("DELETE DATA {{ ex:author{a} ont:team ex:team{k} . }}"),
+        2 => format!("DELETE DATA {{ ex:team{k} a foaf:Group ; foaf:name \"N{k}\" . }}"),
+        3 if !mine.is_empty() => {
+            let nth = draw.below(mine.len() as u64) as usize;
+            let (a, (name, k)) = mine.iter().nth(nth).expect("in range");
+            let team = if draw.below(2) == 0 {
+                format!("; ont:team ex:team{k} ")
+            } else {
+                String::new()
+            };
+            let body = format!(
+                "DELETE DATA {{ ex:author{a} a foaf:Person ; foaf:family_name \"{name}\" {team}. }}"
+            );
+            return (fixtures::workload::with_prefixes(&body), Mine::Dropped(*a));
+        }
+        _ => {
+            let name = format!("L{unique}");
+            let body = format!(
+                "INSERT DATA {{ ex:team{k} foaf:name \"N{k}\" . }} ;\n\
+                 INSERT DATA {{ ex:author{a} foaf:family_name \"{name}\" ; ont:team ex:team{k} . }}"
+            );
+            return (
+                fixtures::workload::with_prefixes(&body),
+                Mine::Created(a, name, k),
+            );
+        }
+    };
+    (fixtures::workload::with_prefixes(&body), Mine::Unchanged)
+}
+
+// The serialized application of one script: its operations, in order,
+// in one transaction on `db`, rolled back whole if one is rejected.
+// Answers whether the script was accepted.
+fn apply_script(db: &mut Database, mapping: &Mapping, text: &str) -> bool {
+    let ops = sparql::parse_update_script(text, PrefixMap::common()).unwrap();
+    db.begin().unwrap();
+    for op in &ops {
+        if ontoaccess::execute_update_op(db, mapping, op).is_err() {
+            db.rollback().unwrap();
+            return false;
+        }
+    }
+    db.commit().unwrap();
+    true
+}
+
+fn same_heap(a: &Database, b: &Database) -> bool {
+    let rows = |db: &Database, table: &str| -> Vec<(RowId, Vec<Value>)> {
+        db.scan(table)
+            .unwrap()
+            .map(|(id, row)| (id, row.clone()))
+            .collect()
+    };
+    a.schema()
+        .tables()
+        .all(|table| rows(a, &table.name) == rows(b, &table.name))
+}
+
+/// Four writers send atomic INSERT/DELETE DATA scripts over five
+/// authors and three teams. Each round commits at most 28 versions, so
+/// the whole round stays inside the 32-version window, and is then
+/// checked: walking the published seqs in order, each version must be
+/// heap-identical to the serialized application of the next unused
+/// acknowledged request of exactly one writer to its predecessor;
+/// every acknowledged request is used exactly once, and rejected
+/// requests publish nothing. The storm must have exercised the
+/// revalidation path (`write_retranslations > 0`).
+#[test]
+fn racing_writers_publish_only_serializable_versions() {
+    const WRITERS: usize = 4;
+    const REQUESTS: u64 = 7;
+    const ROUNDS: u64 = 8;
+    let mediator = fixtures::mediator();
+    let mapping = fixtures::mapping();
+    let mut mine: Vec<BTreeMap<u64, (String, u64)>> = vec![BTreeMap::new(); WRITERS];
+    let mut acknowledged_total = 0;
+    for round in 0..ROUNDS {
+        let base = mediator.concurrency_stats().current_version;
+        let acknowledged: Vec<Vec<String>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = mine
+                .iter_mut()
+                .enumerate()
+                .map(|(writer, mine)| {
+                    let mediator = &mediator;
+                    scope.spawn(move || {
+                        let mut draw = Draw(
+                            (round * 16 + writer as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                        );
+                        let mut acknowledged = Vec::new();
+                        for i in 0..REQUESTS {
+                            let unique = (round * WRITERS as u64 + writer as u64) * 100 + i;
+                            let (text, effect) = storm_request(&mut draw, unique, mine);
+                            if mediator.execute_script(&text, true).is_err() {
+                                continue;
+                            }
+                            match effect {
+                                Mine::Created(a, name, k) => {
+                                    mine.insert(a, (name, k));
+                                }
+                                Mine::Dropped(a) => {
+                                    mine.remove(&a);
+                                }
+                                Mine::Unchanged => {}
+                            }
+                            acknowledged.push(text);
+                        }
+                        acknowledged
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let end = mediator.concurrency_stats().current_version;
+        let count: usize = acknowledged.iter().map(Vec::len).sum();
+        acknowledged_total += count;
+        assert_eq!(
+            end - base,
+            count as u64,
+            "round {round}: each acknowledged request publishes one version, a rejected one none"
+        );
+        let mut next = [0; WRITERS];
+        for seq in base + 1..=end {
+            let before = mediator.read_at(seq - 1).unwrap().database();
+            let after = mediator.read_at(seq).unwrap().database();
+            let matched = (0..WRITERS).find_map(|writer| {
+                let text = acknowledged[writer].get(next[writer])?;
+                let mut db = before.clone();
+                (apply_script(&mut db, &mapping, text) && same_heap(&db, &after))
+                    .then_some((writer, db))
+            });
+            let Some((writer, serialized)) = matched else {
+                panic!(
+                    "round {round}: version {seq} is no acknowledged request applied to {}",
+                    seq - 1
+                );
+            };
+            assert_heaps_identical(
+                &after,
+                &serialized,
+                &format!("round {round}, version {seq}"),
+            );
+            next[writer] += 1;
+        }
+        for (writer, used) in next.iter().enumerate() {
+            assert_eq!(
+                *used,
+                acknowledged[writer].len(),
+                "round {round}: writer {writer}'s acknowledged requests each publish once"
+            );
+        }
+    }
+    assert!(acknowledged_total > 0, "the storm acknowledged nothing");
+    assert!(
+        mediator.concurrency_stats().write_retranslations > 0,
+        "the storm never took the revalidation path"
+    );
 }
