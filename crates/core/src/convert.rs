@@ -20,7 +20,6 @@ use r3m::{AttributeMap, Mapping, PropertyMapping, Segment, TableMap, UriPattern}
 use rdf::{Iri, Literal, LiteralKind, LiteralKindRef, Term, TermRef};
 use rel::{SqlType, Value};
 use std::borrow::Cow;
-use std::fmt::Write;
 
 /// What a decoded string becomes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +62,36 @@ struct IriForm<'m> {
     pattern: Cow<'m, UriPattern>,
     prefix: Option<Cow<'m, str>>,
     slot: Cow<'m, str>,
+    // Fixed by the three above when the codec is made: whether the
+    // constant parts of the IRI (the prefix, unless the pattern is
+    // absolute, and the literal segments) pass `Iri::check` on their own
+    // terms — every character allowed and a `:` among them — so that an
+    // IRI is valid exactly when its substituted text is allowed.
+    constants_checked: bool,
+}
+
+impl<'m> IriForm<'m> {
+    fn new(pattern: &'m UriPattern, prefix: Option<&'m str>, slot: &'m str) -> Self {
+        let literals = pattern
+            .segments()
+            .iter()
+            .filter_map(|segment| match segment {
+                Segment::Literal(text) => Some(text.as_str()),
+                Segment::Attribute(_) => None,
+            });
+        let mut constants = (!pattern.is_absolute())
+            .then(|| prefix.unwrap_or(""))
+            .into_iter()
+            .chain(literals);
+        let constants_checked =
+            constants.clone().all(Iri::allows) && constants.any(|c| c.contains(':'));
+        IriForm {
+            pattern: Cow::Borrowed(pattern),
+            prefix: prefix.map(Cow::Borrowed),
+            slot: Cow::Borrowed(slot),
+            constants_checked,
+        }
+    }
 }
 
 fn unsupported(message: String) -> OntoError {
@@ -89,11 +118,11 @@ impl<'m> Codec<'m> {
             table: Cow::Borrowed(&table_map.table_name),
             attribute: Cow::Borrowed(slot),
             ty: column_type(table, slot)?,
-            iri: Some(IriForm {
-                pattern: Cow::Borrowed(&table_map.uri_pattern),
-                prefix: mapping.uri_prefix.as_deref().map(Cow::Borrowed),
-                slot: Cow::Borrowed(slot),
-            }),
+            iri: Some(IriForm::new(
+                &table_map.uri_pattern,
+                mapping.uri_prefix.as_deref(),
+                slot,
+            )),
         })
     }
 
@@ -113,11 +142,7 @@ impl<'m> Codec<'m> {
             attr.foreign_key_target(),
         ) {
             (Some(PropertyMapping::Data(_)), _, _) => None,
-            (_, Some(pattern), _) => Some(IriForm {
-                pattern: Cow::Borrowed(pattern),
-                prefix: None,
-                slot: Cow::Borrowed(name),
-            }),
+            (_, Some(pattern), _) => Some(IriForm::new(pattern, None, name)),
             (_, None, Some(target)) => {
                 let target = mapping.table_by_id(target).ok_or_else(|| {
                     unsupported(format!("foreign key references unknown map node {target}"))
@@ -137,11 +162,11 @@ impl<'m> Codec<'m> {
                         target.table_name
                     )));
                 };
-                Some(IriForm {
-                    pattern: Cow::Borrowed(&target.uri_pattern),
-                    prefix: mapping.uri_prefix.as_deref().map(Cow::Borrowed),
-                    slot: Cow::Borrowed(slot),
-                })
+                Some(IriForm::new(
+                    &target.uri_pattern,
+                    mapping.uri_prefix.as_deref(),
+                    slot,
+                ))
             }
             (_, None, None) => {
                 return Err(unsupported(format!(
@@ -177,6 +202,7 @@ impl<'m> Codec<'m> {
                 pattern: own(iri.pattern),
                 prefix: iri.prefix.map(own),
                 slot: own(iri.slot),
+                constants_checked: iri.constants_checked,
             }),
         }
     }
@@ -186,6 +212,11 @@ impl<'m> Codec<'m> {
     /// string; IRIs expand into `scratch` (cleared first) and must pass
     /// [`Iri::check`]; numbers and booleans format into `scratch` under
     /// a static `xsd:` datatype.
+    ///
+    /// An IRI's constant parts were checked when the codec was made, so
+    /// only a text cell is checked here; the whole IRI is checked again
+    /// only if that fails (or the constants could not vouch for it), so
+    /// the error names the whole IRI.
     pub fn encode<'s>(
         &self,
         value: &Value,
@@ -199,7 +230,7 @@ impl<'m> Codec<'m> {
         }
         scratch.clear();
         iri.pattern
-            .generate_into(iri.prefix.as_deref(), scratch, &mut |name, out| {
+            .generate_into(iri.prefix.as_deref(), scratch, |name, out| {
                 if name != iri.slot {
                     return false;
                 }
@@ -207,7 +238,15 @@ impl<'m> Codec<'m> {
                 true
             })
             .map_err(|e| unsupported(e.to_string()))?;
-        Iri::check(scratch).map_err(|e| unsupported(e.to_string()))?;
+        // Numbers and booleans render to digits, signs, `.`, `e`,
+        // `INF`, `NaN`, `true` and `false`: always allowed.
+        let cell_allowed = match value {
+            Value::Text(s) => Iri::allows(s.as_str()),
+            _ => true,
+        };
+        if !(iri.constants_checked && cell_allowed) {
+            Iri::check(scratch).map_err(|e| unsupported(e.to_string()))?;
+        }
         Ok(Some(TermRef::Iri(scratch)))
     }
 
@@ -321,7 +360,7 @@ pub(crate) fn instance_iri(
         .generate_into(
             mapping.uri_prefix.as_deref(),
             &mut uri,
-            &mut |name, out| match table.column_index(name).map(|idx| &row[idx]) {
+            |name, out| match table.column_index(name).map(|idx| &row[idx]) {
                 Some(value) if !value.is_null() => {
                     push_lexical(value, out);
                     true
@@ -410,14 +449,30 @@ fn push_lexical(value: &Value, out: &mut String) {
     match value {
         Value::Null => {}
         Value::Text(s) => out.push_str(s.as_str()),
-        Value::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
+        Value::Int(i) => push_int(*i, out),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Double(d) => {
-            let _ = write!(out, "{d:?}");
+        Value::Double(d) => rdf::literal::push_double(*d, out),
+    }
+}
+
+// Append the decimal digits of `i`, without the formatting machinery:
+// every key and year of a result passes through here.
+fn push_int(i: i64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut n = i.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
+    if i < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 #[cfg(test)]
@@ -523,6 +578,64 @@ mod tests {
                 codec.term(&Value::Int(2009)).unwrap(),
                 Some(Term::Literal(Literal::integer(2009)))
             );
+        });
+    }
+
+    #[test]
+    fn non_finite_doubles_render_their_xsd_lexical_forms() {
+        for (d, lexical) in [
+            (f64::INFINITY, "INF"),
+            (f64::NEG_INFINITY, "-INF"),
+            (f64::NAN, "NaN"),
+        ] {
+            let mut scratch = String::new();
+            let view = literal(&Value::Double(d), &mut scratch).unwrap();
+            assert_eq!(view, Term::Literal(Literal::double(d)).as_ref());
+            let TermRef::Literal {
+                lexical: written, ..
+            } = view
+            else {
+                unreachable!("a double's view is a literal")
+            };
+            assert_eq!(written, lexical);
+            // What is served reads back as the stored double.
+            let read = literal_to_value(&Literal::double(d), SqlType::Double).unwrap();
+            let Value::Double(read) = read else {
+                unreachable!("a DOUBLE column reads doubles")
+            };
+            assert!(read == d || (read.is_nan() && d.is_nan()), "{lexical}");
+        }
+    }
+
+    #[test]
+    fn integers_render_without_the_formatter() {
+        for i in [0, 7, -7, 10, 2009, i64::MAX, i64::MIN] {
+            let mut out = String::from("x");
+            push_int(i, &mut out);
+            assert_eq!(out, format!("x{i}"));
+        }
+    }
+
+    #[test]
+    fn iris_check_the_cell_and_report_the_whole_iri() {
+        // The template's constants were checked when the codec was
+        // made; a cell that breaks the IRI fails with the whole IRI.
+        with_codec("author", "email", |codec| {
+            let mut scratch = String::new();
+            let ok = codec.encode(&Value::text("x@y.ch"), &mut scratch).unwrap();
+            assert_eq!(ok, Some(TermRef::Iri("mailto:x@y.ch")));
+            let err = codec
+                .encode(&Value::text("hert at uzh.ch"), &mut scratch)
+                .unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "unsupported request: invalid IRI \"mailto:hert at uzh.ch\": contains \
+                 whitespace or a forbidden character"
+            );
+        });
+        with_codec("author", "team", |codec| {
+            let term = codec.term(&Value::Int(-12)).unwrap();
+            assert_eq!(term, Some(Term::iri("http://example.org/db/team-12")));
         });
     }
 

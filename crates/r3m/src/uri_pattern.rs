@@ -158,7 +158,7 @@ impl UriPattern {
         lookup: &dyn Fn(&str) -> Option<std::borrow::Cow<'static, str>>,
     ) -> Result<String, PatternError> {
         let mut out = String::new();
-        self.generate_into(prefix, &mut out, &mut |attr, out| match lookup(attr) {
+        self.generate_into(prefix, &mut out, |attr, out| match lookup(attr) {
             Some(value) => {
                 out.push_str(&value);
                 true
@@ -171,12 +171,13 @@ impl UriPattern {
     /// [`UriPattern::generate`] appending to `out`: `write_value` appends
     /// the named attribute's rendered value and returns whether it has
     /// one. Query serialization expands every result IRI into one reused
-    /// buffer this way, rendering numeric keys in place.
+    /// buffer this way, rendering numeric keys in place (generic, so the
+    /// per-cell rendering inlines).
     pub fn generate_into(
         &self,
         prefix: Option<&str>,
         out: &mut String,
-        write_value: &mut dyn FnMut(&str, &mut String) -> bool,
+        mut write_value: impl FnMut(&str, &mut String) -> bool,
     ) -> Result<(), PatternError> {
         if !self.is_absolute() {
             out.push_str(prefix.unwrap_or(""));

@@ -57,17 +57,25 @@ impl Iri {
         if s.is_empty() {
             return Err(err("empty string"));
         }
-        // One table lookup per byte; only a non-ASCII string pays for
-        // decoding, to find non-ASCII whitespace.
-        if s.bytes().any(|b| FORBIDDEN[usize::from(b)])
-            || (!s.is_ascii() && s.chars().any(char::is_whitespace))
-        {
+        if !Iri::allows(s) {
             return Err(err("contains whitespace or a forbidden character"));
         }
         if !s.contains(':') {
             return Err(err("missing scheme separator ':'"));
         }
         Ok(())
+    }
+
+    /// Whether every character of `text` may appear in an IRI — the
+    /// per-character half of [`Iri::check`]. The check holds for a
+    /// concatenation exactly when it holds for each part, so a renderer
+    /// can check a template's constant parts once and each substituted
+    /// value as it is written.
+    pub fn allows(text: &str) -> bool {
+        // One table lookup per byte; only a non-ASCII string pays for
+        // decoding, to find non-ASCII whitespace.
+        !(text.bytes().any(|b| FORBIDDEN[usize::from(b)])
+            || (!text.is_ascii() && text.chars().any(char::is_whitespace)))
     }
 
     /// Construct an IRI that is statically known to be valid (vocabulary

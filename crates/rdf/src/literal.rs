@@ -97,9 +97,12 @@ impl Literal {
         Literal::typed(value.to_string(), xsd::boolean())
     }
 
-    /// An `xsd:double`-typed literal.
+    /// An `xsd:double`-typed literal, in the lexical form
+    /// [`push_double`] writes.
     pub fn double(value: f64) -> Self {
-        Literal::typed(format!("{value:?}"), xsd::double())
+        let mut lexical = String::new();
+        push_double(value, &mut lexical);
+        Literal::typed(lexical, xsd::double())
     }
 
     /// An `xsd:string`-typed literal.
@@ -190,6 +193,19 @@ impl Literal {
             return a == b;
         }
         self == other
+    }
+}
+
+/// Append the `xsd:double` lexical form of `value`: the shortest
+/// rendering that reads back as the same double (`1.5`, `1e21`), and
+/// `INF`, `-INF` and `NaN` for the non-finite values, which Rust alone
+/// would write as `inf`, `-inf` and `NaN`.
+pub fn push_double(value: f64, out: &mut String) {
+    use std::fmt::Write;
+    if value.is_infinite() {
+        out.push_str(if value > 0.0 { "INF" } else { "-INF" });
+    } else {
+        let _ = write!(out, "{value:?}");
     }
 }
 

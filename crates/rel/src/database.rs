@@ -9,7 +9,7 @@
 
 use crate::error::{RelError, RelResult};
 use crate::schema::{Schema, Table};
-use crate::storage::{RowId, TableData};
+use crate::storage::{EqIndex, RowId, TableData};
 use crate::value::{IndexKey, SqlType, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -56,6 +56,26 @@ fn probe_key(ty: SqlType, value: &Value) -> ProbeKey {
 // Whether `column` is the table's whole (single-column) primary key.
 fn single_column_pk(table: &Table, column: &str) -> bool {
     table.primary_key.len() == 1 && table.primary_key[0] == column
+}
+
+// Equality probes on one column: its type and the index answering
+// them (see `Database::column_probe`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ColumnProbe<'a> {
+    ty: SqlType,
+    index: Option<EqIndex<'a>>,
+}
+
+impl<'a> ColumnProbe<'a> {
+    // [`Database::index_probe_ids`] of one value: `None` when the index
+    // cannot answer it.
+    pub(crate) fn ids(&self, value: &Value) -> Option<ProbeIds<'a>> {
+        match probe_key(self.ty, value) {
+            ProbeKey::Unsupported => None,
+            ProbeKey::NoMatch => Some(ProbeIds::Many(&[])),
+            ProbeKey::Key(key) => self.index.map(|index| index.ids(&key)),
+        }
+    }
 }
 
 /// Matching row ids of an index probe, borrowed from the index (see
@@ -327,24 +347,28 @@ impl Database {
         column: &str,
         value: &Value,
     ) -> RelResult<Option<ProbeIds<'_>>> {
+        Ok(self.column_probe(table, column)?.ids(value))
+    }
+
+    // The index answering equality probes on `table.column`, resolved
+    // once for any number of probes.
+    pub(crate) fn column_probe(&self, table: &str, column: &str) -> RelResult<ColumnProbe<'_>> {
         let t = self.schema.table(table)?;
         let col = t.column(column).ok_or_else(|| RelError::NoSuchColumn {
             table: table.to_owned(),
             column: column.to_owned(),
         })?;
-        let key = match probe_key(col.ty, value) {
-            ProbeKey::Unsupported => return Ok(None),
-            ProbeKey::NoMatch => return Ok(Some(ProbeIds::Many(&[]))),
-            ProbeKey::Key(k) => k,
-        };
-        let data = &self.data[table];
-        if single_column_pk(t, column) {
-            return Ok(Some(ProbeIds::Unique(data.find_by_pk(&[key]))));
-        }
-        if col.unique {
-            return Ok(Some(ProbeIds::Unique(data.find_by_unique(column, &key))));
-        }
-        Ok(data.lookup_by_index(column, &key).map(ProbeIds::Many))
+        Ok(ColumnProbe {
+            ty: col.ty,
+            index: self.data[table].eq_index(t, column),
+        })
+    }
+
+    // The storage of `table`, for a reader that resolves it once and
+    // then fetches rows by id.
+    pub(crate) fn table_data(&self, table: &str) -> RelResult<&TableData> {
+        self.schema.table(table)?;
+        Ok(&self.data[table])
     }
 
     /// Find a row by primary key values (in PK column order).

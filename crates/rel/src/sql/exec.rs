@@ -26,13 +26,13 @@
 //! UPDATE and DELETE collect matching row ids through the same
 //! index-probe machinery, without cloning non-matching rows.
 
-use crate::database::{Database, ProbeIds};
+use crate::database::{ColumnProbe, Database, ProbeIds};
 use crate::error::{RelError, RelResult};
 use crate::sql::ast::{
     BinOp, BulkUpdateStmt, ColumnRef, DeleteStmt, Expr, InsertStmt, SelectItem, SelectStmt,
     Statement, UpdateStmt,
 };
-use crate::storage::RowId;
+use crate::storage::{RowId, TableData};
 use crate::value::{IndexKey, Value};
 use std::collections::{HashMap, HashSet};
 
@@ -346,60 +346,81 @@ fn validate_single_table_refs(expr: &Expr, table: &crate::schema::Table) -> RelR
     }
 }
 
-// Check every column reference of an expression against a multi-binding
-// scope, with the same errors `resolve_multi` raises during evaluation —
-// but unconditionally, not only for row combinations that get
-// enumerated.
-fn validate_scope_refs(expr: &Expr, scope: &[(&str, &crate::schema::Table)]) -> RelResult<()> {
-    match expr {
-        Expr::Value(_) => Ok(()),
-        Expr::Column(cref) => match &cref.table {
-            Some(qualifier) => {
-                let Some((name, table)) =
-                    scope.iter().find(|(name, _)| *name == qualifier.as_str())
-                else {
-                    return Err(RelError::Execution {
-                        message: format!("unknown table binding {qualifier:?}"),
-                    });
-                };
-                if table.column_index(&cref.column).is_none() {
-                    return Err(RelError::NoSuchColumn {
-                        table: (*name).to_owned(),
-                        column: cref.column.clone(),
-                    });
-                }
-                Ok(())
-            }
-            None => {
-                let mut declaring = scope
-                    .iter()
-                    .filter(|(_, table)| table.column_index(&cref.column).is_some());
-                let Some(_first) = declaring.next() else {
-                    return Err(RelError::Execution {
-                        message: format!("unknown column {:?}", cref.column),
-                    });
-                };
-                if let Some((second_name, _)) = declaring.next() {
-                    return Err(RelError::Execution {
-                        message: format!(
-                            "ambiguous column {:?} (qualify with a table binding; also in {:?})",
-                            cref.column, second_name
-                        ),
-                    });
-                }
-                Ok(())
-            }
+// Bind every column reference of `expr` to its `(binding, column index)`
+// in `scope`, rejecting unknown and ambiguous references with the errors
+// `resolve_multi` raises during evaluation — but unconditionally, not
+// only for row combinations that get enumerated.
+fn bind(expr: &Expr, scope: &[(&str, &crate::schema::Table)]) -> RelResult<Bound> {
+    let bind_box = |expr: &Expr| bind(expr, scope).map(Box::new);
+    Ok(match expr {
+        Expr::Value(v) => Bound::Value(*v),
+        Expr::Column(cref) => Bound::Column(bind_column(cref, scope)?),
+        Expr::Binary { op, left, right } => Bound::Binary {
+            op: *op,
+            left: bind_box(left)?,
+            right: bind_box(right)?,
         },
-        Expr::Binary { left, right, .. } => {
-            validate_scope_refs(left, scope)?;
-            validate_scope_refs(right, scope)
+        Expr::Not(inner) => Bound::Not(bind_box(inner)?),
+        Expr::IsNull { expr, negated } => Bound::IsNull {
+            expr: bind_box(expr)?,
+            negated: *negated,
+        },
+        Expr::InList {
+            expr,
+            list,
+            negated,
+        } => Bound::InList {
+            expr: bind_box(expr)?,
+            list: list
+                .iter()
+                .map(|item| bind(item, scope))
+                .collect::<RelResult<_>>()?,
+            negated: *negated,
+        },
+    })
+}
+
+fn bind_column(
+    cref: &ColumnRef,
+    scope: &[(&str, &crate::schema::Table)],
+) -> RelResult<BindingColumn> {
+    match &cref.table {
+        Some(qualifier) => {
+            let Some(pos) = scope
+                .iter()
+                .position(|(name, _)| *name == qualifier.as_str())
+            else {
+                return Err(RelError::Execution {
+                    message: format!("unknown table binding {qualifier:?}"),
+                });
+            };
+            let (name, table) = scope[pos];
+            let idx = table
+                .column_index(&cref.column)
+                .ok_or_else(|| RelError::NoSuchColumn {
+                    table: name.to_owned(),
+                    column: cref.column.clone(),
+                })?;
+            Ok((pos, idx))
         }
-        Expr::Not(inner) => validate_scope_refs(inner, scope),
-        Expr::IsNull { expr, .. } => validate_scope_refs(expr, scope),
-        Expr::InList { expr, list, .. } => {
-            validate_scope_refs(expr, scope)?;
-            list.iter()
-                .try_for_each(|item| validate_scope_refs(item, scope))
+        None => {
+            let mut declaring = scope.iter().enumerate().filter_map(|(pos, (name, table))| {
+                table.column_index(&cref.column).map(|idx| (pos, idx, name))
+            });
+            let Some((pos, idx, _)) = declaring.next() else {
+                return Err(RelError::Execution {
+                    message: format!("unknown column {:?}", cref.column),
+                });
+            };
+            if let Some((_, _, second_name)) = declaring.next() {
+                return Err(RelError::Execution {
+                    message: format!(
+                        "ambiguous column {:?} (qualify with a table binding; also in {:?})",
+                        cref.column, second_name
+                    ),
+                });
+            }
+            Ok((pos, idx))
         }
     }
 }
@@ -496,31 +517,72 @@ pub fn eval_on_row(expr: &Expr, table: &crate::schema::Table, row: &[Value]) -> 
 /// logic: comparisons with NULL yield NULL; `AND`/`OR` follow Kleene
 /// semantics; WHERE accepts only `TRUE`.
 pub fn eval(expr: &Expr, resolve: &dyn Fn(&ColumnRef) -> RelResult<Value>) -> RelResult<Value> {
-    match expr {
-        Expr::Value(v) => Ok(*v),
-        Expr::Column(cref) => resolve(cref),
-        Expr::Not(inner) => match eval(inner, resolve)? {
+    eval_tree(expr, resolve)
+}
+
+// One node of an expression tree as `eval_tree` reads it. The statement
+// AST names its columns, so its resolver looks them up per row; a
+// plan's `Bound` expressions hold the slots the planner resolved. Both
+// evaluate through the one function below.
+enum Node<'e, T: Tree> {
+    Value(Value),
+    Column(&'e T::Column),
+    Binary(BinOp, &'e T, &'e T),
+    Not(&'e T),
+    IsNull(&'e T, bool),
+    InList(&'e T, &'e [T], bool),
+}
+
+trait Tree: Sized {
+    type Column;
+    fn node(&self) -> Node<'_, Self>;
+}
+
+impl Tree for Expr {
+    type Column = ColumnRef;
+
+    fn node(&self) -> Node<'_, Self> {
+        match self {
+            Expr::Value(v) => Node::Value(*v),
+            Expr::Column(cref) => Node::Column(cref),
+            Expr::Binary { op, left, right } => Node::Binary(*op, left, right),
+            Expr::Not(inner) => Node::Not(inner),
+            Expr::IsNull { expr, negated } => Node::IsNull(expr, *negated),
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => Node::InList(expr, list, *negated),
+        }
+    }
+}
+
+fn eval_tree<T, R>(expr: &T, resolve: &R) -> RelResult<Value>
+where
+    T: Tree,
+    R: Fn(&T::Column) -> RelResult<Value> + ?Sized,
+{
+    match expr.node() {
+        Node::Value(v) => Ok(v),
+        Node::Column(column) => resolve(column),
+        Node::Not(inner) => match eval_tree(inner, resolve)? {
             Value::Bool(b) => Ok(Value::Bool(!b)),
             Value::Null => Ok(Value::Null),
             other => Err(RelError::Execution {
                 message: format!("NOT applied to non-boolean {other}"),
             }),
         },
-        Expr::IsNull { expr, negated } => {
-            let v = eval(expr, resolve)?;
-            Ok(Value::Bool(v.is_null() != *negated))
+        Node::IsNull(expr, negated) => {
+            let v = eval_tree(expr, resolve)?;
+            Ok(Value::Bool(v.is_null() != negated))
         }
         // `x IN (a, b, …)` ≡ `x = a OR x = b OR …` with SQL three-valued
         // logic: a NULL comparison anywhere makes a non-match NULL.
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let v = eval(expr, resolve)?;
+        Node::InList(expr, list, negated) => {
+            let v = eval_tree(expr, resolve)?;
             let mut saw_null = false;
             for item in list {
-                let w = eval(item, resolve)?;
+                let w = eval_tree(item, resolve)?;
                 match v.sql_eq(&w) {
                     Some(true) => return Ok(Value::Bool(!negated)),
                     Some(false) => {}
@@ -530,12 +592,12 @@ pub fn eval(expr: &Expr, resolve: &dyn Fn(&ColumnRef) -> RelResult<Value>) -> Re
             Ok(if saw_null {
                 Value::Null
             } else {
-                Value::Bool(*negated)
+                Value::Bool(negated)
             })
         }
-        Expr::Binary { op, left, right } => {
-            let l = eval(left, resolve)?;
-            let r = eval(right, resolve)?;
+        Node::Binary(op, left, right) => {
+            let l = eval_tree(left, resolve)?;
+            let r = eval_tree(right, resolve)?;
             match op {
                 BinOp::And => Ok(kleene_and(&l, &r)?),
                 BinOp::Or => Ok(kleene_or(&l, &r)?),
@@ -613,6 +675,12 @@ fn as_tri(v: &Value) -> RelResult<Option<bool>> {
 // multiset; row order is whatever the plan enumerates (no ORDER BY, so
 // SQL and SPARQL leave it open), and one database state always yields
 // one plan and one order.
+//
+// Names are resolved once, by the planner: every column reference of a
+// residual or an output becomes the `(level, column index)` slot that
+// holds it, and `execute_plan` resolves each level's storage and probe
+// index once per run. The join's scope is the bound rows alone, so no
+// row pays for a name lookup.
 
 /// A costed physical plan for one SELECT against one database state —
 /// the single description the executor runs and the explain/profile
@@ -625,7 +693,7 @@ pub struct SelectPlan {
     pub levels: Vec<PlanLevel>,
     /// Output column names (aliases where given).
     pub columns: Vec<String>,
-    outputs: Vec<Expr>,
+    outputs: Vec<Bound>,
     distinct: bool,
     // Some binding has no candidate rows: the join can only be empty,
     // and a late empty level would otherwise still enumerate the whole
@@ -643,11 +711,99 @@ pub struct PlanLevel {
     pub alias: String,
     /// How the level reaches its rows.
     pub access: Access,
-    /// Conjuncts evaluated as soon as this level is bound.
-    pub residuals: Vec<Expr>,
     /// Estimated rows out of this level: the intermediate result after
     /// joining it.
     pub estimate: u64,
+    // Conjuncts evaluated as soon as this level is bound.
+    residuals: Vec<Bound>,
+    // The table's column count when planned: slots index rows of this
+    // width.
+    width: usize,
+}
+
+/// A plan's expression — a residual conjunct or an output — with every
+/// column bound to the slot that holds it: `(binding, column index)`
+/// while the FROM list is planned, `(level, column index)` once the join
+/// order is fixed.
+#[derive(Debug, Clone, PartialEq)]
+enum Bound {
+    Value(Value),
+    Column(LevelColumn),
+    Binary {
+        op: BinOp,
+        left: Box<Bound>,
+        right: Box<Bound>,
+    },
+    Not(Box<Bound>),
+    IsNull {
+        expr: Box<Bound>,
+        negated: bool,
+    },
+    InList {
+        expr: Box<Bound>,
+        list: Vec<Bound>,
+        negated: bool,
+    },
+}
+
+impl Bound {
+    // Re-key binding positions to join levels; returns the deepest level
+    // the expression reads (0 for none): where a conjunct becomes
+    // evaluable.
+    fn relevel(&mut self, level_of: &[usize]) -> usize {
+        match self {
+            Bound::Value(_) => 0,
+            Bound::Column((slot, _)) => {
+                *slot = level_of[*slot];
+                *slot
+            }
+            Bound::Binary { left, right, .. } => {
+                left.relevel(level_of).max(right.relevel(level_of))
+            }
+            Bound::Not(inner) | Bound::IsNull { expr: inner, .. } => inner.relevel(level_of),
+            Bound::InList { expr, list, .. } => list
+                .iter_mut()
+                .map(|item| item.relevel(level_of))
+                .fold(expr.relevel(level_of), usize::max),
+        }
+    }
+
+    // `column = constant` (either side).
+    fn const_eq(&self) -> Option<(LevelColumn, &Value)> {
+        let Bound::Binary {
+            op: BinOp::Eq,
+            left,
+            right,
+        } = self
+        else {
+            return None;
+        };
+        match (left.as_ref(), right.as_ref()) {
+            (Bound::Column(c), Bound::Value(v)) | (Bound::Value(v), Bound::Column(c)) => {
+                Some((*c, v))
+            }
+            _ => None,
+        }
+    }
+}
+
+impl Tree for Bound {
+    type Column = LevelColumn;
+
+    fn node(&self) -> Node<'_, Self> {
+        match self {
+            Bound::Value(v) => Node::Value(*v),
+            Bound::Column(slot) => Node::Column(slot),
+            Bound::Binary { op, left, right } => Node::Binary(*op, left, right),
+            Bound::Not(inner) => Node::Not(inner),
+            Bound::IsNull { expr, negated } => Node::IsNull(expr, *negated),
+            Bound::InList {
+                expr,
+                list,
+                negated,
+            } => Node::InList(expr, list, *negated),
+        }
+    }
 }
 
 /// A column of an earlier level's row: `(level, column index)`.
@@ -893,25 +1049,26 @@ pub fn plan_select(db: &Database, stmt: &SelectStmt) -> RelResult<SelectPlan> {
             message: "SELECT requires at least one table".into(),
         });
     }
-    let conjuncts = match &stmt.where_clause {
-        Some(pred) => split_conjuncts_ref(pred),
+    // Bind every column reference up front, rejecting unknown and
+    // ambiguous ones with the errors `resolve_multi` raises during
+    // evaluation. The reference executor only hits them for row
+    // combinations it actually enumerates; an index restriction can
+    // empty a binding and skip that enumeration entirely, so without
+    // this the errors would appear and disappear with the data (same
+    // policy as `validate_single_table_refs` on the mutation paths).
+    let conjuncts: Vec<Bound> = match &stmt.where_clause {
+        Some(pred) => split_conjuncts_ref(pred)
+            .into_iter()
+            .map(|conjunct| bind(conjunct, &scope))
+            .collect::<RelResult<_>>()?,
         None => Vec::new(),
     };
-    // Reject unknown/ambiguous column references up front, with the
-    // same errors `resolve_multi` raises during evaluation. The
-    // reference executor only hits them for row combinations it
-    // actually enumerates; an index restriction can empty a binding and
-    // skip that enumeration entirely, so without this check the errors
-    // would appear and disappear with the data (same policy as
-    // `validate_single_table_refs` on the mutation paths).
-    for conjunct in &conjuncts {
-        validate_scope_refs(conjunct, &scope)?;
-    }
-    for item in &stmt.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            validate_scope_refs(expr, &scope)?;
-        }
-    }
+    let (columns, mut outputs) = expand_projection(
+        stmt,
+        &scope,
+        |binding, column| Bound::Column((binding, column)),
+        |expr| bind(expr, &scope),
+    )?;
 
     // Statistics per binding. A `column = constant` conjunct whose
     // column resolves *uniquely* to the binding and hits an index
@@ -920,18 +1077,19 @@ pub fn plan_select(db: &Database, stmt: &SelectStmt) -> RelResult<SelectPlan> {
     for (i, &(alias, table)) in scope.iter().enumerate() {
         let mut restriction: Option<(&str, ProbeIds<'_>)> = None;
         for conjunct in &conjuncts {
-            let Some((cref, value)) = const_eq_ref(conjunct) else {
+            let Some(((binding, column), value)) = conjunct.const_eq() else {
                 continue;
             };
-            if resolve_in_scope(cref, &scope).map(|(pos, _)| pos) != Some(i) {
+            if binding != i {
                 continue;
             }
-            if let Some(ids) = db.index_probe_ids(&table.name, &cref.column, value)? {
+            let column = table.columns[column].name.as_str();
+            if let Some(ids) = db.index_probe_ids(&table.name, column, value)? {
                 if restriction
                     .as_ref()
                     .is_none_or(|(_, best)| probe_len(&ids) < probe_len(best))
                 {
-                    restriction = Some((cref.column.as_str(), ids));
+                    restriction = Some((column, ids));
                 }
             }
         }
@@ -1022,23 +1180,23 @@ pub fn plan_select(db: &Database, stmt: &SelectStmt) -> RelResult<SelectPlan> {
             table: candidate.table.name.clone(),
             alias: candidate.alias.to_owned(),
             access,
-            residuals: Vec::new(),
             estimate: estimate.round() as u64,
+            residuals: Vec::new(),
+            width: candidate.table.columns.len(),
         });
         level_of[binding] = depth;
         placed[binding] = true;
         outer = estimate;
     }
-    let level_scope: Vec<(&str, &crate::schema::Table)> =
-        order.iter().map(|&(binding, _)| scope[binding]).collect();
-    for (i, conjunct) in conjuncts.iter().enumerate() {
-        if !consumed[i] {
-            let level = conjunct_level(conjunct, &level_scope)?;
-            levels[level].residuals.push((*conjunct).clone());
+    for (mut conjunct, consumed) in conjuncts.into_iter().zip(consumed) {
+        if !consumed {
+            let level = conjunct.relevel(&level_of);
+            levels[level].residuals.push(conjunct);
         }
     }
-
-    let (columns, outputs) = expand_projection(stmt, &scope);
+    for output in &mut outputs {
+        output.relevel(&level_of);
+    }
     Ok(SelectPlan {
         levels,
         columns,
@@ -1070,46 +1228,54 @@ pub fn execute_plan(
     }
     let mut levels = Vec::with_capacity(plan.levels.len());
     for level in &plan.levels {
-        let fetch = |ids: &[RowId]| -> RelResult<Vec<&Vec<Value>>> {
+        let stale = || stale_plan(&level.table);
+        if db.schema().table(&level.table)?.columns.len() != level.width {
+            return Err(stale());
+        }
+        let data = db.table_data(&level.table)?;
+        let fetch = |ids: &[RowId]| -> RelResult<Vec<&[Value]>> {
             ids.iter()
-                .map(|&id| {
-                    db.row(&level.table, id)?
-                        .ok_or_else(|| stale_plan(&level.table))
-                })
+                .map(|&id| data.row(id).map(Vec::as_slice).ok_or_else(stale))
                 .collect()
         };
-        let rows: Vec<&Vec<Value>> = match &level.access {
-            Access::IndexLoop { .. } => Vec::new(),
-            Access::Scan | Access::HashJoin { ids: None, .. } => {
-                db.scan(&level.table)?.map(|(_, row)| row).collect()
-            }
-            Access::Restricted { ids, .. } | Access::HashJoin { ids: Some(ids), .. } => fetch(ids)?,
-        };
-        // Hash table over the candidates, keyed by the level's join
-        // columns — rows with a NULL key never equi-match.
-        let mut build: HashMap<Vec<IndexKey>, Vec<usize>> = HashMap::new();
-        if let Access::HashJoin { keys, .. } = &level.access {
-            'rows: for (i, row) in rows.iter().enumerate() {
-                let mut key = Vec::with_capacity(keys.len());
-                for &(column, _) in keys {
-                    let v = &row[column];
-                    if v.is_null() {
-                        continue 'rows;
+        let all = || data.scan().map(|(_, row)| row.as_slice()).collect();
+        let source = match &level.access {
+            Access::Scan => Source::Rows(all()),
+            Access::Restricted { ids, .. } => Source::Rows(fetch(ids)?),
+            Access::IndexLoop { column, probe } => Source::Probe {
+                index: db.column_probe(&level.table, column)?,
+                data,
+                outer: *probe,
+                table: &level.table,
+            },
+            Access::HashJoin { keys, ids } => {
+                let rows: Vec<&[Value]> = match ids {
+                    Some(ids) => fetch(ids)?,
+                    None => all(),
+                };
+                // Hash table over the candidates, keyed by the level's
+                // join columns — rows with a NULL key never equi-match.
+                let mut build: HashMap<Vec<IndexKey>, Vec<usize>> = HashMap::new();
+                'rows: for (i, row) in rows.iter().enumerate() {
+                    let mut key = Vec::with_capacity(keys.len());
+                    for &(column, _) in keys {
+                        let v = &row[column];
+                        if v.is_null() {
+                            continue 'rows;
+                        }
+                        key.push(v.index_key());
                     }
-                    key.push(v.index_key());
+                    build.entry(key).or_default().push(i);
                 }
-                build.entry(key).or_default().push(i);
+                Source::Hash { rows, build, keys }
             }
-        }
+        };
         levels.push(LevelRun {
-            level,
-            table: db.schema().table(&level.table)?,
-            rows,
-            build,
+            source,
+            residuals: &level.residuals,
         });
     }
     let run = PlanRun {
-        db,
         levels: &levels,
         outputs: &plan.outputs,
     };
@@ -1153,173 +1319,162 @@ fn stale_plan(table: &str) -> RelError {
 // Projection expansion shared by the planner and the reference
 // executor: `*` over every binding's columns in FROM order (qualified
 // names when more than one binding is in scope), expressions with
-// optional aliases.
-fn expand_projection(
+// optional aliases. `column(binding, column index)` and `expr` build
+// each output in the caller's form.
+fn expand_projection<T>(
     stmt: &SelectStmt,
     bindings: &[(&str, &crate::schema::Table)],
-) -> (Vec<String>, Vec<Expr>) {
+    column: impl Fn(usize, usize) -> T,
+    mut expr: impl FnMut(&Expr) -> RelResult<T>,
+) -> RelResult<(Vec<String>, Vec<T>)> {
     let mut out_columns: Vec<String> = Vec::new();
-    let mut out_exprs: Vec<Expr> = Vec::new();
+    let mut outputs: Vec<T> = Vec::new();
     for item in &stmt.items {
         match item {
             SelectItem::Star => {
-                for (name, table) in bindings {
-                    for column in &table.columns {
+                for (binding, (name, table)) in bindings.iter().enumerate() {
+                    for (idx, col) in table.columns.iter().enumerate() {
                         out_columns.push(if bindings.len() > 1 {
-                            format!("{}.{}", name, column.name)
+                            format!("{}.{}", name, col.name)
                         } else {
-                            column.name.clone()
+                            col.name.clone()
                         });
-                        out_exprs.push(Expr::Column(ColumnRef::qualified(
-                            (*name).to_owned(),
-                            column.name.clone(),
-                        )));
+                        outputs.push(column(binding, idx));
                     }
                 }
             }
-            SelectItem::Expr { expr, alias } => {
-                let name = alias.clone().unwrap_or_else(|| match expr {
+            SelectItem::Expr { expr: e, alias } => {
+                let name = alias.clone().unwrap_or_else(|| match e {
                     Expr::Column(c) => c.column.clone(),
                     other => other.to_string(),
                 });
                 out_columns.push(name);
-                out_exprs.push(expr.clone());
+                outputs.push(expr(e)?);
             }
         }
     }
-    (out_columns, out_exprs)
+    Ok((out_columns, outputs))
 }
 
 // An `a.x = b.y` conjunct between two distinct bindings whose column
 // types make IndexKey equality coincide with SQL equality: same
 // declared type, not DOUBLE (DOUBLE columns may store Int values that
-// compare SQL-equal to non-identical keys). Returns `(scope position,
-// column index)` of both sides; anything else stays a residual filter.
+// compare SQL-equal to non-identical keys). Returns `(binding, column
+// index)` of both sides; anything else stays a residual filter.
 fn equi_join_sides(
-    expr: &Expr,
+    conjunct: &Bound,
     scope: &[(&str, &crate::schema::Table)],
 ) -> Option<[BindingColumn; 2]> {
-    let Expr::Binary {
+    let Bound::Binary {
         op: BinOp::Eq,
         left,
         right,
-    } = expr
+    } = conjunct
     else {
         return None;
     };
-    let (Expr::Column(a), Expr::Column(b)) = (left.as_ref(), right.as_ref()) else {
+    let (&Bound::Column(a), &Bound::Column(b)) = (left.as_ref(), right.as_ref()) else {
         return None;
     };
-    let ra = resolve_in_scope(a, scope)?;
-    let rb = resolve_in_scope(b, scope)?;
-    if ra.0 == rb.0 {
+    if a.0 == b.0 {
         return None; // same binding: plain filter
     }
-    let ty_a = scope[ra.0].1.columns[ra.1].ty;
-    let ty_b = scope[rb.0].1.columns[rb.1].ty;
+    let ty_a = scope[a.0].1.columns[a.1].ty;
+    let ty_b = scope[b.0].1.columns[b.1].ty;
     if ty_a != ty_b || ty_a == crate::value::SqlType::Double {
         return None;
     }
-    Some([ra, rb])
+    Some([a, b])
 }
 
-// Resolve a column reference to `(scope position, column index)`.
-// Unqualified references resolve only when exactly one binding declares
-// the column (ambiguity falls through to the residual path, which
-// reports it at eval time).
-fn resolve_in_scope(
-    cref: &ColumnRef,
-    scope: &[(&str, &crate::schema::Table)],
-) -> Option<BindingColumn> {
-    match &cref.table {
-        Some(qualifier) => {
-            let pos = scope
-                .iter()
-                .position(|(name, _)| *name == qualifier.as_str())?;
-            Some((pos, scope[pos].1.column_index(&cref.column)?))
-        }
-        None => {
-            let mut found = None;
-            for (pos, (_, table)) in scope.iter().enumerate() {
-                if let Some(idx) = table.column_index(&cref.column) {
-                    if found.is_some() {
-                        return None;
-                    }
-                    found = Some((pos, idx));
-                }
-            }
-            found
-        }
-    }
-}
-
-// One plan level prepared for execution: its candidate rows (empty for
-// index loops, which read storage per outer row) and hash table.
+// One plan level prepared for execution: where its rows come from, and
+// the conjuncts they must pass.
 struct LevelRun<'a> {
-    level: &'a PlanLevel,
-    table: &'a crate::schema::Table,
-    rows: Vec<&'a Vec<Value>>,
-    build: HashMap<Vec<IndexKey>, Vec<usize>>,
+    source: Source<'a>,
+    residuals: &'a [Bound],
+}
+
+// A level's rows, with storage and indexes resolved for the whole run.
+enum Source<'a> {
+    // Scan and restricted levels: the candidate rows.
+    Rows(Vec<&'a [Value]>),
+    // Index nested loop: per outer row, probe `index` with the value in
+    // slot `outer` and fetch the matches from `data`, the storage of
+    // `table`.
+    Probe {
+        index: ColumnProbe<'a>,
+        data: &'a TableData,
+        outer: LevelColumn,
+        table: &'a str,
+    },
+    // Hash join: the candidate rows, their positions by join key, and
+    // per key part this level's column and the outer slot.
+    Hash {
+        rows: Vec<&'a [Value]>,
+        build: HashMap<Vec<IndexKey>, Vec<usize>>,
+        keys: &'a [(usize, LevelColumn)],
+    },
 }
 
 struct PlanRun<'p, 'a> {
-    db: &'a Database,
     levels: &'p [LevelRun<'a>],
-    outputs: &'a [Expr],
+    outputs: &'a [Bound],
 }
 
-type Scope<'a> = Vec<(&'a str, &'a crate::schema::Table, &'a Vec<Value>)>;
+// The rows bound so far, one per level: slot `(level, column)` is
+// `scope[level][column]`.
+type Scope<'a> = Vec<&'a [Value]>;
 
 impl<'a> PlanRun<'_, 'a> {
-    // Recursive join: bind one table per level through its access path,
+    // Recursive join: bind one row per level through its access path,
     // apply the residual conjuncts that just became evaluable, recurse.
     // Every loop stops once `out` is full.
     fn join(&self, scope: &mut Scope<'a>, out: &mut Emitted) -> RelResult<()> {
-        let depth = scope.len();
-        let Some(level) = self.levels.get(depth) else {
-            let resolve = |cref: &ColumnRef| -> RelResult<Value> { resolve_multi(scope, cref) };
-            let mut row = Vec::with_capacity(self.outputs.len());
-            for expr in self.outputs {
-                row.push(eval(expr, &resolve)?);
-            }
+        let Some(level) = self.levels.get(scope.len()) else {
+            let slot = |&(level, column): &LevelColumn| Ok(scope[level][column]);
+            let row = self
+                .outputs
+                .iter()
+                .map(|output| eval_tree(output, &slot))
+                .collect::<RelResult<_>>()?;
             out.push(row);
             return Ok(());
         };
-        match &level.level.access {
-            Access::Scan | Access::Restricted { .. } => {
-                for &row in &level.rows {
+        match &level.source {
+            Source::Rows(rows) => {
+                for &row in rows {
                     if out.full() {
                         break;
                     }
                     self.bind_row(scope, out, level, row)?;
                 }
             }
-            Access::HashJoin { keys, .. } => {
+            Source::Hash { rows, build, keys } => {
                 let mut key = Vec::with_capacity(keys.len());
-                for &(_, (pos, idx)) in keys {
-                    let v = &scope[pos].2[idx];
+                for &(_, (pos, idx)) in keys.iter() {
+                    let v = &scope[pos][idx];
                     if v.is_null() {
                         return Ok(()); // NULL never equi-joins
                     }
                     key.push(v.index_key());
                 }
-                if let Some(positions) = level.build.get(&key) {
+                if let Some(positions) = build.get(&key) {
                     for &i in positions {
                         if out.full() {
                             break;
                         }
-                        self.bind_row(scope, out, level, level.rows[i])?;
+                        self.bind_row(scope, out, level, rows[i])?;
                     }
                 }
             }
-            Access::IndexLoop { column, probe } => {
-                let table = &level.level.table;
-                let value = &scope[probe.0].2[probe.1];
-                // Borrowed-result probe: this runs once per outer row.
-                let ids = self
-                    .db
-                    .index_probe_ids(table, column, value)?
-                    .ok_or_else(|| stale_plan(table))?;
+            Source::Probe {
+                index,
+                data,
+                outer,
+                table,
+            } => {
+                let stale = || stale_plan(table);
+                let ids = index.ids(&scope[outer.0][outer.1]).ok_or_else(stale)?;
                 let (one, many) = match ids {
                     ProbeIds::Unique(id) => (id, &[][..]),
                     ProbeIds::Many(ids) => (None, ids),
@@ -1328,10 +1483,7 @@ impl<'a> PlanRun<'_, 'a> {
                     if out.full() {
                         break;
                     }
-                    let row = self
-                        .db
-                        .row(table, row_id)?
-                        .ok_or_else(|| stale_plan(table))?;
+                    let row = data.row(row_id).ok_or_else(stale)?;
                     self.bind_row(scope, out, level, row)?;
                 }
             }
@@ -1344,15 +1496,14 @@ impl<'a> PlanRun<'_, 'a> {
         scope: &mut Scope<'a>,
         out: &mut Emitted,
         level: &LevelRun<'a>,
-        row: &'a Vec<Value>,
+        row: &'a [Value],
     ) -> RelResult<()> {
         #[cfg(test)]
         planner_tests::ROWS_BOUND.with(|n| n.set(n.get() + 1));
-        let plan_level: &'a PlanLevel = level.level;
-        scope.push((&plan_level.alias, level.table, row));
-        let resolve = |cref: &ColumnRef| -> RelResult<Value> { resolve_multi(scope, cref) };
-        for conjunct in &plan_level.residuals {
-            if !matches!(eval(conjunct, &resolve)?, Value::Bool(true)) {
+        scope.push(row);
+        let slot = |&(level, column): &LevelColumn| Ok(scope[level][column]);
+        for conjunct in level.residuals {
+            if !matches!(eval_tree(conjunct, &slot)?, Value::Bool(true)) {
                 scope.pop();
                 return Ok(());
             }
@@ -1394,7 +1545,18 @@ pub fn execute_select_reference(db: &Database, stmt: &SelectStmt) -> RelResult<R
         .iter()
         .map(|b| (b.name.as_str(), &b.table))
         .collect();
-    let (out_columns, out_exprs) = expand_projection(stmt, &named);
+    let (out_columns, out_exprs) = expand_projection(
+        stmt,
+        &named,
+        |binding, column| {
+            let (name, table) = named[binding];
+            Expr::Column(ColumnRef::qualified(
+                name,
+                table.columns[column].name.clone(),
+            ))
+        },
+        |expr| Ok(expr.clone()),
+    )?;
     let raw_conjuncts = match &stmt.where_clause {
         Some(pred) => split_conjuncts(pred),
         None => Vec::new(),
@@ -2359,6 +2521,63 @@ mod planner_tests {
             .rows
             .iter()
             .any(|r| r[0] == Value::Int(100) && r[1] == Value::Int(101)));
+    }
+
+    // A plan holds the row ids of its restricted levels, so it is valid
+    // only against the state it was planned on. Run against a later
+    // state, a level whose held row is gone fails with `stale_plan`;
+    // a level that probes or scans reads the state it runs on. Never a
+    // panic, never a row the state does not hold.
+    #[test]
+    fn a_plan_on_a_later_state_fails_stale_or_reads_that_state() {
+        let d = db(6);
+        let stale = |table: &str| Err(stale_plan(table));
+
+        let q = select("SELECT x.v, l.b FROM a x, link l WHERE x.id = 3 AND l.a = x.id;");
+        let plan = plan_select(&d, &q).unwrap();
+        let accesses: Vec<_> = plan.levels.iter().map(|l| l.access.name()).collect();
+        assert_eq!(accesses, ["restricted", "index_loop"]);
+        // The index-loop row deleted: the probe reads the later index.
+        let mut later = d.clone();
+        execute_sql(&mut later, "DELETE FROM link WHERE a = 3;").unwrap();
+        assert_eq!(
+            execute_plan(&later, &plan, None).unwrap().rows,
+            Vec::<Vec<Value>>::new()
+        );
+        // The restricted row deleted.
+        execute_sql(&mut later, "DELETE FROM a WHERE id = 3;").unwrap();
+        assert_eq!(execute_plan(&later, &plan, None), stale("a"));
+        assert_eq!(execute_plan(&d, &plan, None).unwrap().len(), 1);
+
+        // A hash join's restricted build side.
+        let q =
+            select("SELECT x.id, y.id FROM a x, b y WHERE x.v = y.v AND x.id = 1 AND y.id = 2;");
+        let plan = plan_select(&d, &q).unwrap();
+        assert!(matches!(
+            plan.levels[1].access,
+            Access::HashJoin { ids: Some(_), .. }
+        ));
+        let mut later = d.clone();
+        execute_sql(&mut later, "DELETE FROM link WHERE b = 2;").unwrap();
+        execute_sql(&mut later, "DELETE FROM b WHERE id = 2;").unwrap();
+        assert_eq!(execute_plan(&later, &plan, None), stale("b"));
+
+        // Another database whose table is narrower than the planned one:
+        // its rows cannot hold the plan's slots.
+        let mut schema = Schema::new();
+        schema
+            .add_table(
+                Table::builder("a")
+                    .column(Column::new("id", SqlType::Integer).not_null())
+                    .column(Column::new("v", SqlType::Varchar))
+                    .primary_key(&["id"])
+                    .build(),
+            )
+            .unwrap();
+        let mut narrow = Database::new(schema).unwrap();
+        execute_sql(&mut narrow, "INSERT INTO a (id, v) VALUES (1, 'a1');").unwrap();
+        let plan = plan_select(&d, &select("SELECT x.score FROM a x;")).unwrap();
+        assert_eq!(execute_plan(&narrow, &plan, None), stale("a"));
     }
 
     #[test]

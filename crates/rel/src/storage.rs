@@ -7,6 +7,7 @@
 //! writer mutates its own copy in place; shared nodes are path-copied
 //! on first touch, so published snapshots never observe a mutation.
 
+use crate::database::ProbeIds;
 use crate::pmap::PMap;
 use crate::schema::Table;
 use crate::value::{IndexKey, Value};
@@ -16,6 +17,28 @@ use std::sync::Arc;
 /// Identifier of a stored row, unique within its table for the lifetime
 /// of the database.
 pub type RowId = u64;
+
+/// The index answering equality on one column, borrowed from its
+/// table's storage (see [`TableData::eq_index`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum EqIndex<'a> {
+    Pk(&'a PMap<Vec<IndexKey>, RowId>),
+    Unique(&'a PMap<IndexKey, RowId>),
+    Secondary(&'a PMap<IndexKey, Arc<Vec<RowId>>>),
+}
+
+impl<'a> EqIndex<'a> {
+    /// Row ids holding `key` (ascending).
+    pub(crate) fn ids(self, key: &IndexKey) -> ProbeIds<'a> {
+        match self {
+            EqIndex::Pk(index) => ProbeIds::Unique(index.get(std::slice::from_ref(key)).copied()),
+            EqIndex::Unique(index) => ProbeIds::Unique(index.get(key).copied()),
+            EqIndex::Secondary(index) => {
+                ProbeIds::Many(index.get(key).map_or(&[][..], |ids| ids.as_slice()))
+            }
+        }
+    }
+}
 
 /// Storage for one table.
 #[derive(Debug, Clone, Default)]
@@ -88,6 +111,19 @@ impl TableData {
             }
         }
         self.secondary_indexes.insert(column.to_owned(), index);
+    }
+
+    /// The index answering SQL equality on `column`: the primary key
+    /// when it is the whole key, else the column's unique or secondary
+    /// index; `None` when no index covers the column.
+    pub(crate) fn eq_index(&self, table: &Table, column: &str) -> Option<EqIndex<'_>> {
+        if table.primary_key.len() == 1 && table.primary_key[0] == column {
+            return Some(EqIndex::Pk(&self.pk_index));
+        }
+        if let Some(index) = self.unique_indexes.get(column) {
+            return Some(EqIndex::Unique(index));
+        }
+        self.secondary_indexes.get(column).map(EqIndex::Secondary)
     }
 
     /// Whether a secondary index exists on `column`.

@@ -365,7 +365,9 @@ fn results_body(answer: &QueryAnswer, format: wire::ResultsFormat) -> OntoResult
     let span = obs::trace::span("wire.serialize");
     let body = match (answer, format) {
         (QueryAnswer::Solutions(rows), wire::ResultsFormat::Json) => wire::rows_to_json(rows)?,
-        (QueryAnswer::Solutions(rows), wire::ResultsFormat::Xml) => wire::rows_to_xml(rows)?,
+        (QueryAnswer::Solutions(rows), wire::ResultsFormat::Xml) => {
+            wire::rows_to_well_formed_xml(rows)?
+        }
         (QueryAnswer::Boolean(b), wire::ResultsFormat::Json) => wire::boolean_to_json(*b),
         (QueryAnswer::Boolean(b), wire::ResultsFormat::Xml) => wire::boolean_to_xml(*b),
     };

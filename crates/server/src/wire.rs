@@ -14,7 +14,7 @@
 //! write into one buffer that becomes the response body, so the two
 //! agree byte for byte by construction.
 
-use ontoaccess::{OntoResult, SolutionRows};
+use ontoaccess::{OntoError, OntoResult, SolutionRows};
 use rdf::namespace::PrefixMap;
 use rdf::{Graph, LiteralKindRef, TermRef};
 use sparql::Solutions;
@@ -52,7 +52,16 @@ const fn escaped_bytes(controls_below: u8, listed: &[u8]) -> [bool; 256] {
 }
 
 const JSON_ESCAPED: [bool; 256] = escaped_bytes(0x20, b"\"\\");
-const XML_ESCAPED: [bool; 256] = escaped_bytes(0, b"&<>\"'");
+// XML 1.0 carries no C0 control but tab, newline and carriage return,
+// not even as a character reference: the others are escaped bytes that
+// have no escape (see `xml_escape_into`).
+const XML_ESCAPED: [bool; 256] = {
+    let mut table = escaped_bytes(0x20, b"&<>\"'");
+    table[b'\t' as usize] = false;
+    table[b'\n' as usize] = false;
+    table[b'\r' as usize] = false;
+    table
+};
 
 // Append `s` to `out` with each byte `escaped` marks replaced by
 // `escape(byte)`: runs of plain bytes are found by one table lookup per
@@ -62,7 +71,7 @@ fn escape_into(
     s: &str,
     out: &mut String,
     escaped: &[bool; 256],
-    escape: impl Fn(u8, &mut [u8; 6]) -> &str,
+    mut escape: impl FnMut(u8, &mut [u8; 6]) -> &str,
 ) {
     let bytes = s.as_bytes();
     let mut buf = [0u8; 6];
@@ -110,15 +119,25 @@ pub fn json_string(s: &str) -> String {
     out
 }
 
-/// Append `s` XML-escaped (text or attribute content) to `out`.
-pub fn xml_escape_into(s: &str, out: &mut String) {
-    escape_into(s, out, &XML_ESCAPED, |b, _| match b {
+/// Append `s` XML-escaped (text or attribute content) to `out`. A
+/// character XML 1.0 cannot carry — a C0 control other than tab,
+/// newline and carriage return — is copied as it is, and the result is
+/// `false`.
+pub fn xml_escape_into(s: &str, out: &mut String) -> bool {
+    let mut carried = true;
+    escape_into(s, out, &XML_ESCAPED, |b, buf| match b {
         b'&' => "&amp;",
         b'<' => "&lt;",
         b'>' => "&gt;",
         b'"' => "&quot;",
-        _ => "&apos;",
+        b'\'' => "&apos;",
+        _ => {
+            carried = false;
+            buf[0] = b;
+            std::str::from_utf8(&buf[..1]).expect("ASCII")
+        }
     });
+    carried
 }
 
 // ----------------------------------------------------------------------
@@ -138,7 +157,7 @@ trait ResultsWriter {
 
 // The two loops feeding a writer: a query's rows, each cell rendered by
 // its column's codec, and owned solutions.
-fn write_rows<W: ResultsWriter>(mut writer: W, rows: &SolutionRows) -> OntoResult<String> {
+fn write_rows<W: ResultsWriter>(writer: &mut W, rows: &SolutionRows) -> OntoResult<()> {
     let mut scratch = String::new();
     for row in rows.rows() {
         writer.begin_solution();
@@ -149,7 +168,7 @@ fn write_rows<W: ResultsWriter>(mut writer: W, rows: &SolutionRows) -> OntoResul
         }
         writer.end_solution();
     }
-    Ok(writer.finish())
+    Ok(())
 }
 
 fn write_solutions<W: ResultsWriter>(mut writer: W, solutions: &Solutions) -> String {
@@ -263,7 +282,9 @@ pub fn solutions_to_json(solutions: &Solutions) -> String {
 /// [`solutions_to_json`] writes for [`SolutionRows::to_solutions`].
 /// Fails, before any byte is sent, if a cell renders to an invalid IRI.
 pub fn rows_to_json(rows: &SolutionRows) -> OntoResult<String> {
-    write_rows(JsonWriter::new(rows.variables()), rows)
+    let mut writer = JsonWriter::new(rows.variables());
+    write_rows(&mut writer, rows)?;
+    Ok(writer.finish())
 }
 
 /// An ASK result as SPARQL JSON results.
@@ -278,14 +299,17 @@ pub fn boolean_to_json(value: bool) -> String {
 const XML_HEADER: &str = "<?xml version=\"1.0\"?>\n\
      <sparql xmlns=\"http://www.w3.org/2005/sparql-results#\">\n";
 
-fn term_to_xml(term: TermRef<'_>, out: &mut String) {
+// One RDF term as a results-XML element; `false` if XML cannot carry
+// one of its characters (see `xml_escape_into`).
+fn term_to_xml(term: TermRef<'_>, out: &mut String) -> bool {
+    let mut carried = true;
     let mut open_with = |tag: &str, attribute: Option<(&str, &str)>| {
         out.push_str(tag);
         if let Some((name, value)) = attribute {
             out.push(' ');
             out.push_str(name);
             out.push_str("=\"");
-            xml_escape_into(value, out);
+            carried &= xml_escape_into(value, out);
             out.push('"');
         }
         out.push('>');
@@ -311,14 +335,17 @@ fn term_to_xml(term: TermRef<'_>, out: &mut String) {
             (lexical, "</literal>")
         }
     };
-    xml_escape_into(text, out);
+    carried &= xml_escape_into(text, out);
     out.push_str(close);
+    carried
 }
 
 struct XmlWriter {
     out: String,
     // `      <binding name="var">` per variable, escaped.
     keys: Vec<String>,
+    // The first term XML could not carry, as its text.
+    uncarried: Option<String>,
 }
 
 impl XmlWriter {
@@ -338,7 +365,11 @@ impl XmlWriter {
                 key + "\">"
             })
             .collect();
-        XmlWriter { out, keys }
+        XmlWriter {
+            out,
+            keys,
+            uncarried: None,
+        }
     }
 }
 
@@ -349,7 +380,9 @@ impl ResultsWriter for XmlWriter {
 
     fn binding(&mut self, var: usize, term: TermRef<'_>) {
         self.out.push_str(&self.keys[var]);
-        term_to_xml(term, &mut self.out);
+        if !term_to_xml(term, &mut self.out) && self.uncarried.is_none() {
+            self.uncarried = Some(term.to_owned().to_string());
+        }
         self.out.push_str("</binding>\n");
     }
 
@@ -363,7 +396,8 @@ impl ResultsWriter for XmlWriter {
     }
 }
 
-/// A solution sequence as SPARQL XML results.
+/// A solution sequence as SPARQL XML results. A character XML 1.0
+/// cannot carry is copied as it is.
 pub fn solutions_to_xml(solutions: &Solutions) -> String {
     let variables = solutions.variables.iter().map(String::as_str);
     write_solutions(XmlWriter::new(variables), solutions)
@@ -372,8 +406,30 @@ pub fn solutions_to_xml(solutions: &Solutions) -> String {
 /// A query's rows as SPARQL XML results, byte for byte what
 /// [`solutions_to_xml`] writes for [`SolutionRows::to_solutions`].
 /// Fails, before any byte is sent, if a cell renders to an invalid IRI.
+/// A character XML 1.0 cannot carry is copied as it is; the server
+/// sends [`rows_to_well_formed_xml`] instead.
 pub fn rows_to_xml(rows: &SolutionRows) -> OntoResult<String> {
-    write_rows(XmlWriter::new(rows.variables()), rows)
+    let mut writer = XmlWriter::new(rows.variables());
+    write_rows(&mut writer, rows)?;
+    Ok(writer.finish())
+}
+
+/// [`rows_to_xml`] as the server sends it: also fails, before any byte
+/// is sent, if a cell holds a character XML 1.0 cannot carry — a C0
+/// control other than tab, newline and carriage return, which JSON
+/// results carry as `\u0001`.
+pub fn rows_to_well_formed_xml(rows: &SolutionRows) -> OntoResult<String> {
+    let mut writer = XmlWriter::new(rows.variables());
+    write_rows(&mut writer, rows)?;
+    match writer.uncarried {
+        Some(term) => Err(OntoError::Unsupported {
+            message: format!(
+                "{term} holds a control character XML 1.0 cannot carry; \
+                 ask for {SPARQL_RESULTS_JSON}"
+            ),
+        }),
+        None => Ok(writer.finish()),
+    }
 }
 
 /// An ASK result as SPARQL XML results.

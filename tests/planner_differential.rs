@@ -173,6 +173,23 @@ fn queries(k: i64, s: u64) -> Vec<String> {
             "SELECT p.name, c.w FROM parent p, child c WHERE p.id = {k} AND c.id = {};",
             s % 40
         ),
+        // Unqualified columns, each declared by one binding.
+        format!("SELECT name, w FROM parent p, child c WHERE p = p.id AND val <> {k};"),
+        // A residual on level 0: of the only binding, and of a
+        // restricted binding that leads a join.
+        format!(
+            "SELECT id, name FROM parent WHERE val <> {k} AND name <> 'p{}';",
+            s % 7
+        ),
+        format!(
+            "SELECT c.id FROM parent p, child c WHERE c.p = p.id AND p.id = {k} AND p.val > 0;"
+        ),
+        // Residuals across levels.
+        "SELECT p.id, c.id FROM parent p, child c WHERE c.p = p.id AND p.val < c.id;".into(),
+        format!(
+            "SELECT l.id FROM link l, parent p, child c \
+             WHERE l.a = p.id AND l.b = c.id AND (p.val = {k} OR c.w = 'w1');"
+        ),
     ]
 }
 
@@ -276,6 +293,40 @@ proptest! {
             ontoaccess::ensure_join_indexes(&mut db, &compiled).unwrap();
             let planner = rel::sql::execute_select(&db, &compiled.sql).unwrap();
             prop_assert_eq!(planner.canonical(), reference.canonical(), "query: {}", text);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// DISTINCT with LIMIT: the limited run is the first `limit` rows
+    /// of the unlimited one, which is the reference's answer as a set.
+    #[test]
+    fn distinct_with_limit_is_a_prefix_of_the_distinct_answer(
+        spec in schema_spec(),
+        k in 0i64..6,
+        limit in 0usize..8,
+    ) {
+        let db = build_database(&spec);
+        for sql in [
+            "SELECT DISTINCT p.val FROM parent p, child c WHERE p.id = c.p;".to_owned(),
+            format!("SELECT DISTINCT c.w, p.name FROM child c, parent p WHERE c.p = p.id AND p.val <> {k};"),
+            "SELECT DISTINCT name FROM parent;".to_owned(),
+        ] {
+            let rel::sql::Statement::Select(select) = rel::sql::parse(&sql).unwrap() else {
+                panic!("a SELECT")
+            };
+            let plan = rel::sql::plan_select(&db, &select).unwrap();
+            let full = rel::sql::execute_plan(&db, &plan, None).unwrap();
+            let limited = rel::sql::execute_plan(&db, &plan, Some(limit)).unwrap();
+            prop_assert_eq!(
+                &limited.rows[..],
+                &full.rows[..limit.min(full.rows.len())],
+                "query: {}", sql
+            );
+            let reference = rel::sql::execute_select_reference(&db, &select).unwrap();
+            prop_assert_eq!(full.canonical(), reference.canonical(), "query: {}", sql);
         }
     }
 }
