@@ -133,7 +133,7 @@ impl<'a> LinkView<'a> {
 // link-table triples in either role (behind `ReadSession::describe`).
 pub(crate) fn describe(db: &Database, mapping: &Mapping, uri: &Iri) -> OntoResult<Graph> {
     let subject = Term::Iri(uri.clone());
-    let identified = identify(db, mapping, &subject)?;
+    let identified = identify(db.schema(), mapping, &subject)?;
     let table = db.schema().table(&identified.table_map.table_name)?;
     let mut graph = Graph::new();
     let Some(row_id) = find_row(db, &identified)? else {

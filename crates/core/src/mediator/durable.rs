@@ -94,17 +94,18 @@ impl Mediator {
     }
 
     /// Apply one replicated commit unit (replication follower path):
-    /// replay the leader's logical operations onto the live database
-    /// and publish the result under the leader's commit sequence, so
-    /// replica reads are ordinary pinned MVCC snapshots with
-    /// leader-aligned version ids. The caller (the replicator) feeds
-    /// units in sequence order and skips already-applied sequences.
-    pub fn apply_replicated(&self, seq: u64, ops: &[rel::LogicalOp]) -> OntoResult<()> {
+    /// replay the leader's logical operations, borrowed from the decoded
+    /// unit, onto the live database and publish the result under the
+    /// leader's commit sequence, so replica reads are ordinary pinned
+    /// MVCC snapshots with leader-aligned version ids. The caller (the
+    /// replicator) feeds units in sequence order and skips
+    /// already-applied sequences.
+    pub fn apply_replicated(&self, unit: &dur::wal::CommitUnit) -> OntoResult<()> {
         let mut db = self.core.lock_live();
-        for op in ops {
+        for op in unit.ops() {
             db.apply_logical(op)?;
         }
-        self.core.chain.publish(db.clone(), Some(seq));
+        self.core.chain.publish(db.clone(), Some(unit.seq));
         Ok(())
     }
 
@@ -350,7 +351,7 @@ mod tests {
         };
         for unit in dur::wal::scan_records(&bytes, &mut dict).units {
             if unit.seq > snap_seq {
-                replica.apply_replicated(unit.seq, &unit.ops).unwrap();
+                replica.apply_replicated(&unit).unwrap();
             }
         }
         assert_eq!(

@@ -246,6 +246,7 @@ impl WriteTxn<'_> {
             self.db.commit()?;
             return Ok(stages);
         }
+        // Views of the undo log: the encoder reads the rows in place.
         let ops = self.db.txn_ops()?;
         // Stamp the active trace's id into the commit unit so a
         // replica's apply links back to this request.

@@ -42,7 +42,7 @@ pub fn translate_delete_data_reading<'a>(
     triples: &'a [Triple],
 ) -> OntoResult<Vec<Statement>> {
     let plans = delete_plans(reads, mapping, triples)?;
-    Ok(emit_grouped(reads.db().schema(), plans))
+    Ok(emit_grouped(reads.schema(), plans))
 }
 
 /// Reference translation: the same row plans emitted one statement per
@@ -77,11 +77,8 @@ fn translate_group<'a>(
     subject: &'a Term,
     triples: &[&Triple],
 ) -> OntoResult<Vec<RowOp<'a>>> {
-    let identified = identify(reads.db(), mapping, subject)?;
-    let table = reads
-        .db()
-        .schema()
-        .table(&identified.table_map.table_name)?;
+    let identified = identify(reads.schema(), mapping, subject)?;
+    let table = reads.schema().table(&identified.table_map.table_name)?;
     let table_name = table.name.as_str();
 
     let row = reads
@@ -227,9 +224,9 @@ fn translate_link_delete<'a>(
             table: identified.table_map.table_name.clone(),
         });
     }
-    let db = reads.db();
+    let schema = reads.schema();
     let object_identified =
-        identify(db, mapping, &triple.object).map_err(|_| OntoError::TripleNotPresent {
+        identify(schema, mapping, &triple.object).map_err(|_| OntoError::TripleNotPresent {
             table: link.table_name.clone(),
             detail: format!("object {} is not a mapped instance", triple.object),
         })?;
@@ -242,8 +239,8 @@ fn translate_link_delete<'a>(
             ),
         });
     }
-    let subject_table = db.schema().table(&identified.table_map.table_name)?;
-    let object_table = db.schema().table(&object_identified.table_map.table_name)?;
+    let subject_table = schema.table(&identified.table_map.table_name)?;
+    let object_table = schema.table(&object_identified.table_map.table_name)?;
     let s_val = identified.pk_values(subject_table)?;
     let o_val = object_identified.pk_values(object_table)?;
     if s_val.len() != 1 || o_val.len() != 1 {

@@ -43,7 +43,7 @@ pub fn translate_insert_data_reading<'a>(
     options: TranslateOptions,
 ) -> OntoResult<Vec<Statement>> {
     let plans = insert_plans(reads, mapping, triples, options)?;
-    Ok(emit_grouped(reads.db().schema(), plans))
+    Ok(emit_grouped(reads.schema(), plans))
 }
 
 /// Reference translation: the same row plans emitted one statement per
@@ -75,13 +75,13 @@ fn insert_plans<'a>(
     triples: &'a [Triple],
     options: TranslateOptions,
 ) -> OntoResult<Vec<RowOp<'a>>> {
-    let db = reads.db();
+    let schema = reads.schema();
     let groups = group_by_subject(triples);
     // Step 2 runs once per subject. A subject that does not identify
     // fails its own group below, in subject order.
     let identified: Vec<OntoResult<IdentifiedSubject<'_>>> = groups
         .iter()
-        .map(|&(subject, _)| identify(db, mapping, subject))
+        .map(|&(subject, _)| identify(schema, mapping, subject))
         .collect();
     // Entities this operation creates or touches: FK targets may be
     // satisfied by rows that a sibling group inserts (Listing 15 inserts
@@ -115,10 +115,7 @@ fn translate_group<'a>(
     options: TranslateOptions,
 ) -> OntoResult<Vec<RowOp<'a>>> {
     let subject = &triples[0].subject;
-    let table = reads
-        .db()
-        .schema()
-        .table(&identified.table_map.table_name)?;
+    let table = reads.schema().table(&identified.table_map.table_name)?;
     let table_name = table.name.as_str();
 
     let mut assignments: Vec<(&str, Value)> = Vec::with_capacity(triples.len());
@@ -345,12 +342,12 @@ fn resolve_instance_ref(
         expected_table: expected_table.to_owned(),
         object: object.clone(),
     };
-    let db = reads.db();
-    let identified = identify(db, mapping, object).map_err(|_| dangling())?;
+    let schema = reads.schema();
+    let identified = identify(schema, mapping, object).map_err(|_| dangling())?;
     if identified.table_map.table_name != expected_table {
         return Err(dangling());
     }
-    let target_table = db.schema().table(expected_table)?;
+    let target_table = schema.table(expected_table)?;
     let pk_values = identified.pk_values(target_table)?;
     let exists_in_db = reads.exists(&target_table.name, &pk_values)?;
     let created_here = touched
@@ -388,10 +385,7 @@ fn translate_link_insert<'a>(
             table: identified.table_map.table_name.clone(),
         });
     }
-    let table = reads
-        .db()
-        .schema()
-        .table(&identified.table_map.table_name)?;
+    let table = reads.schema().table(&identified.table_map.table_name)?;
     let subject_pk = identified.pk_values(table)?;
     if subject_pk.len() != 1 {
         return Err(OntoError::Unsupported {

@@ -93,7 +93,7 @@ impl IdentifiedSubject<'_> {
 /// URI of their subject", extracting key attribute values (e.g.
 /// `…/author1` → table `author`, `id = 1`).
 pub fn identify<'a>(
-    db: &Database,
+    schema: &Schema,
     mapping: &'a Mapping,
     subject: &'a Term,
 ) -> OntoResult<IdentifiedSubject<'a>> {
@@ -116,7 +116,7 @@ pub fn identify<'a>(
             .ok_or_else(|| OntoError::UnknownSubject {
                 subject: subject.clone(),
             })?;
-    let table = db.schema().table(&table_map.table_name)?;
+    let table = schema.table(&table_map.table_name)?;
     let mut key = Vec::with_capacity(raw_values.len());
     for (attr, raw) in raw_values {
         let codec = Codec::key(mapping, table_map, table, attr)?;
@@ -645,7 +645,7 @@ mod tests {
     fn identify_extracts_typed_key() {
         let (db, mapping) = endpoint_fixture();
         let subject = Term::iri("http://example.org/db/author1");
-        let identified = identify(&db, &mapping, &subject).unwrap();
+        let identified = identify(db.schema(), &mapping, &subject).unwrap();
         assert_eq!(identified.table_map.table_name, "author");
         assert_eq!(identified.key, vec![("id", Value::Int(1))]);
     }
@@ -655,7 +655,7 @@ mod tests {
         let (db, mapping) = endpoint_fixture();
         let subject = Term::iri("http://example.org/db/wizard9");
         assert!(matches!(
-            identify(&db, &mapping, &subject),
+            identify(db.schema(), &mapping, &subject),
             Err(OntoError::UnknownSubject { .. })
         ));
     }
@@ -664,7 +664,7 @@ mod tests {
     fn identify_rejects_blank_nodes() {
         let (db, mapping) = endpoint_fixture();
         assert!(matches!(
-            identify(&db, &mapping, &Term::blank("b0")),
+            identify(db.schema(), &mapping, &Term::blank("b0")),
             Err(OntoError::BlankNodeSubject { .. })
         ));
     }
@@ -674,7 +674,7 @@ mod tests {
         let (db, mapping) = endpoint_fixture();
         let subject = Term::iri("http://example.org/db/authorXY");
         assert!(matches!(
-            identify(&db, &mapping, &subject),
+            identify(db.schema(), &mapping, &subject),
             Err(OntoError::ValueIncompatible { .. })
         ));
     }

@@ -24,7 +24,7 @@
 
 use crate::error::OntoResult;
 use r3m::LinkTableMap;
-use rel::{Database, Value};
+use rel::{Database, Schema, Value};
 
 // One recorded lookup and the answer translation took from it. Table
 // and column names borrow from the schema and the mapping.
@@ -65,9 +65,11 @@ impl<'a> ReadSet<'a> {
         }
     }
 
-    /// The database the lookups answer from, for its schema.
-    pub fn db(&self) -> &'a Database {
-        self.db
+    /// The schema of the database the lookups answer from. Nothing else
+    /// of that database is exposed: a new kind of read has to become a
+    /// lookup of its own, recorded and re-asked by [`ReadSet::holds`].
+    pub fn schema(&self) -> &'a Schema {
+        self.db.schema()
     }
 
     /// The image of the row of `table` whose primary key is `pk`, if

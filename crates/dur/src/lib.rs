@@ -9,9 +9,9 @@
 //! *newest valid snapshot + committed WAL suffix* and a torn tail
 //! truncated. The unit logged is the **logical** row operation stream a
 //! committed `rel` transaction actually applied
-//! ([`rel::Database::commit_logged`]): inserts carry their assigned row
-//! ids, so replay reproduces the pre-crash heap, indexes, and row-id
-//! allocators byte-identically.
+//! ([`rel::Database::txn_ops`], a view of its undo log): inserts carry
+//! their assigned row ids, so replay reproduces the pre-crash heap,
+//! indexes, and row-id allocators byte-identically.
 //!
 //! # Commit protocol (group commit)
 //!
@@ -343,7 +343,7 @@ impl Durability {
                 // materialized (a crash between snapshot rename and WAL
                 // truncation leaves them behind harmlessly).
                 if unit.seq > base_seq {
-                    for op in &unit.ops {
+                    for op in unit.ops() {
                         db.apply_logical(op)?;
                         rows_replayed += 1;
                     }
@@ -421,7 +421,7 @@ impl Durability {
     /// `trace_id` — the originating request's trace id, if the commit
     /// happens under an active trace — is stamped into the unit's
     /// `BEGIN` record so replicas can link their apply back to it.
-    pub fn append_commit(&self, ops: &[LogicalOp], trace_id: Option<&str>) -> DurResult<u64> {
+    pub fn append_commit(&self, ops: &[LogicalOp<'_>], trace_id: Option<&str>) -> DurResult<u64> {
         let span = obs::trace::span("wal.append");
         let mut append = self.append.lock().unwrap_or_else(|e| e.into_inner());
         // Checked under the append lock: a committer that was blocked
@@ -869,6 +869,45 @@ mod tests {
     }
 
     #[test]
+    fn crc_valid_unit_with_a_short_update_row_fails_open_with_an_error() {
+        let dir = scratch();
+        drop(Durability::open(&dir, fresh_db()).unwrap());
+        // Checksums vouch for the bytes, not for the rows they hold:
+        // a well-framed unit whose update row misses a column.
+        let full = [Value::Int(1), Value::text("A")];
+        let short = [Value::Int(1)];
+        let unit = wal::encode_commit_unit(
+            1,
+            &[
+                LogicalOp::Insert {
+                    table: "team",
+                    row_id: 0,
+                    row: &full,
+                },
+                LogicalOp::Update {
+                    table: "team",
+                    row_id: 0,
+                    row: &short,
+                },
+            ],
+            &mut DictTable::new(),
+            None,
+        );
+        let mut wal = OpenOptions::new()
+            .append(true)
+            .open(dir.join(WAL_FILE))
+            .unwrap();
+        wal.write_all(&unit).unwrap();
+        drop(wal);
+        let err = Durability::open(&dir, fresh_db()).unwrap_err();
+        assert!(
+            matches!(err, DurError::Engine(rel::RelError::Execution { .. })),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn base_state_is_built_only_for_a_directory_without_a_snapshot() {
         let dir = scratch();
         let built = std::cell::Cell::new(0);
@@ -1029,7 +1068,7 @@ mod tests {
         let scan = wal::scan_records(&bytes, &mut dict);
         assert_eq!(scan.units.len(), 3);
         for unit in &scan.units {
-            for op in &unit.ops {
+            for op in unit.ops() {
                 replica.apply_logical(op).unwrap();
             }
         }

@@ -213,10 +213,10 @@ pub fn decode_snapshot(data: &[u8], schema: &Schema) -> DurResult<(u64, Database
         for _ in 0..n_rows {
             let row_id = cursor.take_u64()?;
             let row = cursor.take_row(&dict)?;
-            db.apply_logical(&LogicalOp::Insert {
-                table: table.clone(),
+            db.apply_logical(LogicalOp::Insert {
+                table: &table,
                 row_id,
-                row,
+                row: &row,
             })?;
         }
         db.set_next_row_id(&table, next_row_id)?;

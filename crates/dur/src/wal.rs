@@ -28,8 +28,9 @@
 //! One committed transaction is one *commit unit*: `BEGIN seq`, one
 //! `OPS seq` record carrying every logical operation the transaction
 //! applied (savepoint-rolled-back work already excluded by
-//! [`rel::Database::commit_logged`]), and `COMMIT seq` — written with a
-//! single `write(2)` so a torn tail is always a suffix of one unit.
+//! [`rel::Database::txn_ops`], whose views of the undo log the encoder
+//! reads directly), and `COMMIT seq` — written with a single `write(2)`
+//! so a torn tail is always a suffix of one unit.
 //! An atomic update script commits once, so it logs as one unit.
 //!
 //! Recovery applies only operations bracketed by a matching
@@ -41,7 +42,7 @@
 
 use crate::codec::{crc32, put_row, put_str, put_u32, put_u64, Cursor, DictTable};
 use crate::error::{DurError, DurResult};
-use rel::{LogicalOp, RowId};
+use rel::{LogicalOp, RowId, Value};
 
 /// WAL file magic + format version (bumped to 002 when text cells
 /// became dictionary pids).
@@ -78,7 +79,7 @@ fn marker(kind: u8, seq: u64) -> Vec<u8> {
 }
 
 // Batch tag of one logical op.
-fn group_kind(op: &LogicalOp) -> (u8, &str) {
+fn group_kind<'a>(op: &LogicalOp<'a>) -> (u8, &'a str) {
     match op {
         LogicalOp::Insert { table, .. } => (GROUP_INSERT, table),
         LogicalOp::Update { table, .. } => (GROUP_UPDATE, table),
@@ -103,29 +104,20 @@ fn group_kind(op: &LogicalOp) -> (u8, &str) {
 /// logs hold and this decoder still accepts.
 pub fn encode_commit_unit(
     seq: u64,
-    ops: &[LogicalOp],
+    ops: &[LogicalOp<'_>],
     dict: &mut DictTable,
     trace_id: Option<&str>,
 ) -> Vec<u8> {
-    // Count batch boundaries first so the OPS payload can lead with
-    // its group count.
-    let mut groups: Vec<(u8, &str, &[LogicalOp])> = Vec::new();
-    let mut start = 0;
-    for i in 1..=ops.len() {
-        let boundary = i == ops.len() || group_kind(&ops[i]) != group_kind(&ops[start]);
-        if boundary {
-            let (kind, table) = group_kind(&ops[start]);
-            groups.push((kind, table, &ops[start..i]));
-            start = i;
-        }
-    }
+    // Consecutive ops of one kind against one table form a batch.
+    let batches = || ops.chunk_by(|a, b| group_kind(a) == group_kind(b));
 
     // Encode the row groups first: pid assignment happens here, and the
     // delta of newly assigned strings must precede the rows on disk.
     let base = dict.len();
     let mut body = Vec::new();
-    put_u32(&mut body, groups.len() as u32);
-    for (kind, table, batch) in groups {
+    put_u32(&mut body, batches().count() as u32);
+    for batch in batches() {
+        let (kind, table) = group_kind(&batch[0]);
         body.push(kind);
         put_str(&mut body, table);
         put_u32(&mut body, batch.len() as u32);
@@ -171,8 +163,18 @@ pub fn encode_commit_unit(
 // One decoded record.
 enum Record {
     Begin(u64, Option<String>),
-    Ops(u64, Vec<LogicalOp>),
+    Ops(u64, Vec<OpGroup>),
     Commit(u64),
+}
+
+// One decoded batch, in the shape it has on disk: consecutive
+// operations of one kind against one table, which is named once. A
+// delete's row is empty. Decode checks `kind` with each row, so a
+// batch that holds rows is of one of the three kinds.
+struct OpGroup {
+    kind: u8,
+    table: String,
+    rows: Vec<(RowId, Vec<Value>)>,
 }
 
 fn decode_payload(payload: &[u8], dict: &mut DictTable) -> DurResult<Record> {
@@ -223,37 +225,28 @@ fn decode_payload(payload: &[u8], dict: &mut DictTable) -> DurResult<Record> {
                 }
             }
             let n_groups = cursor.take_u32()?;
-            let mut ops = Vec::new();
+            let mut groups = Vec::new();
             for _ in 0..n_groups {
-                let group = cursor.take_u8()?;
+                let kind = cursor.take_u8()?;
                 let table = cursor.take_str()?;
                 let n_rows = cursor.take_u32()?;
+                let mut rows = Vec::new();
                 for _ in 0..n_rows {
                     let row_id: RowId = cursor.take_u64()?;
-                    ops.push(match group {
-                        GROUP_INSERT => LogicalOp::Insert {
-                            table: table.clone(),
-                            row_id,
-                            row: cursor.take_row(dict)?,
-                        },
-                        GROUP_UPDATE => LogicalOp::Update {
-                            table: table.clone(),
-                            row_id,
-                            row: cursor.take_row(dict)?,
-                        },
-                        GROUP_DELETE => LogicalOp::Delete {
-                            table: table.clone(),
-                            row_id,
-                        },
+                    let row = match kind {
+                        GROUP_INSERT | GROUP_UPDATE => cursor.take_row(dict)?,
+                        GROUP_DELETE => Vec::new(),
                         other => {
                             return Err(DurError::Corrupt {
                                 message: format!("wal record holds unknown batch kind {other}"),
                             })
                         }
-                    });
+                    };
+                    rows.push((row_id, row));
                 }
+                groups.push(OpGroup { kind, table, rows });
             }
-            Record::Ops(seq, ops)
+            Record::Ops(seq, groups)
         }
         other => {
             return Err(DurError::Corrupt {
@@ -269,15 +262,34 @@ fn decode_payload(payload: &[u8], dict: &mut DictTable) -> DurResult<Record> {
     Ok(record)
 }
 
-/// One fully committed transaction recovered from the log.
+/// One fully committed transaction recovered from the log, kept in the
+/// log's grouped shape.
 pub struct CommitUnit {
     /// The commit sequence number.
     pub seq: u64,
-    /// The transaction's logical operations, in application order.
-    pub ops: Vec<LogicalOp>,
     /// Trace id of the request that wrote the unit, if it was traced —
     /// the cross-node link a replica's apply span attaches to.
     pub trace_id: Option<String>,
+    groups: Vec<OpGroup>,
+}
+
+impl CommitUnit {
+    /// The transaction's logical operations, in application order,
+    /// borrowed from the decoded unit — the view
+    /// [`rel::Database::apply_logical`] replays.
+    pub fn ops(&self) -> impl Iterator<Item = LogicalOp<'_>> {
+        self.groups.iter().flat_map(|group| {
+            let table = group.table.as_str();
+            group
+                .rows
+                .iter()
+                .map(move |&(row_id, ref row)| match group.kind {
+                    GROUP_INSERT => LogicalOp::Insert { table, row_id, row },
+                    GROUP_UPDATE => LogicalOp::Update { table, row_id, row },
+                    _ => LogicalOp::Delete { table, row_id },
+                })
+        })
+    }
 }
 
 /// Result of scanning a WAL byte stream (everything after the magic).
@@ -306,9 +318,9 @@ pub fn scan_records(data: &[u8], dict: &mut DictTable) -> WalScan {
     let mut durable_end = WAL_MAGIC.len() as u64;
     let mut durable_dict_len = dict.len();
     let mut pos = 0usize;
-    // The unit being assembled: (seq, trace id, ops once the OPS
+    // The unit being assembled: (seq, trace id, groups once the OPS
     // record arrived).
-    let mut pending: Option<(u64, Option<String>, Option<Vec<LogicalOp>>)> = None;
+    let mut pending: Option<(u64, Option<String>, Option<Vec<OpGroup>>)> = None;
 
     while data.len() - pos >= 8 {
         let len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap());
@@ -330,15 +342,19 @@ pub fn scan_records(data: &[u8], dict: &mut DictTable) -> WalScan {
                 // unit never committed; drop it and start over.
                 pending = Some((seq, trace_id, None));
             }
-            Record::Ops(seq, ops) => match &mut pending {
+            Record::Ops(seq, groups) => match &mut pending {
                 Some((begin_seq, _, slot)) if *begin_seq == seq && slot.is_none() => {
-                    *slot = Some(ops);
+                    *slot = Some(groups);
                 }
                 _ => break, // OPS without its BEGIN: bracketing broken
             },
             Record::Commit(seq) => match pending.take() {
-                Some((begin_seq, trace_id, Some(ops))) if begin_seq == seq => {
-                    units.push(CommitUnit { seq, ops, trace_id });
+                Some((begin_seq, trace_id, Some(groups))) if begin_seq == seq => {
+                    units.push(CommitUnit {
+                        seq,
+                        trace_id,
+                        groups,
+                    });
                     durable_end = WAL_MAGIC.len() as u64 + pos as u64;
                     durable_dict_len = dict.len();
                 }
@@ -356,27 +372,34 @@ pub fn scan_records(data: &[u8], dict: &mut DictTable) -> WalScan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rel::Value;
 
-    fn sample_ops() -> Vec<LogicalOp> {
+    fn sample_rows() -> [Vec<Value>; 3] {
+        [
+            vec![Value::Int(1), Value::text("A"), Value::Null],
+            vec![Value::Int(2), Value::Null, Value::Null],
+            vec![Value::Int(1), Value::text("B"), Value::Null],
+        ]
+    }
+
+    fn sample_ops(rows: &[Vec<Value>; 3]) -> Vec<LogicalOp<'_>> {
         vec![
             LogicalOp::Insert {
-                table: "team".into(),
+                table: "team",
                 row_id: 0,
-                row: vec![Value::Int(1), Value::text("A"), Value::Null],
+                row: &rows[0],
             },
             LogicalOp::Insert {
-                table: "team".into(),
+                table: "team",
                 row_id: 1,
-                row: vec![Value::Int(2), Value::Null, Value::Null],
+                row: &rows[1],
             },
             LogicalOp::Update {
-                table: "team".into(),
+                table: "team",
                 row_id: 0,
-                row: vec![Value::Int(1), Value::text("B"), Value::Null],
+                row: &rows[2],
             },
             LogicalOp::Delete {
-                table: "team".into(),
+                table: "team",
                 row_id: 1,
             },
         ]
@@ -384,21 +407,28 @@ mod tests {
 
     #[test]
     fn commit_units_round_trip() {
+        let rows = sample_rows();
         let mut wdict = DictTable::new();
         let mut stream = Vec::new();
         stream.extend_from_slice(&encode_commit_unit(
             1,
-            &sample_ops(),
+            &sample_ops(&rows),
             &mut wdict,
             Some("abc-1-req"),
         ));
-        stream.extend_from_slice(&encode_commit_unit(2, &sample_ops()[..1], &mut wdict, None));
+        stream.extend_from_slice(&encode_commit_unit(
+            2,
+            &sample_ops(&rows)[..1],
+            &mut wdict,
+            None,
+        ));
         let mut rdict = DictTable::new();
         let scan = scan_records(&stream, &mut rdict);
         assert_eq!(scan.units.len(), 2);
         assert_eq!(scan.units[0].seq, 1);
-        assert_eq!(scan.units[0].ops, sample_ops());
-        assert_eq!(scan.units[1].ops, sample_ops()[..1]);
+        let ops: Vec<Vec<LogicalOp>> = scan.units.iter().map(|u| u.ops().collect()).collect();
+        assert_eq!(ops[0], sample_ops(&rows));
+        assert_eq!(ops[1], sample_ops(&rows)[..1]);
         assert_eq!(
             scan.durable_end,
             WAL_MAGIC.len() as u64 + stream.len() as u64
@@ -412,20 +442,22 @@ mod tests {
 
     #[test]
     fn repeated_strings_cross_the_log_once() {
+        let rows = sample_rows();
         let mut dict = DictTable::new();
-        let first = encode_commit_unit(1, &sample_ops(), &mut dict, None);
+        let first = encode_commit_unit(1, &sample_ops(&rows), &mut dict, None);
         // A later unit reusing the same strings carries an empty delta
         // and fixed-width pid cells — far smaller than the first.
-        let second = encode_commit_unit(2, &sample_ops(), &mut dict, None);
+        let second = encode_commit_unit(2, &sample_ops(&rows), &mut dict, None);
         assert!(second.len() < first.len());
         assert_eq!(dict.len(), 2); // "A" and "B", once each
     }
 
     #[test]
     fn torn_tail_at_every_byte_keeps_complete_units() {
+        let rows = sample_rows();
         let mut wdict = DictTable::new();
-        let first = encode_commit_unit(1, &sample_ops(), &mut wdict, None);
-        let second = encode_commit_unit(2, &sample_ops(), &mut wdict, None);
+        let first = encode_commit_unit(1, &sample_ops(&rows), &mut wdict, None);
+        let second = encode_commit_unit(2, &sample_ops(&rows), &mut wdict, None);
         let mut stream = first.clone();
         stream.extend_from_slice(&second);
         let intact_end = WAL_MAGIC.len() as u64 + first.len() as u64;
@@ -443,9 +475,10 @@ mod tests {
 
     #[test]
     fn flipped_byte_drops_the_damaged_suffix() {
+        let rows = sample_rows();
         let mut wdict = DictTable::new();
-        let first = encode_commit_unit(1, &sample_ops(), &mut wdict, None);
-        let second = encode_commit_unit(2, &sample_ops(), &mut wdict, None);
+        let first = encode_commit_unit(1, &sample_ops(&rows), &mut wdict, None);
+        let second = encode_commit_unit(2, &sample_ops(&rows), &mut wdict, None);
         let mut stream = first.clone();
         stream.extend_from_slice(&second);
         for flip_at in first.len()..stream.len() {
@@ -459,7 +492,8 @@ mod tests {
 
     #[test]
     fn unit_without_commit_is_not_applied() {
-        let full = encode_commit_unit(1, &sample_ops(), &mut DictTable::new(), None);
+        let rows = sample_rows();
+        let full = encode_commit_unit(1, &sample_ops(&rows), &mut DictTable::new(), None);
         // Chop off the trailing COMMIT record (17 bytes: 8 header + 9
         // payload) — a complete BEGIN+OPS prefix, yet uncommitted.
         let chopped = &full[..full.len() - 17];
@@ -473,11 +507,12 @@ mod tests {
 
     #[test]
     fn snapshot_covered_units_verify_against_a_seeded_table() {
+        let rows = sample_rows();
         // A crash between snapshot rename and WAL truncation leaves
         // units behind whose deltas the snapshot table already covers:
         // the scan must verify, not re-extend.
         let mut wdict = DictTable::new();
-        let stream = encode_commit_unit(1, &sample_ops(), &mut wdict, None);
+        let stream = encode_commit_unit(1, &sample_ops(&rows), &mut wdict, None);
         let mut seeded = wdict.clone(); // what the snapshot would embed
         let scan = scan_records(&stream, &mut seeded);
         assert_eq!(scan.units.len(), 1);
@@ -494,6 +529,6 @@ mod tests {
         let unit = encode_commit_unit(7, &[], &mut DictTable::new(), None);
         let scan = scan_records(&unit, &mut DictTable::new());
         assert_eq!(scan.units.len(), 1);
-        assert!(scan.units[0].ops.is_empty());
+        assert_eq!(scan.units[0].ops().count(), 0);
     }
 }

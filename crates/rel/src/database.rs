@@ -112,23 +112,23 @@ enum UndoOp {
 }
 
 impl UndoOp {
-    // The redo view of this log entry.
-    fn to_logical(&self) -> LogicalOp {
+    // The redo view of this log entry, borrowed from it.
+    fn redo(&self) -> LogicalOp<'_> {
         match self {
             UndoOp::Insert { table, row_id, row } => LogicalOp::Insert {
-                table: table.clone(),
+                table,
                 row_id: *row_id,
-                row: row.clone(),
+                row,
             },
             UndoOp::Update {
                 table, row_id, new, ..
             } => LogicalOp::Update {
-                table: table.clone(),
+                table,
                 row_id: *row_id,
-                row: new.clone(),
+                row: new,
             },
             UndoOp::Delete { table, row_id, .. } => LogicalOp::Delete {
-                table: table.clone(),
+                table,
                 row_id: *row_id,
             },
         }
@@ -141,32 +141,33 @@ impl UndoOp {
 /// This is the redo form a durability layer persists: replaying the
 /// stream with [`Database::apply_logical`] against the pre-transaction
 /// state reproduces the post-commit heap and indexes byte-identically
-/// (row ids included). Produced by [`Database::commit_logged`] /
-/// [`Database::txn_ops`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum LogicalOp {
+/// (row ids included). It is a view: [`Database::txn_ops`] borrows it
+/// from the transaction's undo log, a decoded WAL unit from its own
+/// rows, so the stream is never copied into a second owned shape.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum LogicalOp<'a> {
     /// A row was inserted under `row_id` with the given values.
     Insert {
         /// Target table.
-        table: String,
+        table: &'a str,
         /// The id storage assigned.
         row_id: RowId,
         /// Full row values in column order.
-        row: Vec<Value>,
+        row: &'a [Value],
     },
     /// The row `row_id` now holds the given values.
     Update {
         /// Target table.
-        table: String,
+        table: &'a str,
         /// The updated row's id.
         row_id: RowId,
         /// Full new row values in column order.
-        row: Vec<Value>,
+        row: &'a [Value],
     },
     /// The row `row_id` was deleted.
     Delete {
         /// Target table.
-        table: String,
+        table: &'a str,
         /// The deleted row's id.
         row_id: RowId,
     },
@@ -406,41 +407,29 @@ impl Database {
     }
 
     /// Commit the open transaction (releasing any savepoints still on
-    /// its stack). Use [`Database::commit_logged`] to also receive the
-    /// logical redo stream; this variant skips materializing it.
+    /// its stack).
     pub fn commit(&mut self) -> RelResult<()> {
         self.txn.take().map(|_| ()).ok_or(RelError::Transaction {
             message: "no open transaction".into(),
         })
     }
 
-    /// Commit the open transaction, returning the logical row operations
-    /// it actually applied, in application order. Work undone by a
-    /// savepoint rollback is excluded — the stream is exactly what a
-    /// durability layer must replay to reproduce this commit.
-    pub fn commit_logged(&mut self) -> RelResult<Vec<LogicalOp>> {
-        let state = self.txn.take().ok_or(RelError::Transaction {
-            message: "no open transaction".into(),
-        })?;
-        Ok(state.log.iter().map(UndoOp::to_logical).collect())
-    }
-
     /// The logical row operations the open transaction has applied so
-    /// far (the commit-time stream of [`Database::commit_logged`],
-    /// observed without committing). A durability layer appends these
-    /// to its log *before* committing, so a failed append can still
-    /// roll the transaction back.
-    pub fn txn_ops(&self) -> RelResult<Vec<LogicalOp>> {
+    /// far, in application order, borrowed from its undo log. Work
+    /// undone by a savepoint rollback is excluded — at commit, the
+    /// stream is exactly what a durability layer must replay. A
+    /// durability layer appends these to its log *before* committing,
+    /// so a failed append can still roll the transaction back.
+    pub fn txn_ops(&self) -> RelResult<Vec<LogicalOp<'_>>> {
         let state = self.txn.as_ref().ok_or(RelError::Transaction {
             message: "no open transaction".into(),
         })?;
-        Ok(state.log.iter().map(UndoOp::to_logical).collect())
+        Ok(state.log.iter().map(UndoOp::redo).collect())
     }
 
     /// Whether the open transaction has applied any row operations that
-    /// survive to commit (cheap: inspects the undo log's length, without
-    /// materializing the logical redo stream the way
-    /// [`Database::txn_ops`] does). Errors if no transaction is open.
+    /// survive to commit (inspects the undo log's length). Errors if no
+    /// transaction is open.
     pub fn txn_has_changes(&self) -> RelResult<bool> {
         let state = self.txn.as_ref().ok_or(RelError::Transaction {
             message: "no open transaction".into(),
@@ -596,80 +585,75 @@ impl Database {
     /// Re-apply one committed logical operation, **bypassing constraint
     /// checking** and forcing the recorded row id. Recovery support:
     /// the operation was constraint-checked when it originally ran, so
-    /// replaying the commit stream of [`Database::commit_logged`]
-    /// against the pre-transaction state reproduces the post-commit
-    /// heap and indexes byte-identically. Replayed inserts advance the
-    /// table's row-id allocator past the recorded id, so rows inserted
-    /// after recovery get the same ids the un-crashed run would have
+    /// replaying the commit stream of [`Database::txn_ops`] against the
+    /// pre-transaction state reproduces the post-commit heap and
+    /// indexes byte-identically. Replayed inserts advance the table's
+    /// row-id allocator past the recorded id, so rows inserted after
+    /// recovery get the same ids the un-crashed run would have
     /// assigned.
     ///
-    /// Not constraint-checked — never feed this user input.
-    pub fn apply_logical(&mut self, op: &LogicalOp) -> RelResult<()> {
-        match op {
-            LogicalOp::Insert { table, row_id, row } => {
-                let schema = self.shared_schema();
-                let t = schema.table(table)?;
-                if row.len() != t.columns.len() {
-                    return Err(RelError::Execution {
-                        message: format!(
-                            "replayed insert into {table:?} has {} value(s) for {} column(s)",
-                            row.len(),
-                            t.columns.len()
-                        ),
-                    });
-                }
-                let logged = self.txn.is_some().then(|| row.clone());
-                self.data
-                    .get_mut(table)
-                    .expect("schema table has storage")
-                    .insert_at_unchecked(t, *row_id, row.clone());
-                if let Some(row) = logged {
-                    self.log(UndoOp::Insert {
-                        table: table.clone(),
-                        row_id: *row_id,
-                        row,
-                    });
-                }
+    /// Not constraint-checked — never feed this user input. Only the
+    /// shape the storage relies on is checked, before anything changes:
+    /// a row must fill its table's columns, an insert must land on a
+    /// free row id, and an update or delete on a stored one.
+    pub fn apply_logical(&mut self, op: LogicalOp<'_>) -> RelResult<()> {
+        let schema = self.shared_schema();
+        let (table, row_id) = match op {
+            LogicalOp::Insert { table, row_id, .. }
+            | LogicalOp::Update { table, row_id, .. }
+            | LogicalOp::Delete { table, row_id } => (table, row_id),
+        };
+        let t = schema.table(table)?;
+        let logged = self.txn.is_some();
+        let data = self.data.get_mut(table).expect("schema table has storage");
+        let replay_error = |message: String| RelError::Execution {
+            message: format!("replayed {message} in {table}"),
+        };
+        if let LogicalOp::Insert { row, .. } | LogicalOp::Update { row, .. } = op {
+            if row.len() != t.columns.len() {
+                return Err(replay_error(format!(
+                    "row {row_id} has {} value(s) for {} column(s)",
+                    row.len(),
+                    t.columns.len()
+                )));
             }
-            LogicalOp::Update { table, row_id, row } => {
-                let schema = self.shared_schema();
-                let t = schema.table(table)?;
-                let old = self
-                    .data
-                    .get_mut(table)
-                    .expect("schema table has storage")
-                    .update_unchecked(t, *row_id, row.clone())
-                    .ok_or_else(|| RelError::Execution {
-                        message: format!("replayed update of missing row {row_id} in {table}"),
-                    })?;
-                if self.txn.is_some() {
-                    self.log(UndoOp::Update {
-                        table: table.clone(),
-                        row_id: *row_id,
-                        old,
-                        new: row.clone(),
-                    });
+        }
+        let undo = match op {
+            LogicalOp::Insert { row, .. } => {
+                if data.row(row_id).is_some() {
+                    return Err(replay_error(format!("insert at occupied row {row_id}")));
                 }
+                data.insert_at_unchecked(t, row_id, row.to_vec());
+                logged.then(|| UndoOp::Insert {
+                    table: table.to_owned(),
+                    row_id,
+                    row: row.to_vec(),
+                })
             }
-            LogicalOp::Delete { table, row_id } => {
-                let schema = self.shared_schema();
-                let t = schema.table(table)?;
-                let old = self
-                    .data
-                    .get_mut(table)
-                    .expect("schema table has storage")
-                    .delete_unchecked(t, *row_id)
-                    .ok_or_else(|| RelError::Execution {
-                        message: format!("replayed delete of missing row {row_id} in {table}"),
-                    })?;
-                if self.txn.is_some() {
-                    self.log(UndoOp::Delete {
-                        table: table.clone(),
-                        row_id: *row_id,
-                        old,
-                    });
-                }
+            LogicalOp::Update { row, .. } => {
+                let old = data
+                    .update_unchecked(t, row_id, row.to_vec())
+                    .ok_or_else(|| replay_error(format!("update of missing row {row_id}")))?;
+                logged.then(|| UndoOp::Update {
+                    table: table.to_owned(),
+                    row_id,
+                    old,
+                    new: row.to_vec(),
+                })
             }
+            LogicalOp::Delete { .. } => {
+                let old = data
+                    .delete_unchecked(t, row_id)
+                    .ok_or_else(|| replay_error(format!("delete of missing row {row_id}")))?;
+                logged.then(|| UndoOp::Delete {
+                    table: table.to_owned(),
+                    row_id,
+                    old,
+                })
+            }
+        };
+        if let Some(undo) = undo {
+            self.log(undo);
         }
         Ok(())
     }
@@ -1763,7 +1747,7 @@ mod tests {
     }
 
     #[test]
-    fn commit_logged_surfaces_applied_ops_in_order() {
+    fn txn_ops_surfaces_applied_ops_in_order() {
         let mut d = db();
         d.begin().unwrap();
         let rid = d
@@ -1776,35 +1760,35 @@ mod tests {
             .unwrap();
         let rid2 = d.insert("team", &[a("id", Value::Int(2))]).unwrap();
         d.delete_row("team", rid2).unwrap();
-        let ops = d.commit_logged().unwrap();
         assert_eq!(
-            ops,
+            d.txn_ops().unwrap(),
             vec![
                 LogicalOp::Insert {
-                    table: "team".into(),
+                    table: "team",
                     row_id: rid,
-                    row: vec![Value::Int(1), Value::text("A"), Value::Null],
+                    row: &[Value::Int(1), Value::text("A"), Value::Null],
                 },
                 LogicalOp::Update {
-                    table: "team".into(),
+                    table: "team",
                     row_id: rid,
-                    row: vec![Value::Int(1), Value::text("B"), Value::Null],
+                    row: &[Value::Int(1), Value::text("B"), Value::Null],
                 },
                 LogicalOp::Insert {
-                    table: "team".into(),
+                    table: "team",
                     row_id: rid2,
-                    row: vec![Value::Int(2), Value::Null, Value::Null],
+                    row: &[Value::Int(2), Value::Null, Value::Null],
                 },
                 LogicalOp::Delete {
-                    table: "team".into(),
+                    table: "team",
                     row_id: rid2,
                 },
             ]
         );
+        d.commit().unwrap();
     }
 
     #[test]
-    fn commit_logged_excludes_savepoint_rolled_back_work() {
+    fn txn_ops_excludes_savepoint_rolled_back_work() {
         let mut d = db();
         d.begin().unwrap();
         d.insert("team", &[a("id", Value::Int(1))]).unwrap();
@@ -1812,15 +1796,77 @@ mod tests {
         d.insert("team", &[a("id", Value::Int(2))]).unwrap();
         d.rollback_to_savepoint(sp).unwrap();
         d.insert("team", &[a("id", Value::Int(3))]).unwrap();
-        let ops = d.commit_logged().unwrap();
-        let ids: Vec<&Value> = ops
+        let ids: Vec<Value> = d
+            .txn_ops()
+            .unwrap()
             .iter()
             .map(|op| match op {
-                LogicalOp::Insert { row, .. } => &row[0],
+                LogicalOp::Insert { row, .. } => row[0],
                 _ => panic!("only inserts expected"),
             })
             .collect();
-        assert_eq!(ids, vec![&Value::Int(1), &Value::Int(3)]);
+        assert_eq!(ids, vec![Value::Int(1), Value::Int(3)]);
+        d.commit().unwrap();
+    }
+
+    // A team row (id 1, code 'a') committed at row id 0.
+    fn one_team() -> Database {
+        let mut d = db();
+        let rid = d
+            .insert(
+                "team",
+                &[a("id", Value::Int(1)), a("code", Value::text("a"))],
+            )
+            .unwrap();
+        assert_eq!(rid, 0);
+        d
+    }
+
+    // The row and both its index entries are untouched.
+    fn assert_one_team_intact(d: &Database) {
+        assert_eq!(
+            d.row("team", 0).unwrap().unwrap(),
+            &vec![Value::Int(1), Value::Null, Value::text("a")]
+        );
+        assert_eq!(d.find_by_pk("team", &[Value::Int(1)]).unwrap(), Some(0));
+        assert_eq!(d.find_by_pk("team", &[Value::Int(2)]).unwrap(), None);
+        assert_eq!(
+            d.index_probe("team", "code", &Value::text("a")).unwrap(),
+            Some(vec![0])
+        );
+        assert_eq!(d.next_row_id("team").unwrap(), 1);
+    }
+
+    #[test]
+    fn replayed_short_update_row_is_an_error_that_changes_nothing() {
+        let mut d = one_team();
+        let err = d
+            .apply_logical(LogicalOp::Update {
+                table: "team",
+                row_id: 0,
+                row: &[Value::Int(1)],
+            })
+            .unwrap_err();
+        assert!(matches!(err, RelError::Execution { .. }), "{err:?}");
+        assert_one_team_intact(&d);
+    }
+
+    #[test]
+    fn replayed_insert_at_an_occupied_row_id_is_an_error_that_changes_nothing() {
+        let mut d = one_team();
+        let err = d
+            .apply_logical(LogicalOp::Insert {
+                table: "team",
+                row_id: 0,
+                row: &[Value::Int(2), Value::Null, Value::text("b")],
+            })
+            .unwrap_err();
+        assert!(matches!(err, RelError::Execution { .. }), "{err:?}");
+        assert_one_team_intact(&d);
+        assert_eq!(
+            d.index_probe("team", "code", &Value::text("b")).unwrap(),
+            Some(vec![])
+        );
     }
 
     #[test]
@@ -1848,10 +1894,10 @@ mod tests {
             .unwrap();
         live.update_row("author", rid, &[a("lastname", Value::text("H."))])
             .unwrap();
-        let ops = live.commit_logged().unwrap();
-        for op in &ops {
+        for op in live.txn_ops().unwrap() {
             replica.apply_logical(op).unwrap();
         }
+        live.commit().unwrap();
         for table in ["team", "author"] {
             let a: Vec<_> = live.scan(table).unwrap().collect();
             let b: Vec<_> = replica.scan(table).unwrap().collect();

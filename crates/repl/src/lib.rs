@@ -7,7 +7,7 @@
 //! the write path; any number of **followers** bootstrap from the
 //! leader's newest snapshot and then tail its write-ahead log over
 //! HTTP, replaying each committed transaction through the same
-//! [`rel::apply_logical`] path recovery uses. A follower is therefore
+//! [`rel::Database::apply_logical`] path recovery uses. A follower is therefore
 //! byte-identical to a leader that crashed and recovered at the same
 //! commit — replication *is* continuous remote recovery.
 //!
@@ -669,10 +669,10 @@ impl Tail {
                 trace.attr_u64("leader_seq", unit.seq);
                 trace.attr_u64("epoch", self.epoch);
                 trace.attr_str("leader", self.client.leader());
-                trace.attr_u64("ops", unit.ops.len() as u64);
+                trace.attr_u64("ops", unit.ops().count() as u64);
                 trace
             });
-            if let Err(e) = self.mediator.apply_replicated(unit.seq, &unit.ops) {
+            if let Err(e) = self.mediator.apply_replicated(unit) {
                 // Drop glue submits the trace as an error trace
                 // (priority retention) on the way out.
                 obs::trace::mark_error();

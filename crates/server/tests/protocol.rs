@@ -301,47 +301,6 @@ fn dump_returns_the_full_rdf_view() {
 }
 
 #[test]
-fn status_reports_tables_cache_and_counters() {
-    let server = test_server();
-    get(
-        &server,
-        &format!("/sparql?query={}", urlencode(PERSONS)),
-        None,
-    );
-    let response = get(&server, "/status", None);
-    assert_eq!(response.status, 200);
-    assert_eq!(response.header("content-type"), Some("application/json"));
-    let text = response.text();
-    assert!(text.contains("\"author\":2"), "{text}");
-    assert!(text.contains("\"query_cache\""));
-    assert!(text.contains("\"misses\":1"));
-    assert!(text.contains("\"queries\":1"));
-    // The version and durability state are always reported; this
-    // server runs in memory.
-    assert!(
-        text.contains(&format!("\"version\":\"{}\"", env!("CARGO_PKG_VERSION"))),
-        "{text}"
-    );
-    assert!(text.contains("\"uptime_seconds\":"), "{text}");
-    assert!(
-        text.contains("\"durability\":{\"enabled\":false}"),
-        "{text}"
-    );
-    // Dictionary counters: the fixture interns text values, so the
-    // process-global symbol count is non-zero by the time /status runs.
-    assert!(text.contains("\"dictionary\":{\"symbols\":"), "{text}");
-    assert!(text.contains("\"bytes_saved\":"), "{text}");
-    let symbols: u64 = text
-        .split("\"dictionary\":{\"symbols\":")
-        .nth(1)
-        .and_then(|rest| rest.split(',').next())
-        .and_then(|n| n.parse().ok())
-        .expect("symbols counter is a number");
-    assert!(symbols > 0, "{text}");
-    server.shutdown();
-}
-
-#[test]
 fn status_reports_concurrency_object() {
     let server = test_server();
     // Fresh in-memory server: version 0, only the initial version

@@ -1,6 +1,4 @@
-//! A SPARQL XML answer that XML 1.0 cannot carry. Kept apart from
-//! `protocol.rs`: the request counters are process-wide, and that
-//! suite's `/status` test reads them.
+//! A SPARQL XML answer that XML 1.0 cannot carry.
 
 use fixtures::http_probe::{one_shot, urlencode, ProbeResponse};
 use ontoaccess_server::{serve, wire, ServerConfig};
