@@ -310,60 +310,51 @@ fn object_value(
         .foreign_key_target()
         .and_then(|id| mapping.table_by_id(id));
     match (&attr.property, &attr.value_pattern, target) {
-        (Some(PropertyMapping::Object(_)), None, Some(target)) => resolve_instance_ref(
-            reads,
-            mapping,
-            &table.name,
-            &attr.attribute_name,
-            &target.table_name,
-            object,
-            touched,
-        ),
+        (Some(PropertyMapping::Object(_)), None, Some(target)) => {
+            resolve_instance_ref(reads, mapping, table, attr, target, object, touched)
+        }
         _ => Codec::attribute(mapping, table, attr)?.decode(object, Text::Intern),
     }
 }
 
-// Resolve an instance IRI used as an FK/link endpoint: identify it,
-// verify it denotes the expected table, verify the row exists (in the
-// database or among the entities this operation creates), and return
-// its key value.
+// Resolve an instance IRI used as an FK/link endpoint: decode it
+// through the attribute's codec (the target's URI pattern and key
+// slot), verify the row exists (in the database or among the entities
+// this operation creates), and return its key value. A key string the
+// dictionary lacks decodes to NULL: it names no stored row, nor one
+// created here, since every subject was identified (and so interned)
+// first.
 fn resolve_instance_ref(
     reads: &mut ReadSet<'_>,
     mapping: &Mapping,
-    table_name: &str,
-    attribute: &str,
-    expected_table: &str,
+    table: &rel::Table,
+    attr: &r3m::AttributeMap,
+    target: &r3m::TableMap,
     object: &Term,
     touched: &Touched<'_>,
 ) -> OntoResult<Value> {
     let dangling = || OntoError::DanglingObject {
-        table: table_name.to_owned(),
-        attribute: attribute.to_owned(),
-        expected_table: expected_table.to_owned(),
+        table: table.name.clone(),
+        attribute: attr.attribute_name.clone(),
+        expected_table: target.table_name.clone(),
         object: object.clone(),
     };
-    let schema = reads.schema();
-    let identified = identify(schema, mapping, object).map_err(|_| dangling())?;
-    if identified.table_map.table_name != expected_table {
+    let key = Codec::attribute(mapping, table, attr)?
+        .decode(object, Text::Lookup)
+        .map_err(|_| dangling())?;
+    if key.is_null() {
         return Err(dangling());
     }
-    let target_table = schema.table(expected_table)?;
-    let pk_values = identified.pk_values(target_table)?;
-    let exists_in_db = reads.exists(&target_table.name, &pk_values)?;
-    let created_here = touched
-        .get(identified.uri.as_str())
-        .is_some_and(|t| *t == expected_table);
+    let target_table = reads.schema().table(&target.table_name)?;
+    let exists_in_db = reads.exists(&target_table.name, std::slice::from_ref(&key))?;
+    let created_here = object
+        .as_iri()
+        .and_then(|iri| touched.get(iri.as_str()))
+        .is_some_and(|t| *t == target.table_name);
     if !exists_in_db && !created_here {
         return Err(dangling());
     }
-    if pk_values.len() != 1 {
-        return Err(OntoError::Unsupported {
-            message: format!(
-                "foreign key to composite-key table {expected_table:?} is not supported"
-            ),
-        });
-    }
-    Ok(pk_values.into_iter().next().expect("len checked"))
+    Ok(key)
 }
 
 // A link triple inside a subject group: subject is this group's entity,
@@ -395,9 +386,9 @@ fn translate_link_insert<'a>(
     let object_value = resolve_instance_ref(
         reads,
         mapping,
-        &link.table_name,
-        &link.object_attribute.attribute_name,
-        &object_target.table_name,
+        reads.schema().table(&link.table_name)?,
+        &link.object_attribute,
+        object_target,
         &triple.object,
         touched,
     )?;
@@ -531,17 +522,24 @@ mod tests {
     #[test]
     fn dangling_fk_object_rejected() {
         let (db, mapping) = fixture_db_with_rows();
-        let op = parse_update(
-            "INSERT DATA { ex:author9 foaf:family_name \"X\" ; ont:team ex:team99 . }",
-        );
-        let err = translate_insert_data(
-            &db,
-            &mapping,
-            &insert_data(&op),
-            TranslateOptions::default(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, OntoError::DanglingObject { .. }));
+        // A missing row, a row of another table, a non-canonical key
+        // rendering of a stored row, and a literal.
+        for object in ["ex:team99", "ex:author6", "ex:team05", "\"5\""] {
+            let op = parse_update(&format!(
+                "INSERT DATA {{ ex:author9 foaf:family_name \"X\" ; ont:team {object} . }}"
+            ));
+            let err = translate_insert_data(
+                &db,
+                &mapping,
+                &insert_data(&op),
+                TranslateOptions::default(),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, OntoError::DanglingObject { .. }),
+                "{object}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -11,6 +11,9 @@ use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+// Largest response head accepted: the server's own request-head limit.
+const MAX_HEAD_BYTES: usize = 16 * 1024;
+
 /// One parsed HTTP response.
 #[derive(Debug)]
 pub struct LeaderResponse {
@@ -121,15 +124,26 @@ impl LeaderClient {
 
         let eof = || std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "leader closed");
         let mut chunk = [0u8; 16 * 1024];
+        // `scanned` resumes the terminator search where the last pass
+        // stopped; a head past the bound fails instead of buffering on.
+        let mut scanned = 0usize;
         let head_end = loop {
-            if let Some(pos) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                break pos;
+            let start = scanned.saturating_sub(3);
+            if let Some(pos) = self.buf[start..].windows(4).position(|w| w == b"\r\n\r\n") {
+                break start + pos;
+            }
+            scanned = self.buf.len();
+            if scanned > MAX_HEAD_BYTES {
+                return Err(bad("response head exceeds 16 KiB"));
             }
             match stream.read(&mut chunk)? {
                 0 => return Err(eof()),
                 n => self.buf.extend_from_slice(&chunk[..n]),
             }
         };
+        if head_end > MAX_HEAD_BYTES {
+            return Err(bad("response head exceeds 16 KiB"));
+        }
         let head = String::from_utf8_lossy(&self.buf[..head_end]).into_owned();
         let mut lines = head.split("\r\n");
         let status: u16 = lines
@@ -204,6 +218,21 @@ mod tests {
         assert_eq!(second.status, 409);
         assert_eq!(second.body, b"{}");
         server.join().unwrap();
+    }
+
+    #[test]
+    fn oversized_response_head_fails_at_the_bound() {
+        // A head with no blank line, four times the bound: the client
+        // must give up once the bound is passed, not buffer until the
+        // peer closes.
+        let (addr, server) = canned(vec![
+            "HTTP/1.1 200 OK\r\nX-Pad: ".to_owned() + &"a".repeat(4 * MAX_HEAD_BYTES),
+        ]);
+        let mut client = LeaderClient::new(addr.to_string());
+        let error = client.get("/wal", Duration::from_secs(2)).unwrap_err();
+        assert_eq!(error.kind(), std::io::ErrorKind::InvalidData, "{error}");
+        // The peer's write may fail once the client hangs up.
+        let _ = server.join();
     }
 
     #[test]

@@ -42,6 +42,7 @@
 #![allow(clippy::result_large_err)]
 
 pub mod error_map;
+mod facts;
 pub mod http;
 mod json;
 mod metrics;

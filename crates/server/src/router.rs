@@ -6,7 +6,7 @@
 //! | `POST /update`      | SPARQL/Update; the response body is the paper's §6 RDF feedback document (Turtle) |
 //! | `GET /describe?uri=`| Concise description of one instance URI (graph response) |
 //! | `GET /dump`         | The database's full RDF view (graph response) |
-//! | `GET /status`       | Version, uptime, row counts, query-cache, concurrency, durability, replication and server counters (JSON) |
+//! | `GET /status`       | Version, uptime, row counts, query-cache, dictionary, concurrency, durability, replication and server counters, slow queries (JSON) |
 //! | `GET /metrics`      | Prometheus text exposition (`text/plain; version=0.0.4`) of every layer's metrics |
 //! | `POST /snapshot`    | Admin checkpoint: snapshot the committed state, truncate the WAL (durable servers only) |
 //! | `GET /wal`          | Replication: committed WAL bytes from `from=` (absolute offset), long-polling when caught up (durable leaders only) |
@@ -20,6 +20,10 @@
 //! **without executing**. `/update` honors `?profile=1` the same way
 //! (translate/sort/execute/WAL-append/fsync stage timings).
 //!
+//! `/status` and `/metrics` are two renderings of one list of facts
+//! (`facts.rs`): each fact is declared once, with its `/status` key
+//! and, when exported, its metric family.
+//!
 //! Queries execute on the worker's shared [`ReadSession`]; updates
 //! serialize through the mediator's write transaction. Mediator
 //! rejections map to statuses via [`crate::error_map`]; the update
@@ -27,11 +31,12 @@
 //! query endpoints answer machine-readable JSON errors.
 
 use crate::error_map::{error_body, protocol_error_body, status_for, ERROR_CONTENT_TYPE};
+use crate::facts::{metrics_exposition, status};
 use crate::http::{Request, Response};
 use crate::json::{json_array, JsonObject};
 use crate::metrics::HttpMetrics;
 use crate::wire;
-use obs::trace::{AttrValue, Trace};
+use obs::trace::Trace;
 use ontoaccess::feedback::Feedback;
 use ontoaccess::mediator::{
     Mediator, QueryExplain, QueryProfile, QueryStop, ReadSession, UpdateProfile,
@@ -45,6 +50,8 @@ use std::time::{Duration, Instant};
 pub const SPARQL_QUERY: &str = "application/sparql-query";
 /// Media type of a SPARQL/Update sent as a raw POST body.
 pub const SPARQL_UPDATE: &str = "application/sparql-update";
+/// Content type of the Prometheus text exposition format (`/metrics`).
+pub const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
 const FORM: &str = "application/x-www-form-urlencoded";
 
 // Everything a handler can reach: the shared mediator (writes, admin)
@@ -590,333 +597,6 @@ fn graph_response(
         wire::GraphFormat::NTriples => wire::graph_to_ntriples(graph),
     };
     Response::new(200, content_type, body)
-}
-
-// ----------------------------------------------------------------------
-// Status
-// ----------------------------------------------------------------------
-
-fn status(ctx: &AppContext) -> Response {
-    let mut tables = String::from("{");
-    {
-        let db = ctx.mediator.database();
-        let mut first = true;
-        for table in db.schema().tables() {
-            if !first {
-                tables.push(',');
-            }
-            first = false;
-            tables.push_str(&wire::json_string(&table.name));
-            tables.push(':');
-            tables.push_str(&db.row_count(&table.name).unwrap_or(0).to_string());
-        }
-    }
-    tables.push('}');
-    let cache = ctx.mediator.query_cache_stats();
-    let dict = ctx.mediator.dictionary_stats();
-    let conc = ctx.mediator.concurrency_stats();
-    let metrics = &ctx.metrics;
-    // A view of the trace store, oldest first: the retained slow traces
-    // that carry a `query` attribute, i.e. the slow `/sparql` requests.
-    let mut traces = obs::trace::store().index();
-    traces.reverse();
-    let slow_queries = json_array(traces.iter().filter(|t| t.slow).filter_map(|record| {
-        let query = record
-            .spans
-            .first()?
-            .attrs
-            .iter()
-            .find_map(|attr| match attr {
-                ("query", AttrValue::Str(query)) => Some(query),
-                _ => None,
-            })?;
-        Some(
-            JsonObject::new()
-                .str("query", query)
-                .u64("micros", record.duration_micros)
-                .str("request_id", &record.trace_id)
-                .bool("trace_retained", true)
-                .u64("at_unix_ms", record.started_unix_ms)
-                .finish(),
-        )
-    }));
-    let body = JsonObject::new()
-        .str("version", env!("CARGO_PKG_VERSION"))
-        .u64("uptime_seconds", ctx.started.elapsed().as_secs())
-        .raw("tables", &tables)
-        .raw(
-            "query_cache",
-            &JsonObject::new()
-                .u64("entries", cache.entries as u64)
-                .u64("shapes", cache.shapes as u64)
-                .u64("capacity", cache.capacity as u64)
-                .u64("hits", cache.hits)
-                .u64("misses", cache.misses)
-                .u64("evictions", cache.evictions)
-                .finish(),
-        )
-        .raw(
-            "dictionary",
-            &JsonObject::new()
-                .u64("symbols", dict.symbols)
-                .u64("string_bytes", dict.string_bytes)
-                .u64("hits", dict.hits)
-                .u64("bytes_saved", dict.bytes_saved)
-                .finish(),
-        )
-        .raw(
-            "concurrency",
-            &JsonObject::new()
-                .u64("current_version", conc.current_version)
-                .u64("versions_retained", conc.versions_retained as u64)
-                .u64("read_sessions_live", conc.read_sessions_live as u64)
-                .u64("write_lock_waits", conc.write_lock_waits)
-                .u64("write_lock_wait_micros", conc.write_lock_wait_micros)
-                .u64("write_retranslations", conc.write_retranslations)
-                .finish(),
-        )
-        .raw("durability", &durability_json(ctx))
-        .raw("replication", &replication_json(ctx))
-        .raw(
-            "server",
-            &JsonObject::new()
-                .u64("workers", ctx.workers as u64)
-                .u64("queue_capacity", ctx.queue_capacity as u64)
-                .u64("requests", metrics.requests.get())
-                .u64("queries", metrics.queries.get())
-                .u64("updates", metrics.updates.get())
-                .u64("snapshots", metrics.snapshots.get())
-                .u64("overload_rejections", metrics.overload_rejections.get())
-                .finish(),
-        )
-        .raw("slow_queries", &slow_queries)
-        .finish();
-    Response::new(200, wire::JSON, body)
-}
-
-// ----------------------------------------------------------------------
-// Metrics exposition
-// ----------------------------------------------------------------------
-
-/// Content type of the Prometheus text exposition format.
-pub const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
-
-// `GET /metrics`: the process-global registry (counters and histograms
-// accumulated on the hot paths), then this server's point-in-time state
-// read from the mediator's and replicator's `*_stats()` at scrape time.
-// Nothing sampled is written back to the registry, so one server's
-// families never show on another's scrape.
-fn metrics_exposition(ctx: &AppContext) -> Response {
-    let mut out = obs::registry().render();
-    obs::render_sampled(
-        &mut out,
-        "ontoaccess_build_info",
-        "Constant 1, labeled with the server version",
-        "gauge",
-        Some(("version", env!("CARGO_PKG_VERSION"))),
-        1,
-    );
-    let mut family = |kind: &str, name: &str, help: &str, value: u64| {
-        obs::render_sampled(&mut out, name, help, kind, None, value)
-    };
-    let uptime = ctx.started.elapsed().as_secs();
-    family(
-        "gauge",
-        "ontoaccess_uptime_seconds",
-        "Seconds since server start",
-        uptime,
-    );
-    let cache = ctx.mediator.query_cache_stats();
-    family(
-        "gauge",
-        "ontoaccess_query_cache_entries",
-        "Compiled queries currently cached",
-        cache.entries as u64,
-    );
-    family(
-        "gauge",
-        "ontoaccess_query_cache_shapes",
-        "Compiled query shapes the cached queries share",
-        cache.shapes as u64,
-    );
-    family(
-        "gauge",
-        "ontoaccess_query_cache_capacity",
-        "Query cache capacity (entries)",
-        cache.capacity as u64,
-    );
-    family(
-        "counter",
-        "ontoaccess_query_cache_hits_total",
-        "Compiled-query cache lookups answered without compiling (text or shape hit)",
-        cache.hits,
-    );
-    family(
-        "counter",
-        "ontoaccess_query_cache_misses_total",
-        "Compiled-query cache lookups that had to compile",
-        cache.misses,
-    );
-    family(
-        "counter",
-        "ontoaccess_query_cache_evictions_total",
-        "Compiled-query cache entries evicted under capacity pressure",
-        cache.evictions,
-    );
-    let dict = ctx.mediator.dictionary_stats();
-    family(
-        "gauge",
-        "ontoaccess_dictionary_symbols",
-        "Interned strings in the process-global dictionary",
-        dict.symbols,
-    );
-    family(
-        "gauge",
-        "ontoaccess_dictionary_string_bytes",
-        "Bytes of unique string payload held by the dictionary",
-        dict.string_bytes,
-    );
-    family(
-        "gauge",
-        "ontoaccess_dictionary_bytes_saved",
-        "Bytes avoided by interning repeated strings",
-        dict.bytes_saved,
-    );
-    let conc = ctx.mediator.concurrency_stats();
-    family(
-        "gauge",
-        "ontoaccess_mvcc_current_version",
-        "Sequence number of the currently published database version",
-        conc.current_version,
-    );
-    family(
-        "gauge",
-        "ontoaccess_mvcc_versions_retained",
-        "Database versions retained for live readers",
-        conc.versions_retained as u64,
-    );
-    family(
-        "gauge",
-        "ontoaccess_mvcc_read_sessions",
-        "Read sessions currently live",
-        conc.read_sessions_live as u64,
-    );
-    family(
-        "counter",
-        "ontoaccess_write_lock_waits_total",
-        "Write-lock acquisitions (one per write transaction)",
-        conc.write_lock_waits,
-    );
-    family(
-        "counter",
-        "ontoaccess_write_retranslations_total",
-        "Update operations translated before the write lock that were translated again under it",
-        conc.write_retranslations,
-    );
-    if let Some(d) = ctx.mediator.durability_stats() {
-        family(
-            "gauge",
-            "ontoaccess_wal_size_bytes",
-            "Durable WAL size in bytes",
-            d.wal_bytes,
-        );
-        family(
-            "gauge",
-            "ontoaccess_wal_last_commit_seq",
-            "Sequence number of the last durably committed unit",
-            d.last_commit_seq,
-        );
-        family(
-            "gauge",
-            "ontoaccess_wal_poisoned",
-            "1 when the WAL refused further appends after a fault",
-            u64::from(d.poisoned),
-        );
-    }
-    if let Some(status) = &ctx.replication {
-        let snap = status.snapshot();
-        family(
-            "gauge",
-            "ontoaccess_repl_applied_seq",
-            "Last WAL commit unit applied by this replica",
-            snap.applied_seq,
-        );
-        family(
-            "gauge",
-            "ontoaccess_repl_leader_seq",
-            "Leader's durable commit frontier as last observed",
-            snap.leader_seq,
-        );
-        family(
-            "gauge",
-            "ontoaccess_repl_lag_units",
-            "Commit units the replica trails the leader by",
-            snap.lag_units,
-        );
-        family(
-            "gauge",
-            "ontoaccess_repl_lag_bytes",
-            "WAL bytes the replica trails the leader by",
-            snap.lag_bytes,
-        );
-        family(
-            "counter",
-            "ontoaccess_repl_reconnects_total",
-            "Times the follower lost its leader connection and began reconnecting",
-            snap.reconnects,
-        );
-    }
-    Response::new(200, METRICS_CONTENT_TYPE, out)
-}
-
-// The `/status` replication object: a follower reports its replicator
-// handle's view; a durable leader reports itself caught up with its
-// own commit frontier; anything else is a standalone server.
-fn replication_json(ctx: &AppContext) -> String {
-    if let Some(status) = &ctx.replication {
-        let snap = status.snapshot();
-        return JsonObject::new()
-            .str("role", "replica")
-            .str("leader", &snap.leader)
-            .str("state", snap.state.as_str())
-            .u64("applied_seq", snap.applied_seq)
-            .u64("leader_seq", snap.leader_seq)
-            .u64("lag_units", snap.lag_units)
-            .u64("lag_bytes", snap.lag_bytes)
-            .opt_u64("last_contact_ms", snap.last_contact_ms)
-            .u64("reconnects", snap.reconnects)
-            .opt_str("last_error", snap.last_error.as_deref())
-            .finish();
-    }
-    match ctx.mediator.durability_stats() {
-        Some(d) => JsonObject::new()
-            .str("role", "leader")
-            .u64("applied_seq", d.last_commit_seq)
-            .u64("leader_seq", d.last_commit_seq)
-            .u64("lag_units", 0)
-            .u64("lag_bytes", 0)
-            .finish(),
-        None => JsonObject::new().str("role", "standalone").finish(),
-    }
-}
-
-// The `/status` durability object: counters when a data directory is
-// configured, `{"enabled":false}` otherwise.
-fn durability_json(ctx: &AppContext) -> String {
-    match ctx.mediator.durability_stats() {
-        Some(d) => JsonObject::new()
-            .bool("enabled", true)
-            .u64("wal_bytes", d.wal_bytes)
-            .u64("commits_appended", d.commits_appended)
-            .u64("wal_syncs", d.wal_syncs)
-            .u64("records_replayed", d.records_replayed)
-            .u64("rows_replayed", d.rows_replayed)
-            .opt_u64("last_snapshot", d.last_snapshot_seq)
-            .u64("last_commit_seq", d.last_commit_seq)
-            .bool("poisoned", d.poisoned)
-            .finish(),
-        None => JsonObject::new().bool("enabled", false).finish(),
-    }
 }
 
 // ----------------------------------------------------------------------
