@@ -20,7 +20,7 @@
 //! # Example
 //!
 //! One shared mediator; writes go through an exclusive transaction in
-//! which each operation is a savepoint scope, reads through cheap
+//! which each operation is atomic, reads through cheap
 //! `Send + Sync` sessions:
 //!
 //! ```

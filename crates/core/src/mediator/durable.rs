@@ -99,12 +99,17 @@ impl Mediator {
     /// leader's commit sequence, so replica reads are ordinary pinned
     /// MVCC snapshots with leader-aligned version ids. The caller (the
     /// replicator) feeds units in sequence order and skips
-    /// already-applied sequences.
+    /// already-applied sequences. The unit applies in one transaction:
+    /// a rejected operation rolls the whole unit back, so no later
+    /// publish of the live database can carry half of it.
     pub fn apply_replicated(&self, unit: &dur::wal::CommitUnit) -> OntoResult<()> {
         let mut db = self.core.lock_live();
-        for op in unit.ops() {
-            db.apply_logical(op)?;
+        db.begin()?;
+        if let Err(e) = unit.ops().try_for_each(|op| db.apply_logical(op)) {
+            db.rollback()?;
+            return Err(e.into());
         }
+        db.commit()?;
         self.core.chain.publish(db.clone(), Some(unit.seq));
         Ok(())
     }
@@ -314,6 +319,47 @@ mod tests {
         assert!(!m.is_durable());
         assert!(m.durability_stats().is_none());
         assert!(matches!(m.checkpoint(), Err(OntoError::Unsupported { .. })));
+    }
+
+    #[test]
+    fn rejected_replicated_unit_leaves_the_live_database_untouched() {
+        let (db, mapping) = fixture_db_with_rows();
+        let replica = Mediator::new_replica(db, mapping, "127.0.0.1:7878", 0).unwrap();
+        let heap = |db: &Database| -> Vec<(rel::RowId, Vec<rel::Value>)> {
+            db.scan("team")
+                .unwrap()
+                .map(|(id, row)| (id, row.clone()))
+                .collect()
+        };
+        let (before, free, mut row) = {
+            let live = replica.database_mut_for_tests();
+            let row = live.row("team", 0).unwrap().unwrap().clone();
+            (heap(&live), live.next_row_id("team").unwrap(), row)
+        };
+        row[0] = rel::Value::Int(424_242);
+        row[2] = rel::Value::text("RT");
+        // A CRC-valid unit: a valid insert, then one at an occupied row.
+        let bytes = dur::wal::encode_commit_unit(
+            1,
+            &[
+                rel::LogicalOp::Insert {
+                    table: "team",
+                    row_id: free,
+                    row: &row,
+                },
+                rel::LogicalOp::Insert {
+                    table: "team",
+                    row_id: 0,
+                    row: &row,
+                },
+            ],
+            &mut dur::codec::DictTable::new(),
+            None,
+        );
+        let units = dur::wal::scan_records(&bytes, &mut dur::codec::DictTable::new()).units;
+        assert_eq!(units.len(), 1);
+        assert!(replica.apply_replicated(&units[0]).is_err());
+        assert_eq!(heap(&replica.database_mut_for_tests()), before);
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //!   (writers are exclusive, so no torn or partial write is ever
 //!   observable);
 //! * [`WriteTxn`]s — exclusive write transactions over the live
-//!   database. Each SPARQL/Update operation inside a transaction runs
-//!   as a savepoint scope: a rejected operation is undone at O(rows
-//!   touched) cost and the transaction stays usable. Nothing on the
-//!   write path clones the database wholesale. The update pipeline
+//!   database. Each SPARQL/Update operation inside a transaction is
+//!   atomic: a rejected operation is undone by restoring a snapshot of
+//!   the persistent tables (O(tables + indexes)), and the transaction
+//!   stays usable. The update pipeline
 //!   translates `INSERT DATA` / `DELETE DATA` before taking the lock,
 //!   against a pinned version, and under it only validates what that
 //!   translation read (see `txn`).
@@ -22,8 +22,8 @@
 //! **MVCC snapshot reads.** Reads never take the writer's lock.
 //! Committed state lives in an immutable *version chain*: every commit
 //! that changed anything publishes an [`Arc`]-shared
-//! [`DatabaseVersion`] — an O(tables + indexes) persistent-structure
-//! clone of the live database (see [`rel::pmap`]), tagged with the
+//! [`DatabaseVersion`] — a persistent-structure clone of the live
+//! database (see [`rel::pmap`]), tagged with the
 //! commit's WAL sequence number. A query pins the newest version with
 //! one `Arc` clone and runs entirely against that snapshot: a long
 //! SELECT no longer blocks commits, a bulk commit no longer stalls

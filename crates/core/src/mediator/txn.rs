@@ -121,10 +121,9 @@ impl UpdateProfile {
 /// lock: they keep answering from published versions, and observe this
 /// transaction's effects only after [`WriteTxn::commit`] publishes a
 /// new version, so intermediate states are unobservable. Each
-/// [`WriteTxn::update_op`] runs as a savepoint scope: on rejection the
-/// operation's changes are undone at O(rows touched) cost and the
-/// transaction remains usable. Dropping the transaction without
-/// [`WriteTxn::commit`] rolls everything back.
+/// [`WriteTxn::update_op`] is atomic: on rejection the operation's
+/// changes are undone and the transaction remains usable. Dropping the
+/// transaction without [`WriteTxn::commit`] rolls everything back.
 #[derive(Debug)]
 pub struct WriteTxn<'a> {
     core: &'a MediatorCore,
@@ -141,32 +140,21 @@ impl WriteTxn<'_> {
         self.update_op(&op)
     }
 
-    /// Execute a parsed SPARQL/Update operation inside this transaction,
-    /// as a savepoint scope: a rejected operation is fully undone while
-    /// earlier operations — and the transaction — survive. The
-    /// operation translates here, under the write lock.
+    /// Execute a parsed SPARQL/Update operation inside this transaction:
+    /// a rejected operation is fully undone while earlier operations —
+    /// and the transaction — survive. The operation translates here,
+    /// under the write lock. Translation only reads, and execution runs
+    /// in its own write scope (both rounds of a MODIFY in one), so the
+    /// operation needs no scope of its own.
     pub fn update_op(&mut self, op: &UpdateOp) -> OntoResult<UpdateOutcome> {
-        let sp = self.db.savepoint("operation")?;
-        match crate::modify::run_update_op(&mut self.db, &self.core.mapping, op, &mut self.stages) {
-            Ok(outcome) => {
-                self.db.release_savepoint(sp)?;
-                Ok(outcome)
-            }
-            Err(e) => {
-                // ROLLBACK TO keeps the mark (SQL); release it so the
-                // stack does not grow with each rejected operation.
-                self.db.rollback_to_savepoint(sp)?;
-                self.db.release_savepoint(sp)?;
-                Err(e)
-            }
-        }
+        crate::modify::run_update_op(&mut self.db, &self.core.mapping, op, &mut self.stages)
     }
 
     // Execute an operation translated before the lock. Its statements
     // run as they are if its read set still holds against this
     // transaction's view; otherwise — or if the pinned translation
     // failed — the operation translates again here. Executing the
-    // sorted statements opens its own savepoint scope, so a rejected
+    // sorted statements opens its own write scope, so a rejected
     // execution is undone just as in `update_op`.
     fn apply(&mut self, op: &UpdateOp, prepared: Prepared<'_>) -> OntoResult<UpdateOutcome> {
         let Prepared::Data {
@@ -206,8 +194,8 @@ impl WriteTxn<'_> {
     /// Commit: keep every operation's changes, publish them as a new
     /// database version, and release the lock.
     ///
-    /// Publication is the commit's visibility point: an O(tables +
-    /// indexes) persistent-structure clone of the live database is
+    /// Publication is the commit's visibility point: a
+    /// persistent-structure clone of the live database is
     /// pushed onto the version chain (tagged with the WAL commit
     /// sequence on a durable mediator), and the next query to pin a
     /// snapshot sees it. A transaction that changed nothing publishes
@@ -246,7 +234,7 @@ impl WriteTxn<'_> {
             self.db.commit()?;
             return Ok(stages);
         }
-        // Views of the undo log: the encoder reads the rows in place.
+        // Views of the redo log: the encoder reads the rows in place.
         let ops = self.db.txn_ops()?;
         // Stamp the active trace's id into the commit unit so a
         // replica's apply links back to this request.
@@ -421,8 +409,8 @@ impl Mediator {
     /// operations separated by `;` — returning the outcomes and where
     /// the wall time went.
     ///
-    /// Each operation is one atomicity unit (the paper's §5.1), run as a
-    /// savepoint scope; `atomic_script` additionally makes the *whole
+    /// Each operation is one atomicity unit (the paper's §5.1), run in
+    /// its own write scope; `atomic_script` additionally makes the *whole
     /// request* all-or-nothing by running every operation inside one
     /// write transaction — on any failure the transaction rolls back
     /// and the error reports the failing operation's index. Non-atomic
@@ -524,7 +512,7 @@ mod tests {
         let mut txn = m.write();
         txn.update("INSERT DATA { ex:team9 foaf:name \"T9\" . }")
             .unwrap();
-        // Dangling team → rejected, undone via its savepoint.
+        // Dangling team → rejected, undone via its write scope.
         let err = txn
             .update("INSERT DATA { ex:author8 ont:team ex:team424242 . }")
             .unwrap_err();
@@ -535,6 +523,34 @@ mod tests {
         txn.commit().unwrap();
         assert_eq!(m.database().row_count("team").unwrap(), 3);
         assert_eq!(m.database().row_count("author").unwrap(), 3);
+    }
+
+    #[test]
+    fn operation_rejected_after_writing_is_undone_while_the_transaction_survives() {
+        let m = mediator();
+        let before = heap(&m.database());
+        let mut txn = m.write();
+        // The delete round nulls every mbox, then the insert round
+        // dangles: the MODIFY's scope must put the emails back.
+        let err = txn
+            .update(
+                "MODIFY DELETE { ?x foaf:mbox ?m . } \
+                 INSERT { ?x ont:team ex:team987654321 . } \
+                 WHERE { ?x foaf:mbox ?m . }",
+            )
+            .unwrap_err();
+        assert!(matches!(err, OntoError::DanglingObject { .. }), "{err}");
+        assert_eq!(heap(txn.database()), before);
+        txn.update("INSERT DATA { ex:team9 foaf:name \"T9\" . }")
+            .unwrap();
+        txn.commit().unwrap();
+        assert_eq!(m.database().row_count("team").unwrap(), 3);
+        assert_eq!(
+            m.select("SELECT ?x WHERE { ?x foaf:mbox ?m . }")
+                .unwrap()
+                .len(),
+            1
+        );
     }
 
     #[test]

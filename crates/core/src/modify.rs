@@ -57,8 +57,8 @@ pub struct ModifyReport {
 /// pipeline (grouped statements). The whole MODIFY is atomic on the
 /// live database: both DATA rounds run inside one [`WriteScope`] (a
 /// transaction, or a savepoint when the caller already holds one), so a
-/// failure in the insert round also undoes the delete round — at O(rows
-/// touched) rollback cost, never by cloning the database.
+/// failure in the insert round also undoes the delete round by putting
+/// back the scope's snapshot of the persistent tables.
 pub fn execute_modify(
     db: &mut Database,
     mapping: &Mapping,
@@ -224,9 +224,9 @@ pub fn execute_update_op(
 
 // The one INSERT DATA / DELETE DATA / MODIFY dispatch (Algorithm 1 / 2)
 // behind [`execute_update_op`] and `WriteTxn::update_op`, adding the
-// operation's stage times to `stages`. The caller provides atomicity
-// (the transaction's per-op savepoint); `execute_sorted_timed` and
-// `execute_modify` nest their own scopes for per-round rollback.
+// operation's stage times to `stages`. The operation is atomic without
+// a scope of its own: translation only reads, and `execute_sorted_timed`
+// and `execute_modify` each run their writes in one write scope.
 pub(crate) fn run_update_op(
     db: &mut Database,
     mapping: &Mapping,
@@ -252,9 +252,9 @@ pub(crate) fn run_update_op(
             pattern,
         } => {
             // Atomic on the live database: `execute_modify` wraps both
-            // DATA rounds in one savepoint scope (no clone-and-swap).
-            // Translation happens inside per matched binding, so the
-            // whole operation is accounted to the execute stage.
+            // DATA rounds in one write scope. Translation happens inside
+            // per matched binding, so the whole operation is accounted
+            // to the execute stage.
             let span = obs::trace::span("update.execute");
             let report = execute_modify(db, mapping, delete, insert, pattern)?;
             if span.armed() {

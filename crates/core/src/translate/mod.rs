@@ -485,10 +485,10 @@ pub struct ExecutionReport {
 
 /// An atomic write scope over the live database: a top-level
 /// transaction when none is open, a savepoint inside an already-open
-/// one. This is how every unit of the write pipeline (one SPARQL/Update
-/// operation, one MODIFY round, one scripted operation) gets
-/// all-or-nothing semantics without cloning the database — commit cost
-/// is dropping the scope, rollback cost is O(rows touched).
+/// one. This is how every unit of the write pipeline (one executed
+/// statement list, one MODIFY) gets all-or-nothing semantics. Opening
+/// a scope keeps a snapshot of the persistent tables (one `Arc` bump);
+/// commit drops it, rollback puts it back.
 #[derive(Debug)]
 pub enum WriteScope {
     /// The scope opened the transaction and owns its end.
@@ -502,7 +502,7 @@ impl WriteScope {
     /// already open.
     pub fn open(db: &mut Database) -> OntoResult<Self> {
         if db.in_transaction() {
-            Ok(WriteScope::Savepoint(db.savepoint("write_scope")?))
+            Ok(WriteScope::Savepoint(db.savepoint()?))
         } else {
             db.begin()?;
             Ok(WriteScope::Transaction)

@@ -9,7 +9,7 @@
 //! *newest valid snapshot + committed WAL suffix* and a torn tail
 //! truncated. The unit logged is the **logical** row operation stream a
 //! committed `rel` transaction actually applied
-//! ([`rel::Database::txn_ops`], a view of its undo log): inserts carry
+//! ([`rel::Database::txn_ops`], a view of its redo log): inserts carry
 //! their assigned row ids, so replay reproduces the pre-crash heap,
 //! indexes, and row-id allocators byte-identically.
 //!

@@ -15,7 +15,7 @@ use crate::model::{
 };
 use crate::uri_pattern::UriPattern;
 use rdf::Iri;
-use rel::{Schema, SqlType, Table};
+use rel::{Schema, Table};
 use std::collections::BTreeMap;
 
 /// Configuration of the mapping generator.
@@ -271,22 +271,11 @@ fn capitalize(s: &str) -> String {
     }
 }
 
-/// Column type hint for an attribute — generation helpers exposed for
-/// validation and tests.
-pub fn expected_value_kind(ty: SqlType) -> &'static str {
-    match ty {
-        SqlType::Integer => "integer",
-        SqlType::Varchar => "string",
-        SqlType::Boolean => "boolean",
-        SqlType::Double => "double",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rdf::namespace::{dc, foaf};
-    use rel::{Column, Value};
+    use rel::{Column, SqlType, Value};
 
     fn schema() -> Schema {
         let mut schema = Schema::new();

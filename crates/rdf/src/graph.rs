@@ -154,13 +154,6 @@ impl Graph {
             .collect()
     }
 
-    /// Insert every triple of `other` into `self`.
-    pub fn extend_from(&mut self, other: &Graph) {
-        for t in other.iter() {
-            self.insert(t);
-        }
-    }
-
     /// Remove all triples.
     pub fn clear(&mut self) {
         self.spo.clear();

@@ -87,11 +87,6 @@ impl Term {
         !matches!(self, Term::Literal(_))
     }
 
-    /// Whether this term is an IRI.
-    pub fn is_iri(&self) -> bool {
-        matches!(self, Term::Iri(_))
-    }
-
     /// Whether this term is a literal.
     pub fn is_literal(&self) -> bool {
         matches!(self, Term::Literal(_))

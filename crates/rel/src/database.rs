@@ -88,11 +88,11 @@ pub enum ProbeIds<'a> {
     Many(&'a [RowId]),
 }
 
-/// Transaction-log entry: enough to undo the operation (rollback) *and*
-/// to redo it (the commit-time [`LogicalOp`] stream durability appends
-/// to its write-ahead log).
+/// Redo-log entry: one row operation the open transaction applied, kept
+/// for the commit-time [`LogicalOp`] stream durability appends to its
+/// write-ahead log. Rollback never reads it: it restores a snapshot.
 #[derive(Debug, Clone)]
-enum UndoOp {
+enum RedoOp {
     Insert {
         table: String,
         row_id: RowId,
@@ -101,33 +101,49 @@ enum UndoOp {
     Update {
         table: String,
         row_id: RowId,
-        old: Vec<Value>,
-        new: Vec<Value>,
+        row: Vec<Value>,
     },
     Delete {
         table: String,
         row_id: RowId,
-        old: Vec<Value>,
     },
 }
 
-impl UndoOp {
-    // The redo view of this log entry, borrowed from it.
-    fn redo(&self) -> LogicalOp<'_> {
+impl RedoOp {
+    // The owned entry of an applied operation.
+    fn of(op: LogicalOp<'_>) -> Self {
+        match op {
+            LogicalOp::Insert { table, row_id, row } => RedoOp::Insert {
+                table: table.to_owned(),
+                row_id,
+                row: row.to_vec(),
+            },
+            LogicalOp::Update { table, row_id, row } => RedoOp::Update {
+                table: table.to_owned(),
+                row_id,
+                row: row.to_vec(),
+            },
+            LogicalOp::Delete { table, row_id } => RedoOp::Delete {
+                table: table.to_owned(),
+                row_id,
+            },
+        }
+    }
+
+    // The view of this log entry, borrowed from it.
+    fn view(&self) -> LogicalOp<'_> {
         match self {
-            UndoOp::Insert { table, row_id, row } => LogicalOp::Insert {
+            RedoOp::Insert { table, row_id, row } => LogicalOp::Insert {
                 table,
                 row_id: *row_id,
                 row,
             },
-            UndoOp::Update {
-                table, row_id, new, ..
-            } => LogicalOp::Update {
+            RedoOp::Update { table, row_id, row } => LogicalOp::Update {
                 table,
                 row_id: *row_id,
-                row: new,
+                row,
             },
-            UndoOp::Delete { table, row_id, .. } => LogicalOp::Delete {
+            RedoOp::Delete { table, row_id } => LogicalOp::Delete {
                 table,
                 row_id: *row_id,
             },
@@ -142,7 +158,7 @@ impl UndoOp {
 /// stream with [`Database::apply_logical`] against the pre-transaction
 /// state reproduces the post-commit heap and indexes byte-identically
 /// (row ids included). It is a view: [`Database::txn_ops`] borrows it
-/// from the transaction's undo log, a decoded WAL unit from its own
+/// from the transaction's redo log, a decoded WAL unit from its own
 /// rows, so the stream is never copied into a second owned shape.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LogicalOp<'a> {
@@ -179,21 +195,32 @@ pub enum LogicalOp<'a> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SavepointId(u64);
 
-// One undo mark on the savepoint stack.
+// Every table's storage, by name, behind one `Arc`: a snapshot — a
+// published version, a transaction's or a savepoint's rollback point —
+// is one reference-count bump, and the first write after it copies the
+// map, which is O(tables + indexes) `Arc` bumps (see
+// [`crate::storage`]).
+type Tables = Arc<BTreeMap<String, TableData>>;
+
+// One mark on the savepoint stack.
 #[derive(Debug, Clone)]
 struct SavepointMark {
     seq: u64,
-    name: String,
-    // Undo-log length when the mark was set: rolling back to the mark
-    // undoes every log entry at or beyond this position.
+    // The tables when the mark was set: rolling back to the mark puts
+    // them back.
+    tables: Tables,
+    // Redo-log length when the mark was set: rolling back to the mark
+    // drops every log entry at or beyond this position.
     log_at: usize,
 }
 
-/// An open transaction: the undo log plus the stack of savepoint marks
-/// into it.
-#[derive(Debug, Clone, Default)]
+/// An open transaction: the tables as they stood at `begin`, the redo
+/// log of the row operations applied since, and the stack of savepoint
+/// marks into both.
+#[derive(Debug, Clone)]
 struct TxnState {
-    log: Vec<UndoOp>,
+    tables: Tables,
+    log: Vec<RedoOp>,
     savepoints: Vec<SavepointMark>,
 }
 
@@ -209,9 +236,9 @@ struct TxnState {
 pub struct Database {
     // Arc-shared: the schema is immutable after validation, and sharing
     // it keeps `Database::clone` — the per-commit version publish — at
-    // O(tables + indexes) Arc bumps instead of a deep schema copy.
+    // two reference-count bumps instead of a deep schema copy.
     schema: Arc<Schema>,
-    data: BTreeMap<String, TableData>,
+    data: Tables,
     txn: Option<TxnState>,
     // Monotonic over the database's lifetime (never reset by begin):
     // a stale SavepointId from an earlier transaction can therefore
@@ -230,7 +257,7 @@ impl Database {
             .collect();
         Ok(Database {
             schema: Arc::new(schema),
-            data,
+            data: Arc::new(data),
             txn: None,
             savepoint_seq: 0,
         })
@@ -266,8 +293,10 @@ impl Database {
     }
 
     /// Build (idempotently) a secondary hash index on `table.column`.
-    /// The index is maintained through inserts, updates, deletes, and
-    /// transaction rollback from then on. A no-op for DOUBLE columns:
+    /// The index is maintained through inserts, updates and deletes
+    /// from then on, and is not transactional: a rollback keeps it even
+    /// when it was built inside the rolled-back scope. A no-op for
+    /// DOUBLE columns:
     /// [`Database::index_probe`] can never consult such an index (index
     /// keys cannot express SQL equality for them), so building one
     /// would cost maintenance forever without ever being read.
@@ -281,10 +310,7 @@ impl Database {
         if col.ty == SqlType::Double {
             return Ok(());
         }
-        self.data
-            .get_mut(table)
-            .expect("schema table has storage")
-            .create_index(t, column);
+        self.table_mut(table).create_index(t, column);
         Ok(())
     }
 
@@ -395,14 +421,19 @@ impl Database {
     // Transactions
     // ------------------------------------------------------------------
 
-    /// Begin a transaction. Errors if one is already open.
+    /// Begin a transaction, keeping a snapshot of the tables for
+    /// [`Database::rollback`]. Errors if one is already open.
     pub fn begin(&mut self) -> RelResult<()> {
         if self.txn.is_some() {
             return Err(RelError::Transaction {
                 message: "transaction already open".into(),
             });
         }
-        self.txn = Some(TxnState::default());
+        self.txn = Some(TxnState {
+            tables: Arc::clone(&self.data),
+            log: Vec::new(),
+            savepoints: Vec::new(),
+        });
         Ok(())
     }
 
@@ -415,7 +446,7 @@ impl Database {
     }
 
     /// The logical row operations the open transaction has applied so
-    /// far, in application order, borrowed from its undo log. Work
+    /// far, in application order, borrowed from its redo log. Work
     /// undone by a savepoint rollback is excluded — at commit, the
     /// stream is exactly what a durability layer must replay. A
     /// durability layer appends these to its log *before* committing,
@@ -424,11 +455,11 @@ impl Database {
         let state = self.txn.as_ref().ok_or(RelError::Transaction {
             message: "no open transaction".into(),
         })?;
-        Ok(state.log.iter().map(UndoOp::redo).collect())
+        Ok(state.log.iter().map(RedoOp::view).collect())
     }
 
     /// Whether the open transaction has applied any row operations that
-    /// survive to commit (inspects the undo log's length). Errors if no
+    /// survive to commit (inspects the redo log's length). Errors if no
     /// transaction is open.
     pub fn txn_has_changes(&self) -> RelResult<bool> {
         let state = self.txn.as_ref().ok_or(RelError::Transaction {
@@ -437,21 +468,22 @@ impl Database {
         Ok(!state.log.is_empty())
     }
 
-    /// Roll back the open transaction, restoring every modified row.
+    /// Roll back the open transaction: the tables become the snapshot
+    /// taken at [`Database::begin`] — heap, indexes and row-id
+    /// allocators.
     pub fn rollback(&mut self) -> RelResult<()> {
         let state = self.txn.take().ok_or(RelError::Transaction {
             message: "no open transaction".into(),
         })?;
-        self.undo(state.log);
+        self.restore(state.tables);
         Ok(())
     }
 
-    /// Set a named savepoint in the open transaction, returning a handle
-    /// for [`Database::rollback_to_savepoint`] /
-    /// [`Database::release_savepoint`]. Savepoints stack: the same name
-    /// may be set repeatedly, and name-based lookups resolve the most
-    /// recent mark (SQL semantics).
-    pub fn savepoint(&mut self, name: impl Into<String>) -> RelResult<SavepointId> {
+    /// Set a savepoint in the open transaction, keeping a snapshot of
+    /// the tables, and return a handle for
+    /// [`Database::rollback_to_savepoint`] /
+    /// [`Database::release_savepoint`]. Savepoints stack.
+    pub fn savepoint(&mut self) -> RelResult<SavepointId> {
         let seq = self.savepoint_seq;
         let state = self.txn.as_mut().ok_or(RelError::Transaction {
             message: "no open transaction".into(),
@@ -459,7 +491,7 @@ impl Database {
         self.savepoint_seq += 1;
         state.savepoints.push(SavepointMark {
             seq,
-            name: name.into(),
+            tables: Arc::clone(&self.data),
             log_at: state.log.len(),
         });
         Ok(SavepointId(seq))
@@ -475,16 +507,18 @@ impl Database {
             })
     }
 
-    /// Undo every change made since `sp` was set, keeping the
-    /// transaction — and the savepoint itself — open (SQL `ROLLBACK TO
-    /// SAVEPOINT`). Savepoints set after `sp` are discarded.
+    /// Undo every change made since `sp` was set by restoring its
+    /// snapshot, keeping the transaction — and the savepoint itself —
+    /// open (SQL `ROLLBACK TO SAVEPOINT`). Savepoints set after `sp`
+    /// are discarded.
     pub fn rollback_to_savepoint(&mut self, sp: SavepointId) -> RelResult<()> {
         let position = self.savepoint_position(sp)?;
         let state = self.txn.as_mut().expect("position implies open txn");
         state.savepoints.truncate(position + 1);
-        let log_at = state.savepoints[position].log_at;
-        let undone = state.log.split_off(log_at);
-        self.undo(undone);
+        let mark = &state.savepoints[position];
+        state.log.truncate(mark.log_at);
+        let tables = Arc::clone(&mark.tables);
+        self.restore(tables);
         Ok(())
     }
 
@@ -498,35 +532,6 @@ impl Database {
         Ok(())
     }
 
-    /// Roll back to the most recent savepoint with `name` (SQL name
-    /// resolution over the stacked marks).
-    pub fn rollback_to_savepoint_named(&mut self, name: &str) -> RelResult<()> {
-        let sp = self.find_savepoint(name)?;
-        self.rollback_to_savepoint(sp)
-    }
-
-    /// Release the most recent savepoint with `name`.
-    pub fn release_savepoint_named(&mut self, name: &str) -> RelResult<()> {
-        let sp = self.find_savepoint(name)?;
-        self.release_savepoint(sp)
-    }
-
-    fn find_savepoint(&self, name: &str) -> RelResult<SavepointId> {
-        self.txn
-            .as_ref()
-            .and_then(|state| {
-                state
-                    .savepoints
-                    .iter()
-                    .rev()
-                    .find(|m| m.name == name)
-                    .map(|m| SavepointId(m.seq))
-            })
-            .ok_or_else(|| RelError::Transaction {
-                message: format!("no savepoint named {name:?}"),
-            })
-    }
-
     /// Whether a transaction is open.
     pub fn in_transaction(&self) -> bool {
         self.txn.is_some()
@@ -538,41 +543,27 @@ impl Database {
         self.txn.as_ref().map_or(0, |state| state.savepoints.len())
     }
 
-    // Apply undo entries newest-first, restoring rows and their index
-    // entries (shared by full rollback and partial savepoint rollback).
-    fn undo(&mut self, log: Vec<UndoOp>) {
+    // Put a snapshot of the tables back. Index creation is not
+    // transactional, so every secondary index built since the snapshot
+    // was taken is built again over the restored rows.
+    fn restore(&mut self, snapshot: Tables) {
+        let newer = std::mem::replace(&mut self.data, snapshot);
         let schema = self.shared_schema();
-        for op in log.into_iter().rev() {
-            match op {
-                UndoOp::Insert { table, row_id, .. } => {
-                    let t = schema.table(&table).expect("logged table exists");
-                    let data = self.data.get_mut(&table).expect("logged table exists");
-                    data.delete_unchecked(t, row_id);
-                    // Newest-first unwinding ends with the allocator
-                    // back at its pre-transaction position.
-                    data.unallocate_row_id(row_id);
-                }
-                UndoOp::Update {
-                    table, row_id, old, ..
-                } => {
-                    let t = schema.table(&table).expect("logged table exists");
-                    self.data
-                        .get_mut(&table)
-                        .expect("logged table exists")
-                        .update_unchecked(t, row_id, old);
-                }
-                UndoOp::Delete { table, row_id, old } => {
-                    let t = schema.table(&table).expect("logged table exists");
-                    self.data
-                        .get_mut(&table)
-                        .expect("logged table exists")
-                        .restore_unchecked(t, row_id, old);
-                }
-            }
+        for (name, newer) in newer.iter() {
+            let table = schema.table(name).expect("storage follows the schema");
+            self.table_mut(name).create_indexes_of(table, newer);
         }
     }
 
-    fn log(&mut self, op: UndoOp) {
+    // The storage of `table` for writing. The first write after a
+    // snapshot copies the table map (see `Tables`).
+    fn table_mut(&mut self, table: &str) -> &mut TableData {
+        Arc::make_mut(&mut self.data)
+            .get_mut(table)
+            .expect("schema table has storage")
+    }
+
+    fn log(&mut self, op: RedoOp) {
         if let Some(state) = &mut self.txn {
             state.log.push(op);
         }
@@ -604,8 +595,7 @@ impl Database {
             | LogicalOp::Delete { table, row_id } => (table, row_id),
         };
         let t = schema.table(table)?;
-        let logged = self.txn.is_some();
-        let data = self.data.get_mut(table).expect("schema table has storage");
+        let data = self.table_mut(table);
         let replay_error = |message: String| RelError::Execution {
             message: format!("replayed {message} in {table}"),
         };
@@ -618,42 +608,24 @@ impl Database {
                 )));
             }
         }
-        let undo = match op {
+        match op {
             LogicalOp::Insert { row, .. } => {
                 if data.row(row_id).is_some() {
                     return Err(replay_error(format!("insert at occupied row {row_id}")));
                 }
                 data.insert_at_unchecked(t, row_id, row.to_vec());
-                logged.then(|| UndoOp::Insert {
-                    table: table.to_owned(),
-                    row_id,
-                    row: row.to_vec(),
-                })
             }
             LogicalOp::Update { row, .. } => {
-                let old = data
-                    .update_unchecked(t, row_id, row.to_vec())
+                data.update_unchecked(t, row_id, row.to_vec())
                     .ok_or_else(|| replay_error(format!("update of missing row {row_id}")))?;
-                logged.then(|| UndoOp::Update {
-                    table: table.to_owned(),
-                    row_id,
-                    old,
-                    new: row.to_vec(),
-                })
             }
             LogicalOp::Delete { .. } => {
-                let old = data
-                    .delete_unchecked(t, row_id)
+                data.delete_unchecked(t, row_id)
                     .ok_or_else(|| replay_error(format!("delete of missing row {row_id}")))?;
-                logged.then(|| UndoOp::Delete {
-                    table: table.to_owned(),
-                    row_id,
-                    old,
-                })
             }
-        };
-        if let Some(undo) = undo {
-            self.log(undo);
+        }
+        if self.txn.is_some() {
+            self.log(RedoOp::of(op));
         }
         Ok(())
     }
@@ -670,10 +642,7 @@ impl Database {
     /// lowers the allocator below what stored rows require.
     pub fn set_next_row_id(&mut self, table: &str, next: RowId) -> RelResult<()> {
         self.schema.table(table)?;
-        self.data
-            .get_mut(table)
-            .expect("schema table has storage")
-            .set_next_row_id(next);
+        self.table_mut(table).set_next_row_id(next);
         Ok(())
     }
 
@@ -800,13 +769,9 @@ impl Database {
         // The redo log needs the inserted values; clone only when a
         // transaction is actually logging.
         let logged = self.txn.is_some().then(|| row.clone());
-        let row_id = self
-            .data
-            .get_mut(&t.name)
-            .expect("schema table has storage")
-            .insert_unchecked(t, row);
+        let row_id = self.table_mut(&t.name).insert_unchecked(t, row);
         if let Some(row) = logged {
-            self.log(UndoOp::Insert {
+            self.log(RedoOp::Insert {
                 table: t.name.clone(),
                 row_id,
                 row,
@@ -860,8 +825,7 @@ impl Database {
             .row(row_id)
             .ok_or_else(|| RelError::Execution {
                 message: format!("no row {row_id} in {}", t.name),
-            })?
-            .clone();
+            })?;
         let mut new_row = old.clone();
         for (name, value) in assignments {
             let i = t.column_index(name).ok_or_else(|| RelError::NoSuchColumn {
@@ -870,7 +834,7 @@ impl Database {
             })?;
             new_row[i] = *value;
         }
-        if new_row == old {
+        if &new_row == old {
             return Ok(());
         }
         // Re-check only what the update can invalidate: columns whose
@@ -883,18 +847,14 @@ impl Database {
             .collect();
         self.check_row_constraints_changed(t, &new_row, Some(row_id), &changed)?;
         // If a key other rows reference changes, enforce RESTRICT.
-        self.check_restrict_on_key_change(t, &old, &new_row)?;
+        self.check_restrict_on_key_change(t, old, &new_row)?;
         let logged = self.txn.is_some().then(|| new_row.clone());
-        self.data
-            .get_mut(&t.name)
-            .expect("schema table has storage")
-            .update_unchecked(t, row_id, new_row);
-        if let Some(new) = logged {
-            self.log(UndoOp::Update {
+        self.table_mut(&t.name).update_unchecked(t, row_id, new_row);
+        if let Some(row) = logged {
+            self.log(RedoOp::Update {
                 table: t.name.clone(),
                 row_id,
-                old,
-                new,
+                row,
             });
         }
         Ok(())
@@ -929,16 +889,12 @@ impl Database {
                 message: format!("no row {row_id} in {}", t.name),
             })?;
         self.check_restrict(t, row)?;
-        let old = self
-            .data
-            .get_mut(&t.name)
-            .expect("schema table has storage")
+        self.table_mut(&t.name)
             .delete_unchecked(t, row_id)
             .expect("row read above");
-        self.log(UndoOp::Delete {
+        self.log(RedoOp::Delete {
             table: t.name.clone(),
             row_id,
-            old,
         });
         Ok(())
     }
@@ -1601,7 +1557,7 @@ mod tests {
         d.insert("team", &[a("id", Value::Int(1))]).unwrap();
         d.begin().unwrap();
         d.insert("team", &[a("id", Value::Int(2))]).unwrap();
-        let sp = d.savepoint("op").unwrap();
+        let sp = d.savepoint().unwrap();
         d.insert("team", &[a("id", Value::Int(3))]).unwrap();
         let rid = d.find_by_pk("team", &[Value::Int(1)]).unwrap().unwrap();
         d.update_row("team", rid, &[a("name", Value::text("X"))])
@@ -1623,32 +1579,32 @@ mod tests {
     fn release_keeps_changes_for_enclosing_scope() {
         let mut d = db();
         d.begin().unwrap();
-        let sp = d.savepoint("op").unwrap();
+        let sp = d.savepoint().unwrap();
         d.insert("team", &[a("id", Value::Int(1))]).unwrap();
         d.release_savepoint(sp).unwrap();
         assert_eq!(d.savepoint_depth(), 0);
-        // Released work still belongs to the transaction's undo log.
+        // Released work still belongs to the transaction.
         d.rollback().unwrap();
         assert_eq!(d.row_count("team").unwrap(), 0);
     }
 
     #[test]
-    fn savepoints_stack_and_resolve_names_innermost_first() {
+    fn savepoints_stack_innermost_first() {
         let mut d = db();
         d.begin().unwrap();
-        let outer = d.savepoint("sp").unwrap();
+        let outer = d.savepoint().unwrap();
         d.insert("team", &[a("id", Value::Int(1))]).unwrap();
-        d.savepoint("sp").unwrap();
+        let inner = d.savepoint().unwrap();
         d.insert("team", &[a("id", Value::Int(2))]).unwrap();
         assert_eq!(d.savepoint_depth(), 2);
-        // Name lookup hits the most recent "sp": only id 2 is undone.
-        d.rollback_to_savepoint_named("sp").unwrap();
+        // The inner mark undoes only id 2.
+        d.rollback_to_savepoint(inner).unwrap();
         assert_eq!(d.row_count("team").unwrap(), 1);
         // Rolling back to the outer mark discards the inner one.
         d.rollback_to_savepoint(outer).unwrap();
         assert_eq!(d.row_count("team").unwrap(), 0);
         assert_eq!(d.savepoint_depth(), 1);
-        d.release_savepoint_named("sp").unwrap();
+        d.release_savepoint(outer).unwrap();
         assert_eq!(d.savepoint_depth(), 0);
         d.commit().unwrap();
     }
@@ -1657,9 +1613,9 @@ mod tests {
     fn rollback_to_discards_later_savepoints() {
         let mut d = db();
         d.begin().unwrap();
-        let outer = d.savepoint("outer").unwrap();
+        let outer = d.savepoint().unwrap();
         d.insert("team", &[a("id", Value::Int(1))]).unwrap();
-        let inner = d.savepoint("inner").unwrap();
+        let inner = d.savepoint().unwrap();
         d.insert("team", &[a("id", Value::Int(2))]).unwrap();
         d.rollback_to_savepoint(outer).unwrap();
         // The inner handle died with the rollback.
@@ -1678,12 +1634,9 @@ mod tests {
     #[test]
     fn savepoint_requires_open_transaction() {
         let mut d = db();
-        assert!(matches!(
-            d.savepoint("sp"),
-            Err(RelError::Transaction { .. })
-        ));
+        assert!(matches!(d.savepoint(), Err(RelError::Transaction { .. })));
         d.begin().unwrap();
-        let sp = d.savepoint("sp").unwrap();
+        let sp = d.savepoint().unwrap();
         d.commit().unwrap();
         // Handles die with the transaction.
         assert!(matches!(
@@ -1700,10 +1653,10 @@ mod tests {
         // later transaction that happens to occupy the same stack slot.
         let mut d = db();
         d.begin().unwrap();
-        let stale = d.savepoint("a").unwrap();
+        let stale = d.savepoint().unwrap();
         d.commit().unwrap();
         d.begin().unwrap();
-        let fresh = d.savepoint("b").unwrap();
+        let fresh = d.savepoint().unwrap();
         d.insert("team", &[a("id", Value::Int(1))]).unwrap();
         assert_ne!(stale, fresh);
         assert!(matches!(
@@ -1720,7 +1673,7 @@ mod tests {
         let mut d = db();
         d.insert("team", &[a("id", Value::Int(5))]).unwrap();
         d.begin().unwrap();
-        let sp = d.savepoint("op").unwrap();
+        let sp = d.savepoint().unwrap();
         d.insert(
             "author",
             &[
@@ -1744,6 +1697,64 @@ mod tests {
         .unwrap();
         d.commit().unwrap();
         assert_eq!(d.row_count("author").unwrap(), 1);
+    }
+
+    // Probe answers on `author.lastname` agree with a scan.
+    fn assert_lastname_probes_match_scan(d: &Database) {
+        assert!(d.supports_index_probe("author", "lastname").unwrap());
+        for name in ["x", "y", "z"] {
+            let scanned: Vec<RowId> = d
+                .scan("author")
+                .unwrap()
+                .filter(|(_, row)| row[1] == Value::text(name))
+                .map(|(id, _)| id)
+                .collect();
+            assert_eq!(
+                d.index_probe("author", "lastname", &Value::text(name))
+                    .unwrap(),
+                Some(scanned),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn index_created_inside_a_scope_survives_its_rollback() {
+        for partial in [false, true] {
+            let mut d = db();
+            let rid = d
+                .insert(
+                    "author",
+                    &[a("id", Value::Int(1)), a("lastname", Value::text("x"))],
+                )
+                .unwrap();
+            d.begin().unwrap();
+            let sp = partial.then(|| d.savepoint().unwrap());
+            d.create_index("author", "lastname").unwrap();
+            d.insert(
+                "author",
+                &[a("id", Value::Int(2)), a("lastname", Value::text("y"))],
+            )
+            .unwrap();
+            d.update_row("author", rid, &[a("lastname", Value::text("z"))])
+                .unwrap();
+            match sp {
+                Some(sp) => d.rollback_to_savepoint(sp).unwrap(),
+                None => d.rollback().unwrap(),
+            }
+            assert_lastname_probes_match_scan(&d);
+            // The surviving index keeps being maintained.
+            d.insert(
+                "author",
+                &[a("id", Value::Int(3)), a("lastname", Value::text("y"))],
+            )
+            .unwrap();
+            assert_lastname_probes_match_scan(&d);
+            if partial {
+                d.commit().unwrap();
+                assert_lastname_probes_match_scan(&d);
+            }
+        }
     }
 
     #[test]
@@ -1792,7 +1803,7 @@ mod tests {
         let mut d = db();
         d.begin().unwrap();
         d.insert("team", &[a("id", Value::Int(1))]).unwrap();
-        let sp = d.savepoint("op").unwrap();
+        let sp = d.savepoint().unwrap();
         d.insert("team", &[a("id", Value::Int(2))]).unwrap();
         d.rollback_to_savepoint(sp).unwrap();
         d.insert("team", &[a("id", Value::Int(3))]).unwrap();
@@ -1930,7 +1941,7 @@ mod tests {
         d.begin().unwrap();
         d.insert("team", &[a("id", Value::Int(4))]).unwrap();
         let before = d.next_row_id("team").unwrap();
-        let sp = d.savepoint("op").unwrap();
+        let sp = d.savepoint().unwrap();
         d.insert("team", &[a("id", Value::Int(5))]).unwrap();
         d.rollback_to_savepoint(sp).unwrap();
         assert_eq!(d.next_row_id("team").unwrap(), before);

@@ -4,7 +4,7 @@
 //!
 //! Interning turns the hot paths that used to hash, compare, and clone
 //! heap `String`s — equality residuals, hash-join keys, secondary-index
-//! probes, undo/redo logging — into integer operations: two `Sym`s are
+//! probes, redo logging — into integer operations: two `Sym`s are
 //! equal iff their strings are equal, so `Value::Text` equality and
 //! hashing never touch string bytes, and building an index key out of a
 //! text value is a 4-byte copy instead of an allocation.

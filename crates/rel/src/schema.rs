@@ -237,11 +237,6 @@ impl Schema {
         })
     }
 
-    /// Whether a table exists.
-    pub fn has_table(&self, name: &str) -> bool {
-        self.tables.contains_key(name)
-    }
-
     /// Iterate tables in name order.
     pub fn tables(&self) -> impl Iterator<Item = &Table> {
         self.tables.values()

@@ -6,6 +6,8 @@
 //! database version per commit affordable (see [`crate::pmap`]). The
 //! writer mutates its own copy in place; shared nodes are path-copied
 //! on first touch, so published snapshots never observe a mutation.
+//! The same clone is a transaction's rollback point: `Database::begin`
+//! and every savepoint keep one, and rollback puts it back.
 
 use crate::database::ProbeIds;
 use crate::pmap::PMap;
@@ -196,14 +198,6 @@ impl TableData {
         row_id
     }
 
-    /// Re-insert a row under its original id (transaction rollback of a
-    /// delete). Does not advance the row-id allocator: the id was
-    /// allocated by the insert being undone around.
-    pub fn restore_unchecked(&mut self, table: &Table, row_id: RowId, row: Vec<Value>) {
-        self.index_row(table, row_id, &row);
-        self.rows.insert(row_id, row);
-    }
-
     /// Store a row under an explicitly recorded id, advancing the
     /// allocator past it (durability replay of a logged insert: the id
     /// must match the original run so recovered state is byte-identical
@@ -219,16 +213,6 @@ impl TableData {
         self.next_row_id
     }
 
-    /// Unwind the allocation of `row_id` (transaction rollback of an
-    /// insert). Rollback processes its log newest-first, so the last
-    /// unwound insert leaves the allocator exactly where the
-    /// transaction found it — ids are not burned by rolled-back work,
-    /// which keeps the live allocator byte-identical to what crash
-    /// recovery (snapshot + committed-WAL replay) reproduces.
-    pub fn unallocate_row_id(&mut self, row_id: RowId) {
-        self.next_row_id = self.next_row_id.min(row_id);
-    }
-
     /// Force the row-id allocator (snapshot restore). Clamped so it
     /// never re-issues an id a stored row already holds.
     pub fn set_next_row_id(&mut self, next: RowId) {
@@ -237,6 +221,14 @@ impl TableData {
             .last_key_value()
             .map_or(0, |(max_id, _)| max_id + 1);
         self.next_row_id = next.max(floor);
+    }
+
+    /// Build each secondary index `newer` has and this storage lacks
+    /// (rollback to an older snapshot keeps indexes built since).
+    pub(crate) fn create_indexes_of(&mut self, table: &Table, newer: &TableData) {
+        for column in newer.secondary_indexes.keys() {
+            self.create_index(table, column);
+        }
     }
 
     /// Columns carrying a secondary index, sorted (snapshot state).
@@ -303,8 +295,8 @@ impl TableData {
                 let key = row[i].index_key();
                 match index.get_mut(&key) {
                     Some(ids) => {
-                        // Restores after rollback can re-add a low id
-                        // after higher ones; keep ascending order.
+                        // An update can move a low id under a key
+                        // holding higher ones; keep ascending order.
                         let ids = Arc::make_mut(ids);
                         let pos = ids.partition_point(|&id| id < row_id);
                         ids.insert(pos, row_id);
@@ -424,16 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn restore_reuses_row_id() {
-        let t = table();
-        let mut data = TableData::for_table(&t);
-        let id = data.insert_unchecked(&t, vec![Value::Int(1), Value::text("A")]);
-        let row = data.delete_unchecked(&t, id).unwrap();
-        data.restore_unchecked(&t, id, row);
-        assert_eq!(data.find_by_pk(&[Value::Int(1).index_key()]), Some(id));
-    }
-
-    #[test]
     fn secondary_index_tracks_mutations() {
         let t = table();
         let mut data = TableData::for_table(&t);
@@ -484,14 +466,14 @@ mod tests {
     }
 
     #[test]
-    fn restore_keeps_secondary_index_sorted() {
+    fn update_keeps_secondary_index_sorted() {
         let t = table();
         let mut data = TableData::for_table(&t);
         data.create_index(&t, "code");
-        let r1 = data.insert_unchecked(&t, vec![Value::Int(1), Value::text("A")]);
+        let r1 = data.insert_unchecked(&t, vec![Value::Int(1), Value::text("B")]);
         let r2 = data.insert_unchecked(&t, vec![Value::Int(2), Value::text("A")]);
-        let row = data.delete_unchecked(&t, r1).unwrap();
-        data.restore_unchecked(&t, r1, row);
+        data.update_unchecked(&t, r1, vec![Value::Int(1), Value::text("A")])
+            .unwrap();
         assert_eq!(
             data.lookup_by_index("code", &Value::text("A").index_key()),
             Some(&[r1, r2][..])

@@ -49,11 +49,6 @@ impl TermPattern {
             TermPattern::Variable(_) => None,
         }
     }
-
-    /// Whether this position is ground (not a variable).
-    pub fn is_ground(&self) -> bool {
-        matches!(self, TermPattern::Term(_))
-    }
 }
 
 impl fmt::Display for TermPattern {

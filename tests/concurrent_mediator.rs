@@ -290,6 +290,35 @@ proptest! {
     }
 }
 
+/// A rejected atomic script whose first operation executed leaves the
+/// heap of a mediator that never saw it. The first operation is a
+/// MODIFY joining on a column no index covered, so the transaction also
+/// provisioned an index on the live database: it survives the rollback
+/// and answers like a scan.
+#[test]
+fn rejected_atomic_script_leaves_the_heap_of_a_mediator_that_never_saw_it() {
+    let initial = fixtures::data::populated_database(6, 3);
+    let untouched = Mediator::new(initial.clone(), fixtures::mapping()).unwrap();
+    let mediator = Mediator::new(initial, fixtures::mapping()).unwrap();
+    assert!(!mediator
+        .database()
+        .supports_index_probe("author", "lastname")
+        .unwrap());
+    let script = fixtures::workload::with_prefixes(
+        "MODIFY DELETE { } INSERT { ?a foaf:title \"Dr\" . } \
+         WHERE { ?a foaf:family_name ?n . ?b foaf:family_name ?n . } ;\n\
+         INSERT DATA { ex:author900001 ont:team ex:team987654321 . }",
+    );
+    let err = mediator.execute_script(&script, true).unwrap_err();
+    assert_eq!(err.operation_index, 1);
+    assert_eq!(err.completed.len(), 1);
+    assert!(err.completed[0].rows_affected > 0, "the MODIFY wrote rows");
+    let live = mediator.database_mut_for_tests().clone();
+    assert_heaps_identical(&live, &untouched.database(), "rejected atomic script");
+    assert!(live.supports_index_probe("author", "lastname").unwrap());
+    assert_indexes_consistent(&live, "rejected atomic script");
+}
+
 // ----------------------------------------------------------------------
 // Writers racing over shared subjects ≡ some serial order
 // ----------------------------------------------------------------------

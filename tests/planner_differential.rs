@@ -4,7 +4,7 @@
 //! the naive clone-everything nested-loop reference executor
 //! ([`rel::sql::execute_select_reference`]) — including while a
 //! transaction is open and after it rolls back (index state must track
-//! the undo log exactly). Row order is the plan's, so it is compared
+//! the restored snapshot exactly). Row order is the plan's, so it is compared
 //! only where one database state is queried twice. A last test pins the
 //! plans of the benchmark's and the workload's queries across dataset
 //! sizes.
