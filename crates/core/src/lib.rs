@@ -73,9 +73,9 @@ pub use error::{OntoError, OntoResult};
 pub use feedback::Feedback;
 pub use materialize::materialize;
 pub use mediator::{
-    CacheProbe, ConcurrencyStats, DatabaseReadGuard, DatabaseVersion, DatabaseWriteGuard, Mediator,
-    QueryCacheStats, QueryExplain, QueryProfile, QueryRun, QueryStop, ReadSession, ScriptError,
-    UpdateOutcome, UpdateProfile, WriteTxn,
+    CacheProbe, ConcurrencyStats, DatabaseReadGuard, DatabaseVersion, Mediator, QueryCacheStats,
+    QueryExplain, QueryProfile, QueryRun, QueryStop, ReadSession, ScriptError, UpdateOutcome,
+    UpdateProfile, WriteTxn,
 };
 pub use modify::{
     execute_modify, execute_modify_reference, execute_update_op, execute_update_op_reference,

@@ -332,7 +332,7 @@ mod tests {
                 .collect()
         };
         let (before, free, mut row) = {
-            let live = replica.database_mut_for_tests();
+            let live = replica.core.lock_live();
             let row = live.row("team", 0).unwrap().unwrap().clone();
             (heap(&live), live.next_row_id("team").unwrap(), row)
         };
@@ -359,7 +359,7 @@ mod tests {
         let units = dur::wal::scan_records(&bytes, &mut dur::codec::DictTable::new()).units;
         assert_eq!(units.len(), 1);
         assert!(replica.apply_replicated(&units[0]).is_err());
-        assert_eq!(heap(&replica.database_mut_for_tests()), before);
+        assert_eq!(heap(&replica.core.lock_live()), before);
     }
 
     #[test]

@@ -20,37 +20,36 @@
 //!   translation read (see `txn`).
 //!
 //! **MVCC snapshot reads.** Reads never take the writer's lock.
-//! Committed state lives in an immutable *version chain*: every commit
+//! Committed state is one immutable *current version*: every commit
 //! that changed anything publishes an [`Arc`]-shared
 //! [`DatabaseVersion`] — a persistent-structure clone of the live
-//! database (see [`rel::pmap`]), tagged with the
-//! commit's WAL sequence number. A query pins the newest version with
-//! one `Arc` clone and runs entirely against that snapshot: a long
-//! SELECT no longer blocks commits, a bulk commit no longer stalls
-//! every reader, and each query still sees one consistent committed
-//! state. A bounded window of recent versions is retained, which gives
-//! time-travel reads ([`Mediator::read_at`]) for free.
+//! database (see [`rel::pmap`]), tagged with the commit's WAL sequence
+//! number — in place of the one before. A query pins the current
+//! version with one `Arc` clone and runs entirely against that
+//! snapshot: a long SELECT no longer blocks commits, a bulk commit no
+//! longer stalls every reader, and each query still sees one consistent
+//! committed state. A replaced version is freed when its last reader
+//! drops its pin. Only a commit, a replica's apply or a replica's base
+//! install publishes: the index set is the schema's (PK, UNIQUE and FK
+//! columns), so nothing on the read path builds an index or republishes
+//! a version.
 //!
 //! Who locks what: the schema and mapping are immutable after
 //! construction (validated once); the *live* database — touched only
 //! by writers, and by a writer only to validate and execute, never to
-//! run Algorithm 1 for DATA operations — sits behind a [`Mutex`]; the version chain sits behind
-//! an [`std::sync::RwLock`] held only for the instants of pinning (an `Arc`
-//! clone) and publishing (a deque push); the compiled-query cache sits
-//! behind its own [`Mutex`] so cache bookkeeping never blocks on data
-//! access. Lock order is live → chain; no code path takes them in the
-//! other order. Compilation depends only on the schema and mapping, so
-//! cached entries never go stale as data changes (an entry that bound a
-//! string the dictionary lacked binds again once the dictionary grows;
-//! see `cache`). Join-index
-//! provisioning — the one mutation the old read path performed —
-//! happens at cache-admission time against the live database, and is
-//! republished as an index-only replacement of the current version
-//! (same sequence number, same rows): published snapshots are never
-//! mutated in place, and a query planned against an older pinned
-//! version simply falls back to hash joins.
+//! run Algorithm 1 for DATA operations — sits behind a [`Mutex`] no
+//! read takes; the current version sits behind an
+//! [`std::sync::RwLock`] held only for the instants of pinning (an
+//! `Arc` clone) and publishing (an `Arc` swap); the compiled-query
+//! cache sits behind its own [`Mutex`] so cache bookkeeping never
+//! blocks on data access. Lock order is live → chain; no code path
+//! takes them in the other order. Compilation depends only on the
+//! schema and mapping, so cached entries never go stale as data changes
+//! (an entry that bound a string the dictionary lacked binds again once
+//! the dictionary grows; see `cache`).
 //!
-//! The pieces, one file each: `versions` (the chain and its guards),
+//! The pieces, one file each: `versions` (the current version and its
+//! guard),
 //! `cache` (compiled-query cache), `session` ([`ReadSession`] and the
 //! one query pipeline), `txn` ([`WriteTxn`] and the one update-script
 //! pipeline), `durable` (WAL, checkpoint and replica wiring).
@@ -64,7 +63,7 @@ mod versions;
 pub use cache::QueryCacheStats;
 pub use session::{CacheProbe, QueryExplain, QueryProfile, QueryRun, QueryStop, ReadSession};
 pub use txn::{ScriptError, UpdateOutcome, UpdateProfile, WriteTxn};
-pub use versions::{DatabaseReadGuard, DatabaseVersion, DatabaseWriteGuard};
+pub use versions::{DatabaseReadGuard, DatabaseVersion};
 
 use crate::error::{OntoError, OntoResult};
 use cache::QueryCache;
@@ -98,7 +97,7 @@ fn metrics() -> &'static CoreMetrics {
             ),
             plan: registry.latency_histogram(
                 "ontoaccess_query_plan_seconds",
-                "Wall time compiling a parsed query to SQL and provisioning join indexes",
+                "Wall time compiling a parsed query to SQL",
             ),
             execute: registry.latency_histogram(
                 "ontoaccess_query_execute_seconds",
@@ -119,7 +118,7 @@ pub struct ConcurrencyStats {
     /// Sequence number of the current published version (the WAL commit
     /// unit it corresponds to, on a durable mediator).
     pub current_version: u64,
-    /// Versions currently retained in the chain (time-travel window).
+    /// Versions alive: the current one plus those readers still pin.
     pub versions_retained: usize,
     /// [`ReadSession`]s currently alive.
     pub read_sessions_live: usize,
@@ -138,10 +137,9 @@ pub struct ConcurrencyStats {
 #[derive(Debug)]
 struct MediatorCore {
     // The live database, touched only by writers (WriteTxn, checkpoint,
-    // admission-time index provisioning, the test write guard). Readers
-    // never lock it.
+    // replica apply). Readers never lock it.
     live: Mutex<Database>,
-    // Published snapshots — what every read pins.
+    // The current version — what every read pins.
     chain: VersionChain,
     mapping: Mapping,
     prefixes: PrefixMap,
@@ -246,28 +244,14 @@ impl Mediator {
     /// runs entirely against that snapshot, without ever taking the
     /// writer's lock.
     pub fn read(&self) -> ReadSession {
-        self.session(None)
-    }
-
-    /// A time-travel read session pinned to the database *as of* commit
-    /// `seq`: every query answers from the newest retained version at
-    /// or below that commit. Errors if `seq` is beyond the current
-    /// version or has aged out of the retention window
-    /// (the chain keeps the most recent commits' versions).
-    pub fn read_at(&self, seq: u64) -> OntoResult<ReadSession> {
-        Ok(self.session(Some(self.core.chain.at(seq)?)))
-    }
-
-    fn session(&self, pinned: Option<Arc<DatabaseVersion>>) -> ReadSession {
         ReadSession {
             core: Arc::clone(&self.core),
-            pinned,
             _token: Arc::clone(&self.core.session_token),
         }
     }
 
     /// Point-in-time concurrency counters: the published version id,
-    /// retained-version count, live read sessions, and how long writers
+    /// versions alive, live read sessions, and how long writers
     /// have waited to acquire the write lock (surfaced by the server's
     /// `/status` endpoint).
     pub fn concurrency_stats(&self) -> ConcurrencyStats {
@@ -280,15 +264,6 @@ impl Mediator {
             write_lock_wait_micros: self.core.write_lock_wait_micros.load(Ordering::Relaxed),
             write_retranslations: self.core.write_retranslations.load(Ordering::Relaxed),
         }
-    }
-
-    #[doc(hidden)]
-    /// Weak handle to the retained version with exactly sequence `seq`,
-    /// if any (drop-glue tests: after retirement and the last guard
-    /// drop, the upgrade must fail — proof the snapshot's memory was
-    /// returned).
-    pub fn version_weak_for_tests(&self, seq: u64) -> Option<std::sync::Weak<DatabaseVersion>> {
-        self.core.chain.weak(seq)
     }
 
     /// The mapping.
@@ -309,21 +284,6 @@ impl Mediator {
     pub fn database(&self) -> DatabaseReadGuard {
         DatabaseReadGuard {
             version: self.core.chain.current(),
-        }
-    }
-
-    #[doc(hidden)]
-    /// Exclusive raw access to the live database, **bypassing the
-    /// mediator**: no mapping validation, no translation, no feedback,
-    /// no write-ahead logging. Test support for seeding fixture rows
-    /// and exercising the engine directly — production callers go
-    /// through [`Mediator::write`], which is why this accessor is
-    /// hidden from the documented API. Dropping the guard publishes the
-    /// edited state as a new version so reads observe it.
-    pub fn database_mut_for_tests(&self) -> DatabaseWriteGuard<'_> {
-        DatabaseWriteGuard {
-            chain: &self.core.chain,
-            db: self.core.lock_live(),
         }
     }
 

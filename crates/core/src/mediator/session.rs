@@ -25,16 +25,12 @@ use std::time::Duration;
 /// writer. The session does **not** pin one snapshot across queries —
 /// two queries may observe different committed states if a writer
 /// commits between them (read-committed, the paper's §5.1 unit), but
-/// the versions a session observes only ever move forward. Sessions
-/// from [`Mediator::read_at`](super::Mediator::read_at) *are* pinned:
-/// every query answers as of their fixed commit. Use
+/// the versions a session observes only ever move forward. Use
 /// [`ReadSession::database`] to hold one snapshot across several raw
 /// reads.
 #[derive(Debug, Clone)]
 pub struct ReadSession {
     pub(super) core: Arc<MediatorCore>,
-    // `Some` = time-travel session fixed to this version.
-    pub(super) pinned: Option<Arc<DatabaseVersion>>,
     // Clone of the core's session token (live-session accounting).
     pub(super) _token: Arc<()>,
 }
@@ -91,7 +87,7 @@ pub struct QueryRun {
     pub cache: CacheProbe,
     /// Wall time parsing the query text.
     pub parse: Duration,
-    /// Wall time compiling to SQL and provisioning join indexes.
+    /// Wall time compiling to SQL.
     pub plan: Duration,
     /// Wall time binding the text's constants into its shape's SQL.
     pub bind: Duration,
@@ -116,8 +112,7 @@ pub struct QueryProfile<'r> {
     pub cache: CacheProbe,
     /// Wall time parsing the query text, in microseconds.
     pub parse_micros: u64,
-    /// Wall time compiling to SQL and provisioning join indexes, in
-    /// microseconds.
+    /// Wall time compiling to SQL, in microseconds.
     pub plan_micros: u64,
     /// Wall time binding the text's constants, in microseconds.
     pub bind_micros: u64,
@@ -262,12 +257,8 @@ impl MediatorCore {
         })
     }
 
-    // Compile `parsed` into the template of its shape `lifted`. If the
-    // SQL wants join indexes the snapshot `db` lacks, they are
-    // provisioned on the *live* database and republished as an
-    // index-only replacement of the current version — never by mutating
-    // a published snapshot. The caller's pinned snapshot keeps running
-    // without them (the planner falls back to hash joins).
+    // Compile `parsed` into the template of its shape `lifted`. A pure
+    // read of the snapshot `db`: it never takes the live lock.
     fn compile(
         &self,
         db: &Database,
@@ -281,20 +272,6 @@ impl MediatorCore {
                 (compile_template(db, &self.mapping, &select, lifted)?, true)
             }
         };
-        // Decide against the snapshot whether provisioning has any work
-        // to do: most queries have no join targets (or all targets
-        // already indexed), and they must not stall behind an open
-        // WriteTxn for a no-op pass.
-        let needs_indexes = template
-            .compiled
-            .join_index_targets
-            .iter()
-            .any(|(table, column)| !db.supports_index_probe(table, column).unwrap_or(false));
-        if needs_indexes {
-            let mut live = self.lock_live();
-            crate::query::ensure_join_indexes(&mut live, &template.compiled)?;
-            self.chain.republish_current(live.clone());
-        }
         Ok(Arc::new(CachedShape {
             key: Arc::from(lifted.key.as_str()),
             ask,
@@ -304,13 +281,9 @@ impl MediatorCore {
 }
 
 impl ReadSession {
-    // This session's snapshot: the newest published version, or the
-    // fixed version of a time-travel session.
+    // This session's snapshot: the current version.
     fn version(&self) -> Arc<DatabaseVersion> {
-        match &self.pinned {
-            Some(version) => Arc::clone(version),
-            None => self.core.chain.current(),
-        }
+        self.core.chain.current()
     }
 
     /// The query pipeline: pin a snapshot, resolve the text through the
@@ -400,9 +373,8 @@ impl ReadSession {
         crate::materialize::describe(&self.version().db, &self.core.mapping, uri)
     }
 
-    /// Pin this session's snapshot: the newest published version, or
-    /// the fixed version of a time-travel session. The guard owns its
-    /// snapshot — holding it never blocks writers.
+    /// Pin this session's snapshot: the current version. The guard owns
+    /// its snapshot — holding it never blocks writers.
     pub fn database(&self) -> DatabaseReadGuard {
         DatabaseReadGuard {
             version: self.version(),

@@ -1,19 +1,20 @@
-//! The MVCC version chain: the immutable committed snapshots reads pin,
-//! and the guards that hold one.
+//! The MVCC version chain: the one current committed snapshot reads
+//! pin, and the guard that holds one.
 
-use crate::error::{OntoError, OntoResult};
 use rel::Database;
-use std::collections::VecDeque;
-use std::ops::{Deref, DerefMut};
-use std::sync::{Arc, MutexGuard, RwLock, RwLockReadGuard, Weak};
+use std::ops::Deref;
+use std::sync::{Arc, RwLock};
 
 /// One published committed state of the database: the immutable
 /// snapshot a read pins, tagged with the commit sequence that produced
-/// it (the WAL commit unit on a durable mediator).
+/// it (the WAL commit unit on a durable mediator). Only a commit, a
+/// replica's apply or a replica's base install creates one.
 #[derive(Debug)]
 pub struct DatabaseVersion {
     pub(super) seq: u64,
     pub(super) db: Database,
+    // Clone of the chain's token: strong_count - 1 = versions alive.
+    _alive: Arc<()>,
 }
 
 impl DatabaseVersion {
@@ -23,103 +24,60 @@ impl DatabaseVersion {
     }
 }
 
-// How many published versions the chain retains (beyond any still
-// pinned by live guards, which keep their version alive through their
-// `Arc` regardless). Bounds both time-travel depth and the memory the
-// chain itself can hold onto.
-const RETAINED_VERSIONS: usize = 32;
-
-// The chain of retained versions, oldest → newest; the back is the
-// current version. Never empty: construction publishes the initial
-// state. Sequence numbers are strictly increasing along the deque.
-// Read-locked for the instant of an Arc clone, write-locked for the
-// instant of a publish. Lock order: live → chain (never the reverse).
+// The current version. A reader's pin is an `Arc` clone of it, taken
+// under the read lock; a publish swaps in the next one under the write
+// lock. A replaced version lives on only while readers pin it. Lock
+// order: live → chain (never the reverse).
 #[derive(Debug)]
 pub(super) struct VersionChain {
-    versions: RwLock<VecDeque<Arc<DatabaseVersion>>>,
+    current: RwLock<Arc<DatabaseVersion>>,
+    alive: Arc<()>,
 }
 
 impl VersionChain {
     pub(super) fn new(seq: u64, db: Database) -> Self {
+        let alive = Arc::new(());
         VersionChain {
-            versions: RwLock::new(VecDeque::from([Arc::new(DatabaseVersion { seq, db })])),
+            current: RwLock::new(Arc::new(DatabaseVersion {
+                seq,
+                db,
+                _alive: Arc::clone(&alive),
+            })),
+            alive,
         }
     }
 
-    fn read(&self) -> RwLockReadGuard<'_, VecDeque<Arc<DatabaseVersion>>> {
-        self.versions.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    // Pin the newest published version: one Arc clone under the read
-    // lock — the entirety of what a read shares with writers.
+    // Pin the current version: one Arc clone under the read lock — the
+    // entirety of what a read shares with writers.
     pub(super) fn current(&self) -> Arc<DatabaseVersion> {
-        Arc::clone(self.read().back().expect("chain is never empty"))
+        Arc::clone(&self.current.read().unwrap_or_else(|e| e.into_inner()))
     }
 
-    // Publish `db` as a new version, retiring versions beyond the
-    // retention window: under `seq` when a WAL (or the leader) handed
-    // one out, under the next sequence number otherwise (in-memory
-    // commits and the raw test guard). Callers hold the live lock, so
-    // publishes happen in commit order and seqs stay monotone.
+    // Publish `db` as the current version: under `seq` when a WAL (or
+    // the leader) handed one out, under the next sequence number
+    // otherwise (in-memory commits). Callers hold the live lock, so
+    // publishes happen in commit order and seqs stay monotone. The
+    // replaced version is dropped after the lock is released, so a
+    // reader never waits on its memory being freed.
     pub(super) fn publish(&self, db: Database, seq: Option<u64>) {
-        let mut versions = self.versions.write().unwrap_or_else(|e| e.into_inner());
-        let newest = versions.back().expect("chain is never empty").seq;
-        let seq = seq.unwrap_or(newest + 1);
-        debug_assert!(newest < seq, "versions publish in commit order");
-        versions.push_back(Arc::new(DatabaseVersion { seq, db }));
-        while versions.len() > RETAINED_VERSIONS {
-            versions.pop_front();
-        }
+        let mut current = self.current.write().unwrap_or_else(|e| e.into_inner());
+        let seq = seq.unwrap_or(current.seq + 1);
+        debug_assert!(current.seq < seq, "versions publish in commit order");
+        let version = Arc::new(DatabaseVersion {
+            seq,
+            db,
+            _alive: Arc::clone(&self.alive),
+        });
+        let replaced = std::mem::replace(&mut *current, version);
+        drop(current);
+        drop(replaced);
     }
 
-    // Replace the current version with an index-only variant (same
-    // rows, same seq): admission-time join-index provisioning must not
-    // mutate the published snapshot in place, so it rebuilds against
-    // the live database and swaps the result in here.
-    pub(super) fn republish_current(&self, db: Database) {
-        let mut versions = self.versions.write().unwrap_or_else(|e| e.into_inner());
-        let seq = versions.pop_back().expect("chain is never empty").seq;
-        versions.push_back(Arc::new(DatabaseVersion { seq, db }));
-    }
-
-    // The retained version for time travel: the newest version with
-    // `version.seq <= seq` (a commit may leave no version of its own
-    // only when it changed nothing).
-    pub(super) fn at(&self, seq: u64) -> OntoResult<Arc<DatabaseVersion>> {
-        let versions = self.read();
-        let newest = versions.back().expect("chain is never empty").seq;
-        if seq > newest {
-            return Err(OntoError::Unsupported {
-                message: format!("cannot read as of commit {seq}: the current version is {newest}"),
-            });
-        }
-        match versions.iter().rev().find(|v| v.seq <= seq) {
-            Some(version) => Ok(Arc::clone(version)),
-            None => {
-                let oldest = versions.front().expect("chain is never empty").seq;
-                Err(OntoError::Unsupported {
-                    message: format!(
-                        "version {seq} has been retired (retained window: {oldest}..={newest})"
-                    ),
-                })
-            }
-        }
-    }
-
-    // (current sequence, versions retained), for `/status`.
+    // (current sequence, versions alive: the current one plus those
+    // readers pin), for `/status`.
     pub(super) fn extent(&self) -> (u64, usize) {
-        let versions = self.read();
-        (
-            versions.back().expect("chain is never empty").seq,
-            versions.len(),
-        )
-    }
-
-    pub(super) fn weak(&self, seq: u64) -> Option<Weak<DatabaseVersion>> {
-        self.read()
-            .iter()
-            .find(|v| v.seq == seq)
-            .map(Arc::downgrade)
+        let seq = self.current().seq;
+        (seq, Arc::strong_count(&self.alive) - 1)
     }
 }
 
@@ -130,9 +88,9 @@ impl VersionChain {
 /// sees the same committed snapshot. Obtained from
 /// [`Mediator::database`](super::Mediator::database) /
 /// [`ReadSession::database`](super::ReadSession::database), which pin
-/// the newest version at call time, or from a time-travel session.
-/// Dropping the guard releases the version; a version past the
-/// retention window is freed as soon as its last guard drops.
+/// the current version at call time. Dropping the guard releases the
+/// version; a version a commit has replaced is freed as soon as its
+/// last guard drops.
 // No `Clone` derive: `guard.clone()` must keep deref-cloning the
 // `Database` (call sites snapshot the heap that way); re-pinning is
 // cheap anyway.
@@ -152,38 +110,5 @@ impl DatabaseReadGuard {
     /// Commit sequence of the pinned version.
     pub fn version_seq(&self) -> u64 {
         self.version.seq
-    }
-}
-
-/// Exclusive write guard over the mediator's live database (test
-/// support — see
-/// [`Mediator::database_mut_for_tests`](super::Mediator::database_mut_for_tests)).
-/// On drop the (possibly mutated) live state is published as a new
-/// version, so later reads observe the raw edits.
-#[derive(Debug)]
-pub struct DatabaseWriteGuard<'a> {
-    pub(super) chain: &'a VersionChain,
-    pub(super) db: MutexGuard<'a, Database>,
-}
-
-impl Deref for DatabaseWriteGuard<'_> {
-    type Target = Database;
-    fn deref(&self) -> &Database {
-        &self.db
-    }
-}
-
-impl DerefMut for DatabaseWriteGuard<'_> {
-    fn deref_mut(&mut self) -> &mut Database {
-        &mut self.db
-    }
-}
-
-impl Drop for DatabaseWriteGuard<'_> {
-    fn drop(&mut self) {
-        // Raw edits bypass the WAL, so this version id does not
-        // correspond to a WAL commit unit — acceptable for a
-        // doc-hidden test hook, fatal anywhere else.
-        self.chain.publish(self.db.clone(), None);
     }
 }

@@ -93,12 +93,9 @@ fn execute_modify_impl(
 ) -> OntoResult<ModifyReport> {
     let mut report = ModifyReport::default();
 
-    // Steps 1-3: WHERE → SELECT → SQL → bindings. Index provisioning is
-    // a compile-time concern now that `run_compiled` is read-only; this
-    // path holds `&mut Database` anyway, so it provisions eagerly.
+    // Steps 1-3: WHERE → SELECT → SQL → bindings.
     let select = select_from_where(pattern);
     let compiled = crate::query::compile_select(db, mapping, &select)?;
-    crate::query::ensure_join_indexes(db, &compiled)?;
     report.select_sql = compiled.sql.to_string();
     let solutions: Solutions = crate::query::run_compiled(db, &compiled)?;
     report.bindings = solutions.len();

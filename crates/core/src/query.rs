@@ -32,7 +32,7 @@ use crate::translate::link_ends;
 use r3m::{Mapping, PropertyMapping, TableMap};
 use rdf::namespace::RDF_TYPE;
 use rdf::Term;
-use rel::sql::{BinOp, Expr, SelectItem, SelectStmt, TableRef};
+use rel::sql::{Expr, SelectItem, SelectStmt, TableRef};
 use rel::{Database, Value};
 use sparql::{
     Binding, CompareOp, FilterExpr, Projection, Query, SelectQuery, Solutions, TermPattern,
@@ -52,32 +52,15 @@ pub struct CompiledQuery {
     pub bindings: Vec<(String, Codec<'static>)>,
     /// Row limit: the join stops once this many solutions are out.
     pub limit: Option<usize>,
-    /// Underlying `(table, column)` pairs of the SQL's equi-join keys
-    /// (every FK object property and link-table pattern contributes
-    /// some) — the columns worth a secondary index for this query, with
-    /// aliases resolved through the FROM list at compile time (each pair
-    /// once).
-    pub join_index_targets: Vec<(String, String)>,
 }
 
-/// Make sure every join column of `compiled` can be answered from an
-/// index, creating secondary hash indexes where none exists (a no-op
-/// for DOUBLE columns, which the engine never probes). Indexes are
-/// idempotent and maintained by the engine from then on, so the cost is
-/// paid once per (database, column).
-///
-/// This is a compile/cache-admission-time concern: callers that intend
-/// to run a compiled query repeatedly (the mediator's query cache,
-/// Algorithm 2's MODIFY) provision indexes once while they hold write
-/// access, and every subsequent [`run_compiled`] is a pure read. A
-/// compiled query whose indexes were never provisioned still runs
-/// correctly — the planner falls back to hash joins over scans.
-pub fn ensure_join_indexes(db: &mut Database, compiled: &CompiledQuery) -> OntoResult<()> {
-    for (table, column) in &compiled.join_index_targets {
-        if !db.supports_index_probe(table, column)? {
-            db.create_index(table, column)?;
-        }
-    }
+/// Does nothing. The index set is the schema's (PK, UNIQUE and FK
+/// columns) and never changes at run time, so there is nothing to
+/// provision; a join on an unindexed column runs as a hash join. Kept,
+/// with this signature, only because loopbench's request replay calls
+/// it.
+#[doc(hidden)]
+pub fn ensure_join_indexes(_db: &mut Database, _compiled: &CompiledQuery) -> OntoResult<()> {
     Ok(())
 }
 
@@ -93,9 +76,7 @@ pub fn ask_to_select(ask: &sparql::AskQuery) -> SelectQuery {
 }
 
 /// Translate and execute a SPARQL query against the database. A pure
-/// read: one-shot queries run without index provisioning (the planner
-/// falls back to hash joins); callers that re-run a compilation hold
-/// write access once and call [`ensure_join_indexes`] themselves.
+/// read.
 pub fn execute_query(
     db: &Database,
     mapping: &Mapping,
@@ -123,9 +104,8 @@ pub fn execute_select(
     run_compiled(db, &compiled)
 }
 
-/// Execute a compiled query. Read-only: index provisioning happens at
-/// compile/cache-admission time (see [`ensure_join_indexes`]), so many
-/// threads can run compiled queries against `&Database` in parallel.
+/// Execute a compiled query. Read-only, so many threads can run
+/// compiled queries against `&Database` in parallel.
 pub fn run_compiled(db: &Database, compiled: &CompiledQuery) -> OntoResult<Solutions> {
     let plan = rel::sql::plan_select(db, &compiled.sql)?;
     let rows = rel::sql::execute_plan(db, &plan, compiled.limit)?;
@@ -509,54 +489,6 @@ impl<'a, 'q> Compiler<'a, 'q> {
             });
         }
 
-        // Both `(alias, column)` sides of every alias-to-alias equality
-        // the pattern produced (FK object properties and link-table
-        // joins).
-        let join_keys: Vec<[(&str, &str); 2]> = self
-            .predicates
-            .iter()
-            .filter_map(|p| {
-                let Expr::Binary {
-                    op: BinOp::Eq,
-                    left,
-                    right,
-                } = p
-                else {
-                    return None;
-                };
-                let (Expr::Column(a), Expr::Column(b)) = (left.as_ref(), right.as_ref()) else {
-                    return None;
-                };
-                match (&a.table, &b.table) {
-                    (Some(ta), Some(tb)) if ta != tb => Some([
-                        (ta.as_str(), a.column.as_str()),
-                        (tb.as_str(), b.column.as_str()),
-                    ]),
-                    _ => None,
-                }
-            })
-            .collect();
-
-        // Resolve aliases to tables once, at compile time, so every
-        // execution can check index coverage without re-deriving it.
-        let join_index_targets = {
-            let table_of = |alias: &str| -> Option<&str> {
-                from.iter()
-                    .find(|tref| tref.binding() == alias)
-                    .map(|tref| tref.table.as_str())
-            };
-            let mut targets: Vec<(String, String)> = Vec::new();
-            for (alias, column) in join_keys.into_iter().flatten() {
-                if let Some(table) = table_of(alias) {
-                    let pair = (table.to_owned(), column.to_owned());
-                    if !targets.contains(&pair) {
-                        targets.push(pair);
-                    }
-                }
-            }
-            targets
-        };
-
         let compiled = CompiledQuery {
             sql: SelectStmt {
                 distinct: query.distinct,
@@ -566,7 +498,6 @@ impl<'a, 'q> Compiler<'a, 'q> {
             },
             bindings,
             limit: query.limit,
-            join_index_targets,
         };
         Ok((compiled, self.constants))
     }
@@ -1272,74 +1203,6 @@ mod tests {
         assert!(text.contains("IS NOT NULL"));
         // Round-trips through the SQL parser.
         rel::sql::parse(&text).unwrap();
-    }
-
-    #[test]
-    fn join_key_metadata_names_fk_and_link_columns() {
-        let (db, mapping) = fixture_db_with_rows();
-        let Query::Select(query) = parse_query(
-            "SELECT ?pub ?code WHERE { ?pub dc:creator ?a . ?a ont:team ?t . \
-             ?t ont:teamCode ?code . }",
-        ) else {
-            panic!()
-        };
-        let compiled = compile_select(&db, &mapping, &query).unwrap();
-        // FK join (author.team = team.id) + two link-table joins.
-        let targets = &compiled.join_index_targets;
-        assert!(targets.contains(&("author".into(), "team".into())));
-        assert!(targets.contains(&("publication_author".into(), "publication".into())));
-        assert!(targets.contains(&("publication_author".into(), "author".into())));
-        assert!(targets.contains(&("team".into(), "id".into())));
-    }
-
-    #[test]
-    fn ensure_join_indexes_makes_every_target_probeable() {
-        let (mut db, mapping) = fixture_db_with_rows();
-        let Query::Select(query) = parse_query(
-            "SELECT ?pub ?last WHERE { ?pub dc:creator ?a . ?a foaf:family_name ?last . }",
-        ) else {
-            panic!()
-        };
-        let compiled = compile_select(&db, &mapping, &query).unwrap();
-        super::ensure_join_indexes(&mut db, &compiled).unwrap();
-        for (table, column) in &compiled.join_index_targets {
-            assert!(
-                db.supports_index_probe(table, column).unwrap(),
-                "{table}.{column} not probeable"
-            );
-        }
-    }
-
-    #[test]
-    fn ensure_join_indexes_skips_unprobeable_double_columns() {
-        use rel::{Column, Schema, SqlType, Table};
-        let mut schema = Schema::new();
-        schema
-            .add_table(
-                Table::builder("m")
-                    .column(Column::new("id", SqlType::Integer).not_null())
-                    .column(Column::new("score", SqlType::Double))
-                    .primary_key(&["id"])
-                    .build(),
-            )
-            .unwrap();
-        let mut db = Database::new(schema).unwrap();
-        let compiled = CompiledQuery {
-            sql: rel::sql::parse("SELECT a.id FROM m a, m b WHERE a.score = b.score;")
-                .ok()
-                .and_then(|s| match s {
-                    rel::sql::Statement::Select(s) => Some(s),
-                    _ => None,
-                })
-                .unwrap(),
-            bindings: vec![],
-            limit: None,
-            join_index_targets: vec![("m".to_owned(), "score".to_owned())],
-        };
-        // `m.score` is a join target — but being DOUBLE it can never be
-        // probed, so `create_index` no-ops instead of indexing it.
-        super::ensure_join_indexes(&mut db, &compiled).unwrap();
-        assert!(!db.supports_index_probe("m", "score").unwrap());
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! heap — every table's `(row id, values)` stream, its row-id
 //! allocator, and its secondary-index column set — checksummed and
 //! stamped with the commit sequence it covers plus a schema
-//! fingerprint.
+//! fingerprint. The index set is the schema's, so loading checks the
+//! listed columns and builds nothing from the list.
 //!
 //! ```text
 //! file := MAGIC seq:u64 fingerprint:u64
@@ -204,10 +205,16 @@ pub fn decode_snapshot(data: &[u8], schema: &Schema) -> DurResult<(u64, Database
     for _ in 0..n_tables {
         let table = cursor.take_str()?;
         let next_row_id = cursor.take_u64()?;
+        // The index set is the schema's, so the list is checked, not
+        // built. A listed column the schema does not index came from an
+        // older binary that built indexes at run time: an index is
+        // derived state, so it is skipped.
         let n_secondary = cursor.take_u32()?;
         for _ in 0..n_secondary {
             let column = cursor.take_str()?;
-            db.create_index(&table, &column)?;
+            if schema.table(&table)?.column(&column).is_none() {
+                return Err(rel::RelError::NoSuchColumn { table, column }.into());
+            }
         }
         let n_rows = cursor.take_u64()?;
         for _ in 0..n_rows {
@@ -324,8 +331,54 @@ mod tests {
             &[a("id", Value::Int(10)), a("team", Value::Int(1))],
         )
         .unwrap();
-        db.create_index("team", "name").unwrap();
         db
+    }
+
+    // `bytes` with `column` appended to `table`'s secondary-index list,
+    // checksum refreshed: what a binary that built indexes at run time
+    // wrote.
+    fn listing_extra_index(bytes: &[u8], table: &str, column: &str) -> Vec<u8> {
+        let mut header = Vec::new();
+        put_str(&mut header, table);
+        // The last occurrence: `author`, the first table, lists its
+        // `team` column.
+        let at = bytes
+            .windows(header.len())
+            .rposition(|w| w == header.as_slice())
+            .expect("table header present")
+            + header.len()
+            + 8;
+        let listed = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        let mut out = bytes[..at].to_vec();
+        put_u32(&mut out, listed + 1);
+        let mut rest = at + 4;
+        for _ in 0..listed {
+            let len = u32::from_le_bytes(bytes[rest..rest + 4].try_into().unwrap()) as usize;
+            rest += 4 + len;
+        }
+        out.extend_from_slice(&bytes[at + 4..rest]);
+        put_str(&mut out, column);
+        out.extend_from_slice(&bytes[rest..bytes.len() - 4]);
+        let crc = crc32(&out);
+        put_u32(&mut out, crc);
+        out
+    }
+
+    #[test]
+    fn a_listed_index_is_checked_against_the_schema_not_built() {
+        let db = sample_db();
+        let bytes = encode_snapshot(7, &db, &mut DictTable::new());
+        // A column the schema does not index is skipped.
+        let older = listing_extra_index(&bytes, "team", "name");
+        let (_, loaded, _) = decode_snapshot(&older, db.schema()).unwrap();
+        assert!(loaded.secondary_index_columns("team").unwrap().is_empty());
+        assert_eq!(encode_snapshot(7, &loaded, &mut DictTable::new()), bytes);
+        // A name that is not a column of the table is an error.
+        let bogus = listing_extra_index(&bytes, "author", "bogus");
+        assert!(matches!(
+            decode_snapshot(&bogus, db.schema()),
+            Err(DurError::Engine(rel::RelError::NoSuchColumn { .. }))
+        ));
     }
 
     #[test]

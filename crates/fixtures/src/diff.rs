@@ -1,5 +1,6 @@
 //! Differential-test assertions shared by the write-pipeline and
-//! concurrency suites: byte-level database equality, index audits, and
+//! concurrency suites: byte-level database equality, index audits (the
+//! set of indexes, and what each answers), and
 //! the planner-vs-reference query harness over a final state (results
 //! compared as multisets through [`rel::sql::ResultSet::canonical`]).
 
@@ -100,6 +101,24 @@ pub fn assert_indexes_consistent(db: &Database, context: &str) {
     }
 }
 
+/// Index-set equality: every table's secondary indexes are exactly the
+/// ones the schema declares, those of a fresh database over the same
+/// schema. The index set never changes at run time.
+///
+/// # Panics
+/// Panics (assert) on the first table whose set differs.
+pub fn assert_index_set_is_schemas(db: &Database) {
+    let fresh = Database::new(db.schema().clone()).expect("a schema that built a database");
+    for table in db.schema().tables() {
+        assert_eq!(
+            db.secondary_index_columns(&table.name).unwrap(),
+            fresh.secondary_index_columns(&table.name).unwrap(),
+            "index set of {} is not the schema's",
+            table.name
+        );
+    }
+}
+
 /// The planner differential harness over a final state: the
 /// index-backed planner and the clone-everything reference executor must
 /// return the same rows, as multisets, on the workload's join queries
@@ -107,7 +126,7 @@ pub fn assert_indexes_consistent(db: &Database, context: &str) {
 ///
 /// # Panics
 /// Panics (assert) on the first query where the two executors disagree.
-pub fn assert_planner_matches_reference(db: &mut Database, context: &str) {
+pub fn assert_planner_matches_reference(db: &Database, context: &str) {
     let mapping = crate::mapping();
     for text in [
         crate::workload::select_authors_with_team(),
@@ -120,7 +139,6 @@ pub fn assert_planner_matches_reference(db: &mut Database, context: &str) {
         };
         let compiled = ontoaccess::compile_select(db, &mapping, &select).unwrap();
         let reference = rel::sql::execute_select_reference(db, &compiled.sql).unwrap();
-        ontoaccess::ensure_join_indexes(db, &compiled).unwrap();
         let planner = rel::sql::execute_select(db, &compiled.sql).unwrap();
         assert_eq!(
             planner.canonical(),

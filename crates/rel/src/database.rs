@@ -292,28 +292,6 @@ impl Database {
         Ok(self.data[table].row(row_id))
     }
 
-    /// Build (idempotently) a secondary hash index on `table.column`.
-    /// The index is maintained through inserts, updates and deletes
-    /// from then on, and is not transactional: a rollback keeps it even
-    /// when it was built inside the rolled-back scope. A no-op for
-    /// DOUBLE columns:
-    /// [`Database::index_probe`] can never consult such an index (index
-    /// keys cannot express SQL equality for them), so building one
-    /// would cost maintenance forever without ever being read.
-    pub fn create_index(&mut self, table: &str, column: &str) -> RelResult<()> {
-        let schema = self.shared_schema();
-        let t = schema.table(table)?;
-        let col = t.column(column).ok_or_else(|| RelError::NoSuchColumn {
-            table: table.to_owned(),
-            column: column.to_owned(),
-        })?;
-        if col.ty == SqlType::Double {
-            return Ok(());
-        }
-        self.table_mut(table).create_index(t, column);
-        Ok(())
-    }
-
     /// Whether equality lookups on `table.column` can be answered from
     /// an index (single-column PK, UNIQUE, or secondary hash index) with
     /// SQL equality semantics. DOUBLE columns are excluded: they may
@@ -475,7 +453,7 @@ impl Database {
         let state = self.txn.take().ok_or(RelError::Transaction {
             message: "no open transaction".into(),
         })?;
-        self.restore(state.tables);
+        self.data = state.tables;
         Ok(())
     }
 
@@ -517,8 +495,7 @@ impl Database {
         state.savepoints.truncate(position + 1);
         let mark = &state.savepoints[position];
         state.log.truncate(mark.log_at);
-        let tables = Arc::clone(&mark.tables);
-        self.restore(tables);
+        self.data = Arc::clone(&mark.tables);
         Ok(())
     }
 
@@ -541,18 +518,6 @@ impl Database {
     /// outside a transaction).
     pub fn savepoint_depth(&self) -> usize {
         self.txn.as_ref().map_or(0, |state| state.savepoints.len())
-    }
-
-    // Put a snapshot of the tables back. Index creation is not
-    // transactional, so every secondary index built since the snapshot
-    // was taken is built again over the restored rows.
-    fn restore(&mut self, snapshot: Tables) {
-        let newer = std::mem::replace(&mut self.data, snapshot);
-        let schema = self.shared_schema();
-        for (name, newer) in newer.iter() {
-            let table = schema.table(name).expect("storage follows the schema");
-            self.table_mut(name).create_indexes_of(table, newer);
-        }
     }
 
     // The storage of `table` for writing. The first write after a
@@ -647,8 +612,9 @@ impl Database {
     }
 
     /// Columns of `table` carrying a secondary (non-unique) hash index,
-    /// in sorted order — what a snapshot must record so recovery can
-    /// rebuild the exact index set via [`Database::create_index`].
+    /// in sorted order: the schema's non-covered, probeable foreign-key
+    /// columns (see [`TableData::for_table`]). The set never changes at
+    /// run time.
     pub fn secondary_index_columns(&self, table: &str) -> RelResult<Vec<String>> {
         self.schema.table(table)?;
         Ok(self.data[table].secondary_index_columns())
@@ -1417,19 +1383,6 @@ mod tests {
             None
         );
         assert!(!d.supports_index_probe("author", "lastname").unwrap());
-        // Until an index is created explicitly.
-        d.create_index("author", "lastname").unwrap();
-        assert!(d.supports_index_probe("author", "lastname").unwrap());
-        assert_eq!(
-            d.index_probe("author", "lastname", &Value::text("Hert"))
-                .unwrap()
-                .map(|ids| ids.len()),
-            Some(1)
-        );
-        assert!(matches!(
-            d.create_index("author", "bogus"),
-            Err(RelError::NoSuchColumn { .. })
-        ));
     }
 
     #[test]
@@ -1699,64 +1652,6 @@ mod tests {
         assert_eq!(d.row_count("author").unwrap(), 1);
     }
 
-    // Probe answers on `author.lastname` agree with a scan.
-    fn assert_lastname_probes_match_scan(d: &Database) {
-        assert!(d.supports_index_probe("author", "lastname").unwrap());
-        for name in ["x", "y", "z"] {
-            let scanned: Vec<RowId> = d
-                .scan("author")
-                .unwrap()
-                .filter(|(_, row)| row[1] == Value::text(name))
-                .map(|(id, _)| id)
-                .collect();
-            assert_eq!(
-                d.index_probe("author", "lastname", &Value::text(name))
-                    .unwrap(),
-                Some(scanned),
-                "{name}"
-            );
-        }
-    }
-
-    #[test]
-    fn index_created_inside_a_scope_survives_its_rollback() {
-        for partial in [false, true] {
-            let mut d = db();
-            let rid = d
-                .insert(
-                    "author",
-                    &[a("id", Value::Int(1)), a("lastname", Value::text("x"))],
-                )
-                .unwrap();
-            d.begin().unwrap();
-            let sp = partial.then(|| d.savepoint().unwrap());
-            d.create_index("author", "lastname").unwrap();
-            d.insert(
-                "author",
-                &[a("id", Value::Int(2)), a("lastname", Value::text("y"))],
-            )
-            .unwrap();
-            d.update_row("author", rid, &[a("lastname", Value::text("z"))])
-                .unwrap();
-            match sp {
-                Some(sp) => d.rollback_to_savepoint(sp).unwrap(),
-                None => d.rollback().unwrap(),
-            }
-            assert_lastname_probes_match_scan(&d);
-            // The surviving index keeps being maintained.
-            d.insert(
-                "author",
-                &[a("id", Value::Int(3)), a("lastname", Value::text("y"))],
-            )
-            .unwrap();
-            assert_lastname_probes_match_scan(&d);
-            if partial {
-                d.commit().unwrap();
-                assert_lastname_probes_match_scan(&d);
-            }
-        }
-    }
-
     #[test]
     fn txn_ops_surfaces_applied_ops_in_order() {
         let mut d = db();
@@ -1968,25 +1863,6 @@ mod tests {
         let r = clamped.insert("team", &[a("id", Value::Int(3))]).unwrap();
         clamped.set_next_row_id("team", 0).unwrap();
         assert!(clamped.next_row_id("team").unwrap() > r);
-    }
-
-    #[test]
-    fn secondary_index_columns_reports_creatable_set() {
-        let mut d = db();
-        // FK column auto-indexed.
-        assert_eq!(
-            d.secondary_index_columns("author").unwrap(),
-            vec!["team".to_owned()]
-        );
-        d.create_index("author", "lastname").unwrap();
-        assert_eq!(
-            d.secondary_index_columns("author").unwrap(),
-            vec!["lastname".to_owned(), "team".to_owned()]
-        );
-        assert_eq!(
-            d.secondary_index_columns("team").unwrap(),
-            Vec::<String>::new()
-        );
     }
 
     #[test]

@@ -51,9 +51,9 @@ pub struct TableData {
     /// Per unique column: value → row id (NULLs excluded, as in SQL).
     unique_indexes: HashMap<String, PMap<IndexKey, RowId>>,
     /// Per indexed column: value → row ids (non-unique; NULLs excluded).
-    /// Declared FK columns are indexed automatically; the planner and
-    /// [`Database::create_index`](crate::Database::create_index) add
-    /// further join columns. Id lists are kept in ascending row-id
+    /// The set is fixed by the schema: every declared FK column not
+    /// already covered by the PK or a UNIQUE index (see
+    /// [`TableData::for_table`]). Id lists are kept in ascending row-id
     /// order so index-backed plans enumerate rows deterministically.
     /// Each list is `Arc`-shared: path-copying a leaf after a publish
     /// shares its untouched lists, and only the list a write touches is
@@ -88,31 +88,6 @@ impl TableData {
             }
         }
         data
-    }
-
-    /// Build (idempotently) a secondary index on `column`.
-    pub fn create_index(&mut self, table: &Table, column: &str) {
-        if self.secondary_indexes.contains_key(column) {
-            return;
-        }
-        let idx = table
-            .column_index(column)
-            .expect("caller verified column exists");
-        let mut index: PMap<IndexKey, Arc<Vec<RowId>>> = PMap::new();
-        for (row_id, row) in self.rows.iter() {
-            if !row[idx].is_null() {
-                let key = row[idx].index_key();
-                match index.get_mut(&key) {
-                    // Rows iterate in ascending id order, so pushing
-                    // keeps each posting list sorted.
-                    Some(ids) => Arc::make_mut(ids).push(*row_id),
-                    None => {
-                        index.insert(key, Arc::new(vec![*row_id]));
-                    }
-                }
-            }
-        }
-        self.secondary_indexes.insert(column.to_owned(), index);
     }
 
     /// The index answering SQL equality on `column`: the primary key
@@ -221,14 +196,6 @@ impl TableData {
             .last_key_value()
             .map_or(0, |(max_id, _)| max_id + 1);
         self.next_row_id = next.max(floor);
-    }
-
-    /// Build each secondary index `newer` has and this storage lacks
-    /// (rollback to an older snapshot keeps indexes built since).
-    pub(crate) fn create_indexes_of(&mut self, table: &Table, newer: &TableData) {
-        for column in newer.secondary_indexes.keys() {
-            self.create_index(table, column);
-        }
     }
 
     /// Columns carrying a secondary index, sorted (snapshot state).
@@ -415,11 +382,21 @@ mod tests {
         assert_eq!(data.find_by_unique("code", &Value::Null.index_key()), None);
     }
 
+    // `t` plus a non-unique foreign-key column, which the schema
+    // indexes.
+    fn referencing() -> Table {
+        Table::builder("child")
+            .column(Column::new("id", SqlType::Integer).not_null())
+            .column(Column::new("code", SqlType::Varchar))
+            .primary_key(&["id"])
+            .foreign_key("code", "t", "code")
+            .build()
+    }
+
     #[test]
     fn secondary_index_tracks_mutations() {
-        let t = table();
+        let t = referencing();
         let mut data = TableData::for_table(&t);
-        data.create_index(&t, "code");
         assert!(data.has_index("code"));
         let r1 = data.insert_unchecked(&t, vec![Value::Int(1), Value::text("A")]);
         let r2 = data.insert_unchecked(&t, vec![Value::Int(2), Value::text("A")]);
@@ -449,12 +426,11 @@ mod tests {
     }
 
     #[test]
-    fn secondary_index_built_over_existing_rows_and_skips_nulls() {
-        let t = table();
+    fn secondary_index_skips_nulls() {
+        let t = referencing();
         let mut data = TableData::for_table(&t);
         let r1 = data.insert_unchecked(&t, vec![Value::Int(1), Value::text("A")]);
         data.insert_unchecked(&t, vec![Value::Int(2), Value::Null]);
-        data.create_index(&t, "code");
         assert_eq!(
             data.lookup_by_index("code", &Value::text("A").index_key()),
             Some(&[r1][..])
@@ -463,13 +439,13 @@ mod tests {
             data.lookup_by_index("code", &Value::Null.index_key()),
             Some(&[][..])
         );
+        assert_eq!(data.index_key_count("code"), Some(1));
     }
 
     #[test]
     fn update_keeps_secondary_index_sorted() {
-        let t = table();
+        let t = referencing();
         let mut data = TableData::for_table(&t);
-        data.create_index(&t, "code");
         let r1 = data.insert_unchecked(&t, vec![Value::Int(1), Value::text("B")]);
         let r2 = data.insert_unchecked(&t, vec![Value::Int(2), Value::text("A")]);
         data.update_unchecked(&t, r1, vec![Value::Int(1), Value::text("A")])

@@ -600,9 +600,8 @@ fn serializer_span_records_the_rows_and_bytes_it_wrote() {
 fn explain_matches_the_profiled_join_plan_without_executing() {
     let server = test_server(250);
     let profile_target = format!("/sparql?query={}&profile=1", urlencode(JOIN_QUERY));
-    // First run compiles against a snapshot pinned before the join
-    // indexes were provisioned; the steady state (cache hit, fresh
-    // pin) is what EXPLAIN must match byte for byte.
+    // The first run compiles; the steady state (cache hit, fresh pin)
+    // is what EXPLAIN must match byte for byte.
     assert_eq!(get(&server, &profile_target).status, 200);
     let profiled = get(&server, &profile_target);
     assert_eq!(profiled.status, 200);

@@ -304,7 +304,7 @@ fn dump_returns_the_full_rdf_view() {
 fn status_reports_concurrency_object() {
     let server = test_server();
     // Fresh in-memory server: version 0, only the initial version
-    // retained, no writers yet.
+    // alive, no writers yet.
     let text = get(&server, "/status", None).text();
     assert!(
         text.contains("\"concurrency\":{\"current_version\":0,\"versions_retained\":1,"),
@@ -315,8 +315,8 @@ fn status_reports_concurrency_object() {
     assert!(text.contains("\"write_lock_wait_micros\":"), "{text}");
     assert!(text.contains("\"write_retranslations\":0"), "{text}");
     // One committed update publishes one new version: the current
-    // version advances and the chain retains both, and the write-lock
-    // acquisition shows up in the wait counters.
+    // version advances and replaces the old one, which no reader pins,
+    // and the write-lock acquisition shows up in the wait counters.
     let insert = "PREFIX foaf: <http://xmlns.com/foaf/0.1/>\n\
                   PREFIX ex: <http://example.org/db/>\n\
                   INSERT DATA { ex:author8 foaf:family_name \"Gall\" . }";
@@ -326,7 +326,7 @@ fn status_reports_concurrency_object() {
     );
     let text = get(&server, "/status", None).text();
     assert!(
-        text.contains("\"concurrency\":{\"current_version\":1,\"versions_retained\":2,"),
+        text.contains("\"concurrency\":{\"current_version\":1,\"versions_retained\":1,"),
         "{text}"
     );
     assert!(text.contains("\"write_lock_waits\":1"), "{text}");
@@ -674,8 +674,10 @@ fn bad_request_line_is_400_and_expect_continue_is_honored() {
 // A server over the sample data after `edit` changed the database
 // directly, plus the mediator it serves (for expected answers).
 fn server_over(edit: impl FnOnce(&mut rel::Database)) -> (ServerHandle, ontoaccess::Mediator) {
-    let mediator = fixtures::mediator_with_sample_data();
-    edit(&mut mediator.database_mut_for_tests());
+    let mut db = fixtures::database();
+    fixtures::seed_paper_rows(&mut db);
+    edit(&mut db);
+    let mediator = ontoaccess::Mediator::new(db, fixtures::mapping()).unwrap();
     let server = serve(
         mediator.clone(),
         "127.0.0.1:0",

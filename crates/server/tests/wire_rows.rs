@@ -439,30 +439,10 @@ fn observe(mediator: &Mediator, text: &str) -> (String, Option<CacheProbe>) {
     (format!("{body}\n{plan}"), probe)
 }
 
-// The database with every join column indexed, so that no compile
-// provisions indexes and a fresh mediator plans against what the warm
-// one does.
-fn indexed(mediator: &Mediator) -> rel::Database {
-    let mut db = mediator.database().clone();
-    for class in classes() {
-        for (property, _) in &class.properties {
-            let text = format!("SELECT * WHERE {{ ?s {property} ?o }}");
-            let Ok(Query::Select(select)) =
-                sparql::parse_query_with_prefixes(&text, mediator.prefixes().clone())
-            else {
-                unreachable!("{text}")
-            };
-            let compiled = ontoaccess::compile_select(&db, mediator.mapping(), &select).unwrap();
-            ontoaccess::ensure_join_indexes(&mut db, &compiled).unwrap();
-        }
-    }
-    db
-}
-
 #[test]
 fn a_shape_cached_for_other_constants_answers_as_a_fresh_compile() {
     let base = mediator();
-    let db = indexed(&base);
+    let db = base.database().clone();
     let fresh = || Mediator::new(db.clone(), base.mapping().clone()).unwrap();
     // A small cache evicts all the time, so bindings also overwrite the
     // statements evicted texts leave behind.

@@ -39,7 +39,8 @@
 //! ```
 //!
 //! Console commands: `.help`, `.dump` (RDF view as Turtle), `.tables`
-//! (row counts), `.sql <stmt>` (raw SQL against the engine), `.quit`.
+//! (row counts), `.sql <select>` (a raw SQL SELECT against the current
+//! version), `.quit`.
 
 use std::io::{BufRead, Write};
 
@@ -342,7 +343,7 @@ fn run_command(mediator: &Mediator, command: &str) -> bool {
         "help" => {
             println!(".dump         print the database's RDF view as Turtle");
             println!(".tables       print row counts per table");
-            println!(".sql <stmt>   run a raw SQL statement on the engine");
+            println!(".sql <stmt>   .sql runs a SELECT on the current version");
             println!(".quit         leave the console");
             println!("anything else is parsed as SPARQL/Update or SPARQL.");
         }
@@ -360,23 +361,22 @@ fn run_command(mediator: &Mediator, command: &str) -> bool {
                 );
             }
         }
-        // Raw SQL is the console's engine-debugging bypass — the same
-        // test-support hatch the fixtures use, deliberately not part of
-        // the documented mediator surface.
-        "sql" => {
-            if mediator.is_durable() {
-                println!(
-                    "note: .sql bypasses the mediator, so these changes skip the \
-                     write-ahead log and are lost on restart (they persist only if \
-                     a later snapshot captures them)"
-                );
+        // Raw SQL reads the current version. Every change goes through
+        // SPARQL/Update, so it is logged, replicated and published under
+        // its own commit.
+        "sql" => match rel::sql::parse(rest) {
+            Ok(rel::sql::Statement::Select(stmt)) => {
+                match rel::sql::execute_select(&mediator.database(), &stmt) {
+                    Ok(rs) => print_result_set(&rs),
+                    Err(e) => println!("error: {e}"),
+                }
             }
-            match rel::sql::execute_sql(&mut mediator.database_mut_for_tests(), rest) {
-                Ok(rel::sql::ExecOutcome::Affected(n)) => println!("{n} row(s) affected"),
-                Ok(rel::sql::ExecOutcome::Rows(rs)) => print_result_set(&rs),
-                Err(e) => println!("error: {e}"),
-            }
-        }
+            Ok(_) => println!(
+                "refused: .sql runs a SELECT only; change data with SPARQL/Update, \
+                 which the write-ahead log and replicas see"
+            ),
+            Err(e) => println!("error: {e}"),
+        },
         other => println!("unknown command .{other} — try .help"),
     }
     true

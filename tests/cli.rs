@@ -94,6 +94,33 @@ fn data_dir_recovers_committed_updates_on_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `.sql` answers a SELECT and refuses every other statement, so no
+/// change bypasses the write-ahead log: a refused DELETE followed by a
+/// logged INSERT DATA leaves the row in place, before and after a
+/// restart.
+#[test]
+fn sql_refuses_a_write_that_would_bypass_the_log() {
+    const SELECT_REIF: &str = ".sql SELECT lastname FROM author WHERE id = 7;\n";
+    let dir = fixtures::scratch_dir("cli-sql");
+    let dir_arg = dir.to_str().expect("UTF-8 temp path");
+    let first = stdout(&run(
+        &["--data-dir", dir_arg],
+        &format!(".sql DELETE FROM author WHERE id = 7;\n{INSERT_GALL}{SELECT_REIF}"),
+    ));
+    assert!(
+        first.contains("refused: .sql runs a SELECT only"),
+        "{first}"
+    );
+    assert!(first.contains("fb:Confirmation"), "{first}");
+    assert!(first.contains("lastname\n'Reif'\n(1 row(s))"), "{first}");
+
+    let second = stdout(&run(&["--data-dir", dir_arg], SELECT_REIF));
+    assert!(second.contains("lastname\n'Reif'\n(1 row(s))"), "{second}");
+    let help = stdout(&run(&[], ".help\n"));
+    assert!(help.contains(".sql runs a SELECT"), "{help}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn malformed_flag_values_exit_2() {
     for (args, message) in [

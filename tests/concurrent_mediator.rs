@@ -11,17 +11,24 @@
 //!    `write_pipeline_differential` harness assertions.
 //! 3. Storm: writers race INSERT/DELETE DATA scripts over shared
 //!    subjects and FK targets, so operations translated before the
-//!    write lock go stale under it — every published version must be
-//!    the serialized application of exactly one acknowledged request to
+//!    write lock go stale under it — every logged version must be the
+//!    serialized application of exactly one acknowledged request to
 //!    its predecessor.
+//! 4. No read waits on a writer: a new query shape compiles and answers
+//!    while a write transaction holds the live lock.
 
 use proptest::prelude::*;
+use sparql_update_rdb::dur;
 use sparql_update_rdb::fixtures;
-use sparql_update_rdb::fixtures::diff::{assert_heaps_identical, assert_indexes_consistent};
-use sparql_update_rdb::ontoaccess::{self, Mediator, OntoError, ReadSession};
+use sparql_update_rdb::fixtures::diff::{
+    assert_heaps_identical, assert_index_set_is_schemas, assert_indexes_consistent,
+};
+use sparql_update_rdb::ontoaccess::{
+    self, CacheProbe, Mediator, OntoError, QueryAnswer, QueryStop, ReadSession,
+};
 use sparql_update_rdb::r3m::Mapping;
 use sparql_update_rdb::rdf::namespace::PrefixMap;
-use sparql_update_rdb::rel::{Database, RowId, Value};
+use sparql_update_rdb::rel::{self, Database, RowId, Value};
 use sparql_update_rdb::sparql;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -104,8 +111,8 @@ fn readers_never_observe_torn_or_uncommitted_writes() {
                         "reader {reader_id} observed an uncommitted transaction"
                     );
                     // Uncached query: unique text exercises the
-                    // compile → provision-indexes → admit path (and the
-                    // clock cache) under concurrency.
+                    // compile → admit path (and the clock cache) under
+                    // concurrency.
                     let uncached = fixtures::workload::with_prefixes(&format!(
                         "SELECT ?x WHERE {{ ?x foaf:title \"Probe{reader_id}x{iterations}\" . }}"
                     ));
@@ -292,18 +299,15 @@ proptest! {
 
 /// A rejected atomic script whose first operation executed leaves the
 /// heap of a mediator that never saw it. The first operation is a
-/// MODIFY joining on a column no index covered, so the transaction also
-/// provisioned an index on the live database: it survives the rollback
-/// and answers like a scan.
+/// MODIFY joining on a column the schema does not index: it runs as a
+/// hash join and builds no index. One more commit on both mediators
+/// publishes the live database, so rows a broken rollback left behind
+/// would show in the published heap.
 #[test]
 fn rejected_atomic_script_leaves_the_heap_of_a_mediator_that_never_saw_it() {
     let initial = fixtures::data::populated_database(6, 3);
     let untouched = Mediator::new(initial.clone(), fixtures::mapping()).unwrap();
     let mediator = Mediator::new(initial, fixtures::mapping()).unwrap();
-    assert!(!mediator
-        .database()
-        .supports_index_probe("author", "lastname")
-        .unwrap());
     let script = fixtures::workload::with_prefixes(
         "MODIFY DELETE { } INSERT { ?a foaf:title \"Dr\" . } \
          WHERE { ?a foaf:family_name ?n . ?b foaf:family_name ?n . } ;\n\
@@ -313,10 +317,63 @@ fn rejected_atomic_script_leaves_the_heap_of_a_mediator_that_never_saw_it() {
     assert_eq!(err.operation_index, 1);
     assert_eq!(err.completed.len(), 1);
     assert!(err.completed[0].rows_affected > 0, "the MODIFY wrote rows");
-    let live = mediator.database_mut_for_tests().clone();
+    let next = fixtures::workload::with_prefixes("INSERT DATA { ex:team900002 foaf:name \"N\" . }");
+    for m in [&mediator, &untouched] {
+        m.execute_update(&next).unwrap();
+    }
+    let live = mediator.database();
     assert_heaps_identical(&live, &untouched.database(), "rejected atomic script");
-    assert!(live.supports_index_probe("author", "lastname").unwrap());
+    assert!(!live.supports_index_probe("author", "lastname").unwrap());
+    assert_index_set_is_schemas(&live);
     assert_indexes_consistent(&live, "rejected atomic script");
+}
+
+/// No read waits on a writer. With a write transaction open (it holds
+/// the live database's lock), a never-seen query shape that joins on a
+/// column the schema does not index compiles and answers within 5 s,
+/// and its answer is the reference executor's.
+#[test]
+fn a_new_shape_compiles_while_a_write_transaction_is_open() {
+    let mediator = Mediator::new(
+        fixtures::data::populated_database(40, 5),
+        fixtures::mapping(),
+    )
+    .unwrap();
+    let text = fixtures::workload::with_prefixes(
+        "SELECT ?a ?b WHERE { ?a foaf:family_name ?n . ?b foaf:family_name ?n . }",
+    );
+    let txn = mediator.write();
+    let (answered, answer) = std::sync::mpsc::channel();
+    let reader = mediator.read();
+    let query = text.clone();
+    let handle = std::thread::spawn(move || {
+        let _ = answered.send(reader.run_query(&query, QueryStop::Execute));
+    });
+    let run = answer
+        .recv_timeout(std::time::Duration::from_secs(5))
+        .expect("the read waited on the open write transaction")
+        .unwrap();
+    txn.rollback().unwrap();
+    handle.join().unwrap();
+    assert_eq!(run.cache, CacheProbe::Compile);
+    let Some(QueryAnswer::Solutions(rows)) = &run.outcome else {
+        panic!("a SELECT answers solutions")
+    };
+
+    let db = mediator.database();
+    let sparql::Query::Select(select) =
+        sparql::parse_query_with_prefixes(&text, PrefixMap::common()).unwrap()
+    else {
+        panic!("a SELECT")
+    };
+    let compiled = ontoaccess::compile_select(&db, mediator.mapping(), &select).unwrap();
+    let reference = rel::sql::execute_select_reference(&db, &compiled.sql).unwrap();
+    assert!(!reference.rows.is_empty());
+    let answered = rel::sql::ResultSet {
+        columns: reference.columns.clone(),
+        rows: rows.rows().to_vec(),
+    };
+    assert_eq!(answered.canonical(), reference.canonical());
 }
 
 // ----------------------------------------------------------------------
@@ -426,26 +483,41 @@ fn same_heap(a: &Database, b: &Database) -> bool {
         .all(|table| rows(a, &table.name) == rows(b, &table.name))
 }
 
+// The committed units of the write-ahead log in `dir`, decoded with
+// the dictionary of its newest snapshot (no checkpoint runs after the
+// base one, so the log holds every commit since).
+fn logged_units(mediator: &Mediator, dir: &std::path::Path) -> Vec<dur::wal::CommitUnit> {
+    let (_, snapshot) = mediator.latest_snapshot_bytes().unwrap();
+    let (_, _, mut dict) =
+        dur::snapshot::decode_snapshot(&snapshot, mediator.database().schema()).unwrap();
+    let wal = std::fs::read(dir.join(dur::WAL_FILE)).unwrap();
+    dur::wal::scan_records(&wal[dur::wal::WAL_MAGIC.len()..], &mut dict).units
+}
+
 /// Four writers send atomic INSERT/DELETE DATA scripts over five
-/// authors and three teams. Each round commits at most 28 versions, so
-/// the whole round stays inside the 32-version window, and is then
-/// checked: walking the published seqs in order, each version must be
-/// heap-identical to the serialized application of the next unused
-/// acknowledged request of exactly one writer to its predecessor;
-/// every acknowledged request is used exactly once, and rejected
-/// requests publish nothing. The storm must have exercised the
-/// revalidation path (`write_retranslations > 0`).
+/// authors and three teams to a durable mediator. Each round's history
+/// is rebuilt from the log: its units, folded in seq order onto the
+/// heap pinned at the start of the round. Walking them, each folded
+/// version must be heap-identical to the serialized application of the
+/// next unused acknowledged request of exactly one writer to its
+/// predecessor; every acknowledged request is used exactly once,
+/// rejected requests log nothing, and the last fold is the published
+/// heap. The storm must have exercised the revalidation path
+/// (`write_retranslations > 0`).
 #[test]
 fn racing_writers_publish_only_serializable_versions() {
     const WRITERS: usize = 4;
     const REQUESTS: u64 = 7;
     const ROUNDS: u64 = 8;
-    let mediator = fixtures::mediator();
+    let dir = fixtures::scratch_dir("racing-writers");
+    let (mediator, _) =
+        Mediator::open_durable(&dir, fixtures::database(), fixtures::mapping()).unwrap();
     let mapping = fixtures::mapping();
     let mut mine: Vec<BTreeMap<u64, (String, u64)>> = vec![BTreeMap::new(); WRITERS];
     let mut acknowledged_total = 0;
     for round in 0..ROUNDS {
-        let base = mediator.concurrency_stats().current_version;
+        let pinned = mediator.database();
+        let base = pinned.version_seq();
         let acknowledged: Vec<Vec<String>> = std::thread::scope(|scope| {
             let handles: Vec<_> = mine
                 .iter_mut()
@@ -488,10 +560,23 @@ fn racing_writers_publish_only_serializable_versions() {
             count as u64,
             "round {round}: each acknowledged request publishes one version, a rejected one none"
         );
+        let units: Vec<_> = logged_units(&mediator, &dir)
+            .into_iter()
+            .filter(|unit| unit.seq > base)
+            .collect();
+        assert_eq!(
+            units.iter().map(|unit| unit.seq).collect::<Vec<_>>(),
+            (base + 1..=end).collect::<Vec<_>>(),
+            "round {round}: one logged unit per published version"
+        );
         let mut next = [0; WRITERS];
-        for seq in base + 1..=end {
-            let before = mediator.read_at(seq - 1).unwrap().database();
-            let after = mediator.read_at(seq).unwrap().database();
+        let mut after: Database = pinned.clone();
+        for unit in &units {
+            let seq = unit.seq;
+            let before = after.clone();
+            unit.ops()
+                .try_for_each(|op| after.apply_logical(op))
+                .unwrap();
             let matched = (0..WRITERS).find_map(|writer| {
                 let text = acknowledged[writer].get(next[writer])?;
                 let mut db = before.clone();
@@ -518,10 +603,17 @@ fn racing_writers_publish_only_serializable_versions() {
                 "round {round}: writer {writer}'s acknowledged requests each publish once"
             );
         }
+        assert_heaps_identical(
+            &after,
+            &mediator.database(),
+            &format!("round {round}: the last fold is the published heap"),
+        );
     }
     assert!(acknowledged_total > 0, "the storm acknowledged nothing");
     assert!(
         mediator.concurrency_stats().write_retranslations > 0,
         "the storm never took the revalidation path"
     );
+    drop(mediator);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

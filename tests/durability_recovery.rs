@@ -36,18 +36,13 @@ fn durable_mediator(dir: &Path) -> Mediator {
         .0
 }
 
-// Heaps, indexes, secondary-index column sets, and row-id allocators
-// must all agree.
+// Heaps, indexes and row-id allocators must all agree, and the
+// recovered index set is the schema's.
 fn assert_states_identical(reference: &Database, recovered: &Database, context: &str) {
     diff::assert_heaps_identical(reference, recovered, context);
     diff::assert_indexes_consistent(recovered, context);
+    diff::assert_index_set_is_schemas(recovered);
     for table in reference.schema().tables() {
-        assert_eq!(
-            reference.secondary_index_columns(&table.name).unwrap(),
-            recovered.secondary_index_columns(&table.name).unwrap(),
-            "secondary index set differs for {}: {context}",
-            table.name
-        );
         assert_eq!(
             reference.next_row_id(&table.name).unwrap(),
             recovered.next_row_id(&table.name).unwrap(),

@@ -6,9 +6,9 @@
 //! byte for byte, the heap each reader pins — and version sequence
 //! numbers never run backwards within a session. Plus the lifecycle
 //! edges: rollbacks publish nothing, a durable reopen resumes the
-//! version numbering from the WAL, time-travel reads stay pinned
-//! through later commits, and dropping the last `ReadSession` releases
-//! its retired version promptly (the drop-glue / memory audit).
+//! version numbering from the WAL, a pinned guard keeps its version
+//! through later commits, and dropping the last pin of a replaced
+//! version frees it promptly (the drop-glue / memory audit).
 
 use sparql_update_rdb::fixtures;
 use sparql_update_rdb::fixtures::diff::assert_heaps_identical;
@@ -24,8 +24,7 @@ fn parse_op(text: &str) -> sparql::UpdateOp {
 }
 
 // Row-order-insensitive comparison: the live path runs a cached plan
-// compiled against an earlier snapshot (possibly with different index
-// availability), so join order — and therefore row order — may differ
+// compiled against an earlier snapshot, so join order — and therefore row order — may differ
 // from a fresh reference compilation while the solution *set* must not.
 fn sorted_rows(solutions: &Solutions) -> Vec<String> {
     let mut rows: Vec<String> = solutions
@@ -179,56 +178,32 @@ fn snapshot_reads_match_serialized_reference_under_storm() {
     });
 }
 
-/// Time travel: `read_at` pins a fixed historical version that later
-/// commits cannot move, future sequences are rejected, and sequences
-/// pushed out of the retention window are reported as retired.
+/// A pinned guard keeps its version: later commits replace the current
+/// version but cannot move the guard's, and the replaced version stays
+/// alive exactly as long as the guard does.
 #[test]
-fn read_at_pins_history_and_respects_retention() {
+fn a_pinned_guard_keeps_its_version_across_later_commits() {
     let mediator = fixtures::mediator();
-    let mut references = vec![mediator.database().clone()]; // seq 0
-    for i in 0..5i64 {
+    for i in 0..2i64 {
         mediator
             .execute_update(&fixtures::workload::insert_author(2_000_000 + i, 1, None))
             .unwrap();
-        references.push(mediator.database().clone());
     }
-    assert_eq!(mediator.concurrency_stats().current_version, 5);
+    let pinned = mediator.database();
+    let reference = pinned.clone();
+    assert_eq!(pinned.version_seq(), 2);
 
-    let session = mediator.read_at(2).unwrap();
-    assert_eq!(session.database().version_seq(), 2);
-    assert_heaps_identical(&session.database(), &references[2], "pinned seq 2");
-
-    // Later commits advance the mediator but not the pinned session.
-    for i in 5..8i64 {
+    // Later commits advance the mediator but not the pinned guard.
+    for i in 2..8i64 {
         mediator
             .execute_update(&fixtures::workload::insert_author(2_000_000 + i, 1, None))
             .unwrap();
     }
     assert_eq!(mediator.concurrency_stats().current_version, 8);
-    assert_eq!(session.database().version_seq(), 2);
-    assert_heaps_identical(
-        &session.database(),
-        &references[2],
-        "pinned seq 2 after commits",
-    );
-
-    // A sequence that has not been committed yet is an error…
-    assert!(mediator.read_at(999).is_err());
-
-    // …and so is one pushed out of the retention window. 40 more
-    // commits retire everything at seq <= 8 (the window holds 32).
-    for i in 8..48i64 {
-        mediator
-            .execute_update(&fixtures::workload::insert_author(2_000_000 + i, 1, None))
-            .unwrap();
-    }
-    assert!(mediator.read_at(1).is_err(), "retired seq must be rejected");
-    // The already-pinned session is unaffected by retirement.
-    assert_heaps_identical(
-        &session.database(),
-        &references[2],
-        "pinned survives retirement",
-    );
+    assert_eq!(pinned.version_seq(), 2);
+    assert_heaps_identical(&pinned, &reference, "pinned seq 2 after commits");
+    assert_eq!(mediator.database().row_count("author").unwrap(), 8);
+    assert_eq!(mediator.concurrency_stats().versions_retained, 2);
 }
 
 /// Durable reopen: version numbering is the WAL commit sequence, so a
@@ -257,10 +232,7 @@ fn durable_reopen_resumes_version_numbering() {
         "reopen must resume the WAL commit sequence"
     );
     assert_heaps_identical(&mediator.database(), &expected, "recovered state");
-    // The recovered version is readable as-of; pre-crash history is not
-    // (only the recovered state survives the process boundary).
-    assert_eq!(mediator.read_at(3).unwrap().database().version_seq(), 3);
-    assert!(mediator.read_at(2).is_err());
+    assert_eq!(mediator.database().version_seq(), 3);
     // The next commit continues the numbering.
     mediator
         .execute_update(&fixtures::workload::insert_author(2_100_900, 1, None))
@@ -270,44 +242,44 @@ fn durable_reopen_resumes_version_numbering() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Drop glue / memory audit: a pinned session is the only thing keeping
-/// a retired version alive — dropping it frees the version immediately
-/// (observed through a `Weak` canary) — and a storm of short-lived
+/// Drop glue / memory audit: a pinned guard is the only thing keeping
+/// a replaced version alive — dropping it frees the version at once
+/// (the versions-alive count falls back to 1, and each version holds
+/// one clone of the count's token) — and a storm of short-lived
 /// sessions leaves the live-session count at its baseline.
 #[test]
 fn read_session_drop_releases_versions_promptly() {
     let mediator = fixtures::mediator();
     assert_eq!(mediator.concurrency_stats().read_sessions_live, 0);
+    assert_eq!(mediator.concurrency_stats().versions_retained, 1);
 
     mediator
         .execute_update(&fixtures::workload::insert_author(2_200_000, 1, None))
         .unwrap();
-    let session = mediator.read_at(1).unwrap();
-    let canary = mediator
-        .version_weak_for_tests(1)
-        .expect("seq 1 is in the chain");
+    let session = mediator.read();
+    let guard = session.database();
+    assert_eq!(guard.version_seq(), 1);
     assert_eq!(mediator.concurrency_stats().read_sessions_live, 1);
 
-    // Push seq 1 out of the retention window: the chain no longer holds
-    // it, but the pinned session must.
+    // Replace seq 1: the chain no longer holds it, but the guard must.
     for i in 1..41i64 {
         mediator
             .execute_update(&fixtures::workload::insert_author(2_200_000 + i, 1, None))
             .unwrap();
     }
-    assert!(
-        mediator.version_weak_for_tests(1).is_none(),
-        "seq 1 must have been retired from the chain"
+    assert_eq!(
+        mediator.concurrency_stats().versions_retained,
+        2,
+        "the current version plus the one the guard pins"
     );
-    assert!(
-        canary.upgrade().is_some(),
-        "the pinned session keeps its retired version alive"
+    assert_eq!(guard.version_seq(), 1);
+    drop(guard);
+    assert_eq!(
+        mediator.concurrency_stats().versions_retained,
+        1,
+        "dropping the last pin must free the replaced version"
     );
     drop(session);
-    assert!(
-        canary.upgrade().is_none(),
-        "dropping the last session must free the retired version"
-    );
     assert_eq!(mediator.concurrency_stats().read_sessions_live, 0);
 
     // A storm of short-lived sessions (create, query, drop) must return

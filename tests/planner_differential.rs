@@ -272,7 +272,7 @@ proptest! {
         seed in 0u64..1000,
         min_year in 1990i64..2015,
     ) {
-        let mut db = fixtures::data::populated_database(n, seed);
+        let db = fixtures::data::populated_database(n, seed);
         let mapping = fixtures::mapping();
         for text in [
             fixtures::workload::select_authors_with_team(),
@@ -289,8 +289,6 @@ proptest! {
             };
             let compiled = ontoaccess::compile_select(&db, &mapping, &select).unwrap();
             let reference = rel::sql::execute_select_reference(&db, &compiled.sql).unwrap();
-            // Through the full planner path, indexes provisioned.
-            ontoaccess::ensure_join_indexes(&mut db, &compiled).unwrap();
             let planner = rel::sql::execute_select(&db, &compiled.sql).unwrap();
             prop_assert_eq!(planner.canonical(), reference.canonical(), "query: {}", text);
         }
@@ -347,7 +345,6 @@ fn plan_of(db: &mut Database, text: &str) -> (Vec<(String, &'static str, String)
         panic!("a SELECT")
     };
     let compiled = ontoaccess::compile_select(db, &fixtures::mapping(), &select).unwrap();
-    ontoaccess::ensure_join_indexes(db, &compiled).unwrap();
     let plan = rel::sql::plan_select(db, &compiled.sql).unwrap();
     let shape = plan
         .levels

@@ -7,7 +7,7 @@
 //! differential that validates crash recovery validates the wire.
 
 use sparql_update_rdb::fixtures;
-use sparql_update_rdb::fixtures::diff::assert_heaps_identical;
+use sparql_update_rdb::fixtures::diff::{assert_heaps_identical, assert_index_set_is_schemas};
 use sparql_update_rdb::ontoaccess::Mediator;
 use sparql_update_rdb::ontoaccess_server::{serve, ServerConfig, ServerHandle};
 use sparql_update_rdb::rdf::namespace::PrefixMap;
@@ -121,6 +121,11 @@ fn followers_converge_byte_identically_under_write_storm() {
 
     assert_heaps_identical(&mediator_a.database(), &leader.database(), "follower A");
     assert_heaps_identical(&mediator_b.database(), &leader.database(), "follower B");
+    // The index set is the schema's on every node, so one state plans
+    // (and orders its answers) alike on each.
+    for node in [&leader, &mediator_a, &mediator_b] {
+        assert_index_set_is_schemas(&node.database());
+    }
     // Leader-aligned version numbering: both followers publish the
     // leader's commit sequence numbers, not a private counter.
     assert_eq!(mediator_a.concurrency_stats().current_version, target);

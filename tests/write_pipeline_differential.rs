@@ -145,7 +145,7 @@ proptest! {
             assert_indexes_consistent(&batched, &format!("op {k} (batched)"));
             assert_indexes_consistent(&reference, &format!("op {k} (reference)"));
         }
-        assert_planner_matches_reference(&mut batched, "workload");
+        assert_planner_matches_reference(&batched, "workload");
     }
 }
 
@@ -281,10 +281,10 @@ fn failing_row_mid_group_leaves_database_byte_identical() {
         ),
         "expected a RESTRICT violation, got: {err}"
     );
-    let mut after = mediator.database().clone();
+    let after = mediator.database().clone();
     assert_heaps_identical(&before, &after, "post-rollback");
     assert_indexes_consistent(&after, "post-rollback");
-    assert_planner_matches_reference(&mut after, "rollback");
+    assert_planner_matches_reference(&after, "rollback");
 }
 
 /// Same contract at the raw statement level: a multi-row INSERT whose
