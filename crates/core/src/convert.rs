@@ -62,11 +62,15 @@ struct IriForm<'m> {
     pattern: Cow<'m, UriPattern>,
     prefix: Option<Cow<'m, str>>,
     slot: Cow<'m, str>,
-    // Fixed by the three above when the codec is made: whether the
-    // constant parts of the IRI (the prefix, unless the pattern is
-    // absolute, and the literal segments) pass `Iri::check` on their own
-    // terms — every character allowed and a `:` among them — so that an
-    // IRI is valid exactly when its substituted text is allowed.
+    // Fixed by the three above when the codec is made: the constant
+    // text of the IRI before and after the cell's, or why no IRI can be
+    // generated.
+    frame: Result<(String, String), String>,
+    // Also fixed then: whether the constant parts of the IRI (the
+    // prefix, unless the pattern is absolute, and the literal segments)
+    // pass `Iri::check` on their own terms — every character allowed and
+    // a `:` among them — so that an IRI is valid exactly when its
+    // substituted text is allowed.
     constants_checked: bool,
 }
 
@@ -89,9 +93,73 @@ impl<'m> IriForm<'m> {
             pattern: Cow::Borrowed(pattern),
             prefix: prefix.map(Cow::Borrowed),
             slot: Cow::Borrowed(slot),
+            frame: frame(pattern, prefix, slot),
             constants_checked,
         }
     }
+
+    // The frame around the cell's text; the error is the pattern's.
+    fn frame(&self) -> OntoResult<(&str, &str)> {
+        match &self.frame {
+            Ok((before, after)) => Ok((before, after)),
+            Err(message) => Err(unsupported(message.clone())),
+        }
+    }
+
+    // Whether the IRI of a non-NULL cell is valid without checking it
+    // whole: the constants vouch for themselves and the cell's text is
+    // allowed. Numbers and booleans render to digits, signs, `.`, `e`,
+    // `INF`, `NaN`, `true` and `false`: always allowed.
+    fn vouches_for(&self, value: &Value) -> bool {
+        self.constants_checked
+            && match value {
+                Value::Text(s) => Iri::allows(s.as_str()),
+                _ => true,
+            }
+    }
+}
+
+// The constant text of a pattern's IRIs before and after placeholder
+// `slot`. Generation needs a value for every placeholder and the codec
+// has one for `slot` only, so the first other placeholder fails it,
+// with the error the pattern reports; so does a `slot` that does not
+// occur exactly once, since a cell's text goes in one place.
+fn frame(
+    pattern: &UriPattern,
+    prefix: Option<&str>,
+    slot: &str,
+) -> Result<(String, String), String> {
+    let placeholders = pattern
+        .segments()
+        .iter()
+        .filter_map(|segment| match segment {
+            Segment::Attribute(name) => Some(name.as_str()),
+            Segment::Literal(_) => None,
+        });
+    if let Some(other) = placeholders.clone().find(|&name| name != slot) {
+        return Err(r3m::PatternError {
+            message: format!("no value for pattern attribute {other:?}"),
+        }
+        .to_string());
+    }
+    if placeholders.count() != 1 {
+        return Err(format!(
+            "URI pattern {pattern} must hold placeholder {slot:?} exactly once"
+        ));
+    }
+    let mut before = String::new();
+    if !pattern.is_absolute() {
+        before.push_str(prefix.unwrap_or(""));
+    }
+    let mut after = String::new();
+    let mut side = &mut before;
+    for segment in pattern.segments() {
+        match segment {
+            Segment::Literal(text) => side.push_str(text),
+            Segment::Attribute(_) => side = &mut after,
+        }
+    }
+    Ok((before, after))
 }
 
 fn unsupported(message: String) -> OntoError {
@@ -202,6 +270,7 @@ impl<'m> Codec<'m> {
                 pattern: own(iri.pattern),
                 prefix: iri.prefix.map(own),
                 slot: own(iri.slot),
+                frame: iri.frame,
                 constants_checked: iri.constants_checked,
             }),
         }
@@ -228,26 +297,73 @@ impl<'m> Codec<'m> {
         if value.is_null() {
             return Ok(None);
         }
+        let (before, after) = iri.frame()?;
         scratch.clear();
-        iri.pattern
-            .generate_into(iri.prefix.as_deref(), scratch, |name, out| {
-                if name != iri.slot {
-                    return false;
-                }
-                push_lexical(value, out);
-                true
-            })
-            .map_err(|e| unsupported(e.to_string()))?;
-        // Numbers and booleans render to digits, signs, `.`, `e`,
-        // `INF`, `NaN`, `true` and `false`: always allowed.
-        let cell_allowed = match value {
-            Value::Text(s) => Iri::allows(s.as_str()),
-            _ => true,
-        };
-        if !(iri.constants_checked && cell_allowed) {
+        scratch.push_str(before);
+        push_lexical(value, scratch);
+        scratch.push_str(after);
+        if !iri.vouches_for(value) {
             Iri::check(scratch).map_err(|e| unsupported(e.to_string()))?;
         }
         Ok(Some(TermRef::Iri(scratch)))
+    }
+
+    /// The one part of a cell's term that depends on more than the
+    /// codec and the cell's kind (its [`Value`] variant): its lexical
+    /// text, which [`Codec::term_with`] puts back into the term. `None`
+    /// for NULL. A text cell borrows its interned string; numbers and
+    /// booleans format into `scratch` (cleared first). Fails as
+    /// [`Codec::encode`] fails.
+    pub fn cell_text<'s>(
+        &self,
+        value: &'s Value,
+        scratch: &'s mut String,
+    ) -> OntoResult<Option<&'s str>> {
+        let text = match value {
+            Value::Null => return Ok(None),
+            Value::Text(s) => s.as_str(),
+            other => {
+                scratch.clear();
+                push_lexical(other, scratch);
+                scratch.as_str()
+            }
+        };
+        if let Some(iri) = &self.iri {
+            let (before, after) = iri.frame()?;
+            if !iri.vouches_for(value) {
+                Iri::check(&[before, text, after].concat())
+                    .map_err(|e| unsupported(e.to_string()))?;
+            }
+        }
+        Ok(Some(text))
+    }
+
+    /// The term [`Codec::encode`] renders for a cell of `like`'s kind
+    /// whose lexical text is `text`; `None` if `like` is NULL. An IRI
+    /// expands into `scratch` (cleared first) without a check: `text`
+    /// is what [`Codec::cell_text`] returned, or text chosen by the
+    /// caller.
+    pub fn term_with<'s>(
+        &self,
+        like: &Value,
+        text: &'s str,
+        scratch: &'s mut String,
+    ) -> Option<TermRef<'s>> {
+        if like.is_null() {
+            return None;
+        }
+        let Some(iri) = &self.iri else {
+            return Some(TermRef::Literal {
+                lexical: text,
+                kind: literal_kind(like),
+            });
+        };
+        let (before, after) = iri.frame.as_ref().ok()?;
+        scratch.clear();
+        scratch.push_str(before);
+        scratch.push_str(text);
+        scratch.push_str(after);
+        Some(TermRef::Iri(scratch))
     }
 
     /// [`Codec::encode`], owned. A text literal borrows the interned
@@ -422,24 +538,30 @@ const XSD_DOUBLE: &str = "http://www.w3.org/2001/XMLSchema#double";
 // `scratch` (cleared first) under a static `xsd:` datatype. NULL has no
 // triple.
 fn literal<'s>(value: &Value, scratch: &'s mut String) -> Option<TermRef<'s>> {
-    let datatype = match value {
+    let lexical = match value {
         Value::Null => return None,
-        Value::Text(s) => {
-            return Some(TermRef::Literal {
-                lexical: s.as_str(),
-                kind: LiteralKindRef::Plain,
-            })
+        Value::Text(s) => s.as_str(),
+        _ => {
+            scratch.clear();
+            push_lexical(value, scratch);
+            scratch
         }
-        Value::Int(_) => XSD_INTEGER,
-        Value::Bool(_) => XSD_BOOLEAN,
-        Value::Double(_) => XSD_DOUBLE,
     };
-    scratch.clear();
-    push_lexical(value, scratch);
     Some(TermRef::Literal {
-        lexical: scratch,
-        kind: LiteralKindRef::Datatype(datatype),
+        lexical,
+        kind: literal_kind(value),
     })
+}
+
+// The kind of a non-NULL cell's literal: text is plain, the others carry
+// their `xsd:` datatype.
+fn literal_kind(value: &Value) -> LiteralKindRef<'static> {
+    match value {
+        Value::Text(_) | Value::Null => LiteralKindRef::Plain,
+        Value::Int(_) => LiteralKindRef::Datatype(XSD_INTEGER),
+        Value::Bool(_) => LiteralKindRef::Datatype(XSD_BOOLEAN),
+        Value::Double(_) => LiteralKindRef::Datatype(XSD_DOUBLE),
+    }
 }
 
 // Append the lexical form of a value: the text itself, `6`, `true`,
@@ -617,6 +739,41 @@ mod tests {
     }
 
     #[test]
+    fn a_pattern_that_cannot_place_the_cell_fails_every_cell() {
+        // The frame around the slot is fixed when the codec is made; a
+        // pattern it cannot be fixed for fails each cell with the
+        // pattern's error, through both ways a cell renders.
+        let (db, mapping) = fixture_db_with_rows();
+        let table = db.schema().table("author").unwrap();
+        let email = mapping.table("author").unwrap().attribute("email").unwrap();
+        for (pattern, error) in [
+            (
+                "mailto:%%other%%",
+                "invalid URI pattern: no value for pattern attribute \"other\"",
+            ),
+            (
+                "mailto:%%email%%@%%email%%",
+                "URI pattern mailto:%%email%%@%%email%% must hold placeholder \"email\" \
+                 exactly once",
+            ),
+            (
+                "mailto:nobody",
+                "URI pattern mailto:nobody must hold placeholder \"email\" exactly once",
+            ),
+        ] {
+            let mut attr = email.clone();
+            attr.value_pattern = Some(UriPattern::parse(pattern).unwrap());
+            let codec = Codec::attribute(&mapping, table, &attr).unwrap();
+            let cell = Value::text("x");
+            let expected = format!("unsupported request: {error}");
+            let encoded = codec.encode(&cell, &mut String::new()).map(|_| ());
+            assert_eq!(encoded.unwrap_err().to_string(), expected);
+            let text = codec.cell_text(&cell, &mut String::new()).map(|_| ());
+            assert_eq!(text.unwrap_err().to_string(), expected);
+        }
+    }
+
+    #[test]
     fn iris_check_the_cell_and_report_the_whole_iri() {
         // The template's constants were checked when the codec was
         // made; a cell that breaks the IRI fails with the whole IRI.
@@ -632,10 +789,23 @@ mod tests {
                 "unsupported request: invalid IRI \"mailto:hert at uzh.ch\": contains \
                  whitespace or a forbidden character"
             );
+            // The writers' split of a cell fails the same way, and puts
+            // the text back into the same term.
+            let cell = Value::text("hert at uzh.ch");
+            let split = codec.cell_text(&cell, &mut scratch).unwrap_err();
+            assert_eq!(split.to_string(), err.to_string());
+            let cell = Value::text("x@y.ch");
+            let text = codec.cell_text(&cell, &mut scratch).unwrap().unwrap();
+            let mut expanded = String::new();
+            let term = codec.term_with(&cell, text, &mut expanded);
+            assert_eq!(term, Some(TermRef::Iri("mailto:x@y.ch")));
         });
         with_codec("author", "team", |codec| {
             let term = codec.term(&Value::Int(-12)).unwrap();
             assert_eq!(term, Some(Term::iri("http://example.org/db/team-12")));
+            let mut scratch = String::new();
+            let text = codec.cell_text(&Value::Int(-12), &mut scratch).unwrap();
+            assert_eq!(text, Some("-12"));
         });
     }
 

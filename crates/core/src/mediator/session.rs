@@ -314,7 +314,7 @@ impl ReadSession {
                 let outcome = if query.shape.ask {
                     QueryAnswer::Boolean(!rows.is_empty())
                 } else {
-                    QueryAnswer::Solutions(SolutionRows::new(Arc::clone(compiled), rows.rows))
+                    QueryAnswer::Solutions(SolutionRows::new(Arc::clone(compiled), rows))
                 };
                 if span.armed() {
                     span.attr_u64("version_seq", version.seq);

@@ -32,7 +32,7 @@ use crate::translate::link_ends;
 use r3m::{Mapping, PropertyMapping, TableMap};
 use rdf::namespace::RDF_TYPE;
 use rdf::Term;
-use rel::sql::{Expr, SelectItem, SelectStmt, TableRef};
+use rel::sql::{Expr, FlatRows, SelectItem, SelectStmt, TableRef};
 use rel::{Database, Value};
 use sparql::{
     Binding, CompareOp, FilterExpr, Projection, Query, SelectQuery, Solutions, TermPattern,
@@ -109,13 +109,13 @@ pub fn execute_select(
 pub fn run_compiled(db: &Database, compiled: &CompiledQuery) -> OntoResult<Solutions> {
     let plan = rel::sql::plan_select(db, &compiled.sql)?;
     let rows = rel::sql::execute_plan(db, &plan, compiled.limit)?;
-    collect_solutions(compiled, &rows.rows)
+    collect_solutions(compiled, &rows)
 }
 
 // Owned solutions: every cell through its column's codec.
-fn collect_solutions(compiled: &CompiledQuery, rows: &[Vec<Value>]) -> OntoResult<Solutions> {
+fn collect_solutions(compiled: &CompiledQuery, rows: &FlatRows) -> OntoResult<Solutions> {
     let mut bindings = Vec::with_capacity(rows.len());
-    for row in rows {
+    for row in rows.iter() {
         let mut binding = Binding::new();
         for ((var, codec), value) in compiled.bindings.iter().zip(row) {
             if let Some(term) = codec.term(value)? {
@@ -134,24 +134,34 @@ fn collect_solutions(compiled: &CompiledQuery, rows: &[Vec<Value>]) -> OntoResul
     })
 }
 
-/// A SELECT's answer as the join produced it: one row of SQL values
-/// per solution (LIMIT and DISTINCT applied) plus the compiled query
-/// whose variables and codecs render each cell. Serializers write
-/// straight from the rows; [`SolutionRows::to_solutions`] builds owned
-/// solutions for library callers.
+/// A SELECT's answer as the join produced it: the one flat buffer of
+/// SQL values [`rel::sql::execute_plan`] filled, a row per solution
+/// (LIMIT and DISTINCT applied), plus the compiled query whose variables
+/// and codecs render each cell. Serializers write straight from the
+/// rows; [`SolutionRows::to_solutions`] builds owned solutions for
+/// library callers.
 #[derive(Debug, Clone)]
 pub struct SolutionRows {
     compiled: Arc<CompiledQuery>,
-    rows: Vec<Vec<Value>>,
+    rows: FlatRows,
 }
 
 impl SolutionRows {
     /// Pair the rows [`rel::sql::execute_plan`] returned for
     /// `compiled.sql` (stopped at `compiled.limit`) with the query they
     /// answer. Nothing is converted: cell `i` of a row is projected
-    /// variable `i`, rendered by its [`Codec::encode`] only where the
-    /// answer is written out.
-    pub fn new(compiled: Arc<CompiledQuery>, rows: Vec<Vec<Value>>) -> Self {
+    /// variable `i`, rendered by its [`Codec`] only where the answer is
+    /// written out.
+    ///
+    /// # Panics
+    ///
+    /// If the rows are not one cell per projected variable wide.
+    pub fn new(compiled: Arc<CompiledQuery>, rows: FlatRows) -> Self {
+        assert_eq!(
+            rows.width(),
+            compiled.bindings.len(),
+            "one cell per projected variable"
+        );
         SolutionRows { compiled, rows }
     }
 
@@ -167,8 +177,8 @@ impl SolutionRows {
     }
 
     /// The rows, one per solution.
-    pub fn rows(&self) -> &[Vec<Value>] {
-        &self.rows
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Value]> + Clone {
+        self.rows.iter()
     }
 
     /// Number of solutions.

@@ -41,7 +41,7 @@ pub mod sql {
     };
     pub use exec::{
         eval, eval_on_row, execute, execute_plan, execute_select, execute_select_reference,
-        execute_sql, plan_select, Access, ExecOutcome, LevelColumn, PlanLevel, ResultSet,
+        execute_sql, plan_select, Access, ExecOutcome, FlatRows, LevelColumn, PlanLevel, ResultSet,
         SelectPlan,
     };
     pub use parser::{parse, parse_script};

@@ -101,6 +101,69 @@ impl ResultSet {
     }
 }
 
+/// A SELECT's answer as [`execute_plan`] produced it: rows of
+/// [`FlatRows::width`] cells each, stored one after another in one
+/// buffer, in the order the plan enumerates them. The row count is kept
+/// rather than derived, because a row can have no cells: an `ASK` over
+/// a ground pattern projects nothing and still answers by its count.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct FlatRows {
+    cells: Vec<Value>,
+    width: usize,
+    len: usize,
+}
+
+impl FlatRows {
+    /// The answer holding `rows`, each of `width` cells.
+    ///
+    /// # Panics
+    ///
+    /// If a row has another number of cells.
+    pub fn from_rows<R: AsRef<[Value]>>(width: usize, rows: impl IntoIterator<Item = R>) -> Self {
+        let mut flat = FlatRows {
+            width,
+            ..FlatRows::default()
+        };
+        for row in rows {
+            let row = row.as_ref();
+            assert_eq!(row.len(), width, "a row of a {width}-cell answer");
+            flat.cells.extend_from_slice(row);
+            flat.len += 1;
+        }
+        flat
+    }
+
+    /// Cells per row: the number of outputs.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The rows in order, each a slice of [`FlatRows::width`] cells.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[Value]> + Clone {
+        let width = self.width;
+        (0..self.len).map(move |row| &self.cells[row * width..(row + 1) * width])
+    }
+
+    /// The answer as a [`ResultSet`] with output names `columns`: one
+    /// `Vec` per row.
+    pub fn into_result_set(self, columns: Vec<String>) -> ResultSet {
+        ResultSet {
+            rows: self.iter().map(<[Value]>::to_vec).collect(),
+            columns,
+        }
+    }
+}
+
 /// Execute one statement.
 pub fn execute(db: &mut Database, stmt: &Statement) -> RelResult<ExecOutcome> {
     match stmt {
@@ -879,7 +942,8 @@ impl SelectPlan {
 /// Execute a SELECT through the planner (callers holding a parsed
 /// statement skip the `Statement` wrapper — and its clone — entirely).
 pub fn execute_select(db: &Database, stmt: &SelectStmt) -> RelResult<ResultSet> {
-    execute_plan(db, &plan_select(db, stmt)?, None)
+    let plan = plan_select(db, stmt)?;
+    Ok(execute_plan(db, &plan, None)?.into_result_set(plan.columns))
 }
 
 // One FROM binding while planning.
@@ -1206,25 +1270,23 @@ pub fn plan_select(db: &Database, stmt: &SelectStmt) -> RelResult<SelectPlan> {
     })
 }
 
-/// Run a plan against the database state it was planned on. With a
-/// `limit`, the join stops as soon as that many rows are out; under
-/// DISTINCT a row counts only the first time it is emitted, so the
-/// result is the first `limit` rows of the unlimited one.
-pub fn execute_plan(
-    db: &Database,
-    plan: &SelectPlan,
-    limit: Option<usize>,
-) -> RelResult<ResultSet> {
+/// Run a plan against the database state it was planned on. The answer
+/// is one flat buffer: each output that reads one slot is copied from
+/// it, any other output is evaluated, row after row. With a `limit`,
+/// the join stops as soon as that many rows are out; under DISTINCT a
+/// row counts only the first time it is emitted, so the result is the
+/// first `limit` rows of the unlimited one.
+pub fn execute_plan(db: &Database, plan: &SelectPlan, limit: Option<usize>) -> RelResult<FlatRows> {
     let mut out = Emitted {
-        rows: Vec::new(),
+        rows: FlatRows {
+            width: plan.outputs.len(),
+            ..FlatRows::default()
+        },
         limit: limit.unwrap_or(usize::MAX),
         seen: plan.distinct.then(HashSet::new),
     };
     if plan.empty || out.full() {
-        return Ok(ResultSet {
-            columns: plan.columns.clone(),
-            rows: Vec::new(),
-        });
+        return Ok(out.rows);
     }
     let mut levels = Vec::with_capacity(plan.levels.len());
     for level in &plan.levels {
@@ -1281,32 +1343,33 @@ pub fn execute_plan(
     };
     let mut scope = Vec::with_capacity(levels.len());
     run.join(&mut scope, &mut out)?;
-    Ok(ResultSet {
-        columns: plan.columns.clone(),
-        rows: out.rows,
-    })
+    Ok(out.rows)
 }
 
 // The join's output: rows so far, the row budget, and under DISTINCT
 // the rows already emitted.
 struct Emitted {
-    rows: Vec<Vec<Value>>,
+    rows: FlatRows,
     limit: usize,
     seen: Option<HashSet<Vec<IndexKey>>>,
 }
 
 impl Emitted {
     fn full(&self) -> bool {
-        self.rows.len() >= self.limit
+        self.rows.len >= self.limit
     }
 
-    fn push(&mut self, row: Vec<Value>) {
+    // Count the row whose cells were appended from `start` on, or under
+    // DISTINCT drop them again if an equal row is already out.
+    fn finish_row(&mut self, start: usize) {
         if let Some(seen) = &mut self.seen {
+            let row = &self.rows.cells[start..];
             if !seen.insert(row.iter().map(Value::index_key).collect()) {
+                self.rows.cells.truncate(start);
                 return;
             }
         }
-        self.rows.push(row);
+        self.rows.len += 1;
     }
 }
 
@@ -1431,13 +1494,17 @@ impl<'a> PlanRun<'_, 'a> {
     // Every loop stops once `out` is full.
     fn join(&self, scope: &mut Scope<'a>, out: &mut Emitted) -> RelResult<()> {
         let Some(level) = self.levels.get(scope.len()) else {
-            let slot = |&(level, column): &LevelColumn| Ok(scope[level][column]);
-            let row = self
-                .outputs
-                .iter()
-                .map(|output| eval_tree(output, &slot))
-                .collect::<RelResult<_>>()?;
-            out.push(row);
+            let start = out.rows.cells.len();
+            for output in self.outputs {
+                let value = match *output {
+                    Bound::Column((level, column)) => scope[level][column],
+                    ref expr => eval_tree(expr, &|&(level, column): &LevelColumn| {
+                        Ok(scope[level][column])
+                    })?,
+                };
+                out.rows.cells.push(value);
+            }
+            out.finish_row(start);
             return Ok(());
         };
         match &level.source {
@@ -1501,9 +1568,8 @@ impl<'a> PlanRun<'_, 'a> {
         #[cfg(test)]
         planner_tests::ROWS_BOUND.with(|n| n.set(n.get() + 1));
         scope.push(row);
-        let slot = |&(level, column): &LevelColumn| Ok(scope[level][column]);
         for conjunct in level.residuals {
-            if !matches!(eval_tree(conjunct, &slot)?, Value::Bool(true)) {
+            if !holds(conjunct, scope)? {
                 scope.pop();
                 return Ok(());
             }
@@ -1512,6 +1578,18 @@ impl<'a> PlanRun<'_, 'a> {
         scope.pop();
         Ok(())
     }
+}
+
+// Whether a residual conjunct is true of the rows bound so far. An
+// `IS [NOT] NULL` of one slot is answered from the slot.
+fn holds(conjunct: &Bound, scope: &Scope<'_>) -> RelResult<bool> {
+    if let Bound::IsNull { expr, negated } = conjunct {
+        if let Bound::Column((level, column)) = **expr {
+            return Ok(scope[level][column].is_null() != *negated);
+        }
+    }
+    let slot = |&(level, column): &LevelColumn| Ok(scope[level][column]);
+    Ok(matches!(eval_tree(conjunct, &slot)?, Value::Bool(true)))
 }
 
 /// Reference SELECT executor: the pre-planner clone-everything pruned
@@ -2397,7 +2475,10 @@ mod planner_tests {
         let plan = plan_select(db, &select(sql)).unwrap();
         ROWS_BOUND.with(|n| n.set(0));
         let rows = execute_plan(db, &plan, limit).unwrap();
-        (rows, ROWS_BOUND.with(|n| n.get()))
+        (
+            rows.into_result_set(plan.columns),
+            ROWS_BOUND.with(|n| n.get()),
+        )
     }
 
     #[test]
@@ -2439,6 +2520,20 @@ mod planner_tests {
             limited(&d, "SELECT x.id, y.id FROM a x, b y;", Some(5)).1,
             6
         );
+    }
+
+    #[test]
+    fn a_zero_width_answer_counts_its_rows() {
+        // An ASK over a ground pattern projects nothing: its answer is
+        // its row count.
+        let d = db(6);
+        let mut q = select("SELECT id FROM a WHERE v IS NOT NULL;");
+        q.items.clear();
+        let plan = plan_select(&d, &q).unwrap();
+        let all = execute_plan(&d, &plan, None).unwrap();
+        assert_eq!((all.width(), all.len(), all.iter().len()), (0, 6, 6));
+        assert_eq!(execute_plan(&d, &plan, Some(1)).unwrap().len(), 1);
+        assert!(all.iter().all(<[Value]>::is_empty));
     }
 
     #[test]
@@ -2540,10 +2635,7 @@ mod planner_tests {
         // The index-loop row deleted: the probe reads the later index.
         let mut later = d.clone();
         execute_sql(&mut later, "DELETE FROM link WHERE a = 3;").unwrap();
-        assert_eq!(
-            execute_plan(&later, &plan, None).unwrap().rows,
-            Vec::<Vec<Value>>::new()
-        );
+        assert!(execute_plan(&later, &plan, None).unwrap().is_empty());
         // The restricted row deleted.
         execute_sql(&mut later, "DELETE FROM a WHERE id = 3;").unwrap();
         assert_eq!(execute_plan(&later, &plan, None), stale("a"));

@@ -144,6 +144,9 @@ impl Request {
     }
 }
 
+// Bytes one read off the socket may add to a connection's buffer.
+const READ_CHUNK: usize = 8 * 1024;
+
 /// One connection's parser state: the stream plus its carry-over buffer.
 #[derive(Debug)]
 pub struct Connection {
@@ -290,7 +293,7 @@ impl Connection {
     // (empty buffer) timeouts are a clean close, mid-request timeouts
     // are 408.
     fn fill(&mut self) -> Result<usize, HttpError> {
-        let mut chunk = [0u8; 8 * 1024];
+        let mut chunk = [0u8; READ_CHUNK];
         match self.stream.read(&mut chunk) {
             Ok(n) => {
                 self.buf.extend_from_slice(&chunk[..n]);
@@ -338,10 +341,19 @@ fn parse_head(head: &str) -> Result<Request, HttpError> {
         if line.is_empty() {
             continue;
         }
+        // RFC 9112 §5.1–5.2: a field name is a token right before its
+        // colon, and a line starting with whitespace (obs-fold) is
+        // rejected. Trimming either would let this server frame a
+        // request differently from a front proxy that does not.
         let Some((name, value)) = line.split_once(':') else {
             return Err(HttpError::BadRequest(format!("bad header line {line:?}")));
         };
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
+        if name.is_empty() || !name.bytes().all(is_tchar) {
+            return Err(HttpError::BadRequest(format!(
+                "bad header field name in {line:?}"
+            )));
+        }
+        headers.push((name.to_ascii_lowercase(), value.trim().to_owned()));
     }
     Ok(Request {
         method: method.to_ascii_uppercase(),
@@ -351,6 +363,11 @@ fn parse_head(head: &str) -> Result<Request, HttpError> {
         body: Vec::new(),
         http11,
     })
+}
+
+// A byte of an RFC 9110 §5.6.2 token.
+fn is_tchar(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b)
 }
 
 /// Decode a percent-encoded string; `plus_is_space` additionally maps
@@ -517,6 +534,9 @@ fn write_all_vectored(
     }
     Ok(())
 }
+
+#[cfg(test)]
+mod hostile;
 
 #[cfg(test)]
 mod tests {

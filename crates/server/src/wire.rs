@@ -8,15 +8,20 @@
 //! order — which is what lets the golden-file tests compare bytes.
 //!
 //! Each results format has one term writer over the borrowed
-//! [`TermRef`] view, fed by two thin loops: a query's
-//! [`SolutionRows`] (each cell rendered straight from the join's row —
-//! the server's path) and owned [`Solutions`] (the library's). Both
-//! write into one buffer that becomes the response body, so the two
-//! agree byte for byte by construction.
+//! [`TermRef`] view. Owned [`Solutions`] (the library's path) go through
+//! it term by term. A query's [`SolutionRows`] (the server's path) go
+//! through it for the first cell of each kind in a column; the second
+//! such cell prints a template, the bytes around a cell's lexical text,
+//! and every further cell is written as the template's head, its own
+//! text escaped, and the template's tail. The two paths
+//! write into one buffer that becomes the response body, and they agree
+//! byte for byte by construction: a template is the term writer's
+//! output.
 
-use ontoaccess::{OntoError, OntoResult, SolutionRows};
+use ontoaccess::{Codec, OntoError, OntoResult, SolutionRows};
 use rdf::namespace::PrefixMap;
 use rdf::{Graph, LiteralKindRef, TermRef};
+use rel::Value;
 use sparql::Solutions;
 
 /// Media type of SPARQL JSON results.
@@ -144,26 +149,145 @@ pub fn xml_escape_into(s: &str, out: &mut String) -> bool {
 // Solution sequences
 // ----------------------------------------------------------------------
 
+// What XML 1.0 cannot carry, not even as a character reference.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Uncarried {
+    // A C0 control other than tab, newline and carriage return.
+    Control,
+    // U+FFFE or U+FFFF.
+    Noncharacter,
+}
+
+// `s` XML-escaped into `out`, as `xml_escape_into` copies it; the first
+// kind of character in it XML 1.0 cannot carry.
+fn xml_text_into(s: &str, out: &mut String) -> Option<Uncarried> {
+    if !xml_escape_into(s, out) {
+        return Some(Uncarried::Control);
+    }
+    // Both noncharacters encode as EF BF BE / EF BF BF.
+    (s.as_bytes().contains(&0xEF) && s.contains(['\u{FFFE}', '\u{FFFF}']))
+        .then_some(Uncarried::Noncharacter)
+}
+
 // One results document, written solution by solution into a single
 // buffer that becomes the response body. Variable names are escaped
 // once, when the writer is made. The buffer grows as it is written, so
 // its capacity stays within twice the body however uneven the rows.
 trait ResultsWriter {
     fn begin_solution(&mut self);
+    // Binding `var` to `term`: what `print_binding` prints, appended to
+    // the body.
     fn binding(&mut self, var: usize, term: TermRef<'_>);
+    // The one term writer: binding `var` to `term`, key and all, into
+    // `out`, and the first character the format cannot carry.
+    fn print_binding(&self, var: usize, term: TermRef<'_>, out: &mut String) -> Option<Uncarried>;
+    // Binding a cell through its column's template: the head, the
+    // cell's text escaped, the tail.
+    fn cell(&mut self, template: &Template, text: &str) -> Option<Uncarried>;
+    // A cell's term held a character the format cannot carry.
+    fn uncarried(&mut self, problem: Uncarried, term: TermRef<'_>);
     fn end_solution(&mut self);
     fn finish(self) -> String;
 }
 
-// The two loops feeding a writer: a query's rows, each cell rendered by
-// its column's codec, and owned solutions.
+// What the term writer prints for every cell of one column and one kind
+// (IRI, plain literal, `xsd:integer`, `xsd:boolean` or `xsd:double`)
+// around the cell's escaped lexical text: the term writer's own output
+// for a cell whose text is `a`, split around the `a`. A cell written
+// through it is therefore byte for byte the term writer's output.
+struct Template {
+    printed: String,
+    at: usize,
+    // The constants hold a character the format cannot carry.
+    uncarried: Option<Uncarried>,
+}
+
+impl Template {
+    // Print the term of a cell like `like` whose text is `b` into
+    // `probe`, then the one whose text is `a`: escaping is per byte and
+    // both are plain ASCII, so the two differ in one byte, which is
+    // where a cell's text goes.
+    fn print<W: ResultsWriter>(
+        writer: &W,
+        var: usize,
+        codec: &Codec<'_>,
+        like: &Value,
+        probe: &mut String,
+        scratch: &mut String,
+    ) -> Self {
+        const HAS_TERM: &str = "a cell with text has a term";
+        probe.clear();
+        let term = codec.term_with(like, "b", scratch).expect(HAS_TERM);
+        writer.print_binding(var, term, probe);
+        let mut printed = String::with_capacity(probe.len());
+        let term = codec.term_with(like, "a", scratch).expect(HAS_TERM);
+        let uncarried = writer.print_binding(var, term, &mut printed);
+        let at = printed
+            .bytes()
+            .zip(probe.bytes())
+            .position(|(a, b)| a != b)
+            .expect("the probes differ");
+        Template {
+            printed,
+            at,
+            uncarried,
+        }
+    }
+
+    fn head(&self) -> &str {
+        &self.printed[..self.at]
+    }
+
+    fn tail(&self) -> &str {
+        &self.printed[self.at + 1..]
+    }
+}
+
+// A column's cells of one kind so far in an answer.
+#[derive(Default)]
+enum Column {
+    #[default]
+    Unseen,
+    // One, written by the term writer itself: an answer of one row
+    // prints no template.
+    Once,
+    Template(Template),
+}
+
+// The two loops feeding a writer: a query's rows, a column's cells of a
+// kind written through its template from the second such cell on, and
+// owned solutions.
 fn write_rows<W: ResultsWriter>(writer: &mut W, rows: &SolutionRows) -> OntoResult<()> {
-    let mut scratch = String::new();
+    let mut columns: Vec<[Column; 4]> = rows.codecs().map(|_| Default::default()).collect();
+    let (mut text_buf, mut term_buf, mut probe) = (String::new(), String::new(), String::new());
     for row in rows.rows() {
         writer.begin_solution();
         for (var, (codec, value)) in rows.codecs().zip(row).enumerate() {
-            if let Some(term) = codec.encode(value, &mut scratch)? {
-                writer.binding(var, term);
+            let Some(text) = codec.cell_text(value, &mut text_buf)? else {
+                continue;
+            };
+            let kind = match value {
+                Value::Text(_) | Value::Null => 0,
+                Value::Int(_) => 1,
+                Value::Bool(_) => 2,
+                Value::Double(_) => 3,
+            };
+            let column = &mut columns[var][kind];
+            if let Column::Once = column {
+                let template =
+                    Template::print(writer, var, codec, value, &mut probe, &mut term_buf);
+                *column = Column::Template(template);
+            }
+            let Column::Template(template) = column else {
+                *column = Column::Once;
+                let term = codec.term_with(value, text, &mut term_buf);
+                writer.binding(var, term.expect("a cell with text has a term"));
+                continue;
+            };
+            if let Some(problem) = writer.cell(template, text) {
+                if let Some(term) = codec.term_with(value, text, &mut term_buf) {
+                    writer.uncarried(problem, term);
+                }
             }
         }
         writer.end_solution();
@@ -241,6 +365,14 @@ impl JsonWriter {
             first_binding: true,
         }
     }
+
+    // Bindings of a solution are separated by commas.
+    fn separate(&mut self) {
+        if !self.first_binding {
+            self.out.push(',');
+        }
+        self.first_binding = false;
+    }
 }
 
 impl ResultsWriter for JsonWriter {
@@ -254,13 +386,27 @@ impl ResultsWriter for JsonWriter {
     }
 
     fn binding(&mut self, var: usize, term: TermRef<'_>) {
-        if !self.first_binding {
-            self.out.push(',');
-        }
-        self.first_binding = false;
+        self.separate();
         self.out.push_str(&self.keys[var]);
         term_to_json(term, &mut self.out);
     }
+
+    fn print_binding(&self, var: usize, term: TermRef<'_>, out: &mut String) -> Option<Uncarried> {
+        out.push_str(&self.keys[var]);
+        term_to_json(term, out);
+        None
+    }
+
+    fn cell(&mut self, template: &Template, text: &str) -> Option<Uncarried> {
+        self.separate();
+        self.out.push_str(template.head());
+        json_escape_into(text, &mut self.out);
+        self.out.push_str(template.tail());
+        None
+    }
+
+    // JSON carries every character.
+    fn uncarried(&mut self, _: Uncarried, _: TermRef<'_>) {}
 
     fn end_solution(&mut self) {
         self.out.push('}');
@@ -299,17 +445,17 @@ pub fn boolean_to_json(value: bool) -> String {
 const XML_HEADER: &str = "<?xml version=\"1.0\"?>\n\
      <sparql xmlns=\"http://www.w3.org/2005/sparql-results#\">\n";
 
-// One RDF term as a results-XML element; `false` if XML cannot carry
-// one of its characters (see `xml_escape_into`).
-fn term_to_xml(term: TermRef<'_>, out: &mut String) -> bool {
-    let mut carried = true;
+// One RDF term as a results-XML element, and the first character in it
+// XML cannot carry (copied as it is; see `xml_escape_into`).
+fn term_to_xml(term: TermRef<'_>, out: &mut String) -> Option<Uncarried> {
+    let mut uncarried = None;
     let mut open_with = |tag: &str, attribute: Option<(&str, &str)>| {
         out.push_str(tag);
         if let Some((name, value)) = attribute {
             out.push(' ');
             out.push_str(name);
             out.push_str("=\"");
-            carried &= xml_escape_into(value, out);
+            uncarried = uncarried.or(xml_text_into(value, out));
             out.push('"');
         }
         out.push('>');
@@ -335,17 +481,17 @@ fn term_to_xml(term: TermRef<'_>, out: &mut String) -> bool {
             (lexical, "</literal>")
         }
     };
-    carried &= xml_escape_into(text, out);
+    uncarried = uncarried.or(xml_text_into(text, out));
     out.push_str(close);
-    carried
+    uncarried
 }
 
 struct XmlWriter {
     out: String,
     // `      <binding name="var">` per variable, escaped.
     keys: Vec<String>,
-    // The first term XML could not carry, as its text.
-    uncarried: Option<String>,
+    // The first term XML could not carry, and what it held.
+    uncarried: Option<(Uncarried, String)>,
 }
 
 impl XmlWriter {
@@ -380,10 +526,30 @@ impl ResultsWriter for XmlWriter {
 
     fn binding(&mut self, var: usize, term: TermRef<'_>) {
         self.out.push_str(&self.keys[var]);
-        if !term_to_xml(term, &mut self.out) && self.uncarried.is_none() {
-            self.uncarried = Some(term.to_owned().to_string());
+        if let Some(problem) = term_to_xml(term, &mut self.out) {
+            self.uncarried(problem, term);
         }
         self.out.push_str("</binding>\n");
+    }
+
+    fn print_binding(&self, var: usize, term: TermRef<'_>, out: &mut String) -> Option<Uncarried> {
+        out.push_str(&self.keys[var]);
+        let uncarried = term_to_xml(term, out);
+        out.push_str("</binding>\n");
+        uncarried
+    }
+
+    fn cell(&mut self, template: &Template, text: &str) -> Option<Uncarried> {
+        self.out.push_str(template.head());
+        let uncarried = xml_text_into(text, &mut self.out).or(template.uncarried);
+        self.out.push_str(template.tail());
+        uncarried
+    }
+
+    fn uncarried(&mut self, problem: Uncarried, term: TermRef<'_>) {
+        if self.uncarried.is_none() {
+            self.uncarried = Some((problem, term.to_owned().to_string()));
+        }
     }
 
     fn end_solution(&mut self) {
@@ -416,20 +582,23 @@ pub fn rows_to_xml(rows: &SolutionRows) -> OntoResult<String> {
 
 /// [`rows_to_xml`] as the server sends it: also fails, before any byte
 /// is sent, if a cell holds a character XML 1.0 cannot carry — a C0
-/// control other than tab, newline and carriage return, which JSON
-/// results carry as `\u0001`.
+/// control other than tab, newline and carriage return, or one of the
+/// noncharacters U+FFFE and U+FFFF — all of which JSON results carry.
 pub fn rows_to_well_formed_xml(rows: &SolutionRows) -> OntoResult<String> {
     let mut writer = XmlWriter::new(rows.variables());
     write_rows(&mut writer, rows)?;
-    match writer.uncarried {
-        Some(term) => Err(OntoError::Unsupported {
-            message: format!(
-                "{term} holds a control character XML 1.0 cannot carry; \
-                 ask for {SPARQL_RESULTS_JSON}"
-            ),
-        }),
-        None => Ok(writer.finish()),
-    }
+    let held = match &writer.uncarried {
+        None => return Ok(writer.finish()),
+        Some((Uncarried::Control, term)) => {
+            format!("{term} holds a control character XML 1.0 cannot carry")
+        }
+        Some((Uncarried::Noncharacter, term)) => {
+            format!("{term} holds the noncharacter U+FFFE or U+FFFF, which XML 1.0 cannot carry")
+        }
+    };
+    Err(OntoError::Unsupported {
+        message: format!("{held}; ask for {SPARQL_RESULTS_JSON}"),
+    })
 }
 
 /// An ASK result as SPARQL XML results.

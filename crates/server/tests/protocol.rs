@@ -526,6 +526,38 @@ fn conflicting_framing_headers_are_rejected() {
 }
 
 #[test]
+fn header_names_are_tokens_so_whitespace_and_folding_cannot_frame_a_body() {
+    // RFC 9112 §5.1–5.2: whitespace between a field name and its colon,
+    // a folded line and an empty name are rejected. Trimmed, each of
+    // these lines framed the body for this server and not for a proxy
+    // that rejects or ignores the line: the desync the duplicate
+    // Content-Length check stops.
+    let server = test_server();
+    let n = PERSONS.len();
+    for line in [
+        format!("Content-Length : {n}"),
+        format!("Content-Length\t: {n}"),
+        format!("X-Pad: 1\r\n Content-Length: {n}"),
+        format!("X-Pad: 1\r\n\tContent-Length: {n}"),
+        format!("Content-Length: {n}\r\n: x"),
+        format!("Content-Length: {n}\r\nX(Pad): 1"),
+    ] {
+        let response = send(
+            &server,
+            &format!(
+                "POST /sparql HTTP/1.1\r\nHost: t\r\nContent-Type: application/sparql-query\r\n\
+                 {line}\r\nConnection: close\r\n\r\n{PERSONS}"
+            ),
+        );
+        assert_eq!(response.status, 400, "{line:?}: {}", response.text());
+    }
+    // The same request with a well-formed header is answered.
+    let response = post(&server, "/sparql", "application/sparql-query", PERSONS);
+    assert_eq!(response.status, 200, "{}", response.text());
+    server.shutdown();
+}
+
+#[test]
 fn crlf_flood_cannot_pin_a_worker() {
     let server = test_server();
     let mut conn = connect(&server);

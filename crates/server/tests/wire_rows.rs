@@ -15,6 +15,7 @@ use ontoaccess::{CacheProbe, Mediator, QueryAnswer, QueryStop, SolutionRows};
 use ontoaccess_server::wire;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rel::sql::FlatRows;
 use rel::{Column, Schema, SqlType, Table, Value};
 use sparql::{Query, Solutions};
 use std::sync::Arc;
@@ -617,16 +618,19 @@ fn null_cells_leave_their_variable_unbound() {
     };
     let rows = SolutionRows::new(
         Arc::new(compiled),
-        vec![
-            vec![
-                Value::Int(1),
-                Value::Null,
-                Value::Double(2.5),
-                Value::text("a@b"),
+        FlatRows::from_rows(
+            4,
+            [
+                [
+                    Value::Int(1),
+                    Value::Null,
+                    Value::Double(2.5),
+                    Value::text("a@b"),
+                ],
+                [Value::Null, Value::text("x<y"), Value::Null, Value::Null],
+                [Value::Null, Value::Null, Value::Null, Value::Null],
             ],
-            vec![Value::Null, Value::text("x<y"), Value::Null, Value::Null],
-            vec![Value::Null, Value::Null, Value::Null, Value::Null],
-        ],
+        ),
     );
     let solutions = assert_writers_agree(&rows, "null cells");
     assert_eq!(solutions.bindings[0].len(), 3);
@@ -655,7 +659,7 @@ fn a_huge_first_row_does_not_size_the_body_for_the_rest() {
     let huge = "\u{1}".repeat(256 * 1024);
     let mut cells = vec![vec![Value::text(&huge)]];
     cells.extend((0..20_000).map(|_| vec![Value::text("x")]));
-    let rows = SolutionRows::new(Arc::new(compiled), cells);
+    let rows = SolutionRows::new(Arc::new(compiled), FlatRows::from_rows(1, cells));
     assert_writers_agree(&rows, "huge first row");
     for body in [
         wire::rows_to_json(&rows).unwrap(),
@@ -668,4 +672,51 @@ fn a_huge_first_row_does_not_size_the_body_for_the_rest() {
             body.len()
         );
     }
+}
+
+#[test]
+fn the_server_xml_refuses_what_xml_cannot_carry_in_any_row() {
+    // A column's first cell of a kind is written by the term writer,
+    // later ones through the column's template: the server's XML writer
+    // refuses a character XML 1.0 cannot carry on either, and the
+    // library's copies it as it is.
+    let mediator = mediator();
+    let compiled = {
+        let text = format!("SELECT ?l WHERE {{ ?s <{VOCAB}gadget_label> ?l . }}");
+        let Query::Select(select) =
+            sparql::parse_query_with_prefixes(&text, mediator.prefixes().clone()).unwrap()
+        else {
+            unreachable!()
+        };
+        Arc::new(
+            ontoaccess::compile_select(&mediator.database(), mediator.mapping(), &select).unwrap(),
+        )
+    };
+    let control = "holds a control character XML 1.0 cannot carry";
+    let noncharacter = "holds the noncharacter U+FFFE or U+FFFF, which XML 1.0 cannot carry";
+    for (cells, refusal) in [
+        (["Ctl\u{1}x", "ok", "ok"], control),
+        (["ok", "ok", "Ctl\u{1}x"], control),
+        (["Non\u{FFFF}x", "ok", "ok"], noncharacter),
+        (["ok", "ok", "Non\u{FFFE}x"], noncharacter),
+        (["ok", "Non\u{FFFF}x", "Ctl\u{1}x"], noncharacter),
+    ] {
+        let rows = SolutionRows::new(
+            Arc::clone(&compiled),
+            FlatRows::from_rows(1, cells.map(|cell| [Value::text(cell)])),
+        );
+        assert_writers_agree(&rows, refusal);
+        let error = wire::rows_to_well_formed_xml(&rows)
+            .unwrap_err()
+            .to_string();
+        assert!(error.contains(refusal), "{cells:?}: {error}");
+        let copied = wire::rows_to_xml(&rows).unwrap();
+        assert!(cells.iter().all(|cell| copied.contains(cell)), "{cells:?}");
+    }
+    let fine = FlatRows::from_rows(1, ["a", "b\tc", "d"].map(|cell| [Value::text(cell)]));
+    let rows = SolutionRows::new(compiled, fine);
+    assert_eq!(
+        wire::rows_to_well_formed_xml(&rows).unwrap(),
+        wire::rows_to_xml(&rows).unwrap()
+    );
 }

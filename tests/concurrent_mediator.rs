@@ -371,7 +371,7 @@ fn a_new_shape_compiles_while_a_write_transaction_is_open() {
     assert!(!reference.rows.is_empty());
     let answered = rel::sql::ResultSet {
         columns: reference.columns.clone(),
-        rows: rows.rows().to_vec(),
+        rows: rows.rows().map(<[_]>::to_vec).collect(),
     };
     assert_eq!(answered.canonical(), reference.canonical());
 }

@@ -316,8 +316,12 @@ proptest! {
                 panic!("a SELECT")
             };
             let plan = rel::sql::plan_select(&db, &select).unwrap();
-            let full = rel::sql::execute_plan(&db, &plan, None).unwrap();
-            let limited = rel::sql::execute_plan(&db, &plan, Some(limit)).unwrap();
+            let full = rel::sql::execute_plan(&db, &plan, None)
+                .unwrap()
+                .into_result_set(plan.columns.clone());
+            let limited = rel::sql::execute_plan(&db, &plan, Some(limit))
+                .unwrap()
+                .into_result_set(plan.columns.clone());
             prop_assert_eq!(
                 &limited.rows[..],
                 &full.rows[..limit.min(full.rows.len())],
