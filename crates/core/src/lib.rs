@@ -19,8 +19,8 @@
 //!
 //! # Example
 //!
-//! One shared mediator; writes go through an exclusive transaction in
-//! which each operation is atomic, reads through cheap
+//! One shared mediator; writes go through an exclusive transaction,
+//! which a rejected operation rolls back whole, reads through cheap
 //! `Send + Sync` sessions:
 //!
 //! ```
@@ -28,7 +28,8 @@
 //!
 //! let mediator = Mediator::new(usecase::database(), usecase::mapping()).unwrap();
 //!
-//! // Write: one transaction, each operation individually atomic.
+//! // Write: one transaction, all-or-nothing; after a rejection only
+//! // `rollback` is accepted.
 //! let mut txn = mediator.write();
 //! txn.update(
 //!     "INSERT DATA { ex:team4 foaf:name \"Database Technology\" ; \
@@ -87,5 +88,5 @@ pub use query::{
 };
 pub use translate::{
     emit_grouped, emit_per_row, execute_sorted, execute_sorted_reference, execute_sorted_timed,
-    group_by_subject, identify, ExecutionReport, RowOp, TranslateOptions, WriteScope,
+    group_by_subject, identify, ExecutionReport, RowOp, TranslateOptions,
 };

@@ -233,21 +233,24 @@ mod tests {
         let dir = scratch_dir();
         {
             let (m, _) = durable_mediator(&dir);
-            // Rejected operation inside a surviving transaction: the
-            // savepoint-rolled-back rows must not reach the log.
+            // A rejected operation rolls its transaction back: the
+            // commit is refused, and neither operation reaches the log.
             let mut txn = m.write();
-            txn.update("INSERT DATA { ex:team9 foaf:name \"T9\" . }")
+            txn.update("INSERT DATA { ex:team10 foaf:name \"T10\" . }")
                 .unwrap();
             let err = txn
                 .update("INSERT DATA { ex:author8 ont:team ex:team424242 . }")
                 .unwrap_err();
             assert!(matches!(err, OntoError::DanglingObject { .. }));
-            txn.commit().unwrap();
+            assert!(txn.commit().is_err());
             // A fully rolled-back transaction logs nothing at all.
             let mut txn = m.write();
             txn.update("INSERT DATA { ex:team10 foaf:name \"T10\" . }")
                 .unwrap();
             txn.rollback().unwrap();
+            assert_eq!(m.durability_stats().unwrap().commits_appended, 0);
+            m.execute_update("INSERT DATA { ex:team9 foaf:name \"T9\" . }")
+                .unwrap();
             assert_eq!(m.durability_stats().unwrap().commits_appended, 1);
         }
         let (reopened, _) = durable_mediator(&dir);

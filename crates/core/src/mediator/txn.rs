@@ -120,50 +120,98 @@ impl UpdateProfile {
 /// its whole lifetime, so writers serialize — but readers never see the
 /// lock: they keep answering from published versions, and observe this
 /// transaction's effects only after [`WriteTxn::commit`] publishes a
-/// new version, so intermediate states are unobservable. Each
-/// [`WriteTxn::update_op`] is atomic: on rejection the operation's
-/// changes are undone and the transaction remains usable. Dropping the
-/// transaction without [`WriteTxn::commit`] rolls everything back.
+/// new version, so intermediate states are unobservable.
+///
+/// The transaction is the one rollback point of its operations: when
+/// an operation is rejected, the whole transaction has been rolled back
+/// (PostgreSQL's aborted-transaction rule), and every later
+/// [`WriteTxn::update`], [`WriteTxn::update_op`] and
+/// [`WriteTxn::commit`] is refused with an error naming that rejection;
+/// [`WriteTxn::rollback`] then answers `Ok`. Dropping the transaction
+/// without [`WriteTxn::commit`] rolls everything back.
 #[derive(Debug)]
 pub struct WriteTxn<'a> {
     core: &'a MediatorCore,
     db: MutexGuard<'a, Database>,
-    open: bool,
+    // `Ok` while the transaction takes work; once a rejected operation
+    // has rolled it back, that rejection. `rel` would accept a write
+    // outside any transaction, so nothing may reach the live database
+    // after it.
+    open: Result<(), String>,
     // Stage times of the work done in this transaction so far.
     stages: UpdateProfile,
 }
 
 impl WriteTxn<'_> {
-    /// Execute a SPARQL/Update given as text inside this transaction.
+    /// Execute a SPARQL/Update given as text inside this transaction,
+    /// as [`WriteTxn::update_op`] does; text that does not parse is a
+    /// rejection too.
     pub fn update(&mut self, text: &str) -> OntoResult<UpdateOutcome> {
-        let op = sparql::parse_update_with_prefixes(text, self.core.prefixes.clone())?;
-        self.update_op(&op)
+        self.guarded(|txn| {
+            let op = sparql::parse_update_with_prefixes(text, txn.core.prefixes.clone())?;
+            txn.run(&op)
+        })
     }
 
-    /// Execute a parsed SPARQL/Update operation inside this transaction:
-    /// a rejected operation is fully undone while earlier operations —
-    /// and the transaction — survive. The operation translates here,
-    /// under the write lock. Translation only reads, and execution runs
-    /// in its own write scope (both rounds of a MODIFY in one), so the
-    /// operation needs no scope of its own.
+    /// Execute a parsed SPARQL/Update operation inside this transaction.
+    /// The operation translates here, under the write lock, and runs in
+    /// the transaction with no scope of its own: if it is rejected, the
+    /// whole transaction — earlier operations included — has been
+    /// rolled back, and the transaction takes no more work.
     pub fn update_op(&mut self, op: &UpdateOp) -> OntoResult<UpdateOutcome> {
-        crate::modify::run_update_op(&mut self.db, &self.core.mapping, op, &mut self.stages)
+        self.guarded(|txn| txn.run(op))
     }
 
     // Execute an operation translated before the lock. Its statements
     // run as they are if its read set still holds against this
     // transaction's view; otherwise — or if the pinned translation
-    // failed — the operation translates again here. Executing the
-    // sorted statements opens its own write scope, so a rejected
-    // execution is undone just as in `update_op`.
+    // failed — the operation translates again here. A rejection rolls
+    // the transaction back, as in `update_op`.
     fn apply(&mut self, op: &UpdateOp, prepared: Prepared<'_>) -> OntoResult<UpdateOutcome> {
+        self.guarded(|txn| txn.run_prepared(op, prepared))
+    }
+
+    // Run `work` if the transaction still takes work; if it fails, roll
+    // the transaction back and remember why.
+    fn guarded(
+        &mut self,
+        work: impl FnOnce(&mut Self) -> OntoResult<UpdateOutcome>,
+    ) -> OntoResult<UpdateOutcome> {
+        self.ensure_open()?;
+        let result = work(self);
+        if let Err(error) = &result {
+            self.db.rollback()?;
+            self.open = Err(error.to_string());
+        }
+        result
+    }
+
+    // The refusal of a transaction a rejected operation rolled back.
+    fn ensure_open(&self) -> OntoResult<()> {
+        match &self.open {
+            Ok(()) => Ok(()),
+            Err(rejection) => Err(OntoError::Database(rel::RelError::Transaction {
+                message: format!(
+                    "the transaction was rolled back by an earlier rejected operation: \
+                     {rejection}"
+                ),
+            })),
+        }
+    }
+
+    // Translate `op` under the lock and execute it.
+    fn run(&mut self, op: &UpdateOp) -> OntoResult<UpdateOutcome> {
+        crate::modify::run_update_op(&mut self.db, &self.core.mapping, op, &mut self.stages)
+    }
+
+    fn run_prepared(&mut self, op: &UpdateOp, prepared: Prepared<'_>) -> OntoResult<UpdateOutcome> {
         let Prepared::Data {
             translated,
             translate,
             sort,
         } = prepared
         else {
-            return self.update_op(op);
+            return self.run(op);
         };
         self.stages.translate += translate;
         self.stages.sort += sort;
@@ -182,7 +230,7 @@ impl WriteTxn<'_> {
         self.core
             .write_retranslations
             .fetch_add(1, Ordering::Relaxed);
-        self.update_op(op)
+        self.run(op)
     }
 
     /// The transaction's view of the database, including its own
@@ -192,7 +240,9 @@ impl WriteTxn<'_> {
     }
 
     /// Commit: keep every operation's changes, publish them as a new
-    /// database version, and release the lock.
+    /// database version, and release the lock. Refused, with nothing
+    /// logged or published, after a rejected operation rolled the
+    /// transaction back.
     ///
     /// Publication is the commit's visibility point: a
     /// persistent-structure clone of the live database is
@@ -216,8 +266,8 @@ impl WriteTxn<'_> {
     // The commit itself, answering the transaction's stage times with
     // the durability stages (WAL append, group-fsync wait) filled in.
     fn commit_staged(mut self) -> OntoResult<UpdateProfile> {
+        self.ensure_open()?;
         let span = obs::trace::span("txn.commit");
-        self.open = false;
         let mut stages = self.stages;
         let changed = self.db.txn_has_changes()?;
         let Some(durability) = &self.core.durability else {
@@ -268,16 +318,19 @@ impl WriteTxn<'_> {
     }
 
     /// Roll back: undo every operation's changes and release the lock.
+    /// After a rejected operation the transaction is already rolled
+    /// back, and this answers `Ok`.
     pub fn rollback(mut self) -> OntoResult<()> {
-        self.open = false;
-        self.db.rollback()?;
+        if self.open.is_ok() {
+            self.db.rollback()?;
+        }
         Ok(())
     }
 }
 
 impl Drop for WriteTxn<'_> {
     fn drop(&mut self) {
-        if self.open {
+        if self.db.in_transaction() {
             // Abandoned transaction (early return, panic unwinding):
             // leave the database as if it never happened.
             let _ = self.db.rollback();
@@ -347,7 +400,7 @@ impl Mediator {
         WriteTxn {
             core: &self.core,
             db,
-            open: true,
+            open: Ok(()),
             stages: UpdateProfile::default(),
         }
     }
@@ -372,10 +425,10 @@ impl Mediator {
 
     // One write transaction over `ops`: pin the newest version and
     // translate every operation against it before taking the lock, then
-    // under the lock apply each in order and commit. On failure the
-    // transaction is rolled back and the error carries the failing
-    // operation's index within `ops`; the outcomes pushed before it
-    // stay, unless the commit itself failed.
+    // under the lock apply each in order and commit. A rejected
+    // operation has rolled the transaction back, and the error carries
+    // its index within `ops`; the outcomes pushed before it stay,
+    // unless the commit itself failed.
     fn transact(
         &self,
         ops: &[UpdateOp],
@@ -389,14 +442,8 @@ impl Mediator {
         let before = outcomes.len();
         let mut txn = self.write();
         for (i, (op, prepared)) in ops.iter().zip(prepared).enumerate() {
-            match txn.apply(op, prepared) {
-                Ok(outcome) => outcomes.push(outcome),
-                Err(error) => {
-                    let rollback = txn.rollback();
-                    debug_assert!(rollback.is_ok(), "rollback of an open txn cannot fail");
-                    return Err((i, error));
-                }
-            }
+            let outcome = txn.apply(op, prepared).map_err(|error| (i, error))?;
+            outcomes.push(outcome);
         }
         txn.commit_staged().map_err(|error| {
             // A failed commit rolled the whole transaction back.
@@ -409,13 +456,13 @@ impl Mediator {
     /// operations separated by `;` — returning the outcomes and where
     /// the wall time went.
     ///
-    /// Each operation is one atomicity unit (the paper's §5.1), run in
-    /// its own write scope; `atomic_script` additionally makes the *whole
-    /// request* all-or-nothing by running every operation inside one
-    /// write transaction — on any failure the transaction rolls back
-    /// and the error reports the failing operation's index. Non-atomic
-    /// scripts commit per operation, letting readers interleave between
-    /// operations.
+    /// A write transaction is the one rollback point. `atomic_script`
+    /// runs every operation inside one, so the *whole request* is
+    /// all-or-nothing: on any failure the transaction rolls back and
+    /// the error reports the failing operation's index. A non-atomic
+    /// script runs each operation as its own transaction (the paper's
+    /// §5.1), committing per operation and letting readers interleave
+    /// between operations.
     pub fn execute_script(
         &self,
         text: &str,
@@ -489,7 +536,7 @@ impl Mediator {
 mod tests {
     use super::*;
     use crate::testutil::{fixture_mediator as mediator, render};
-    use rel::{RowId, Value};
+    use rel::{RelError, RowId, Value};
 
     #[test]
     fn write_txn_commits_operations_atomically() {
@@ -507,50 +554,96 @@ mod tests {
     }
 
     #[test]
-    fn rejected_operation_keeps_transaction_usable() {
+    fn rejected_operation_rolls_back_the_transaction() {
         let m = mediator();
+        let version = m.concurrency_stats().current_version;
         let mut txn = m.write();
         txn.update("INSERT DATA { ex:team9 foaf:name \"T9\" . }")
             .unwrap();
-        // Dangling team → rejected, undone via its write scope.
+        // Dangling team → rejected, and the transaction rolled back.
         let err = txn
             .update("INSERT DATA { ex:author8 ont:team ex:team424242 . }")
             .unwrap_err();
         assert!(matches!(err, OntoError::DanglingObject { .. }));
-        // The transaction continues; the first operation survives.
-        txn.update("INSERT DATA { ex:author8 foaf:family_name \"Gall\" ; ont:team ex:team9 . }")
-            .unwrap();
-        txn.commit().unwrap();
-        assert_eq!(m.database().row_count("team").unwrap(), 3);
-        assert_eq!(m.database().row_count("author").unwrap(), 3);
+        // The first operation went with it.
+        assert_eq!(txn.database().row_count("team").unwrap(), 2);
+        txn.rollback().unwrap();
+        assert_eq!(m.database().row_count("team").unwrap(), 2);
+        assert_eq!(m.database().row_count("author").unwrap(), 2);
+        assert_eq!(m.concurrency_stats().current_version, version);
     }
 
+    const DANGLING_MODIFY: &str = "MODIFY DELETE { ?x foaf:mbox ?m . } \
+                                   INSERT { ?x ont:team ex:team987654321 . } \
+                                   WHERE { ?x foaf:mbox ?m . }";
+
     #[test]
-    fn operation_rejected_after_writing_is_undone_while_the_transaction_survives() {
+    fn operation_rejected_after_writing_is_undone_with_its_transaction() {
         let m = mediator();
         let before = heap(&m.database());
         let mut txn = m.write();
         // The delete round nulls every mbox, then the insert round
-        // dangles: the MODIFY's scope must put the emails back.
-        let err = txn
-            .update(
-                "MODIFY DELETE { ?x foaf:mbox ?m . } \
-                 INSERT { ?x ont:team ex:team987654321 . } \
-                 WHERE { ?x foaf:mbox ?m . }",
-            )
-            .unwrap_err();
+        // dangles: the transaction's rollback puts the emails back.
+        let err = txn.update(DANGLING_MODIFY).unwrap_err();
         assert!(matches!(err, OntoError::DanglingObject { .. }), "{err}");
         assert_eq!(heap(txn.database()), before);
-        txn.update("INSERT DATA { ex:team9 foaf:name \"T9\" . }")
-            .unwrap();
-        txn.commit().unwrap();
-        assert_eq!(m.database().row_count("team").unwrap(), 3);
+        txn.rollback().unwrap();
+        assert_eq!(heap(&m.database()), before);
         assert_eq!(
             m.select("SELECT ?x WHERE { ?x foaf:mbox ?m . }")
                 .unwrap()
                 .len(),
             1
         );
+    }
+
+    #[test]
+    fn a_rejected_transaction_refuses_further_work_until_it_ends() {
+        let m = mediator();
+        let before = heap(&m.database());
+        let version = m.concurrency_stats().current_version;
+        let refused = |error: &OntoError, rejection: &OntoError| {
+            assert!(
+                matches!(error, OntoError::Database(RelError::Transaction { .. })),
+                "{error}"
+            );
+            assert!(
+                error.to_string().contains(&rejection.to_string()),
+                "{error}"
+            );
+        };
+        // A MODIFY whose delete round wrote and whose insert round
+        // dangles, after an INSERT DATA that succeeded.
+        let mut txn = m.write();
+        txn.update("INSERT DATA { ex:team9 foaf:name \"T9\" . }")
+            .unwrap();
+        let err = txn.update(DANGLING_MODIFY).unwrap_err();
+        assert!(matches!(err, OntoError::DanglingObject { .. }), "{err}");
+        assert_eq!(heap(txn.database()), before);
+        // Nothing more reaches the live database, and nothing commits.
+        refused(
+            &txn.update("INSERT DATA { ex:team10 foaf:name \"T10\" . }")
+                .unwrap_err(),
+            &err,
+        );
+        assert_eq!(heap(txn.database()), before);
+        refused(&txn.commit().unwrap_err(), &err);
+        assert_eq!(heap(&m.database()), before);
+        assert_eq!(m.concurrency_stats().current_version, version);
+        // Rolling back a rejected transaction answers Ok.
+        let insert = parse_script(&m, "INSERT DATA { ex:team10 foaf:name \"T10\" . }");
+        let mut txn = m.write();
+        let err = txn.update(DANGLING_MODIFY).unwrap_err();
+        refused(&txn.update_op(&insert[0]).unwrap_err(), &err);
+        txn.rollback().unwrap();
+        assert_eq!(heap(&m.database()), before);
+        // The next write proceeds.
+        let mut txn = m.write();
+        txn.update("INSERT DATA { ex:team9 foaf:name \"T9\" . }")
+            .unwrap();
+        txn.commit().unwrap();
+        assert_eq!(m.database().row_count("team").unwrap(), 3);
+        assert_eq!(m.concurrency_stats().current_version, version + 1);
     }
 
     #[test]

@@ -17,21 +17,20 @@ use crate::mediator::{UpdateOutcome, UpdateProfile};
 use crate::translate::delete::{translate_delete_data, translate_delete_data_per_row};
 use crate::translate::insert::{translate_insert_data, translate_insert_data_per_row};
 use crate::translate::{
-    execute_sorted, execute_sorted_reference, execute_sorted_timed, TranslateOptions, WriteScope,
+    atomically, execute_sorted, execute_sorted_reference, execute_sorted_timed, ExecutionReport,
+    TranslateOptions,
 };
 use r3m::Mapping;
 use rdf::{Iri, Term, Triple};
-use rel::sql::Statement;
 use rel::Database;
 use sparql::{
     instantiate_all, GroupPattern, Projection, SelectQuery, Solutions, TriplePattern, UpdateOp,
 };
 use std::collections::BTreeSet;
 
-/// Everything Algorithm 2 produced while processing one `MODIFY`: the
-/// intermediate artifacts the paper shows (the SELECT, the per-binding
-/// DATA operations of Listing 12) plus the executed SQL with its
-/// group-level accounting.
+/// Algorithm 2's intermediate artifacts for one `MODIFY`, the ones the
+/// paper shows: the SELECT and the per-binding DATA operations of
+/// Listing 12. The executed SQL is the [`ExecutionReport`] beside it.
 #[derive(Debug, Clone, Default)]
 pub struct ModifyReport {
     /// SQL text of the translated SELECT (step 3).
@@ -45,28 +44,25 @@ pub struct ModifyReport {
     pub insert_data: Vec<Triple>,
     /// Deletions dropped by the §5.2 optimization.
     pub optimized_away: Vec<Triple>,
-    /// SQL statements executed, in order — on the batched path one per
-    /// table-level group, not per binding.
-    pub executed: Vec<Statement>,
-    /// Total rows the executed statements inserted/updated/deleted
-    /// (the per-binding fan-out the groups absorbed).
-    pub rows_affected: usize,
 }
 
 /// Execute a `MODIFY` against the database through the set-based write
-/// pipeline (grouped statements). The whole MODIFY is atomic on the
-/// live database: both DATA rounds run inside one [`WriteScope`] (a
-/// transaction, or a savepoint when the caller already holds one), so a
-/// failure in the insert round also undoes the delete round by putting
-/// back the scope's snapshot of the persistent tables.
+/// pipeline (grouped statements), answering Algorithm 2's artifacts and
+/// the executed SQL — on the batched path one statement per table-level
+/// group, not per binding. Inside an open transaction both DATA rounds
+/// run there, and a failure in either leaves the rollback to the
+/// caller; on a bare database they run in a transaction of their own,
+/// so a failure in the insert round also undoes the delete round.
 pub fn execute_modify(
     db: &mut Database,
     mapping: &Mapping,
     delete: &[TriplePattern],
     insert: &[TriplePattern],
     pattern: &GroupPattern,
-) -> OntoResult<ModifyReport> {
-    execute_modify_impl(db, mapping, delete, insert, pattern, true)
+) -> OntoResult<(ModifyReport, ExecutionReport)> {
+    atomically(db, |db| {
+        execute_modify_impl(db, mapping, delete, insert, pattern, true)
+    })
 }
 
 /// Reference variant of [`execute_modify`]: identical Algorithm 2, but
@@ -79,8 +75,10 @@ pub fn execute_modify_reference(
     delete: &[TriplePattern],
     insert: &[TriplePattern],
     pattern: &GroupPattern,
-) -> OntoResult<ModifyReport> {
-    execute_modify_impl(db, mapping, delete, insert, pattern, false)
+) -> OntoResult<(ModifyReport, ExecutionReport)> {
+    atomically(db, |db| {
+        execute_modify_impl(db, mapping, delete, insert, pattern, false)
+    })
 }
 
 fn execute_modify_impl(
@@ -90,7 +88,7 @@ fn execute_modify_impl(
     insert: &[TriplePattern],
     pattern: &GroupPattern,
     batched: bool,
-) -> OntoResult<ModifyReport> {
+) -> OntoResult<(ModifyReport, ExecutionReport)> {
     let mut report = ModifyReport::default();
 
     // Steps 1-3: WHERE → SELECT → SQL → bindings.
@@ -130,67 +128,41 @@ fn execute_modify_impl(
 
     // Step 5: translate + execute via Algorithm 1. Deletions first, then
     // insertions (member submission semantics); inserts may overwrite
-    // attributes whose delete was optimized away. One scope spans both
-    // rounds, making the whole MODIFY all-or-nothing on the live
-    // database (each round still opens its own nested scope inside
-    // `execute_sorted`).
-    let scope = WriteScope::open(db)?;
-    match modify_rounds(db, mapping, &kept_deletions, &insertions, batched) {
-        Ok((executed, rows_affected)) => {
-            report.executed = executed;
-            report.rows_affected = rows_affected;
-            scope.commit(db)?;
-            Ok(report)
-        }
-        Err(e) => {
-            scope.rollback(db)?;
-            Err(e)
-        }
-    }
-}
-
-// The two DATA rounds of step 5, returning (statements, rows affected).
-fn modify_rounds(
-    db: &mut Database,
-    mapping: &Mapping,
-    deletions: &[Triple],
-    insertions: &[Triple],
-    batched: bool,
-) -> OntoResult<(Vec<Statement>, usize)> {
-    let mut executed = Vec::new();
-    let mut rows_affected = 0;
-    if !deletions.is_empty() {
+    // attributes whose delete was optimized away. Both rounds run in
+    // the one transaction, so the whole MODIFY is all-or-nothing.
+    let mut executed = ExecutionReport::default();
+    if !kept_deletions.is_empty() {
         let stmts = if batched {
-            translate_delete_data(db, mapping, deletions)?
+            translate_delete_data(db, mapping, &kept_deletions)?
         } else {
-            translate_delete_data_per_row(db, mapping, deletions)?
+            translate_delete_data_per_row(db, mapping, &kept_deletions)?
         };
-        let report = if batched {
+        let round = if batched {
             execute_sorted(db, stmts)?
         } else {
             execute_sorted_reference(db, stmts)?
         };
-        executed.extend(report.statements);
-        rows_affected += report.rows_affected;
+        executed.statements.extend(round.statements);
+        executed.rows_affected += round.rows_affected;
     }
     if !insertions.is_empty() {
         let options = TranslateOptions {
             allow_overwrite: true,
         };
         let stmts = if batched {
-            translate_insert_data(db, mapping, insertions, options)?
+            translate_insert_data(db, mapping, &insertions, options)?
         } else {
-            translate_insert_data_per_row(db, mapping, insertions, options)?
+            translate_insert_data_per_row(db, mapping, &insertions, options)?
         };
-        let report = if batched {
+        let round = if batched {
             execute_sorted(db, stmts)?
         } else {
             execute_sorted_reference(db, stmts)?
         };
-        executed.extend(report.statements);
-        rows_affected += report.rows_affected;
+        executed.statements.extend(round.statements);
+        executed.rows_affected += round.rows_affected;
     }
-    Ok((executed, rows_affected))
+    Ok((report, executed))
 }
 
 /// Step 2 — build the SELECT query from the WHERE clause ("used to
@@ -206,14 +178,19 @@ pub fn select_from_where(pattern: &GroupPattern) -> SelectQuery {
 }
 
 /// Convenience: run any update operation through the right algorithm
-/// (set-based pipeline).
+/// (set-based pipeline). Inside an open transaction it runs there, and
+/// on failure the caller rolls the transaction back; on a bare database
+/// it runs in a transaction of its own, so a rejected operation leaves
+/// the database unchanged.
 pub fn execute_update_op(
     db: &mut Database,
     mapping: &Mapping,
     op: &UpdateOp,
-) -> OntoResult<crate::translate::ExecutionReport> {
-    let outcome = run_update_op(db, mapping, op, &mut UpdateProfile::default())?;
-    Ok(crate::translate::ExecutionReport {
+) -> OntoResult<ExecutionReport> {
+    let outcome = atomically(db, |db| {
+        run_update_op(db, mapping, op, &mut UpdateProfile::default())
+    })?;
+    Ok(ExecutionReport {
         statements: outcome.statements,
         rows_affected: outcome.rows_affected,
     })
@@ -221,9 +198,9 @@ pub fn execute_update_op(
 
 // The one INSERT DATA / DELETE DATA / MODIFY dispatch (Algorithm 1 / 2)
 // behind [`execute_update_op`] and `WriteTxn::update_op`, adding the
-// operation's stage times to `stages`. The operation is atomic without
-// a scope of its own: translation only reads, and `execute_sorted_timed`
-// and `execute_modify` each run their writes in one write scope.
+// operation's stage times to `stages`. It runs in the caller's open
+// transaction and opens no scope of its own: a rejected operation may
+// have written, and the caller rolls the whole transaction back.
 pub(crate) fn run_update_op(
     db: &mut Database,
     mapping: &Mapping,
@@ -248,23 +225,18 @@ pub(crate) fn run_update_op(
             insert,
             pattern,
         } => {
-            // Atomic on the live database: `execute_modify` wraps both
-            // DATA rounds in one write scope. Translation happens inside
-            // per matched binding, so the whole operation is accounted
-            // to the execute stage.
+            // Translation happens inside per matched binding, so the
+            // whole operation is accounted to the execute stage.
             let span = obs::trace::span("update.execute");
-            let report = execute_modify(db, mapping, delete, insert, pattern)?;
+            let (report, executed) = execute_modify(db, mapping, delete, insert, pattern)?;
             if span.armed() {
-                span.attr_u64("statements", report.executed.len() as u64);
-                span.attr_u64("rows_affected", report.rows_affected as u64);
+                span.attr_u64("statements", executed.statements.len() as u64);
+                span.attr_u64("rows_affected", executed.rows_affected as u64);
             }
             stages.execute += span.finish();
             return Ok(UpdateOutcome {
-                operation: "MODIFY".into(),
-                statements_executed: report.executed.len(),
-                rows_affected: report.rows_affected,
-                statements: report.executed.clone(),
                 modify: Some(report),
+                ..data_outcome("MODIFY", executed)
             });
         }
     };
@@ -275,10 +247,7 @@ pub(crate) fn run_update_op(
 }
 
 // The outcome of an executed `INSERT DATA` / `DELETE DATA`.
-pub(crate) fn data_outcome(
-    operation: &str,
-    executed: crate::translate::ExecutionReport,
-) -> UpdateOutcome {
+pub(crate) fn data_outcome(operation: &str, executed: ExecutionReport) -> UpdateOutcome {
     UpdateOutcome {
         operation: operation.into(),
         statements_executed: executed.statements.len(),
@@ -289,13 +258,14 @@ pub(crate) fn data_outcome(
 }
 
 /// Reference counterpart of [`execute_update_op`]: the per-row emission
-/// through the seed's statement-pair sort, end to end.
+/// through the seed's statement-pair sort, end to end, with the same
+/// transaction rule.
 pub fn execute_update_op_reference(
     db: &mut Database,
     mapping: &Mapping,
     op: &UpdateOp,
-) -> OntoResult<crate::translate::ExecutionReport> {
-    match op {
+) -> OntoResult<ExecutionReport> {
+    atomically(db, |db| match op {
         UpdateOp::InsertData { triples } => {
             let stmts =
                 translate_insert_data_per_row(db, mapping, triples, TranslateOptions::default())?;
@@ -309,14 +279,9 @@ pub fn execute_update_op_reference(
             delete,
             insert,
             pattern,
-        } => {
-            let report = execute_modify_reference(db, mapping, delete, insert, pattern)?;
-            Ok(crate::translate::ExecutionReport {
-                statements: report.executed,
-                rows_affected: report.rows_affected,
-            })
-        }
-    }
+        } => execute_modify_reference(db, mapping, delete, insert, pattern)
+            .map(|(_, executed)| executed),
+    })
 }
 
 #[cfg(test)]
@@ -326,7 +291,7 @@ mod tests {
     use rdf::Term;
     use rel::Value;
 
-    fn run(db: &mut Database, mapping: &Mapping, text: &str) -> ModifyReport {
+    fn run(db: &mut Database, mapping: &Mapping, text: &str) -> (ModifyReport, ExecutionReport) {
         let op = parse_update(text);
         let UpdateOp::Modify {
             delete,
@@ -348,7 +313,7 @@ mod tests {
     #[test]
     fn listing_11_replaces_email() {
         let (mut db, mapping) = fixture_db_with_rows();
-        let report = run(
+        let (report, executed) = run(
             &mut db,
             &mapping,
             "MODIFY
@@ -367,7 +332,7 @@ mod tests {
         assert!(report.delete_data.is_empty());
         assert_eq!(report.insert_data.len(), 1);
         assert_eq!(
-            render(&report.executed),
+            render(&executed.statements),
             vec!["UPDATE author SET email = 'hert@example.com' WHERE id = 6;"]
         );
         assert_eq!(email_of(&db, 6), Value::text("hert@example.com"));
@@ -379,7 +344,7 @@ mod tests {
         // paper's Listing 12; verify them via the report before the
         // optimization filters (insert side + optimized delete).
         let (mut db, mapping) = fixture_db_with_rows();
-        let report = run(
+        let (report, _) = run(
             &mut db,
             &mapping,
             "MODIFY
@@ -410,14 +375,14 @@ mod tests {
     fn modify_with_no_bindings_is_a_noop() {
         let (mut db, mapping) = fixture_db_with_rows();
         let before = db.clone();
-        let report = run(
+        let (report, executed) = run(
             &mut db,
             &mapping,
             "MODIFY DELETE { ?x foaf:mbox ?m . } INSERT { } \
              WHERE { ?x foaf:family_name \"Nobody\" ; foaf:mbox ?m . }",
         );
         assert_eq!(report.bindings, 0);
-        assert!(report.executed.is_empty());
+        assert!(executed.statements.is_empty());
         assert_eq!(
             crate::materialize::materialize(&db, &mapping).unwrap(),
             crate::materialize::materialize(&before, &mapping).unwrap()
@@ -427,7 +392,7 @@ mod tests {
     #[test]
     fn pure_delete_modify() {
         let (mut db, mapping) = fixture_db_with_rows();
-        let report = run(
+        let (report, executed) = run(
             &mut db,
             &mapping,
             "MODIFY DELETE { ?x foaf:mbox ?m . } INSERT { } \
@@ -435,7 +400,7 @@ mod tests {
         );
         assert_eq!(report.bindings, 1);
         assert_eq!(
-            render(&report.executed),
+            render(&executed.statements),
             vec!["UPDATE author SET email = NULL WHERE id = 6 AND email = 'hert@ifi.uzh.ch';"]
         );
         assert_eq!(email_of(&db, 6), Value::Null);
@@ -445,7 +410,7 @@ mod tests {
     fn pure_insert_modify() {
         let (mut db, mapping) = fixture_db_with_rows();
         // Give every person without a title the title 'Dr'.
-        let report = run(
+        let (report, executed) = run(
             &mut db,
             &mapping,
             "INSERT { ?x foaf:title \"Dr\" . } \
@@ -453,7 +418,7 @@ mod tests {
         );
         assert_eq!(report.bindings, 1);
         assert_eq!(
-            render(&report.executed),
+            render(&executed.statements),
             vec!["UPDATE author SET title = 'Dr' WHERE id = 7;"]
         );
     }
@@ -461,7 +426,7 @@ mod tests {
     #[test]
     fn multi_binding_modify_updates_every_match() {
         let (mut db, mapping) = fixture_db_with_rows();
-        let report = run(
+        let (report, executed) = run(
             &mut db,
             &mapping,
             "MODIFY DELETE { ?x ont:team ?t . } INSERT { } \
@@ -470,10 +435,10 @@ mod tests {
         assert_eq!(report.bindings, 2);
         // Both bindings share one shape → one grouped statement that
         // touches two rows.
-        assert_eq!(report.executed.len(), 1);
-        assert_eq!(report.rows_affected, 2);
+        assert_eq!(executed.statements.len(), 1);
+        assert_eq!(executed.rows_affected, 2);
         assert_eq!(
-            render(&report.executed),
+            render(&executed.statements),
             vec![
                 "UPDATE author BY (id, team) SET (team) \
              VALUES (6, 5, NULL), (7, 5, NULL);"
@@ -492,7 +457,7 @@ mod tests {
     #[test]
     fn select_sql_is_reported() {
         let (mut db, mapping) = fixture_db_with_rows();
-        let report = run(
+        let (report, _) = run(
             &mut db,
             &mapping,
             "MODIFY DELETE { ?x foaf:mbox ?m . } INSERT { } \
@@ -531,14 +496,14 @@ mod tests {
     fn modify_replacing_fk_object() {
         let (mut db, mapping) = fixture_db_with_rows();
         // Move Hert from team5 to team4.
-        let report = run(
+        let (_, executed) = run(
             &mut db,
             &mapping,
             "MODIFY DELETE { ?x ont:team ?t . } INSERT { ?x ont:team ex:team4 . } \
              WHERE { ?x foaf:family_name \"Hert\" ; ont:team ?t . }",
         );
         assert_eq!(
-            render(&report.executed),
+            render(&executed.statements),
             vec!["UPDATE author SET team = 4 WHERE id = 6;"]
         );
     }

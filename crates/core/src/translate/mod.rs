@@ -483,61 +483,11 @@ pub struct ExecutionReport {
     pub rows_affected: usize,
 }
 
-/// An atomic write scope over the live database: a top-level
-/// transaction when none is open, a savepoint inside an already-open
-/// one. This is how every unit of the write pipeline (one executed
-/// statement list, one MODIFY) gets all-or-nothing semantics. Opening
-/// a scope keeps a snapshot of the persistent tables (one `Arc` bump);
-/// commit drops it, rollback puts it back.
-#[derive(Debug)]
-pub enum WriteScope {
-    /// The scope opened the transaction and owns its end.
-    Transaction,
-    /// The scope nests inside an open transaction as a savepoint.
-    Savepoint(rel::SavepointId),
-}
-
-impl WriteScope {
-    /// Open a scope: `BEGIN`, or `SAVEPOINT` when a transaction is
-    /// already open.
-    pub fn open(db: &mut Database) -> OntoResult<Self> {
-        if db.in_transaction() {
-            Ok(WriteScope::Savepoint(db.savepoint()?))
-        } else {
-            db.begin()?;
-            Ok(WriteScope::Transaction)
-        }
-    }
-
-    /// Keep the scope's changes (`COMMIT` / `RELEASE SAVEPOINT`; a
-    /// released savepoint's changes end with the enclosing scope).
-    pub fn commit(self, db: &mut Database) -> OntoResult<()> {
-        match self {
-            WriteScope::Transaction => db.commit()?,
-            WriteScope::Savepoint(sp) => db.release_savepoint(sp)?,
-        }
-        Ok(())
-    }
-
-    /// Undo every change made inside the scope (`ROLLBACK` / `ROLLBACK
-    /// TO SAVEPOINT` + release).
-    pub fn rollback(self, db: &mut Database) -> OntoResult<()> {
-        match self {
-            WriteScope::Transaction => db.rollback()?,
-            WriteScope::Savepoint(sp) => {
-                db.rollback_to_savepoint(sp)?;
-                db.release_savepoint(sp)?;
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Steps 5+6 — sort the collected statements by FK dependencies
-/// (table-level groups) and execute them inside one atomic write scope
-/// (a transaction, or a savepoint when the caller already holds one).
-/// On any failure the scope is rolled back and the database is
-/// unchanged.
+/// (table-level groups) and execute them. Inside an open transaction
+/// they run there, and on failure the caller rolls the transaction
+/// back; on a bare database they run in a transaction of their own, so
+/// on any failure the database is unchanged.
 pub fn execute_sorted(
     db: &mut Database,
     statements: Vec<Statement>,
@@ -553,9 +503,11 @@ pub fn execute_sorted_timed(
     db: &mut Database,
     statements: Vec<Statement>,
 ) -> OntoResult<(ExecutionReport, Duration, Duration)> {
-    let (sorted, sort) = sort_timed(db.schema(), statements)?;
-    let (report, execute) = execute_timed(db, sorted)?;
-    Ok((report, sort, execute))
+    atomically(db, |db| {
+        let (sorted, sort) = sort_timed(db.schema(), statements)?;
+        let (report, execute) = execute_timed(db, sorted)?;
+        Ok((report, sort, execute))
+    })
 }
 
 /// Step 5 alone, timed by its `update.sort` span. The sort reads only
@@ -569,14 +521,14 @@ pub fn sort_timed(
     Ok((sorted, span.finish()))
 }
 
-/// Step 6 alone: execute already-sorted statements in one atomic write
-/// scope, timed by its `update.execute` span.
-pub fn execute_timed(
+// Step 6 alone: execute already-sorted statements in the caller's open
+// transaction, timed by its `update.execute` span.
+pub(crate) fn execute_timed(
     db: &mut Database,
     sorted: Vec<Statement>,
 ) -> OntoResult<(ExecutionReport, Duration)> {
     let span = obs::trace::span("update.execute");
-    let report = run_in_scope(db, sorted)?;
+    let report = run_statements(db, sorted)?;
     if span.armed() {
         span.attr_u64("statements", report.statements.len() as u64);
         span.attr_u64("rows_affected", report.rows_affected as u64);
@@ -592,27 +544,45 @@ pub fn execute_sorted_reference(
     db: &mut Database,
     statements: Vec<Statement>,
 ) -> OntoResult<ExecutionReport> {
-    let sorted = sort::sort_statements_reference(db.schema(), statements)?;
-    run_in_scope(db, sorted)
+    atomically(db, |db| {
+        let sorted = sort::sort_statements_reference(db.schema(), statements)?;
+        run_statements(db, sorted)
+    })
 }
 
-fn run_in_scope(db: &mut Database, sorted: Vec<Statement>) -> OntoResult<ExecutionReport> {
-    let scope = WriteScope::open(db)?;
+fn run_statements(db: &mut Database, sorted: Vec<Statement>) -> OntoResult<ExecutionReport> {
     let mut rows_affected = 0;
     for stmt in &sorted {
-        match rel::sql::execute(db, stmt) {
-            Ok(outcome) => rows_affected += outcome.affected(),
-            Err(e) => {
-                scope.rollback(db)?;
-                return Err(OntoError::Database(e));
-            }
-        }
+        rows_affected += rel::sql::execute(db, stmt)?.affected();
     }
-    scope.commit(db)?;
     Ok(ExecutionReport {
         statements: sorted,
         rows_affected,
     })
+}
+
+// A write's one rollback point is its transaction. Inside an open one
+// `work` runs there, and the caller owns the rollback; on a bare
+// database `work` runs in a transaction of its own, committed on
+// success and rolled back on failure.
+pub(crate) fn atomically<T>(
+    db: &mut Database,
+    work: impl FnOnce(&mut Database) -> OntoResult<T>,
+) -> OntoResult<T> {
+    if db.in_transaction() {
+        return work(db);
+    }
+    db.begin()?;
+    match work(db) {
+        Ok(value) => {
+            db.commit()?;
+            Ok(value)
+        }
+        Err(e) => {
+            db.rollback()?;
+            Err(e)
+        }
+    }
 }
 
 #[cfg(test)]

@@ -27,10 +27,10 @@
 //!
 //! One committed transaction is one *commit unit*: `BEGIN seq`, one
 //! `OPS seq` record carrying every logical operation the transaction
-//! applied (savepoint-rolled-back work already excluded by
-//! [`rel::Database::txn_ops`], whose views of the redo log the encoder
-//! reads directly), and `COMMIT seq` — written with a single `write(2)`
-//! so a torn tail is always a suffix of one unit.
+//! applied (the views of its redo log that [`rel::Database::txn_ops`]
+//! lends, which the encoder reads directly; a rolled-back transaction
+//! never reaches the log), and `COMMIT seq` — written with a single
+//! `write(2)` so a torn tail is always a suffix of one unit.
 //! An atomic update script commits once, so it logs as one unit.
 //!
 //! Recovery applies only operations bracketed by a matching

@@ -152,7 +152,7 @@ impl RedoOp {
 }
 
 /// One logical row operation a committed transaction applied, in
-/// application order, with savepoint-rolled-back work already excluded.
+/// application order.
 ///
 /// This is the redo form a durability layer persists: replaying the
 /// stream with [`Database::apply_logical`] against the pre-transaction
@@ -189,39 +189,19 @@ pub enum LogicalOp<'a> {
     },
 }
 
-/// Handle to a savepoint created by [`Database::savepoint`]. Valid until
-/// the savepoint is released, rolled over by a rollback to an earlier
-/// mark, or the enclosing transaction ends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SavepointId(u64);
-
 // Every table's storage, by name, behind one `Arc`: a snapshot — a
-// published version, a transaction's or a savepoint's rollback point —
-// is one reference-count bump, and the first write after it copies the
-// map, which is O(tables + indexes) `Arc` bumps (see
-// [`crate::storage`]).
+// published version or a transaction's rollback point — is one
+// reference-count bump, and the first write after it copies the map,
+// which is O(tables + indexes) `Arc` bumps (see [`crate::storage`]).
 type Tables = Arc<BTreeMap<String, TableData>>;
 
-// One mark on the savepoint stack.
-#[derive(Debug, Clone)]
-struct SavepointMark {
-    seq: u64,
-    // The tables when the mark was set: rolling back to the mark puts
-    // them back.
-    tables: Tables,
-    // Redo-log length when the mark was set: rolling back to the mark
-    // drops every log entry at or beyond this position.
-    log_at: usize,
-}
-
-/// An open transaction: the tables as they stood at `begin`, the redo
-/// log of the row operations applied since, and the stack of savepoint
-/// marks into both.
+/// An open transaction: the tables as they stood at `begin`, its one
+/// rollback point, and the redo log of the row operations applied
+/// since.
 #[derive(Debug, Clone)]
 struct TxnState {
     tables: Tables,
     log: Vec<RedoOp>,
-    savepoints: Vec<SavepointMark>,
 }
 
 /// An in-memory relational database.
@@ -240,11 +220,6 @@ pub struct Database {
     schema: Arc<Schema>,
     data: Tables,
     txn: Option<TxnState>,
-    // Monotonic over the database's lifetime (never reset by begin):
-    // a stale SavepointId from an earlier transaction can therefore
-    // never alias a later transaction's mark — it just fails to
-    // resolve.
-    savepoint_seq: u64,
 }
 
 impl Database {
@@ -259,7 +234,6 @@ impl Database {
             schema: Arc::new(schema),
             data: Arc::new(data),
             txn: None,
-            savepoint_seq: 0,
         })
     }
 
@@ -399,8 +373,10 @@ impl Database {
     // Transactions
     // ------------------------------------------------------------------
 
-    /// Begin a transaction, keeping a snapshot of the tables for
-    /// [`Database::rollback`]. Errors if one is already open.
+    /// Begin a transaction. Its one rollback point is a snapshot of the
+    /// tables taken here (one `Arc` bump), which [`Database::rollback`]
+    /// puts back; there is no nested scope. Errors if one is already
+    /// open.
     pub fn begin(&mut self) -> RelResult<()> {
         if self.txn.is_some() {
             return Err(RelError::Transaction {
@@ -410,13 +386,11 @@ impl Database {
         self.txn = Some(TxnState {
             tables: Arc::clone(&self.data),
             log: Vec::new(),
-            savepoints: Vec::new(),
         });
         Ok(())
     }
 
-    /// Commit the open transaction (releasing any savepoints still on
-    /// its stack).
+    /// Commit the open transaction.
     pub fn commit(&mut self) -> RelResult<()> {
         self.txn.take().map(|_| ()).ok_or(RelError::Transaction {
             message: "no open transaction".into(),
@@ -424,11 +398,11 @@ impl Database {
     }
 
     /// The logical row operations the open transaction has applied so
-    /// far, in application order, borrowed from its redo log. Work
-    /// undone by a savepoint rollback is excluded — at commit, the
-    /// stream is exactly what a durability layer must replay. A
-    /// durability layer appends these to its log *before* committing,
-    /// so a failed append can still roll the transaction back.
+    /// far, in application order, borrowed from its redo log. The log
+    /// only grows until the transaction ends, so at commit this is
+    /// exactly what a durability layer must replay. A durability layer
+    /// appends these to its log *before* committing, so a failed append
+    /// can still roll the transaction back.
     pub fn txn_ops(&self) -> RelResult<Vec<LogicalOp<'_>>> {
         let state = self.txn.as_ref().ok_or(RelError::Transaction {
             message: "no open transaction".into(),
@@ -436,9 +410,9 @@ impl Database {
         Ok(state.log.iter().map(RedoOp::view).collect())
     }
 
-    /// Whether the open transaction has applied any row operations that
-    /// survive to commit (inspects the redo log's length). Errors if no
-    /// transaction is open.
+    /// Whether the open transaction has applied any row operation
+    /// (inspects the redo log's length). Errors if no transaction is
+    /// open.
     pub fn txn_has_changes(&self) -> RelResult<bool> {
         let state = self.txn.as_ref().ok_or(RelError::Transaction {
             message: "no open transaction".into(),
@@ -448,7 +422,8 @@ impl Database {
 
     /// Roll back the open transaction: the tables become the snapshot
     /// taken at [`Database::begin`] — heap, indexes and row-id
-    /// allocators.
+    /// allocators — whatever the transaction wrote, and its redo log is
+    /// dropped unread.
     pub fn rollback(&mut self) -> RelResult<()> {
         let state = self.txn.take().ok_or(RelError::Transaction {
             message: "no open transaction".into(),
@@ -457,67 +432,9 @@ impl Database {
         Ok(())
     }
 
-    /// Set a savepoint in the open transaction, keeping a snapshot of
-    /// the tables, and return a handle for
-    /// [`Database::rollback_to_savepoint`] /
-    /// [`Database::release_savepoint`]. Savepoints stack.
-    pub fn savepoint(&mut self) -> RelResult<SavepointId> {
-        let seq = self.savepoint_seq;
-        let state = self.txn.as_mut().ok_or(RelError::Transaction {
-            message: "no open transaction".into(),
-        })?;
-        self.savepoint_seq += 1;
-        state.savepoints.push(SavepointMark {
-            seq,
-            tables: Arc::clone(&self.data),
-            log_at: state.log.len(),
-        });
-        Ok(SavepointId(seq))
-    }
-
-    // Stack position of a savepoint handle, or a Transaction error.
-    fn savepoint_position(&self, sp: SavepointId) -> RelResult<usize> {
-        self.txn
-            .as_ref()
-            .and_then(|state| state.savepoints.iter().position(|m| m.seq == sp.0))
-            .ok_or(RelError::Transaction {
-                message: "no such savepoint".into(),
-            })
-    }
-
-    /// Undo every change made since `sp` was set by restoring its
-    /// snapshot, keeping the transaction — and the savepoint itself —
-    /// open (SQL `ROLLBACK TO SAVEPOINT`). Savepoints set after `sp`
-    /// are discarded.
-    pub fn rollback_to_savepoint(&mut self, sp: SavepointId) -> RelResult<()> {
-        let position = self.savepoint_position(sp)?;
-        let state = self.txn.as_mut().expect("position implies open txn");
-        state.savepoints.truncate(position + 1);
-        let mark = &state.savepoints[position];
-        state.log.truncate(mark.log_at);
-        self.data = Arc::clone(&mark.tables);
-        Ok(())
-    }
-
-    /// Remove the savepoint `sp` — and any set after it — keeping every
-    /// change for the enclosing scope to commit or undo (SQL `RELEASE
-    /// SAVEPOINT`).
-    pub fn release_savepoint(&mut self, sp: SavepointId) -> RelResult<()> {
-        let position = self.savepoint_position(sp)?;
-        let state = self.txn.as_mut().expect("position implies open txn");
-        state.savepoints.truncate(position);
-        Ok(())
-    }
-
     /// Whether a transaction is open.
     pub fn in_transaction(&self) -> bool {
         self.txn.is_some()
-    }
-
-    /// Number of savepoints currently on the transaction's stack (0
-    /// outside a transaction).
-    pub fn savepoint_depth(&self) -> usize {
-        self.txn.as_ref().map_or(0, |state| state.savepoints.len())
     }
 
     // The storage of `table` for writing. The first write after a
@@ -1505,128 +1422,10 @@ mod tests {
     }
 
     #[test]
-    fn savepoint_partial_rollback_restores_to_mark() {
-        let mut d = db();
-        d.insert("team", &[a("id", Value::Int(1))]).unwrap();
-        d.begin().unwrap();
-        d.insert("team", &[a("id", Value::Int(2))]).unwrap();
-        let sp = d.savepoint().unwrap();
-        d.insert("team", &[a("id", Value::Int(3))]).unwrap();
-        let rid = d.find_by_pk("team", &[Value::Int(1)]).unwrap().unwrap();
-        d.update_row("team", rid, &[a("name", Value::text("X"))])
-            .unwrap();
-        d.rollback_to_savepoint(sp).unwrap();
-        // Changes after the mark undone; changes before it kept.
-        assert_eq!(d.row_count("team").unwrap(), 2);
-        assert_eq!(d.row("team", rid).unwrap().unwrap()[1], Value::Null);
-        // The savepoint survives a rollback-to (SQL semantics): work
-        // after it can be undone again.
-        d.insert("team", &[a("id", Value::Int(4))]).unwrap();
-        d.rollback_to_savepoint(sp).unwrap();
-        assert_eq!(d.row_count("team").unwrap(), 2);
-        d.commit().unwrap();
-        assert_eq!(d.row_count("team").unwrap(), 2);
-    }
-
-    #[test]
-    fn release_keeps_changes_for_enclosing_scope() {
-        let mut d = db();
-        d.begin().unwrap();
-        let sp = d.savepoint().unwrap();
-        d.insert("team", &[a("id", Value::Int(1))]).unwrap();
-        d.release_savepoint(sp).unwrap();
-        assert_eq!(d.savepoint_depth(), 0);
-        // Released work still belongs to the transaction.
-        d.rollback().unwrap();
-        assert_eq!(d.row_count("team").unwrap(), 0);
-    }
-
-    #[test]
-    fn savepoints_stack_innermost_first() {
-        let mut d = db();
-        d.begin().unwrap();
-        let outer = d.savepoint().unwrap();
-        d.insert("team", &[a("id", Value::Int(1))]).unwrap();
-        let inner = d.savepoint().unwrap();
-        d.insert("team", &[a("id", Value::Int(2))]).unwrap();
-        assert_eq!(d.savepoint_depth(), 2);
-        // The inner mark undoes only id 2.
-        d.rollback_to_savepoint(inner).unwrap();
-        assert_eq!(d.row_count("team").unwrap(), 1);
-        // Rolling back to the outer mark discards the inner one.
-        d.rollback_to_savepoint(outer).unwrap();
-        assert_eq!(d.row_count("team").unwrap(), 0);
-        assert_eq!(d.savepoint_depth(), 1);
-        d.release_savepoint(outer).unwrap();
-        assert_eq!(d.savepoint_depth(), 0);
-        d.commit().unwrap();
-    }
-
-    #[test]
-    fn rollback_to_discards_later_savepoints() {
-        let mut d = db();
-        d.begin().unwrap();
-        let outer = d.savepoint().unwrap();
-        d.insert("team", &[a("id", Value::Int(1))]).unwrap();
-        let inner = d.savepoint().unwrap();
-        d.insert("team", &[a("id", Value::Int(2))]).unwrap();
-        d.rollback_to_savepoint(outer).unwrap();
-        // The inner handle died with the rollback.
-        assert!(matches!(
-            d.rollback_to_savepoint(inner),
-            Err(RelError::Transaction { .. })
-        ));
-        assert!(matches!(
-            d.release_savepoint(inner),
-            Err(RelError::Transaction { .. })
-        ));
-        d.commit().unwrap();
-        assert_eq!(d.row_count("team").unwrap(), 0);
-    }
-
-    #[test]
-    fn savepoint_requires_open_transaction() {
-        let mut d = db();
-        assert!(matches!(d.savepoint(), Err(RelError::Transaction { .. })));
-        d.begin().unwrap();
-        let sp = d.savepoint().unwrap();
-        d.commit().unwrap();
-        // Handles die with the transaction.
-        assert!(matches!(
-            d.rollback_to_savepoint(sp),
-            Err(RelError::Transaction { .. })
-        ));
-        assert_eq!(d.savepoint_depth(), 0);
-    }
-
-    #[test]
-    fn stale_savepoint_id_never_aliases_a_later_transaction() {
-        // The sequence counter is database-lifetime monotonic: a handle
-        // from a committed transaction must not resolve to a mark of a
-        // later transaction that happens to occupy the same stack slot.
-        let mut d = db();
-        d.begin().unwrap();
-        let stale = d.savepoint().unwrap();
-        d.commit().unwrap();
-        d.begin().unwrap();
-        let fresh = d.savepoint().unwrap();
-        d.insert("team", &[a("id", Value::Int(1))]).unwrap();
-        assert_ne!(stale, fresh);
-        assert!(matches!(
-            d.rollback_to_savepoint(stale),
-            Err(RelError::Transaction { .. })
-        ));
-        // The insert survived the failed stale rollback.
-        assert_eq!(d.row_count("team").unwrap(), 1);
-        d.commit().unwrap();
-    }
-
-    #[test]
-    fn savepoint_rollback_restores_indexes() {
+    fn rollback_restores_indexes() {
         let mut d = db();
         d.insert("team", &[a("id", Value::Int(5))]).unwrap();
         d.begin().unwrap();
-        let sp = d.savepoint().unwrap();
         d.insert(
             "author",
             &[
@@ -1636,19 +1435,18 @@ mod tests {
             ],
         )
         .unwrap();
-        d.rollback_to_savepoint(sp).unwrap();
+        d.rollback().unwrap();
         // FK secondary index entry undone with the row.
         assert_eq!(
             d.index_probe("author", "team", &Value::Int(5)).unwrap(),
             Some(vec![])
         );
-        // PK index too: the freed id is reusable within the txn.
+        // PK index too: the freed id is reusable.
         d.insert(
             "author",
             &[a("id", Value::Int(1)), a("lastname", Value::text("y"))],
         )
         .unwrap();
-        d.commit().unwrap();
         assert_eq!(d.row_count("author").unwrap(), 1);
     }
 
@@ -1694,13 +1492,12 @@ mod tests {
     }
 
     #[test]
-    fn txn_ops_excludes_savepoint_rolled_back_work() {
+    fn txn_ops_excludes_rolled_back_work() {
         let mut d = db();
         d.begin().unwrap();
-        d.insert("team", &[a("id", Value::Int(1))]).unwrap();
-        let sp = d.savepoint().unwrap();
         d.insert("team", &[a("id", Value::Int(2))]).unwrap();
-        d.rollback_to_savepoint(sp).unwrap();
+        d.rollback().unwrap();
+        d.begin().unwrap();
         d.insert("team", &[a("id", Value::Int(3))]).unwrap();
         let ids: Vec<Value> = d
             .txn_ops()
@@ -1711,7 +1508,7 @@ mod tests {
                 _ => panic!("only inserts expected"),
             })
             .collect();
-        assert_eq!(ids, vec![Value::Int(1), Value::Int(3)]);
+        assert_eq!(ids, vec![Value::Int(3)]);
         d.commit().unwrap();
     }
 
@@ -1832,15 +1629,16 @@ mod tests {
         d.rollback().unwrap();
         // Rolled-back inserts do not burn ids…
         assert_eq!(d.next_row_id("team").unwrap(), r1 + 1);
-        // …including through partial savepoint rollback.
+        // …and an insert committed before the rolled-back one keeps its
+        // id, while the next insert reuses the freed one.
         d.begin().unwrap();
         d.insert("team", &[a("id", Value::Int(4))]).unwrap();
-        let before = d.next_row_id("team").unwrap();
-        let sp = d.savepoint().unwrap();
-        d.insert("team", &[a("id", Value::Int(5))]).unwrap();
-        d.rollback_to_savepoint(sp).unwrap();
-        assert_eq!(d.next_row_id("team").unwrap(), before);
         d.commit().unwrap();
+        let before = d.next_row_id("team").unwrap();
+        d.begin().unwrap();
+        d.insert("team", &[a("id", Value::Int(5))]).unwrap();
+        d.rollback().unwrap();
+        assert_eq!(d.next_row_id("team").unwrap(), before);
         assert_eq!(d.insert("team", &[a("id", Value::Int(6))]).unwrap(), before);
     }
 

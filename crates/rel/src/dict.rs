@@ -11,7 +11,7 @@
 //!
 //! The dictionary is **process-global and append-only**. Globality is
 //! what makes the integer-equality invariant hold across every
-//! `Database`, savepoint-rollback replica, and differential-test twin
+//! `Database`, rollback snapshot, and differential-test twin
 //! in the process: the same string always resolves to the same `Sym`,
 //! so byte-identity suites keep comparing raw values. Append-only means
 //! symbols are never re-numbered or freed (refcount/epoch GC is

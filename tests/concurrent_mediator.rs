@@ -1,14 +1,15 @@
 //! Concurrency contract of the mediator API.
 //!
 //! 1. Smoke: N reader threads issue cached and uncached queries while a
-//!    writer commits savepoint-backed MODIFYs (and abandons some
-//!    transactions) — readers must never observe a torn or partial
-//!    write, only complete committed states.
-//! 2. Property: the savepoint-backed write path must leave the database
-//!    byte-for-byte identical to the old clone-and-swap semantics (run
-//!    the op on a scratch clone, swap on success, discard on failure) —
-//!    including for operations that fail mid-way, reusing the
-//!    `write_pipeline_differential` harness assertions.
+//!    writer commits MODIFYs (and abandons some transactions) — readers
+//!    must never observe a torn or partial write, only complete
+//!    committed states.
+//! 2. Property: the write path, whose transaction is its one rollback
+//!    point, must leave the database byte-for-byte identical to the old
+//!    clone-and-swap semantics (run the op on a scratch clone, swap on
+//!    success, discard on failure) — including for operations that fail
+//!    mid-way, reusing the `write_pipeline_differential` harness
+//!    assertions.
 //! 3. Storm: writers race INSERT/DELETE DATA scripts over shared
 //!    subjects and FK targets, so operations translated before the
 //!    write lock go stale under it — every logged version must be the
@@ -161,13 +162,13 @@ fn readers_never_observe_torn_or_uncommitted_writes() {
 }
 
 // ----------------------------------------------------------------------
-// Savepoint rollback ≡ clone-and-swap (the seed's atomicity recipe)
+// Transaction rollback ≡ clone-and-swap (the seed's atomicity recipe)
 // ----------------------------------------------------------------------
 
 // The mixed workload of the write-pipeline harness, plus the shapes
-// that specifically stress nested savepoints: a MODIFY whose *insert
-// round* fails after its delete round succeeded, and a mid-group
-// RESTRICT failure.
+// that specifically stress rollback after a partial write: a MODIFY
+// whose *insert round* fails after its delete round succeeded, and a
+// mid-group RESTRICT failure.
 fn workload_ops(team: i64, k: usize) -> Vec<String> {
     let team_uri = format!("ex:team{team}");
     let base = 800_000 + 10 * k as i64;
@@ -193,7 +194,7 @@ fn workload_ops(team: i64, k: usize) -> Vec<String> {
              WHERE {{ ?x ont:team {team_uri} ; foaf:mbox ?m . }}"
         )),
         // Delete round succeeds (emails nulled), insert round dangles →
-        // the nested savepoint must undo the delete round too.
+        // the transaction's rollback must undo the delete round too.
         fixtures::workload::with_prefixes(
             "MODIFY DELETE { ?x foaf:mbox ?m . } \
              INSERT { ?x ont:team ex:team987654321 . } \
@@ -213,10 +214,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// On randomized database states and a mixed workload including
-    /// rejected operations, the savepoint-backed live write path (the
-    /// mediator's transaction machinery) must leave the database
-    /// byte-for-byte identical — heap and indexes — to the clone-and-
-    /// swap reference the seed endpoint used for atomicity.
+    /// rejected operations, the live write path (the mediator's
+    /// transaction, rolled back whole on a rejection) must leave the
+    /// database byte-for-byte identical — heap and indexes — to the
+    /// clone-and-swap reference the seed endpoint used for atomicity.
+    /// (The name is older than the one rollback point per transaction.)
     #[test]
     fn savepoint_rollback_equals_clone_and_swap(
         n in 2usize..20,
@@ -241,7 +243,7 @@ proptest! {
                     Err(e) => Err(e),
                 }
             };
-            // Live path: savepoint scopes on the shared database.
+            // Live path: one transaction on the shared database.
             let live_result = mediator.execute_update_op(&op);
             match (&live_result, &reference_result) {
                 (Ok(live), Ok(reference)) => {
@@ -273,8 +275,8 @@ proptest! {
         }
     }
 
-    /// Atomic scripts: rolling back a failing script through savepoints
-    /// must equal never having run it (the seed restored a snapshot).
+    /// Atomic scripts: rolling back a failing script's transaction must
+    /// equal never having run it (the seed restored a snapshot).
     #[test]
     fn atomic_script_rollback_equals_snapshot_restore(
         n in 2usize..15,

@@ -75,7 +75,7 @@ fn dir_with_wal_prefix(src: &Path, wal: &[u8], cut: usize) -> std::path::PathBuf
 
 // One update request; some are deliberately rejectable (dangling
 // references, absent triples, already-set attributes) — rejected and
-// savepoint-rolled-back work must never reach the log.
+// rolled-back work must never reach the log.
 enum Step {
     Single(String),
     AtomicScript(String),

@@ -238,8 +238,8 @@ proptest! {
 
     /// Dictionary ids are stable: the symbol interned for a string
     /// before any storage work resolves to the same string and
-    /// re-interns to the same id after (a) a savepoint-rolled-back
-    /// update that carried the string and (b) a full snapshot+WAL
+    /// re-interns to the same id after (a) a rolled-back transaction
+    /// whose update carried the string and (b) a full snapshot+WAL
     /// recovery of a durable mediator that committed it.
     #[test]
     fn dictionary_ids_survive_rollback_and_recovery(
