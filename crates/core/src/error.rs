@@ -145,7 +145,9 @@ pub enum OntoError {
     /// fsync error, poisoned log). The transaction was rolled back (or,
     /// for a post-commit fsync failure, its durability cannot be
     /// acknowledged); the request itself is fine and may be retried
-    /// once the storage fault is resolved.
+    /// once the storage fault is resolved. Also a commit sequence out
+    /// of order — a replicated unit or base at or below the current
+    /// version — which publishes nothing.
     Storage {
         /// What the durability layer reported.
         message: String,

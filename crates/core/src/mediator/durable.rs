@@ -95,35 +95,29 @@ impl Mediator {
 
     /// Apply one replicated commit unit (replication follower path):
     /// replay the leader's logical operations, borrowed from the decoded
-    /// unit, onto the live database and publish the result under the
-    /// leader's commit sequence, so replica reads are ordinary pinned
-    /// MVCC snapshots with leader-aligned version ids. The caller (the
-    /// replicator) feeds units in sequence order and skips
-    /// already-applied sequences. The unit applies in one transaction:
-    /// a rejected operation rolls the whole unit back, so no later
-    /// publish of the live database can carry half of it.
+    /// unit, onto a clone of the current version and publish it under
+    /// the leader's commit sequence, so replica reads are ordinary
+    /// pinned MVCC snapshots with leader-aligned version ids. The caller
+    /// (the replicator) feeds units in sequence order and skips
+    /// already-applied sequences; a unit at or below the current
+    /// version is refused. The unit applies whole or not at all: a
+    /// rejected operation drops the clone, and nothing is published.
     pub fn apply_replicated(&self, unit: &dur::wal::CommitUnit) -> OntoResult<()> {
-        let mut db = self.core.lock_live();
-        db.begin()?;
-        if let Err(e) = unit.ops().try_for_each(|op| db.apply_logical(op)) {
-            db.rollback()?;
-            return Err(e.into());
-        }
-        db.commit()?;
-        self.core.chain.publish(db.clone(), Some(unit.seq));
-        Ok(())
+        let _writer = self.core.exclude_writers();
+        let mut db = self.core.chain.current().db.clone();
+        unit.ops().try_for_each(|op| db.apply_logical(op))?;
+        self.core.chain.publish(db, Some(unit.seq))
     }
 
     /// Replace a replica's state wholesale with a fresh bootstrap
     /// snapshot at commit `seq` (re-bootstrap after the leader's
     /// checkpoint truncated WAL history this replica had not applied
     /// yet). Already-pinned read sessions keep their old versions;
-    /// new reads see the snapshot.
+    /// new reads see the snapshot. A `seq` at or below the current
+    /// version is refused, and nothing changes.
     pub fn install_replica_base(&self, db: Database, seq: u64) -> OntoResult<()> {
-        let mut live = self.core.lock_live();
-        *live = db.clone();
-        self.core.chain.publish(db, Some(seq));
-        Ok(())
+        let _writer = self.core.exclude_writers();
+        self.core.chain.publish(db, Some(seq))
     }
 
     /// Current WAL coordinate for replication (`None` without
@@ -160,22 +154,24 @@ impl Mediator {
     /// truncate the write-ahead log, so recovery starts from this point
     /// (the server's `POST /snapshot` admin operation). Returns the
     /// snapshot's commit sequence. Blocks writers for the duration
-    /// (holds the live-database lock — the durability layer requires
-    /// that no commit lands between serialization and WAL truncation);
-    /// readers proceed on their pinned versions throughout. Fails with
+    /// (holds the writer mutex — the durability layer requires that no
+    /// commit lands between serialization and WAL truncation). A commit
+    /// appends and publishes under that mutex, so the current version
+    /// covers every unit appended so far. Readers proceed on their
+    /// pinned versions throughout. Fails with
     /// [`OntoError::Unsupported`] on an in-memory mediator.
     pub fn checkpoint(&self) -> OntoResult<u64> {
         let durability =
             self.durability_or("mediator has no durability configured (no data directory)")?;
-        let db = self.core.lock_live();
-        Ok(durability.checkpoint(&db)?)
+        let _writer = self.core.exclude_writers();
+        Ok(durability.checkpoint(&self.core.chain.current().db)?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{fixture_db_with_rows, fixture_mediator as mediator};
+    use crate::testutil::{endpoint_fixture, fixture_db_with_rows, fixture_mediator as mediator};
 
     fn scratch_dir() -> std::path::PathBuf {
         use std::sync::atomic::{AtomicU64, Ordering};
@@ -335,9 +331,9 @@ mod tests {
                 .collect()
         };
         let (before, free, mut row) = {
-            let live = replica.core.lock_live();
-            let row = live.row("team", 0).unwrap().unwrap().clone();
-            (heap(&live), live.next_row_id("team").unwrap(), row)
+            let db = replica.database();
+            let row = db.row("team", 0).unwrap().unwrap().clone();
+            (heap(&db), db.next_row_id("team").unwrap(), row)
         };
         row[0] = rel::Value::Int(424_242);
         row[2] = rel::Value::text("RT");
@@ -362,7 +358,23 @@ mod tests {
         let units = dur::wal::scan_records(&bytes, &mut dur::codec::DictTable::new()).units;
         assert_eq!(units.len(), 1);
         assert!(replica.apply_replicated(&units[0]).is_err());
-        assert_eq!(heap(&replica.core.lock_live()), before);
+        assert_eq!(heap(&replica.database()), before);
+        assert_eq!(replica.concurrency_stats().current_version, 0);
+    }
+
+    #[test]
+    fn replica_base_at_or_below_the_current_version_is_refused() {
+        let (db, mapping) = fixture_db_with_rows();
+        let replica = Mediator::new_replica(db, mapping, "127.0.0.1:7878", 5).unwrap();
+        let (empty, _) = endpoint_fixture();
+        for seq in [5, 4, 0] {
+            let err = replica
+                .install_replica_base(empty.clone(), seq)
+                .unwrap_err();
+            assert!(matches!(err, OntoError::Storage { .. }), "{err}");
+            assert_eq!(replica.concurrency_stats().current_version, 5);
+            assert_eq!(replica.database().row_count("team").unwrap(), 2);
+        }
     }
 
     #[test]

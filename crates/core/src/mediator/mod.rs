@@ -10,43 +10,44 @@
 //!   number run in parallel, and each query sees a consistent snapshot
 //!   (writers are exclusive, so no torn or partial write is ever
 //!   observable);
-//! * [`WriteTxn`]s — exclusive write transactions over the live
-//!   database. Each SPARQL/Update operation inside a transaction is
-//!   atomic: a rejected operation is undone by restoring a snapshot of
-//!   the persistent tables (O(tables + indexes)), and the transaction
-//!   stays usable. The update pipeline
-//!   translates `INSERT DATA` / `DELETE DATA` before taking the lock,
-//!   against a pinned version, and under it only validates what that
-//!   translation read (see `txn`).
+//! * [`WriteTxn`]s — exclusive write transactions, each working on
+//!   its own clone of the current version (an `Arc` bump per table).
+//!   A transaction is all-or-nothing: commit publishes its clone, and
+//!   a rejected operation rolls the whole transaction back (its clone
+//!   is dropped) and the transaction takes no more work. The update
+//!   pipeline translates `INSERT DATA` / `DELETE DATA` before taking
+//!   the lock, against a pinned version, and under it only validates
+//!   what that translation read (see `txn`).
 //!
 //! **MVCC snapshot reads.** Reads never take the writer's lock.
 //! Committed state is one immutable *current version*: every commit
 //! that changed anything publishes an [`Arc`]-shared
-//! [`DatabaseVersion`] — a persistent-structure clone of the live
-//! database (see [`rel::pmap`]), tagged with the commit's WAL sequence
-//! number — in place of the one before. A query pins the current
-//! version with one `Arc` clone and runs entirely against that
-//! snapshot: a long SELECT no longer blocks commits, a bulk commit no
-//! longer stalls every reader, and each query still sees one consistent
-//! committed state. A replaced version is freed when its last reader
-//! drops its pin. Only a commit, a replica's apply or a replica's base
-//! install publishes: the index set is the schema's (PK, UNIQUE and FK
-//! columns), so nothing on the read path builds an index or republishes
-//! a version.
+//! [`DatabaseVersion`] — the writer's persistent-structure clone (see
+//! [`rel::pmap`]), tagged with the commit's WAL sequence number — in
+//! place of the one before. A query pins the current version with one
+//! `Arc` clone and runs entirely against that snapshot: a long SELECT
+//! no longer blocks commits, a bulk commit no longer stalls every
+//! reader, and each query still sees one consistent committed state. A
+//! replaced version is freed when its last reader drops its pin. Only a
+//! commit, a replica's apply or a replica's base install publishes: the
+//! index set is the schema's (PK, UNIQUE and FK columns), so nothing on
+//! the read path builds an index or republishes a version.
 //!
 //! Who locks what: the schema and mapping are immutable after
-//! construction (validated once); the *live* database — touched only
-//! by writers, and by a writer only to validate and execute, never to
-//! run Algorithm 1 for DATA operations — sits behind a [`Mutex`] no
-//! read takes; the current version sits behind an
-//! [`std::sync::RwLock`] held only for the instants of pinning (an
-//! `Arc` clone) and publishing (an `Arc` swap); the compiled-query
-//! cache sits behind its own [`Mutex`] so cache bookkeeping never
-//! blocks on data access. Lock order is live → chain; no code path
-//! takes them in the other order. Compilation depends only on the
-//! schema and mapping, so cached entries never go stale as data changes
-//! (an entry that bound a string the dictionary lacked binds again once
-//! the dictionary grows; see `cache`).
+//! construction (validated once). Writers — a [`WriteTxn`], a replica's
+//! apply, a checkpoint — exclude each other through a [`Mutex`] that
+//! guards no data and that no read takes; a `WriteTxn` holds it to
+//! validate, execute and publish, never to run Algorithm 1 for DATA
+//! operations. Only its holder publishes, so the version a writer
+//! cloned stays current until it commits. The current version sits
+//! behind an [`std::sync::RwLock`] held only for the instants of
+//! pinning (an `Arc` clone) and publishing (an `Arc` swap), with
+//! nothing acquired under it. The compiled-query cache sits behind its
+//! own [`Mutex`] so cache bookkeeping never blocks on data access.
+//! Compilation depends only on the schema and mapping, so cached
+//! entries never go stale as data changes (an entry that bound a string
+//! the dictionary lacked binds again once the dictionary grows; see
+//! `cache`).
 //!
 //! The pieces, one file each: `versions` (the current version and its
 //! guard),
@@ -136,10 +137,11 @@ pub struct ConcurrencyStats {
 
 #[derive(Debug)]
 struct MediatorCore {
-    // The live database, touched only by writers (WriteTxn, checkpoint,
-    // replica apply). Readers never lock it.
-    live: Mutex<Database>,
-    // The current version — what every read pins.
+    // Writer exclusion (WriteTxn, checkpoint, replica apply); readers
+    // never lock it.
+    writer: Mutex<()>,
+    // The current version — the one committed state, what every read
+    // pins and every writer clones.
     chain: VersionChain,
     mapping: Mapping,
     prefixes: PrefixMap,
@@ -163,13 +165,10 @@ struct MediatorCore {
 }
 
 impl MediatorCore {
-    // Poisoning is recoverable here by construction: a panicking
-    // writer's WriteTxn rolls its transaction back in Drop *before*
-    // the guard is released, so the database behind a poisoned lock is
-    // always in a consistent committed state — one crashed worker must
-    // not brick the mediator for every other session.
-    fn lock_live(&self) -> MutexGuard<'_, Database> {
-        self.live.lock().unwrap_or_else(|e| e.into_inner())
+    // The writer mutex guards no data, so a writer that panicked under
+    // it left nothing to repair: its poison is ignored.
+    fn exclude_writers(&self) -> MutexGuard<'_, ()> {
+        self.writer.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn lock_cache(&self) -> MutexGuard<'_, QueryCache> {
@@ -217,8 +216,8 @@ impl Mediator {
             .unwrap_or_else(|| durability.as_ref().map_or(0, |d| d.stats().last_commit_seq));
         Ok(Mediator {
             core: Arc::new(MediatorCore {
-                chain: VersionChain::new(initial_seq, db.clone()),
-                live: Mutex::new(db),
+                writer: Mutex::new(()),
+                chain: VersionChain::new(initial_seq, db),
                 mapping,
                 prefixes,
                 cache: Mutex::new(QueryCache::new()),

@@ -258,7 +258,7 @@ impl MediatorCore {
     }
 
     // Compile `parsed` into the template of its shape `lifted`. A pure
-    // read of the snapshot `db`: it never takes the live lock.
+    // read of the snapshot `db`: it never takes the writer mutex.
     fn compile(
         &self,
         db: &Database,

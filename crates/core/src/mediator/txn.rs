@@ -9,7 +9,7 @@
 //! against the newest published version (one `Arc` clone), recording
 //! every answer they took as a read set. Under the lock, right before
 //! each operation executes, its read set is asked again against the
-//! transaction's live view — after the script's earlier operations, so
+//! transaction's own clone — after the script's earlier operations, so
 //! a later operation is checked against the state the earlier ones
 //! left. If every lookup answers the same, the statements are exactly
 //! what translating under the lock would produce and run as they are;
@@ -91,7 +91,7 @@ pub struct UpdateProfile {
     pub translate: Duration,
     /// Wall time dependency-sorting translated statements.
     pub sort: Duration,
-    /// Wall time executing statements against the live database.
+    /// Wall time executing statements against the transaction's clone.
     pub execute: Duration,
     /// Wall time encoding and writing commit units to the WAL (zero on
     /// an in-memory mediator).
@@ -114,13 +114,15 @@ impl UpdateProfile {
     }
 }
 
-/// An exclusive write transaction over the mediator's live database.
+/// An exclusive write transaction: a private clone of the current
+/// version.
 ///
-/// Obtained from [`Mediator::write`]; holds the live-database lock for
-/// its whole lifetime, so writers serialize — but readers never see the
-/// lock: they keep answering from published versions, and observe this
-/// transaction's effects only after [`WriteTxn::commit`] publishes a
-/// new version, so intermediate states are unobservable.
+/// Obtained from [`Mediator::write`]; holds the writer mutex for its
+/// whole lifetime, so writers serialize — but readers never see the
+/// mutex: they keep answering from published versions, and observe
+/// this transaction's effects only after [`WriteTxn::commit`] publishes
+/// its clone as the new version, so intermediate states are
+/// unobservable.
 ///
 /// The transaction is the one rollback point of its operations: when
 /// an operation is rejected, the whole transaction has been rolled back
@@ -128,15 +130,17 @@ impl UpdateProfile {
 /// [`WriteTxn::update`], [`WriteTxn::update_op`] and
 /// [`WriteTxn::commit`] is refused with an error naming that rejection;
 /// [`WriteTxn::rollback`] then answers `Ok`. Dropping the transaction
-/// without [`WriteTxn::commit`] rolls everything back.
+/// without [`WriteTxn::commit`] — a rollback, an early return, a panic
+/// — drops its clone, and the current version never saw it.
 #[derive(Debug)]
 pub struct WriteTxn<'a> {
     core: &'a MediatorCore,
-    db: MutexGuard<'a, Database>,
+    // Only the holder publishes, so the version `db` was cloned from
+    // stays current until this transaction commits.
+    writer: MutexGuard<'a, ()>,
+    db: Database,
     // `Ok` while the transaction takes work; once a rejected operation
-    // has rolled it back, that rejection. `rel` would accept a write
-    // outside any transaction, so nothing may reach the live database
-    // after it.
+    // has rolled it back, that rejection.
     open: Result<(), String>,
     // Stage times of the work done in this transaction so far.
     stages: UpdateProfile,
@@ -172,7 +176,8 @@ impl WriteTxn<'_> {
     }
 
     // Run `work` if the transaction still takes work; if it fails, roll
-    // the transaction back and remember why.
+    // the transaction back — a fresh clone of the current version, still
+    // its base, replaces the written one — and remember why.
     fn guarded(
         &mut self,
         work: impl FnOnce(&mut Self) -> OntoResult<UpdateOutcome>,
@@ -180,7 +185,7 @@ impl WriteTxn<'_> {
         self.ensure_open()?;
         let result = work(self);
         if let Err(error) = &result {
-            self.db.rollback()?;
+            self.db = self.core.chain.current().db.clone();
             self.open = Err(error.to_string());
         }
         result
@@ -244,71 +249,64 @@ impl WriteTxn<'_> {
     /// logged or published, after a rejected operation rolled the
     /// transaction back.
     ///
-    /// Publication is the commit's visibility point: a
-    /// persistent-structure clone of the live database is
-    /// pushed onto the version chain (tagged with the WAL commit
+    /// Publication is the commit's visibility point: the transaction's
+    /// clone becomes the current version (tagged with the WAL commit
     /// sequence on a durable mediator), and the next query to pin a
     /// snapshot sees it. A transaction that changed nothing publishes
     /// nothing — version ids stay aligned with WAL commit units.
     ///
     /// On a durable mediator the commit is write-ahead logged first —
     /// the transaction's logical operations are appended to the WAL
-    /// *before* the in-memory commit (a failed append rolls the whole
-    /// transaction back, so memory never diverges from what the log can
-    /// reproduce), the new version is published, the live-database lock
-    /// is released, and only then does the call block on the group
-    /// fsync. Concurrent committers share one fsync: the next writer
-    /// can append while this one waits.
+    /// *before* the clone is published (a failed append publishes
+    /// nothing, so memory never diverges from what the log can
+    /// reproduce), then the writer mutex is released, and only then
+    /// does the call block on the group fsync. Concurrent committers
+    /// share one fsync: the next writer can append while this one
+    /// waits.
     pub fn commit(self) -> OntoResult<()> {
         self.commit_staged().map(drop)
     }
 
     // The commit itself, answering the transaction's stage times with
     // the durability stages (WAL append, group-fsync wait) filled in.
-    fn commit_staged(mut self) -> OntoResult<UpdateProfile> {
+    fn commit_staged(self) -> OntoResult<UpdateProfile> {
         self.ensure_open()?;
         let span = obs::trace::span("txn.commit");
-        let mut stages = self.stages;
-        let changed = self.db.txn_has_changes()?;
-        let Some(durability) = &self.core.durability else {
-            self.db.commit()?;
+        let WriteTxn {
+            core,
+            writer,
+            mut db,
+            mut stages,
+            ..
+        } = self;
+        let changed = db.txn_has_changes()?;
+        let Some(durability) = &core.durability else {
+            db.commit()?;
             if changed {
-                self.core.chain.publish(self.db.clone(), None);
+                core.chain.publish(db, None)?;
             }
             metrics().commit.observe_duration(span.finish());
             return Ok(stages);
         };
         if !changed {
-            // Read-only or fully rolled-back transaction: nothing to
-            // make durable, nothing to publish.
-            self.db.commit()?;
+            // Read-only transaction: nothing to make durable, nothing to
+            // publish.
             return Ok(stages);
         }
         // Views of the redo log: the encoder reads the rows in place.
-        let ops = self.db.txn_ops()?;
         // Stamp the active trace's id into the commit unit so a
-        // replica's apply links back to this request.
+        // replica's apply links back to this request. If the log cannot
+        // take the unit, nothing was published: the acknowledged state
+        // and the recoverable state stay identical.
         let trace_id = obs::trace::current_trace_id();
         let append_started = Instant::now();
-        let seq = match durability.append_commit(&ops, trace_id.as_deref()) {
-            Ok(seq) => seq,
-            Err(e) => {
-                // The log could not take the commit unit; undo the
-                // in-memory changes so the acknowledged state and the
-                // recoverable state stay identical.
-                self.db.rollback()?;
-                return Err(e.into());
-            }
-        };
+        let seq = durability.append_commit(&db.txn_ops()?, trace_id.as_deref())?;
         stages.wal_append = append_started.elapsed();
-        self.db.commit()?;
-        self.core.chain.publish(self.db.clone(), Some(seq));
-        // Release the live database (the next writer proceeds) before
-        // waiting on the fsync — this is what lets concurrent
-        // committers amortize one fsync. The reference outlives `self`
-        // (it borrows from the mediator core, not the guard).
-        let durability: &dur::Durability = durability;
-        drop(self);
+        db.commit()?;
+        core.chain.publish(db, Some(seq))?;
+        // Let the next writer proceed before waiting on the fsync —
+        // this is what lets concurrent committers amortize one fsync.
+        drop(writer);
         let fsync_started = Instant::now();
         durability.sync_to(seq)?;
         stages.fsync = fsync_started.elapsed();
@@ -317,24 +315,11 @@ impl WriteTxn<'_> {
         Ok(stages)
     }
 
-    /// Roll back: undo every operation's changes and release the lock.
-    /// After a rejected operation the transaction is already rolled
-    /// back, and this answers `Ok`.
-    pub fn rollback(mut self) -> OntoResult<()> {
-        if self.open.is_ok() {
-            self.db.rollback()?;
-        }
+    /// Roll back: drop the transaction's clone, with every operation's
+    /// changes, and release the writer mutex. Always answers `Ok`,
+    /// after a rejected operation too.
+    pub fn rollback(self) -> OntoResult<()> {
         Ok(())
-    }
-}
-
-impl Drop for WriteTxn<'_> {
-    fn drop(&mut self) {
-        if self.db.in_transaction() {
-            // Abandoned transaction (early return, panic unwinding):
-            // leave the database as if it never happened.
-            let _ = self.db.rollback();
-        }
     }
 }
 
@@ -382,23 +367,26 @@ impl<'a> Prepared<'a> {
 }
 
 impl Mediator {
-    /// Begin an exclusive write transaction. Blocks until the prior
-    /// writer released the live database; readers are unaffected — they
-    /// keep answering from published versions, and observe this
-    /// transaction only once [`WriteTxn::commit`] publishes it (which
-    /// is exactly why they can never observe a torn write).
+    /// Begin an exclusive write transaction on a clone of the current
+    /// version. Blocks until the prior writer released the writer
+    /// mutex; readers are unaffected — they keep answering from
+    /// published versions, and observe this transaction only once
+    /// [`WriteTxn::commit`] publishes it (which is exactly why they can
+    /// never observe a torn write).
     pub fn write(&self) -> WriteTxn<'_> {
         let span = obs::trace::span("txn.lock_wait");
-        let mut db = self.core.lock_live();
+        let writer = self.core.exclude_writers();
         let waited = span.finish();
         self.core.write_lock_waits.fetch_add(1, Ordering::Relaxed);
         self.core
             .write_lock_wait_micros
             .fetch_add(waited.as_micros() as u64, Ordering::Relaxed);
+        let mut db = self.core.chain.current().db.clone();
         db.begin()
-            .expect("no transaction can be open outside a WriteTxn");
+            .expect("a published version has no open transaction");
         WriteTxn {
             core: &self.core,
+            writer,
             db,
             open: Ok(()),
             stages: UpdateProfile::default(),
@@ -620,7 +608,8 @@ mod tests {
         let err = txn.update(DANGLING_MODIFY).unwrap_err();
         assert!(matches!(err, OntoError::DanglingObject { .. }), "{err}");
         assert_eq!(heap(txn.database()), before);
-        // Nothing more reaches the live database, and nothing commits.
+        // Nothing more reaches the transaction's clone, and nothing
+        // commits.
         refused(
             &txn.update("INSERT DATA { ex:team10 foaf:name \"T10\" . }")
                 .unwrap_err(),
@@ -659,6 +648,30 @@ mod tests {
         // And the lock was released — later writes proceed.
         m.execute_update("INSERT DATA { ex:team9 foaf:name \"T9\" . }")
             .unwrap();
+        assert_eq!(m.database().row_count("team").unwrap(), 3);
+    }
+
+    #[test]
+    fn a_writer_that_panics_mid_transaction_leaves_the_mediator_intact() {
+        let m = mediator();
+        let before = heap(&m.database());
+        let version = m.concurrency_stats().current_version;
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut txn = m.write();
+            txn.update("INSERT DATA { ex:team9 foaf:name \"T9\" . }")
+                .unwrap();
+            panic!("writer dies mid-transaction");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(heap(&m.database()), before);
+        assert_eq!(m.concurrency_stats().current_version, version);
+        // The unwind poisoned the writer mutex; the next writer still
+        // proceeds, and its commit publishes exactly one version.
+        let mut txn = m.write();
+        txn.update("INSERT DATA { ex:team9 foaf:name \"T9\" . }")
+            .unwrap();
+        txn.commit().unwrap();
+        assert_eq!(m.concurrency_stats().current_version, version + 1);
         assert_eq!(m.database().row_count("team").unwrap(), 3);
     }
 

@@ -1,6 +1,7 @@
 //! The MVCC version chain: the one current committed snapshot reads
 //! pin, and the guard that holds one.
 
+use crate::error::{OntoError, OntoResult};
 use rel::Database;
 use std::ops::Deref;
 use std::sync::{Arc, RwLock};
@@ -26,8 +27,8 @@ impl DatabaseVersion {
 
 // The current version. A reader's pin is an `Arc` clone of it, taken
 // under the read lock; a publish swaps in the next one under the write
-// lock. A replaced version lives on only while readers pin it. Lock
-// order: live → chain (never the reverse).
+// lock. A replaced version lives on only while readers pin it. Nothing
+// else is ever acquired while either lock is held.
 #[derive(Debug)]
 pub(super) struct VersionChain {
     current: RwLock<Arc<DatabaseVersion>>,
@@ -55,14 +56,23 @@ impl VersionChain {
 
     // Publish `db` as the current version: under `seq` when a WAL (or
     // the leader) handed one out, under the next sequence number
-    // otherwise (in-memory commits). Callers hold the live lock, so
-    // publishes happen in commit order and seqs stay monotone. The
-    // replaced version is dropped after the lock is released, so a
-    // reader never waits on its memory being freed.
-    pub(super) fn publish(&self, db: Database, seq: Option<u64>) {
+    // otherwise (in-memory commits). Callers hold the writer mutex, so
+    // publishes happen in commit order; a `seq` at or below the
+    // current one — a leader's unit or snapshot out of order — is
+    // refused and publishes nothing. The replaced version is dropped
+    // after the lock is released, so a reader never waits on its
+    // memory being freed.
+    pub(super) fn publish(&self, db: Database, seq: Option<u64>) -> OntoResult<()> {
         let mut current = self.current.write().unwrap_or_else(|e| e.into_inner());
         let seq = seq.unwrap_or(current.seq + 1);
-        debug_assert!(current.seq < seq, "versions publish in commit order");
+        if seq <= current.seq {
+            return Err(OntoError::Storage {
+                message: format!(
+                    "commit {seq} does not follow the current version {}; nothing published",
+                    current.seq
+                ),
+            });
+        }
         let version = Arc::new(DatabaseVersion {
             seq,
             db,
@@ -71,6 +81,7 @@ impl VersionChain {
         let replaced = std::mem::replace(&mut *current, version);
         drop(current);
         drop(replaced);
+        Ok(())
     }
 
     // (current sequence, versions alive: the current one plus those

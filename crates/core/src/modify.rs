@@ -51,8 +51,8 @@ pub struct ModifyReport {
 /// the executed SQL — on the batched path one statement per table-level
 /// group, not per binding. Inside an open transaction both DATA rounds
 /// run there, and a failure in either leaves the rollback to the
-/// caller; on a bare database they run in a transaction of their own,
-/// so a failure in the insert round also undoes the delete round.
+/// caller; on a bare database a failure puts back a clone kept before
+/// the delete round, so a failure in the insert round undoes it too.
 pub fn execute_modify(
     db: &mut Database,
     mapping: &Mapping,
@@ -179,9 +179,9 @@ pub fn select_from_where(pattern: &GroupPattern) -> SelectQuery {
 
 /// Convenience: run any update operation through the right algorithm
 /// (set-based pipeline). Inside an open transaction it runs there, and
-/// on failure the caller rolls the transaction back; on a bare database
-/// it runs in a transaction of its own, so a rejected operation leaves
-/// the database unchanged.
+/// on failure the caller owns the rollback; on a bare database a
+/// rejection puts back a clone kept before, so a rejected operation
+/// leaves the database unchanged.
 pub fn execute_update_op(
     db: &mut Database,
     mapping: &Mapping,

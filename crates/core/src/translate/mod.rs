@@ -485,9 +485,9 @@ pub struct ExecutionReport {
 
 /// Steps 5+6 — sort the collected statements by FK dependencies
 /// (table-level groups) and execute them. Inside an open transaction
-/// they run there, and on failure the caller rolls the transaction
-/// back; on a bare database they run in a transaction of their own, so
-/// on any failure the database is unchanged.
+/// they run there, and on failure the caller owns the rollback; on a
+/// bare database any failure puts back a clone kept before, so the
+/// database is unchanged.
 pub fn execute_sorted(
     db: &mut Database,
     statements: Vec<Statement>,
@@ -563,8 +563,8 @@ fn run_statements(db: &mut Database, sorted: Vec<Statement>) -> OntoResult<Execu
 
 // A write's one rollback point is its transaction. Inside an open one
 // `work` runs there, and the caller owns the rollback; on a bare
-// database `work` runs in a transaction of its own, committed on
-// success and rolled back on failure.
+// database the rollback point is a clone kept here, put back if `work`
+// fails.
 pub(crate) fn atomically<T>(
     db: &mut Database,
     work: impl FnOnce(&mut Database) -> OntoResult<T>,
@@ -572,17 +572,8 @@ pub(crate) fn atomically<T>(
     if db.in_transaction() {
         return work(db);
     }
-    db.begin()?;
-    match work(db) {
-        Ok(value) => {
-            db.commit()?;
-            Ok(value)
-        }
-        Err(e) => {
-            db.rollback()?;
-            Err(e)
-        }
-    }
+    let before = db.clone();
+    work(db).inspect_err(|_| *db = before)
 }
 
 #[cfg(test)]

@@ -538,10 +538,10 @@ impl Durability {
     /// this point is "load the snapshot, replay an (initially empty)
     /// suffix". Returns the snapshot's sequence.
     ///
-    /// The caller must hold at least a read lock on the database for
-    /// the duration (no writer may commit between serialization and
-    /// WAL truncation — with the mediator's locking this is automatic,
-    /// since committers append while holding the *write* lock).
+    /// The caller must exclude committers for the duration, and `db`
+    /// must hold every unit appended so far: no commit may be appended
+    /// between serialization and WAL truncation. The mediator holds its
+    /// writer mutex, under which every commit appends and publishes.
     pub fn checkpoint(&self, db: &Database) -> DurResult<u64> {
         if self.poisoned.load(Ordering::SeqCst) {
             return Err(DurError::Poisoned);

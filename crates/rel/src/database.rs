@@ -90,7 +90,7 @@ pub enum ProbeIds<'a> {
 
 /// Redo-log entry: one row operation the open transaction applied, kept
 /// for the commit-time [`LogicalOp`] stream durability appends to its
-/// write-ahead log. Rollback never reads it: it restores a snapshot.
+/// write-ahead log.
 #[derive(Debug, Clone)]
 enum RedoOp {
     Insert {
@@ -190,28 +190,30 @@ pub enum LogicalOp<'a> {
 }
 
 // Every table's storage, by name, behind one `Arc`: a snapshot — a
-// published version or a transaction's rollback point — is one
-// reference-count bump, and the first write after it copies the map,
-// which is O(tables + indexes) `Arc` bumps (see [`crate::storage`]).
+// published version or a rollback point — is one reference-count bump,
+// and the first write after it copies the map, which is
+// O(tables + indexes) `Arc` bumps (see [`crate::storage`]).
 type Tables = Arc<BTreeMap<String, TableData>>;
 
-/// An open transaction: the tables as they stood at `begin`, its one
-/// rollback point, and the redo log of the row operations applied
-/// since.
-#[derive(Debug, Clone)]
-struct TxnState {
-    tables: Tables,
-    log: Vec<RedoOp>,
+fn no_open_transaction() -> RelError {
+    RelError::Transaction {
+        message: "no open transaction".into(),
+    }
 }
 
 /// An in-memory relational database.
 ///
 /// Row operations ([`Database::insert`], [`Database::update_row`],
 /// [`Database::delete_row`]) enforce every declared constraint before
-/// mutating storage. Wrap multiple statements in
-/// [`Database::begin`]/[`Database::commit`] to get the atomicity the
-/// paper requires for SPARQL/Update operations (§5.1: all statements of
-/// one operation run "within the context of one database transaction").
+/// mutating storage. A rollback point is a clone you keep: cloning is
+/// one reference-count bump per table map, writes to the clone never
+/// reach the original, and putting the kept clone back — or dropping
+/// the written one — undoes everything, heap, indexes and row-id
+/// allocators alike. That gives the paper's §5.1 atomicity ("within
+/// the context of one database transaction").
+/// [`Database::begin`]/[`Database::commit`] bracket the redo log
+/// [`Database::txn_ops`] reads, the logical row operations a
+/// durability layer persists.
 #[derive(Debug, Clone)]
 pub struct Database {
     // Arc-shared: the schema is immutable after validation, and sharing
@@ -219,7 +221,9 @@ pub struct Database {
     // two reference-count bumps instead of a deep schema copy.
     schema: Arc<Schema>,
     data: Tables,
-    txn: Option<TxnState>,
+    // The open transaction's redo log: the row operations applied since
+    // `begin`, in order. `None` outside a transaction.
+    txn: Option<Vec<RedoOp>>,
 }
 
 impl Database {
@@ -373,63 +377,45 @@ impl Database {
     // Transactions
     // ------------------------------------------------------------------
 
-    /// Begin a transaction. Its one rollback point is a snapshot of the
-    /// tables taken here (one `Arc` bump), which [`Database::rollback`]
-    /// puts back; there is no nested scope. Errors if one is already
-    /// open.
+    /// Begin a transaction: start its redo log. There is no nested
+    /// scope, and no rollback here — keep a clone for that. Errors if
+    /// one is already open.
     pub fn begin(&mut self) -> RelResult<()> {
         if self.txn.is_some() {
             return Err(RelError::Transaction {
                 message: "transaction already open".into(),
             });
         }
-        self.txn = Some(TxnState {
-            tables: Arc::clone(&self.data),
-            log: Vec::new(),
-        });
+        self.txn = Some(Vec::new());
         Ok(())
     }
 
-    /// Commit the open transaction.
+    /// Commit the open transaction: end its redo log.
     pub fn commit(&mut self) -> RelResult<()> {
-        self.txn.take().map(|_| ()).ok_or(RelError::Transaction {
-            message: "no open transaction".into(),
-        })
+        self.txn.take().map(drop).ok_or_else(no_open_transaction)
     }
 
     /// The logical row operations the open transaction has applied so
     /// far, in application order, borrowed from its redo log. The log
     /// only grows until the transaction ends, so at commit this is
     /// exactly what a durability layer must replay. A durability layer
-    /// appends these to its log *before* committing, so a failed append
-    /// can still roll the transaction back.
+    /// appends these to its log *before* it publishes the database, so
+    /// a failed append leaves nothing to undo.
     pub fn txn_ops(&self) -> RelResult<Vec<LogicalOp<'_>>> {
-        let state = self.txn.as_ref().ok_or(RelError::Transaction {
-            message: "no open transaction".into(),
-        })?;
-        Ok(state.log.iter().map(RedoOp::view).collect())
+        Ok(self.redo_log()?.iter().map(RedoOp::view).collect())
     }
 
     /// Whether the open transaction has applied any row operation
     /// (inspects the redo log's length). Errors if no transaction is
     /// open.
     pub fn txn_has_changes(&self) -> RelResult<bool> {
-        let state = self.txn.as_ref().ok_or(RelError::Transaction {
-            message: "no open transaction".into(),
-        })?;
-        Ok(!state.log.is_empty())
+        Ok(!self.redo_log()?.is_empty())
     }
 
-    /// Roll back the open transaction: the tables become the snapshot
-    /// taken at [`Database::begin`] — heap, indexes and row-id
-    /// allocators — whatever the transaction wrote, and its redo log is
-    /// dropped unread.
-    pub fn rollback(&mut self) -> RelResult<()> {
-        let state = self.txn.take().ok_or(RelError::Transaction {
-            message: "no open transaction".into(),
-        })?;
-        self.data = state.tables;
-        Ok(())
+    // The redo log; the error is built only when there is none, so
+    // the commit path allocates nothing for it.
+    fn redo_log(&self) -> RelResult<&[RedoOp]> {
+        self.txn.as_deref().ok_or_else(no_open_transaction)
     }
 
     /// Whether a transaction is open.
@@ -446,8 +432,8 @@ impl Database {
     }
 
     fn log(&mut self, op: RedoOp) {
-        if let Some(state) = &mut self.txn {
-            state.log.push(op);
+        if let Some(log) = &mut self.txn {
+            log.push(op);
         }
     }
 
@@ -1340,20 +1326,27 @@ mod tests {
             ],
         )
         .unwrap();
-        d.begin().unwrap();
-        d.insert(
-            "author",
-            &[
-                a("id", Value::Int(2)),
-                a("lastname", Value::text("y")),
-                a("team", Value::Int(5)),
-            ],
-        )
-        .unwrap();
-        let rid = d.find_by_pk("author", &[Value::Int(1)]).unwrap().unwrap();
-        d.update_row("author", rid, &[a("team", Value::Null)])
+        // Writes to a clone never reach the kept original.
+        let mut scratch = d.clone();
+        scratch.begin().unwrap();
+        scratch
+            .insert(
+                "author",
+                &[
+                    a("id", Value::Int(2)),
+                    a("lastname", Value::text("y")),
+                    a("team", Value::Int(5)),
+                ],
+            )
             .unwrap();
-        d.rollback().unwrap();
+        let rid = scratch
+            .find_by_pk("author", &[Value::Int(1)])
+            .unwrap()
+            .unwrap();
+        scratch
+            .update_row("author", rid, &[a("team", Value::Null)])
+            .unwrap();
+        drop(scratch);
         let ids = d
             .index_probe("author", "team", &Value::Int(5))
             .unwrap()
@@ -1370,25 +1363,30 @@ mod tests {
         )
         .unwrap();
         let team_rid = d.find_by_pk("team", &[Value::Int(5)]).unwrap().unwrap();
-        let before = d.clone();
+        let teams = d.row_count("team").unwrap();
 
-        d.begin().unwrap();
-        d.insert("team", &[a("id", Value::Int(6))]).unwrap();
-        d.update_row("team", team_rid, &[a("name", Value::text("DBTG"))])
+        // The rollback point is the kept original; the writes go to a
+        // clone, which is dropped.
+        let mut scratch = d.clone();
+        scratch.begin().unwrap();
+        scratch.insert("team", &[a("id", Value::Int(6))]).unwrap();
+        scratch
+            .update_row("team", team_rid, &[a("name", Value::text("DBTG"))])
             .unwrap();
-        d.insert(
-            "author",
-            &[a("id", Value::Int(1)), a("lastname", Value::text("x"))],
-        )
-        .unwrap();
-        let author_rid = d.find_by_pk("author", &[Value::Int(1)]).unwrap().unwrap();
-        d.delete_row("author", author_rid).unwrap();
-        d.rollback().unwrap();
+        scratch
+            .insert(
+                "author",
+                &[a("id", Value::Int(1)), a("lastname", Value::text("x"))],
+            )
+            .unwrap();
+        let author_rid = scratch
+            .find_by_pk("author", &[Value::Int(1)])
+            .unwrap()
+            .unwrap();
+        scratch.delete_row("author", author_rid).unwrap();
+        drop(scratch);
 
-        assert_eq!(
-            d.row_count("team").unwrap(),
-            before.row_count("team").unwrap()
-        );
+        assert_eq!(d.row_count("team").unwrap(), teams);
         assert_eq!(
             d.row("team", team_rid).unwrap().unwrap()[1],
             Value::text("SEAL")
@@ -1418,30 +1416,39 @@ mod tests {
     fn commit_without_begin_rejected() {
         let mut d = db();
         assert!(matches!(d.commit(), Err(RelError::Transaction { .. })));
-        assert!(matches!(d.rollback(), Err(RelError::Transaction { .. })));
+        assert!(matches!(d.txn_ops(), Err(RelError::Transaction { .. })));
     }
 
     #[test]
     fn rollback_restores_indexes() {
         let mut d = db();
         d.insert("team", &[a("id", Value::Int(5))]).unwrap();
-        d.begin().unwrap();
-        d.insert(
-            "author",
-            &[
-                a("id", Value::Int(1)),
-                a("lastname", Value::text("x")),
-                a("team", Value::Int(5)),
-            ],
-        )
-        .unwrap();
-        d.rollback().unwrap();
-        // FK secondary index entry undone with the row.
+        let mut scratch = d.clone();
+        scratch.begin().unwrap();
+        scratch
+            .insert(
+                "author",
+                &[
+                    a("id", Value::Int(1)),
+                    a("lastname", Value::text("x")),
+                    a("team", Value::Int(5)),
+                ],
+            )
+            .unwrap();
+        assert_eq!(
+            scratch
+                .index_probe("author", "team", &Value::Int(5))
+                .unwrap()
+                .map(|ids| ids.len()),
+            Some(1)
+        );
+        drop(scratch);
+        // The kept original never had the FK secondary index entry.
         assert_eq!(
             d.index_probe("author", "team", &Value::Int(5)).unwrap(),
             Some(vec![])
         );
-        // PK index too: the freed id is reusable.
+        // Nor the PK index entry: the id is free.
         d.insert(
             "author",
             &[a("id", Value::Int(1)), a("lastname", Value::text("y"))],
@@ -1494,9 +1501,11 @@ mod tests {
     #[test]
     fn txn_ops_excludes_rolled_back_work() {
         let mut d = db();
+        let kept = d.clone();
         d.begin().unwrap();
         d.insert("team", &[a("id", Value::Int(2))]).unwrap();
-        d.rollback().unwrap();
+        // Roll back: put the kept clone back, redo log and all.
+        d = kept;
         d.begin().unwrap();
         d.insert("team", &[a("id", Value::Int(3))]).unwrap();
         let ids: Vec<Value> = d
@@ -1623,10 +1632,11 @@ mod tests {
     fn rollback_unwinds_row_id_allocation() {
         let mut d = db();
         let r1 = d.insert("team", &[a("id", Value::Int(1))]).unwrap();
+        let kept = d.clone();
         d.begin().unwrap();
         d.insert("team", &[a("id", Value::Int(2))]).unwrap();
         d.insert("team", &[a("id", Value::Int(3))]).unwrap();
-        d.rollback().unwrap();
+        d = kept;
         // Rolled-back inserts do not burn ids…
         assert_eq!(d.next_row_id("team").unwrap(), r1 + 1);
         // …and an insert committed before the rolled-back one keeps its
@@ -1635,9 +1645,10 @@ mod tests {
         d.insert("team", &[a("id", Value::Int(4))]).unwrap();
         d.commit().unwrap();
         let before = d.next_row_id("team").unwrap();
+        let kept = d.clone();
         d.begin().unwrap();
         d.insert("team", &[a("id", Value::Int(5))]).unwrap();
-        d.rollback().unwrap();
+        d = kept;
         assert_eq!(d.next_row_id("team").unwrap(), before);
         assert_eq!(d.insert("team", &[a("id", Value::Int(6))]).unwrap(), before);
     }
@@ -1675,7 +1686,8 @@ mod tests {
         d.begin().unwrap();
         d.update_row("team", rid, &[a("name", Value::text("A"))])
             .unwrap();
-        d.rollback().unwrap();
+        assert!(!d.txn_has_changes().unwrap());
+        d.commit().unwrap();
         assert_eq!(d.row("team", rid).unwrap().unwrap()[1], Value::text("A"));
     }
 }

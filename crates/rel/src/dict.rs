@@ -11,9 +11,9 @@
 //!
 //! The dictionary is **process-global and append-only**. Globality is
 //! what makes the integer-equality invariant hold across every
-//! `Database`, rollback snapshot, and differential-test twin
-//! in the process: the same string always resolves to the same `Sym`,
-//! so byte-identity suites keep comparing raw values. Append-only means
+//! `Database`, published version, writer's clone and differential-test
+//! twin in the process: the same string always resolves to the same
+//! `Sym`, so byte-identity suites keep comparing raw values. Append-only means
 //! symbols are never re-numbered or freed (refcount/epoch GC is
 //! deferred — see ARCHITECTURE.md); resolved `&'static str`s are
 //! therefore stable for the process lifetime, which is what lets the

@@ -2154,7 +2154,7 @@ mod tests {
     #[test]
     fn multi_row_insert_checks_constraints_per_row() {
         let mut d = db();
-        d.begin().unwrap();
+        let kept = d.clone();
         // Third row collides with the first on the primary key.
         let err = execute_sql(
             &mut d,
@@ -2162,9 +2162,9 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, RelError::PrimaryKeyViolation { .. }));
-        d.rollback().unwrap();
-        // The transaction rollback removed the rows that preceded the
-        // failure, and their index entries with them.
+        d = kept;
+        // Putting the kept clone back removed the rows that preceded
+        // the failure, and their index entries with them.
         assert_eq!(d.row_count("team").unwrap(), 2);
         assert_eq!(
             d.index_probe("team", "id", &Value::Int(10)).unwrap(),
@@ -2244,11 +2244,11 @@ mod tests {
     fn mid_batch_delete_failure_leaves_transaction_rollbackable() {
         let mut d = db();
         execute_sql(&mut d, "INSERT INTO team (id) VALUES (10);").unwrap();
-        d.begin().unwrap();
+        let kept = d.clone();
         // Team 10 deletes fine; team 5 is referenced by both authors.
         let err = execute_sql(&mut d, "DELETE FROM team WHERE id IN (10, 5);").unwrap_err();
         assert!(matches!(err, RelError::RestrictViolation { .. }));
-        d.rollback().unwrap();
+        d = kept;
         assert_eq!(d.row_count("team").unwrap(), 3);
         assert_eq!(
             d.index_probe("team", "id", &Value::Int(10))
@@ -2677,13 +2677,13 @@ mod planner_tests {
         let mut d = db(10);
         let q = "SELECT x.v FROM a x, link l WHERE l.a = x.id;";
         let before = execute_sql(&mut d, q).unwrap();
-        d.begin().unwrap();
+        let kept = d.clone();
         execute_sql(&mut d, "DELETE FROM link WHERE a = 4;").unwrap();
         execute_sql(&mut d, "INSERT INTO a (id, v) VALUES (42, 'a42');").unwrap();
         execute_sql(&mut d, "INSERT INTO link (a, b) VALUES (42, 1);").unwrap();
         let during = execute_sql(&mut d, q).unwrap();
         assert_ne!(before, during);
-        d.rollback().unwrap();
+        d = kept;
         let after = execute_sql(&mut d, q).unwrap();
         assert_eq!(before, after);
     }

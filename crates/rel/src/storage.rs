@@ -6,8 +6,8 @@
 //! database version per commit affordable (see [`crate::pmap`]). The
 //! writer mutates its own copy in place; shared nodes are path-copied
 //! on first touch, so published snapshots never observe a mutation.
-//! The same clone is a transaction's one rollback point: `Database::begin`
-//! keeps it, and rollback puts it back.
+//! The same clone is a rollback point: keep it, and putting it back
+//! undoes every later write.
 
 use crate::database::ProbeIds;
 use crate::pmap::PMap;

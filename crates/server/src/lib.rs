@@ -286,8 +286,8 @@ fn worker_loop(
         let _ = stream.set_nodelay(true);
         // A panicking handler must not take the worker down with it:
         // the connection is dropped, the next one is served. (Mediator
-        // state stays consistent — a panicked WriteTxn rolls back in
-        // its Drop.)
+        // state stays consistent — a panicked WriteTxn's private clone
+        // is dropped unpublished, and the writer mutex guards no data.)
         let _ = catch_unwind(AssertUnwindSafe(|| {
             serve_connection(stream, queue_wait, registry, ctx, &session, limits, idle);
         }));

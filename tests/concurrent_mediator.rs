@@ -16,7 +16,7 @@
 //!    serialized application of exactly one acknowledged request to
 //!    its predecessor.
 //! 4. No read waits on a writer: a new query shape compiles and answers
-//!    while a write transaction holds the live lock.
+//!    while a write transaction holds the writer mutex.
 
 use proptest::prelude::*;
 use sparql_update_rdb::dur;
@@ -218,9 +218,8 @@ proptest! {
     /// transaction, rolled back whole on a rejection) must leave the
     /// database byte-for-byte identical — heap and indexes — to the
     /// clone-and-swap reference the seed endpoint used for atomicity.
-    /// (The name is older than the one rollback point per transaction.)
     #[test]
-    fn savepoint_rollback_equals_clone_and_swap(
+    fn mediator_write_equals_clone_and_swap(
         n in 2usize..20,
         seed in 0u64..300,
         team_index in 0usize..4,
@@ -303,8 +302,8 @@ proptest! {
 /// heap of a mediator that never saw it. The first operation is a
 /// MODIFY joining on a column the schema does not index: it runs as a
 /// hash join and builds no index. One more commit on both mediators
-/// publishes the live database, so rows a broken rollback left behind
-/// would show in the published heap.
+/// publishes a clone of the current version, so rows a broken rollback
+/// left behind would show in the published heap.
 #[test]
 fn rejected_atomic_script_leaves_the_heap_of_a_mediator_that_never_saw_it() {
     let initial = fixtures::data::populated_database(6, 3);
@@ -331,7 +330,7 @@ fn rejected_atomic_script_leaves_the_heap_of_a_mediator_that_never_saw_it() {
 }
 
 /// No read waits on a writer. With a write transaction open (it holds
-/// the live database's lock), a never-seen query shape that joins on a
+/// the writer mutex), a never-seen query shape that joins on a
 /// column the schema does not index compiles and answers within 5 s,
 /// and its answer is the reference executor's.
 #[test]
@@ -458,18 +457,17 @@ fn storm_request(
 }
 
 // The serialized application of one script: its operations, in order,
-// in one transaction on `db`, rolled back whole if one is rejected.
+// on `db`, which a rejected one puts back whole to a clone kept before.
 // Answers whether the script was accepted.
 fn apply_script(db: &mut Database, mapping: &Mapping, text: &str) -> bool {
     let ops = sparql::parse_update_script(text, PrefixMap::common()).unwrap();
-    db.begin().unwrap();
+    let kept = db.clone();
     for op in &ops {
         if ontoaccess::execute_update_op(db, mapping, op).is_err() {
-            db.rollback().unwrap();
+            *db = kept;
             return false;
         }
     }
-    db.commit().unwrap();
     true
 }
 
