@@ -103,10 +103,12 @@ impl Mediator {
     /// version is refused. The unit applies whole or not at all: a
     /// rejected operation drops the clone, and nothing is published.
     pub fn apply_replicated(&self, unit: &dur::wal::CommitUnit) -> OntoResult<()> {
-        let _writer = self.core.exclude_writers();
+        let writer = self.core.exclude_writers();
         let mut db = self.core.chain.current().db.clone();
         unit.ops().try_for_each(|op| db.apply_logical(op))?;
-        self.core.chain.publish(db, Some(unit.seq))
+        let replaced = self.core.chain.publish(db, Some(unit.seq));
+        drop(writer);
+        replaced.map(drop)
     }
 
     /// Replace a replica's state wholesale with a fresh bootstrap
@@ -116,8 +118,10 @@ impl Mediator {
     /// new reads see the snapshot. A `seq` at or below the current
     /// version is refused, and nothing changes.
     pub fn install_replica_base(&self, db: Database, seq: u64) -> OntoResult<()> {
-        let _writer = self.core.exclude_writers();
-        self.core.chain.publish(db, Some(seq))
+        let writer = self.core.exclude_writers();
+        let replaced = self.core.chain.publish(db, Some(seq));
+        drop(writer);
+        replaced.map(drop)
     }
 
     /// Current WAL coordinate for replication (`None` without

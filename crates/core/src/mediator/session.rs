@@ -281,11 +281,6 @@ impl MediatorCore {
 }
 
 impl ReadSession {
-    // This session's snapshot: the current version.
-    fn version(&self) -> Arc<DatabaseVersion> {
-        self.core.chain.current()
-    }
-
     /// The query pipeline: pin a snapshot, resolve the text through the
     /// mediator-wide compiled-query cache (the text's own entry; else
     /// parse and bind the constants into its shape's SQL, compiling the
@@ -294,7 +289,7 @@ impl ReadSession {
     /// stage is timed by its trace span, so the record's durations, the
     /// stage histograms and `/trace/<id>` report the same readings.
     pub fn run_query(&self, text: &str, stop: QueryStop) -> OntoResult<QueryRun> {
-        let version = self.version();
+        let version = self.core.chain.current();
         let Resolved {
             query,
             cache,
@@ -362,7 +357,7 @@ impl ReadSession {
 
     /// Materialize the database's full RDF view.
     pub fn materialize(&self) -> OntoResult<Graph> {
-        crate::materialize::materialize(&self.version().db, &self.core.mapping)
+        crate::materialize::materialize(&self.core.chain.current().db, &self.core.mapping)
     }
 
     /// Describe one instance URI: the triples of its row plus its
@@ -370,14 +365,14 @@ impl ReadSession {
     /// "dereferenceable URI" read the paper's related work describes
     /// (§2), here over the session's snapshot.
     pub fn describe(&self, uri: &rdf::Iri) -> OntoResult<Graph> {
-        crate::materialize::describe(&self.version().db, &self.core.mapping, uri)
+        crate::materialize::describe(&self.core.chain.current().db, &self.core.mapping, uri)
     }
 
     /// Pin this session's snapshot: the current version. The guard owns
     /// its snapshot — holding it never blocks writers.
     pub fn database(&self) -> DatabaseReadGuard {
         DatabaseReadGuard {
-            version: self.version(),
+            version: self.core.chain.current(),
         }
     }
 

@@ -282,9 +282,9 @@ impl WriteTxn<'_> {
         let changed = db.txn_has_changes()?;
         let Some(durability) = &core.durability else {
             db.commit()?;
-            if changed {
-                core.chain.publish(db, None)?;
-            }
+            let replaced = changed.then(|| core.chain.publish(db, None)).transpose()?;
+            drop(writer);
+            drop(replaced);
             metrics().commit.observe_duration(span.finish());
             return Ok(stages);
         };
@@ -303,10 +303,11 @@ impl WriteTxn<'_> {
         let seq = durability.append_commit(&db.txn_ops()?, trace_id.as_deref())?;
         stages.wal_append = append_started.elapsed();
         db.commit()?;
-        core.chain.publish(db, Some(seq))?;
-        // Let the next writer proceed before waiting on the fsync —
+        let replaced = core.chain.publish(db, Some(seq))?;
+        // Let the next writer proceed before the free and the fsync —
         // this is what lets concurrent committers amortize one fsync.
         drop(writer);
+        drop(replaced);
         let fsync_started = Instant::now();
         durability.sync_to(seq)?;
         stages.fsync = fsync_started.elapsed();

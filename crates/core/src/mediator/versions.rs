@@ -55,14 +55,13 @@ impl VersionChain {
     }
 
     // Publish `db` as the current version: under `seq` when a WAL (or
-    // the leader) handed one out, under the next sequence number
-    // otherwise (in-memory commits). Callers hold the writer mutex, so
-    // publishes happen in commit order; a `seq` at or below the
-    // current one — a leader's unit or snapshot out of order — is
-    // refused and publishes nothing. The replaced version is dropped
-    // after the lock is released, so a reader never waits on its
-    // memory being freed.
-    pub(super) fn publish(&self, db: Database, seq: Option<u64>) -> OntoResult<()> {
+    // the leader) handed one out, else under the next sequence number
+    // (in-memory commits). Callers hold the writer mutex, so publishes
+    // happen in commit order; an out-of-order `seq` (at or below the
+    // current one) is refused and publishes nothing. The replaced
+    // version comes back pinned, for the caller to drop after the writer
+    // mutex: no reader or next writer waits on its memory being freed.
+    pub(super) fn publish(&self, db: Database, seq: Option<u64>) -> OntoResult<DatabaseReadGuard> {
         let mut current = self.current.write().unwrap_or_else(|e| e.into_inner());
         let seq = seq.unwrap_or(current.seq + 1);
         if seq <= current.seq {
@@ -78,10 +77,9 @@ impl VersionChain {
             db,
             _alive: Arc::clone(&self.alive),
         });
-        let replaced = std::mem::replace(&mut *current, version);
-        drop(current);
-        drop(replaced);
-        Ok(())
+        Ok(DatabaseReadGuard {
+            version: std::mem::replace(&mut *current, version),
+        })
     }
 
     // (current sequence, versions alive: the current one plus those

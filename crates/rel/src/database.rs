@@ -88,6 +88,47 @@ pub enum ProbeIds<'a> {
     Many(&'a [RowId]),
 }
 
+impl ProbeIds<'_> {
+    // The ids as one ascending slice.
+    pub(crate) fn as_slice(&self) -> &[RowId] {
+        match self {
+            ProbeIds::Unique(id) => id.as_slice(),
+            ProbeIds::Many(ids) => ids,
+        }
+    }
+}
+
+// The slot of `column` in the rows of `t`.
+pub(crate) fn column_slot(t: &Table, column: &str) -> RelResult<usize> {
+    t.column_index(column)
+        .ok_or_else(|| RelError::NoSuchColumn {
+            table: t.name.clone(),
+            column: column.to_owned(),
+        })
+}
+
+// The slots of the columns a `statement` assigns. A repeated column
+// would make later values silently win; reject it instead of picking
+// one (real RDBs error here too).
+pub(crate) fn assigned_slots<'n>(
+    t: &Table,
+    columns: impl IntoIterator<Item = &'n String>,
+    statement: &str,
+) -> RelResult<Vec<usize>> {
+    let columns = columns.into_iter();
+    let mut slots = Vec::with_capacity(columns.size_hint().0);
+    for name in columns {
+        let slot = column_slot(t, name)?;
+        if slots.contains(&slot) {
+            return Err(RelError::Execution {
+                message: format!("{statement} {:?} names column {name:?} twice", t.name),
+            });
+        }
+        slots.push(slot);
+    }
+    Ok(slots)
+}
+
 /// Redo-log entry: one row operation the open transaction applied, kept
 /// for the commit-time [`LogicalOp`] stream durability appends to its
 /// write-ahead log.
@@ -312,10 +353,7 @@ impl Database {
     ) -> RelResult<Option<Vec<RowId>>> {
         Ok(self
             .index_probe_ids(table, column, value)?
-            .map(|ids| match ids {
-                ProbeIds::Unique(id) => id.into_iter().collect(),
-                ProbeIds::Many(ids) => ids.to_vec(),
-            }))
+            .map(|ids| ids.as_slice().to_vec()))
     }
 
     /// Borrowed-result variant of [`Database::index_probe`] for hot
@@ -337,14 +375,16 @@ impl Database {
     // once for any number of probes.
     pub(crate) fn column_probe(&self, table: &str, column: &str) -> RelResult<ColumnProbe<'_>> {
         let t = self.schema.table(table)?;
-        let col = t.column(column).ok_or_else(|| RelError::NoSuchColumn {
-            table: table.to_owned(),
-            column: column.to_owned(),
-        })?;
-        Ok(ColumnProbe {
-            ty: col.ty,
-            index: self.data[table].eq_index(t, column),
-        })
+        Ok(self.slot_probe(t, column_slot(t, column)?))
+    }
+
+    // `column_probe` of column `slot` of `t`, a table of this database.
+    pub(crate) fn slot_probe(&self, t: &Table, slot: usize) -> ColumnProbe<'_> {
+        let column = &t.columns[slot];
+        ColumnProbe {
+            ty: column.ty,
+            index: self.data[&t.name].eq_index(t, &column.name),
+        }
     }
 
     // The storage of `table`, for a reader that resolves it once and
@@ -575,21 +615,7 @@ impl Database {
     ) -> RelResult<usize> {
         let schema = self.shared_schema();
         let t = schema.table(table)?;
-        let mut indices = Vec::with_capacity(columns.len());
-        for name in columns {
-            let idx = t.column_index(name).ok_or_else(|| RelError::NoSuchColumn {
-                table: table.to_owned(),
-                column: name.clone(),
-            })?;
-            // A repeated column would make later values silently win;
-            // reject instead of picking one (real RDBs error here too).
-            if indices.contains(&idx) {
-                return Err(RelError::Execution {
-                    message: format!("INSERT into {table:?} names column {name:?} twice"),
-                });
-            }
-            indices.push(idx);
-        }
+        let indices = assigned_slots(t, columns, "INSERT into")?;
         // Batch-local auto-increment counters: next value per column,
         // seeded once and advanced past every value this batch assigns
         // — equivalent to recomputing max+1 per row.
@@ -651,7 +677,8 @@ impl Database {
 
     /// Apply `(column, value)` assignments to an existing row. All
     /// constraints are re-checked, including RESTRICT when a referenced
-    /// key changes.
+    /// key changes. The names resolve once, as an UPDATE's SET targets
+    /// do: a repeated column is an error.
     pub fn update_row(
         &mut self,
         table: &str,
@@ -660,35 +687,46 @@ impl Database {
     ) -> RelResult<()> {
         let schema = self.shared_schema();
         let t = schema.table(table)?;
-        self.update_prepared(t, row_id, assignments)
+        let columns = assigned_slots(t, assignments.iter().map(|(name, _)| name), "UPDATE")?;
+        let values: Vec<Value> = assignments.iter().map(|(_, value)| *value).collect();
+        self.update_prepared(t, row_id, &columns, &values)
     }
 
-    /// Bulk entry point: apply many per-row assignment sets to one table
-    /// (the grouped `UPDATE … BY … SET … VALUES` of the set-based write
-    /// pipeline). The table is resolved once for the whole group; rows
-    /// are updated in order with the same immediate
-    /// constraint checking as [`Database::update_row`], so a failing row
-    /// aborts with earlier rows applied — run inside a transaction for
-    /// atomicity. Returns the number of rows updated.
-    pub fn update_rows(
+    // Bulk entry point of UPDATE and the grouped `UPDATE … BY … SET …
+    // VALUES`: assign to the `columns` slots of each of `row_ids` the
+    // next `columns.len()` of `values`, row after row. The table is
+    // resolved once for the whole group; rows are updated in order with
+    // the same immediate constraint checking as `update_row`, so a
+    // failing row aborts with earlier rows applied — run inside a
+    // transaction for atomicity. Returns the number of rows updated.
+    // Panics if `values` does not hold one value per column and row.
+    pub(crate) fn update_rows(
         &mut self,
         table: &str,
-        updates: Vec<(RowId, Vec<(String, Value)>)>,
+        columns: &[usize],
+        row_ids: &[RowId],
+        values: &[Value],
     ) -> RelResult<usize> {
         let schema = self.shared_schema();
         let t = schema.table(table)?;
-        let affected = updates.len();
-        for (row_id, assignments) in updates {
-            self.update_prepared(t, row_id, &assignments)?;
+        let width = columns.len();
+        assert_eq!(
+            values.len(),
+            row_ids.len() * width,
+            "one value per column and row"
+        );
+        for (i, &row_id) in row_ids.iter().enumerate() {
+            self.update_prepared(t, row_id, columns, &values[i * width..(i + 1) * width])?;
         }
-        Ok(affected)
+        Ok(row_ids.len())
     }
 
     fn update_prepared(
         &mut self,
         t: &Table,
         row_id: RowId,
-        assignments: &[(String, Value)],
+        columns: &[usize],
+        values: &[Value],
     ) -> RelResult<()> {
         let old = self.data[&t.name]
             .row(row_id)
@@ -696,12 +734,8 @@ impl Database {
                 message: format!("no row {row_id} in {}", t.name),
             })?;
         let mut new_row = old.clone();
-        for (name, value) in assignments {
-            let i = t.column_index(name).ok_or_else(|| RelError::NoSuchColumn {
-                table: t.name.clone(),
-                column: name.clone(),
-            })?;
-            new_row[i] = *value;
+        for (&slot, value) in columns.iter().zip(values) {
+            new_row[slot] = *value;
         }
         if &new_row == old {
             return Ok(());
@@ -736,8 +770,8 @@ impl Database {
         self.delete_prepared(t, row_id)
     }
 
-    /// Bulk entry point: delete many rows of one table (the row set a
-    /// `WHERE pk IN (…)` delete collects). The table is resolved once;
+    /// Bulk entry point: delete many rows of one table (the rows a
+    /// DELETE's WHERE clause matched). The table is resolved once;
     /// rows are deleted in order with the same immediate
     /// RESTRICT checking as [`Database::delete_row`], so a failing row
     /// aborts with earlier rows applied — run inside a transaction for

@@ -5,10 +5,11 @@
 //! reference per triple pattern, join conditions as WHERE equality
 //! predicates) — into a [`SelectPlan`], and [`execute_plan`] runs it.
 //! WHERE conjuncts are classified into **candidate restrictions**
-//! (`column = constant` answered from a storage index), **equi-join
-//! keys** (executed as index nested loops or hash joins over *borrowed*
-//! rows — no upfront table clones), and **residual filters** (pushed
-//! down to the shallowest join level where their columns are bound).
+//! (`column = constant` or `column IN (constants)` answered from a
+//! storage index), **equi-join keys** (executed as index nested loops
+//! or hash joins over *borrowed* rows — no upfront table clones), and
+//! **residual filters** (pushed down to the shallowest join level where
+//! their columns are bound).
 //! Joins are ordered by estimated cardinality, starting from the most
 //! selective binding. [`execute_select_reference`] preserves the
 //! original clone-everything executor for differential testing. On
@@ -23,10 +24,13 @@
 //! suppress one just like an empty table always has. Making those
 //! deterministic would take a static type checker over predicates.
 //!
-//! UPDATE and DELETE collect matching row ids through the same
-//! index-probe machinery, without cloning non-matching rows.
+//! UPDATE, grouped UPDATE and DELETE reach their rows as a one-table
+//! SELECT does: their names are bound to slots once per statement, with
+//! the planner's binder and errors, the planner's restriction picker
+//! chooses the index probes, and every conjunct is re-checked on each
+//! candidate row. Matched rows apply in ascending row-id order.
 
-use crate::database::{ColumnProbe, Database, ProbeIds};
+use crate::database::{assigned_slots, column_slot, ColumnProbe, Database, ProbeIds};
 use crate::error::{RelError, RelResult};
 use crate::sql::ast::{
     BinOp, BulkUpdateStmt, ColumnRef, DeleteStmt, Expr, InsertStmt, SelectItem, SelectStmt,
@@ -34,6 +38,7 @@ use crate::sql::ast::{
 };
 use crate::storage::{RowId, TableData};
 use crate::value::{IndexKey, Value};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 /// Result of executing one statement.
@@ -185,47 +190,53 @@ fn execute_insert(db: &mut Database, stmt: &InsertStmt) -> RelResult<usize> {
     db.insert_many(&stmt.table, &stmt.columns, &stmt.rows)
 }
 
+// The WHERE conjuncts and SET expressions are bound to the target's
+// slots, and the SET targets resolved, once per statement: a bad name is
+// an error whether or not a row matches. Every assignment evaluates
+// against the pre-statement row: all are computed before the engine
+// applies any.
 fn execute_update(db: &mut Database, stmt: &UpdateStmt) -> RelResult<usize> {
     let schema = db.shared_schema();
     let table = schema.table(&stmt.table)?;
-    let matches = collect_matching_row_ids(db, &stmt.table, table, stmt.where_clause.as_ref())?;
-    let mut updates = Vec::with_capacity(matches.len());
-    for row_id in matches {
-        // Every assignment evaluates against the pre-statement row: all
-        // are computed before the engine applies any.
-        let row = db.row(&stmt.table, row_id)?.expect("collected id is live");
-        let mut assignments = Vec::with_capacity(stmt.assignments.len());
-        for (column, expr) in &stmt.assignments {
-            let value = eval_on_row(expr, table, row)?;
-            assignments.push((column.clone(), value));
+    let scope = [(table.name.as_str(), table)];
+    let conjuncts = bind_conjuncts(stmt.where_clause.as_ref(), &scope)?;
+    let columns = assigned_slots(table, stmt.assignments.iter().map(|(c, _)| c), "UPDATE")?;
+    let exprs: Vec<Bound> = stmt
+        .assignments
+        .iter()
+        .map(|(_, expr)| bind(expr, &scope))
+        .collect::<RelResult<_>>()?;
+    let (mut row_ids, mut values) = (Vec::new(), Vec::new());
+    for_each_match(db, table, &conjuncts, |row_id, row| {
+        row_ids.push(row_id);
+        for expr in &exprs {
+            values.push(eval_bound(expr, &[row])?);
         }
-        updates.push((row_id, assignments));
-    }
-    db.update_rows(&stmt.table, updates)
+        Ok(())
+    })?;
+    db.update_rows(&stmt.table, &columns, &row_ids, &values)
 }
 
-// The grouped UPDATE: every row tuple's key columns are matched (with
-// SQL equality) against the *pre-statement* state — the same snapshot
-// semantics as a classic UPDATE's WHERE clause — then the matched rows
-// are updated in tuple order through one bulk engine pass.
+// The grouped UPDATE: key and set columns resolve to slots, and the key
+// columns to their index probes, once per statement. Each tuple's rows
+// come from the restriction picker over its key equalities and are
+// re-checked with SQL equality against the *pre-statement* state — the
+// same snapshot semantics as a classic UPDATE's WHERE clause — then the
+// matched rows are updated in tuple order through one bulk engine pass.
 fn execute_bulk_update(db: &mut Database, stmt: &BulkUpdateStmt) -> RelResult<usize> {
     let schema = db.shared_schema();
     let table = schema.table(&stmt.table)?;
-    let mut key_indices = Vec::with_capacity(stmt.key_columns.len());
-    for column in stmt.key_columns.iter().chain(&stmt.set_columns) {
-        let idx = table
-            .column_index(column)
-            .ok_or_else(|| RelError::NoSuchColumn {
-                table: stmt.table.clone(),
-                column: column.clone(),
-            })?;
-        if key_indices.len() < stmt.key_columns.len() {
-            key_indices.push(idx);
-        }
-    }
-    let mut updates = Vec::with_capacity(stmt.rows.len());
-    for brow in &stmt.rows {
-        if brow.key.len() != stmt.key_columns.len() || brow.set.len() != stmt.set_columns.len() {
+    let keys: Vec<usize> = stmt
+        .key_columns
+        .iter()
+        .map(|column| column_slot(table, column))
+        .collect::<RelResult<_>>()?;
+    let columns = assigned_slots(table, &stmt.set_columns, "UPDATE")?;
+    let probes: Vec<ColumnProbe<'_>> = keys.iter().map(|&key| db.slot_probe(table, key)).collect();
+    let data = db.table_data(&table.name)?;
+    let (mut row_ids, mut values) = (Vec::new(), Vec::new());
+    for tuple in &stmt.rows {
+        if tuple.key.len() != keys.len() || tuple.set.len() != columns.len() {
             return Err(RelError::Execution {
                 message: format!(
                     "bulk UPDATE on {:?}: row width does not match key/set columns",
@@ -233,180 +244,180 @@ fn execute_bulk_update(db: &mut Database, stmt: &BulkUpdateStmt) -> RelResult<us
                 ),
             });
         }
-        let ids =
-            key_equality_matches(db, &stmt.table, &stmt.key_columns, &key_indices, &brow.key)?;
-        for row_id in ids {
-            let assignments: Vec<(String, Value)> = stmt
-                .set_columns
-                .iter()
-                .cloned()
-                .zip(brow.set.iter().cloned())
-                .collect();
-            updates.push((row_id, assignments));
-        }
-    }
-    db.update_rows(&stmt.table, updates)
-}
-
-// Row ids whose `key_columns` values all SQL-equal `key_values`,
-// answered from the best indexed key column (the translator puts the
-// primary key first) with a scan fallback.
-fn key_equality_matches(
-    db: &Database,
-    table_name: &str,
-    key_columns: &[String],
-    key_indices: &[usize],
-    key_values: &[Value],
-) -> RelResult<Vec<crate::storage::RowId>> {
-    let mut candidates: Option<Vec<crate::storage::RowId>> = None;
-    for (column, value) in key_columns.iter().zip(key_values) {
-        if let Some(ids) = db.index_probe(table_name, column, value)? {
-            candidates = Some(ids);
-            break;
-        }
-    }
-    let matches_key = |row: &[Value]| {
-        key_indices
+        let equalities = probes
             .iter()
-            .zip(key_values)
-            .all(|(&idx, value)| row[idx].sql_eq(value) == Some(true))
-    };
-    let mut out = Vec::new();
-    match candidates {
-        Some(ids) => {
-            for row_id in ids {
-                let row = db.row(table_name, row_id)?.expect("probe id is live");
-                if matches_key(row) {
-                    out.push(row_id);
-                }
+            .zip(&tuple.key)
+            .map(|(&probe, &value)| ((), probe, [value]));
+        let restriction = pick_restriction(equalities);
+        let ids = restriction.as_ref().map(|(_, admitted)| admitted.ids());
+        for_each_candidate(data, ids.as_deref(), |row_id, row| {
+            let key_holds = keys
+                .iter()
+                .zip(&tuple.key)
+                .all(|(&slot, value)| row[slot].sql_eq(value) == Some(true));
+            if key_holds {
+                row_ids.push(row_id);
+                values.extend_from_slice(&tuple.set);
             }
-        }
-        None => {
-            for (row_id, row) in db.scan(table_name)? {
-                if matches_key(row) {
-                    out.push(row_id);
-                }
-            }
-        }
+            Ok(())
+        })?;
     }
-    Ok(out)
+    db.update_rows(&stmt.table, &columns, &row_ids, &values)
 }
 
 fn execute_delete(db: &mut Database, stmt: &DeleteStmt) -> RelResult<usize> {
     let schema = db.shared_schema();
     let table = schema.table(&stmt.table)?;
-    let matches = collect_matching_row_ids(db, &stmt.table, table, stmt.where_clause.as_ref())?;
-    db.delete_rows(&stmt.table, &matches)
+    let conjuncts = bind_conjuncts(stmt.where_clause.as_ref(), &[(table.name.as_str(), table)])?;
+    let mut row_ids = Vec::new();
+    for_each_match(db, table, &conjuncts, |row_id, _| {
+        row_ids.push(row_id);
+        Ok(())
+    })?;
+    db.delete_rows(&stmt.table, &row_ids)
 }
 
-// Row ids matching a single-table WHERE, collected without cloning any
-// row (mutation statements materialize ids first because mutating
-// invalidates the scan). When a `column = constant` conjunct hits an
-// index, only the indexed candidates are filtered instead of the whole
-// table — the translated DELETE/UPDATE shape is `pk = … AND …`, so
-// mutations become O(matches) rather than O(table).
-fn collect_matching_row_ids(
-    db: &Database,
-    table_name: &str,
+// The row finder of UPDATE and DELETE: visit every row of `table` that
+// all of its bound WHERE `conjuncts` hold for, in ascending row-id order
+// (mutations collect what they visit first, because mutating
+// invalidates the scan). The candidates are the restriction picker's,
+// else every row; each is re-checked against every conjunct, not
+// trusted, as the planner does.
+fn for_each_match<'d>(
+    db: &'d Database,
     table: &crate::schema::Table,
-    predicate: Option<&Expr>,
-) -> RelResult<Vec<crate::storage::RowId>> {
-    let mut candidates: Option<Vec<crate::storage::RowId>> = None;
-    if let Some(predicate) = predicate {
-        // Reject bad column references up front: with an index-probed
-        // candidate set, rows that would have evaluated (and errored on)
-        // an unknown column may never be visited, which would make the
-        // error appear and disappear with the data.
-        validate_single_table_refs(predicate, table)?;
-        for conjunct in split_conjuncts_ref(predicate) {
-            if let Some((column, value)) = const_eq_column(conjunct, &table.name) {
-                if let Some(ids) = db.index_probe(table_name, column, value)? {
-                    candidates = Some(ids);
-                    break;
+    conjuncts: &[Bound],
+    mut visit: impl FnMut(RowId, &'d [Value]) -> RelResult<()>,
+) -> RelResult<()> {
+    let restriction = restriction(db, table, 0, conjuncts);
+    let ids = restriction.as_ref().map(|(_, admitted)| admitted.ids());
+    for_each_candidate(
+        db.table_data(&table.name)?,
+        ids.as_deref(),
+        |row_id, row| {
+            for conjunct in conjuncts {
+                if !holds(conjunct, &[row])? {
+                    return Ok(());
                 }
             }
-            // `column IN (constants)` — the batched delete shape: the
-            // candidate set is the union of one probe per constant. Any
-            // unanswerable probe abandons the union (scan fallback).
-            if let Some((column, values)) = const_in_column(conjunct, &table.name) {
-                let mut union = Vec::new();
-                let mut complete = true;
-                for value in values {
-                    match db.index_probe(table_name, column, value)? {
-                        Some(ids) => union.extend(ids),
-                        None => {
-                            complete = false;
-                            break;
-                        }
-                    }
-                }
-                if complete {
-                    union.sort_unstable();
-                    union.dedup();
-                    candidates = Some(union);
-                    break;
-                }
-            }
-        }
-    }
-    let mut out = Vec::new();
-    match candidates {
-        Some(ids) => {
-            for row_id in ids {
-                let row = db.row(table_name, row_id)?.expect("probe id is live");
-                if filter_row(table, row, predicate)? {
-                    out.push(row_id);
-                }
-            }
-        }
-        None => {
-            for (row_id, row) in db.scan(table_name)? {
-                if filter_row(table, row, predicate)? {
-                    out.push(row_id);
-                }
-            }
-        }
-    }
-    Ok(out)
+            visit(row_id, row)
+        },
+    )
 }
 
-// Check every column reference of a single-table predicate against the
-// table, with the same errors `eval_on_row`'s resolver raises — but
-// unconditionally, not only for rows that happen to be visited.
-fn validate_single_table_refs(expr: &Expr, table: &crate::schema::Table) -> RelResult<()> {
-    match expr {
-        Expr::Value(_) => Ok(()),
-        Expr::Column(cref) => {
-            if let Some(qualifier) = &cref.table {
-                if qualifier != &table.name {
-                    return Err(RelError::Execution {
-                        message: format!(
-                            "unknown table qualifier {qualifier:?} (statement targets {:?})",
-                            table.name
-                        ),
-                    });
+// Visit candidate rows of `data` in ascending row-id order: the
+// restricted `ids`, or every row when there is no restriction.
+fn for_each_candidate<'d>(
+    data: &'d TableData,
+    ids: Option<&[RowId]>,
+    mut visit: impl FnMut(RowId, &'d [Value]) -> RelResult<()>,
+) -> RelResult<()> {
+    match ids {
+        Some(ids) => ids
+            .iter()
+            .try_for_each(|&id| visit(id, data.row(id).expect("restricted id is live"))),
+        None => data.scan().try_for_each(|(id, row)| visit(id, row)),
+    }
+}
+
+// The restriction picker — one for SELECT bindings and mutation targets
+// alike. Each equality `(tag, probe, constants)` says that the column
+// `probe` answers for equals one of `constants`: a `column = constant`
+// conjunct gives one, `column IN (constants)` several. Of the equalities
+// the indexes answer, the one admitting the fewest rows wins, with its
+// tag; an IN list stops probing once it cannot win. `None` means no
+// index answers any of them, and the caller scans.
+fn pick_restriction<'d, T>(
+    equalities: impl IntoIterator<Item = (T, ColumnProbe<'d>, impl IntoIterator<Item = Value>)>,
+) -> Option<(T, Admitted<'d>)> {
+    let mut best: Option<(T, Admitted<'d>)> = None;
+    'equalities: for (tag, probe, constants) in equalities {
+        let fewest = best.as_ref().map_or(usize::MAX, |(_, best)| best.len());
+        let mut answers = constants.into_iter().map(|value| probe.ids(&value));
+        let admitted = match (answers.next(), answers.next()) {
+            (Some(Some(ids)), None) => Admitted::Probe(ids),
+            (first, second) => {
+                let (mut all, mut rows) = (Vec::new(), 0);
+                for ids in first.into_iter().chain(second).chain(answers) {
+                    let Some(ids) = ids else {
+                        continue 'equalities;
+                    };
+                    rows += ids.as_slice().len();
+                    if rows >= fewest {
+                        continue 'equalities;
+                    }
+                    all.push(ids);
                 }
+                Admitted::Probes(all)
             }
-            if table.column_index(&cref.column).is_none() {
-                return Err(RelError::NoSuchColumn {
-                    table: table.name.clone(),
-                    column: cref.column.clone(),
-                });
-            }
-            Ok(())
-        }
-        Expr::Binary { left, right, .. } => {
-            validate_single_table_refs(left, table)?;
-            validate_single_table_refs(right, table)
-        }
-        Expr::Not(inner) => validate_single_table_refs(inner, table),
-        Expr::IsNull { expr, .. } => validate_single_table_refs(expr, table),
-        Expr::InList { expr, list, .. } => {
-            validate_single_table_refs(expr, table)?;
-            list.iter()
-                .try_for_each(|item| validate_single_table_refs(item, table))
+        };
+        if admitted.len() < fewest {
+            best = Some((tag, admitted));
         }
     }
+    best
+}
+
+// The rows a restriction admits: one index probe's answer, or one per
+// constant of an IN list.
+enum Admitted<'d> {
+    Probe(ProbeIds<'d>),
+    Probes(Vec<ProbeIds<'d>>),
+}
+
+impl Admitted<'_> {
+    // Rows admitted; an IN list's count is exact unless a constant
+    // repeats.
+    fn len(&self) -> usize {
+        match self {
+            Admitted::Probe(ids) => ids.as_slice().len(),
+            Admitted::Probes(all) => all.iter().map(|ids| ids.as_slice().len()).sum(),
+        }
+    }
+
+    // The admitted ids in ascending order, each once: an IN list's union
+    // is built here, for the winner alone.
+    fn ids(&self) -> Cow<'_, [RowId]> {
+        match self {
+            Admitted::Probe(ids) => Cow::Borrowed(ids.as_slice()),
+            Admitted::Probes(all) => {
+                let mut union: Vec<RowId> =
+                    all.iter().flat_map(|ids| ids.as_slice()).copied().collect();
+                union.sort_unstable();
+                union.dedup();
+                Cow::Owned(union)
+            }
+        }
+    }
+}
+
+// The restriction picker over the bound WHERE conjuncts that restrict
+// `binding` (its columns, unqualified or qualified): the restricted
+// column's slot and the admitted row ids.
+fn restriction<'d>(
+    db: &'d Database,
+    table: &crate::schema::Table,
+    binding: usize,
+    conjuncts: &[Bound],
+) -> Option<(usize, Admitted<'d>)> {
+    pick_restriction(conjuncts.iter().filter_map(|conjunct| {
+        let ((of, column), constants) = conjunct.equality()?;
+        let constants = constants.iter().filter_map(Bound::constant);
+        (of == binding).then(|| (column, db.slot_probe(table, column), constants))
+    }))
+}
+
+// A WHERE clause's top-level conjuncts, each bound to `scope`.
+fn bind_conjuncts(
+    predicate: Option<&Expr>,
+    scope: &[(&str, &crate::schema::Table)],
+) -> RelResult<Vec<Bound>> {
+    predicate.map_or(Ok(Vec::new()), |predicate| {
+        split_conjuncts_ref(predicate)
+            .into_iter()
+            .map(|conjunct| bind(conjunct, scope))
+            .collect()
+    })
 }
 
 // Bind every column reference of `expr` to its `(binding, column index)`
@@ -488,71 +499,9 @@ fn bind_column(
     }
 }
 
-// `column = constant` (either side), with the column either unqualified
-// or qualified by `binding`.
-fn const_eq_column<'e>(expr: &'e Expr, binding: &str) -> Option<(&'e str, &'e Value)> {
-    let (cref, value) = const_eq_ref(expr)?;
-    match &cref.table {
-        Some(qualifier) if qualifier != binding => None,
-        _ => Some((cref.column.as_str(), value)),
-    }
-}
-
-// `column IN (constants)` with every list item a literal, the column
-// unqualified or qualified by `binding`.
-fn const_in_column<'e>(expr: &'e Expr, binding: &str) -> Option<(&'e str, Vec<&'e Value>)> {
-    let Expr::InList {
-        expr,
-        list,
-        negated: false,
-    } = expr
-    else {
-        return None;
-    };
-    let Expr::Column(cref) = expr.as_ref() else {
-        return None;
-    };
-    if matches!(&cref.table, Some(qualifier) if qualifier != binding) {
-        return None;
-    }
-    let mut values = Vec::with_capacity(list.len());
-    for item in list {
-        let Expr::Value(v) = item else { return None };
-        values.push(v);
-    }
-    Some((cref.column.as_str(), values))
-}
-
-// The raw `column = constant` shape (either side), leaving binding
-// resolution to the caller.
-fn const_eq_ref(expr: &Expr) -> Option<(&ColumnRef, &Value)> {
-    let Expr::Binary {
-        op: BinOp::Eq,
-        left,
-        right,
-    } = expr
-    else {
-        return None;
-    };
-    match (left.as_ref(), right.as_ref()) {
-        (Expr::Column(c), Expr::Value(v)) | (Expr::Value(v), Expr::Column(c)) => Some((c, v)),
-        _ => None,
-    }
-}
-
-fn filter_row(
-    table: &crate::schema::Table,
-    row: &[Value],
-    predicate: Option<&Expr>,
-) -> RelResult<bool> {
-    match predicate {
-        None => Ok(true),
-        Some(expr) => Ok(matches!(eval_on_row(expr, table, row)?, Value::Bool(true))),
-    }
-}
-
 /// Evaluate an expression where column references resolve against one
-/// row of `table` (used by UPDATE/DELETE filters and CHECK constraints).
+/// row of `table` by name (CHECK constraints; statements bind their
+/// columns to slots once instead).
 pub fn eval_on_row(expr: &Expr, table: &crate::schema::Table, row: &[Value]) -> RelResult<Value> {
     let resolve = |cref: &ColumnRef| -> RelResult<Value> {
         if let Some(qualifier) = &cref.table {
@@ -718,8 +667,10 @@ fn as_tri(v: &Value) -> RelResult<Option<bool>> {
 // describes the plan the executor runs. Rows are *borrowed* from
 // storage (no upfront table clones); WHERE conjuncts are classified into
 //
-//   * candidate restrictions — `column = constant` answered from a
-//     storage index, shrinking a binding to the matching rows;
+//   * candidate restrictions — `column = constant` or `column IN
+//     (constants)` answered from a storage index, shrinking a binding
+//     to the matching rows (the restriction picker, which UPDATE and
+//     DELETE share);
 //   * equi-join keys — `a.x = b.y` between two bindings over
 //     hash-compatible column types, executed as an index nested loop
 //     (probe the storage index once per outer row) or a hash join
@@ -831,20 +782,38 @@ impl Bound {
         }
     }
 
-    // `column = constant` (either side).
-    fn const_eq(&self) -> Option<(LevelColumn, &Value)> {
-        let Bound::Binary {
-            op: BinOp::Eq,
-            left,
-            right,
-        } = self
-        else {
-            return None;
-        };
-        match (left.as_ref(), right.as_ref()) {
-            (Bound::Column(c), Bound::Value(v)) | (Bound::Value(v), Bound::Column(c)) => {
-                Some((*c, v))
-            }
+    // `column = constant` (either side) or `column IN (constants)`: the
+    // column, and the constants it equals one of.
+    fn equality(&self) -> Option<(LevelColumn, &[Bound])> {
+        match self {
+            Bound::Binary {
+                op: BinOp::Eq,
+                left,
+                right,
+            } => match (left.as_ref(), right.as_ref()) {
+                (Bound::Column(c), value @ Bound::Value(_))
+                | (value @ Bound::Value(_), Bound::Column(c)) => {
+                    Some((*c, std::slice::from_ref(value)))
+                }
+                _ => None,
+            },
+            Bound::InList {
+                expr,
+                list,
+                negated: false,
+            } => match expr.as_ref() {
+                Bound::Column(c) if list.iter().all(|item| item.constant().is_some()) => {
+                    Some((*c, list.as_slice()))
+                }
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
+    fn constant(&self) -> Option<Value> {
+        match self {
+            Bound::Value(v) => Some(*v),
             _ => None,
         }
     }
@@ -877,8 +846,10 @@ pub type LevelColumn = (usize, usize);
 pub enum Access {
     /// Every row of the table (a leading scan, or a cross product).
     Scan,
-    /// The rows an indexed `column = constant` conjunct selects, in
-    /// ascending row-id order.
+    /// The rows the restriction picker admits, in ascending row-id
+    /// order: one index probe's for a `column = constant` conjunct, or
+    /// the deduplicated union of one probe per constant for `column IN
+    /// (constants)`.
     Restricted {
         /// The restricted column.
         column: String,
@@ -951,9 +922,9 @@ struct Candidate<'a> {
     alias: &'a str,
     table: &'a crate::schema::Table,
     rows: usize,
-    // The smallest answer among the indexed `column = constant`
-    // conjuncts that restrict this binding.
-    restriction: Option<(&'a str, ProbeIds<'a>)>,
+    // The restriction picker's answer for this binding: the restricted
+    // column and the row ids it admits.
+    restriction: Option<(usize, Admitted<'a>)>,
 }
 
 impl Candidate<'_> {
@@ -961,7 +932,7 @@ impl Candidate<'_> {
     fn count(&self) -> usize {
         self.restriction
             .as_ref()
-            .map_or(self.rows, |(_, ids)| probe_len(ids))
+            .map_or(self.rows, |(_, admitted)| admitted.len())
     }
 
     // Fraction of the table the restriction keeps.
@@ -977,15 +948,13 @@ impl Candidate<'_> {
         db.index_distinct_keys(&self.table.name, &self.table.columns[column].name)
     }
 
-    // The restriction as the plan holds it: column and matching row ids.
-    fn restricted_ids(&self) -> Option<(String, Vec<RowId>)> {
-        self.restriction.as_ref().map(|(column, ids)| {
-            let ids = match ids {
-                ProbeIds::Unique(id) => id.iter().copied().collect(),
-                ProbeIds::Many(ids) => ids.to_vec(),
-            };
-            (column.to_string(), ids)
-        })
+    // The restriction as the plan holds it: column and admitted row ids.
+    fn take_restriction(&mut self) -> Option<(String, Vec<RowId>)> {
+        let (column, admitted) = self.restriction.take()?;
+        Some((
+            self.table.columns[column].name.clone(),
+            admitted.ids().into_owned(),
+        ))
     }
 }
 
@@ -994,13 +963,6 @@ fn rows_per_key(rows: usize, distinct: usize) -> f64 {
     match distinct {
         0 => 0.0,
         distinct => rows as f64 / distinct as f64,
-    }
-}
-
-fn probe_len(ids: &ProbeIds<'_>) -> usize {
-    match ids {
-        ProbeIds::Unique(id) => usize::from(id.is_some()),
-        ProbeIds::Many(ids) => ids.len(),
     }
 }
 
@@ -1118,15 +1080,10 @@ pub fn plan_select(db: &Database, stmt: &SelectStmt) -> RelResult<SelectPlan> {
     // evaluation. The reference executor only hits them for row
     // combinations it actually enumerates; an index restriction can
     // empty a binding and skip that enumeration entirely, so without
-    // this the errors would appear and disappear with the data (same
-    // policy as `validate_single_table_refs` on the mutation paths).
-    let conjuncts: Vec<Bound> = match &stmt.where_clause {
-        Some(pred) => split_conjuncts_ref(pred)
-            .into_iter()
-            .map(|conjunct| bind(conjunct, &scope))
-            .collect::<RelResult<_>>()?,
-        None => Vec::new(),
-    };
+    // this the errors would appear and disappear with the data. UPDATE
+    // and DELETE bind through the same `bind`, so one error policy
+    // covers every statement.
+    let conjuncts = bind_conjuncts(stmt.where_clause.as_ref(), &scope)?;
     let (columns, mut outputs) = expand_projection(
         stmt,
         &scope,
@@ -1134,36 +1091,19 @@ pub fn plan_select(db: &Database, stmt: &SelectStmt) -> RelResult<SelectPlan> {
         |expr| bind(expr, &scope),
     )?;
 
-    // Statistics per binding. A `column = constant` conjunct whose
-    // column resolves *uniquely* to the binding and hits an index
-    // restricts it; of several, the one with the fewest matches wins.
+    // Statistics per binding. The restriction picker answers each from
+    // the `column = constant` and `column IN (constants)` conjuncts
+    // whose column resolves *uniquely* to it.
     let mut candidates = Vec::with_capacity(scope.len());
     for (i, &(alias, table)) in scope.iter().enumerate() {
-        let mut restriction: Option<(&str, ProbeIds<'_>)> = None;
-        for conjunct in &conjuncts {
-            let Some(((binding, column), value)) = conjunct.const_eq() else {
-                continue;
-            };
-            if binding != i {
-                continue;
-            }
-            let column = table.columns[column].name.as_str();
-            if let Some(ids) = db.index_probe_ids(&table.name, column, value)? {
-                if restriction
-                    .as_ref()
-                    .is_none_or(|(_, best)| probe_len(&ids) < probe_len(best))
-                {
-                    restriction = Some((column, ids));
-                }
-            }
-        }
         candidates.push(Candidate {
             alias,
             table,
             rows: db.row_count(&table.name)?,
-            restriction,
+            restriction: restriction(db, table, i, &conjuncts),
         });
     }
+    let empty = candidates.iter().any(|c| c.count() == 0);
     let edges: Vec<Edge> = conjuncts
         .iter()
         .enumerate()
@@ -1196,9 +1136,9 @@ pub fn plan_select(db: &Database, stmt: &SelectStmt) -> RelResult<SelectPlan> {
                     .map(|(inner, outer_side)| (e.conjunct, inner, outer_side))
             })
             .collect();
-        let candidate = &candidates[binding];
+        let candidate = &mut candidates[binding];
         let access = if keys.is_empty() {
-            match candidate.restricted_ids() {
+            match candidate.take_restriction() {
                 Some((column, ids)) => Access::Restricted { column, ids },
                 None => Access::Scan,
             }
@@ -1235,7 +1175,7 @@ pub fn plan_select(db: &Database, stmt: &SelectStmt) -> RelResult<SelectPlan> {
                                 (inner.1, (level_of[outer_side.0], outer_side.1))
                             })
                             .collect(),
-                        ids: candidate.restricted_ids().map(|(_, ids)| ids),
+                        ids: candidate.take_restriction().map(|(_, ids)| ids),
                     }
                 }
             }
@@ -1266,7 +1206,7 @@ pub fn plan_select(db: &Database, stmt: &SelectStmt) -> RelResult<SelectPlan> {
         columns,
         outputs,
         distinct: stmt.distinct,
-        empty: candidates.iter().any(|c| c.count() == 0),
+        empty,
     })
 }
 
@@ -1498,9 +1438,7 @@ impl<'a> PlanRun<'_, 'a> {
             for output in self.outputs {
                 let value = match *output {
                     Bound::Column((level, column)) => scope[level][column],
-                    ref expr => eval_tree(expr, &|&(level, column): &LevelColumn| {
-                        Ok(scope[level][column])
-                    })?,
+                    ref expr => eval_bound(expr, scope)?,
                 };
                 out.rows.cells.push(value);
             }
@@ -1542,11 +1480,7 @@ impl<'a> PlanRun<'_, 'a> {
             } => {
                 let stale = || stale_plan(table);
                 let ids = index.ids(&scope[outer.0][outer.1]).ok_or_else(stale)?;
-                let (one, many) = match ids {
-                    ProbeIds::Unique(id) => (id, &[][..]),
-                    ProbeIds::Many(ids) => (None, ids),
-                };
-                for row_id in one.into_iter().chain(many.iter().copied()) {
+                for &row_id in ids.as_slice() {
                     if out.full() {
                         break;
                     }
@@ -1580,16 +1514,26 @@ impl<'a> PlanRun<'_, 'a> {
     }
 }
 
-// Whether a residual conjunct is true of the rows bound so far. An
-// `IS [NOT] NULL` of one slot is answered from the slot.
-fn holds(conjunct: &Bound, scope: &Scope<'_>) -> RelResult<bool> {
+// Whether a conjunct is true of the rows bound so far. An `IS [NOT]
+// NULL` of one slot is answered from the slot. Inlined into the join's
+// per-row loop: with the mutations' row finder as a second caller, the
+// compiler stopped doing so itself (`read_scan`'s execute ran 2 %
+// slower).
+#[inline]
+fn holds(conjunct: &Bound, scope: &[&[Value]]) -> RelResult<bool> {
     if let Bound::IsNull { expr, negated } = conjunct {
         if let Bound::Column((level, column)) = **expr {
             return Ok(scope[level][column].is_null() != *negated);
         }
     }
-    let slot = |&(level, column): &LevelColumn| Ok(scope[level][column]);
-    Ok(matches!(eval_tree(conjunct, &slot)?, Value::Bool(true)))
+    Ok(matches!(eval_bound(conjunct, scope)?, Value::Bool(true)))
+}
+
+// Evaluate a bound expression over the rows bound so far.
+fn eval_bound(expr: &Bound, scope: &[&[Value]]) -> RelResult<Value> {
+    eval_tree(expr, &|&(level, column): &LevelColumn| {
+        Ok(scope[level][column])
+    })
 }
 
 /// Reference SELECT executor: the pre-planner clone-everything pruned
@@ -1776,18 +1720,22 @@ fn join_order(
 
 // Split an expression into its top-level AND conjuncts, borrowing.
 fn split_conjuncts_ref(expr: &Expr) -> Vec<&Expr> {
-    match expr {
-        Expr::Binary {
-            op: BinOp::And,
-            left,
-            right,
-        } => {
-            let mut out = split_conjuncts_ref(left);
-            out.extend(split_conjuncts_ref(right));
-            out
+    fn split<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
+        match expr {
+            Expr::Binary {
+                op: BinOp::And,
+                left,
+                right,
+            } => {
+                split(left, out);
+                split(right, out);
+            }
+            other => out.push(other),
         }
-        other => vec![other],
     }
+    let mut out = Vec::new();
+    split(expr, &mut out);
+    out
 }
 
 // Split an expression into its top-level AND conjuncts (owned).
@@ -2238,6 +2186,60 @@ mod tests {
         )
         .unwrap();
         assert!(out.rows().unwrap().rows.is_empty());
+    }
+
+    #[test]
+    fn update_set_errors_do_not_depend_on_data() {
+        // A bad SET target or a bad name in a SET expression is an error
+        // whether or not the WHERE clause matches a row.
+        let mut d = db();
+        let kept = d.clone();
+        for (set, expected) in [
+            (
+                "bogus = 1",
+                RelError::NoSuchColumn {
+                    table: "team".into(),
+                    column: "bogus".into(),
+                },
+            ),
+            (
+                "name = bogus",
+                RelError::Execution {
+                    message: "unknown column \"bogus\"".into(),
+                },
+            ),
+        ] {
+            for id in [999, 5] {
+                let sql = format!("UPDATE team SET {set} WHERE id = {id};");
+                assert_eq!(execute_sql(&mut d, &sql), Err(expected.clone()), "{sql}");
+            }
+        }
+        assert_eq!(
+            d.scan("team").unwrap().collect::<Vec<_>>(),
+            kept.scan("team").unwrap().collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn repeated_update_column_rejected() {
+        let mut d = db();
+        let kept = d.clone();
+        for sql in [
+            "UPDATE team SET name = 'x', name = 'y' WHERE id = 5;",
+            "UPDATE team BY (id) SET (name, name) VALUES (5, 'x', 'y');",
+        ] {
+            assert_eq!(
+                execute_sql(&mut d, sql),
+                Err(RelError::Execution {
+                    message: "UPDATE \"team\" names column \"name\" twice".into(),
+                }),
+                "{sql}"
+            );
+        }
+        assert_eq!(
+            d.scan("team").unwrap().collect::<Vec<_>>(),
+            kept.scan("team").unwrap().collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -2781,6 +2783,39 @@ mod planner_tests {
         let (planner, reference) = both(&mut d, join);
         assert_eq!(planner, reference);
         assert_eq!(planner.len(), 3);
+    }
+
+    #[test]
+    fn in_list_restricts_a_binding_with_a_union_of_probes() {
+        let mut d = db(10);
+        // Duplicates, a NULL and a missing key: the union is sorted and
+        // deduplicated, and every conjunct is still re-checked.
+        let sql = "SELECT id, v FROM a WHERE id IN (7, 2, NULL, 7, 99) AND v <> 'a2';";
+        let plan = plan_select(&d, &select(sql)).unwrap();
+        assert_eq!(
+            plan.levels[0].access,
+            Access::Restricted {
+                column: "id".into(),
+                ids: d
+                    .index_probe("a", "id", &Value::Int(2))
+                    .unwrap()
+                    .unwrap()
+                    .into_iter()
+                    .chain(d.index_probe("a", "id", &Value::Int(7)).unwrap().unwrap())
+                    .collect(),
+            }
+        );
+        let (planner, reference) = both(&mut d, sql);
+        assert_eq!(planner, reference);
+        assert_eq!(planner.rows, [[Value::Int(7), Value::text("a7")]]);
+        // An IN list over a DOUBLE column cannot be answered by an
+        // index: the binding is scanned.
+        let sql = "SELECT id FROM a WHERE score IN (1.5, 3.5);";
+        let plan = plan_select(&d, &select(sql)).unwrap();
+        assert_eq!(plan.levels[0].access, Access::Scan);
+        let (planner, reference) = both(&mut d, sql);
+        assert_eq!(planner, reference);
+        assert_eq!(planner.len(), 2);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! ([`rel::sql::execute_select_reference`]) — including while a
 //! transaction is open and after it rolls back (index state must track
 //! the restored snapshot exactly). Row order is the plan's, so it is compared
-//! only where one database state is queried twice. A last test pins the
-//! plans of the benchmark's and the workload's queries across dataset
-//! sizes.
+//! only where one database state is queried twice. Random UPDATE and
+//! DELETE statements must change exactly the rows the reference selects
+//! with their WHERE clause. A last test pins the plans of the
+//! benchmark's and the workload's queries across dataset sizes.
 
 use proptest::prelude::*;
 use sparql_update_rdb::fixtures;
@@ -330,6 +331,198 @@ proptest! {
             );
             let reference = rel::sql::execute_select_reference(&db, &select).unwrap();
             prop_assert_eq!(full.canonical(), reference.canonical(), "query: {}", sql);
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// Mutations: UPDATE and DELETE against the reference's WHERE answer
+// ----------------------------------------------------------------------
+
+// The star schema's columns per table, with whether each holds INTEGER
+// (else VARCHAR) values. `id` is every table's primary key and first
+// column.
+const COLUMNS: [(&str, [(&str, bool); 3]); 3] = [
+    ("parent", [("id", true), ("name", false), ("val", true)]),
+    ("child", [("id", true), ("p", true), ("w", false)]),
+    ("link", [("id", true), ("a", true), ("b", true)]),
+];
+
+// A small constant of a column's type, sometimes NULL.
+fn constant(next: &mut impl FnMut() -> u64, integer: bool) -> (String, Value) {
+    match (next() % 8, integer) {
+        (0, _) => ("NULL".into(), Value::Null),
+        (n, true) => (n.to_string(), Value::Int(n as i64)),
+        (n, false) => {
+            let text = format!("{}{}", ["p", "w"][n as usize % 2], n % 7);
+            (format!("'{text}'"), Value::text(text))
+        }
+    }
+}
+
+// A random `DELETE` or `UPDATE … SET` on one table of the star schema.
+struct Mutation {
+    sql: String,
+    // The oracle's `SELECT *` over the same WHERE clause.
+    select: String,
+    table: &'static str,
+    // An UPDATE's assignments: target column index and what it gets.
+    sets: Option<Vec<(usize, Assigned)>>,
+}
+
+enum Assigned {
+    Constant(Value),
+    // The pre-statement value of the column at this index.
+    Column(usize),
+}
+
+fn mutation(next: &mut impl FnMut() -> u64) -> Mutation {
+    let (table, columns) = COLUMNS[next() as usize % COLUMNS.len()];
+    let mut conjuncts = Vec::new();
+    for _ in 0..next() % 4 {
+        let (column, integer) = columns[next() as usize % columns.len()];
+        let column = if next().is_multiple_of(2) {
+            format!("{table}.{column}")
+        } else {
+            column.to_owned()
+        };
+        conjuncts.push(match next() % 5 {
+            0 => format!("{column} = {}", constant(next, integer).0),
+            1 => {
+                // Duplicates and NULLs included.
+                let items: Vec<String> = (0..1 + next() % 4)
+                    .map(|_| constant(next, integer).0)
+                    .collect();
+                format!("{column} IN ({})", items.join(", "))
+            }
+            2 => format!("{column} IS NULL"),
+            3 => format!("{column} IS NOT NULL"),
+            _ => {
+                let op = ["<", "<=", ">", ">=", "<>"][next() as usize % 5];
+                format!("{column} {op} {}", constant(next, integer).0)
+            }
+        });
+    }
+    let filter = if conjuncts.is_empty() {
+        String::new()
+    } else {
+        format!(" WHERE {}", conjuncts.join(" AND "))
+    };
+    let select = format!("SELECT * FROM {table}{filter};");
+    if next().is_multiple_of(2) {
+        let sql = format!("DELETE FROM {table}{filter};");
+        return Mutation {
+            sql,
+            select,
+            table,
+            sets: None,
+        };
+    }
+    // One or two distinct non-key targets: a constant, or (in a
+    // column's place) the pre-statement value of a column of its type.
+    let mut sets = Vec::new();
+    let mut texts = Vec::new();
+    let first = 1 + next() as usize % 2;
+    for target in [first, 3 - first].into_iter().take(1 + next() as usize % 2) {
+        let (name, integer) = columns[target];
+        let source = columns
+            .iter()
+            .position(|&(other, ty)| ty == integer && other != name && next().is_multiple_of(3));
+        match source {
+            Some(source) => {
+                texts.push(format!("{name} = {}", columns[source].0));
+                sets.push((target, Assigned::Column(source)));
+            }
+            None => {
+                let (text, value) = constant(next, integer);
+                texts.push(format!("{name} = {text}"));
+                sets.push((target, Assigned::Constant(value)));
+            }
+        }
+    }
+    Mutation {
+        sql: format!("UPDATE {table} SET {}{filter};", texts.join(", ")),
+        select,
+        table,
+        sets: Some(sets),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// UPDATE and DELETE change exactly the rows the reference executor
+    /// selects with the same WHERE clause: a DELETE removes them and
+    /// keeps every other row id and value; an UPDATE assigns to them
+    /// and to no other row. With `declare_fks` on, the join columns are
+    /// indexed, so index restrictions and scans are both exercised. A
+    /// statement a constraint rejects must have matched a row; its
+    /// partial work is dropped with the written clone.
+    #[test]
+    fn mutations_change_exactly_the_rows_the_reference_selects(
+        spec in schema_spec(),
+        seed in 0u64..1_000_000,
+    ) {
+        let mut db = build_database(&spec);
+        let mut state = seed.wrapping_mul(0x2545f4914f6cdd1d) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..8 {
+            let Mutation { sql, select, table, sets } = mutation(&mut next);
+            let rel::sql::Statement::Select(select) = rel::sql::parse(&select).unwrap() else {
+                panic!("a SELECT")
+            };
+            let selected = rel::sql::execute_select_reference(&db, &select).unwrap();
+            let keys: Vec<Value> = selected.rows.iter().map(|row| row[0]).collect();
+            let before: Vec<_> = db.scan(table).unwrap().map(|(id, row)| (id, row.clone())).collect();
+            let mut expected = Vec::new();
+            for (id, row) in &before {
+                match (keys.contains(&row[0]), &sets) {
+                    (false, _) => expected.push((*id, row.clone())),
+                    (true, None) => {}
+                    (true, Some(sets)) => {
+                        let mut new_row = row.clone();
+                        for (target, assigned) in sets {
+                            new_row[*target] = match assigned {
+                                Assigned::Constant(value) => *value,
+                                Assigned::Column(column) => row[*column],
+                            };
+                        }
+                        expected.push((*id, new_row));
+                    }
+                }
+            }
+            let kept = db.clone();
+            match rel::sql::execute_sql(&mut db, &sql) {
+                Ok(outcome) => {
+                    prop_assert_eq!(outcome.affected(), keys.len(), "{}", sql);
+                    let after: Vec<_> = db.scan(table).unwrap().map(|(id, row)| (id, row.clone())).collect();
+                    prop_assert_eq!(after, expected, "{}", sql);
+                    for (other, _) in COLUMNS.iter().filter(|(other, _)| *other != table) {
+                        prop_assert_eq!(
+                            db.scan(other).unwrap().collect::<Vec<_>>(),
+                            kept.scan(other).unwrap().collect::<Vec<_>>(),
+                            "{} touched {}", sql, other
+                        );
+                    }
+                }
+                Err(error) => {
+                    prop_assert!(
+                        !keys.is_empty()
+                            && matches!(
+                                error,
+                                rel::RelError::RestrictViolation { .. }
+                                    | rel::RelError::ForeignKeyViolation { .. }
+                            ),
+                        "{}: {}", sql, error
+                    );
+                    db = kept;
+                }
+            }
         }
     }
 }
