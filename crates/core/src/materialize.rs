@@ -150,46 +150,21 @@ pub(crate) fn describe(db: &Database, mapping: &Mapping, uri: &Iri) -> OntoResul
     for link in &mapping.link_tables {
         let view = LinkView::new(db, mapping, link)?;
         let this = identified.table_map.table_name.as_str();
-        let ends = [&view.subject, &view.object].map(|end| end.target == this);
-        // Candidate link rows by index on whichever endpoint columns
-        // reference this instance (both are FK columns, so normally
-        // indexed); a failed probe falls back to scanning.
-        let mut candidates: Option<Vec<rel::RowId>> = Some(Vec::new());
-        for (active, attr) in ends
-            .into_iter()
-            .zip([&link.subject_attribute, &link.object_attribute])
-        {
-            if !active {
-                continue;
-            }
-            match db.index_probe(&link.table_name, &attr.attribute_name, &key)? {
-                Some(ids) => {
-                    if let Some(c) = &mut candidates {
-                        c.extend(ids);
-                    }
-                }
-                None => candidates = None,
+        // The link rows whose endpoint columns reference this instance,
+        // through each column's probe, once each and in row-id order.
+        let link_table = db.schema().table(&link.table_name)?;
+        let mut ids = Vec::new();
+        for end in [&view.subject, &view.object] {
+            if end.target == this {
+                let probe = db.probe(link_table, end.column);
+                ids.extend_from_slice(probe.rows(&key).as_slice());
             }
         }
-        let link_rows: Vec<&Vec<rel::Value>> = match candidates {
-            Some(mut ids) => {
-                ids.sort_unstable();
-                ids.dedup();
-                let mut rows = Vec::with_capacity(ids.len());
-                for id in ids {
-                    rows.push(db.row(&link.table_name, id)?.expect("live id"));
-                }
-                rows
-            }
-            None => db.scan(&link.table_name)?.map(|(_, r)| r).collect(),
-        };
-        for link_row in link_rows {
-            let refers = |active: bool, end: &LinkEnd<'_>| {
-                active && link_row[end.column].sql_eq(&key) == Some(true)
-            };
-            if refers(ends[0], &view.subject) || refers(ends[1], &view.object) {
-                view.emit(&mut graph, link_row)?;
-            }
+        ids.sort_unstable();
+        ids.dedup();
+        for id in ids {
+            let link_row = db.row(&link.table_name, id)?.expect("probed id is live");
+            view.emit(&mut graph, link_row)?;
         }
     }
     Ok(graph)

@@ -21,9 +21,9 @@
 //! equals no stored text, so it becomes NULL and a read never grows the
 //! dictionary.
 //!
-//! A query compiles once per *shape*: [`lift`] replaces its constants
-//! with numbered parameters, a [`Template`] records which parameter each
-//! constant value of the SQL came from, and [`Template::bind`] writes
+//! A query compiles once per *shape*: `lift` replaces its constants
+//! with numbered parameters, a `Template` records which parameter each
+//! constant value of the SQL came from, and `Template::bind` writes
 //! another text's constants into a copy of the SQL.
 
 use crate::convert::{literal_value, Codec, Text};

@@ -23,7 +23,7 @@
 //! and only re-asks these questions under it.
 
 use crate::error::OntoResult;
-use r3m::LinkTableMap;
+use r3m::{AttributeMap, LinkTableMap};
 use rel::{Database, Schema, Value};
 
 // One recorded lookup and the answer translation took from it. Table
@@ -156,24 +156,20 @@ fn identical(a: &[Value], b: &[Value]) -> bool {
 }
 
 // The link row must exist for DELETE DATA to remove it. The subject
-// column is a FK column and therefore hash-indexed: resolve its
-// candidates by index and check the object side only on those, instead
-// of scanning the whole link table per triple.
+// column is a FK column and therefore normally indexed: its probe finds
+// the candidates, and the object side is checked only on those.
 fn link_exists(db: &Database, link: &LinkTableMap, s: Value, o: Value) -> OntoResult<bool> {
     let table = db.schema().table(&link.table_name)?;
-    let s_column = &link.subject_attribute.attribute_name;
-    let s_idx = table.column_index(s_column).expect("validated mapping");
-    let o_idx = table
-        .column_index(&link.object_attribute.attribute_name)
-        .expect("validated mapping");
-    let links = |row: &[Value]| row[o_idx].sql_eq(&o) == Some(true);
-    let Some(ids) = db.index_probe(&link.table_name, s_column, &s)? else {
-        return Ok(db
-            .scan(&link.table_name)?
-            .any(|(_, row)| row[s_idx].sql_eq(&s) == Some(true) && links(row)));
+    let slot = |attr: &AttributeMap| {
+        table
+            .column_index(&attr.attribute_name)
+            .expect("validated mapping")
     };
-    for id in ids {
-        if links(db.row(&link.table_name, id)?.expect("probe id is live")) {
+    let o_idx = slot(&link.object_attribute);
+    let candidates = db.probe(table, slot(&link.subject_attribute)).rows(&s);
+    for &id in candidates.as_slice() {
+        let row = db.row(&link.table_name, id)?.expect("probed id is live");
+        if row[o_idx].sql_eq(&o) == Some(true) {
             return Ok(true);
         }
     }

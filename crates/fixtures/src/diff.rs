@@ -5,7 +5,7 @@
 //! compared as multisets through [`rel::sql::ResultSet::canonical`]).
 
 use rdf::namespace::PrefixMap;
-use rel::{Database, IndexKey, RowId, Value};
+use rel::{Database, IndexKey, ProbeIds, RowId, Value};
 
 /// A dictionary-decoded view of one cell: text ids are resolved back to
 /// their string content so heaps compare by what a client observes, not
@@ -72,7 +72,8 @@ pub fn assert_indexes_consistent(db: &Database, context: &str) {
     use std::collections::BTreeMap;
     for table in db.schema().tables() {
         for (idx, column) in table.columns.iter().enumerate() {
-            if !db.supports_index_probe(&table.name, &column.name).unwrap() {
+            let probe = db.probe(table, idx);
+            if probe.distinct_keys().is_none() {
                 continue;
             }
             let mut expected: BTreeMap<IndexKey, (Value, Vec<RowId>)> = BTreeMap::new();
@@ -87,14 +88,18 @@ pub fn assert_indexes_consistent(db: &Database, context: &str) {
                     .push(row_id);
             }
             for (value, ids) in expected.values() {
-                let probed = db
-                    .index_probe(&table.name, &column.name, value)
-                    .unwrap()
-                    .unwrap_or_else(|| panic!("probeable column stopped probing: {}", column.name));
+                let probed = probe.rows(value);
+                assert!(
+                    !matches!(probed, ProbeIds::Scanned(_)),
+                    "probeable column stopped probing: {}",
+                    column.name
+                );
                 assert_eq!(
-                    &probed, ids,
+                    probed.as_slice(),
+                    ids,
                     "index on {}.{} inconsistent for {value}: {context}",
-                    table.name, column.name
+                    table.name,
+                    column.name
                 );
             }
         }

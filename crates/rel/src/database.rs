@@ -11,6 +11,7 @@ use crate::error::{RelError, RelResult};
 use crate::schema::{Schema, Table};
 use crate::storage::{EqIndex, RowId, TableData};
 use crate::value::{IndexKey, SqlType, Value};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -53,22 +54,64 @@ fn probe_key(ty: SqlType, value: &Value) -> ProbeKey {
     }
 }
 
-// Whether `column` is the table's whole (single-column) primary key.
-fn single_column_pk(table: &Table, column: &str) -> bool {
-    table.primary_key.len() == 1 && table.primary_key[0] == column
-}
-
-// Equality probes on one column: its type and the index answering
-// them (see `Database::column_probe`).
+/// Equality on one column of one table under SQL equality, resolved
+/// once for any number of values (see [`Database::probe`]). This is the
+/// one way the engine answers which rows hold `column = value`: the
+/// planner's restrictions and index loops, the row finder of UPDATE and
+/// DELETE, and the PRIMARY KEY, UNIQUE, FOREIGN KEY and RESTRICT checks
+/// all ask it. The index covering the column answers when its keys can
+/// express the equality; otherwise a scan compares with
+/// [`Value::sql_eq`]. A DOUBLE column is always scanned: it may store
+/// `Int` values, whose keys differ from the SQL-equal doubles'.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ColumnProbe<'a> {
+pub struct ColumnProbe<'a> {
     ty: SqlType,
+    slot: usize,
+    data: &'a TableData,
     index: Option<EqIndex<'a>>,
 }
 
 impl<'a> ColumnProbe<'a> {
-    // [`Database::index_probe_ids`] of one value: `None` when the index
-    // cannot answer it.
+    // The probe of column `slot` of `table`, whose storage is `data`.
+    fn new(table: &Table, data: &'a TableData, slot: usize) -> Self {
+        ColumnProbe {
+            ty: table.columns[slot].ty,
+            slot,
+            data,
+            index: data.eq_index(slot),
+        }
+    }
+
+    /// Row ids whose column equals `value` under SQL equality, in
+    /// ascending order; a NULL `value` equals no row. Borrowed from the
+    /// index when one answers, else collected by a scan.
+    pub fn rows(&self, value: &Value) -> ProbeIds<'a> {
+        self.ids(value).unwrap_or_else(|| {
+            let holds = |row: &[Value]| row[self.slot].sql_eq(value) == Some(true);
+            let ids = self
+                .data
+                .scan()
+                .filter(|(_, row)| holds(row))
+                .map(|(id, _)| id);
+            ProbeIds::Scanned(ids.collect())
+        })
+    }
+
+    /// Distinct non-NULL keys of the index answering this column — the
+    /// planner's fan-out statistic (rows ÷ distinct keys); a
+    /// single-column primary key counts every row as its own key.
+    /// `None` when no index answers, and [`ColumnProbe::rows`] scans.
+    /// O(1): storage maintains every count.
+    pub fn distinct_keys(&self) -> Option<usize> {
+        match self.ty {
+            SqlType::Double => None,
+            _ => self.index.map(EqIndex::len),
+        }
+    }
+
+    // The index's answer for `value`: `None` when no index covers the
+    // column or its keys cannot express SQL equality for `value`, so
+    // the caller scans. Probing does not allocate.
     pub(crate) fn ids(&self, value: &Value) -> Option<ProbeIds<'a>> {
         match probe_key(self.ty, value) {
             ProbeKey::Unsupported => None,
@@ -78,23 +121,60 @@ impl<'a> ColumnProbe<'a> {
     }
 }
 
-/// Matching row ids of an index probe, borrowed from the index (see
-/// [`Database::index_probe_ids`]).
-#[derive(Debug, Clone, Copy)]
+// Rows of `t`, whose storage is `data`, with the primary key `key`
+// (values in key order) under SQL equality. A one-column key is a probe
+// of its column; a wider key reads the key index when every part
+// converts to its column's index key, and is scanned when one cannot.
+fn pk_rows<'a>(t: &Table, data: &'a TableData, key: &[Value]) -> ProbeIds<'a> {
+    let slots = data.pk_slots();
+    if let ([slot], [value]) = (slots, key) {
+        return ColumnProbe::new(t, data, *slot).rows(value);
+    }
+    let mut keys = Vec::with_capacity(key.len());
+    for (&slot, value) in slots.iter().zip(key) {
+        match probe_key(t.columns[slot].ty, value) {
+            ProbeKey::Key(part) => keys.push(part),
+            ProbeKey::NoMatch => return ProbeIds::Unique(None),
+            ProbeKey::Unsupported => {
+                let holds = |row: &[Value]| {
+                    slots
+                        .iter()
+                        .zip(key)
+                        .all(|(&slot, value)| row[slot].sql_eq(value) == Some(true))
+                };
+                let ids = data.scan().filter(|(_, row)| holds(row)).map(|(id, _)| id);
+                return ProbeIds::Scanned(ids.collect());
+            }
+        }
+    }
+    ProbeIds::Unique(data.find_by_pk(&keys))
+}
+
+/// Matching row ids of an equality probe, ascending (see
+/// [`ColumnProbe::rows`]).
+#[derive(Debug, Clone)]
 pub enum ProbeIds<'a> {
     /// Answered by a PK or UNIQUE index: at most one row.
     Unique(Option<RowId>),
-    /// Answered by a secondary index: ascending id list.
+    /// Answered by a secondary index: the index's id list.
     Many(&'a [RowId]),
+    /// Answered by a scan.
+    Scanned(Vec<RowId>),
 }
 
 impl ProbeIds<'_> {
-    // The ids as one ascending slice.
-    pub(crate) fn as_slice(&self) -> &[RowId] {
+    /// The ids as one ascending slice.
+    pub fn as_slice(&self) -> &[RowId] {
         match self {
             ProbeIds::Unique(id) => id.as_slice(),
             ProbeIds::Many(ids) => ids,
+            ProbeIds::Scanned(ids) => ids,
         }
+    }
+
+    // Whether a row other than `except` is among the ids.
+    fn any_but(&self, except: Option<RowId>) -> bool {
+        self.as_slice().iter().any(|&id| Some(id) != except)
     }
 }
 
@@ -127,6 +207,43 @@ pub(crate) fn assigned_slots<'n>(
         slots.push(slot);
     }
     Ok(slots)
+}
+
+// Builds the full rows of one INSERT from the values of the columns it
+// names: an omitted column takes its DEFAULT or NULL, and a NULL in an
+// auto-increment column the next value of a batch-local counter. Each
+// counter is seeded once and advanced past every value the batch
+// assigns — equivalent to recomputing max + 1 per row.
+struct RowBuilder<'t> {
+    table: &'t Table,
+    slots: Vec<usize>,
+    auto_next: Vec<(usize, i64)>,
+}
+
+impl RowBuilder<'_> {
+    // The row holding `values`, one per named column, in order.
+    fn build(&mut self, values: impl IntoIterator<Item = Value>) -> Vec<Value> {
+        let mut row: Vec<Value> = self
+            .table
+            .columns
+            .iter()
+            .map(|c| c.default.unwrap_or(Value::Null))
+            .collect();
+        for (&slot, value) in self.slots.iter().zip(values) {
+            row[slot] = value;
+        }
+        for (slot, next) in &mut self.auto_next {
+            match row[*slot] {
+                Value::Null => {
+                    row[*slot] = Value::Int(*next);
+                    *next += 1;
+                }
+                Value::Int(explicit) => *next = (*next).max(explicit + 1),
+                _ => {} // non-integer: the type check rejects it
+            }
+        }
+        row
+    }
 }
 
 /// Redo-log entry: one row operation the open transaction applied, kept
@@ -311,80 +428,15 @@ impl Database {
         Ok(self.data[table].row(row_id))
     }
 
-    /// Whether equality lookups on `table.column` can be answered from
-    /// an index (single-column PK, UNIQUE, or secondary hash index) with
-    /// SQL equality semantics. DOUBLE columns are excluded: they may
-    /// store integer values, whose index keys differ from the equal
-    /// doubles'.
-    pub fn supports_index_probe(&self, table: &str, column: &str) -> RelResult<bool> {
-        Ok(self.index_distinct_keys(table, column)?.is_some())
-    }
-
-    /// Distinct non-NULL keys of the index answering equality probes on
-    /// `table.column` — the planner's fan-out statistic (rows ÷ distinct
-    /// keys). A single-column PK counts every row as its own key.
-    /// `None` exactly when [`Database::supports_index_probe`] is false.
-    /// O(1): storage maintains every count.
-    pub fn index_distinct_keys(&self, table: &str, column: &str) -> RelResult<Option<usize>> {
-        let t = self.schema.table(table)?;
-        let Some(col) = t.column(column) else {
-            return Ok(None);
-        };
-        if col.ty == crate::value::SqlType::Double {
-            return Ok(None);
-        }
-        let data = &self.data[table];
-        if single_column_pk(t, column) {
-            return Ok(Some(data.len()));
-        }
-        Ok(data.index_key_count(column))
-    }
-
-    /// Row ids whose `column` equals `value` under SQL equality,
-    /// answered from the best available index (ascending row-id order).
-    /// `Ok(None)` means no index covers the column (callers fall back to
-    /// a scan); `Ok(Some(vec![]))` means the lookup ran and matched
-    /// nothing — including `value` being NULL, which equals no row.
-    pub fn index_probe(
-        &self,
-        table: &str,
-        column: &str,
-        value: &Value,
-    ) -> RelResult<Option<Vec<RowId>>> {
-        Ok(self
-            .index_probe_ids(table, column, value)?
-            .map(|ids| ids.as_slice().to_vec()))
-    }
-
-    /// Borrowed-result variant of [`Database::index_probe`] for hot
-    /// paths (the planner's index nested loop calls this once per outer
-    /// row): same semantics, ids borrowed from the index instead of
-    /// collected. Probing a VARCHAR column still clones the text to
-    /// build its index key; Integer/Boolean probes — the shapes the
-    /// SPARQL translation emits — do not allocate.
-    pub fn index_probe_ids(
-        &self,
-        table: &str,
-        column: &str,
-        value: &Value,
-    ) -> RelResult<Option<ProbeIds<'_>>> {
-        Ok(self.column_probe(table, column)?.ids(value))
-    }
-
-    // The index answering equality probes on `table.column`, resolved
-    // once for any number of probes.
-    pub(crate) fn column_probe(&self, table: &str, column: &str) -> RelResult<ColumnProbe<'_>> {
-        let t = self.schema.table(table)?;
-        Ok(self.slot_probe(t, column_slot(t, column)?))
-    }
-
-    // `column_probe` of column `slot` of `t`, a table of this database.
-    pub(crate) fn slot_probe(&self, t: &Table, slot: usize) -> ColumnProbe<'_> {
-        let column = &t.columns[slot];
-        ColumnProbe {
-            ty: column.ty,
-            index: self.data[&t.name].eq_index(t, &column.name),
-        }
+    /// Equality probes on column `column` — its slot in the row layout
+    /// — of `table`, a table of this database's [`Database::schema`]
+    /// (see [`ColumnProbe`]).
+    ///
+    /// # Panics
+    /// If `table` is not in this database's schema or has no column
+    /// `column`.
+    pub fn probe<'a>(&'a self, table: &Table, column: usize) -> ColumnProbe<'a> {
+        ColumnProbe::new(table, &self.data[&table.name], column)
     }
 
     // The storage of `table`, for a reader that resolves it once and
@@ -406,11 +458,8 @@ impl Database {
                 ),
             });
         }
-        let data = &self.data[table];
-        Ok(match key {
-            [only] => data.find_by_pk(&[only.index_key()]),
-            _ => data.find_by_pk(&key.iter().map(Value::index_key).collect::<Vec<_>>()),
-        })
+        let ids = pk_rows(t, &self.data[table], key);
+        Ok(ids.as_slice().first().copied())
     }
 
     // ------------------------------------------------------------------
@@ -521,14 +570,14 @@ impl Database {
                 if data.row(row_id).is_some() {
                     return Err(replay_error(format!("insert at occupied row {row_id}")));
                 }
-                data.insert_at_unchecked(t, row_id, row.to_vec());
+                data.insert_at_unchecked(row_id, row.to_vec());
             }
             LogicalOp::Update { row, .. } => {
-                data.update_unchecked(t, row_id, row.to_vec())
+                data.update_unchecked(row_id, row.to_vec())
                     .ok_or_else(|| replay_error(format!("update of missing row {row_id}")))?;
             }
             LogicalOp::Delete { .. } => {
-                data.delete_unchecked(t, row_id)
+                data.delete_unchecked(row_id)
                     .ok_or_else(|| replay_error(format!("delete of missing row {row_id}")))?;
             }
         }
@@ -559,8 +608,8 @@ impl Database {
     /// columns (see [`TableData::for_table`]). The set never changes at
     /// run time.
     pub fn secondary_index_columns(&self, table: &str) -> RelResult<Vec<String>> {
-        self.schema.table(table)?;
-        Ok(self.data[table].secondary_index_columns())
+        let t = self.schema.table(table)?;
+        Ok(self.data[table].secondary_index_columns(t))
     }
 
     // ------------------------------------------------------------------
@@ -568,33 +617,14 @@ impl Database {
     // ------------------------------------------------------------------
 
     /// Insert a row given `(column, value)` pairs; omitted columns take
-    /// their DEFAULT or NULL. All constraints are checked immediately.
+    /// their DEFAULT or NULL. The names resolve as an INSERT's column
+    /// list does: a repeated column is an error. All constraints are
+    /// checked immediately.
     pub fn insert(&mut self, table: &str, assignments: &[(String, Value)]) -> RelResult<RowId> {
         let schema = self.shared_schema();
         let t = schema.table(table)?;
-        for (name, _) in assignments {
-            if t.column_index(name).is_none() {
-                return Err(RelError::NoSuchColumn {
-                    table: table.to_owned(),
-                    column: name.clone(),
-                });
-            }
-        }
-        let mut row: Vec<Value> = Vec::with_capacity(t.columns.len());
-        for column in &t.columns {
-            let assigned = assignments
-                .iter()
-                .find(|(name, _)| name == &column.name)
-                .map(|(_, v)| *v);
-            let mut value = match assigned {
-                Some(v) => v,
-                None => column.default.unwrap_or(Value::Null),
-            };
-            if value.is_null() && column.auto_increment {
-                value = Value::Int(self.next_auto_value(table, &column.name));
-            }
-            row.push(value);
-        }
+        let mut rows = self.row_builder(t, assignments.iter().map(|(name, _)| name))?;
+        let row = rows.build(assignments.iter().map(|(_, value)| *value));
         self.insert_prepared(t, row)
     }
 
@@ -615,16 +645,7 @@ impl Database {
     ) -> RelResult<usize> {
         let schema = self.shared_schema();
         let t = schema.table(table)?;
-        let indices = assigned_slots(t, columns, "INSERT into")?;
-        // Batch-local auto-increment counters: next value per column,
-        // seeded once and advanced past every value this batch assigns
-        // — equivalent to recomputing max+1 per row.
-        let mut auto_next: BTreeMap<usize, i64> = BTreeMap::new();
-        for (i, column) in t.columns.iter().enumerate() {
-            if column.auto_increment {
-                auto_next.insert(i, self.next_auto_value(table, &column.name));
-            }
-        }
+        let mut builder = self.row_builder(t, columns)?;
         for values in rows {
             if values.len() != columns.len() {
                 return Err(RelError::Execution {
@@ -635,27 +656,29 @@ impl Database {
                     ),
                 });
             }
-            let mut row: Vec<Value> = t
-                .columns
-                .iter()
-                .map(|c| c.default.unwrap_or(Value::Null))
-                .collect();
-            for (&idx, value) in indices.iter().zip(values) {
-                row[idx] = *value;
-            }
-            for (&idx, next) in &mut auto_next {
-                match &row[idx] {
-                    Value::Null => {
-                        row[idx] = Value::Int(*next);
-                        *next += 1;
-                    }
-                    Value::Int(explicit) => *next = (*next).max(explicit + 1),
-                    _ => {} // non-integer: the type check below rejects it
-                }
-            }
+            let row = builder.build(values.iter().copied());
             self.insert_prepared(t, row)?;
         }
         Ok(rows.len())
+    }
+
+    // The row builder of an INSERT into `t` naming `columns`, with its
+    // auto-increment counters seeded from the stored rows.
+    fn row_builder<'t, 'n>(
+        &self,
+        t: &'t Table,
+        columns: impl IntoIterator<Item = &'n String>,
+    ) -> RelResult<RowBuilder<'t>> {
+        let slots = assigned_slots(t, columns, "INSERT into")?;
+        let auto_next = (0..t.columns.len())
+            .filter(|&i| t.columns[i].auto_increment)
+            .map(|i| (i, self.next_auto_value(t, i)))
+            .collect();
+        Ok(RowBuilder {
+            table: t,
+            slots,
+            auto_next,
+        })
     }
 
     // Constraint-check and store one fully materialized row of `t`.
@@ -664,7 +687,7 @@ impl Database {
         // The redo log needs the inserted values; clone only when a
         // transaction is actually logging.
         let logged = self.txn.is_some().then(|| row.clone());
-        let row_id = self.table_mut(&t.name).insert_unchecked(t, row);
+        let row_id = self.table_mut(&t.name).insert_unchecked(row);
         if let Some(row) = logged {
             self.log(RedoOp::Insert {
                 table: t.name.clone(),
@@ -749,10 +772,15 @@ impl Database {
             .filter(|&i| new_row[i] != old[i])
             .collect();
         self.check_row_constraints_changed(t, &new_row, Some(row_id), &changed)?;
-        // If a key other rows reference changes, enforce RESTRICT.
-        self.check_restrict_on_key_change(t, old, &new_row)?;
+        // RESTRICT on the referenced values the update replaces by
+        // SQL-unequal ones (only PK and UNIQUE columns can be
+        // referenced).
+        let referencable = |i: usize| t.columns[i].unique || t.is_primary_key(&t.columns[i].name);
+        if changed.iter().any(|&i| referencable(i)) {
+            self.check_restrict(t, old, |i| old[i].sql_eq(&new_row[i]) != Some(true))?;
+        }
         let logged = self.txn.is_some().then(|| new_row.clone());
-        self.table_mut(&t.name).update_unchecked(t, row_id, new_row);
+        self.table_mut(&t.name).update_unchecked(row_id, new_row);
         if let Some(row) = logged {
             self.log(RedoOp::Update {
                 table: t.name.clone(),
@@ -791,9 +819,9 @@ impl Database {
             .ok_or_else(|| RelError::Execution {
                 message: format!("no row {row_id} in {}", t.name),
             })?;
-        self.check_restrict(t, row)?;
+        self.check_restrict(t, row, |_| true)?;
         self.table_mut(&t.name)
-            .delete_unchecked(t, row_id)
+            .delete_unchecked(row_id)
             .expect("row read above");
         self.log(RedoOp::Delete {
             table: t.name.clone(),
@@ -807,19 +835,17 @@ impl Database {
     // leak values). When the column is the single-column primary key
     // (the schema's only shape) the max is the ordered PK index's last
     // key, O(log n); any other auto column scans.
-    fn next_auto_value(&self, table: &str, column: &str) -> i64 {
-        let t = self.schema.table(table).expect("caller verified table");
-        if single_column_pk(t, column) {
-            return match self.data[table].max_pk() {
+    fn next_auto_value(&self, t: &Table, slot: usize) -> i64 {
+        let data = &self.data[&t.name];
+        if data.pk_slots() == [slot] {
+            return match data.max_pk() {
                 Some([IndexKey::Int(max)]) => max + 1,
                 _ => 1,
             };
         }
-        let idx = t.column_index(column).expect("caller verified column");
-        self.data[table]
-            .scan()
-            .filter_map(|(_, row)| match &row[idx] {
-                Value::Int(i) => Some(*i),
+        data.scan()
+            .filter_map(|(_, row)| match row[slot] {
+                Value::Int(i) => Some(i),
                 _ => None,
             })
             .max()
@@ -876,44 +902,36 @@ impl Database {
                 });
             }
         }
-        // Primary key uniqueness.
-        let pk_changed = table.primary_key.iter().any(|name| {
-            let i = table
-                .column_index(name)
-                .expect("validated: PK column exists");
-            changed.contains(&i)
-        });
-        if pk_changed {
-            let key = TableData::pk_key(table, row);
-            if let Some(existing) = self.data[&table.name].find_by_pk(&key) {
-                if Some(existing) != exclude {
-                    let rendered: Vec<String> = table
-                        .primary_key_indices()
-                        .iter()
-                        .map(|&i| row[i].to_string())
-                        .collect();
-                    return Err(RelError::PrimaryKeyViolation {
-                        table: table.name.clone(),
-                        key: format!("({})", rendered.join(", ")),
-                    });
-                }
+        // Primary key and unique columns: no other row may hold an
+        // SQL-equal key.
+        let data = &self.data[&table.name];
+        let pk = data.pk_slots();
+        if pk.iter().any(|i| changed.contains(i)) {
+            // A one-column key, the common shape, borrows its value.
+            let key: Cow<'_, [Value]> = match *pk {
+                [slot] => Cow::Borrowed(std::slice::from_ref(&row[slot])),
+                _ => Cow::Owned(pk.iter().map(|&i| row[i]).collect()),
+            };
+            if pk_rows(table, data, &key).any_but(exclude) {
+                let rendered: Vec<String> = key.iter().map(Value::to_string).collect();
+                return Err(RelError::PrimaryKeyViolation {
+                    table: table.name.clone(),
+                    key: format!("({})", rendered.join(", ")),
+                });
             }
         }
-        // Unique columns.
         for &i in changed {
             let column = &table.columns[i];
-            if column.unique && !row[i].is_null() {
-                if let Some(existing) =
-                    self.data[&table.name].find_by_unique(&column.name, &row[i].index_key())
-                {
-                    if Some(existing) != exclude {
-                        return Err(RelError::UniqueViolation {
-                            table: table.name.clone(),
-                            column: column.name.clone(),
-                            value: row[i],
-                        });
-                    }
-                }
+            if column.unique
+                && ColumnProbe::new(table, data, i)
+                    .rows(&row[i])
+                    .any_but(exclude)
+            {
+                return Err(RelError::UniqueViolation {
+                    table: table.name.clone(),
+                    column: column.name.clone(),
+                    value: row[i],
+                });
             }
         }
         // CHECK constraints (NULL result passes, as in SQL).
@@ -939,7 +957,11 @@ impl Database {
             if value.is_null() {
                 continue;
             }
-            if !self.reference_exists(fk.ref_table.as_str(), fk.ref_column.as_str(), value)? {
+            let target = self.schema.table(&fk.ref_table)?;
+            let referenced = self
+                .probe(target, column_slot(target, &fk.ref_column)?)
+                .rows(value);
+            if referenced.as_slice().is_empty() {
                 return Err(RelError::ForeignKeyViolation {
                     table: table.name.clone(),
                     column: fk.column.clone(),
@@ -951,53 +973,31 @@ impl Database {
         Ok(())
     }
 
-    fn reference_exists(
+    // RESTRICT: no row may still reference a value `row` of `table`
+    // gives up — each value of a column `gone` names (a deleted row gives
+    // up every one).
+    fn check_restrict(
         &self,
-        ref_table: &str,
-        ref_column: &str,
-        value: &Value,
-    ) -> RelResult<bool> {
-        let target = self.schema.table(ref_table)?;
-        let data = &self.data[ref_table];
-        // Fast path: FK targets the primary key (the use-case shape) …
-        if target.primary_key.len() == 1 && target.primary_key[0] == ref_column {
-            return Ok(data.find_by_pk(&[value.index_key()]).is_some());
-        }
-        // … or a unique column with an index.
-        if target.column(ref_column).is_some_and(|c| c.unique) {
-            return Ok(data
-                .find_by_unique(ref_column, &value.index_key())
-                .is_some());
-        }
-        // Schema validation guarantees one of the above.
-        unreachable!("FK target is PK or unique (validated)")
-    }
-
-    // RESTRICT: nothing may still reference `row` of `table`.
-    fn check_restrict(&self, table: &Table, row: &[Value]) -> RelResult<()> {
+        table: &Table,
+        row: &[Value],
+        gone: impl Fn(usize) -> bool,
+    ) -> RelResult<()> {
         for other in self.schema.tables() {
             for fk in &other.foreign_keys {
                 if fk.ref_table != table.name {
                     continue;
                 }
-                let ref_i = table
-                    .column_index(&fk.ref_column)
-                    .expect("validated schema");
+                let ref_i = column_slot(table, &fk.ref_column)?;
                 let referenced_value = &row[ref_i];
-                if referenced_value.is_null() {
+                if referenced_value.is_null() || !gone(ref_i) {
                     continue;
                 }
-                let col_i = other.column_index(&fk.column).expect("validated schema");
-                // FK columns are auto-indexed, so this is a hash lookup;
-                // the scan remains as the fallback for exotic schemas.
-                let referencing =
-                    match self.index_probe(&other.name, &fk.column, referenced_value)? {
-                        Some(ids) => !ids.is_empty(),
-                        None => self.data[&other.name]
-                            .scan()
-                            .any(|(_, r)| r[col_i].sql_eq(referenced_value) == Some(true)),
-                    };
-                if referencing {
+                // FK columns are auto-indexed, so this is normally an
+                // index lookup.
+                let referencing = self
+                    .probe(other, column_slot(other, &fk.column)?)
+                    .rows(referenced_value);
+                if !referencing.as_slice().is_empty() {
                     return Err(RelError::RestrictViolation {
                         table: table.name.clone(),
                         referencing_table: other.name.clone(),
@@ -1006,27 +1006,6 @@ impl Database {
                     });
                 }
             }
-        }
-        Ok(())
-    }
-
-    fn check_restrict_on_key_change(
-        &self,
-        table: &Table,
-        old: &[Value],
-        new: &[Value],
-    ) -> RelResult<()> {
-        // Only keys that can be referenced matter: PK and unique columns.
-        let mut changed_referencable = false;
-        for (i, column) in table.columns.iter().enumerate() {
-            let referencable = table.is_primary_key(&column.name) || column.unique;
-            if referencable && old[i] != new[i] {
-                changed_referencable = true;
-                break;
-            }
-        }
-        if changed_referencable {
-            self.check_restrict(table, old)?;
         }
         Ok(())
     }
@@ -1067,6 +1046,19 @@ mod tests {
 
     fn a(name: &str, v: Value) -> (String, Value) {
         (name.to_owned(), v)
+    }
+
+    // The index's answer for `table.column = value` through the column's
+    // probe: `None` when no index can answer it.
+    fn indexed(
+        d: &Database,
+        table: &str,
+        column: &str,
+        value: &Value,
+    ) -> RelResult<Option<Vec<RowId>>> {
+        let t = d.schema().table(table)?;
+        let probe = d.probe(t, column_slot(t, column)?);
+        Ok(probe.ids(value).map(|ids| ids.as_slice().to_vec()))
     }
 
     #[test]
@@ -1288,7 +1280,7 @@ mod tests {
         .unwrap();
         // Single-column PK.
         assert_eq!(
-            d.index_probe("team", "id", &Value::Int(5)).unwrap(),
+            indexed(&d, "team", "id", &Value::Int(5)).unwrap(),
             Some(vec![d
                 .find_by_pk("team", &[Value::Int(5)])
                 .unwrap()
@@ -1296,30 +1288,30 @@ mod tests {
         );
         // Unique column.
         assert_eq!(
-            d.index_probe("team", "code", &Value::text("SEAL"))
+            indexed(&d, "team", "code", &Value::text("SEAL"))
                 .unwrap()
                 .map(|ids| ids.len()),
             Some(1)
         );
         // FK column: auto-indexed secondary, two matches.
         assert_eq!(
-            d.index_probe("author", "team", &Value::Int(5))
+            indexed(&d, "author", "team", &Value::Int(5))
                 .unwrap()
                 .map(|ids| ids.len()),
             Some(2)
         );
         // NULL probe matches nothing.
         assert_eq!(
-            d.index_probe("author", "team", &Value::Null).unwrap(),
+            indexed(&d, "author", "team", &Value::Null).unwrap(),
             Some(vec![])
         );
         // Unindexed column: no probe.
         assert_eq!(
-            d.index_probe("author", "lastname", &Value::text("Hert"))
-                .unwrap(),
+            indexed(&d, "author", "lastname", &Value::text("Hert")).unwrap(),
             None
         );
-        assert!(!d.supports_index_probe("author", "lastname").unwrap());
+        let author = d.schema().table("author").unwrap();
+        assert!(d.probe(author, 1).distinct_keys().is_none());
     }
 
     #[test]
@@ -1331,18 +1323,26 @@ mod tests {
         d.insert("team", &[a("id", Value::Int(big))]).unwrap();
         let probe = Value::Double((1i64 << 60) as f64);
         assert_eq!(probe.sql_eq(&Value::Int(big)), Some(true));
-        assert_eq!(d.index_probe("team", "id", &probe).unwrap(), None);
+        assert_eq!(indexed(&d, "team", "id", &probe).unwrap(), None);
+        // The probe's answer is then a scan's.
+        let big_row = d.find_by_pk("team", &[Value::Int(big)]).unwrap();
+        assert_eq!(
+            d.probe(d.schema().table("team").unwrap(), 0)
+                .rows(&probe)
+                .as_slice(),
+            big_row.as_slice()
+        );
         // Small integral doubles still probe exactly.
         d.insert("team", &[a("id", Value::Int(2))]).unwrap();
         assert_eq!(
-            d.index_probe("team", "id", &Value::Double(2.0))
+            indexed(&d, "team", "id", &Value::Double(2.0))
                 .unwrap()
                 .map(|ids| ids.len()),
             Some(1)
         );
         // Non-integral doubles match nothing.
         assert_eq!(
-            d.index_probe("team", "id", &Value::Double(2.5)).unwrap(),
+            indexed(&d, "team", "id", &Value::Double(2.5)).unwrap(),
             Some(vec![])
         );
     }
@@ -1381,8 +1381,7 @@ mod tests {
             .update_row("author", rid, &[a("team", Value::Null)])
             .unwrap();
         drop(scratch);
-        let ids = d
-            .index_probe("author", "team", &Value::Int(5))
+        let ids = indexed(&d, "author", "team", &Value::Int(5))
             .unwrap()
             .unwrap();
         assert_eq!(ids, vec![rid]);
@@ -1470,8 +1469,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(
-            scratch
-                .index_probe("author", "team", &Value::Int(5))
+            indexed(&scratch, "author", "team", &Value::Int(5))
                 .unwrap()
                 .map(|ids| ids.len()),
             Some(1)
@@ -1479,7 +1477,7 @@ mod tests {
         drop(scratch);
         // The kept original never had the FK secondary index entry.
         assert_eq!(
-            d.index_probe("author", "team", &Value::Int(5)).unwrap(),
+            indexed(&d, "author", "team", &Value::Int(5)).unwrap(),
             Some(vec![])
         );
         // Nor the PK index entry: the id is free.
@@ -1577,7 +1575,7 @@ mod tests {
         assert_eq!(d.find_by_pk("team", &[Value::Int(1)]).unwrap(), Some(0));
         assert_eq!(d.find_by_pk("team", &[Value::Int(2)]).unwrap(), None);
         assert_eq!(
-            d.index_probe("team", "code", &Value::text("a")).unwrap(),
+            indexed(d, "team", "code", &Value::text("a")).unwrap(),
             Some(vec![0])
         );
         assert_eq!(d.next_row_id("team").unwrap(), 1);
@@ -1610,7 +1608,7 @@ mod tests {
         assert!(matches!(err, RelError::Execution { .. }), "{err:?}");
         assert_one_team_intact(&d);
         assert_eq!(
-            d.index_probe("team", "code", &Value::text("b")).unwrap(),
+            indexed(&d, "team", "code", &Value::text("b")).unwrap(),
             Some(vec![])
         );
     }
@@ -1655,9 +1653,7 @@ mod tests {
         }
         // Index state replayed too.
         assert_eq!(
-            replica
-                .index_probe("author", "team", &Value::Int(5))
-                .unwrap(),
+            indexed(&replica, "author", "team", &Value::Int(5)).unwrap(),
             Some(vec![rid])
         );
     }
@@ -1723,6 +1719,131 @@ mod tests {
         assert!(!d.txn_has_changes().unwrap());
         d.commit().unwrap();
         assert_eq!(d.row("team", rid).unwrap().unwrap()[1], Value::text("A"));
+    }
+
+    #[test]
+    fn insert_rejects_a_repeated_column() {
+        let mut d = db();
+        let err = d
+            .insert(
+                "team",
+                &[
+                    a("id", Value::Int(1)),
+                    a("name", Value::text("x")),
+                    a("name", Value::text("y")),
+                ],
+            )
+            .unwrap_err();
+        assert!(matches!(err, RelError::Execution { .. }), "{err}");
+        assert_eq!(d.row_count("team").unwrap(), 0);
+    }
+
+    // A parent keyed by a DOUBLE primary key with a DOUBLE UNIQUE
+    // column, and a child referencing the key from a DOUBLE column:
+    // DOUBLE columns may store `Int` values, SQL-equal to doubles.
+    fn doubles() -> Database {
+        let mut schema = Schema::new();
+        schema
+            .add_table(
+                Table::builder("p")
+                    .column(Column::new("id", SqlType::Double))
+                    .column(Column::new("u", SqlType::Double).unique())
+                    .primary_key(&["id"])
+                    .build(),
+            )
+            .unwrap();
+        schema
+            .add_table(
+                Table::builder("c")
+                    .column(Column::new("id", SqlType::Integer))
+                    .column(Column::new("p", SqlType::Double))
+                    .primary_key(&["id"])
+                    .foreign_key("p", "p", "id")
+                    .build(),
+            )
+            .unwrap();
+        Database::new(schema).unwrap()
+    }
+
+    #[test]
+    fn double_primary_key_is_unique_under_sql_equality() {
+        let mut d = doubles();
+        d.insert("p", &[a("id", Value::Int(2))]).unwrap();
+        let err = d.insert("p", &[a("id", Value::Double(2.0))]).unwrap_err();
+        assert!(matches!(err, RelError::PrimaryKeyViolation { .. }), "{err}");
+        let rid = d.find_by_pk("p", &[Value::Double(2.0)]).unwrap();
+        assert_eq!(rid, Some(0));
+    }
+
+    #[test]
+    fn double_unique_column_is_unique_under_sql_equality() {
+        let mut d = doubles();
+        d.insert("p", &[a("id", Value::Int(1)), a("u", Value::Int(2))])
+            .unwrap();
+        let err = d
+            .insert("p", &[a("id", Value::Int(3)), a("u", Value::Double(2.0))])
+            .unwrap_err();
+        assert!(matches!(err, RelError::UniqueViolation { .. }), "{err}");
+    }
+
+    #[test]
+    fn double_foreign_key_matches_under_sql_equality() {
+        let mut d = doubles();
+        d.insert("p", &[a("id", Value::Int(2))]).unwrap();
+        d.insert("p", &[a("id", Value::Double(3.0))]).unwrap();
+        d.insert("c", &[a("id", Value::Int(1)), a("p", Value::Double(2.0))])
+            .unwrap();
+        d.insert("c", &[a("id", Value::Int(2)), a("p", Value::Int(3))])
+            .unwrap();
+        let err = d
+            .insert("c", &[a("id", Value::Int(3)), a("p", Value::Double(2.5))])
+            .unwrap_err();
+        assert!(matches!(err, RelError::ForeignKeyViolation { .. }), "{err}");
+    }
+
+    #[test]
+    fn restrict_sees_sql_equal_double_references() {
+        let mut d = doubles();
+        let two = d.insert("p", &[a("id", Value::Int(2))]).unwrap();
+        d.insert("c", &[a("id", Value::Int(1)), a("p", Value::Double(2.0))])
+            .unwrap();
+        let err = d.delete_row("p", two).unwrap_err();
+        assert!(matches!(err, RelError::RestrictViolation { .. }), "{err}");
+        let err = d
+            .update_row("p", two, &[a("id", Value::Int(5))])
+            .unwrap_err();
+        assert!(matches!(err, RelError::RestrictViolation { .. }), "{err}");
+        // Re-keying to an SQL-equal value gives nothing up.
+        d.update_row("p", two, &[a("id", Value::Double(2.0))])
+            .unwrap();
+    }
+
+    #[test]
+    fn restrict_guards_only_the_referenced_values_that_change() {
+        let mut d = db();
+        d.insert(
+            "team",
+            &[a("id", Value::Int(5)), a("code", Value::text("SEAL"))],
+        )
+        .unwrap();
+        d.insert(
+            "author",
+            &[
+                a("id", Value::Int(1)),
+                a("lastname", Value::text("Hert")),
+                a("team", Value::Int(5)),
+            ],
+        )
+        .unwrap();
+        // `team.code` is UNIQUE but referenced by nothing: changing it
+        // leaves every reference to `team.id` intact.
+        let team = d.find_by_pk("team", &[Value::Int(5)]).unwrap().unwrap();
+        d.update_row("team", team, &[a("code", Value::text("DBTG"))])
+            .unwrap();
+        let err = d
+            .update_row("team", team, &[a("id", Value::Int(6))])
+            .unwrap_err();
+        assert!(matches!(err, RelError::RestrictViolation { .. }), "{err}");
     }
 }
 

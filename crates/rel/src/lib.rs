@@ -47,7 +47,7 @@ pub mod sql {
     pub use parser::{parse, parse_script};
 }
 
-pub use database::{Database, LogicalOp, ProbeIds};
+pub use database::{ColumnProbe, Database, LogicalOp, ProbeIds};
 pub use dict::{dictionary_stats, DictionaryStats, Sym};
 pub use error::{RelError, RelResult};
 pub use pmap::PMap;

@@ -232,7 +232,7 @@ fn execute_bulk_update(db: &mut Database, stmt: &BulkUpdateStmt) -> RelResult<us
         .map(|column| column_slot(table, column))
         .collect::<RelResult<_>>()?;
     let columns = assigned_slots(table, &stmt.set_columns, "UPDATE")?;
-    let probes: Vec<ColumnProbe<'_>> = keys.iter().map(|&key| db.slot_probe(table, key)).collect();
+    let probes: Vec<ColumnProbe<'_>> = keys.iter().map(|&key| db.probe(table, key)).collect();
     let data = db.table_data(&table.name)?;
     let (mut row_ids, mut values) = (Vec::new(), Vec::new());
     for tuple in &stmt.rows {
@@ -403,7 +403,7 @@ fn restriction<'d>(
     pick_restriction(conjuncts.iter().filter_map(|conjunct| {
         let ((of, column), constants) = conjunct.equality()?;
         let constants = constants.iter().filter_map(Bound::constant);
-        (of == binding).then(|| (column, db.slot_probe(table, column), constants))
+        (of == binding).then(|| (column, db.probe(table, column), constants))
     }))
 }
 
@@ -944,8 +944,8 @@ impl Candidate<'_> {
     }
 
     // Distinct keys of the index answering equality on `column`.
-    fn distinct_keys(&self, db: &Database, column: usize) -> RelResult<Option<usize>> {
-        db.index_distinct_keys(&self.table.name, &self.table.columns[column].name)
+    fn distinct_keys(&self, db: &Database, column: usize) -> Option<usize> {
+        db.probe(self.table, column).distinct_keys()
     }
 
     // The restriction as the plan holds it: column and admitted row ids.
@@ -998,14 +998,13 @@ fn fanout(
     candidates: &[Candidate<'_>],
     inner: BindingColumn,
     outer: BindingColumn,
-) -> RelResult<f64> {
-    let distinct = match candidates[inner.0].distinct_keys(db, inner.1)? {
-        Some(distinct) => Some(distinct),
-        None => candidates[outer.0].distinct_keys(db, outer.1)?,
-    };
-    Ok(distinct.map_or(1.0, |distinct| {
+) -> f64 {
+    let distinct = candidates[inner.0]
+        .distinct_keys(db, inner.1)
+        .or_else(|| candidates[outer.0].distinct_keys(db, outer.1));
+    distinct.map_or(1.0, |distinct| {
         rows_per_key(candidates[inner.0].rows, distinct)
-    }))
+    })
 }
 
 // Greedy cardinality order: `(binding, estimated rows after joining
@@ -1014,7 +1013,7 @@ fn cardinality_order(
     db: &Database,
     candidates: &[Candidate<'_>],
     edges: &[Edge],
-) -> RelResult<Vec<(usize, f64)>> {
+) -> Vec<(usize, f64)> {
     let n = candidates.len();
     // `min_by_key` keeps the first of equal minima: FROM position
     // breaks ties.
@@ -1032,7 +1031,7 @@ fn cardinality_order(
         for binding in (0..n).filter(|&b| !placed[b]) {
             let mut fan: Option<f64> = None;
             for (inner, outer_side) in edges.iter().filter_map(|e| e.oriented(binding, &placed)) {
-                let f = fanout(db, candidates, inner, outer_side)?;
+                let f = fanout(db, candidates, inner, outer_side);
                 fan = Some(fan.map_or(f, |g: f64| g.min(f)));
             }
             let connected = fan.is_some();
@@ -1052,7 +1051,7 @@ fn cardinality_order(
         placed[binding] = true;
         order.push((binding, estimate));
     }
-    Ok(order)
+    order
 }
 
 /// Plan a SELECT against `db`'s current state: bind and validate the
@@ -1114,7 +1113,7 @@ pub fn plan_select(db: &Database, stmt: &SelectStmt) -> RelResult<SelectPlan> {
     let order = if candidates.len() == 1 {
         vec![(0, candidates[0].count() as f64)]
     } else {
-        cardinality_order(db, &candidates, &edges)?
+        cardinality_order(db, &candidates, &edges)
     };
 
     // Access per level. A level joined to earlier ones either probes
@@ -1147,7 +1146,7 @@ pub fn plan_select(db: &Database, stmt: &SelectStmt) -> RelResult<SelectPlan> {
             // key's inner column is indexed.
             let mut index_loop: Option<(f64, usize)> = None;
             for (k, &(_, inner, _)) in keys.iter().enumerate() {
-                if let Some(distinct) = candidate.distinct_keys(db, inner.1)? {
+                if let Some(distinct) = candidate.distinct_keys(db, inner.1) {
                     let fan = rows_per_key(candidate.rows, distinct);
                     if index_loop.is_none_or(|(best, _)| fan < best) {
                         index_loop = Some((fan, k));
@@ -1231,7 +1230,8 @@ pub fn execute_plan(db: &Database, plan: &SelectPlan, limit: Option<usize>) -> R
     let mut levels = Vec::with_capacity(plan.levels.len());
     for level in &plan.levels {
         let stale = || stale_plan(&level.table);
-        if db.schema().table(&level.table)?.columns.len() != level.width {
+        let table = db.schema().table(&level.table)?;
+        if table.columns.len() != level.width {
             return Err(stale());
         }
         let data = db.table_data(&level.table)?;
@@ -1245,7 +1245,7 @@ pub fn execute_plan(db: &Database, plan: &SelectPlan, limit: Option<usize>) -> R
             Access::Scan => Source::Rows(all()),
             Access::Restricted { ids, .. } => Source::Rows(fetch(ids)?),
             Access::IndexLoop { column, probe } => Source::Probe {
-                index: db.column_probe(&level.table, column)?,
+                index: db.probe(table, column_slot(table, column)?),
                 data,
                 outer: *probe,
                 table: &level.table,
@@ -2115,8 +2115,10 @@ mod tests {
         // the failure, and their index entries with them.
         assert_eq!(d.row_count("team").unwrap(), 2);
         assert_eq!(
-            d.index_probe("team", "id", &Value::Int(10)).unwrap(),
-            Some(vec![])
+            d.probe(d.schema().table("team").unwrap(), 0)
+                .rows(&Value::Int(10))
+                .as_slice(),
+            &[] as &[RowId]
         );
     }
 
@@ -2253,10 +2255,11 @@ mod tests {
         d = kept;
         assert_eq!(d.row_count("team").unwrap(), 3);
         assert_eq!(
-            d.index_probe("team", "id", &Value::Int(10))
-                .unwrap()
-                .map(|ids| ids.len()),
-            Some(1)
+            d.probe(d.schema().table("team").unwrap(), 0)
+                .rows(&Value::Int(10))
+                .as_slice()
+                .len(),
+            1
         );
     }
 }
@@ -2796,12 +2799,13 @@ mod planner_tests {
             plan.levels[0].access,
             Access::Restricted {
                 column: "id".into(),
-                ids: d
-                    .index_probe("a", "id", &Value::Int(2))
-                    .unwrap()
-                    .unwrap()
-                    .into_iter()
-                    .chain(d.index_probe("a", "id", &Value::Int(7)).unwrap().unwrap())
+                ids: [2, 7]
+                    .iter()
+                    .flat_map(|&id| d
+                        .probe(d.schema().table("a").unwrap(), 0)
+                        .rows(&Value::Int(id))
+                        .as_slice()
+                        .to_vec())
                     .collect(),
             }
         );

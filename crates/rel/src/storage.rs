@@ -1,6 +1,15 @@
 //! Row storage for one table: heap of rows plus primary-key, unique,
 //! and secondary (non-unique) indexes.
 //!
+//! Every index is found by the slot of the column it covers, resolved
+//! from the schema once in [`TableData::for_table`]: a write keeps
+//! each index without looking a column up by name, and
+//! `TableData::eq_index` hands a reader the index answering equality
+//! on a slot. Storage compares index keys only; SQL equality — which
+//! values may use which key — is the database's
+//! [`ColumnProbe`](crate::database::ColumnProbe), the one way to ask
+//! which rows hold `column = value`.
+//!
 //! Every map here is a persistent [`PMap`]: cloning a [`TableData`] is
 //! O(#indexes) `Arc` clones, which is what makes publishing an immutable
 //! database version per commit affordable (see [`crate::pmap`]). The
@@ -12,13 +21,15 @@
 use crate::database::ProbeIds;
 use crate::pmap::PMap;
 use crate::schema::Table;
-use crate::value::{IndexKey, Value};
-use std::collections::HashMap;
+use crate::value::{IndexKey, SqlType, Value};
 use std::sync::Arc;
 
 /// Identifier of a stored row, unique within its table for the lifetime
 /// of the database.
 pub type RowId = u64;
+
+// A secondary index: value → ascending ids of the rows holding it.
+type Postings = PMap<IndexKey, Arc<Vec<RowId>>>;
 
 /// The index answering equality on one column, borrowed from its
 /// table's storage (see [`TableData::eq_index`]).
@@ -26,7 +37,7 @@ pub type RowId = u64;
 pub(crate) enum EqIndex<'a> {
     Pk(&'a PMap<Vec<IndexKey>, RowId>),
     Unique(&'a PMap<IndexKey, RowId>),
-    Secondary(&'a PMap<IndexKey, Arc<Vec<RowId>>>),
+    Secondary(&'a Postings),
 }
 
 impl<'a> EqIndex<'a> {
@@ -40,6 +51,16 @@ impl<'a> EqIndex<'a> {
             }
         }
     }
+
+    /// Distinct non-NULL keys — O(1), every map keeps its length. A
+    /// single-column primary key holds one key per row.
+    pub(crate) fn len(self) -> usize {
+        match self {
+            EqIndex::Pk(index) => index.len(),
+            EqIndex::Unique(index) => index.len(),
+            EqIndex::Secondary(index) => index.len(),
+        }
+    }
 }
 
 /// Storage for one table.
@@ -48,17 +69,20 @@ pub struct TableData {
     rows: PMap<RowId, Vec<Value>>,
     /// PK values → row id. Empty key vec when the table has no PK.
     pk_index: PMap<Vec<IndexKey>, RowId>,
-    /// Per unique column: value → row id (NULLs excluded, as in SQL).
-    unique_indexes: HashMap<String, PMap<IndexKey, RowId>>,
-    /// Per indexed column: value → row ids (non-unique; NULLs excluded).
-    /// The set is fixed by the schema: every declared FK column not
-    /// already covered by the PK or a UNIQUE index (see
+    /// Slots of the primary-key columns, in key order.
+    pk_slots: Vec<usize>,
+    /// Per unique column slot: value → row id (NULLs excluded, as in
+    /// SQL).
+    unique_indexes: Vec<(usize, PMap<IndexKey, RowId>)>,
+    /// Per indexed column slot: value → row ids (non-unique; NULLs
+    /// excluded). The set is fixed by the schema: every declared FK
+    /// column not already covered by the PK or a UNIQUE index (see
     /// [`TableData::for_table`]). Id lists are kept in ascending row-id
     /// order so index-backed plans enumerate rows deterministically.
     /// Each list is `Arc`-shared: path-copying a leaf after a publish
     /// shares its untouched lists, and only the list a write touches is
     /// copied.
-    secondary_indexes: HashMap<String, PMap<IndexKey, Arc<Vec<RowId>>>>,
+    secondary_indexes: Vec<(usize, Postings)>,
     next_row_id: RowId,
 }
 
@@ -67,62 +91,58 @@ impl TableData {
     /// and secondary indexes on every declared foreign-key column (the
     /// join columns the SPARQL translation produces).
     pub fn for_table(table: &Table) -> Self {
-        let mut data = TableData::default();
-        for column in &table.columns {
-            if column.unique {
-                data.unique_indexes.insert(column.name.clone(), PMap::new());
-            }
-        }
+        let slot = |name: &str| {
+            table
+                .column_index(name)
+                .expect("validated schema: indexed column exists")
+        };
+        let pk_slots: Vec<usize> = table.primary_key.iter().map(|name| slot(name)).collect();
+        let unique_indexes = (0..table.columns.len())
+            .filter(|&i| table.columns[i].unique)
+            .map(|i| (i, PMap::new()))
+            .collect();
+        let mut secondary_indexes: Vec<(usize, Postings)> = Vec::new();
         for fk in &table.foreign_keys {
-            let covered = table.column(&fk.column).is_some_and(|c| c.unique)
-                || (table.primary_key.len() == 1 && table.primary_key[0] == fk.column);
-            // DOUBLE columns are never probed (index keys cannot express
-            // SQL equality for them), so indexing one would cost
-            // maintenance forever without ever being read.
-            let probeable = table
-                .column(&fk.column)
-                .is_some_and(|c| c.ty != crate::value::SqlType::Double);
-            if !covered && probeable {
-                data.secondary_indexes
-                    .insert(fk.column.clone(), PMap::new());
+            let i = slot(&fk.column);
+            let column = &table.columns[i];
+            let covered = column.unique || pk_slots == [i];
+            // An index on a DOUBLE column never answers a probe (its
+            // keys cannot express SQL equality: the column may store
+            // Int values), so it would cost maintenance forever without
+            // ever being read.
+            let probeable = column.ty != SqlType::Double;
+            if !covered && probeable && secondary_indexes.iter().all(|&(s, _)| s != i) {
+                secondary_indexes.push((i, PMap::new()));
             }
         }
-        data
+        TableData {
+            pk_slots,
+            unique_indexes,
+            secondary_indexes,
+            ..TableData::default()
+        }
     }
 
-    /// The index answering SQL equality on `column`: the primary key
+    /// The index answering equality on column `slot`: the primary key
     /// when it is the whole key, else the column's unique or secondary
     /// index; `None` when no index covers the column.
-    pub(crate) fn eq_index(&self, table: &Table, column: &str) -> Option<EqIndex<'_>> {
-        if table.primary_key.len() == 1 && table.primary_key[0] == column {
+    pub(crate) fn eq_index(&self, slot: usize) -> Option<EqIndex<'_>> {
+        if self.pk_slots == [slot] {
             return Some(EqIndex::Pk(&self.pk_index));
         }
-        if let Some(index) = self.unique_indexes.get(column) {
+        if let Some((_, index)) = self.unique_indexes.iter().find(|(s, _)| *s == slot) {
             return Some(EqIndex::Unique(index));
         }
-        self.secondary_indexes.get(column).map(EqIndex::Secondary)
+        self.secondary_indexes
+            .iter()
+            .find(|(s, _)| *s == slot)
+            .map(|(_, index)| EqIndex::Secondary(index))
     }
 
-    /// Whether a secondary index exists on `column`.
-    pub fn has_index(&self, column: &str) -> bool {
-        self.secondary_indexes.contains_key(column)
-    }
-
-    /// Row ids holding `key` in the secondary index on `column`
-    /// (ascending). `None` when no such index exists; an empty slice
-    /// when the index exists but holds no match.
-    pub fn lookup_by_index(&self, column: &str, key: &IndexKey) -> Option<&[RowId]> {
-        let index = self.secondary_indexes.get(column)?;
-        Some(index.get(key).map_or(&[][..], |ids| ids.as_slice()))
-    }
-
-    /// Distinct non-NULL keys of the unique or secondary index on
-    /// `column`, if one exists — O(1), the map keeps its length.
-    pub fn index_key_count(&self, column: &str) -> Option<usize> {
-        match self.unique_indexes.get(column) {
-            Some(index) => Some(index.len()),
-            None => self.secondary_indexes.get(column).map(PMap::len),
-        }
+    /// Slots of the primary-key columns, in key order (empty when the
+    /// table has no primary key).
+    pub(crate) fn pk_slots(&self) -> &[usize] {
+        &self.pk_slots
     }
 
     /// The greatest primary key, in key order (`None` when the table is
@@ -158,17 +178,12 @@ impl TableData {
         self.pk_index.get(key).copied()
     }
 
-    /// Row id holding `value` in the unique column `column`, if present.
-    pub fn find_by_unique(&self, column: &str, key: &IndexKey) -> Option<RowId> {
-        self.unique_indexes.get(column)?.get(key).copied()
-    }
-
     /// Store a row that has already passed constraint checking.
     /// Returns the new row id.
-    pub fn insert_unchecked(&mut self, table: &Table, row: Vec<Value>) -> RowId {
+    pub fn insert_unchecked(&mut self, row: Vec<Value>) -> RowId {
         let row_id = self.next_row_id;
         self.next_row_id += 1;
-        self.index_row(table, row_id, &row);
+        self.index_row(row_id, &row);
         self.rows.insert(row_id, row);
         row_id
     }
@@ -177,8 +192,8 @@ impl TableData {
     /// allocator past it (durability replay of a logged insert: the id
     /// must match the original run so recovered state is byte-identical
     /// and later inserts allocate the same ids).
-    pub fn insert_at_unchecked(&mut self, table: &Table, row_id: RowId, row: Vec<Value>) {
-        self.index_row(table, row_id, &row);
+    pub fn insert_at_unchecked(&mut self, row_id: RowId, row: Vec<Value>) {
+        self.index_row(row_id, &row);
         self.rows.insert(row_id, row);
         self.next_row_id = self.next_row_id.max(row_id + 1);
     }
@@ -198,68 +213,53 @@ impl TableData {
         self.next_row_id = next.max(floor);
     }
 
-    /// Columns carrying a secondary index, sorted (snapshot state).
-    pub fn secondary_index_columns(&self) -> Vec<String> {
-        let mut columns: Vec<String> = self.secondary_indexes.keys().cloned().collect();
+    /// Columns of `table`, this storage's table, carrying a secondary
+    /// index, sorted (snapshot state).
+    pub fn secondary_index_columns(&self, table: &Table) -> Vec<String> {
+        let mut columns: Vec<String> = self
+            .secondary_indexes
+            .iter()
+            .map(|&(slot, _)| table.columns[slot].name.clone())
+            .collect();
         columns.sort();
         columns
     }
 
     /// Replace a row's values (already constraint-checked), fixing
     /// indexes. Returns the previous values.
-    pub fn update_unchecked(
-        &mut self,
-        table: &Table,
-        row_id: RowId,
-        new_row: Vec<Value>,
-    ) -> Option<Vec<Value>> {
+    pub fn update_unchecked(&mut self, row_id: RowId, new_row: Vec<Value>) -> Option<Vec<Value>> {
         let old = self.rows.get(&row_id)?.clone();
-        self.unindex_row(table, row_id, &old);
-        self.index_row(table, row_id, &new_row);
+        self.unindex_row(row_id, &old);
+        self.index_row(row_id, &new_row);
         self.rows.insert(row_id, new_row);
         Some(old)
     }
 
     /// Remove a row (already constraint-checked), fixing indexes.
     /// Returns the removed values.
-    pub fn delete_unchecked(&mut self, table: &Table, row_id: RowId) -> Option<Vec<Value>> {
+    pub fn delete_unchecked(&mut self, row_id: RowId) -> Option<Vec<Value>> {
         let row = self.rows.remove(&row_id)?;
-        self.unindex_row(table, row_id, &row);
+        self.unindex_row(row_id, &row);
         Some(row)
     }
 
-    /// Primary-key values of `row` as index keys (empty when no PK).
-    pub fn pk_key(table: &Table, row: &[Value]) -> Vec<IndexKey> {
-        table
-            .primary_key
-            .iter()
-            .map(|name| {
-                let i = table
-                    .column_index(name)
-                    .expect("validated: PK column exists");
-                row[i].index_key()
-            })
-            .collect()
+    // Primary-key values of `row` as index keys (empty when no PK).
+    fn pk_key(&self, row: &[Value]) -> Vec<IndexKey> {
+        self.pk_slots.iter().map(|&i| row[i].index_key()).collect()
     }
 
-    fn index_row(&mut self, table: &Table, row_id: RowId, row: &[Value]) {
-        if !table.primary_key.is_empty() {
-            self.pk_index.insert(Self::pk_key(table, row), row_id);
+    fn index_row(&mut self, row_id: RowId, row: &[Value]) {
+        if !self.pk_slots.is_empty() {
+            self.pk_index.insert(self.pk_key(row), row_id);
         }
-        for (column, index) in &mut self.unique_indexes {
-            let i = table
-                .column_index(column)
-                .expect("unique index built from schema");
-            if !row[i].is_null() {
-                index.insert(row[i].index_key(), row_id);
+        for (i, index) in &mut self.unique_indexes {
+            if !row[*i].is_null() {
+                index.insert(row[*i].index_key(), row_id);
             }
         }
-        for (column, index) in &mut self.secondary_indexes {
-            let i = table
-                .column_index(column)
-                .expect("secondary index built from schema");
-            if !row[i].is_null() {
-                let key = row[i].index_key();
+        for (i, index) in &mut self.secondary_indexes {
+            if !row[*i].is_null() {
+                let key = row[*i].index_key();
                 match index.get_mut(&key) {
                     Some(ids) => {
                         // An update can move a low id under a key
@@ -276,26 +276,20 @@ impl TableData {
         }
     }
 
-    fn unindex_row(&mut self, table: &Table, row_id: RowId, row: &[Value]) {
-        if !table.primary_key.is_empty() {
-            self.pk_index.remove(&Self::pk_key(table, row));
+    fn unindex_row(&mut self, row_id: RowId, row: &[Value]) {
+        if !self.pk_slots.is_empty() {
+            self.pk_index.remove(&self.pk_key(row));
         }
-        for (column, index) in &mut self.unique_indexes {
-            let i = table
-                .column_index(column)
-                .expect("unique index built from schema");
-            if !row[i].is_null() {
-                index.remove(&row[i].index_key());
+        for (i, index) in &mut self.unique_indexes {
+            if !row[*i].is_null() {
+                index.remove(&row[*i].index_key());
             }
         }
-        for (column, index) in &mut self.secondary_indexes {
-            let i = table
-                .column_index(column)
-                .expect("secondary index built from schema");
-            if row[i].is_null() {
+        for (i, index) in &mut self.secondary_indexes {
+            if row[*i].is_null() {
                 continue;
             }
-            let key = row[i].index_key();
+            let key = row[*i].index_key();
             let now_empty = match index.get_mut(&key) {
                 Some(ids) => {
                     let ids = Arc::make_mut(ids);
@@ -319,6 +313,20 @@ mod tests {
     use crate::schema::{Column, Table};
     use crate::value::SqlType;
 
+    // The ids the index covering column `slot` holds under `value`'s
+    // key (`None` when no index covers it).
+    fn probe(data: &TableData, slot: usize, value: Value) -> Option<Vec<RowId>> {
+        let index = data.eq_index(slot)?;
+        Some(index.ids(&value.index_key()).as_slice().to_vec())
+    }
+
+    // The one row the unique index on column `slot` holds under
+    // `value`'s key.
+    fn unique(data: &TableData, slot: usize, value: Value) -> Option<RowId> {
+        let ids = probe(data, slot, value).expect("column is indexed");
+        ids.first().copied()
+    }
+
     fn table() -> Table {
         Table::builder("t")
             .column(Column::new("id", SqlType::Integer).not_null())
@@ -331,42 +339,33 @@ mod tests {
     fn insert_and_lookup() {
         let t = table();
         let mut data = TableData::for_table(&t);
-        let id = data.insert_unchecked(&t, vec![Value::Int(1), Value::text("A")]);
+        let id = data.insert_unchecked(vec![Value::Int(1), Value::text("A")]);
         assert_eq!(data.len(), 1);
         assert_eq!(data.find_by_pk(&[Value::Int(1).index_key()]), Some(id));
-        assert_eq!(
-            data.find_by_unique("code", &Value::text("A").index_key()),
-            Some(id)
-        );
+        assert_eq!(unique(&data, 1, Value::text("A")), Some(id));
     }
 
     #[test]
     fn update_moves_index_entries() {
         let t = table();
         let mut data = TableData::for_table(&t);
-        let id = data.insert_unchecked(&t, vec![Value::Int(1), Value::text("A")]);
+        let id = data.insert_unchecked(vec![Value::Int(1), Value::text("A")]);
         let old = data
-            .update_unchecked(&t, id, vec![Value::Int(2), Value::text("B")])
+            .update_unchecked(id, vec![Value::Int(2), Value::text("B")])
             .unwrap();
         assert_eq!(old[0], Value::Int(1));
         assert_eq!(data.find_by_pk(&[Value::Int(1).index_key()]), None);
         assert_eq!(data.find_by_pk(&[Value::Int(2).index_key()]), Some(id));
-        assert_eq!(
-            data.find_by_unique("code", &Value::text("A").index_key()),
-            None
-        );
-        assert_eq!(
-            data.find_by_unique("code", &Value::text("B").index_key()),
-            Some(id)
-        );
+        assert_eq!(unique(&data, 1, Value::text("A")), None);
+        assert_eq!(unique(&data, 1, Value::text("B")), Some(id));
     }
 
     #[test]
     fn delete_clears_indexes() {
         let t = table();
         let mut data = TableData::for_table(&t);
-        let id = data.insert_unchecked(&t, vec![Value::Int(1), Value::text("A")]);
-        let row = data.delete_unchecked(&t, id).unwrap();
+        let id = data.insert_unchecked(vec![Value::Int(1), Value::text("A")]);
+        let row = data.delete_unchecked(id).unwrap();
         assert_eq!(row[1], Value::text("A"));
         assert!(data.is_empty());
         assert_eq!(data.find_by_pk(&[Value::Int(1).index_key()]), None);
@@ -376,10 +375,10 @@ mod tests {
     fn nulls_not_in_unique_index() {
         let t = table();
         let mut data = TableData::for_table(&t);
-        data.insert_unchecked(&t, vec![Value::Int(1), Value::Null]);
-        data.insert_unchecked(&t, vec![Value::Int(2), Value::Null]);
+        data.insert_unchecked(vec![Value::Int(1), Value::Null]);
+        data.insert_unchecked(vec![Value::Int(2), Value::Null]);
         assert_eq!(data.len(), 2);
-        assert_eq!(data.find_by_unique("code", &Value::Null.index_key()), None);
+        assert_eq!(unique(&data, 1, Value::Null), None);
     }
 
     // `t` plus a non-unique foreign-key column, which the schema
@@ -397,63 +396,39 @@ mod tests {
     fn secondary_index_tracks_mutations() {
         let t = referencing();
         let mut data = TableData::for_table(&t);
-        assert!(data.has_index("code"));
-        let r1 = data.insert_unchecked(&t, vec![Value::Int(1), Value::text("A")]);
-        let r2 = data.insert_unchecked(&t, vec![Value::Int(2), Value::text("A")]);
-        assert_eq!(
-            data.lookup_by_index("code", &Value::text("A").index_key()),
-            Some(&[r1, r2][..])
-        );
-        data.update_unchecked(&t, r1, vec![Value::Int(1), Value::text("B")])
+        assert!(matches!(data.eq_index(1), Some(EqIndex::Secondary(_))));
+        let r1 = data.insert_unchecked(vec![Value::Int(1), Value::text("A")]);
+        let r2 = data.insert_unchecked(vec![Value::Int(2), Value::text("A")]);
+        assert_eq!(probe(&data, 1, Value::text("A")), Some(vec![r1, r2]));
+        data.update_unchecked(r1, vec![Value::Int(1), Value::text("B")])
             .unwrap();
-        assert_eq!(
-            data.lookup_by_index("code", &Value::text("A").index_key()),
-            Some(&[r2][..])
-        );
-        assert_eq!(
-            data.lookup_by_index("code", &Value::text("B").index_key()),
-            Some(&[r1][..])
-        );
-        data.delete_unchecked(&t, r2).unwrap();
-        assert_eq!(
-            data.lookup_by_index("code", &Value::text("A").index_key()),
-            Some(&[][..])
-        );
-        assert_eq!(
-            data.lookup_by_index("absent", &Value::Int(1).index_key()),
-            None
-        );
+        assert_eq!(probe(&data, 1, Value::text("A")), Some(vec![r2]));
+        assert_eq!(probe(&data, 1, Value::text("B")), Some(vec![r1]));
+        data.delete_unchecked(r2).unwrap();
+        assert_eq!(probe(&data, 1, Value::text("A")), Some(vec![]));
+        assert_eq!(probe(&data, 2, Value::Int(1)), None);
     }
 
     #[test]
     fn secondary_index_skips_nulls() {
         let t = referencing();
         let mut data = TableData::for_table(&t);
-        let r1 = data.insert_unchecked(&t, vec![Value::Int(1), Value::text("A")]);
-        data.insert_unchecked(&t, vec![Value::Int(2), Value::Null]);
-        assert_eq!(
-            data.lookup_by_index("code", &Value::text("A").index_key()),
-            Some(&[r1][..])
-        );
-        assert_eq!(
-            data.lookup_by_index("code", &Value::Null.index_key()),
-            Some(&[][..])
-        );
-        assert_eq!(data.index_key_count("code"), Some(1));
+        let r1 = data.insert_unchecked(vec![Value::Int(1), Value::text("A")]);
+        data.insert_unchecked(vec![Value::Int(2), Value::Null]);
+        assert_eq!(probe(&data, 1, Value::text("A")), Some(vec![r1]));
+        assert_eq!(probe(&data, 1, Value::Null), Some(vec![]));
+        assert_eq!(data.eq_index(1).map(EqIndex::len), Some(1));
     }
 
     #[test]
     fn update_keeps_secondary_index_sorted() {
         let t = referencing();
         let mut data = TableData::for_table(&t);
-        let r1 = data.insert_unchecked(&t, vec![Value::Int(1), Value::text("B")]);
-        let r2 = data.insert_unchecked(&t, vec![Value::Int(2), Value::text("A")]);
-        data.update_unchecked(&t, r1, vec![Value::Int(1), Value::text("A")])
+        let r1 = data.insert_unchecked(vec![Value::Int(1), Value::text("B")]);
+        let r2 = data.insert_unchecked(vec![Value::Int(2), Value::text("A")]);
+        data.update_unchecked(r1, vec![Value::Int(1), Value::text("A")])
             .unwrap();
-        assert_eq!(
-            data.lookup_by_index("code", &Value::text("A").index_key()),
-            Some(&[r1, r2][..])
-        );
+        assert_eq!(probe(&data, 1, Value::text("A")), Some(vec![r1, r2]));
     }
 
     #[test]
@@ -465,15 +440,15 @@ mod tests {
             .foreign_key("parent", "t", "id")
             .build();
         let data = TableData::for_table(&referencing);
-        assert!(data.has_index("parent"));
+        assert!(matches!(data.eq_index(1), Some(EqIndex::Secondary(_))));
     }
 
     #[test]
     fn scan_in_row_id_order() {
         let t = table();
         let mut data = TableData::for_table(&t);
-        data.insert_unchecked(&t, vec![Value::Int(3), Value::Null]);
-        data.insert_unchecked(&t, vec![Value::Int(1), Value::Null]);
+        data.insert_unchecked(vec![Value::Int(3), Value::Null]);
+        data.insert_unchecked(vec![Value::Int(1), Value::Null]);
         let ids: Vec<RowId> = data.scan().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![0, 1]);
     }

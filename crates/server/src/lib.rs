@@ -14,7 +14,7 @@
 //!   `/describe`, `/dump`, `/status`);
 //! * [`error_map`] — the exhaustive [`ontoaccess::OntoError`] → HTTP
 //!   status mapping and JSON error bodies;
-//! * [`pool`] (private) — bounded accept queue between one acceptor
+//! * `pool` (private) — bounded accept queue between one acceptor
 //!   and the worker pool, with 503 on overload and a connection
 //!   registry for graceful shutdown.
 //!

@@ -7,8 +7,11 @@
 //! the restored snapshot exactly). Row order is the plan's, so it is compared
 //! only where one database state is queried twice. Random UPDATE and
 //! DELETE statements must change exactly the rows the reference selects
-//! with their WHERE clause. A last test pins the plans of the
-//! benchmark's and the workload's queries across dataset sizes.
+//! with their WHERE clause. Random single-row INSERT, UPDATE and DELETE
+//! statements over keys and references of every type must be accepted
+//! exactly when a scan-and-`sql_eq` oracle says every constraint holds.
+//! A last test pins the plans of the benchmark's and the workload's
+//! queries across dataset sizes.
 
 use proptest::prelude::*;
 use sparql_update_rdb::fixtures;
@@ -523,6 +526,254 @@ proptest! {
                     db = kept;
                 }
             }
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// Constraint checks against a scan-and-sql_eq oracle
+// ----------------------------------------------------------------------
+
+// One column of the constraint schema: name, type, UNIQUE, NOT NULL,
+// and the `(table, column)` its foreign key references.
+type ColumnSpec = (
+    &'static str,
+    SqlType,
+    bool,
+    bool,
+    Option<(&'static str, &'static str)>,
+);
+
+// Keys, UNIQUE columns and FK columns of every type, with FKs across
+// types: `a` is INTEGER-keyed, `b` DOUBLE-keyed, `c` VARCHAR-keyed and
+// references both. `id` is every table's primary key and first column.
+const CONSTRAINED: [(&str, &[ColumnSpec]); 3] = [
+    (
+        "a",
+        &[
+            ("id", SqlType::Integer, false, false, None),
+            ("u", SqlType::Double, true, false, None),
+            ("t", SqlType::Varchar, true, false, None),
+        ],
+    ),
+    (
+        "b",
+        &[
+            ("id", SqlType::Double, false, false, None),
+            ("k", SqlType::Integer, true, false, None),
+            ("n", SqlType::Varchar, false, true, None),
+        ],
+    ),
+    (
+        "c",
+        &[
+            ("id", SqlType::Varchar, false, false, None),
+            ("x", SqlType::Integer, false, false, Some(("a", "id"))),
+            ("y", SqlType::Double, false, false, Some(("a", "u"))),
+            ("z", SqlType::Integer, false, false, Some(("b", "id"))),
+            ("w", SqlType::Varchar, false, false, Some(("a", "t"))),
+            ("v", SqlType::Double, false, false, Some(("b", "k"))),
+        ],
+    ),
+];
+
+fn constrained_database() -> Database {
+    let mut schema = Schema::new();
+    for (table, columns) in CONSTRAINED {
+        let mut builder = Table::builder(table);
+        for &(name, ty, unique, not_null, references) in columns {
+            let mut column = Column::new(name, ty);
+            if unique {
+                column = column.unique();
+            }
+            if not_null {
+                column = column.not_null();
+            }
+            builder = builder.column(column);
+            if let Some((ref_table, ref_column)) = references {
+                builder = builder.foreign_key(name, ref_table, ref_column);
+            }
+        }
+        schema
+            .add_table(builder.primary_key(&["id"]).build())
+            .unwrap();
+    }
+    Database::new(schema).unwrap()
+}
+
+// A value of a column of type `ty` from a domain mixing `n`, `n.0` (in
+// DOUBLE columns, which also store `n`) and NULL.
+fn domain_value(next: &mut impl FnMut() -> u64, ty: SqlType) -> Value {
+    let n = (next() % 3) as i64;
+    match (next() % 8, ty) {
+        (0, _) => Value::Null,
+        (_, SqlType::Varchar) => Value::text(format!("s{n}")),
+        (1..=3, SqlType::Double) => Value::Double(n as f64),
+        _ => Value::Int(n),
+    }
+}
+
+// Every table's rows as `(row id, values)`, in row-id order.
+type Heap = Vec<Vec<(u64, Vec<Value>)>>;
+
+fn heap_of(db: &Database) -> Heap {
+    CONSTRAINED
+        .iter()
+        .map(|(table, _)| {
+            db.scan(table)
+                .unwrap()
+                .map(|(id, row)| (id, row.clone()))
+                .collect()
+        })
+        .collect()
+}
+
+// Whether every constraint holds of the whole `heap`, by scanning and
+// comparing with SQL equality: NOT NULL (the key included), no two rows
+// with SQL-equal keys or UNIQUE values, and every non-NULL FK value
+// SQL-equal to a value of its referenced column. A statement changes
+// one row of a state where all of this held, so a state where it still
+// holds is one the statement's own checks must accept: RESTRICT is the
+// FK rule seen from the row that goes away or is re-keyed.
+fn constraints_hold(heap: &Heap) -> bool {
+    for (t, (_, columns)) in CONSTRAINED.iter().enumerate() {
+        let rows = &heap[t];
+        for (slot, &(_, _, unique, not_null, references)) in columns.iter().enumerate() {
+            let target = references.map(|(ref_table, ref_column)| {
+                let t = CONSTRAINED.iter().position(|(name, _)| *name == ref_table);
+                let t = t.unwrap();
+                let slot = CONSTRAINED[t].1.iter().position(|c| c.0 == ref_column);
+                (t, slot.unwrap())
+            });
+            for (i, (_, row)) in rows.iter().enumerate() {
+                let value = &row[slot];
+                if value.is_null() {
+                    if not_null || slot == 0 {
+                        return false;
+                    }
+                    continue;
+                }
+                let equal =
+                    |other: &Vec<Value>, slot: usize| other[slot].sql_eq(value) == Some(true);
+                if (unique || slot == 0) && rows[..i].iter().any(|(_, other)| equal(other, slot)) {
+                    return false;
+                }
+                if let Some((ref_t, ref_slot)) = target {
+                    if !heap[ref_t].iter().any(|(_, other)| equal(other, ref_slot)) {
+                        return false;
+                    }
+                }
+            }
+        }
+    }
+    true
+}
+
+// A random single-row INSERT, UPDATE or DELETE over the constraint
+// schema, and the heap it leaves if nothing rejects it. UPDATE and
+// DELETE pick a stored row by its key.
+fn constrained_statement(
+    next: &mut impl FnMut() -> u64,
+    db: &Database,
+    heap: &Heap,
+) -> (String, Heap) {
+    let t = next() as usize % CONSTRAINED.len();
+    let (table, columns) = CONSTRAINED[t];
+    let mut after = heap.clone();
+    let rows = &mut after[t];
+    let kind = next() % 3;
+    if kind == 0 || rows.is_empty() {
+        // The key and a NOT NULL column are named but for one INSERT in
+        // sixteen, any other column every other time.
+        let mut chosen: Vec<usize> = (0..columns.len())
+            .filter(|&slot| {
+                let required = slot == 0 || columns[slot].3;
+                !next().is_multiple_of([2, 16][usize::from(required)])
+            })
+            .collect();
+        if chosen.is_empty() {
+            chosen.push(0);
+        }
+        let mut row = vec![Value::Null; columns.len()];
+        for &slot in &chosen {
+            row[slot] = domain_value(next, columns[slot].1);
+        }
+        let names: Vec<&str> = chosen.iter().map(|&slot| columns[slot].0).collect();
+        let values: Vec<String> = chosen.iter().map(|&slot| row[slot].to_string()).collect();
+        let sql = format!(
+            "INSERT INTO {table} ({}) VALUES ({});",
+            names.join(", "),
+            values.join(", ")
+        );
+        rows.push((db.next_row_id(table).unwrap(), row));
+        return (sql, after);
+    }
+    let target = next() as usize % rows.len();
+    let key = rows[target].1[0];
+    if kind == 1 {
+        rows.remove(target);
+        return (format!("DELETE FROM {table} WHERE id = {key};"), after);
+    }
+    let first = next() as usize % columns.len();
+    let second = (first + 1 + next() as usize % (columns.len() - 1)) % columns.len();
+    let mut sets = Vec::new();
+    for slot in [first, second].into_iter().take(1 + next() as usize % 2) {
+        let value = domain_value(next, columns[slot].1);
+        rows[target].1[slot] = value;
+        sets.push(format!("{} = {value}", columns[slot].0));
+    }
+    let sql = format!("UPDATE {table} SET {} WHERE id = {key};", sets.join(", "));
+    (sql, after)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// PRIMARY KEY, UNIQUE, FOREIGN KEY and RESTRICT are checked under
+    /// SQL equality, whatever answers the lookup: an index, or a scan
+    /// for a DOUBLE column. Each random single-row statement over keys
+    /// and references of every type, with values mixing `n`, `n.0` and
+    /// NULL, is accepted exactly when the scan-and-`sql_eq` oracle says
+    /// the state it leaves keeps every constraint, and the heap is then
+    /// exactly the oracle's. A rejected statement's clone is dropped.
+    #[test]
+    fn constraint_checks_match_a_scan_and_sql_eq_oracle(seed in 0u64..1_000_000) {
+        let mut db = constrained_database();
+        let mut state = seed.wrapping_mul(0x2545f4914f6cdd1d) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut heap = heap_of(&db);
+        for _ in 0..48 {
+            let (sql, after) = constrained_statement(&mut next, &db, &heap);
+            let accept = constraints_hold(&after);
+            let kept = db.clone();
+            match rel::sql::execute_sql(&mut db, &sql) {
+                Ok(outcome) => {
+                    prop_assert!(accept, "{} was accepted", sql);
+                    prop_assert_eq!(outcome.affected(), 1, "{}", sql);
+                    heap = after;
+                }
+                Err(error) => {
+                    prop_assert!(!accept, "{} was rejected: {}", sql, error);
+                    prop_assert!(
+                        matches!(
+                            error,
+                            rel::RelError::NotNullViolation { .. }
+                                | rel::RelError::PrimaryKeyViolation { .. }
+                                | rel::RelError::UniqueViolation { .. }
+                                | rel::RelError::ForeignKeyViolation { .. }
+                                | rel::RelError::RestrictViolation { .. }
+                        ),
+                        "{}: {}", sql, error
+                    );
+                    db = kept;
+                }
+            }
+            prop_assert_eq!(heap_of(&db), heap.clone(), "{}", sql);
         }
     }
 }
