@@ -40,9 +40,8 @@ pub mod sql {
         SelectStmt, Statement, TableRef, UpdateStmt,
     };
     pub use exec::{
-        eval, eval_on_row, execute, execute_plan, execute_select, execute_select_reference,
-        execute_sql, plan_select, Access, ExecOutcome, FlatRows, LevelColumn, PlanLevel, ResultSet,
-        SelectPlan,
+        execute, execute_plan, execute_select, execute_select_reference, execute_sql, plan_select,
+        Access, ExecOutcome, FlatRows, LevelColumn, PlanLevel, ResultSet, SelectPlan,
     };
     pub use parser::{parse, parse_script};
 }

@@ -1,8 +1,14 @@
 //! Relational schema: tables, columns, and the declarative constraints
 //! the paper's Figure 1 uses (primary keys, foreign keys, NOT NULL,
-//! defaults) plus UNIQUE.
+//! defaults) plus UNIQUE and CHECK.
+//!
+//! Validation is resolution: [`Schema::validate`] is the one walk over
+//! the names constraints use, and binds each to a column slot. A
+//! [`crate::Database`] keeps what it bound inside the schema it shares;
+//! storage indexes and row checks read only that.
 
 use crate::error::{RelError, RelResult};
+use crate::sql::exec::{bind, Bound};
 use crate::value::{SqlType, Value};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -86,8 +92,12 @@ pub struct ForeignKey {
 pub struct Check {
     /// Constraint name (reported on violation).
     pub name: String,
-    /// The predicate, over this table's columns. Rows where it
-    /// evaluates to FALSE are rejected (NULL passes, as in SQL).
+    /// The predicate, over this table's columns, each named bare or
+    /// qualified with the table's name; naming anything else makes the
+    /// schema invalid. Validation binds it to slots with the planner's
+    /// binder, and every checked row evaluates the bound form, as an
+    /// UPDATE's SET expressions do. Rows where it evaluates to FALSE are
+    /// rejected (NULL passes, as in SQL).
     pub predicate: crate::sql::ast::Expr,
 }
 
@@ -138,17 +148,6 @@ impl Table {
     /// The foreign key declared on `column`, if any.
     pub fn foreign_key_on(&self, column: &str) -> Option<&ForeignKey> {
         self.foreign_keys.iter().find(|fk| fk.column == column)
-    }
-
-    /// Indices of the primary key columns in the row layout.
-    pub fn primary_key_indices(&self) -> Vec<usize> {
-        self.primary_key
-            .iter()
-            .map(|name| {
-                self.column_index(name)
-                    .expect("validated: PK column exists")
-            })
-            .collect()
     }
 }
 
@@ -208,9 +207,62 @@ impl TableBuilder {
 }
 
 /// A database schema: a named collection of tables.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct Schema {
     tables: BTreeMap<String, Table>,
+    // Every table's constraints bound to slots, keyed as `tables`: left
+    // by the validation walk when a database takes the schema (see
+    // `Schema::resolved`), empty on a schema no database holds.
+    pub(crate) constraints: BTreeMap<String, Constraints>,
+}
+
+/// One table's constraints bound to its column slots: what storage
+/// indexes and the row checks of [`crate::Database`] read, so that no
+/// row operation looks a name up.
+#[derive(Debug, Clone)]
+pub(crate) struct Constraints {
+    /// Primary-key slots, in key order.
+    pub(crate) key: Vec<usize>,
+    /// Per slot: whether NULL is refused (NOT NULL, or a key column).
+    pub(crate) required: Vec<bool>,
+    /// UNIQUE slots, ascending.
+    pub(crate) unique: Vec<usize>,
+    /// The indexes storage keeps.
+    pub(crate) indexed: Indexed,
+    /// This table's foreign keys, in declaration order.
+    pub(crate) references: Vec<Reference>,
+    /// Every foreign key that references this table: tables in name
+    /// order, each one's keys in declaration order.
+    pub(crate) referenced_by: Vec<Reference>,
+    /// The CHECK predicates in [`Table::checks`] order, bound to this
+    /// table's slots.
+    pub(crate) checks: Vec<Bound>,
+}
+
+/// The slots storage indexes: the primary key (in key order), UNIQUE
+/// columns, and the foreign-key columns neither covers (the join columns
+/// the SPARQL translation produces). A DOUBLE column gets no index, nor
+/// does a key holding one: the column may store `Int` values, whose keys
+/// differ from the SQL-equal doubles', so no probe could read it (see
+/// [`crate::ColumnProbe`]).
+#[derive(Debug, Clone)]
+pub(crate) struct Indexed {
+    pub(crate) key: Vec<usize>,
+    pub(crate) unique: Vec<usize>,
+    pub(crate) secondary: Vec<usize>,
+}
+
+/// Foreign key `fk` bound to slots: column `slot` (of type `ty`) of
+/// `table` holds values of column `target` (`target_ty`) of
+/// `fk.ref_table`. Errors report `fk`'s names.
+#[derive(Debug, Clone)]
+pub(crate) struct Reference {
+    pub(crate) fk: ForeignKey,
+    pub(crate) table: String,
+    pub(crate) slot: usize,
+    pub(crate) ty: SqlType,
+    pub(crate) target: usize,
+    pub(crate) target_ty: SqlType,
 }
 
 impl Schema {
@@ -252,98 +304,155 @@ impl Schema {
         self.tables.is_empty()
     }
 
-    /// Validate internal consistency: PK/FK columns exist, FK targets
-    /// exist and point at the target's primary key or a unique column,
-    /// and PK columns are implicitly NOT NULL.
+    /// Validate internal consistency: column names are distinct,
+    /// AUTO_INCREMENT columns are INTEGER, PK/FK columns exist, FK
+    /// targets exist and point at the target's primary key or a unique
+    /// column, and every CHECK predicate names only its own table's
+    /// columns (bare, or qualified with the table's name).
     ///
     /// Call after assembling a schema; [`crate::Database::new`] does so
     /// automatically.
     pub fn validate(&self) -> RelResult<()> {
+        self.resolve().map(drop)
+    }
+
+    // This schema with every table's constraints bound: the one walk
+    // over its names, which `Database::new` takes once.
+    pub(crate) fn resolved(mut self) -> RelResult<Schema> {
+        self.constraints = self.resolve()?;
+        Ok(self)
+    }
+
+    // The table `name` and its bound constraints (of a resolved schema).
+    pub(crate) fn bound(&self, name: &str) -> RelResult<(&Table, &Constraints)> {
+        Ok((self.table(name)?, &self.constraints[name]))
+    }
+
+    // The validation walk: each table's names are checked and bound to
+    // slots, then each foreign key is filed under the table it
+    // references too.
+    fn resolve(&self) -> RelResult<BTreeMap<String, Constraints>> {
+        let mut bound = BTreeMap::new();
         for table in self.tables.values() {
-            let mut seen = std::collections::BTreeSet::new();
-            for column in &table.columns {
-                if !seen.insert(&column.name) {
-                    return Err(RelError::SchemaInvalid {
-                        message: format!(
-                            "table {:?} declares column {:?} twice",
-                            table.name, column.name
-                        ),
-                    });
-                }
-                if column.auto_increment && column.ty != crate::value::SqlType::Integer {
-                    return Err(RelError::SchemaInvalid {
-                        message: format!(
-                            "table {:?}: AUTO_INCREMENT column {:?} must be INTEGER",
-                            table.name, column.name
-                        ),
-                    });
-                }
-            }
-            for pk in &table.primary_key {
-                if table.column_index(pk).is_none() {
-                    return Err(RelError::SchemaInvalid {
-                        message: format!(
-                            "table {:?}: primary key column {pk:?} does not exist",
-                            table.name
-                        ),
-                    });
-                }
-            }
-            for check in &table.checks {
-                let mut missing: Option<String> = None;
-                visit_columns(&check.predicate, &mut |cref| {
-                    if table.column_index(&cref.column).is_none() {
-                        missing = Some(cref.column.clone());
-                    }
-                });
-                if let Some(column) = missing {
-                    return Err(RelError::SchemaInvalid {
-                        message: format!(
-                            "table {:?}: CHECK {:?} references missing column {column:?}",
-                            table.name, check.name
-                        ),
-                    });
-                }
-            }
-            for fk in &table.foreign_keys {
-                if table.column_index(&fk.column).is_none() {
-                    return Err(RelError::SchemaInvalid {
-                        message: format!(
-                            "table {:?}: foreign key column {:?} does not exist",
-                            table.name, fk.column
-                        ),
-                    });
-                }
-                let target =
-                    self.tables
-                        .get(&fk.ref_table)
-                        .ok_or_else(|| RelError::SchemaInvalid {
-                            message: format!(
-                                "table {:?}: foreign key references missing table {:?}",
-                                table.name, fk.ref_table
-                            ),
-                        })?;
-                let target_col =
-                    target
-                        .column(&fk.ref_column)
-                        .ok_or_else(|| RelError::SchemaInvalid {
-                            message: format!(
-                                "table {:?}: foreign key references missing column {}.{}",
-                                table.name, fk.ref_table, fk.ref_column
-                            ),
-                        })?;
-                let is_pk = target.primary_key == vec![fk.ref_column.clone()];
-                if !is_pk && !target_col.unique {
-                    return Err(RelError::SchemaInvalid {
-                        message: format!(
-                            "table {:?}: foreign key target {}.{} is neither the primary key nor unique",
-                            table.name, fk.ref_table, fk.ref_column
-                        ),
-                    });
-                }
+            bound.insert(table.name.clone(), self.resolve_table(table)?);
+        }
+        for table in self.tables.values() {
+            for reference in bound[&table.name].references.clone() {
+                let target = bound.get_mut(&reference.fk.ref_table);
+                target
+                    .expect("resolved above")
+                    .referenced_by
+                    .push(reference);
             }
         }
-        Ok(())
+        Ok(bound)
+    }
+
+    // The constraints of `table` bound to its slots, but for
+    // `referenced_by`.
+    fn resolve_table(&self, table: &Table) -> RelResult<Constraints> {
+        let mut seen = std::collections::BTreeSet::new();
+        for column in &table.columns {
+            if !seen.insert(&column.name) {
+                return Err(RelError::SchemaInvalid {
+                    message: format!(
+                        "table {:?} declares column {:?} twice",
+                        table.name, column.name
+                    ),
+                });
+            }
+            if column.auto_increment && column.ty != SqlType::Integer {
+                let name = &column.name;
+                return Err(invalid(
+                    table,
+                    format!("AUTO_INCREMENT column {name:?} must be INTEGER"),
+                ));
+            }
+        }
+        let mut key = Vec::new();
+        for pk in &table.primary_key {
+            let missing = || invalid(table, format!("primary key column {pk:?} does not exist"));
+            key.push(table.column_index(pk).ok_or_else(missing)?);
+        }
+        let scope = [(table.name.as_str(), table)];
+        let mut checks = Vec::new();
+        for check in &table.checks {
+            let unbound = |e| {
+                let reason = match e {
+                    RelError::Execution { message } => message,
+                    e => e.to_string(),
+                };
+                invalid(table, format!("CHECK {:?}: {reason}", check.name))
+            };
+            checks.push(bind(&check.predicate, &scope).map_err(unbound)?);
+        }
+        let references = table
+            .foreign_keys
+            .iter()
+            .map(|fk| self.resolve_reference(table, fk))
+            .collect::<RelResult<Vec<Reference>>>()?;
+        let slots = 0..table.columns.len();
+        let unique: Vec<usize> = slots.clone().filter(|&i| table.columns[i].unique).collect();
+        let indexable = |&i: &usize| table.columns[i].ty != SqlType::Double;
+        let mut indexed = Indexed {
+            key: if key.iter().all(indexable) {
+                key.clone()
+            } else {
+                Vec::new()
+            },
+            unique: unique.iter().copied().filter(indexable).collect(),
+            secondary: Vec::new(),
+        };
+        for &Reference { slot, .. } in &references {
+            let covered = indexed.key == [slot] || indexed.unique.contains(&slot);
+            if !covered && indexable(&slot) && !indexed.secondary.contains(&slot) {
+                indexed.secondary.push(slot);
+            }
+        }
+        Ok(Constraints {
+            required: slots
+                .map(|i| table.columns[i].not_null || key.contains(&i))
+                .collect(),
+            key,
+            unique,
+            indexed,
+            references,
+            referenced_by: Vec::new(),
+            checks,
+        })
+    }
+
+    // Foreign key `fk` of `table` bound to slots: its column must exist,
+    // and its target must be the referenced table's primary key or a
+    // unique column.
+    fn resolve_reference(&self, table: &Table, fk: &ForeignKey) -> RelResult<Reference> {
+        let (column, ref_table, ref_column) = (&fk.column, &fk.ref_table, &fk.ref_column);
+        let invalid = |reason: &str| invalid(table, format!("foreign key {reason}"));
+        let Some(slot) = table.column_index(column) else {
+            return Err(invalid(&format!("column {column:?} does not exist")));
+        };
+        let Some(target_table) = self.tables.get(ref_table) else {
+            return Err(invalid(&format!("references missing table {ref_table:?}")));
+        };
+        let Some(target) = target_table.column_index(ref_column) else {
+            return Err(invalid(&format!(
+                "references missing column {ref_table}.{ref_column}"
+            )));
+        };
+        let target_column = &target_table.columns[target];
+        if target_table.primary_key != [ref_column.as_str()] && !target_column.unique {
+            return Err(invalid(&format!(
+                "target {ref_table}.{ref_column} is neither the primary key nor unique"
+            )));
+        }
+        Ok(Reference {
+            fk: fk.clone(),
+            table: table.name.clone(),
+            slot,
+            ty: table.columns[slot].ty,
+            target,
+            target_ty: target_column.ty,
+        })
     }
 
     /// Tables that `table` references via foreign keys (dependency edges
@@ -361,24 +470,10 @@ impl Schema {
     }
 }
 
-// Walk every column reference in an expression.
-fn visit_columns(expr: &crate::sql::ast::Expr, f: &mut impl FnMut(&crate::sql::ast::ColumnRef)) {
-    use crate::sql::ast::Expr;
-    match expr {
-        Expr::Value(_) => {}
-        Expr::Column(c) => f(c),
-        Expr::Binary { left, right, .. } => {
-            visit_columns(left, f);
-            visit_columns(right, f);
-        }
-        Expr::Not(inner) => visit_columns(inner, f),
-        Expr::IsNull { expr, .. } => visit_columns(expr, f),
-        Expr::InList { expr, list, .. } => {
-            visit_columns(expr, f);
-            for item in list {
-                visit_columns(item, f);
-            }
-        }
+// Validation's error for `table`, declared invalid for `reason`.
+fn invalid(table: &Table, reason: String) -> RelError {
+    RelError::SchemaInvalid {
+        message: format!("table {:?}: {reason}", table.name),
     }
 }
 
@@ -652,20 +747,30 @@ mod check_tests {
 
     #[test]
     fn check_referencing_missing_column_fails_validation() {
-        let mut schema = Schema::new();
-        schema
-            .add_table(
-                Table::builder("t")
-                    .column(Column::new("id", SqlType::Integer))
-                    .primary_key(&["id"])
-                    .check("bad", "ghost > 0")
-                    .build(),
-            )
-            .unwrap();
-        assert!(matches!(
-            schema.validate(),
-            Err(RelError::SchemaInvalid { .. })
-        ));
+        // A bare missing column, and a column of another table: neither
+        // binds over the CHECK's own table.
+        for (table, predicate) in [("t", "ghost > 0"), ("publication", "other.year > 0")] {
+            let mut schema = Schema::new();
+            schema
+                .add_table(
+                    Table::builder(table)
+                        .column(Column::new("id", SqlType::Integer))
+                        .column(Column::new("year", SqlType::Integer))
+                        .primary_key(&["id"])
+                        .check("bad", predicate)
+                        .build(),
+                )
+                .unwrap();
+            let err = schema.validate().unwrap_err();
+            let RelError::SchemaInvalid { message } = &err else {
+                panic!("{predicate}: {err:?}");
+            };
+            assert!(
+                message.starts_with(&format!("table {table:?}: CHECK \"bad\"")),
+                "{message}"
+            );
+            assert!(Database::new(schema).is_err());
+        }
     }
 
     #[test]

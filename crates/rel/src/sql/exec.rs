@@ -423,8 +423,9 @@ fn bind_conjuncts(
 // Bind every column reference of `expr` to its `(binding, column index)`
 // in `scope`, rejecting unknown and ambiguous references with the errors
 // `resolve_multi` raises during evaluation — but unconditionally, not
-// only for row combinations that get enumerated.
-fn bind(expr: &Expr, scope: &[(&str, &crate::schema::Table)]) -> RelResult<Bound> {
+// only for row combinations that get enumerated. A CHECK predicate is
+// bound once, by schema validation, over its table alone.
+pub(crate) fn bind(expr: &Expr, scope: &[(&str, &crate::schema::Table)]) -> RelResult<Bound> {
     let bind_box = |expr: &Expr| bind(expr, scope).map(Box::new);
     Ok(match expr {
         Expr::Value(v) => Bound::Value(*v),
@@ -499,43 +500,12 @@ fn bind_column(
     }
 }
 
-/// Evaluate an expression where column references resolve against one
-/// row of `table` by name (CHECK constraints; statements bind their
-/// columns to slots once instead).
-pub fn eval_on_row(expr: &Expr, table: &crate::schema::Table, row: &[Value]) -> RelResult<Value> {
-    let resolve = |cref: &ColumnRef| -> RelResult<Value> {
-        if let Some(qualifier) = &cref.table {
-            if qualifier != &table.name {
-                return Err(RelError::Execution {
-                    message: format!(
-                        "unknown table qualifier {qualifier:?} (statement targets {:?})",
-                        table.name
-                    ),
-                });
-            }
-        }
-        let idx = table
-            .column_index(&cref.column)
-            .ok_or_else(|| RelError::NoSuchColumn {
-                table: table.name.clone(),
-                column: cref.column.clone(),
-            })?;
-        Ok(row[idx])
-    };
-    eval(expr, &resolve)
-}
-
-/// Evaluate `expr` with a column resolver, applying SQL three-valued
-/// logic: comparisons with NULL yield NULL; `AND`/`OR` follow Kleene
-/// semantics; WHERE accepts only `TRUE`.
-pub fn eval(expr: &Expr, resolve: &dyn Fn(&ColumnRef) -> RelResult<Value>) -> RelResult<Value> {
-    eval_tree(expr, resolve)
-}
-
 // One node of an expression tree as `eval_tree` reads it. The statement
-// AST names its columns, so its resolver looks them up per row; a
-// plan's `Bound` expressions hold the slots the planner resolved. Both
-// evaluate through the one function below.
+// AST names its columns, so the reference executor's resolver looks them
+// up per row; `Bound` expressions hold the slots `bind` resolved. Both
+// evaluate through the one function below, which applies SQL
+// three-valued logic: comparisons with NULL yield NULL; `AND`/`OR`
+// follow Kleene semantics; WHERE accepts only `TRUE`.
 enum Node<'e, T: Tree> {
     Value(Value),
     Column(&'e T::Column),
@@ -738,9 +708,11 @@ pub struct PlanLevel {
 /// A plan's expression — a residual conjunct or an output — with every
 /// column bound to the slot that holds it: `(binding, column index)`
 /// while the FROM list is planned, `(level, column index)` once the join
-/// order is fixed.
+/// order is fixed. Mutations bind their WHERE and SET expressions, and
+/// schema validation each CHECK predicate, over their one table (level
+/// 0).
 #[derive(Debug, Clone, PartialEq)]
-enum Bound {
+pub(crate) enum Bound {
     Value(Value),
     Column(LevelColumn),
     Binary {
@@ -1529,8 +1501,9 @@ fn holds(conjunct: &Bound, scope: &[&[Value]]) -> RelResult<bool> {
     Ok(matches!(eval_bound(conjunct, scope)?, Value::Bool(true)))
 }
 
-// Evaluate a bound expression over the rows bound so far.
-fn eval_bound(expr: &Bound, scope: &[&[Value]]) -> RelResult<Value> {
+// Evaluate a bound expression over the rows bound so far (a CHECK
+// predicate: over the one row it checks).
+pub(crate) fn eval_bound(expr: &Bound, scope: &[&[Value]]) -> RelResult<Value> {
     eval_tree(expr, &|&(level, column): &LevelColumn| {
         Ok(scope[level][column])
     })
@@ -1811,7 +1784,7 @@ fn reference_join_level<'a>(
         let resolve = |cref: &ColumnRef| -> RelResult<Value> { resolve_multi(current, cref) };
         let mut row = Vec::with_capacity(out_exprs.len());
         for expr in out_exprs {
-            row.push(eval(expr, &resolve)?);
+            row.push(eval_tree(expr, &resolve)?);
         }
         out.push(row);
         return Ok(());
@@ -1821,7 +1794,7 @@ fn reference_join_level<'a>(
         current.push((name, table, r));
         let resolve = |cref: &ColumnRef| -> RelResult<Value> { resolve_multi(current, cref) };
         for (level, conjunct) in conjuncts {
-            if *level == depth && !matches!(eval(conjunct, &resolve)?, Value::Bool(true)) {
+            if *level == depth && !matches!(eval_tree(conjunct, &resolve)?, Value::Bool(true)) {
                 current.pop();
                 continue 'rows;
             }

@@ -1,9 +1,10 @@
 //! Row storage for one table: heap of rows plus primary-key, unique,
 //! and secondary (non-unique) indexes.
 //!
-//! Every index is found by the slot of the column it covers, resolved
-//! from the schema once in [`TableData::for_table`]: a write keeps
-//! each index without looking a column up by name, and
+//! Every index is found by the slot of the column it covers, which
+//! schema validation resolved once
+//! ([`Schema::validate`](crate::schema::Schema::validate)): a write
+//! keeps each index without looking a column up by name, and
 //! `TableData::eq_index` hands a reader the index answering equality
 //! on a slot. Storage compares index keys only; SQL equality — which
 //! values may use which key — is the database's
@@ -20,8 +21,8 @@
 
 use crate::database::ProbeIds;
 use crate::pmap::PMap;
-use crate::schema::Table;
-use crate::value::{IndexKey, SqlType, Value};
+use crate::schema::Indexed;
+use crate::value::{IndexKey, Value};
 use std::sync::Arc;
 
 /// Identifier of a stored row, unique within its table for the lifetime
@@ -67,58 +68,36 @@ impl<'a> EqIndex<'a> {
 #[derive(Debug, Clone, Default)]
 pub struct TableData {
     rows: PMap<RowId, Vec<Value>>,
-    /// PK values → row id. Empty key vec when the table has no PK.
+    /// PK values → row id; kept only when `pk_slots` is not empty.
     pk_index: PMap<Vec<IndexKey>, RowId>,
-    /// Slots of the primary-key columns, in key order.
+    /// Slots of the primary-key columns, in key order; empty when the
+    /// key is not indexed (none, or a DOUBLE column in it).
     pk_slots: Vec<usize>,
     /// Per unique column slot: value → row id (NULLs excluded, as in
     /// SQL).
     unique_indexes: Vec<(usize, PMap<IndexKey, RowId>)>,
     /// Per indexed column slot: value → row ids (non-unique; NULLs
     /// excluded). The set is fixed by the schema: every declared FK
-    /// column not already covered by the PK or a UNIQUE index (see
-    /// [`TableData::for_table`]). Id lists are kept in ascending row-id
-    /// order so index-backed plans enumerate rows deterministically.
-    /// Each list is `Arc`-shared: path-copying a leaf after a publish
-    /// shares its untouched lists, and only the list a write touches is
-    /// copied.
+    /// column not already covered by the PK or a UNIQUE index. Id lists
+    /// are kept in ascending row-id order so index-backed plans
+    /// enumerate rows deterministically. Each list is `Arc`-shared:
+    /// path-copying a leaf after a publish shares its untouched lists,
+    /// and only the list a write touches is copied.
     secondary_indexes: Vec<(usize, Postings)>,
     next_row_id: RowId,
 }
 
 impl TableData {
-    /// Empty storage with unique indexes prepared from the table schema
-    /// and secondary indexes on every declared foreign-key column (the
-    /// join columns the SPARQL translation produces).
-    pub fn for_table(table: &Table) -> Self {
-        let slot = |name: &str| {
-            table
-                .column_index(name)
-                .expect("validated schema: indexed column exists")
-        };
-        let pk_slots: Vec<usize> = table.primary_key.iter().map(|name| slot(name)).collect();
-        let unique_indexes = (0..table.columns.len())
-            .filter(|&i| table.columns[i].unique)
-            .map(|i| (i, PMap::new()))
-            .collect();
-        let mut secondary_indexes: Vec<(usize, Postings)> = Vec::new();
-        for fk in &table.foreign_keys {
-            let i = slot(&fk.column);
-            let column = &table.columns[i];
-            let covered = column.unique || pk_slots == [i];
-            // An index on a DOUBLE column never answers a probe (its
-            // keys cannot express SQL equality: the column may store
-            // Int values), so it would cost maintenance forever without
-            // ever being read.
-            let probeable = column.ty != SqlType::Double;
-            if !covered && probeable && secondary_indexes.iter().all(|&(s, _)| s != i) {
-                secondary_indexes.push((i, PMap::new()));
-            }
-        }
+    /// Empty storage keeping the indexes `indexed` names.
+    pub(crate) fn for_table(indexed: &Indexed) -> Self {
         TableData {
-            pk_slots,
-            unique_indexes,
-            secondary_indexes,
+            pk_slots: indexed.key.clone(),
+            unique_indexes: indexed.unique.iter().map(|&i| (i, PMap::new())).collect(),
+            secondary_indexes: indexed
+                .secondary
+                .iter()
+                .map(|&i| (i, PMap::new()))
+                .collect(),
             ..TableData::default()
         }
     }
@@ -137,12 +116,6 @@ impl TableData {
             .iter()
             .find(|(s, _)| *s == slot)
             .map(|(_, index)| EqIndex::Secondary(index))
-    }
-
-    /// Slots of the primary-key columns, in key order (empty when the
-    /// table has no primary key).
-    pub(crate) fn pk_slots(&self) -> &[usize] {
-        &self.pk_slots
     }
 
     /// The greatest primary key, in key order (`None` when the table is
@@ -211,18 +184,6 @@ impl TableData {
             .last_key_value()
             .map_or(0, |(max_id, _)| max_id + 1);
         self.next_row_id = next.max(floor);
-    }
-
-    /// Columns of `table`, this storage's table, carrying a secondary
-    /// index, sorted (snapshot state).
-    pub fn secondary_index_columns(&self, table: &Table) -> Vec<String> {
-        let mut columns: Vec<String> = self
-            .secondary_indexes
-            .iter()
-            .map(|&(slot, _)| table.columns[slot].name.clone())
-            .collect();
-        columns.sort();
-        columns
     }
 
     /// Replace a row's values (already constraint-checked), fixing
@@ -310,8 +271,21 @@ impl TableData {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{Column, Table};
+    use crate::schema::{Column, Schema, Table};
     use crate::value::SqlType;
+
+    // Empty storage of `table`, resolved in a schema beside `t`, the
+    // table its foreign keys reference.
+    fn storage(table: Table) -> TableData {
+        let name = table.name.clone();
+        let mut schema = Schema::new();
+        schema.add_table(table).unwrap();
+        if name != "t" {
+            schema.add_table(self::table()).unwrap();
+        }
+        let schema = schema.resolved().unwrap();
+        TableData::for_table(&schema.bound(&name).unwrap().1.indexed)
+    }
 
     // The ids the index covering column `slot` holds under `value`'s
     // key (`None` when no index covers it).
@@ -337,8 +311,7 @@ mod tests {
 
     #[test]
     fn insert_and_lookup() {
-        let t = table();
-        let mut data = TableData::for_table(&t);
+        let mut data = storage(table());
         let id = data.insert_unchecked(vec![Value::Int(1), Value::text("A")]);
         assert_eq!(data.len(), 1);
         assert_eq!(data.find_by_pk(&[Value::Int(1).index_key()]), Some(id));
@@ -347,8 +320,7 @@ mod tests {
 
     #[test]
     fn update_moves_index_entries() {
-        let t = table();
-        let mut data = TableData::for_table(&t);
+        let mut data = storage(table());
         let id = data.insert_unchecked(vec![Value::Int(1), Value::text("A")]);
         let old = data
             .update_unchecked(id, vec![Value::Int(2), Value::text("B")])
@@ -362,8 +334,7 @@ mod tests {
 
     #[test]
     fn delete_clears_indexes() {
-        let t = table();
-        let mut data = TableData::for_table(&t);
+        let mut data = storage(table());
         let id = data.insert_unchecked(vec![Value::Int(1), Value::text("A")]);
         let row = data.delete_unchecked(id).unwrap();
         assert_eq!(row[1], Value::text("A"));
@@ -373,8 +344,7 @@ mod tests {
 
     #[test]
     fn nulls_not_in_unique_index() {
-        let t = table();
-        let mut data = TableData::for_table(&t);
+        let mut data = storage(table());
         data.insert_unchecked(vec![Value::Int(1), Value::Null]);
         data.insert_unchecked(vec![Value::Int(2), Value::Null]);
         assert_eq!(data.len(), 2);
@@ -394,8 +364,7 @@ mod tests {
 
     #[test]
     fn secondary_index_tracks_mutations() {
-        let t = referencing();
-        let mut data = TableData::for_table(&t);
+        let mut data = storage(referencing());
         assert!(matches!(data.eq_index(1), Some(EqIndex::Secondary(_))));
         let r1 = data.insert_unchecked(vec![Value::Int(1), Value::text("A")]);
         let r2 = data.insert_unchecked(vec![Value::Int(2), Value::text("A")]);
@@ -411,8 +380,7 @@ mod tests {
 
     #[test]
     fn secondary_index_skips_nulls() {
-        let t = referencing();
-        let mut data = TableData::for_table(&t);
+        let mut data = storage(referencing());
         let r1 = data.insert_unchecked(vec![Value::Int(1), Value::text("A")]);
         data.insert_unchecked(vec![Value::Int(2), Value::Null]);
         assert_eq!(probe(&data, 1, Value::text("A")), Some(vec![r1]));
@@ -422,8 +390,7 @@ mod tests {
 
     #[test]
     fn update_keeps_secondary_index_sorted() {
-        let t = referencing();
-        let mut data = TableData::for_table(&t);
+        let mut data = storage(referencing());
         let r1 = data.insert_unchecked(vec![Value::Int(1), Value::text("B")]);
         let r2 = data.insert_unchecked(vec![Value::Int(2), Value::text("A")]);
         data.update_unchecked(r1, vec![Value::Int(1), Value::text("A")])
@@ -439,14 +406,13 @@ mod tests {
             .primary_key(&["id"])
             .foreign_key("parent", "t", "id")
             .build();
-        let data = TableData::for_table(&referencing);
+        let data = storage(referencing);
         assert!(matches!(data.eq_index(1), Some(EqIndex::Secondary(_))));
     }
 
     #[test]
     fn scan_in_row_id_order() {
-        let t = table();
-        let mut data = TableData::for_table(&t);
+        let mut data = storage(table());
         data.insert_unchecked(vec![Value::Int(3), Value::Null]);
         data.insert_unchecked(vec![Value::Int(1), Value::Null]);
         let ids: Vec<RowId> = data.scan().map(|(id, _)| id).collect();

@@ -547,6 +547,7 @@ type ColumnSpec = (
 // Keys, UNIQUE columns and FK columns of every type, with FKs across
 // types: `a` is INTEGER-keyed, `b` DOUBLE-keyed, `c` VARCHAR-keyed and
 // references both. `id` is every table's primary key and first column.
+// `c` also has a CHECK (`CHECK_ON_C`).
 const CONSTRAINED: [(&str, &[ColumnSpec]); 3] = [
     (
         "a",
@@ -577,6 +578,10 @@ const CONSTRAINED: [(&str, &[ColumnSpec]); 3] = [
     ),
 ];
 
+// The CHECK on `c`: two INTEGER columns, one named qualified and one
+// bare; NULL (which passes) when either is NULL.
+const CHECK_ON_C: (&str, &str, &str) = ("c", "x_at_most_z", "c.x <= z");
+
 fn constrained_database() -> Database {
     let mut schema = Schema::new();
     for (table, columns) in CONSTRAINED {
@@ -593,6 +598,10 @@ fn constrained_database() -> Database {
             if let Some((ref_table, ref_column)) = references {
                 builder = builder.foreign_key(name, ref_table, ref_column);
             }
+        }
+        let (check_table, check, predicate) = CHECK_ON_C;
+        if table == check_table {
+            builder = builder.check(check, predicate);
         }
         schema
             .add_table(builder.primary_key(&["id"]).build())
@@ -631,7 +640,8 @@ fn heap_of(db: &Database) -> Heap {
 // Whether every constraint holds of the whole `heap`, by scanning and
 // comparing with SQL equality: NOT NULL (the key included), no two rows
 // with SQL-equal keys or UNIQUE values, and every non-NULL FK value
-// SQL-equal to a value of its referenced column. A statement changes
+// SQL-equal to a value of its referenced column; and `CHECK_ON_C`
+// (`x <= z` unless either is NULL). A statement changes
 // one row of a state where all of this held, so a state where it still
 // holds is one the statement's own checks must accept: RESTRICT is the
 // FK rule seen from the row that goes away or is re-keyed.
@@ -666,7 +676,12 @@ fn constraints_hold(heap: &Heap) -> bool {
             }
         }
     }
-    true
+    // `c` is table 2; `x` and `z` are its slots 1 and 3, and hold `Int`
+    // or NULL.
+    heap[2].iter().all(|(_, row)| match (row[1], row[3]) {
+        (Value::Int(x), Value::Int(z)) => x <= z,
+        _ => true,
+    })
 }
 
 // A random single-row INSERT, UPDATE or DELETE over the constraint
@@ -731,7 +746,8 @@ proptest! {
 
     /// PRIMARY KEY, UNIQUE, FOREIGN KEY and RESTRICT are checked under
     /// SQL equality, whatever answers the lookup: an index, or a scan
-    /// for a DOUBLE column. Each random single-row statement over keys
+    /// for a DOUBLE column; a CHECK rejects exactly the rows it is
+    /// FALSE for. Each random single-row statement over keys
     /// and references of every type, with values mixing `n`, `n.0` and
     /// NULL, is accepted exactly when the scan-and-`sql_eq` oracle says
     /// the state it leaves keeps every constraint, and the heap is then
@@ -767,6 +783,7 @@ proptest! {
                                 | rel::RelError::UniqueViolation { .. }
                                 | rel::RelError::ForeignKeyViolation { .. }
                                 | rel::RelError::RestrictViolation { .. }
+                                | rel::RelError::CheckViolation { .. }
                         ),
                         "{}: {}", sql, error
                     );
